@@ -20,14 +20,19 @@ one :class:`~repro.api.session.Session` amortises setup over many executions.
 Expression handling differs by engine: ``reference`` keeps cwltool's
 per-evaluation cost model (fresh JS engine, re-parsed expressionLib — the
 Figure 2 baseline), while ``toil``, ``parsl`` and ``parsl-workflow`` default
-to the compiled pipeline of :mod:`repro.cwl.expressions.compiler`; pass a
-``RuntimeContext(compile_expressions=...)`` to override either way where a
-runtime context is accepted.
+to the compiled pipeline of :mod:`repro.cwl.expressions.compiler`; pass
+``compile_expressions=`` to override either way.
+
+Every engine constructor takes its backend arguments plus ``runtime_context=``
+and nothing else: any other keyword is a :class:`RuntimeContext` field given
+flat (``Session("toil", cache_dir=..., retry_policy=...)``) and is folded into
+the context by :func:`_context_with_options`, so no engine re-declares a run
+option.
 """
 
 from __future__ import annotations
 
-import os
+import dataclasses
 import threading
 import time
 from typing import Any, Dict, Optional
@@ -36,7 +41,6 @@ from repro.api.engine import Engine, EngineError, register_engine
 from repro.api.events import EventRecorder, ExecutionHooks
 from repro.api.plan import describe_workflow
 from repro.api.result import ExecutionResult
-from repro.cwl.jobcache import JobCache, resolve_job_cache
 from repro.cwl.runners.base import BaseRunner
 from repro.cwl.runners.reference import ReferenceRunner
 from repro.cwl.runners.toil.runner import ToilStyleRunner
@@ -45,27 +49,24 @@ from repro.cwl.schema import CommandLineTool, Process, Workflow
 
 
 def _context_with_options(runtime_context: Optional[RuntimeContext],
-                          cache_dir: Optional[str],
-                          job_cache: Optional[bool],
-                          **extras: Any) -> Optional[RuntimeContext]:
-    """Fold engine-level options into a :class:`RuntimeContext`.
+                          options: Dict[str, Any]) -> RuntimeContext:
+    """Fold flat keyword options into a :class:`RuntimeContext`.
 
-    Lets every engine (and therefore ``Session(engine, cache_dir=...)`` /
-    ``api.run(..., retry_policy=...)``) expose the job cache and the
-    fault-tolerance layer (``retry_policy``, ``timeout_s``, ``on_error``,
-    ``fault_plan``, ``journal``) without callers having to build a
-    :class:`RuntimeContext` themselves.  ``None``-valued extras mean "keep the
-    context's setting".
+    The one place ``Session(engine, cache_dir=...)`` /
+    ``api.run(..., retry_policy=...)`` keywords become context fields.  An
+    explicit keyword overrides the given context's field; ``None`` means
+    "keep the context's setting"; a name that is not a public context field
+    raises :exc:`TypeError`.
     """
-    overrides: Dict[str, Any] = {k: v for k, v in extras.items() if v is not None}
-    if cache_dir is not None:
-        overrides["cache_dir"] = os.fspath(cache_dir)
-    if job_cache is not None:
-        overrides["job_cache"] = job_cache
-    if not overrides:
-        return runtime_context
+    known = {f.name for f in dataclasses.fields(RuntimeContext)
+             if not f.name.startswith("_")}
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise TypeError(f"unknown engine option(s) {unknown}; run options are "
+                        f"the RuntimeContext fields {sorted(known)}")
     context = runtime_context if runtime_context is not None else RuntimeContext()
-    return context.child(**overrides)
+    overrides = {k: v for k, v in options.items() if v is not None}
+    return context.child(**overrides) if overrides else context
 
 
 def _event_cache_stats(recorder: EventRecorder) -> Dict[str, int]:
@@ -131,7 +132,7 @@ class RunnerEngine(Engine):
             cache_stats=_event_cache_stats(recorder) if cache_enabled else None,
             failures=dict(details.get("failures", {})),
             node_states=dict(details.get("node_states", {})),
-            stage_timings=getattr(runner, "stage_timings", None),
+            stage_timings=runner.stage_timings,
         )
 
 
@@ -142,20 +143,11 @@ class ReferenceEngine(RunnerEngine):
 
     def __init__(self, runtime_context: Optional[RuntimeContext] = None,
                  parallel: bool = False, max_workers: int = 8,
-                 validate: bool = True, cache_dir: Optional[str] = None,
-                 job_cache: Optional[bool] = None,
-                 retry_policy: Any = None, timeout_s: Optional[float] = None,
-                 on_error: Optional[str] = None, fault_plan: Any = None,
-                 journal: Any = None, pipeline: bool = False,
-                 max_inflight: Optional[int] = None) -> None:
+                 validate: bool = True, **options: Any) -> None:
         super().__init__()
-        runtime_context = _context_with_options(
-            runtime_context, cache_dir, job_cache, retry_policy=retry_policy,
-            timeout_s=timeout_s, on_error=on_error, fault_plan=fault_plan,
-            journal=journal)
-        self._options = dict(runtime_context=runtime_context, parallel=parallel,
-                             max_workers=max_workers, validate=validate,
-                             pipeline=pipeline, max_inflight=max_inflight)
+        self._options = dict(
+            runtime_context=_context_with_options(runtime_context, options),
+            parallel=parallel, max_workers=max_workers, validate=validate)
 
     def _make_runner(self) -> BaseRunner:
         return ReferenceRunner(**self._options)
@@ -172,22 +164,13 @@ class ToilEngine(RunnerEngine):
                  parallel: bool = True, max_workers: int = 8,
                  import_outputs: bool = True, validate: bool = True,
                  destroy_job_store_on_close: Optional[bool] = None,
-                 cache_dir: Optional[str] = None,
-                 job_cache: Optional[bool] = None,
-                 retry_policy: Any = None, timeout_s: Optional[float] = None,
-                 on_error: Optional[str] = None, fault_plan: Any = None,
-                 journal: Any = None, pipeline: bool = False,
-                 max_inflight: Optional[int] = None) -> None:
+                 **options: Any) -> None:
         super().__init__()
-        runtime_context = _context_with_options(
-            runtime_context, cache_dir, job_cache, retry_policy=retry_policy,
-            timeout_s=timeout_s, on_error=on_error, fault_plan=fault_plan,
-            journal=journal)
-        self._options = dict(job_store_dir=job_store_dir, batch_system=batch_system,
-                             runtime_context=runtime_context, parallel=parallel,
-                             max_workers=max_workers, import_outputs=import_outputs,
-                             validate=validate, pipeline=pipeline,
-                             max_inflight=max_inflight)
+        self._options = dict(
+            job_store_dir=job_store_dir, batch_system=batch_system,
+            runtime_context=_context_with_options(runtime_context, options),
+            parallel=parallel, max_workers=max_workers,
+            import_outputs=import_outputs, validate=validate)
         self._destroy_job_store = destroy_job_store_on_close
 
     def _make_runner(self) -> BaseRunner:
@@ -226,42 +209,17 @@ class ParslEngine(Engine):
     name = "parsl"
 
     def __init__(self, config: Any = None, outdir: Optional[str] = None,
-                 cache_dir: Optional[str] = None,
-                 job_cache: Optional[bool] = None,
-                 compile_expressions: Optional[bool] = None,
-                 retry_policy: Any = None, timeout_s: Optional[float] = None,
-                 on_error: Optional[str] = None, fault_plan: Any = None,
-                 journal: Any = None,
-                 max_inflight: Optional[int] = None) -> None:
+                 runtime_context: Optional[RuntimeContext] = None,
+                 **options: Any) -> None:
         self._config = config
         self._outdir = outdir
-        #: Bound on unfinished submitted jobs during bridge submission —
-        #: mirrors the pipelined core's in-flight window on the runner
-        #: engines (None = submit the whole graph eagerly, Parsl's default).
-        self._max_inflight = max_inflight
-        #: Fault-tolerance options, mirroring the runner engines' context
-        #: fields: retries wrap whole tool invocations (cache probe included,
-        #: so injected faults behave identically warm or cold), timeouts are
-        #: enforced in-shell on the execution side, and ``on_error`` governs
-        #: whether a failed workflow step aborts the bridge run.
-        self._retry_policy = retry_policy
-        self._timeout_s = timeout_s
-        self._on_error = on_error or "stop"
-        self._fault_plan = fault_plan
-        self._journal = journal
-        #: Tri-state expression-pipeline switch (``None`` = the Parsl
-        #: engines' compiled default, ``False`` = uncached evaluators like
-        #: the reference runner) — mirrors
-        #: ``RuntimeContext.compile_expressions`` on the runner engines.
-        self._compile_expressions = compile_expressions
-        #: The shared job cache, resolved with the same tri-state rules the
-        #: runner engines apply through RuntimeContext (``cache_dir=`` names
-        #: the store, ``job_cache=True`` opts into the default store,
-        #: ``REPRO_JOBCACHE_DIR`` opts in from the environment,
-        #: ``job_cache=False`` forces caching off).
-        store_dir = RuntimeContext(job_cache=job_cache,
-                                   cache_dir=cache_dir).job_cache_dir()
-        self._job_cache: Optional[JobCache] = resolve_job_cache(store_dir)
+        #: The run options, honoured Parsl-side: retries wrap whole tool
+        #: invocations (cache probe included, so injected faults behave
+        #: identically warm or cold), timeouts are enforced in-shell on the
+        #: execution side, ``on_error`` governs whether a failed workflow
+        #: step aborts the bridge run, and ``max_inflight`` bounds unfinished
+        #: submissions during bridge submission.
+        self._context = _context_with_options(runtime_context, options)
         self._started = False
         self._loaded_here = False
         self._kernel_lock = threading.Lock()
@@ -325,8 +283,8 @@ class ParslEngine(Engine):
         # Counted from this execution's own per-job events (the store and its
         # counters are shared process-wide, so a counter delta would absorb
         # concurrent executions' traffic).
-        cache_stats = _event_cache_stats(recorder) if self._job_cache is not None \
-            else None
+        cache_stats = _event_cache_stats(recorder) \
+            if self._context.job_cache_dir() is not None else None
         details: Dict[str, Any] = {}
         if failures:
             details["failures"] = dict(failures)
@@ -348,6 +306,7 @@ class ParslEngine(Engine):
         from repro.core.runner import run_tool_with_parsl
         from repro.cwl.retry import RetryObservation, execute_with_retries
 
+        context = self._context
         job_name = tool.id or "tool"
         cache_note: Dict[str, str] = {}
         token = recorder.job_started(job_name)
@@ -360,22 +319,19 @@ class ParslEngine(Engine):
             return run_tool_with_parsl(
                 tool=tool, job_order=job_order, config=None,
                 outdir=self._outdir, cleanup=False,
-                job_cache=self._job_cache, cache_note=cache_note,
-                compile_expressions=self._compile_expressions,
-                timeout_s=self._timeout_s,
-            )
+                runtime_context=context, cache_note=cache_note)
 
         def on_retry(attempt_no: int, exc: BaseException, delay: float) -> None:
             recorder.job_retry(token, attempt_no, error=str(exc), delay_s=delay)
-            if self._journal is not None:
-                self._journal.record("retry", job=job_name, attempt=attempt_no,
-                                     error=str(exc), delay_s=delay)
+            if context.journal is not None:
+                context.journal.record("retry", job=job_name, attempt=attempt_no,
+                                       error=str(exc), delay_s=delay)
 
         observation = RetryObservation()
         try:
             outputs = execute_with_retries(
-                attempt, policy=self._retry_policy, job=job_name,
-                fault_plan=self._fault_plan, observation=observation,
+                attempt, policy=context.retry_policy, job=job_name,
+                fault_plan=context.fault_plan, observation=observation,
                 on_retry=on_retry)
         except Exception as exc:
             recorder.job_finished(token, ok=False, error=str(exc),
@@ -390,14 +346,7 @@ class ParslEngine(Engine):
         from repro.core.workflow_bridge import CWLWorkflowBridge
 
         bridge = CWLWorkflowBridge(workflow, job_observer=recorder,
-                                   job_cache=self._job_cache,
-                                   compile_expressions=self._compile_expressions,
-                                   retry_policy=self._retry_policy,
-                                   fault_plan=self._fault_plan,
-                                   timeout_s=self._timeout_s,
-                                   on_error=self._on_error,
-                                   journal=self._journal,
-                                   max_inflight=self._max_inflight)
+                                   runtime_context=self._context)
         outputs = bridge.run(job_order)
         failures = {name: str(exc) for name, exc in bridge.failures.items()}
         return ({key: _normalise_output(value) for key, value in outputs.items()},

@@ -10,11 +10,10 @@ runners and the Parsl dataflow deliver events from worker threads.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, List, Optional
 
 HookCallback = Callable[["JobEvent"], Any]
 
@@ -150,14 +149,3 @@ class EventRecorder:
             self._records.append(record)
         if hook is not None:
             hook(record)
-
-    @contextlib.contextmanager
-    def observing(self, job: str) -> Iterator[None]:
-        """Record one job around a ``with`` block (end event on success/failure)."""
-        token = self.job_started(job)
-        try:
-            yield
-        except Exception as exc:
-            self.job_finished(token, ok=False, error=str(exc))
-            raise
-        self.job_finished(token)

@@ -24,9 +24,10 @@ faults     ``None`` (no injection) or the name of a
            deterministic fault plan plus the retry policy that rides
            with it, applied identically to every engine
 pipeline   ``None`` (engine default: the thread-pool scheduler core)
-           or ``True`` — the asyncio pipelined core on the runner
-           engines; on the Parsl engines a bounded in-flight
-           submission window (the bridge's ``max_inflight``)
+           or ``True`` — ``pipeline=True`` with ``max_inflight`` set
+           to the worker count: the asyncio pipelined core on the
+           runner engines; on the Parsl engines a bounded in-flight
+           submission window
 ========== ==========================================================
 """
 
@@ -244,6 +245,10 @@ def _fresh(value: Any) -> Any:
 def _engine_options(config: MatrixConfig, run_dir: str,
                     cache_dir: Optional[str], max_workers: int) -> Dict[str, Any]:
     options: Dict[str, Any] = {"engine": config.engine}
+    if config.engine not in ENGINE_ORDER:
+        # Custom registered engines run with their defaults; the axes only
+        # apply to engines that understand the options.
+        return options
     retry_policy = fault_plan = None
     if config.faults:
         from repro.cwl.faults import get_fault_profile
@@ -253,37 +258,28 @@ def _engine_options(config: MatrixConfig, run_dir: str,
         # the prime/report runs of the warm protocol must not share that.
         fault_plan = profile.make_plan()
         retry_policy = profile.policy
-    if config.engine in ("reference", "toil"):
-        options["runtime_context"] = RuntimeContext(
-            basedir=run_dir,
-            compile_expressions=config.compiled,
-            cache_dir=cache_dir,
-            job_cache=False if cache_dir is None else None,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-        )
-        options["max_workers"] = max_workers
-        if config.pipeline:
-            options["pipeline"] = True
-        if config.engine == "toil":
-            options["job_store_dir"] = os.path.join(run_dir, "jobstore")
-            options["destroy_job_store_on_close"] = True
-    elif config.engine in ("parsl", "parsl-workflow"):
+    # One context configures "the same run" on every engine.  The pipeline
+    # axis bounds the in-flight window to the worker count: the pipelined
+    # core's admission window on the runner engines, the bridge's submission
+    # window on the Parsl engines (which have no pipelined scheduler core).
+    options["runtime_context"] = RuntimeContext(
+        basedir=run_dir,
+        compile_expressions=config.compiled,
+        cache_dir=cache_dir,
+        job_cache=False if cache_dir is None else None,
+        retry_policy=retry_policy,
+        fault_plan=fault_plan,
+        pipeline=bool(config.pipeline),
+        max_inflight=max_workers if config.pipeline else None,
+    )
+    if config.engine in ("parsl", "parsl-workflow"):
         import repro
 
         options["config"] = repro.thread_config(
             max_threads=max_workers, run_dir=os.path.join(run_dir, "runinfo"))
-        options["compile_expressions"] = config.compiled
-        options["cache_dir"] = cache_dir
-        options["job_cache"] = False if cache_dir is None else None
-        options["retry_policy"] = retry_policy
-        options["fault_plan"] = fault_plan
-        if config.pipeline:
-            # Parsl engines have no pipelined scheduler core; the axis maps
-            # to the bridge's bounded in-flight submission window instead.
-            options["max_inflight"] = max_workers
     else:
-        # Custom registered engines: run with their defaults; the cache and
-        # compiled axes only apply to engines that understand the options.
-        pass
+        options["max_workers"] = max_workers
+        if config.engine == "toil":
+            options["job_store_dir"] = os.path.join(run_dir, "jobstore")
+            options["destroy_job_store_on_close"] = True
     return options

@@ -58,21 +58,14 @@ class ExecutionHandle:
 class Session:
     """Run CWL processes through one engine with one calling convention.
 
-    Engine options pass through by keyword — most notably
-    ``Session(engine, cache_dir=...)`` attaches the content-addressed job
-    cache (:mod:`repro.cwl.jobcache`) on *any* engine: repeated runs of
-    identical tool invocations restore their outputs from the store (zero-copy
-    hardlink staging) instead of re-executing, per-job events carry
-    ``cache="hit"|"miss"`` and each result reports ``cache_stats``.
-
-    ``Session(engine, pipeline=True, max_inflight=...)`` selects the asyncio
-    pipelined scheduler core on the runner engines (``reference``, ``toil``):
-    staging, subprocess execution and output collection of *different* jobs
-    overlap, the in-flight window is bounded by ``max_inflight``, and each
-    workflow result carries per-stage wall time in
-    :attr:`~repro.api.result.ExecutionResult.stage_timings`.  On the Parsl
-    engines ``max_inflight`` bounds unfinished submissions during bridge
-    submission instead.
+    Engine options pass through by keyword: each engine takes its backend
+    arguments (``parallel=``/``max_workers=``, ``job_store_dir=``/
+    ``batch_system=``, ``config=``/``outdir=``) plus ``runtime_context=``, and
+    any other keyword is a :class:`~repro.cwl.runtime.RuntimeContext` field
+    given flat — ``Session(engine, cache_dir=..., retry_policy=...,
+    timeout_s=..., on_error=..., pipeline=True)`` — which overrides that
+    field of the context on *any* engine (README "Configuring a run" lists
+    every option and the engines that honour it).
     """
 
     def __init__(self, engine: Union[str, Engine] = "reference",

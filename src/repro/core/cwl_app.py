@@ -37,6 +37,7 @@ from repro.cwl.command_line import build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, ValidationException
 from repro.cwl.jobcache import JobCache, resolve_job_cache
 from repro.cwl.loader import load_tool
+from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, matches
 from repro.cwl.validate import ensure_valid
@@ -81,8 +82,6 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
 
     # Honour the tool's ResourceRequirement so $(runtime.cores) / $(runtime.ram)
     # expressions see the granted resources on the Parsl path too.
-    from repro.cwl.runtime import RuntimeContext
-
     runtime = RuntimeContext().with_resources(tool).runtime_object(os.getcwd(), os.getcwd())
 
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
@@ -337,11 +336,7 @@ class CWLApp:
         data_flow_kernel: Optional[DataFlowKernel] = None,
         executors: Union[str, Sequence[str], None] = "all",
         validate_document: bool = True,
-        job_cache: Union[None, bool, str, JobCache] = None,
-        compile_expressions: Optional[bool] = None,
-        retry_policy: Optional[Any] = None,
-        fault_plan: Optional[Any] = None,
-        timeout_s: Optional[float] = None,
+        runtime_context: Optional[RuntimeContext] = None,
     ) -> None:
         if isinstance(cwl_file, CommandLineTool):
             self.tool = cwl_file
@@ -349,34 +344,23 @@ class CWLApp:
         else:
             self.cwl_path = os.fspath(cwl_file)
             self.tool = load_tool(self.cwl_path)
-        #: Tri-state like :attr:`repro.cwl.runtime.RuntimeContext.compile_expressions`:
-        #: ``None``/``True`` use the compiled pipeline (the Parsl default),
-        #: ``False`` evaluates every expression with a fresh uncached engine.
-        self.compile_expressions = compile_expressions is not False
+        #: The run options.  The context itself (lock, live-process set,
+        #: journal handle) never crosses an executor boundary:
+        #: :meth:`__call__` unpacks the fields the execution side needs into
+        #: plain, picklable ``cwl_*`` app kwargs.
+        self.runtime_context = runtime_context or RuntimeContext()
         if validate_document:
             ensure_valid(self.tool)
-        if validate_document and self.compile_expressions:
+        # ``compile_expressions`` is tri-state: ``None``/``True`` use the
+        # compiled pipeline (the Parsl default), ``False`` evaluates every
+        # expression with a fresh uncached engine.
+        if validate_document and self.runtime_context.compile_expressions is not False:
             # Validate-time compilation: submission-side expression use (static
             # glob prediction, output collection) reuses the pinned templates.
             from repro.cwl.expressions.compiler import precompile_process
 
             precompile_process(self.tool)
         self.data_flow_kernel = data_flow_kernel
-        #: Content-addressed result reuse (see :mod:`repro.cwl.jobcache`); the
-        #: probe runs on the execution side, where upstream futures are
-        #: concrete, so chained/bridged apps cache correctly too.  The
-        #: hit/miss outcome travels back through an in-process note dict, so
-        #: on process-based executors (ProcessPoolExecutor, HTEX) results are
-        #: still cached and restored, but the submit side cannot observe the
-        #: outcome: ``JobEvent.cache`` / ``cache_stats`` read as no caching.
-        self.job_cache: Optional[JobCache] = resolve_job_cache(job_cache)
-        #: Fault-tolerance options (see :mod:`repro.cwl.retry` /
-        #: :mod:`repro.cwl.faults`): when any is set the app routes through
-        #: :func:`resilient_bash_executor`, which retries the whole
-        #: execution-side call (cache probe included) under the policy.
-        self.retry_policy = retry_policy
-        self.fault_plan = fault_plan
-        self.timeout_s = timeout_s
         self.executor_label = executors if isinstance(executors, str) or executors is None \
             else (executors[0] if executors else "all")
         if self.executor_label is None:
@@ -464,8 +448,10 @@ class CWLApp:
         named_outputs = self._predict_output_files(cwl_inputs, stdout_path, stderr_path)
         output_files = [file_obj for _name, file_obj in named_outputs]
 
+        # The one place the context is unpacked for the execution side.
+        context = self.runtime_context
         app_kwargs: Dict[str, Any] = {"cwl_inputs": cwl_inputs}
-        if not self.compile_expressions:
+        if context.compile_expressions is False:
             app_kwargs["cwl_compile_expressions"] = False
         if stdout_path:
             app_kwargs["stdout"] = stdout_path
@@ -475,22 +461,34 @@ class CWLApp:
             app_kwargs["outputs"] = output_files
         executor_fn = remote_side_bash_executor
         cache_note: Optional[Dict[str, str]] = None
-        if self.job_cache is not None:
-            app_kwargs["cwl_cache_dir"] = self.job_cache.cache_dir
+        # Content-addressed result reuse (see :mod:`repro.cwl.jobcache`): the
+        # probe runs on the execution side, where upstream futures are
+        # concrete, so chained/bridged apps cache correctly too.  The
+        # hit/miss outcome travels back through an in-process note dict, so
+        # on process-based executors (ProcessPoolExecutor, HTEX) results are
+        # still cached and restored, but the submit side cannot observe the
+        # outcome: ``JobEvent.cache`` / ``cache_stats`` read as no caching.
+        cache = context.get_job_cache()
+        if cache is not None:
+            app_kwargs["cwl_cache_dir"] = cache.cache_dir
             # Per-call outcome channel: filled execution-side, read off the
             # future by the workflow bridge to tag its per-job end events.
             cache_note = {}
             app_kwargs["cwl_cache_note"] = cache_note
             executor_fn = cached_bash_executor
+        # Fault tolerance (see :mod:`repro.cwl.retry` / :mod:`repro.cwl.faults`):
+        # when any option is set the app routes through
+        # :func:`resilient_bash_executor`, which retries the whole
+        # execution-side call (cache probe included) under the policy.
         retry_note: Optional[List[Dict[str, Any]]] = None
-        if (self.retry_policy is not None or self.fault_plan is not None
-                or self.timeout_s):
-            if self.timeout_s:
-                app_kwargs["cwl_timeout_s"] = float(self.timeout_s)
-            if self.retry_policy is not None:
-                app_kwargs["cwl_retry_policy"] = self.retry_policy
-            if self.fault_plan is not None:
-                app_kwargs["cwl_fault_plan"] = self.fault_plan
+        if (context.retry_policy is not None or context.fault_plan is not None
+                or context.timeout_s):
+            if context.timeout_s:
+                app_kwargs["cwl_timeout_s"] = float(context.timeout_s)
+            if context.retry_policy is not None:
+                app_kwargs["cwl_retry_policy"] = context.retry_policy
+            if context.fault_plan is not None:
+                app_kwargs["cwl_fault_plan"] = context.fault_plan
             app_kwargs["cwl_job_name"] = self.tool.id or self.__name__
             # Per-call retry channel, the resilience analogue of cache_note.
             retry_note = []

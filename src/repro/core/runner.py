@@ -6,12 +6,12 @@ line prints.  The function manages the DataFlowKernel lifecycle only when it
 loaded the kernel itself, so it can be embedded in a larger Parsl program that
 already called :func:`repro.parsl.load`.
 
-With a job cache attached (``job_cache=``), the invocation is fingerprinted on
-the submission side — the inputs are concrete here, unlike in the workflow
-bridge — and a hit restores the cached files and collects outputs without
-touching Parsl (or even loading a DataFlowKernel) at all; a miss executes
-normally and then ingests the produced files, so the next run of any engine
-sharing the store is warm.
+With a job cache attached (a ``runtime_context`` that names a store), the
+invocation is fingerprinted on the submission side — the inputs are concrete
+here, unlike in the workflow bridge — and a hit restores the cached files and
+collects outputs without touching Parsl (or even loading a DataFlowKernel) at
+all; a miss executes normally and then ingests the produced files, so the
+next run of any engine sharing the store is warm.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.core.cwl_app import CWLApp, _uncompiled_evaluator
 from repro.core.yaml_config import load_yaml_config
-from repro.cwl.jobcache import JobCache, job_key, relative_to_outdir, resolve_job_cache
+from repro.cwl.jobcache import JobCache, job_key, relative_to_outdir
 from repro.cwl.loader import load_tool
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext
@@ -41,10 +41,8 @@ def run_tool_with_parsl(
     config: Union[None, str, os.PathLike, Config] = None,
     outdir: Optional[str] = None,
     cleanup: Optional[bool] = None,
-    job_cache: Union[None, bool, str, JobCache] = None,
     cache_note: Optional[Dict[str, str]] = None,
-    compile_expressions: Optional[bool] = None,
-    timeout_s: Optional[float] = None,
+    runtime_context: Optional[RuntimeContext] = None,
 ) -> Dict[str, Any]:
     """Execute ``tool`` with the given ``job_order`` on Parsl.
 
@@ -65,26 +63,23 @@ def run_tool_with_parsl(
     cleanup:
         Whether to shut down the DataFlowKernel afterwards.  Defaults to True
         exactly when this call loaded the kernel itself.
-    job_cache:
-        A :class:`~repro.cwl.jobcache.JobCache`, a store directory, ``True``
-        for the default store, or ``None``/``False`` for no caching.
     cache_note:
         Optional dict the call annotates with ``{"cache": "hit"|"miss"}``
         (used by the unified API to tag the per-job event).
-    compile_expressions:
-        Tri-state: ``None``/``True`` use the compiled-expression pipeline
-        (the Parsl default); ``False`` evaluates expressions with fresh
-        uncached engines, like the reference runner (the conformance
-        matrix's uncompiled leg).
-    timeout_s:
-        Optional per-job wall-clock limit, enforced in-shell on the execution
-        side; exceeding it raises :class:`~repro.cwl.errors.JobTimeout`
-        (retries, if any, are the caller's concern — the unified API wraps
-        this whole call, cache probe included, in its retry loop).
+    runtime_context:
+        The run options.  This path honours the job cache (``cache_dir`` /
+        ``job_cache``), ``compile_expressions`` (``None``/``True`` = the
+        compiled pipeline, the Parsl default; ``False`` = fresh uncached
+        engines like the reference runner) and ``timeout_s`` (enforced
+        in-shell on the execution side; exceeding it raises
+        :class:`~repro.cwl.errors.JobTimeout`).  Retries are the caller's
+        concern — the unified API wraps this whole call, cache probe
+        included, in its retry loop.
     """
     job_order = dict(job_order or {})
     tool_doc = tool if isinstance(tool, CommandLineTool) else load_tool(tool)
-    cache = resolve_job_cache(job_cache)
+    context = runtime_context or RuntimeContext()
+    cache = context.get_job_cache()
     # This path ingests exactly the files the collected output object
     # references; an outputEval may reduce matched files to a plain value, so
     # such tools cannot round-trip through the submission-side store (the
@@ -122,8 +117,11 @@ def run_tool_with_parsl(
         cleanup = loaded_here
 
     try:
-        app = CWLApp(tool_doc, compile_expressions=compile_expressions,
-                     timeout_s=timeout_s)
+        # The submission-side probe above already missed (and this call is
+        # one attempt of the caller's retry loop), so the app itself carries
+        # only the expression and timeout settings.
+        app = CWLApp(tool_doc, runtime_context=context.child(
+            job_cache=False, retry_policy=None, fault_plan=None))
         future = app(**job_order)
         future.result()
 
@@ -142,7 +140,8 @@ def run_tool_with_parsl(
             stderr_path=stderr_path,
             job_order=_cwl_job_order(app.tool, job_order),
             runtime=runtime,
-            evaluator=None if app.compile_expressions else _uncompiled_evaluator(app.tool),
+            evaluator=_uncompiled_evaluator(app.tool)
+            if context.compile_expressions is False else None,
         )
         if cache is not None and cache_key is not None:
             try:

@@ -48,6 +48,7 @@ from repro.cwl.graph import (
     seed_workflow_inputs,
 )
 from repro.cwl.loader import load_document
+from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scatter import build_scatter_jobs
 from repro.cwl.schema import CommandLineTool, Process, Workflow, WorkflowStep
 from repro.cwl.validate import ensure_valid
@@ -65,14 +66,17 @@ class CWLWorkflowBridge:
                  data_flow_kernel: Optional[DataFlowKernel] = None,
                  validate: bool = True,
                  job_observer: Optional[Any] = None,
-                 job_cache: Optional[Any] = None,
-                 compile_expressions: Optional[bool] = None,
-                 retry_policy: Optional[Any] = None,
-                 fault_plan: Optional[Any] = None,
-                 timeout_s: Optional[float] = None,
-                 on_error: str = "stop",
-                 journal: Optional[Any] = None,
-                 max_inflight: Optional[int] = None) -> None:
+                 runtime_context: Optional[RuntimeContext] = None) -> None:
+        #: The run options (see :class:`~repro.cwl.runtime.RuntimeContext`).
+        #: The bridge itself reads ``on_error`` (``"stop"`` re-raises the
+        #: first failed step from :meth:`run`; ``"continue"`` resolves
+        #: unaffected outputs and records the failed steps in
+        #: :attr:`failures`), ``journal`` (per-step terminal states are
+        #: recorded when futures drain), ``max_inflight`` and
+        #: ``compile_expressions``; every step's :class:`CWLApp` gets the
+        #: whole context (job cache, retries, fault plan, timeout).
+        self.runtime_context = runtime_context or RuntimeContext()
+        on_error = self.runtime_context.on_error
         if on_error not in ("stop", "continue"):
             raise ValueError(f"on_error must be 'stop' or 'continue', got {on_error!r}")
         if isinstance(workflow, Workflow):
@@ -93,38 +97,8 @@ class CWLWorkflowBridge:
         #: is submitted and, once :meth:`run` has resolved all outputs, when
         #: each step future finished.
         self.job_observer = job_observer
-        #: Shared content-addressed job cache (see :mod:`repro.cwl.jobcache`);
-        #: handed to every step's :class:`CWLApp`, whose execution-side probe
-        #: is where upstream futures are concrete enough to fingerprint.
-        from repro.cwl.jobcache import resolve_job_cache
-
-        self.job_cache = resolve_job_cache(job_cache)
-        #: Tri-state expression-pipeline switch handed to every step's
-        #: :class:`CWLApp` (``False`` = fresh uncached evaluators end to end,
-        #: the conformance matrix's uncompiled leg).
-        self.compile_expressions = compile_expressions is not False
-        #: Fault-tolerance options handed to every step's :class:`CWLApp`
-        #: (see :mod:`repro.cwl.retry` / :mod:`repro.cwl.faults`): retries and
-        #: fault injection run inside the execution-side bash wrapper, ahead
-        #: of the cache probe, matching the runner engines' ordering.
-        self.retry_policy = retry_policy
-        self.fault_plan = fault_plan
-        self.timeout_s = timeout_s
-        #: ``"stop"`` re-raises the first failed step from :meth:`run`;
-        #: ``"continue"`` resolves unaffected outputs and records the failed
-        #: steps in :attr:`failures` (permanentFail propagation, like the
-        #: scheduler's poisoning).
-        self.on_error = on_error
-        #: Optional :class:`~repro.cwl.journal.RunJournal`; per-step terminal
-        #: states are recorded when futures drain.
-        self.journal = journal
         #: Failed step name → exception, from the last :meth:`run`.
         self.failures: Dict[str, BaseException] = {}
-        #: Bound on *unfinished* submitted jobs during submission: with a 10k
-        #: node graph, eagerly materialising every app call would hold every
-        #: staged input handle live at once.  ``None`` keeps Parsl's eager
-        #: submission (the historical behaviour).
-        self.max_inflight = max(1, int(max_inflight)) if max_inflight else None
         self._pending_observations: List[tuple] = []
         self._apps: Dict[str, CWLApp] = {}
 
@@ -180,7 +154,7 @@ class CWLWorkflowBridge:
         self.failures = {}
         try:
             outputs = self.submit(job_order)
-            if self.on_error == "continue":
+            if self.runtime_context.on_error == "continue":
                 resolved: Dict[str, Any] = {}
                 for key, value in outputs.items():
                     try:
@@ -298,22 +272,26 @@ class CWLWorkflowBridge:
                 observer.job_finished(token, ok=False, error=str(exc))
             raise
         self._pending_observations.append((future, token, name))
-        if self.max_inflight is not None:
-            self._throttle_inflight()
+        self._throttle_inflight()
         return future
 
     def _throttle_inflight(self) -> None:
         """Backpressure the submission walk against ``max_inflight``.
 
-        Blocks on the oldest unfinished future while more than
-        ``max_inflight`` submitted jobs are live.  Dependency edges are
-        already futures, so waiting on the oldest (a topological ancestor or
-        peer of everything after it) cannot deadlock the dataflow.
+        With a 10k node graph, eagerly materialising every app call would
+        hold every staged input handle live at once, so this blocks on the
+        oldest unfinished future while more than ``max_inflight`` submitted
+        jobs are live.  Dependency edges are already futures, so waiting on
+        the oldest (a topological ancestor or peer of everything after it)
+        cannot deadlock the dataflow.  ``None`` keeps Parsl's eager submission.
         """
+        if not self.runtime_context.max_inflight:
+            return
+        max_inflight = max(1, int(self.runtime_context.max_inflight))
         while True:
             live = [f for f, _tok, _name in self._pending_observations
                     if not f.done()]
-            if len(live) < self.max_inflight:
+            if len(live) < max_inflight:
                 return
             live[0].exception()  # block for completion without raising
 
@@ -334,8 +312,9 @@ class CWLWorkflowBridge:
                 self.failures.setdefault(name, exception)
             note = getattr(future, "cwl_cache_note", None) or {}
             retries = getattr(future, "cwl_retry_note", None) or []
-            if self.journal is not None:
-                self.journal.node_state(name, "failed" if exception else "done")
+            if self.runtime_context.journal is not None:
+                self.runtime_context.journal.node_state(
+                    name, "failed" if exception else "done")
             if observer is None:
                 continue
             for entry in retries:
@@ -367,11 +346,7 @@ class CWLWorkflowBridge:
         if not isinstance(process, CommandLineTool):
             raise WorkflowException(f"step {step.id!r} does not resolve to a CommandLineTool")
         app = CWLApp(process, data_flow_kernel=self.data_flow_kernel,
-                     job_cache=self.job_cache,
-                     compile_expressions=self.compile_expressions,
-                     retry_policy=self.retry_policy,
-                     fault_plan=self.fault_plan,
-                     timeout_s=self.timeout_s)
+                     runtime_context=self.runtime_context)
         self._apps[node.id] = app
         return app
 
@@ -415,7 +390,7 @@ class CWLWorkflowBridge:
         # The bridge is a long-lived engine: submission-time expressions go
         # through the compiled pipeline (parse-once template cache) unless
         # the uncompiled leg was requested.
-        if self.compile_expressions:
+        if self.runtime_context.compile_expressions is not False:
             evaluator = CompiledEvaluator(js_enabled=True)
         else:
             from repro.cwl.expressions.evaluator import ExpressionEvaluator

@@ -15,10 +15,11 @@ respectively), so these CLIs observe exactly what a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
 import sys
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
@@ -122,41 +123,6 @@ def _finalise_outputs(outputs: Dict[str, Any], outdir: Optional[str]) -> Dict[st
     return stage_outputs(outputs, outdir)
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    """The pipelined-scheduler flags shared by both runner CLIs."""
-    parser.add_argument("--pipeline", action="store_true",
-                        help="run on the asyncio pipelined scheduler core: "
-                             "staging, execution and collection of different "
-                             "jobs overlap (outputs are identical to the "
-                             "default thread-pool core)")
-    parser.add_argument("--max-inflight", dest="max_inflight", type=int,
-                        default=None,
-                        help="bound on jobs concurrently in the pipelined "
-                             "core's stage/exec/collect window (default 64; "
-                             "implies nothing without --pipeline)")
-
-
-def _add_fault_tolerance_args(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flags shared by both runner CLIs."""
-    parser.add_argument("--retries", type=int, default=0,
-                        help="retry transient job failures up to N times (default 0)")
-    parser.add_argument("--retry-backoff", type=float, default=0.05,
-                        help="base backoff in seconds between retries")
-    parser.add_argument("--retry-exit-codes", default=None,
-                        help="comma-separated tool exit codes considered transient")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-job wall-clock timeout in seconds")
-    parser.add_argument("--on-error", dest="on_error", default="stop",
-                        choices=("stop", "continue"),
-                        help="stop on the first failed step, or continue and "
-                             "report partial outputs (failed subtrees skipped)")
-    parser.add_argument("--rundir", default=None,
-                        help="journalled run directory (crash-safe; enables --resume)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume the interrupted run recorded in --rundir "
-                             "(completed jobs replay from its cache)")
-
-
 def _retry_policy_from_args(args: argparse.Namespace):
     """Build the RetryPolicy the CLI flags describe, or None."""
     if args.retries <= 0:
@@ -201,22 +167,56 @@ def _handle_interrupt(prog: str, runtime_context: RuntimeContext,
     return 130
 
 
-def cwltool_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for ``repro-cwltool``."""
+def _runner_main(prog: str, description: str, engine: str,
+                 add_engine_args: Callable[[argparse.ArgumentParser], None],
+                 engine_options: Callable[[argparse.Namespace, contextlib.ExitStack],
+                                          Dict[str, Any]],
+                 argv: Optional[Sequence[str]]) -> int:
+    """The body both runner CLIs share.
+
+    They differ only in ``add_engine_args`` (backend flags) and
+    ``engine_options`` (the engine's backend arguments, built from the parsed
+    flags; anything that must be shut down afterwards is registered on the
+    given exit stack).  Every run option becomes a
+    :class:`RuntimeContext` field here, once.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     known, overrides = _split_known_args(argv)
 
-    parser = argparse.ArgumentParser(prog="repro-cwltool",
-                                     description="cwltool-like CWL runner (repro reimplementation)")
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("document", help="CWL document (CommandLineTool or Workflow)")
     parser.add_argument("job_order", nargs="?", help="YAML/JSON job order file")
-    parser.add_argument("--parallel", action="store_true", help="run independent jobs concurrently")
+    add_engine_args(parser)
     parser.add_argument("--outdir", default=None, help="directory for final outputs")
     parser.add_argument("--max-workers", type=int, default=8)
     parser.add_argument("--cachedir", dest="cache_dir", default=None,
                         help="reuse tool results through the job cache at this directory")
-    _add_pipeline_args(parser)
-    _add_fault_tolerance_args(parser)
+    parser.add_argument("--pipeline", action="store_true",
+                        help="run on the asyncio pipelined scheduler core "
+                             "(opt-in; outputs are identical to the default "
+                             "thread-pool core)")
+    parser.add_argument("--max-inflight", dest="max_inflight", type=int,
+                        default=None,
+                        help="bound on jobs concurrently in the pipelined "
+                             "core's window (default 64; implies nothing "
+                             "without --pipeline)")
+    parser.add_argument("--retries", type=int, default=0,
+                        help="retry transient job failures up to N times (default 0)")
+    parser.add_argument("--retry-backoff", type=float, default=0.05,
+                        help="base backoff in seconds between retries")
+    parser.add_argument("--retry-exit-codes", default=None,
+                        help="comma-separated tool exit codes considered transient")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-job wall-clock timeout in seconds")
+    parser.add_argument("--on-error", dest="on_error", default="stop",
+                        choices=("stop", "continue"),
+                        help="stop on the first failed step, or continue and "
+                             "report partial outputs (failed subtrees skipped)")
+    parser.add_argument("--rundir", default=None,
+                        help="journalled run directory (crash-safe; enables --resume)")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume the interrupted run recorded in --rundir "
+                             "(completed jobs replay from its cache)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(known)
 
@@ -225,113 +225,84 @@ def cwltool_main(argv: Optional[Sequence[str]] = None) -> int:
                                      cache_dir=args.cache_dir,
                                      retry_policy=_retry_policy_from_args(args),
                                      timeout_s=args.timeout,
-                                     on_error=args.on_error)
-    try:
-        from repro import api
+                                     on_error=args.on_error,
+                                     pipeline=args.pipeline,
+                                     max_inflight=args.max_inflight)
+    with contextlib.ExitStack() as cleanup:
+        try:
+            from repro import api
 
-        job_order = parse_job_order(args.job_order, overrides)
-        engine_options = dict(runtime_context=runtime_context,
-                              parallel=args.parallel,
-                              max_workers=args.max_workers,
-                              pipeline=args.pipeline,
-                              max_inflight=args.max_inflight)
-        if args.resume:
-            if not args.rundir:
-                raise ValueError("--resume requires --rundir")
-            result = api.resume(args.rundir, engine="reference",
-                                **engine_options)
-        elif args.rundir:
-            result = api.run_with_journal(
-                args.document, job_order, run_dir=args.rundir,
-                engine="reference", **engine_options)
-        else:
-            process = load_document(args.document)
-            with api.Session(engine="reference", **engine_options) as session:
-                result = session.run(process, job_order)
-        outputs = _finalise_outputs(result.outputs, args.outdir)
-    except KeyboardInterrupt:
-        return _handle_interrupt("repro-cwltool", runtime_context, args.rundir)
-    except Exception as exc:  # CLI boundary: report and return failure
-        print(f"repro-cwltool: error: {exc}", file=sys.stderr)
-        return 1
+            job_order = parse_job_order(args.job_order, overrides)
+            options = dict(engine_options(args, cleanup),
+                           runtime_context=runtime_context)
+            if args.resume:
+                if not args.rundir:
+                    raise ValueError("--resume requires --rundir")
+                result = api.resume(args.rundir, engine=engine, **options)
+            elif args.rundir:
+                result = api.run_with_journal(
+                    args.document, job_order, run_dir=args.rundir,
+                    engine=engine, **options)
+            else:
+                process = load_document(args.document)
+                with api.Session(engine=engine, **options) as session:
+                    result = session.run(process, job_order)
+            outputs = _finalise_outputs(result.outputs, args.outdir)
+        except KeyboardInterrupt:
+            return _handle_interrupt(prog, runtime_context, args.rundir)
+        except Exception as exc:  # CLI boundary: report and return failure
+            print(f"{prog}: error: {exc}", file=sys.stderr)
+            return 1
     print(dump_json(outputs))
     if not args.quiet:
         print(f"Final process status is {result.status}", file=sys.stderr)
     return 0 if result.status == "success" else 1
 
 
+def cwltool_main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point for ``repro-cwltool``."""
+
+    def add_engine_args(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--parallel", action="store_true",
+                            help="run independent jobs concurrently")
+
+    def engine_options(args: argparse.Namespace,
+                       _cleanup: contextlib.ExitStack) -> Dict[str, Any]:
+        return dict(parallel=args.parallel, max_workers=args.max_workers)
+
+    return _runner_main("repro-cwltool",
+                        "cwltool-like CWL runner (repro reimplementation)",
+                        "reference", add_engine_args, engine_options, argv)
+
+
 def toil_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-toil-cwl-runner``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    known, overrides = _split_known_args(argv)
 
-    parser = argparse.ArgumentParser(prog="repro-toil-cwl-runner",
-                                     description="Toil-like CWL runner (repro reimplementation)")
-    parser.add_argument("document", help="CWL document (CommandLineTool or Workflow)")
-    parser.add_argument("job_order", nargs="?", help="YAML/JSON job order file")
-    parser.add_argument("--batchSystem", default="single_machine",
-                        choices=("single_machine", "slurm"))
-    parser.add_argument("--jobStore", default=None, help="job store directory")
-    parser.add_argument("--outdir", default=None)
-    parser.add_argument("--max-workers", type=int, default=8)
-    parser.add_argument("--nodes", type=int, default=3, help="simulated cluster size for slurm")
-    parser.add_argument("--cores-per-node", type=int, default=48)
-    parser.add_argument("--cachedir", dest="cache_dir", default=None,
-                        help="reuse tool results through the job cache at this directory")
-    _add_pipeline_args(parser)
-    _add_fault_tolerance_args(parser)
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(known)
+    def add_engine_args(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--batchSystem", default="single_machine",
+                            choices=("single_machine", "slurm"))
+        parser.add_argument("--jobStore", default=None, help="job store directory")
+        parser.add_argument("--nodes", type=int, default=3,
+                            help="simulated cluster size for slurm")
+        parser.add_argument("--cores-per-node", type=int, default=48)
 
-    _install_sigterm_handler()
-    runtime_context = RuntimeContext(outdir=args.outdir, basedir=args.outdir,
-                                     cache_dir=args.cache_dir,
-                                     retry_policy=_retry_policy_from_args(args),
-                                     timeout_s=args.timeout,
-                                     on_error=args.on_error)
-    cluster = None
-    try:
-        from repro import api
+    def engine_options(args: argparse.Namespace,
+                       cleanup: contextlib.ExitStack) -> Dict[str, Any]:
         from repro.cwl.runners.toil.batch import SingleMachineBatchSystem, SlurmBatchSystem
 
-        job_order = parse_job_order(args.job_order, overrides)
         if args.batchSystem == "slurm":
             from repro.cluster.nodes import NodeInventory
             from repro.cluster.scheduler import SimulatedSlurmCluster
 
             cluster = SimulatedSlurmCluster(
                 NodeInventory.homogeneous(args.nodes, cores=args.cores_per_node))
+            cleanup.callback(cluster.shutdown)
             batch = SlurmBatchSystem(cluster=cluster)
         else:
             batch = SingleMachineBatchSystem(max_cores=args.max_workers)
-        engine_options = dict(job_store_dir=args.jobStore, batch_system=batch,
-                              runtime_context=runtime_context,
-                              max_workers=args.max_workers,
-                              pipeline=args.pipeline,
-                              max_inflight=args.max_inflight)
-        if args.resume:
-            if not args.rundir:
-                raise ValueError("--resume requires --rundir")
-            result = api.resume(args.rundir, engine="toil", **engine_options)
-        elif args.rundir:
-            result = api.run_with_journal(
-                args.document, job_order, run_dir=args.rundir, engine="toil",
-                **engine_options)
-        else:
-            process = load_document(args.document)
-            with api.Session(engine="toil", **engine_options) as session:
-                result = session.run(process, job_order)
-        outputs = _finalise_outputs(result.outputs, args.outdir)
-    except KeyboardInterrupt:
-        return _handle_interrupt("repro-toil-cwl-runner", runtime_context,
-                                 args.rundir)
-    except Exception as exc:
-        print(f"repro-toil-cwl-runner: error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if cluster is not None:
-            cluster.shutdown()
-    print(dump_json(outputs))
-    if not args.quiet:
-        print(f"Final process status is {result.status}", file=sys.stderr)
-    return 0 if result.status == "success" else 1
+        return dict(job_store_dir=args.jobStore, batch_system=batch,
+                    max_workers=args.max_workers)
+
+    return _runner_main("repro-toil-cwl-runner",
+                        "Toil-like CWL runner (repro reimplementation)",
+                        "toil", add_engine_args, engine_options, argv)

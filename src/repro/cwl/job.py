@@ -46,11 +46,13 @@ class JobResult:
 class StagedJob:
     """Everything :meth:`CommandLineJob.stage_execution` prepares up front.
 
-    Produced by the *stage* step of the pipelined lifecycle and consumed by
-    *launch* (the subprocess) and *collect* (output collection + cache store),
-    so the three steps can run on different workers without re-deriving any
-    of this state.  ``cache_entry`` non-None means the invocation is a job
-    cache hit: launch is a no-op and collect restores instead of collecting.
+    Carries the state between the three steps :meth:`CommandLineJob.execute`
+    composes — ``stage_execution`` → ``launch`` → ``collect_execution`` — so
+    none of it is derived twice.  The steps run back to back on one worker:
+    both scheduler cores call ``execute()`` whole (the pipelined core in its
+    exec lane), none calls the steps individually.  ``cache_entry`` non-None
+    means the invocation is a job cache hit: launch is a no-op and collect
+    restores instead of collecting.
     """
 
     outdir: str
@@ -211,26 +213,16 @@ class CommandLineJob:
         collection still executes against the restored files, so hits and
         misses flow through identical collection code.
 
-        Synchronous composition of the three pipeline steps — the reference
-        runner's serial path.  The pipelined scheduler calls
-        :meth:`stage_execution` / :meth:`launch` / :meth:`collect_execution`
-        individually so the steps of different jobs can overlap.
+        Synchronous composition of :meth:`stage_execution` (job dirs,
+        validation, cache probe, command line), :meth:`launch` and
+        :meth:`collect_execution` (outputs, cache store, journal record).
+        Every caller runs it whole on one worker — under the pipelined
+        scheduler core that is the exec lane; that core's stage and collect
+        lanes only gather step inputs and store step outputs
+        (``repro.cwl.workflow._PipelinedNodeExecutor``).
         """
         staged = self.stage_execution(outdir)
         exit_code = self.launch(staged)
-        return self.collect_execution(staged, exit_code)
-
-    async def execute_async(self, outdir: Optional[str] = None) -> JobResult:
-        """:meth:`execute`, but awaiting the subprocess on the event loop.
-
-        Same stage and collect steps; the exec step uses
-        ``asyncio.create_subprocess_exec`` with identical environment,
-        session/process-group, timeout and reaping semantics, so one event
-        loop can supervise thousands of concurrent subprocesses without a
-        thread parked in ``wait()`` per job.
-        """
-        staged = self.stage_execution(outdir)
-        exit_code = await self.launch_async(staged)
         return self.collect_execution(staged, exit_code)
 
     # ------------------------------------------------- pipeline: stage inputs

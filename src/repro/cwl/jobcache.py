@@ -145,7 +145,10 @@ def stage_file(source: str, destination: str, overwrite: bool = True,
 
 #: Content-hash memo keyed by (realpath, size, mtime_ns): warm re-runs hash
 #: each distinct input file once per content change, not once per job.
+#: Process-global, so bounded: past the cap the oldest entries are evicted
+#: (a re-hash, never a wrong answer).
 _FILE_HASH_MEMO: Dict[Tuple[str, int, int], str] = {}
+_FILE_HASH_MEMO_MAX = 65536
 _FILE_HASH_LOCK = threading.Lock()
 
 
@@ -161,6 +164,8 @@ def file_fingerprint(path: str) -> str:
     digest = hash_file(real).split("$", 1)[1]
     with _FILE_HASH_LOCK:
         _FILE_HASH_MEMO[memo_key] = digest
+        while len(_FILE_HASH_MEMO) > _FILE_HASH_MEMO_MAX:
+            del _FILE_HASH_MEMO[next(iter(_FILE_HASH_MEMO))]
     return digest
 
 

@@ -28,6 +28,7 @@ from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
 from repro.cwl.types import coerce_file_inputs
 from repro.cwl.validate import ensure_valid
+from repro.cwl.workflow import WorkflowEngine
 
 
 @dataclass
@@ -49,10 +50,18 @@ class BaseRunner(ABC):
     name = "base"
 
     def __init__(self, runtime_context: Optional[RuntimeContext] = None,
+                 parallel: bool = False, max_workers: int = 8,
                  validate: bool = True) -> None:
+        #: Every run option (cache, retries, timeout, ``on_error``, journal,
+        #: scheduler core, ...) lives on the context; runners take only it
+        #: plus their backend arguments.
         self.runtime_context = runtime_context or RuntimeContext()
         self.validate = validate
+        self.parallel = parallel
+        self.max_workers = max_workers
         self.jobs_run = 0
+        #: Per-stage wall time of the last pipelined workflow run.
+        self.stage_timings: Optional[Dict[str, Any]] = None
         #: Scheduler node states / failures of the last workflow run (filled
         #: by ``run_workflow``; empty for single tools and fully green runs).
         self.node_states: Dict[str, str] = {}
@@ -190,10 +199,22 @@ class BaseRunner(ABC):
                  runtime_context: RuntimeContext) -> Dict[str, Any]:
         """Execute one CommandLineTool invocation."""
 
-    @abstractmethod
     def run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
                      runtime_context: RuntimeContext) -> Dict[str, Any]:
-        """Execute a Workflow."""
+        """Execute a Workflow on the shared :class:`WorkflowEngine`."""
+        engine = WorkflowEngine(
+            workflow,
+            process_runner=self._run_process,
+            runtime_context=runtime_context,
+            parallel=self.parallel,
+            max_workers=self.max_workers,
+        )
+        try:
+            return engine.run(job_order)
+        finally:
+            self.node_states = engine.node_states
+            self.failures = engine.failures
+            self.stage_timings = engine.stage_timings
 
     def run_expression_tool(self, tool: ExpressionTool, job_order: Dict[str, Any],
                             runtime_context: RuntimeContext) -> Dict[str, Any]:

@@ -20,36 +20,19 @@ This runner mirrors how ``cwltool`` executes documents:
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.cwl.job import CommandLineJob
 from repro.cwl.runners.base import BaseRunner
 from repro.cwl.runtime import RuntimeContext
-from repro.cwl.schema import CommandLineTool, Process, Workflow
+from repro.cwl.schema import CommandLineTool
 from repro.cwl.validate import ensure_valid
-from repro.cwl.workflow import WorkflowEngine
 
 
 class ReferenceRunner(BaseRunner):
     """Serial (or thread-parallel) local CWL runner."""
 
     name = "cwltool-like"
-
-    def __init__(self, runtime_context: Optional[RuntimeContext] = None,
-                 parallel: bool = False, max_workers: int = 8,
-                 validate: bool = True, pipeline: bool = False,
-                 max_inflight: Optional[int] = None) -> None:
-        if runtime_context is None:
-            runtime_context = RuntimeContext(cache_js_engine=False)
-        super().__init__(runtime_context=runtime_context, validate=validate)
-        self.parallel = parallel
-        self.max_workers = max_workers
-        #: Run workflows on the asyncio pipelined scheduler core instead of
-        #: the thread-pool core (``max_inflight`` bounds its in-flight window).
-        self.pipeline = pipeline
-        self.max_inflight = max_inflight
-        #: Per-stage wall time of the last pipelined workflow run.
-        self.stage_timings: Optional[Dict[str, Any]] = None
 
     # ----------------------------------------------------------------- tooling
 
@@ -71,27 +54,3 @@ class ReferenceRunner(BaseRunner):
         if runtime_context.job_cache_dir() is not None:
             self.note_job_meta(cache="hit" if result.cache_hit else "miss")
         return result.outputs
-
-    def run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
-                     runtime_context: RuntimeContext) -> Dict[str, Any]:
-        engine = WorkflowEngine(
-            workflow,
-            process_runner=self._process_runner,
-            runtime_context=runtime_context,
-            parallel=self.parallel,
-            max_workers=self.max_workers,
-            pipeline=self.pipeline,
-            max_inflight=self.max_inflight,
-        )
-        try:
-            return engine.run(job_order)
-        finally:
-            self.node_states = engine.node_states
-            self.failures = engine.failures
-            self.stage_timings = engine.stage_timings
-
-    # ----------------------------------------------------------------- plumbing
-
-    def _process_runner(self, process: Process, job_order: Dict[str, Any],
-                        runtime_context: RuntimeContext) -> Dict[str, Any]:
-        return self._run_process(process, job_order, runtime_context)

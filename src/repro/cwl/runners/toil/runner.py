@@ -30,9 +30,8 @@ from repro.cwl.runners.base import BaseRunner
 from repro.cwl.runners.toil.batch import BatchSystem, SingleMachineBatchSystem
 from repro.cwl.runners.toil.jobstore import FileJobStore
 from repro.cwl.runtime import RuntimeContext
-from repro.cwl.schema import CommandLineTool, Process, Workflow
+from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import is_file_value
-from repro.cwl.workflow import WorkflowEngine
 from repro.utils.logging_config import get_logger
 
 logger = get_logger("cwl.runners.toil")
@@ -52,32 +51,22 @@ class ToilStyleRunner(BaseRunner):
         max_workers: int = 8,
         import_outputs: bool = True,
         validate: bool = True,
-        pipeline: bool = False,
-        max_inflight: Optional[int] = None,
     ) -> None:
-        if runtime_context is None:
-            runtime_context = RuntimeContext(cache_js_engine=False)
+        runtime_context = runtime_context or RuntimeContext()
         if runtime_context.compile_expressions is None:
             # This long-lived runner defaults to the compiled-expression
             # pipeline; pass compile_expressions=False to force the
             # cwltool-style per-evaluation cost model instead.
             runtime_context = runtime_context.child(compile_expressions=True)
-        super().__init__(runtime_context=runtime_context, validate=validate)
+        super().__init__(runtime_context=runtime_context, validate=validate,
+                         parallel=parallel, max_workers=max_workers)
         #: True when this runner created a throwaway store itself; such stores
         #: are destroyed on :meth:`close` by default so sessions never leak
         #: ``toil-jobstore-*`` temp directories between runs.
         self._owns_job_store = job_store_dir is None
         self.job_store = FileJobStore(job_store_dir or tempfile.mkdtemp(prefix="toil-jobstore-"))
         self.batch_system = batch_system or SingleMachineBatchSystem(max_cores=max_workers)
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.import_outputs = import_outputs
-        #: Run workflows on the asyncio pipelined scheduler core instead of
-        #: the thread-pool core (``max_inflight`` bounds its in-flight window).
-        self.pipeline = pipeline
-        self.max_inflight = max_inflight
-        #: Per-stage wall time of the last pipelined workflow run.
-        self.stage_timings: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ tools
 
@@ -139,29 +128,7 @@ class ToilStyleRunner(BaseRunner):
         # engines) and each re-attempt is re-issued through the batch system.
         return self._with_retries(runtime_context, tool.id or "<tool>", attempt)
 
-    def run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
-                     runtime_context: RuntimeContext) -> Dict[str, Any]:
-        engine = WorkflowEngine(
-            workflow,
-            process_runner=self._process_runner,
-            runtime_context=runtime_context,
-            parallel=self.parallel,
-            max_workers=self.max_workers,
-            pipeline=self.pipeline,
-            max_inflight=self.max_inflight,
-        )
-        try:
-            return engine.run(job_order)
-        finally:
-            self.node_states = engine.node_states
-            self.failures = engine.failures
-            self.stage_timings = engine.stage_timings
-
     # --------------------------------------------------------------- plumbing
-
-    def _process_runner(self, process: Process, job_order: Dict[str, Any],
-                        runtime_context: RuntimeContext) -> Dict[str, Any]:
-        return self._run_process(process, job_order, runtime_context)
 
     @staticmethod
     def _job_requirements(tool: CommandLineTool) -> Dict[str, Any]:

@@ -101,6 +101,15 @@ class RuntimeContext:
     #: node transitions and job cache keys are recorded to; ``None`` disables
     #: journaling.
     journal: Optional[Any] = None
+    #: Run workflows on the asyncio pipelined scheduler core instead of the
+    #: thread-pool core (runner engines; opt-in — see README "The pipelined
+    #: scheduler core").
+    pipeline: bool = False
+    #: Bound on jobs in flight: the pipelined core's stage/exec/collect
+    #: window on the runner engines (``None`` = 64), unfinished submissions
+    #: during bridge submission on the Parsl engines (``None`` = Parsl's
+    #: eager submission of the whole graph).
+    max_inflight: Optional[int] = None
     #: Scratch directories this context created, removed by :meth:`close`.
     _scratch_dirs: Set[str] = field(default_factory=set, repr=False, compare=False)
     #: Live subprocesses started under this context (shared with children),
@@ -198,7 +207,7 @@ class RuntimeContext:
         if self.job_cache is False:
             return None
         if self.cache_dir:
-            return self.cache_dir
+            return os.fspath(self.cache_dir)
         if self.job_cache:
             return default_cache_dir()
         return os.environ.get(CACHE_DIR_ENV) or None

@@ -161,19 +161,12 @@ class WorkflowEngine:
         runtime_context: Optional[RuntimeContext] = None,
         parallel: bool = False,
         max_workers: int = 8,
-        pipeline: bool = False,
-        max_inflight: Optional[int] = None,
     ) -> None:
         self.workflow = workflow
         self.process_runner = process_runner
         self.runtime_context = runtime_context or RuntimeContext()
         self.parallel = parallel
         self.max_workers = max_workers
-        #: Use the asyncio pipelined core (stage/exec/collect overlap) instead
-        #: of the thread-pool core.  ``max_inflight`` bounds the in-flight
-        #: window; None picks a default that keeps the exec lane saturated.
-        self.pipeline = pipeline
-        self.max_inflight = max_inflight
         #: Per-stage wall time from the pipelined core (None otherwise).
         self.stage_timings: Optional[Dict[str, Any]] = None
         self.records: Dict[str, StepExecutionRecord] = {}
@@ -241,19 +234,19 @@ class WorkflowEngine:
         self._skipped_scopes = []
         self._lenient_egress = set()
         self._seed_inputs(job_order)
-        if self.pipeline:
+        context = self.runtime_context
+        if context.pipeline:
             scheduler: GraphScheduler = PipelineScheduler(
                 self.graph, executor=_PipelinedNodeExecutor(self),
-                max_inflight=self.max_inflight or 64,
+                max_inflight=context.max_inflight or 64,
                 max_workers=self.max_workers,
-                on_error=self.runtime_context.on_error,
-                journal=self.runtime_context.journal)
+                on_error=context.on_error, journal=context.journal)
         else:
             scheduler = GraphScheduler(self.graph, self._execute_node,
                                        parallel=self.parallel,
                                        max_workers=self.max_workers,
-                                       on_error=self.runtime_context.on_error,
-                                       journal=self.runtime_context.journal)
+                                       on_error=context.on_error,
+                                       journal=context.journal)
         try:
             scheduler.run()
         finally:

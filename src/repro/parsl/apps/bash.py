@@ -95,7 +95,7 @@ def execute_wait(command: str, env: Optional[Dict[str, str]] = None,
                  cwd: Optional[str] = None, timeout: Optional[float] = None) -> Tuple[int, str, str]:
     """Run ``command`` synchronously and capture its output.
 
-    A convenience used by channels, providers and the CWL runners; not part of
+    A convenience used by providers and the CWL runners; not part of
     the app execution path itself.
     """
     merged_env = dict(os.environ)

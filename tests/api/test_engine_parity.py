@@ -197,3 +197,68 @@ def test_workflow_outputs_identical(engine, run_engine, cwl_dir, small_image):
     assert len([e for e in result.events if e.kind == "end" and e.ok]) == 3
     assert normalise(result.outputs["final_output"]) == \
         normalise(baseline.outputs["final_output"])
+
+
+# ------------------------------------------------------ the options contract
+
+ECHO_WORKFLOW = {
+    "cwlVersion": "v1.2", "class": "Workflow",
+    "inputs": {"message": "string"},
+    "outputs": {"out": {"type": "File", "outputSource": "only/out"}},
+    "steps": {"only": {
+        "run": {"class": "CommandLineTool", "baseCommand": "echo",
+                "inputs": {"message": {"type": "string",
+                                       "inputBinding": {"position": 1}}},
+                "outputs": {"out": "stdout"}, "stdout": "echoed.txt"},
+        "in": {"message": "message"}, "out": ["out"]}},
+}
+
+
+@pytest.mark.parametrize("engine", WORKFLOW_ENGINES)
+def test_run_options_travel_in_the_context_or_flat(engine, tmp_path, monkeypatch):
+    """Every engine takes backend arguments plus a RuntimeContext: options
+    inside ``runtime_context=`` behave exactly like the same options given as
+    flat keywords, a flat keyword overrides the context's field, and a name
+    that is no context field raises TypeError naming it."""
+    from repro.cwl.faults import FaultPlan, FaultSpec
+
+    monkeypatch.chdir(tmp_path)
+    backend = {"basedir": str(tmp_path / "jobs")}  # a context field, given flat
+    if engine == "toil":
+        backend.update(job_store_dir=str(tmp_path / "jobstore"),
+                       destroy_job_store_on_close=True)
+    if engine in ("parsl", "parsl-workflow"):
+        backend["config"] = repro.thread_config(
+            max_threads=2, run_dir=str(tmp_path / "runinfo"))
+
+    def fail_first_attempt():
+        return FaultPlan(specs=(FaultSpec(job="*", exit_code=11, attempts=1),), seed=7)
+
+    patient = api.RetryPolicy(max_attempts=3, backoff_s=0.01, max_backoff_s=0.02,
+                              retryable_exit_codes=(11,))
+
+    def summary(**options):
+        result = api.run(dict(ECHO_WORKFLOW), {"message": "one options object"},
+                         engine=engine, **backend, **options)
+        return (result.status, result.retries(), result.cache_stats,
+                normalise(result.outputs["out"])["contents"])
+
+    in_context = summary(runtime_context=RuntimeContext(
+        timeout_s=30.0, retry_policy=patient, fault_plan=fail_first_attempt(),
+        cache_dir=str(tmp_path / "store-a")))
+    flat = summary(timeout_s=30.0, retry_policy=patient,
+                   fault_plan=fail_first_attempt(),
+                   cache_dir=str(tmp_path / "store-b"))
+    assert in_context == flat == ("success", 1, {"hits": 0, "misses": 1},
+                                  b"one options object\n")
+
+    # A context that would give up after one attempt and cache into store-a
+    # (now warm), overridden by keyword: the run retries, and misses store-c.
+    impatient = RuntimeContext(retry_policy=api.RetryPolicy(max_attempts=1),
+                               fault_plan=fail_first_attempt(),
+                               cache_dir=str(tmp_path / "store-a"))
+    assert summary(runtime_context=impatient, retry_policy=patient,
+                   cache_dir=str(tmp_path / "store-c")) == flat
+
+    with pytest.raises(TypeError, match="no_such_option"):
+        api.Session(engine, no_such_option=1, **backend)

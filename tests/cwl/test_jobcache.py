@@ -324,3 +324,23 @@ def test_file_fingerprint_memoizes_and_invalidates(tmp_path, monkeypatch):
     alias.symlink_to(data)
     assert file_fingerprint(str(alias)) == third
     assert len(hashed) == 3
+
+
+def test_file_fingerprint_memo_is_bounded(tmp_path, monkeypatch):
+    """cap+N distinct files leave <= cap entries, oldest evicted first."""
+    import repro.cwl.jobcache as jobcache
+
+    cap, extra = 8, 5
+    monkeypatch.setattr(jobcache, "_FILE_HASH_MEMO", {})
+    monkeypatch.setattr(jobcache, "_FILE_HASH_MEMO_MAX", cap)
+    paths = []
+    for index in range(cap + extra):
+        path = tmp_path / f"input_{index}.txt"
+        path.write_text(f"content {index}")
+        paths.append(os.path.realpath(path))
+        file_fingerprint(str(path))
+        assert len(jobcache._FILE_HASH_MEMO) <= cap
+    memoized = [key[0] for key in jobcache._FILE_HASH_MEMO]
+    assert memoized == paths[extra:]
+    # An evicted file still fingerprints correctly (it is simply re-hashed).
+    assert file_fingerprint(paths[0]) == jobcache.hash_file(paths[0]).split("$", 1)[1]
