@@ -6,7 +6,6 @@ each executor so their per-task overheads can be compared directly:
 
 * ThreadPoolExecutor (the Fig. 1b configuration),
 * ProcessPoolExecutor,
-* WorkQueue-style resource-aware executor,
 * HighThroughputExecutor with a local provider (the pilot-job path of Fig. 1a).
 """
 
@@ -19,14 +18,13 @@ import pytest
 import repro
 from repro.parsl import bash_app
 from repro.parsl.config import Config
-from repro.parsl.configs import htex_local_config, local_process_config, thread_config, workqueue_config
+from repro.parsl.configs import htex_local_config, local_process_config, thread_config
 
 TASKS = 16
 
 CONFIG_FACTORIES = {
     "threads": lambda run_dir: thread_config(max_threads=4, run_dir=run_dir),
     "processes": lambda run_dir: local_process_config(max_workers=4, run_dir=run_dir),
-    "workqueue": lambda run_dir: workqueue_config(total_cores=4, run_dir=run_dir),
     "htex-local": lambda run_dir: htex_local_config(workers=4, run_dir=run_dir),
 }
 

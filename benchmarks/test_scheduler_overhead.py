@@ -181,28 +181,27 @@ def test_io_heavy_pipelining_beats_serial_lifecycle(series_recorder):
 # ------------------------------------------------------------ event hot path
 
 
-def test_event_emission_lazy_vs_hooked(series_recorder):
+def test_event_emission_lazy_vs_hooked(series_recorder, interleaved_medians):
     """Hook-less emission (raw tuples) must undercut eager JobEvent builds."""
     from repro.api.events import EventRecorder, ExecutionHooks
 
     count = 20_000
+    recorders = {}
 
-    def run(recorder) -> float:
-        start = time.perf_counter()
+    def emit(name, hooks):
+        recorder = recorders[name] = EventRecorder(hooks=hooks)
         for index in range(count):
             token = recorder.job_started(f"job{index}")
             recorder.job_finished(token, cache="hit")
-        return time.perf_counter() - start
 
-    lazy = EventRecorder(hooks=None)
-    lazy_s = run(lazy)
-
-    hooked = EventRecorder(hooks=ExecutionHooks(
-        on_job_start=lambda event: None, on_job_end=lambda event: None))
-    hooked_s = run(hooked)
+    hooks = ExecutionHooks(on_job_start=lambda event: None,
+                           on_job_end=lambda event: None)
+    medians = interleaved_medians({"lazy": lambda: emit("lazy", None),
+                                   "hooked": lambda: emit("hooked", hooks)})
+    lazy_s, hooked_s = medians["lazy"], medians["hooked"]
 
     # Materialisation still yields the full, ordered event stream.
-    events = lazy.events
+    events = recorders["lazy"].events
     assert len(events) == 2 * count
     assert events[0].kind == "start" and events[1].kind == "end"
     assert events[1].cache == "hit" and events[1].duration_s is not None

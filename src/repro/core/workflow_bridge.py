@@ -6,25 +6,25 @@ module implements that extension so the evaluation workflow (Listing 3) can be
 run either through the hand-written Parsl program of Listing 4 *or* directly
 from its CWL Workflow definition.
 
-Since PR 3 the bridge shares the :class:`~repro.cwl.graph.WorkflowGraph` IR
-with the workflow engine: the workflow is compiled once at load time into the
-same explicit dataflow graph the reference and Toil-like runners schedule
-from, and :meth:`submit` simply walks it in topological order:
+The bridge interprets no workflow wiring itself.  :meth:`CWLWorkflowBridge.submit`
+runs the shared :class:`~repro.cwl.workflow.WorkflowEngine` — the one
+implementation of sources, ``linkMerge``, defaults, ``valueFrom``, ``when``,
+ingress/egress, scatter planning and output collection under all four engines
+— inline on the calling thread (``parallel=False``), with a process runner
+that calls the step's :class:`~repro.core.cwl_app.CWLApp` and returns
+``future.cwl_outputs``.  The value store therefore holds ``DataFuture`` s, the
+whole graph is submitted without waiting, and Parsl's dataflow kernel
+interleaves the steps as it would for a native Parsl program.  What stays here
+is Parsl's own: the ``CWLApp`` cache, job events, the ``max_inflight`` window,
+journal terminal states and ``on_error="continue"`` once futures drain.
 
-* every ``step`` node's CommandLineTool becomes a :class:`~repro.core.cwl_app.CWLApp`,
-* dependency edges become ``DataFuture`` s, so Parsl's dataflow scheduler
-  interleaves steps exactly as it would for a native Parsl program,
-* ``scatter`` nodes over concrete arrays expand at submission time,
-* nested (non-scattered) subworkflow steps are flattened into the parent
-  graph by the IR — their ``ingress``/``egress`` nodes seed child inputs and
-  map child outputs at submission time, so the bridge now runs subworkflows
-  it previously rejected,
-* workflow outputs are returned as ``DataFuture`` s / values keyed by output id.
-
-Dynamic constructs whose value depends on *task results* (e.g. ``when`` guards
-referencing upstream outputs, or scattering over a future) are outside what
-can be decided at submission time and raise a clear error instead of silently
-misbehaving.  Scattering a sub-*workflow* step likewise stays unsupported.
+Two things cannot be decided before tasks run and are refused at submission
+time with :class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over a
+value that is still a future (the width is unknown), and scattering a nested
+Workflow — Parsl apps share one working directory, so per-shard copies of the
+subworkflow would overwrite each other's literally named files.  A ``when`` /
+``valueFrom`` expression reading an upstream *result* sees a File-shaped
+stand-in (``class``, ``basename``, ``path``), not contents.
 """
 
 from __future__ import annotations
@@ -33,30 +33,70 @@ import os
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.cwl_app import CWLApp
-from repro.cwl.errors import InputValidationError, UnsupportedRequirement, WorkflowException
-from repro.cwl.expressions.compiler import CompiledEvaluator
-from repro.cwl.expressions.evaluator import needs_expression_evaluation
-from repro.cwl.graph import (
-    EGRESS,
-    INGRESS,
-    SCATTER,
-    STEP,
-    GraphNode,
-    WorkflowGraph,
-    build_graph,
-    merge_link_values,
-    seed_workflow_inputs,
-)
+from repro.cwl.errors import UnsupportedRequirement, WorkflowException
+from repro.cwl.graph import GraphNode, WorkflowGraph, build_graph
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
-from repro.cwl.scatter import build_scatter_jobs
+from repro.cwl.scatter import ScatterPlan
+from repro.cwl.scheduler import Expansion
 from repro.cwl.schema import CommandLineTool, Process, Workflow, WorkflowStep
 from repro.cwl.validate import ensure_valid
+from repro.cwl.workflow import WorkflowEngine
 from repro.parsl.dataflow.dflow import DataFlowKernel
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
-from repro.utils.logging_config import get_logger
 
-logger = get_logger("core.workflow_bridge")
+
+class _SubmissionEngine(WorkflowEngine):
+    """The shared engine run at submission time: step outputs are futures."""
+
+    def __init__(self, bridge: "CWLWorkflowBridge") -> None:
+        context = bridge.runtime_context
+        # Submission is serial and fails fast; the run's journal, failure
+        # policy and in-flight window apply to the futures, i.e. to the bridge.
+        super().__init__(bridge.workflow, self._submit, context.child(
+            journal=None, on_error="stop", pipeline=False,
+            compile_expressions=context.compile_expressions is not False))
+        self._graph = bridge.graph
+        self._bridge = bridge
+        self._node: Optional[GraphNode] = None
+
+    def _execute_node(self, node: GraphNode) -> Optional[Expansion]:
+        self._node = node  # names the job a step or shard node submits
+        return super()._execute_node(node)
+
+    def _submit(self, process: Process, job: Dict[str, Any],
+                _context: RuntimeContext) -> Dict[str, DataFuture]:
+        node = self._node
+        app = self._bridge._app_for(process, node.step)
+        outputs = self._bridge._observed_call(app, job, node.id).cwl_outputs
+        unknown = [out_id for out_id in node.step.out if out_id not in outputs]
+        if unknown:
+            raise WorkflowException(
+                f"step {node.step.id!r}: output(s) {unknown} cannot be predicted at submission "
+                f"time (predictable outputs: {sorted(outputs)}); the workflow bridge requires "
+                "literal or input-derived glob patterns")
+        return outputs
+
+    def _expression_inputs(self, step_inputs: Dict[str, Any]) -> Dict[str, Any]:
+        """Futures cannot be inspected before they run: show a File-shaped stand-in."""
+        return {key: {"basename": getattr(value, "filename", None),
+                      "path": getattr(value, "filepath", None),
+                      "class": "File"} if isinstance(value, (AppFuture, DataFuture)) else value
+                for key, value in step_inputs.items()}
+
+    def _plan_scatter(self, step: WorkflowStep, process: Process,
+                      step_inputs: Dict[str, Any]) -> ScatterPlan:
+        if isinstance(process, Workflow):
+            raise UnsupportedRequirement(
+                f"step {step.id!r} scatters over a nested Workflow; the Parsl workflow "
+                "bridge expands scatter at submission time over CommandLineTool steps only "
+                "(use ReferenceRunner for scattered subworkflows)")
+        for key in step.scatter:
+            if isinstance(step_inputs.get(key), (AppFuture, DataFuture)):
+                raise UnsupportedRequirement(
+                    f"step {step.id!r} scatters over {key!r} whose value is a future; scatter "
+                    "widths must be known at submission time in the Parsl workflow bridge")
+        return super()._plan_scatter(step, process, step_inputs)
 
 
 class CWLWorkflowBridge:
@@ -71,10 +111,9 @@ class CWLWorkflowBridge:
         #: The bridge itself reads ``on_error`` (``"stop"`` re-raises the
         #: first failed step from :meth:`run`; ``"continue"`` resolves
         #: unaffected outputs and records the failed steps in
-        #: :attr:`failures`), ``journal`` (per-step terminal states are
-        #: recorded when futures drain), ``max_inflight`` and
-        #: ``compile_expressions``; every step's :class:`CWLApp` gets the
-        #: whole context (job cache, retries, fault plan, timeout).
+        #: :attr:`failures`), ``journal`` (per-step terminal states, recorded
+        #: when futures drain) and ``max_inflight``; every step's
+        #: :class:`CWLApp` gets the whole context.
         self.runtime_context = runtime_context or RuntimeContext()
         on_error = self.runtime_context.on_error
         if on_error not in ("stop", "continue"):
@@ -88,60 +127,24 @@ class CWLWorkflowBridge:
             self.workflow = loaded
         if validate:
             ensure_valid(self.workflow)
-        #: The shared dataflow IR, compiled once at load time (the same graph
-        #: the WorkflowEngine schedules from).
+        #: The shared dataflow IR, compiled once here; every :meth:`submit` runs it.
         self.graph: WorkflowGraph = build_graph(self.workflow)
         self.data_flow_kernel = data_flow_kernel
-        #: Optional job observer (duck-typed ``job_started``/``job_finished``,
-        #: see :class:`repro.api.events.EventRecorder`); notified when a step
-        #: is submitted and, once :meth:`run` has resolved all outputs, when
-        #: each step future finished.
+        #: Optional job observer (duck-typed, see
+        #: :class:`repro.api.events.EventRecorder`): told when a step is
+        #: submitted and, once :meth:`run` resolved all outputs, how it ended.
         self.job_observer = job_observer
         #: Failed step name → exception, from the last :meth:`run`.
         self.failures: Dict[str, BaseException] = {}
         self._pending_observations: List[tuple] = []
-        self._apps: Dict[str, CWLApp] = {}
+        self._apps: Dict[int, CWLApp] = {}
 
     # -------------------------------------------------------------- submission
 
     def submit(self, job_order: Dict[str, Any]) -> Dict[str, Any]:
-        """Submit every graph node and return workflow outputs as futures/values."""
-        # InputValidationError (a WorkflowException) classifies as "invalid",
-        # matching the runner engines' job-order validation failures — the
-        # conformance exit-class contract for missing workflow inputs.
-        values: Dict[str, Any] = seed_workflow_inputs(self.workflow, job_order,
-                                                      error=InputValidationError)
-        skipped_scopes: List[str] = []
-
-        def is_skipped(scope: str) -> bool:
-            return any(scope.startswith(skipped) for skipped in skipped_scopes)
-
-        for node_id in self.graph.topological_order():
-            node = self.graph.nodes[node_id]
-            if node.kind == EGRESS:
-                self._submit_egress(node, values, is_skipped(node.child_scope))
-                continue
-            if is_skipped(node.scope):
-                continue
-            if node.kind == STEP:
-                self._submit_step(node, values)
-            elif node.kind == SCATTER:
-                self._submit_scatter(node, values)
-            elif node.kind == INGRESS:
-                self._submit_ingress(node, values, skipped_scopes)
-            else:
-                raise WorkflowException(
-                    f"graph node {node.id!r} of kind {node.kind!r} cannot be "
-                    "submitted at load time")
-
-        outputs: Dict[str, Any] = {}
-        for output in self.workflow.workflow_outputs:
-            if not output.output_source:
-                outputs[output.id] = None
-                continue
-            resolved = [values.get(source) for source in output.output_source]
-            outputs[output.id] = merge_link_values(resolved, output.link_merge)
-        return outputs
+        """Submit every graph node, from an empty value store and (unless
+        ``max_inflight`` is set) waiting for no task; outputs are futures/values."""
+        return _SubmissionEngine(self).run(job_order)
 
     def run(self, job_order: Dict[str, Any]) -> Dict[str, Any]:
         """Submit the workflow and block until all outputs are concrete values.
@@ -166,102 +169,26 @@ class CWLWorkflowBridge:
         finally:
             self._drain_observations()
 
-    # ------------------------------------------------------------------- nodes
-
-    def _submit_step(self, node: GraphNode, values: Dict[str, Any]) -> None:
-        step = node.step
-        app = self._app_for(node)
-        gathered = self._gather_inputs(step, values, node.scope)
-
-        if step.when is not None:
-            condition = self._evaluate_static(step.when, gathered)
-            if not condition:
-                for out_id in step.out:
-                    values[f"{node.scope}{step.id}/{out_id}"] = None
-                return
-
-        future = self._observed_call(app, gathered, node.id)
-        named = getattr(future, "cwl_outputs", {})
-        for out_id in step.out:
-            if out_id not in named:
-                raise WorkflowException(
-                    f"step {step.id!r}: output {out_id!r} cannot be predicted at submission "
-                    f"time (predictable outputs: {sorted(named)}); the workflow bridge requires "
-                    "literal or input-derived glob patterns"
-                )
-            values[f"{node.scope}{step.id}/{out_id}"] = named[out_id]
-
-    def _submit_scatter(self, node: GraphNode, values: Dict[str, Any]) -> None:
-        step = node.step
-        app = self._app_for(node)
-        gathered = self._gather_inputs(step, values, node.scope)
-
-        if step.when is not None:
-            condition = self._evaluate_static(step.when, gathered)
-            if not condition:
-                for out_id in step.out:
-                    values[f"{node.scope}{step.id}/{out_id}"] = None
-                return
-
-        concrete = {key: self._require_concrete(value, step.id, key)
-                    for key, value in gathered.items() if key in step.scatter}
-        merged = dict(gathered)
-        merged.update(concrete)
-        plan = build_scatter_jobs(merged, step.scatter, step.scatter_method)
-        per_output: Dict[str, List[Any]] = {out_id: [] for out_id in step.out}
-        for index, job in enumerate(plan.jobs):
-            future = self._observed_call(app, job, f"{node.id}[{index}]")
-            named = getattr(future, "cwl_outputs", {})
-            for out_id in step.out:
-                per_output[out_id].append(named.get(out_id, future))
-        for out_id in step.out:
-            values[f"{node.scope}{step.id}/{out_id}"] = per_output[out_id]
-
-    def _submit_ingress(self, node: GraphNode, values: Dict[str, Any],
-                        skipped_scopes: List[str]) -> None:
-        """Enter a flattened subworkflow: evaluate ``when``, seed child inputs."""
-        step = node.step
-        gathered = self._gather_inputs(step, values, node.scope)
-        if step.when is not None and not self._evaluate_static(step.when, gathered):
-            skipped_scopes.append(node.child_scope)
-            return
-        seeded = seed_workflow_inputs(node.child, gathered, error=WorkflowException)
-        for key, value in seeded.items():
-            values[node.child_scope + key] = value
-
-    def _submit_egress(self, node: GraphNode, values: Dict[str, Any],
-                       skipped: bool) -> None:
-        """Leave a subworkflow: map child workflow outputs into the parent scope."""
-        step = node.step
-        if skipped:
-            for out_id in step.out:
-                values[node.child_scope + out_id] = None
-            return
-        child_outputs: Dict[str, Any] = {}
-        for output in node.child.workflow_outputs:
-            if not output.output_source:
-                child_outputs[output.id] = None
-                continue
-            resolved = [values.get(node.child_scope + source)
-                        for source in output.output_source]
-            child_outputs[output.id] = merge_link_values(resolved, output.link_merge)
-        for out_id in step.out:
-            if out_id not in child_outputs:
-                raise WorkflowException(
-                    f"step {step.id!r} did not produce declared output {out_id!r} "
-                    f"(produced {sorted(child_outputs)})"
-                )
-        for out_id, value in child_outputs.items():
-            values[node.child_scope + out_id] = value
-
     # ----------------------------------------------------------------- plumbing
+
+    def _app_for(self, process: Process, step: WorkflowStep) -> CWLApp:
+        """The :class:`CWLApp` of a resolved step process (one per process object)."""
+        app = self._apps.get(id(process))
+        if app is None:
+            if not isinstance(process, CommandLineTool):
+                raise WorkflowException(f"step {step.id!r} does not resolve to a CommandLineTool")
+            # The app keeps ``process`` alive, so its id stays unique.
+            app = self._apps[id(process)] = CWLApp(
+                process, data_flow_kernel=self.data_flow_kernel,
+                runtime_context=self.runtime_context)
+        return app
 
     def _observed_call(self, app: CWLApp, kwargs: Dict[str, Any], name: str) -> AppFuture:
         """Invoke ``app``, reporting the job start to :attr:`job_observer`.
 
-        The matching end event is recorded by :meth:`_drain_observations` —
-        not a done-callback, which CPython fires *after* waking ``result()``
-        waiters and would let :meth:`run` return before its events landed.
+        The end event is recorded by :meth:`_drain_observations`, not a
+        done-callback: CPython fires those *after* waking ``result()`` waiters,
+        which would let :meth:`run` return before its events landed.
         """
         observer = self.job_observer
         token = observer.job_started(name) if observer is not None else None
@@ -276,13 +203,12 @@ class CWLWorkflowBridge:
         return future
 
     def _throttle_inflight(self) -> None:
-        """Backpressure the submission walk against ``max_inflight``.
+        """Backpressure submission against ``max_inflight``.
 
-        With a 10k node graph, eagerly materialising every app call would
-        hold every staged input handle live at once, so this blocks on the
-        oldest unfinished future while more than ``max_inflight`` submitted
-        jobs are live.  Dependency edges are already futures, so waiting on
-        the oldest (a topological ancestor or peer of everything after it)
+        With a 10k node graph, eagerly materialising every app call would hold
+        every staged input handle live at once, so this blocks on the oldest
+        unfinished future while ``max_inflight`` submitted jobs are live.  It
+        is a topological ancestor or peer of everything after it, so waiting
         cannot deadlock the dataflow.  ``None`` keeps Parsl's eager submission.
         """
         if not self.runtime_context.max_inflight:
@@ -298,11 +224,10 @@ class CWLWorkflowBridge:
     def _drain_observations(self) -> None:
         """Resolve every submitted future: failures, retry events, end events.
 
-        Futures are tracked even without an observer so that
-        ``on_error="continue"`` can report which steps failed.  Retries are
-        replayed from the future's in-process ``cwl_retry_note`` (written by
-        :func:`~repro.core.cwl_app.resilient_bash_executor`), so the event
-        stream per job reads start → retry* → end like the runner engines'.
+        Futures are tracked even without an observer so ``on_error="continue"``
+        can report which steps failed.  Retries are replayed from the future's
+        ``cwl_retry_note`` (:func:`~repro.core.cwl_app.resilient_bash_executor`),
+        so each job's events read start → retry* → end like the runner engines'.
         """
         observer = self.job_observer
         pending, self._pending_observations = self._pending_observations, []
@@ -326,93 +251,9 @@ class CWLWorkflowBridge:
                                   cache=note.get("cache"),
                                   attempt=retries[-1]["attempt"] + 1 if retries else 1)
 
-    def _app_for(self, node: GraphNode) -> CWLApp:
-        if node.id in self._apps:
-            return self._apps[node.id]
-        step = node.step
-        process: Optional[Process] = step.embedded_process
-        if process is None and isinstance(step.run, str):
-            from repro.cwl.graph import default_resolver
-
-            process = default_resolver(step, node.workflow)
-        elif process is None and isinstance(step.run, Process):
-            process = step.run
-        if isinstance(process, Workflow):
-            raise UnsupportedRequirement(
-                f"step {step.id!r} scatters over a nested Workflow; the Parsl workflow "
-                "bridge expands scatter at submission time over CommandLineTool steps only "
-                "(use ReferenceRunner for scattered subworkflows)"
-            )
-        if not isinstance(process, CommandLineTool):
-            raise WorkflowException(f"step {step.id!r} does not resolve to a CommandLineTool")
-        app = CWLApp(process, data_flow_kernel=self.data_flow_kernel,
-                     runtime_context=self.runtime_context)
-        self._apps[node.id] = app
-        return app
-
-    def _gather_inputs(self, step: WorkflowStep, values: Dict[str, Any],
-                       scope: str) -> Dict[str, Any]:
-        gathered: Dict[str, Any] = {}
-        for step_input in step.in_:
-            if step_input.source:
-                sourced = [values[scope + source] for source in step_input.source]
-                value = merge_link_values(sourced, step_input.link_merge)
-            else:
-                value = None
-            if value is None and step_input.has_default:
-                value = step_input.default
-            gathered[step_input.id] = value
-        for step_input in step.in_:
-            if step_input.value_from is None:
-                continue
-            gathered[step_input.id] = self._evaluate_static(
-                step_input.value_from, gathered, self_value=gathered.get(step_input.id))
-        return gathered
-
-    def _evaluate_static(self, expression: str, inputs: Dict[str, Any],
-                         self_value: Any = None) -> Any:
-        """Evaluate a step-level expression at submission time.
-
-        Plain strings pass through; expressions may only reference values that
-        are concrete at submission time (workflow inputs, literals) — futures
-        cannot be inspected before they run.
-        """
-        if not needs_expression_evaluation(expression):
-            return expression
-        concrete_inputs = {}
-        for key, value in inputs.items():
-            if isinstance(value, (AppFuture, DataFuture)):
-                concrete_inputs[key] = {"basename": getattr(value, "filename", None),
-                                        "path": getattr(value, "filepath", None),
-                                        "class": "File"}
-            else:
-                concrete_inputs[key] = value
-        # The bridge is a long-lived engine: submission-time expressions go
-        # through the compiled pipeline (parse-once template cache) unless
-        # the uncompiled leg was requested.
-        if self.runtime_context.compile_expressions is not False:
-            evaluator = CompiledEvaluator(js_enabled=True)
-        else:
-            from repro.cwl.expressions.evaluator import ExpressionEvaluator
-
-            evaluator = ExpressionEvaluator(js_enabled=True)
-        return evaluator.evaluate(expression, {"inputs": concrete_inputs, "self": self_value,
-                                               "runtime": {}})
-
-    @staticmethod
-    def _require_concrete(value: Any, step_id: str, key: str) -> Any:
-        if isinstance(value, (AppFuture, DataFuture)):
-            raise UnsupportedRequirement(
-                f"step {step_id!r} scatters over {key!r} whose value is a future; scatter widths "
-                "must be known at submission time in the Parsl workflow bridge"
-            )
-        return value
-
     @staticmethod
     def _wait(value: Any) -> Any:
-        if isinstance(value, DataFuture):
-            return value.result()
-        if isinstance(value, AppFuture):
+        if isinstance(value, (AppFuture, DataFuture)):
             return value.result()
         if isinstance(value, list):
             return [CWLWorkflowBridge._wait(item) for item in value]

@@ -6,14 +6,13 @@ in Python.  The supported keys:
 
 .. code-block:: yaml
 
-    executor: htex            # htex | thread-pool | process-pool | workqueue
-    provider: slurm           # local | slurm | pbs | kubernetes  (htex only)
-    nodes: 3                  # nodes per block (htex + slurm/pbs)
+    executor: htex            # htex | thread-pool | process-pool
+    provider: slurm           # local | slurm  (htex only)
+    nodes: 3                  # nodes per block (htex)
     cores_per_node: 48
     workers_per_node: 8
     max_threads: 8            # thread-pool
     max_workers: 4            # process-pool
-    total_cores: 8            # workqueue
     retries: 0
     run_dir: runinfo
     app_cache: true
@@ -35,18 +34,14 @@ from repro.parsl.errors import ConfigurationError
 from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
 from repro.parsl.executors.processes import ProcessPoolExecutor
 from repro.parsl.executors.threads import ThreadPoolExecutor
-from repro.parsl.executors.workqueue import WorkQueueStyleExecutor
-from repro.parsl.providers.kubernetes import KubernetesProvider
 from repro.parsl.providers.local import LocalProvider
-from repro.parsl.providers.pbs import PBSProProvider
 from repro.parsl.providers.slurm import SlurmProvider
 from repro.utils.yamlio import load_yaml_file
 
 _KNOWN_KEYS = {
     "executor", "provider", "nodes", "cores_per_node", "workers_per_node",
-    "max_threads", "max_workers", "total_cores", "retries", "run_dir",
-    "app_cache", "label", "monitoring", "queue", "partition", "namespace",
-    "walltime",
+    "max_threads", "max_workers", "retries", "run_dir",
+    "app_cache", "label", "monitoring", "partition", "walltime",
 }
 
 _EXECUTOR_ALIASES = {
@@ -58,9 +53,6 @@ _EXECUTOR_ALIASES = {
     "threadpool": "threads",
     "process-pool": "processes",
     "processes": "processes",
-    "workqueue": "workqueue",
-    "work-queue": "workqueue",
-    "taskvine": "workqueue",
 }
 
 
@@ -95,8 +87,6 @@ def config_from_dict(document: Dict[str, Any],
         executor = ThreadPoolExecutor(label=label, max_threads=int(document.get("max_threads", 8)))
     elif executor_name == "processes":
         executor = ProcessPoolExecutor(label=label, max_workers=int(document.get("max_workers", 4)))
-    elif executor_name == "workqueue":
-        executor = WorkQueueStyleExecutor(label=label, total_cores=int(document.get("total_cores", 8)))
     else:  # htex
         executor = HighThroughputExecutor(
             label=label,
@@ -133,23 +123,6 @@ def _build_provider(document: Dict[str, Any], cluster: Optional[SimulatedSlurmCl
             cluster=cluster or SimulatedSlurmCluster(
                 NodeInventory.homogeneous(nodes, cores=cores_per_node)),
         )
-    if provider_name in ("pbs", "pbspro"):
-        return PBSProProvider(
-            nodes_per_block=nodes,
-            cores_per_node=cores_per_node,
-            init_blocks=1,
-            max_blocks=1,
-            walltime=walltime,
-            queue=str(document.get("queue", "workq")),
-            cluster=cluster or SimulatedSlurmCluster(
-                NodeInventory.homogeneous(nodes, cores=cores_per_node)),
-        )
-    if provider_name in ("kubernetes", "k8s"):
-        return KubernetesProvider(
-            pods_per_block=nodes,
-            cores_per_pod=cores_per_node,
-            namespace=str(document.get("namespace", "default")),
-        )
     raise ConfigurationError(
-        f"unknown provider {provider_name!r}; expected local, slurm, pbs or kubernetes"
+        f"unknown provider {provider_name!r}; expected local or slurm"
     )

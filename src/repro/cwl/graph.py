@@ -8,9 +8,9 @@ indegree counts and critical-path priorities.  Every execution path shares the
 IR: the :class:`~repro.cwl.workflow.WorkflowEngine` (reference and Toil-like
 runners) feeds it to the event-driven
 :class:`~repro.cwl.scheduler.GraphScheduler`, the Parsl
-:class:`~repro.core.workflow_bridge.CWLWorkflowBridge` walks it in topological
-order to emit app submissions, and :func:`repro.api.plan` surfaces it for
-introspection.
+:class:`~repro.core.workflow_bridge.CWLWorkflowBridge` runs that same engine
+inline at submission time with a process runner that returns futures, and
+:func:`repro.api.plan` surfaces it for introspection.
 
 Node kinds
 ----------
@@ -52,7 +52,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cwl.errors import ValidationException, WorkflowException
+from repro.cwl.errors import InputValidationError, ValidationException, WorkflowException
 from repro.cwl.loader import load_document_cached
 from repro.cwl.schema import Process, Workflow, WorkflowStep
 
@@ -93,14 +93,13 @@ def default_resolver(step: WorkflowStep, workflow: Workflow) -> Process:
         f"step {step.id!r} has an unresolvable run reference {step.run!r}")
 
 
-def seed_workflow_inputs(workflow: Workflow, job_order: Dict[str, Any],
-                         error: type = ValidationException) -> Dict[str, Any]:
+def seed_workflow_inputs(workflow: Workflow, job_order: Dict[str, Any]) -> Dict[str, Any]:
     """Resolve a workflow's input values from ``job_order`` (defaults, optionals).
 
-    Shared by the engine, the Parsl bridge and subworkflow ingress nodes so
-    input seeding has exactly one implementation.  ``error`` selects the
-    exception type raised for a missing required input (the bridge historically
-    raises :class:`WorkflowException`, the engine :class:`ValidationException`).
+    Called by the engine for the root workflow, subworkflow ingress nodes and
+    scattered-subworkflow shards, on every runner.  A missing required input
+    raises :class:`~repro.cwl.errors.InputValidationError` (exit class
+    ``invalid``), the same class job-order validation raises.
     """
     values: Dict[str, Any] = {}
     for param in workflow.inputs:
@@ -111,7 +110,8 @@ def seed_workflow_inputs(workflow: Workflow, job_order: Dict[str, Any],
         elif param.type.is_optional:
             values[param.id] = None
         else:
-            raise error(f"workflow input {param.id!r} is required but was not provided")
+            raise InputValidationError(
+                f"workflow input {param.id!r} is required but was not provided")
     return values
 
 
@@ -121,9 +121,8 @@ def merge_link_values(values: List[Any], link_merge: str) -> Any:
     A lone source passes through unchanged; ``merge_flattened`` flattens
     list-valued items while non-list items — including the unresolved futures
     the Parsl bridge carries at submission time — stay atomic;
-    ``merge_nested`` (the default) keeps one item per source.  Shared by the
-    workflow engine (step inputs *and* workflow outputs) and the bridge so the
-    merge rules cannot diverge between engines.
+    ``merge_nested`` (the default) keeps one item per source.  Used by the
+    workflow engine for step inputs *and* workflow outputs.
     """
     if len(values) == 1:
         return values[0]

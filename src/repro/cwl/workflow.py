@@ -15,11 +15,17 @@ single bounded worker pool, so scatter inside parallel steps (or inside
 subworkflows) never multiplies threads: with ``parallel=True`` the total
 number of live worker threads never exceeds ``max_workers``.
 
-The engine is runner-agnostic: the actual execution of a step's process is
-delegated to a ``process_runner`` callable supplied by the runner
-(cwltool-like, Toil-like, or the Parsl bridge), which receives the resolved
-process, the step's job order and the runtime context and returns the output
-object.  The engine handles:
+The engine is the one interpreter of workflow wiring for all four engines and
+is runner-agnostic: the actual execution of a step's process is delegated to a
+``process_runner`` callable, which receives the resolved process, the step's
+job order and the runtime context and returns the output object.  The
+cwltool-like and Toil-like runners run the process and return its outputs; the
+Parsl bridge (:mod:`repro.core.workflow_bridge`) runs the engine inline
+(``parallel=False``, on the submitting thread) with a runner that submits the
+step's ``CWLApp`` and returns its output *futures*.  Its subclass overrides
+two hooks that default to the identity, :meth:`WorkflowEngine._expression_inputs`
+(what an expression sees for a value) and :meth:`WorkflowEngine._plan_scatter`
+(where a scatter can be refused).  The engine handles:
 
 * gathering step inputs from workflow inputs and upstream step outputs
   (including ``MultipleInputFeatureRequirement`` merging and defaults),
@@ -56,7 +62,7 @@ from repro.cwl.graph import (
 )
 from repro.cwl.loader import load_document_cached
 from repro.cwl.runtime import RuntimeContext
-from repro.cwl.scatter import build_scatter_jobs, nest_outputs
+from repro.cwl.scatter import ScatterPlan, build_scatter_jobs, nest_outputs
 from repro.cwl.scheduler import Expansion, GraphScheduler, PipelineScheduler
 from repro.cwl.schema import ExpressionTool, Process, Workflow, WorkflowStep
 from repro.cwl.types import coerce_file_inputs
@@ -343,8 +349,13 @@ class WorkflowEngine:
 
     def _evaluate_when(self, step: WorkflowStep, step_inputs: Dict[str, Any]) -> bool:
         evaluator = self._step_evaluator()
-        return bool(evaluator.evaluate(step.when, {"inputs": step_inputs, "self": None,
-                                                   "runtime": {}}))
+        return bool(evaluator.evaluate(
+            step.when, {"inputs": self._expression_inputs(step_inputs), "self": None,
+                        "runtime": {}}))
+
+    def _expression_inputs(self, step_inputs: Dict[str, Any]) -> Dict[str, Any]:
+        """What a step-level ``when`` / ``valueFrom`` expression sees as ``inputs``."""
+        return step_inputs
 
     # ----------------------------------------------------------------- scatter
 
@@ -364,9 +375,14 @@ class WorkflowEngine:
                 self._store(f"{node.scope}{step.id}/{out_id}", None)
             return None
 
-        plan = build_scatter_jobs(step_inputs, step.scatter, step.scatter_method)
+        plan = self._plan_scatter(step, process, step_inputs)
         record.job_count = len(plan.jobs)
         return self._expand_scatter(node, process, plan)
+
+    def _plan_scatter(self, step: WorkflowStep, process: Process,
+                      step_inputs: Dict[str, Any]) -> ScatterPlan:
+        """Build the per-shard job orders of a scattered step."""
+        return build_scatter_jobs(step_inputs, step.scatter, step.scatter_method)
 
     def _expand_scatter(self, node: GraphNode, process: Process, plan) -> Expansion:
         """Turn a scattered step into shard nodes plus a gather node.
@@ -514,7 +530,7 @@ class WorkflowEngine:
         needs_expression = any(si.value_from is not None for si in step.in_)
         if needs_expression:
             evaluator = self._step_evaluator()
-            base_context = dict(gathered)
+            base_context = self._expression_inputs(dict(gathered))
             for step_input in step.in_:
                 if step_input.value_from is None:
                     continue

@@ -16,7 +16,6 @@ from repro.parsl.config import Config
 from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
 from repro.parsl.executors.processes import ProcessPoolExecutor
 from repro.parsl.executors.threads import ThreadPoolExecutor
-from repro.parsl.executors.workqueue import WorkQueueStyleExecutor
 from repro.parsl.providers.local import LocalProvider
 from repro.parsl.providers.slurm import SlurmProvider
 
@@ -30,12 +29,6 @@ def thread_config(max_threads: int = 8, label: str = "threads", **config_kwargs)
 def local_process_config(max_workers: int = 4, label: str = "processes", **config_kwargs) -> Config:
     """Single-node process-pool configuration."""
     return Config(executors=[ProcessPoolExecutor(label=label, max_workers=max_workers)],
-                  **config_kwargs)
-
-
-def workqueue_config(total_cores: int = 8, label: str = "workqueue", **config_kwargs) -> Config:
-    """Resource-aware WorkQueue-style configuration."""
-    return Config(executors=[WorkQueueStyleExecutor(label=label, total_cores=total_cores)],
                   **config_kwargs)
 
 

@@ -155,7 +155,9 @@ class DataFlowKernel:
         return app_future
 
     def _gather_dependencies(self, args: Tuple, kwargs: Dict[str, Any]) -> List[Future]:
-        """Find every Future in the task's arguments (one level into containers)."""
+        """Find every Future in the task's arguments, through the same containers
+        :meth:`_sanitize_arguments` resolves (a CWL ``File[]`` of ``DataFuture`` s
+        sits two levels down, inside the ``cwl_inputs`` dict)."""
         depends: List[Future] = []
 
         def check(value: Any) -> None:
@@ -163,17 +165,13 @@ class DataFlowKernel:
                 depends.append(value)
             elif isinstance(value, (list, tuple, set)):
                 for item in value:
-                    if isinstance(item, Future):
-                        depends.append(item)
+                    check(item)
             elif isinstance(value, dict):
                 for item in value.values():
-                    if isinstance(item, Future):
-                        depends.append(item)
+                    check(item)
 
-        for arg in args:
-            check(arg)
-        for value in kwargs.values():
-            check(value)
+        check(args)
+        check(kwargs)
         return depends
 
     # ------------------------------------------------------------- launching

@@ -3,7 +3,6 @@
 from repro.parsl.executors.base import ParslExecutor
 from repro.parsl.executors.threads import ThreadPoolExecutor
 from repro.parsl.executors.processes import ProcessPoolExecutor
-from repro.parsl.executors.workqueue import WorkQueueStyleExecutor
 from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
 
 __all__ = [
@@ -11,5 +10,4 @@ __all__ = [
     "ParslExecutor",
     "ProcessPoolExecutor",
     "ThreadPoolExecutor",
-    "WorkQueueStyleExecutor",
 ]

@@ -3,15 +3,11 @@
 from repro.parsl.providers.base import Block, ExecutionProvider, ProviderJobState
 from repro.parsl.providers.local import LocalProvider
 from repro.parsl.providers.slurm import SlurmProvider
-from repro.parsl.providers.pbs import PBSProProvider
-from repro.parsl.providers.kubernetes import KubernetesProvider
 
 __all__ = [
     "Block",
     "ExecutionProvider",
-    "KubernetesProvider",
     "LocalProvider",
-    "PBSProProvider",
     "ProviderJobState",
     "SlurmProvider",
 ]

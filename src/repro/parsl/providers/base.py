@@ -3,9 +3,9 @@
 In the pilot-job model (paper §II-B) an executor does not talk to the batch
 scheduler per task; instead it asks a *provider* for a **block** of resources —
 one batch job spanning one or more nodes — and runs its own workers inside that
-block.  Providers abstract over batch systems (Slurm, PBS), clouds and container
-orchestrators (Kubernetes), which is what lets the same Parsl program move from
-a laptop to a supercomputer by swapping configuration only.
+block.  Providers abstract over the resource manager (here: the local machine
+and a simulated Slurm cluster), which is what lets the same Parsl program move
+from a laptop to a supercomputer by swapping configuration only.
 """
 
 from __future__ import annotations

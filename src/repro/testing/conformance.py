@@ -25,6 +25,7 @@ Useful variations::
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import shutil
 import sys
@@ -184,12 +185,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "tier1": bool(args.tier1),
         "faults": sorted({c.faults for c in configs if c.faults}),
         "pipeline": bool(any(c.pipeline for c in configs)),
+        # Corpus cases, per engine, that carry an `overrides:` expectation.
+        "overrides": dict(sorted(collections.Counter(
+            engine for case in cases for engine in case.overrides).items())),
     })
     path = write_report(args.report, report)
 
     summary = report["summary"]
     say(f"conformance: {summary['passed_cases']}/{summary['cases']} cases passed "
-        f"({summary['runs']} runs, {summary['divergences']} divergence(s)); "
+        f"({summary['runs']} runs, {summary['divergences']} divergence(s), "
+        f"per-engine overrides {report['meta']['overrides']}); "
         f"report written to {path}")
     if summary["divergences"]:
         for line in report["divergences"]:

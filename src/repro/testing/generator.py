@@ -14,10 +14,14 @@ Structure is drawn with bounded width and depth: a source layer of
 echo/upcase steps, optionally a dotproduct scatter, optionally a nested
 (non-scattered) subworkflow, then up to ``max_depth - 1`` layers of ``cat``
 steps combining earlier files, optionally a ``when``-guarded sink whose
-guard is a workflow-input boolean.  Everything stays inside the subset all
-four engines support (no scattered subworkflows, no guards over step
-outputs), so the reference engine is a usable oracle for every generated
-case.
+guard is a workflow-input boolean.  A final *wiring* pass rewrites some step
+inputs in place — ``valueFrom`` (on its own value, and reading a sibling
+input), a null source with a step-input ``default``, multi-source
+``linkMerge: merge_nested`` / ``merge_flattened`` into an array input; it
+draws last, so a seed's step structure does not depend on it.  Everything
+stays inside the subset all four engines support (no scattered subworkflows,
+no guards over step outputs), so the reference engine is a usable oracle for
+every generated case.
 
 Determinism rules (the flakiness guard): every choice flows from one
 ``random.Random(seed)``; step and input names are derived from insertion
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Deterministic word pool for generated messages.
 WORDS = (
@@ -111,6 +115,13 @@ def _cat_tool(arity: int, stdout_name: str) -> Dict[str, Any]:
     }
 
 
+def _cat_list_tool(stdout_name: str) -> Dict[str, Any]:
+    """``cat`` over one ``File[]`` input (the target of a multi-source merge)."""
+    tool = _cat_tool(0, stdout_name)
+    tool["inputs"] = {"files": {"type": "File[]", "inputBinding": {"position": 1}}}
+    return tool
+
+
 def _guarded_echo_tool(stdout_name: str) -> Dict[str, Any]:
     tool = _echo_tool(stdout_name)
     tool["inputs"]["go"] = {"type": "boolean"}
@@ -148,6 +159,48 @@ class _Builder:
         self.outputs[output_id] = {"type": cwl_type, "outputSource": ref}
 
 
+def _vary_wiring(builder: _Builder, source_steps: List[str],
+                 scatter_ref: Optional[str]) -> None:
+    """Rewrite some step inputs in place (no step is added or removed)."""
+    rng = builder.rng
+    for step_name in source_steps:
+        step = builder.steps[step_name]
+        source = step["in"]["text"]
+        draw = rng.random()
+        if draw < 0.2:
+            step["in"]["text"] = {"source": source, "valueFrom": '$(self + "!")'}
+            builder.features.append("valueFrom")
+        elif draw < 0.4 and "arguments" not in step["run"]:
+            # `inputs` is the input object *before* any valueFrom: `tail`
+            # reads the sourced text, not its rewritten sibling.
+            step["run"]["inputs"]["tail"] = {"type": "string",
+                                             "inputBinding": {"position": 2}}
+            step["in"] = {
+                "text": {"source": source, "valueFrom": '$(self + "-x")'},
+                "tail": {"source": source, "valueFrom": '$(inputs.text + "-y")'},
+            }
+            builder.features.append("valueFrom-sibling")
+        elif draw < 0.6:
+            unset = builder.add_input(f"{step_name}_unset", "string?", None)
+            step["in"]["text"] = {"source": unset, "default": builder.phrase(2)}
+            builder.features.append("default")
+    for step in builder.steps.values():
+        if step["run"].get("baseCommand") != "cat":
+            continue
+        draw = rng.random()
+        if draw >= 0.6:
+            continue
+        sources = list(step["in"].values())
+        link_merge = "merge_nested"
+        if draw < 0.3:
+            link_merge = "merge_flattened"
+            if scatter_ref is not None:  # a File[] among the File sources
+                sources.append(scatter_ref)
+        step["run"] = _cat_list_tool(step["run"]["stdout"])
+        step["in"] = {"files": {"source": sources, "linkMerge": link_merge}}
+        builder.features.append(link_merge)
+
+
 def generate_workflow(seed: int, *, max_width: int = 3,
                       max_depth: int = 3) -> GeneratedWorkflow:
     """Generate one workflow for ``seed`` (bounded width/depth, deterministic)."""
@@ -158,6 +211,7 @@ def generate_workflow(seed: int, *, max_width: int = 3,
 
     # --- source layer: echo/upcase steps over workflow string inputs.
     n_sources = rng.randint(2, max(2, max_width))
+    source_steps: List[str] = []
     for index in range(n_sources):
         step_name = f"s{len(builder.steps)}"
         text_input = builder.add_input(f"msg{index}", "string",
@@ -166,10 +220,12 @@ def generate_workflow(seed: int, *, max_width: int = 3,
             else _echo_tool(f"{step_name}.txt")
         builder.add_step(step_name, {"run": tool, "in": {"text": text_input},
                                      "out": ["out"]})
+        source_steps.append(step_name)
         builder.file_refs.append(f"{step_name}/out")
         builder.features.append("upcase" if "arguments" in tool else "echo")
 
     # --- optional dotproduct scatter over generated name/word arrays.
+    scatter_ref: Optional[str] = None
     if rng.random() < 0.6:
         step_name = f"s{len(builder.steps)}"
         shards = rng.randint(2, 3)
@@ -184,7 +240,8 @@ def generate_workflow(seed: int, *, max_width: int = 3,
             "scatterMethod": "dotproduct",
             "in": {"name": names, "word": words}, "out": ["out"],
         })
-        builder.expose(f"{step_name}/out")
+        scatter_ref = f"{step_name}/out"
+        builder.expose(scatter_ref)
         builder.features.append("scatter")
 
     # --- optional nested (non-scattered) subworkflow of echo steps.
@@ -257,6 +314,8 @@ def generate_workflow(seed: int, *, max_width: int = 3,
     if not builder.outputs:  # every file was consumed: expose the last one
         builder.expose(builder.file_refs[-1], "File")
 
+    _vary_wiring(builder, source_steps, scatter_ref)
+
     doc = {
         "cwlVersion": "v1.2",
         "class": "Workflow",
@@ -265,6 +324,8 @@ def generate_workflow(seed: int, *, max_width: int = 3,
             {"class": "ScatterFeatureRequirement"},
             {"class": "SubworkflowFeatureRequirement"},
             {"class": "InlineJavascriptRequirement"},
+            {"class": "StepInputExpressionRequirement"},
+            {"class": "MultipleInputFeatureRequirement"},
         ],
         "inputs": builder.inputs,
         "outputs": builder.outputs,

@@ -26,7 +26,8 @@ Report shape (version 1)::
     }
 
 CI uploads the file as an artifact and fails the conformance job when
-``summary.divergences`` is non-zero.
+``summary.divergences`` is non-zero.  ``meta.overrides`` (written by the CLI)
+counts, per engine, the corpus cases whose expectation that engine overrides.
 """
 
 from __future__ import annotations

@@ -55,6 +55,13 @@ def test_overrides_fall_back_to_default_expectation(corpus):
     assert case.expectation_for("parsl-workflow").failure == "unsupported"
 
 
+def test_only_allow_listed_cases_carry_engine_overrides(corpus):
+    """Per-engine exceptions may shrink but not grow silently: a new
+    `overrides:` key has to be added here, in review, with its reason."""
+    allowed = {"wf_scattered_subworkflow"}  # Parsl apps share one cwd
+    assert {case.id for case in corpus if case.overrides} == allowed
+
+
 def test_materialize_writes_content_files(tmp_path):
     job = {
         "single": {"class": "File", "basename": "a.txt", "contents": "alpha\n"},

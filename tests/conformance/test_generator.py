@@ -49,11 +49,34 @@ def test_every_step_has_a_declared_source(generated_suite):
                         for name, step in workflow.doc["steps"].items()
                         for out in step["out"]}
         for name, step in workflow.doc["steps"].items():
-            for source in step["in"].values():
-                if "/" in str(source):
-                    assert source in step_outputs, (workflow.id, name, source)
-                else:
-                    assert source in workflow.doc["inputs"], (workflow.id, name, source)
+            for step_input in step["in"].values():
+                # Plain `source` strings, or the wiring pass's mapping form
+                # with one source or a linkMerge list of them.
+                sources = step_input["source"] if isinstance(step_input, dict) else step_input
+                for source in [sources] if isinstance(sources, str) else sources:
+                    if "/" in source:
+                        assert source in step_outputs, (workflow.id, name, source)
+                    else:
+                        assert source in workflow.doc["inputs"], (workflow.id, name, source)
+
+
+def test_wiring_features_are_drawn_and_recorded():
+    """valueFrom (own value and sibling), linkMerge both ways and step-input
+    defaults all occur in the default suite, in the document and in `features`."""
+    suite = generate_suite(DEFAULT_SUITE_SIZE)
+    drawn = {feature for workflow in suite for feature in workflow.features}
+    assert {"valueFrom", "valueFrom-sibling", "default",
+            "merge_nested", "merge_flattened"} <= drawn
+    for workflow in suite:
+        step_inputs = [step_input for step in workflow.doc["steps"].values()
+                       for step_input in step["in"].values()
+                       if isinstance(step_input, dict)]
+        assert sum("default" in si for si in step_inputs) == \
+            workflow.features.count("default")
+        assert sum(si.get("linkMerge") == "merge_flattened" for si in step_inputs) == \
+            workflow.features.count("merge_flattened")
+        assert sum('inputs.text' in si.get("valueFrom", "") for si in step_inputs) == \
+            workflow.features.count("valueFrom-sibling")
 
 
 def test_width_and_depth_are_bounded():

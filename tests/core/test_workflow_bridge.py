@@ -35,6 +35,9 @@ def test_bridge_submit_returns_datafutures(cwl_dir, parsl_threads, tmp_path, sma
         "size": 16, "sepia": False, "radius": 1,
     })
     assert isinstance(outputs["final_output"], DataFuture)
+    # Submission waits for nothing: three chained python3 tools cannot have
+    # finished by the time the graph has merely been walked.
+    assert not outputs["final_output"].done()
     outputs["final_output"].result()
     assert (tmp_path / "blurred.png").exists()
 
@@ -126,6 +129,11 @@ def test_bridge_when_condition_static(parsl_threads, tmp_path):
     assert ran["result"].filepath.endswith("maybe.txt")
     assert (tmp_path / "maybe.txt").read_text().strip() == "yes"
 
+    # Every run interprets the graph on an empty value store: the future the
+    # previous run stored for maybe_echo/output does not leak into this one.
+    assert bridge.run({"go": False, "message": "again"})["result"] is None
+    assert (tmp_path / "maybe.txt").read_text().strip() == "yes"
+
 
 def test_bridge_missing_workflow_input_reported(cwl_dir, parsl_threads):
     bridge = CWLWorkflowBridge(str(cwl_dir / "image_pipeline.cwl"))
@@ -161,3 +169,26 @@ def test_bridge_flattens_nested_subworkflow(cwl_dir, parsl_threads, tmp_path, sm
     })
     assert outputs["wrapped"].filepath.endswith("blurred.png")
     assert read_png(tmp_path / "blurred.png").shape == (20, 20, 3)
+
+
+@pytest.mark.parametrize("scatter", [False, True])
+def test_bridge_refuses_outputs_it_cannot_name_at_submission(parsl_threads, tmp_path, scatter):
+    """A wildcard glob has no file name before the tool ran: a plain step and a
+    scatter shard both say so instead of wiring `None` (or an exit code) through."""
+    step = {
+        "run": {"class": "CommandLineTool", "baseCommand": "touch",
+                "inputs": {"name": {"type": "string", "inputBinding": {"position": 1}}},
+                "outputs": {"made": {"type": "File", "outputBinding": {"glob": "*.txt"}}}},
+        "in": {"name": "names" if scatter else "one"}, "out": ["made"],
+    }
+    if scatter:
+        step["scatter"] = "name"
+    workflow = load_document({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "requirements": [{"class": "ScatterFeatureRequirement"}],
+        "inputs": {"names": "string[]", "one": "string"},
+        "outputs": {"made": {"type": "Any", "outputSource": "make/made"}},
+        "steps": {"make": step},
+    })
+    with pytest.raises(WorkflowException, match="'make'.*cannot be predicted at submission"):
+        CWLWorkflowBridge(workflow).run({"names": ["a.txt", "b.txt"], "one": "c.txt"})

@@ -11,10 +11,7 @@ from repro.parsl.errors import ConfigurationError
 from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
 from repro.parsl.executors.processes import ProcessPoolExecutor
 from repro.parsl.executors.threads import ThreadPoolExecutor
-from repro.parsl.executors.workqueue import WorkQueueStyleExecutor
-from repro.parsl.providers.kubernetes import KubernetesProvider
 from repro.parsl.providers.local import LocalProvider
-from repro.parsl.providers.pbs import PBSProProvider
 from repro.parsl.providers.slurm import SlurmProvider
 from repro.utils.yamlio import dump_yaml
 
@@ -27,12 +24,9 @@ def test_thread_pool_config():
     assert config.retries == 2
 
 
-def test_process_pool_and_workqueue_configs():
+def test_process_pool_config():
     procs = config_from_dict({"executor": "process-pool", "max_workers": 2})
     assert isinstance(procs.executors[0], ProcessPoolExecutor)
-    wq = config_from_dict({"executor": "workqueue", "total_cores": 5})
-    assert isinstance(wq.executors[0], WorkQueueStyleExecutor)
-    assert wq.executors[0].total_cores == 5
 
 
 def test_htex_local_provider_config():
@@ -60,22 +54,8 @@ def test_htex_slurm_provider_config_with_injected_cluster():
         cluster.shutdown()
 
 
-def test_htex_pbs_and_kubernetes_providers():
-    cluster = SimulatedSlurmCluster(NodeInventory.homogeneous(2, cores=4))
-    try:
-        pbs = config_from_dict({"executor": "htex", "provider": "pbs", "queue": "workq",
-                                "nodes": 2, "cores_per_node": 4}, cluster=cluster)
-        assert isinstance(pbs.executors[0].provider, PBSProProvider)
-    finally:
-        cluster.shutdown()
-    k8s = config_from_dict({"executor": "htex", "provider": "kubernetes", "nodes": 2,
-                            "cores_per_node": 2, "namespace": "workflows"})
-    assert isinstance(k8s.executors[0].provider, KubernetesProvider)
-    assert k8s.executors[0].provider.namespace == "workflows"
-
-
 def test_executor_aliases_accepted():
-    for alias in ("threads", "threadpool", "high-throughput", "taskvine"):
+    for alias in ("threads", "threadpool", "high-throughput", "processes"):
         config = config_from_dict({"executor": alias})
         assert config.executors, alias
 
@@ -90,6 +70,23 @@ def test_unknown_executor_and_provider_rejected():
         config_from_dict({"executor": "quantum"})
     with pytest.raises(ConfigurationError):
         config_from_dict({"executor": "htex", "provider": "lsf"})
+
+
+@pytest.mark.parametrize("document,message", [
+    ({"executor": "workqueue"},
+     "unknown executor 'workqueue'; expected one of ['high-throughput', 'highthroughput', "
+     "'htex', 'process-pool', 'processes', 'thread-pool', 'threadpool', 'threads']"),
+    ({"executor": "taskvine"}, "unknown executor 'taskvine'; expected one of"),
+    ({"executor": "htex", "provider": "pbs"},
+     "unknown provider 'pbs'; expected local or slurm"),
+    ({"executor": "htex", "provider": "kubernetes"},
+     "unknown provider 'kubernetes'; expected local or slurm"),
+])
+def test_removed_backends_report_the_remaining_names(document, message):
+    """The deleted leaf backends are now ordinary unknown names."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        config_from_dict(document)
+    assert message in str(excinfo.value)
 
 
 def test_load_yaml_config_from_file(tmp_path):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.cwl.errors import ValidationException, WorkflowException
+from repro.cwl.errors import InputValidationError, ValidationException, WorkflowException
 from repro.cwl.graph import (
     EGRESS,
     INGRESS,
@@ -213,10 +213,8 @@ def test_seed_workflow_inputs_defaults_optionals_and_required():
     })
     values = seed_workflow_inputs(workflow, {"required": 1})
     assert values == {"required": 1, "defaulted": 7, "optional": None}
-    with pytest.raises(ValidationException, match="required"):
+    with pytest.raises(InputValidationError, match="required"):
         seed_workflow_inputs(workflow, {})
-    with pytest.raises(WorkflowException, match="required"):
-        seed_workflow_inputs(workflow, {}, error=WorkflowException)
 
 
 def test_describe_is_json_ready():

@@ -14,7 +14,6 @@ from repro.parsl.configs import (
     htex_local_config,
     local_process_config,
     thread_config,
-    workqueue_config,
 )
 from repro.parsl.errors import ConfigurationError
 from repro.parsl.executors.threads import ThreadPoolExecutor
@@ -45,7 +44,6 @@ def test_default_config_uses_threads():
 @pytest.mark.parametrize("factory,label", [
     (thread_config, "threads"),
     (local_process_config, "processes"),
-    (workqueue_config, "workqueue"),
     (htex_local_config, "htex_local"),
 ])
 def test_factory_configs_have_expected_labels(factory, label):

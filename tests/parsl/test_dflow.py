@@ -148,6 +148,24 @@ def test_datafuture_feeds_downstream_app(parsl_threads, tmp_path):
     assert consumer.result() == 42
 
 
+def test_futures_nested_in_containers_are_dependencies(parsl_threads, tmp_path):
+    """A DataFuture two levels down (a CWL File[] inside the ``cwl_inputs``
+    dict) is waited for, not handed to the app as a file that does not exist yet."""
+    upstream_out = tmp_path / "slow.txt"
+
+    @bash_app
+    def produce_slowly(outputs=None):
+        return f"sleep 0.3; echo 41 > {outputs[0]}"
+
+    @python_app
+    def consume(inputs_by_name):
+        with open(inputs_by_name["files"][0].filepath) as handle:
+            return int(handle.read()) + 1
+
+    producer = produce_slowly(outputs=[repro.File(str(upstream_out))])
+    assert consume({"files": [producer.outputs[0]]}).result() == 42
+
+
 def test_retries_eventually_succeed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = Config(executors=[ThreadPoolExecutor(max_threads=2)], retries=2,

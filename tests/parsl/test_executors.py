@@ -1,4 +1,4 @@
-"""Tests for the executor implementations (threads, processes, workqueue, HTEX)."""
+"""Tests for the executor implementations (threads, processes, HTEX)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
 from repro.parsl.executors.processes import ProcessPoolExecutor
 from repro.parsl.executors.threads import ThreadPoolExecutor
-from repro.parsl.executors.workqueue import WorkQueueStyleExecutor
 from repro.parsl.providers.local import LocalProvider
 
 
@@ -82,73 +81,6 @@ def test_process_pool_propagates_exceptions():
     try:
         with pytest.raises(RuntimeError, match="executor task failure"):
             executor.submit(boom, {}).result()
-    finally:
-        executor.shutdown()
-
-
-# -------------------------------------------------------------------- workqueue
-
-
-def test_workqueue_runs_tasks_with_default_resources():
-    executor = WorkQueueStyleExecutor(total_cores=2)
-    executor.start()
-    try:
-        futures = [executor.submit(square, {"cores": 1}, i) for i in range(6)]
-        assert [f.result() for f in futures] == [i * i for i in range(6)]
-    finally:
-        executor.shutdown()
-
-
-def test_workqueue_respects_core_budget():
-    """Two 2-core tasks on a 2-core budget cannot overlap."""
-    executor = WorkQueueStyleExecutor(total_cores=2)
-    executor.start()
-    running = []
-
-    def tracked(idx):
-        running.append(idx)
-        current = len(running)
-        time.sleep(0.05)
-        running.remove(idx)
-        return current
-
-    try:
-        futures = [executor.submit(tracked, {"cores": 2}, i) for i in range(3)]
-        results = [f.result() for f in futures]
-        assert all(r == 1 for r in results), "2-core tasks must run one at a time"
-    finally:
-        executor.shutdown()
-
-
-def test_workqueue_rejects_oversized_task():
-    executor = WorkQueueStyleExecutor(total_cores=2, total_memory_mb=100)
-    executor.start()
-    try:
-        future = executor.submit(square, {"cores": 99}, 1)
-        with pytest.raises(ValueError):
-            future.result()
-    finally:
-        executor.shutdown()
-
-
-def test_workqueue_propagates_task_exception():
-    executor = WorkQueueStyleExecutor(total_cores=1)
-    executor.start()
-    try:
-        with pytest.raises(RuntimeError):
-            executor.submit(boom, {}).result()
-    finally:
-        executor.shutdown()
-
-
-def test_workqueue_utilisation_returns_to_zero():
-    executor = WorkQueueStyleExecutor(total_cores=4)
-    executor.start()
-    try:
-        futures = [executor.submit(square, {}, i) for i in range(4)]
-        [f.result() for f in futures]
-        time.sleep(0.05)
-        assert executor.utilisation() == 0.0
     finally:
         executor.shutdown()
 

@@ -1,4 +1,4 @@
-"""Tests for execution providers (local, Slurm, PBS, Kubernetes)."""
+"""Tests for execution providers (local, Slurm)."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ from repro.cluster.nodes import NodeInventory
 from repro.cluster.scheduler import SimulatedSlurmCluster
 from repro.parsl.errors import SubmitException
 from repro.parsl.providers.base import ExecutionProvider, ProviderJobState
-from repro.parsl.providers.kubernetes import KubernetesProvider
 from repro.parsl.providers.local import LocalProvider
-from repro.parsl.providers.pbs import PBSProProvider
 from repro.parsl.providers.slurm import SlurmProvider
 
 
@@ -68,21 +66,3 @@ def test_slurm_provider_times_out_when_cluster_full(small_cluster):
     with pytest.raises(SubmitException):
         impossible.submit_block("never-fits")
     big.cancel(held)
-
-
-def test_pbs_provider_select_statement(small_cluster):
-    provider = PBSProProvider(nodes_per_block=2, cores_per_node=8, queue="debug",
-                              cluster=small_cluster)
-    assert provider.select_statement == "select=2:ncpus=8"
-    block = provider.submit_block("pbs-block")
-    assert provider.status(block) == ProviderJobState.RUNNING
-    provider.cancel(block)
-
-
-def test_kubernetes_provider_pods():
-    provider = KubernetesProvider(pods_per_block=3, cores_per_pod=2, namespace="science")
-    block = provider.submit_block("pods")
-    assert len(block.node_names) == 3
-    assert all(name.startswith("science/pod-") for name in block.node_names)
-    assert block.metadata["image"].startswith("python")
-    assert provider.cancel(block) is True
