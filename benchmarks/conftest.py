@@ -17,8 +17,6 @@ from __future__ import annotations
 import collections
 import json
 import os
-import statistics
-import time
 from pathlib import Path
 
 import pytest
@@ -91,26 +89,6 @@ _RECORDER = SeriesRecorder()
 @pytest.fixture(scope="session")
 def series_recorder() -> SeriesRecorder:
     return _RECORDER
-
-
-@pytest.fixture(scope="session")
-def interleaved_medians():
-    """``measure(runs, repeats=5)``: median wall seconds of each named callable.
-
-    The callables run in interleaved rounds (A, B, A, B, …) so a slow or fast
-    spell of the host lands on every side alike; comparing medians of those
-    samples is what keeps a ratio assertion over ~10 ms timings from flaking.
-    """
-    def measure(runs: dict, repeats: int = 5) -> dict:
-        samples = {name: [] for name in runs}
-        for _ in range(repeats):
-            for name, run in runs.items():
-                start = time.perf_counter()
-                run()
-                samples[name].append(time.perf_counter() - start)
-        return {name: statistics.median(times) for name, times in samples.items()}
-
-    return measure
 
 
 #: Where the machine-readable benchmark series land (override with the

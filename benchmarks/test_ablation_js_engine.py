@@ -1,13 +1,15 @@
 """Ablation A3 — where does the JavaScript expression cost go?
 
-Figure 2's superlinear JavaScript curve comes from two compounding costs: the
-per-evaluation engine construction (cwltool starts a fresh node.js sandbox) and
-the evaluation itself.  This ablation separates them on the pure-Python engine:
+Figure 2's JavaScript curve comes from two compounding costs: the
+per-evaluation fixed cost (cwltool starts a fresh node.js sandbox; here the
+expression and the ``expressionLib`` are tokenized and parsed again) and the
+evaluation itself.  This ablation prices the fixed part on the pure-Python engine:
 
-* tokenize / parse / evaluate costs for the capitalisation expression,
-* a full evaluation with a fresh engine per call (cwltool-style) versus a cached
-  engine (what a long-lived Python runner can do),
+* tokenize / parse costs for the capitalisation expression and its library,
 * the equivalent InlinePython evaluation for reference.
+
+Whole evaluations under the two cost models (keep nothing vs parse once) are
+the series of ``test_ablation_compile_cache.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.inline_python import InlinePythonEvaluator
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.expressions.jsengine.parser import parse_expression, parse_program
 from repro.cwl.expressions.jsengine.tokenizer import tokenize
 from repro.imaging.synthetic import word_corpus
@@ -59,21 +60,6 @@ def test_js_parse_expression_cost(benchmark):
 
 def test_js_parse_library_cost(benchmark):
     benchmark(parse_program, JS_LIB)
-
-
-def test_js_fresh_engine_per_evaluation(benchmark, context):
-    """cwltool-style: rebuild the engine (and re-parse the library) for every evaluation."""
-    evaluator = ExpressionEvaluator(expression_lib=[JS_LIB], cache_engine=False)
-    result = benchmark(evaluator.evaluate, "$(capitalize_words(inputs.message))", context)
-    assert result.split(" ")[0][0].isupper()
-
-
-def test_js_cached_engine_evaluation(benchmark, context):
-    """Long-lived-runner style: the engine (and parsed library) are reused."""
-    evaluator = ExpressionEvaluator(expression_lib=[JS_LIB], cache_engine=True)
-    evaluator.evaluate("$(capitalize_words(inputs.message))", context)  # warm the cache
-    result = benchmark(evaluator.evaluate, "$(capitalize_words(inputs.message))", context)
-    assert result.split(" ")[0][0].isupper()
 
 
 def test_inline_python_evaluation(benchmark, context):

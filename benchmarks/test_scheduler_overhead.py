@@ -181,28 +181,30 @@ def test_io_heavy_pipelining_beats_serial_lifecycle(series_recorder):
 # ------------------------------------------------------------ event hot path
 
 
-def test_event_emission_lazy_vs_hooked(series_recorder, interleaved_medians):
-    """Hook-less emission (raw tuples) must undercut eager JobEvent builds."""
-    from repro.api.events import EventRecorder, ExecutionHooks
+def test_event_emission_lazy_vs_hooked(series_recorder):
+    """Hook-less emission builds no ``JobEvent`` until ``.events`` is read;
+    hooked emission builds one per event.  The timings are recorded, not asserted."""
+    from repro.api.events import EventRecorder, ExecutionHooks, JobEvent
 
     count = 20_000
-    recorders = {}
 
-    def emit(name, hooks):
-        recorder = recorders[name] = EventRecorder(hooks=hooks)
+    def emit(hooks):
+        recorder = EventRecorder(hooks=hooks)
+        start = time.perf_counter()
         for index in range(count):
             token = recorder.job_started(f"job{index}")
             recorder.job_finished(token, cache="hit")
+        elapsed = time.perf_counter() - start
+        return recorder, elapsed, sum(type(record) is JobEvent for record in recorder._records)
 
-    hooks = ExecutionHooks(on_job_start=lambda event: None,
-                           on_job_end=lambda event: None)
-    medians = interleaved_medians({"lazy": lambda: emit("lazy", None),
-                                   "hooked": lambda: emit("hooked", hooks)})
-    lazy_s, hooked_s = medians["lazy"], medians["hooked"]
+    lazy, lazy_s, lazy_built = emit(None)
+    _, hooked_s, hooked_built = emit(ExecutionHooks(on_job_start=lambda event: None,
+                                                    on_job_end=lambda event: None))
+    assert (lazy_built, hooked_built) == (0, 2 * count)
 
     # Materialisation still yields the full, ordered event stream.
-    events = recorders["lazy"].events
-    assert len(events) == 2 * count
+    events = lazy.events
+    assert len(events) == 2 * count and all(type(event) is JobEvent for event in events)
     assert events[0].kind == "start" and events[1].kind == "end"
     assert events[1].cache == "hit" and events[1].duration_s is not None
 
@@ -210,5 +212,3 @@ def test_event_emission_lazy_vs_hooked(series_recorder, interleaved_medians):
                           count, lazy_s / (2 * count) * 1e6)
     series_recorder.record("SCHED event emission", "hooked (us/event)",
                           count, hooked_s / (2 * count) * 1e6)
-    assert lazy_s < hooked_s, (
-        f"lazy event emission not cheaper: {lazy_s:.3f}s vs {hooked_s:.3f}s")

@@ -179,11 +179,10 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
 
 def _uncompiled_evaluator(tool: CommandLineTool):
     """A fresh cwltool-style evaluator honouring the tool's expressionLib."""
+    from repro.cwl.expressions.compiler import expression_lib_of
     from repro.cwl.expressions.evaluator import ExpressionEvaluator
 
-    js_req = tool.get_requirement("InlineJavascriptRequirement")
-    expression_lib = list(js_req.get("expressionLib", [])) if js_req else []
-    return ExpressionEvaluator(expression_lib=expression_lib, js_enabled=True)
+    return ExpressionEvaluator(expression_lib=expression_lib_of(tool))
 
 
 def _to_cwl_value(value: Any) -> Any:

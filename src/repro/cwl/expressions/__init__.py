@@ -9,20 +9,22 @@ CWL documents embed two kinds of dynamic content:
   or ``${ ... }`` function bodies, enabled by ``InlineJavascriptRequirement``.
 
 Because no JavaScript runtime is available offline, :mod:`repro.cwl.expressions.jsengine`
-implements a small ECMAScript-expression interpreter in pure Python covering the
-subset CWL documents actually use.  :class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator`
-ties it together: it finds references/expressions in strings, evaluates them
-against the CWL context (``inputs``, ``self``, ``runtime``) and performs string
+implements the ECMAScript subset CWL documents actually use in pure Python: a
+tokenizer, a parser, and one back end that compiles ASTs into Python closures
+(real ``node`` is its test oracle).  :mod:`repro.cwl.expressions.compiler`
+finds references/expressions in strings, compiles them, evaluates them against
+the CWL context (``inputs``, ``self``, ``runtime``) and performs string
 interpolation, mirroring the behaviour of cwltool's expression handling.
 
-Two evaluation pipelines are provided:
+Two evaluators are clients of that one compiler; they differ in what they keep:
 
-* the **uncached** :class:`ExpressionEvaluator` re-scans and re-parses per
-  evaluation (cwltool fidelity — the Figure 2 cost model), and
+* the **uncached** :class:`ExpressionEvaluator` keeps nothing — every
+  evaluation re-parses and re-compiles its JavaScript and runs it in a newly
+  built library scope (cwltool fidelity — the Figure 2 cost model), and
 * the **compiled** :class:`~repro.cwl.expressions.compiler.CompiledEvaluator`
-  parses each distinct string once into closures, shares library scopes by
-  content hash and serves repeats from a bounded LRU (the default for the
-  long-lived ``toil`` / ``parsl`` / ``parsl-workflow`` engines).
+  compiles each distinct string once, shares library scopes by content hash
+  and serves repeats from a bounded LRU (the default for the long-lived
+  ``toil`` / ``parsl`` / ``parsl-workflow`` engines).
 """
 
 from repro.cwl.expressions.compiler import (

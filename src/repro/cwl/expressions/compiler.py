@@ -1,24 +1,25 @@
-"""The compiled-expression pipeline: parse once, evaluate many times.
+"""The expression compiler, and the compiled pipeline that keeps what it compiles.
 
-:class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator` re-scans,
-re-tokenizes, re-parses and rebuilds a JavaScript engine for every evaluation —
-the cwltool-fidelity cost model the paper's Figure 2 measures.  This module is
-the amortized alternative used by the long-lived engines (``toil``, ``parsl``,
-``parsl-workflow``):
+There is one compiler.  The two evaluators differ in what they keep:
 
 * :class:`CompiledExpression` — one ``$(...)``/``${...}`` occurrence, scanned
-  and classified **once** into a literal-free fast path: a *simple parameter
+  and classified into a literal-free fast path: a *simple parameter
   reference* (pre-tokenized path walk, no JS at all) or a closure-compiled JS
   AST (see :mod:`repro.cwl.expressions.jsengine.closures`).
 * :class:`CompiledTemplate` — a whole CWL string: plain literal, whole-string
   single expression (native value preserved) or an interpolation with
   precompiled segments and pre-unescaped literal pieces.
-* a process-wide bounded LRU cache keyed by ``(source, js_enabled,
-  library fingerprint)`` — templates compile once per distinct string and are
-  automatically invalidated when the ``expressionLib`` content changes.
-* :class:`CompiledEvaluator` — drop-in replacement for ``ExpressionEvaluator``
-  (same ``evaluate`` / ``evaluate_structure`` contract and error messages)
-  backed by a shared :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope`.
+* :class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator` (the uncached
+  pipeline, the reference runner's default) builds a throw-away template and a
+  fresh :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` for
+  every evaluation — the cwltool cost model the paper's Figure 2 measures —
+  and touches none of the caches below.
+* :class:`CompiledEvaluator` (the default of ``toil``, ``parsl``,
+  ``parsl-workflow``; same ``evaluate`` / ``evaluate_structure`` contract and
+  error messages) compiles each distinct string once through a process-wide
+  bounded LRU keyed by ``(source, js_enabled, library fingerprint)`` — a
+  changed ``expressionLib`` misses and recompiles — and evaluates against one
+  shared scope per library content.
 * :func:`precompile_process` — the validate-time pass that walks a loaded
   document (arguments, input/output bindings, redirections, step ``when`` /
   ``valueFrom``, embedded sub-processes) and pins every expression's compiled
@@ -27,12 +28,12 @@ the amortized alternative used by the long-lived engines (``toil``, ``parsl``,
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cwl.errors import ExpressionError, JavaScriptError
-from repro.cwl.expressions.evaluator import _stringify
 from repro.cwl.expressions.jsengine.closures import (
     CompiledNode,
     LibraryScope,
@@ -55,10 +56,24 @@ __all__ = [
     "CompiledEvaluator",
     "ProcessCompilation",
     "compile_template",
+    "expression_lib_of",
     "precompile_process",
     "compile_cache_stats",
     "clear_compile_cache",
 ]
+
+
+def _stringify(value: Any) -> str:
+    """Interpolate an evaluated value back into a string, CWL-style."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
 
 
 class CompiledExpression:
@@ -226,7 +241,7 @@ def clear_compile_cache() -> None:
 
 
 class CompiledEvaluator:
-    """Drop-in :class:`ExpressionEvaluator` replacement backed by the compiler.
+    """Drop-in :class:`ExpressionEvaluator` replacement that keeps what it compiles.
 
     Same public contract — ``evaluate`` / ``evaluate_structure`` with identical
     value semantics and error messages — but every string is compiled once
@@ -299,7 +314,8 @@ class ProcessCompilation:
         self.skipped = 0
 
 
-def _expression_lib_of(process: Any) -> List[str]:
+def expression_lib_of(process: Any) -> List[str]:
+    """The ``expressionLib`` of ``process``'s InlineJavascriptRequirement, if any."""
     js_req = process.get_requirement("InlineJavascriptRequirement")
     return list(js_req.get("expressionLib", [])) if js_req else []
 
@@ -374,7 +390,7 @@ def precompile_process(process: Any, recurse: bool = True) -> ProcessCompilation
         return existing
 
     compilation = ProcessCompilation(CompiledEvaluator(
-        expression_lib=_expression_lib_of(process), js_enabled=True))
+        expression_lib=expression_lib_of(process), js_enabled=True))
     for source in iter_expression_sources(process):
         try:
             compilation.evaluator.compile(source)

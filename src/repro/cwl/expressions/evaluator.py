@@ -8,79 +8,49 @@ context (``inputs``, ``self``, ``runtime``), and returns the evaluated value:
   value is returned (so ``$(inputs.size)`` stays an int),
 * otherwise each embedded expression is evaluated and string-interpolated.
 
-This is the **uncached pipeline**: every call re-parses any JavaScript and
-(with ``cache_engine=False``, the default) rebuilds the engine — including
-re-running the whole ``expressionLib`` — mirroring cwltool, which launches a
-node.js process per evaluation batch.  ``cache_engine=True`` re-uses one
-engine per context but still re-parses each string.  The expression benchmark
-(Fig. 2) exercises exactly these costs.  (One shared shortcut: the
-*scanning* helpers in :mod:`repro.cwl.expressions.paramrefs` are memoized
-process-wide, so locating ``$(...)``/``${...}`` occurrences is cached even
-here; the dominant Fig. 2 costs — JS parsing, engine construction and
-evaluation — remain strictly per-call in this class.)
+This is the **uncached pipeline**, the cost model of cwltool (which hands every
+evaluation batch to a new node.js process) and what the paper's Figure 2
+measures: every call tokenizes, parses and closure-compiles its JavaScript
+again, and every JavaScript expression runs in a newly built
+:class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` — standard
+library rebuilt, whole ``expressionLib`` re-run.  Nothing is kept between
+calls and the compiled pipeline's caches are never touched.  (One shared
+shortcut: the *scanning* helpers in :mod:`repro.cwl.expressions.paramrefs` are
+memoized process-wide, so a string without expressions leaves on a cached
+scan.)
 
-Long-lived runners should use the **compiled pipeline** instead
-(:class:`repro.cwl.expressions.compiler.CompiledEvaluator`): identical
-semantics, but each distinct string is parsed once, library scopes are shared
-by content hash, and repeats are served from a bounded LRU.  The ``toil``,
-``parsl`` and ``parsl-workflow`` engines default to it via
-``RuntimeContext.compile_expressions``; this class remains the default for the
-cwltool-fidelity reference runner.
+It is a client of the same compiler as the **compiled pipeline**
+(:class:`repro.cwl.expressions.compiler.CompiledEvaluator`), which differs only
+in what it keeps: each distinct string is compiled once and library scopes are
+shared by content hash.  The ``toil``, ``parsl`` and ``parsl-workflow`` engines
+default to that via ``RuntimeContext.compile_expressions``; this class is the
+default of the cwltool-fidelity reference runner and what
+``compile_expressions=False`` selects anywhere.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.cwl.errors import ExpressionError
-from repro.cwl.expressions.jsengine.interpreter import JSEngine
-from repro.cwl.expressions.paramrefs import (
-    FoundExpression,
-    find_expressions,
-    is_simple_parameter_reference,
-    resolve_parameter_reference,
-)
+from repro.cwl.expressions.compiler import CompiledTemplate
+from repro.cwl.expressions.jsengine.closures import CompiledNode, LibraryScope
+from repro.cwl.expressions.paramrefs import scan_expressions
 
 
 def needs_expression_evaluation(value: Any) -> bool:
     """Whether ``value`` is a string containing at least one expression."""
-    if not isinstance(value, str):
-        return False
-    return bool(find_expressions(value))
-
-
-def _stringify(value: Any) -> str:
-    """Interpolate an evaluated value back into a string, CWL-style."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
+    return isinstance(value, str) and bool(scan_expressions(value))
 
 
 class ExpressionEvaluator:
-    """Evaluate CWL parameter references and JavaScript expressions."""
+    """Evaluate CWL parameter references and JavaScript expressions, keeping nothing."""
 
-    def __init__(
-        self,
-        expression_lib: Optional[Sequence[str]] = None,
-        js_enabled: bool = True,
-        cache_engine: bool = False,
-    ) -> None:
+    def __init__(self, expression_lib: Optional[Sequence[str]] = None,
+                 js_enabled: bool = True) -> None:
         self.expression_lib = list(expression_lib or [])
         self.js_enabled = js_enabled
-        self.cache_engine = cache_engine
-        self._cached_engine: Optional[JSEngine] = None
-        self._cached_context_id: Optional[int] = None
-        #: Number of JavaScript engine constructions (exposed for the benchmarks).
+        #: Number of library scopes built: one per JavaScript expression evaluated.
         self.engine_builds = 0
-
-    # ------------------------------------------------------------------ public
 
     def evaluate(self, value: Any, context: Dict[str, Any]) -> Any:
         """Evaluate ``value`` against ``context``.
@@ -91,25 +61,9 @@ class ExpressionEvaluator:
         """
         if not isinstance(value, str):
             return value
-        expressions = find_expressions(value)
-        if not expressions:
+        if not scan_expressions(value):
             return value.replace("\\$", "$")
-
-        # Whole-string single expression: preserve the native value type.
-        only = expressions[0]
-        if len(expressions) == 1 and only.start == 0 and only.end == len(value.strip()) \
-                and value.strip() == value:
-            return self._evaluate_one(only, context)
-
-        # Otherwise: string interpolation.
-        pieces: List[str] = []
-        cursor = 0
-        for expression in expressions:
-            pieces.append(value[cursor:expression.start].replace("\\$", "$"))
-            pieces.append(_stringify(self._evaluate_one(expression, context)))
-            cursor = expression.end
-        pieces.append(value[cursor:].replace("\\$", "$"))
-        return "".join(pieces)
+        return CompiledTemplate(value, self.js_enabled).evaluate(context, _FreshScopes(self))
 
     def evaluate_structure(self, value: Any, context: Dict[str, Any]) -> Any:
         """Recursively evaluate expressions inside lists and dictionaries."""
@@ -121,36 +75,20 @@ class ExpressionEvaluator:
             return {key: self.evaluate_structure(item, context) for key, item in value.items()}
         return value
 
-    # ----------------------------------------------------------------- helpers
 
-    def _evaluate_one(self, expression: FoundExpression, context: Dict[str, Any]) -> Any:
-        if expression.kind == "paren":
-            if is_simple_parameter_reference(expression.body):
-                return resolve_parameter_reference(expression.body, context)
-            if not self.js_enabled:
-                raise ExpressionError(
-                    f"expression $({expression.body}) requires InlineJavascriptRequirement, "
-                    "which this document does not declare"
-                )
-            return self._engine_for(context).evaluate(expression.body)
-        # ${ ... } — a JavaScript function body.
-        if not self.js_enabled:
-            raise ExpressionError(
-                "${...} expressions require InlineJavascriptRequirement, "
-                "which this document does not declare"
-            )
-        return self._engine_for(context).run_function_body(expression.body)
+class _FreshScopes:
+    """Stands where a template expects its :class:`LibraryScope`, and builds a
+    new one for each JavaScript expression the template evaluates."""
 
-    def _engine_for(self, context: Dict[str, Any]) -> JSEngine:
-        if self.cache_engine:
-            # Re-use the engine when the context object is literally the same dict;
-            # rebuild when the caller switched to a different context.
-            if self._cached_engine is None or self._cached_context_id != id(context):
-                self._cached_engine = self._build_engine(context)
-                self._cached_context_id = id(context)
-            return self._cached_engine
-        return self._build_engine(context)
+    def __init__(self, evaluator: ExpressionEvaluator) -> None:
+        self._evaluator = evaluator
 
-    def _build_engine(self, context: Dict[str, Any]) -> JSEngine:
-        self.engine_builds += 1
-        return JSEngine(context=context, expression_lib=self.expression_lib)
+    def _build(self) -> LibraryScope:
+        self._evaluator.engine_builds += 1
+        return LibraryScope(self._evaluator.expression_lib)
+
+    def evaluate(self, compiled: CompiledNode, context: Optional[Dict[str, Any]]) -> Any:
+        return self._build().evaluate(compiled, context)
+
+    def run_body(self, compiled: CompiledNode, context: Optional[Dict[str, Any]]) -> Any:
+        return self._build().run_body(compiled, context)

@@ -1,5 +1,1 @@
-"""A pure-Python interpreter for the JavaScript subset used by CWL expressions."""
-
-from repro.cwl.expressions.jsengine.interpreter import JSEngine, evaluate_expression
-
-__all__ = ["JSEngine", "evaluate_expression"]
+"""The JavaScript subset used by CWL expressions: tokenizer, parser, closure compiler."""

@@ -1,39 +1,35 @@
-"""Closure-compiling backend for the mini-JavaScript engine.
+"""The JavaScript back end: ASTs compiled once into Python closures.
 
-The tree-walking :class:`~repro.cwl.expressions.jsengine.interpreter.JSEngine`
-pays an ``isinstance`` dispatch per AST node per execution and rebuilds a
-dictionary of bound method lambdas on *every* member access — faithful to the
-per-evaluation cost model of cwltool-style runners, but wasteful for a
-long-lived engine that evaluates the same expressions thousands of times.
-
-This module is the other half of the split:
+This is the only code that runs JavaScript.  Nothing walks an AST at
+evaluation time:
 
 * :func:`compile_expression_ast` / :func:`compile_program_ast` translate an AST
-  **once** into nested Python closures (one callable per node), eliminating the
-  per-execution dispatch.  Builtin string/array/object methods are dispatched
-  through module-level tables of value-first functions, so ``word.charAt(0)``
-  inside a hot loop no longer allocates a dictionary of twenty lambdas per
-  access; method *calls* are fused (``obj.method(args)`` resolves and invokes
-  in one step with no intermediate bound callable).
-* :class:`LibraryScope` is the immutable, content-hashed compiled form of an
-  ``expressionLib``: the standard library is built once, every library source
-  is parsed and executed once, and the resulting scope is shared by all
-  evaluations (and, via :func:`shared_library_scope`, by all evaluators with
-  an identical library).  Each evaluation gets a cheap *activation frame* — a
-  child :class:`Environment` plus a per-thread context overlay at the scope
-  root, so library functions can still see ``inputs``/``self``/``runtime``
-  exactly as they would in a freshly built engine.
+  into nested Python closures (one callable per node) that hand straight on
+  to each other.  Builtin string/array/object/number methods are dispatched
+  through the value-first tables of :mod:`~repro.cwl.expressions.jsengine.values`,
+  and method *calls* are fused (``obj.method(args)`` resolves and invokes in
+  one step with no intermediate bound callable).
+* :class:`LibraryScope` is the compiled form of an ``expressionLib``: the
+  standard library is built and every library source is parsed and executed
+  once per scope.  Each evaluation gets an *activation frame* — a child
+  :class:`Environment` plus a per-thread context overlay at the scope root, so
+  library functions see that evaluation's ``inputs``/``self``/``runtime``.
 
-Semantics intentionally mirror the interpreter bit-for-bit (the engine-parity
-tests assert identical outputs); the shared truthiness/coercion helpers are
-imported from it rather than re-implemented.
+How long a scope and a compiled closure live is the caller's cost model, not
+this module's: the uncached pipeline
+(:class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator`) compiles the
+expression and builds a fresh :class:`LibraryScope` for every evaluation and
+keeps neither; the compiled pipeline
+(:class:`~repro.cwl.expressions.compiler.CompiledEvaluator`) compiles each
+distinct string once and shares one scope per library content through
+:func:`shared_library_scope`.
 
-Two knowing deviations from fresh-engine behaviour, both limited to shared
-scopes: an expression that *assigns* to a name defined by the expressionLib
-mutates the shared scope (a fresh engine would re-parse the library next
-time), and library-level mutable globals keep their values across
-evaluations.  CWL expression libraries define helper functions, not mutable
-state, so neither arises in practice.
+The two differ only where a scope is shared: an expression that *assigns* to a
+name defined by the expressionLib mutates the shared scope (a fresh scope
+re-runs the library next time), and library-level mutable globals keep their
+values across evaluations.  CWL expression libraries define helper functions,
+not mutable state, so neither arises in practice — the conformance matrix's
+``compiled on/off`` axis checks that the two agree.
 """
 
 from __future__ import annotations
@@ -44,27 +40,29 @@ import threading
 from collections import ChainMap, OrderedDict
 from contextlib import contextmanager
 from functools import partial
+from operator import ge, gt, le, lt
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cwl.errors import JavaScriptError
 from repro.cwl.expressions.jsengine import ast_nodes as ast
-from repro.cwl.expressions.jsengine.interpreter import (
-    ARRAY_METHODS as _ARRAY_METHODS,
-    OBJECT_METHODS as _OBJECT_METHODS,
-    STRING_METHODS as _STRING_METHODS,
-    Environment,
-    JSEngine,
-    JSThrownError,
+from repro.cwl.expressions.jsengine.parser import parse_program
+from repro.cwl.expressions.jsengine.values import (
+    ARRAY_METHODS,
+    NUMBER_METHODS,
+    OBJECT_METHODS,
+    STRING_METHODS,
+    _equals,
     _js_string,
     _js_truthy,
     _js_typeof,
     _maybe_int,
-    _number_to_fixed,
+    _standard_library,
     _to_number,
 )
-from repro.cwl.expressions.jsengine.parser import parse_program
 
 __all__ = [
+    "Environment",
+    "JSThrownError",
     "LibraryScope",
     "compile_expression_ast",
     "compile_program_ast",
@@ -72,44 +70,78 @@ __all__ = [
     "clear_scope_cache",
 ]
 
+
+class JSThrownError(JavaScriptError):
+    """A ``throw`` statement executed inside evaluated JavaScript."""
+
+
+class Environment:
+    """A lexical scope chain."""
+
+    def __init__(self, parent: Optional["Environment"] = None,
+                 variables: Optional[Dict[str, Any]] = None) -> None:
+        self.parent = parent
+        self.variables: Dict[str, Any] = dict(variables or {})
+
+    def lookup(self, name: str) -> Any:
+        env: Optional[Environment] = self
+        while env is not None:
+            if name in env.variables:
+                return env.variables[name]
+            env = env.parent
+        raise JavaScriptError(f"reference to undefined variable {name!r}")
+
+    def declare(self, name: str, value: Any) -> None:
+        self.variables[name] = value
+
+    def assign(self, name: str, value: Any) -> None:
+        env: Optional[Environment] = self
+        while env is not None:
+            if name in env.variables:
+                env.variables[name] = value
+                return
+            env = env.parent
+        # Implicit global declaration (sloppy-mode JS).
+        self.variables[name] = value
+
+
 #: A compiled expression: callable taking the activation environment.
 CompiledNode = Callable[[Environment], Any]
 
 
 # --------------------------------------------------------------------- builtins
-#
-# The value-first method tables (``_STRING_METHODS["charAt"](value, index)``)
-# are defined once in :mod:`interpreter` and shared by both backends.  Here
-# the fused call path invokes entries directly with no per-access allocation;
-# the plain member path binds them with ``partial``.
+
+#: Builtin method tables by value type (``bool`` is an ``int`` here, as in the
+#: value model, so it has the number methods).
+_METHODS = {str: STRING_METHODS, list: ARRAY_METHODS, dict: OBJECT_METHODS,
+            int: NUMBER_METHODS, float: NUMBER_METHODS, bool: NUMBER_METHODS}
+_VALUE_TYPES = tuple(_METHODS)
+
+#: What a builtin written in Python raises on arguments JavaScript would have
+#: coerced or rejected; reported as a JavaScript failure, not an engine one.
+_BUILTIN_ERRORS = (TypeError, ValueError, LookupError, ArithmeticError, AttributeError)
+
+
+def _builtin_method(obj: Any, prop: str) -> Optional[Callable[..., Any]]:
+    """The value-first builtin ``prop`` of ``obj``'s type, if it has one."""
+    methods = _METHODS.get(type(obj))
+    if methods is None:  # a subclass of a value type, or a host object
+        methods = next((table for kind, table in _METHODS.items() if isinstance(obj, kind)), {})
+    return methods.get(prop)
 
 
 def _member_access(obj: Any, prop: str) -> Any:
-    """Property access mirroring ``JSEngine._member`` (same order, same fallbacks)."""
-    if prop == "length" and isinstance(obj, (str, list, dict)):
+    """``obj.prop``: ``length``, own property, a bound builtin, a host attribute."""
+    if prop == "length" and isinstance(obj, (str, list)):
         return len(obj)
-    if isinstance(obj, dict):
-        if prop in obj:
-            return obj[prop]
-        method = _OBJECT_METHODS.get(prop)
-        return partial(method, obj) if method is not None else None
-    if isinstance(obj, str):
-        method = _STRING_METHODS.get(prop)
-        return partial(method, obj) if method is not None else None
-    if isinstance(obj, list):
-        method = _ARRAY_METHODS.get(prop)
-        return partial(method, obj) if method is not None else None
-    if isinstance(obj, (int, float)):
-        if prop == "toFixed":
-            return partial(_number_to_fixed, obj)
-        if prop == "toString":
-            return partial(_js_string, obj)
-        return None
+    if isinstance(obj, dict) and prop in obj:
+        return obj[prop]
     if obj is None:
         raise JavaScriptError(f"cannot read property {prop!r} of null/undefined")
-    if hasattr(obj, prop):
-        return getattr(obj, prop)
-    return None
+    method = _builtin_method(obj, prop)
+    if method is not None:
+        return partial(method, obj)
+    return None if isinstance(obj, _VALUE_TYPES) else getattr(obj, prop, None)
 
 
 def _index_access(obj: Any, index: Any) -> Any:
@@ -127,36 +159,40 @@ def _index_access(obj: Any, index: Any) -> Any:
     raise JavaScriptError(f"cannot index value of type {type(obj).__name__}")
 
 
-def _call_value(callee: Any, args: List[Any]) -> Any:
+def _builtin_failure(name: str, exc: Exception) -> JavaScriptError:
+    """A Python exception that escaped the builtin ``name``, as the JavaScript
+    failure it stands for (so every engine reports ``expressionError``)."""
+    return JavaScriptError(f"{name}() failed: {type(exc).__name__}: {exc}")
+
+
+def _call_value(callee: Any, args: List[Any], name: str) -> Any:
     if callee is None:
-        raise JavaScriptError("attempted to call null/undefined")
+        raise JavaScriptError(f"attempted to call null/undefined ({name})")
     if not callable(callee):
-        raise JavaScriptError(f"value of type {type(callee).__name__} is not callable")
-    return callee(*args)
+        raise JavaScriptError(f"value of type {type(callee).__name__} is not callable ({name})")
+    try:
+        return callee(*args)
+    except _BUILTIN_ERRORS as exc:
+        raise _builtin_failure(name, exc) from exc
 
 
 def _call_method(obj: Any, prop: str, args: List[Any]) -> Any:
     """Fused ``obj.prop(args)``: direct table dispatch, no bound-callable alloc."""
-    if isinstance(obj, str):
-        method = _STRING_METHODS.get(prop)
-        if method is not None:
-            return method(obj, *args)
-    elif isinstance(obj, list):
-        method = _ARRAY_METHODS.get(prop)
-        if method is not None:
-            return method(obj, *args)
-    elif isinstance(obj, dict):
-        if prop not in obj and prop != "length":
-            method = _OBJECT_METHODS.get(prop)
-            if method is not None:
+    methods = _METHODS.get(type(obj))
+    if methods is not None:
+        method = methods.get(prop)
+        if method is not None and not (methods is OBJECT_METHODS and prop in obj):
+            try:
                 return method(obj, *args)
-    return _call_value(_member_access(obj, prop), args)
+            except _BUILTIN_ERRORS as exc:
+                raise _builtin_failure(prop, exc) from exc
+    return _call_value(_member_access(obj, prop), args, prop)
 
 
 # ----------------------------------------------------------------- binary ops
 #
 # Value-level operator functions (strict evaluation); `&&` / `||` get their own
-# lazy closures in the compiler.  Semantics copied from ``JSEngine._binary``.
+# lazy closures in the compiler.
 
 
 def _bin_add(left: Any, right: Any) -> Any:
@@ -200,19 +236,11 @@ def _bin_in(left: Any, right: Any) -> Any:
     raise JavaScriptError("'in' requires an object or array on the right")
 
 
-def _compare(operator: str) -> Callable[[Any, Any], bool]:
+def _compare(ordering: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
     def comparator(left: Any, right: Any) -> bool:
-        if isinstance(left, str) and isinstance(right, str):
-            a, b = left, right
-        else:
-            a, b = _to_number(left), _to_number(right)
-        if operator == "<":
-            return a < b
-        if operator == ">":
-            return a > b
-        if operator == "<=":
-            return a <= b
-        return a >= b
+        if not (isinstance(left, str) and isinstance(right, str)):
+            left, right = _to_number(left), _to_number(right)
+        return ordering(left, right)
 
     return comparator
 
@@ -224,14 +252,14 @@ _BINARY_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
     "/": _bin_div,
     "%": _bin_mod,
     "in": _bin_in,
-    "==": lambda l, r: JSEngine._equals(l, r, strict=False),
-    "===": lambda l, r: JSEngine._equals(l, r, strict=True),
-    "!=": lambda l, r: not JSEngine._equals(l, r, strict=False),
-    "!==": lambda l, r: not JSEngine._equals(l, r, strict=True),
-    "<": _compare("<"),
-    ">": _compare(">"),
-    "<=": _compare("<="),
-    ">=": _compare(">="),
+    "==": lambda l, r: _equals(l, r, strict=False),
+    "===": lambda l, r: _equals(l, r, strict=True),
+    "!=": lambda l, r: not _equals(l, r, strict=False),
+    "!==": lambda l, r: not _equals(l, r, strict=True),
+    "<": _compare(lt),
+    ">": _compare(gt),
+    "<=": _compare(le),
+    ">=": _compare(ge),
 }
 
 
@@ -240,14 +268,14 @@ _BINARY_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
 # Compiled statements communicate control flow through sentinel return values
 # instead of exceptions: ``None`` falls through, ``_BREAK`` / ``_CONTINUE``
 # unwind to the innermost loop, and a 1-tuple ``(value,)`` carries a
-# ``return`` — an order of magnitude cheaper than raising ``_ReturnSignal``
-# on every function call in a hot ``map`` body.
+# ``return`` — an order of magnitude cheaper than raising an exception on
+# every function call in a hot ``map`` body.
 
 _BREAK = object()
 _CONTINUE = object()
 
 
-class CompiledJSFunction:
+class CompiledFunction:
     """A user-defined function whose body was closure-compiled once."""
 
     __slots__ = ("params", "body", "expression_body", "closure", "needs_arguments")
@@ -334,11 +362,10 @@ def compile_expression_ast(node: ast.Node) -> CompiledNode:
         if node.expression_body is not None:
             expression_body = compile_expression_ast(node.expression_body)
             needs_args = _references_arguments(node.expression_body)
-            return lambda env: CompiledJSFunction(params, None, expression_body, env,
-                                                  needs_args)
+            return lambda env: CompiledFunction(params, None, expression_body, env, needs_args)
         body = compile_statements(node.body)
         needs_args = _references_arguments(node.body)
-        return lambda env: CompiledJSFunction(params, body, None, env, needs_args)
+        return lambda env: CompiledFunction(params, body, None, env, needs_args)
     if isinstance(node, ast.Assignment):
         return _compile_assignment(node)
     if isinstance(node, ast.UpdateExpression):
@@ -406,16 +433,17 @@ def _compile_call(node: ast.Call) -> CompiledNode:
         prop = node.callee.prop
 
         def fused_method_call(env: Environment) -> Any:
-            # Argument-before-callee evaluation order matches the interpreter.
+            # Arguments are evaluated before the callee.
             arg_values = [arg(env) for arg in args]
             return _call_method(obj(env), prop, arg_values)
 
         return fused_method_call
     callee = compile_expression_ast(node.callee)
+    name = node.callee.name if isinstance(node.callee, ast.Identifier) else "function"
 
     def call(env: Environment) -> Any:
         arg_values = [arg(env) for arg in args]
-        return _call_value(callee(env), arg_values)
+        return _call_value(callee(env), arg_values, name)
 
     return call
 
@@ -501,9 +529,6 @@ def compile_statements(statements: Sequence[ast.Node]) -> CompiledNode:
 
 
 def compile_statement(node: ast.Node) -> CompiledNode:
-    if isinstance(node, ast.ExpressionStatement):
-        expression = compile_expression_ast(node.expression)
-        return lambda env: (expression(env), None)[1]
     if isinstance(node, ast.VariableDeclaration):
         declarations = [(name, compile_expression_ast(init) if init is not None else None)
                         for name, init in node.declarations]
@@ -616,8 +641,9 @@ def compile_statement(node: ast.Node) -> CompiledNode:
     if isinstance(node, ast.Program):
         body = compile_statements(list(node.body))
         return lambda env: body(Environment(parent=env))
-    # Bare expressions used in statement position.
-    expression = compile_expression_ast(node)
+    # Expression statements, and bare expressions used in statement position.
+    expression = compile_expression_ast(
+        node.expression if isinstance(node, ast.ExpressionStatement) else node)
     return lambda env: (expression(env), None)[1]
 
 
@@ -630,13 +656,13 @@ def compile_program_ast(program: ast.Program) -> CompiledNode:
 
 
 class _ContextRoot(Environment):
-    """Root scope of a shared library: the standard library plus a per-thread
-    overlay carrying the current activation's ``inputs``/``self``/``runtime``.
+    """Root scope of a library: the standard library plus a per-thread overlay
+    carrying the current activation's ``inputs``/``self``/``runtime``.
 
     The overlay lives *below* the library environment in the chain so library
     functions (whose closures capture the library environment) resolve context
-    names exactly as they would in a freshly built engine, while each thread's
-    concurrent evaluations stay isolated.
+    names of the evaluation that calls them, while each thread's concurrent
+    evaluations of a shared scope stay isolated.
     """
 
     def __init__(self, stdlib_variables: Dict[str, Any]) -> None:
@@ -671,17 +697,18 @@ def fingerprint_library(expression_lib: Sequence[str]) -> str:
 
 
 class LibraryScope:
-    """Immutable compiled form of an ``expressionLib``, shared across evaluations.
+    """Compiled form of an ``expressionLib``: built per evaluation by the
+    uncached pipeline, once per library content by the compiled one.
 
-    Construction parses and executes every library source exactly once (with
-    the closure backend, so library functions are :class:`CompiledJSFunction`).
+    Construction builds the standard library and parses and executes every
+    library source (library functions are :class:`CompiledFunction`).
     :meth:`activation` then yields a per-evaluation frame in O(1).
     """
 
     def __init__(self, expression_lib: Optional[Sequence[str]] = None) -> None:
         self.sources = tuple(expression_lib or ())
         self.fingerprint = fingerprint_library(self.sources)
-        self._root = _ContextRoot(JSEngine._standard_library())
+        self._root = _ContextRoot(_standard_library())
         self.lib_env = Environment(parent=self._root)
         for source in self.sources:
             compile_program_ast(parse_program(source))(self.lib_env)

@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
+from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext
@@ -145,19 +146,11 @@ class CommandLineJob:
         With ``runtime_context.compile_expressions`` on, this returns the
         tool's precompiled :class:`~repro.cwl.expressions.compiler.CompiledEvaluator`
         (parse-once, shared library scope); otherwise the cwltool-fidelity
-        :class:`ExpressionEvaluator`, optionally with a cached engine.
+        :class:`ExpressionEvaluator`, which keeps nothing between evaluations.
         """
         if self.runtime_context.compile_expressions:
-            from repro.cwl.expressions.compiler import precompile_process
-
             return precompile_process(self.tool).evaluator
-        js_req = self.tool.get_requirement("InlineJavascriptRequirement")
-        expression_lib = list(js_req.get("expressionLib", [])) if js_req else []
-        return ExpressionEvaluator(
-            expression_lib=expression_lib,
-            js_enabled=True,
-            cache_engine=self.runtime_context.cache_js_engine,
-        )
+        return ExpressionEvaluator(expression_lib=expression_lib_of(self.tool))
 
     def build(self, outdir: Optional[str] = None) -> CommandLineParts:
         """Construct the command line (without running it)."""

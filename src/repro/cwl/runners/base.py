@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.cwl.errors import ValidationException
+from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
@@ -134,8 +135,6 @@ class BaseRunner(ABC):
             # The precompiled-process pass: every expression in the document
             # (bindings, outputs, step valueFrom/when, sub-processes) is
             # compiled once here, at validate time.
-            from repro.cwl.expressions.compiler import precompile_process
-
             precompile_process(process)
         job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
         outputs = self._run_process(process, job_order, self.runtime_context)
@@ -220,16 +219,9 @@ class BaseRunner(ABC):
                             runtime_context: RuntimeContext) -> Dict[str, Any]:
         """Execute an ExpressionTool by evaluating its expression."""
         if runtime_context.compile_expressions:
-            from repro.cwl.expressions.compiler import precompile_process
-
             evaluator = precompile_process(tool).evaluator
         else:
-            js_req = tool.get_requirement("InlineJavascriptRequirement")
-            evaluator = ExpressionEvaluator(
-                expression_lib=list(js_req.get("expressionLib", [])) if js_req else [],
-                js_enabled=True,
-                cache_engine=runtime_context.cache_js_engine,
-            )
+            evaluator = ExpressionEvaluator(expression_lib=expression_lib_of(tool))
         context = {"inputs": job_order, "self": None,
                    "runtime": runtime_context.runtime_object("", "")}
         result = evaluator.evaluate(tool.expression, context)

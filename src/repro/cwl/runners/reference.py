@@ -5,12 +5,12 @@ This runner mirrors how ``cwltool`` executes documents:
 * every job gets its own freshly created working directory,
 * the tool document is re-validated and the job order deep-copied for every job
   (cwltool rebuilds its internal ``Process`` state per job),
-* JavaScript expressions are evaluated with a *fresh* engine per evaluation —
+* every JavaScript evaluation re-parses its expression and runs it in a newly
+  built library scope (standard library rebuilt, ``expressionLib`` re-run) —
   the analogue of cwltool starting a node.js sandbox for expression batches —
-  unless the runtime context explicitly enables engine caching
-  (``cache_js_engine=True``) or the compiled pipeline
-  (``compile_expressions=True``); both stay off by default so the Figure 2
-  uncached series keeps its shape,
+  unless the runtime context turns on the compiled pipeline
+  (``compile_expressions=True``), which stays off by default so the Figure 2
+  uncached series keeps its cost model,
 * with ``parallel=False`` jobs run strictly one at a time (plain ``cwltool``);
   with ``parallel=True`` independent steps and scatter jobs run on a thread
   pool (``cwltool --parallel``), which is the configuration the paper compares

@@ -60,9 +60,6 @@ class RuntimeContext:
     move_outputs: bool = True
     #: Extra environment variables for every job.
     env: Dict[str, str] = field(default_factory=dict)
-    #: Evaluate JavaScript with a cached engine (Parsl/InlinePython-style) or
-    #: rebuild the engine per evaluation (cwltool-style).
-    cache_js_engine: bool = False
     #: Use the compiled-expression pipeline (parse-once AST cache, shared
     #: library scopes, precompiled processes — see
     #: :mod:`repro.cwl.expressions.compiler`).  Tri-state: ``None`` lets the

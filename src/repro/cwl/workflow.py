@@ -214,8 +214,7 @@ class WorkflowEngine:
 
                 self._step_evaluator_cache = CompiledEvaluator(js_enabled=True)
             return self._step_evaluator_cache
-        return ExpressionEvaluator(js_enabled=True,
-                                   cache_engine=self.runtime_context.cache_js_engine)
+        return ExpressionEvaluator()
 
     # ------------------------------------------------------------------ public
 

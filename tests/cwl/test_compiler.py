@@ -92,7 +92,7 @@ def compiled():
 
 @pytest.fixture
 def uncached():
-    return ExpressionEvaluator(expression_lib=[JS_LIB], cache_engine=False)
+    return ExpressionEvaluator(expression_lib=[JS_LIB])
 
 
 @pytest.mark.parametrize("source", PARITY_CASES)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cwl.errors import ExpressionError
-from repro.cwl.expressions import ExpressionEvaluator, needs_expression_evaluation
+from repro.cwl.expressions import (
+    CompiledEvaluator,
+    ExpressionEvaluator,
+    needs_expression_evaluation,
+)
 from repro.cwl.expressions.paramrefs import (
     find_expressions,
     is_simple_parameter_reference,
@@ -138,23 +142,23 @@ def test_expression_lib_available():
 
 
 def test_engine_build_counting_cached_vs_uncached():
-    uncached = ExpressionEvaluator(cache_engine=False)
+    """The uncached pipeline builds one library scope per JavaScript expression
+    evaluated (none for parameter references and plain strings); the compiled
+    pipeline's one scope is shared."""
+    uncached = ExpressionEvaluator()
     for _ in range(3):
         uncached.evaluate("$(inputs.size + 1)", CONTEXT)
     assert uncached.engine_builds == 3
+    uncached.evaluate("$(inputs.size + 1) and ${ return 2; }", CONTEXT)
+    assert uncached.engine_builds == 5
+    uncached.evaluate("$(inputs.size) plain", CONTEXT)
+    uncached.evaluate("plain", CONTEXT)
+    assert uncached.engine_builds == 5
 
-    cached = ExpressionEvaluator(cache_engine=True)
+    cached = CompiledEvaluator()
     for _ in range(3):
         cached.evaluate("$(inputs.size + 1)", CONTEXT)
     assert cached.engine_builds == 1
-
-
-def test_cached_engine_rebuilds_for_new_context():
-    cached = ExpressionEvaluator(cache_engine=True)
-    cached.evaluate("$(inputs.size + 1)", CONTEXT)
-    other_context = {"inputs": {"size": 1}, "runtime": {}, "self": None}
-    assert cached.evaluate("$(inputs.size + 1)", other_context) == 2
-    assert cached.engine_builds == 2
 
 
 def test_evaluate_structure_recurses():

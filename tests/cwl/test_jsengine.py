@@ -2,15 +2,50 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import random
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cwl.errors import JavaScriptError
-from repro.cwl.expressions.jsengine import JSEngine, evaluate_expression
-from repro.cwl.expressions.jsengine.interpreter import JSThrownError
+from repro.cwl.expressions.compiler import CompiledEvaluator
+from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.expressions.jsengine.closures import (
+    JSThrownError,
+    LibraryScope,
+    compile_expression_ast,
+    compile_program_ast,
+)
+from repro.cwl.expressions.jsengine.parser import parse_expression, parse_program
 from repro.cwl.expressions.jsengine.tokenizer import tokenize
+
+from . import js_oracle_table as oracle
+
+
+class JSEngine:
+    """What these tests need of an engine: one fresh library scope, and every
+    source parsed, closure-compiled and run against it."""
+
+    def __init__(self, context=None, expression_lib=None):
+        self.context = context
+        self.scope = LibraryScope(expression_lib)
+
+    def evaluate(self, source):
+        return self.scope.evaluate(compile_expression_ast(parse_expression(source)),
+                                   self.context)
+
+    def run_function_body(self, source):
+        return self.scope.run_body(compile_program_ast(parse_program(source)),
+                                   self.context)
+
+
+def evaluate_expression(source, context=None, expression_lib=None):
+    return JSEngine(context, expression_lib).evaluate(source)
 
 
 # --------------------------------------------------------------------- lexing
@@ -72,7 +107,7 @@ def test_tokenizer_rejects_garbage():
     ("Math.min(4, 2)", 2),
     ("parseInt('42')", 42),
     ("parseFloat('2.5')", 2.5),
-    ("JSON.stringify([1, 2])", "[1, 2]"),
+    ("JSON.stringify([1, 2])", "[1,2]"),
     ("JSON.parse('{\"k\": 1}').k", 1),
     ("'Hello World'.toUpperCase()", "HELLO WORLD"),
     ("'Hello'.toLowerCase()", "hello"),
@@ -249,43 +284,18 @@ def test_property_array_join_and_length(xs):
     assert engine.evaluate("inputs.xs.join(',')") == ",".join(str(x) for x in xs)
 
 
-# ------------------------------------------- closure backend vs. interpreter
+
+
+# ------------------------------------------------------ the oracle: real node
 #
-# The compiled closure backend (repro.cwl.expressions.jsengine.closures) is
-# the default expression pipeline on three of the four engines; it must agree
-# with the uncached tree-walking interpreter on every expression — values
-# *and* thrown-error classes.  Expressions are generated from explicit seeds
-# (no hypothesis shrink state, no hash-order dependence), so a failure
-# reproduces from the seed alone.
-
-from repro.cwl.expressions.jsengine.closures import (  # noqa: E402
-    compile_expression_ast,
-    shared_library_scope,
-)
-from repro.cwl.expressions.jsengine.parser import parse_expression  # noqa: E402
-import random  # noqa: E402
-
-PARITY_CONTEXT = {
-    "inputs": {
-        "s": "the quick Brown fox",
-        "t": "alpha,beta;gamma",
-        "n": 7,
-        "m": -3,
-        "xs": [3, 1, 2, 9],
-        "ws": ["aa", "Bb", "c"],
-    }
-}
-
-
-def closure_evaluate(source, context):
-    """Evaluate ``source`` through the compiled closure backend."""
-    scope = shared_library_scope(())
-    return scope.evaluate(compile_expression_ast(parse_expression(source)),
-                          context)
-
-
-def interpreter_evaluate(source, context):
-    return evaluate_expression(source, context)
+# The closure back end is the only thing that runs JavaScript, on every engine
+# and under both cost models, so nothing in-house can vouch for it.  Real
+# ``node`` does: ``js_oracle_table.py`` holds what node answers for 40 x 8
+# seeded random expressions and a hand-picked CWL-style list.  The table test
+# runs everywhere; the node test re-derives the table wherever node exists
+# (CI prints ``node --version`` first so it cannot skip there unnoticed).
+# Expressions are generated from explicit seeds (no hypothesis shrink state,
+# no hash-order dependence), so a failure reproduces from the seed alone.
 
 
 def _random_number_expr(rng, depth):
@@ -333,23 +343,94 @@ def generate_parity_expression(rng):
     return kind(rng, rng.randint(1, 3))
 
 
+def canonical(value):
+    """A value as the table writes it: ``null``/``undefined`` are ``None``, the
+    non-finite numbers and functions are markers, numbers compare by value."""
+    if isinstance(value, float) and math.isnan(value):
+        return oracle.NAN
+    if isinstance(value, float) and math.isinf(value):
+        return oracle.INFINITY if value > 0 else oracle.NEGATIVE_INFINITY
+    if isinstance(value, list):
+        return [canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {key: canonical(item) for key, item in value.items()}
+    return oracle.FUNCTION if callable(value) else value
+
+
+def assert_matches_table(source, expected):
+    engine = JSEngine(copy.deepcopy(oracle.CONTEXT),  # rows may sort or push in place
+                      oracle.EXPRESSION_LIB)
+    if expected == oracle.THROWS:
+        with pytest.raises(JavaScriptError):
+            engine.evaluate(source)
+    else:
+        assert canonical(engine.evaluate(source)) == expected, source
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_property_closures_match_interpreter(seed):
-    """Seeded random expressions: both backends agree on value or error class."""
+    """Seeded random expressions: the closure back end answers what the real
+    interpreter — node, whose answers the table records — answers."""
     rng = random.Random(seed)
-    for _ in range(8):
-        source = generate_parity_expression(rng)
-        try:
-            expected = interpreter_evaluate(source, PARITY_CONTEXT)
-            expected_error = None
-        except Exception as exc:  # noqa: BLE001 — class compared below
-            expected, expected_error = None, type(exc).__name__
-        try:
-            actual = closure_evaluate(source, PARITY_CONTEXT)
-            actual_error = None
-        except Exception as exc:  # noqa: BLE001
-            actual, actual_error = None, type(exc).__name__
-        assert (expected, expected_error) == (actual, actual_error), source
+    rows = oracle.SEEDED[seed]
+    assert [source for source, _ in rows] == \
+        [generate_parity_expression(rng) for _ in range(8)], "table is stale for this seed"
+    for source, expected in rows:
+        assert_matches_table(source, expected)
+
+
+@pytest.mark.parametrize("source,expected", oracle.HANDPICKED)
+def test_handpicked_expressions_match_table(source, expected):
+    assert_matches_table(source, expected)
+
+
+@pytest.mark.parametrize("source,ours,_node", oracle.DESIGN_DECISIONS)
+def test_documented_design_decisions_are_pinned(source, ours, _node):
+    assert_matches_table(source, ours)
+
+
+#: Evaluates every source on stdin against a fresh copy of the context and
+#: prints the canonical results; ``(0, eval)`` is global-scope eval.
+NODE_SCRIPT = r"""
+const job = JSON.parse(require('fs').readFileSync(0, 'utf8'));
+job.lib.forEach(source => (0, eval)(source));
+function canonical(v) {
+  if (v === undefined || v === null) return null;
+  if (typeof v === 'number' && !isFinite(v))
+    return {'$number': isNaN(v) ? 'NaN' : v > 0 ? 'Infinity' : '-Infinity'};
+  if (typeof v === 'function') return {'$function': true};
+  if (Array.isArray(v)) return Array.from(v, canonical);
+  if (typeof v === 'object')
+    return Object.fromEntries(Object.entries(v).map(([k, x]) => [k, canonical(x)]));
+  return v;
+}
+console.log(JSON.stringify(job.sources.map(source => {
+  Object.assign(globalThis, JSON.parse(job.context));
+  try { return {value: canonical((0, eval)('(' + source + ')'))}; }
+  catch (error) { return {throws: String(error)}; }
+})));
+"""
+
+
+def node_answers(sources):
+    """What real node evaluates each of ``sources`` to (one subprocess)."""
+    job = {"lib": oracle.EXPRESSION_LIB, "context": json.dumps(oracle.CONTEXT),
+           "sources": list(sources)}
+    done = subprocess.run(["node", "-e", NODE_SCRIPT], input=json.dumps(job),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return [oracle.THROWS if "throws" in answer else answer["value"]
+            for answer in json.loads(done.stdout)]
+
+
+@pytest.mark.skipif(shutil.which("node") is None, reason="node is not installed")
+def test_oracle_table_is_what_node_answers():
+    rows = [row for seed in sorted(oracle.SEEDED) for row in oracle.SEEDED[seed]]
+    rows += oracle.HANDPICKED
+    rows += [(source, node) for source, _ours, node in oracle.DESIGN_DECISIONS]
+    answers = node_answers(source for source, _ in rows)
+    differences = [(source, expected, answer)
+                   for (source, expected), answer in zip(rows, answers) if answer != expected]
+    assert not differences, differences
 
 
 THROWING_EXPRESSIONS = [
@@ -363,23 +444,22 @@ THROWING_EXPRESSIONS = [
 
 @pytest.mark.parametrize("source", THROWING_EXPRESSIONS)
 def test_throwing_expressions_agree_on_error_class(source):
-    with pytest.raises(Exception) as interpreted:
-        interpreter_evaluate(source, PARITY_CONTEXT)
-    with pytest.raises(Exception) as compiled:
-        closure_evaluate(source, PARITY_CONTEXT)
-    # The contract is *agreement*: both backends raise the same class (most
-    # raise JavaScriptError; JSON.parse leaks the identical JSONDecodeError
-    # from both, which is consistent even if not wrapped).
-    assert type(interpreted.value).__name__ == type(compiled.value).__name__, source
+    """Whatever goes wrong inside an expression — a Python exception escaping
+    a builtin included — is one class, so every engine reports ``expressionError``."""
+    assert_matches_table(source, oracle.THROWS)
 
 
-def test_closure_library_scope_matches_interpreter_library():
-    """expressionLib helpers agree between the two backends too."""
+def test_fresh_and_shared_library_scopes_agree():
+    """expressionLib helpers and globals behave alike in a scope built for one
+    evaluation and in the scope shared by every evaluation."""
     lib = ["function dub(x) { return x + x; }",
            "var SUFFIX = '!';"]
-    scope = shared_library_scope(tuple(lib))
-    compiled = scope.evaluate(
-        compile_expression_ast(parse_expression("dub(inputs.s) + SUFFIX")),
-        PARITY_CONTEXT)
-    engine = JSEngine(context=PARITY_CONTEXT, expression_lib=lib)
-    assert engine.evaluate("dub(inputs.s) + SUFFIX") == compiled
+    source = "$(dub(inputs.s) + SUFFIX)"
+    fresh = ExpressionEvaluator(expression_lib=lib)
+    shared = CompiledEvaluator(expression_lib=lib)
+    for _ in range(2):
+        assert fresh.evaluate(source, oracle.CONTEXT) == shared.evaluate(source, oracle.CONTEXT) \
+            == "the quick Brown foxthe quick Brown fox!"
+    assert fresh.engine_builds == 2
+    other = {"inputs": {"s": "x"}}  # the shared scope binds each evaluation's own context
+    assert fresh.evaluate(source, other) == shared.evaluate(source, other) == "xx!"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import os
 
 import pytest
@@ -81,9 +82,46 @@ def test_reference_runner_counts_scatter_jobs(cwl_dir, tmp_path, image_batch):
     assert len({o["path"] for o in outputs}) == len(image_batch)
 
 
-def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path):
-    runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
-    assert runner.runtime_context.cache_js_engine is False
+def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, monkeypatch):
+    """The reference runner's cost model, by count: by default every JavaScript
+    evaluation parses its source again and builds one library scope of its own,
+    and the compiled pipeline's caches are never touched; with
+    ``compile_expressions=True`` the same runs compile each distinct string once."""
+    from repro.cwl.expressions import compiler, evaluator
+
+    counts = collections.Counter()
+
+    def count_calls(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(compiler, "parse_expression")
+    count_calls(evaluator, "LibraryScope")  # the uncached pipeline's own scopes
+    count_calls(compiler, "shared_library_scope")
+
+    def run_three(**options):
+        counts.clear()
+        tool = load_tool(cwl_dir / "capitalize_js.cwl")  # one JS argument, evaluated once per run
+        runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path), **options))
+        for message in ("one two", "three four", "five six"):
+            assert runner.run(tool, {"message": message}).status == "success"
+
+    compiler.clear_compile_cache()
+    before = compiler.compile_cache_stats()
+    run_three()
+    assert counts == {"parse_expression": 3, "LibraryScope": 3}
+    assert compiler.compile_cache_stats() == before
+
+    run_three(compile_expressions=True)
+    assert counts["parse_expression"] == 1 and counts["LibraryScope"] == 0
+    assert counts["shared_library_scope"] >= 1
+    stats = compiler.compile_cache_stats()
+    assert stats["misses"] == stats["size"] == 2  # the argument and the stdout name
 
 
 # ------------------------------------------------------------------------ job store
