@@ -25,27 +25,60 @@ The most commonly used entry points are re-exported here for convenience::
 
 from __future__ import annotations
 
-from repro.parsl import (
-    Config,
-    DataFlowKernel,
-    bash_app,
-    clear,
-    dfk,
-    join_app,
-    load,
-    python_app,
-)
-from repro.parsl.data_provider.files import File
-from repro.parsl.configs import (
-    htex_config,
-    local_process_config,
-    thread_config,
-)
-from repro.core.cwl_app import CWLApp
-from repro.core.yaml_config import load_yaml_config
-from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro import api
-from repro.api import ExecutionHooks, ExecutionResult, Session
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro import api
+    from repro.api import ExecutionHooks, ExecutionResult, Session
+    from repro.core.cwl_app import CWLApp
+    from repro.core.workflow_bridge import CWLWorkflowBridge
+    from repro.core.yaml_config import load_yaml_config
+    from repro.parsl import (
+        Config,
+        DataFlowKernel,
+        bash_app,
+        clear,
+        dfk,
+        join_app,
+        load,
+        python_app,
+    )
+    from repro.parsl.configs import htex_config, local_process_config, thread_config
+    from repro.parsl.data_provider.files import File
+
+# Nothing is imported until it is asked for: a tool process
+# (``python3 -m repro.imaging.cli``) runs this file and must not pay for the
+# runners.  README "Start-up cost" says what is loaded when.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CWLApp": "repro.core.cwl_app",
+    "CWLWorkflowBridge": "repro.core.workflow_bridge",
+    "Config": "repro.parsl.config",
+    "DataFlowKernel": "repro.parsl.dataflow.dflow",
+    "ExecutionHooks": "repro.api.events",
+    "ExecutionResult": "repro.api.result",
+    "File": "repro.parsl.data_provider.files",
+    "Session": "repro.api.session",
+    "api": "repro.api",
+    "bash_app": "repro.parsl.apps.app",
+    "clear": "repro.parsl",
+    "dfk": "repro.parsl",
+    "htex_config": "repro.parsl.configs",
+    "join_app": "repro.parsl.apps.app",
+    "load": "repro.parsl",
+    "load_yaml_config": "repro.core.yaml_config",
+    "local_process_config": "repro.parsl.configs",
+    "python_app": "repro.parsl.apps.app",
+    "thread_config": "repro.parsl.configs",
+    # The subpackages ``import repro`` used to load: ``repro.cwl.load_tool``
+    # after a bare ``import repro`` keeps working.
+    "cluster": "repro.cluster",
+    "core": "repro.core",
+    "cwl": "repro.cwl",
+    "parsl": "repro.parsl",
+    "utils": "repro.utils",
+})
 
 __version__ = "1.0.0"
 

@@ -46,35 +46,76 @@ Quickstart::
             session.run("tool.cwl", order)
 """
 
-from repro.api.engine import (
-    Engine,
-    EngineError,
-    UnknownEngineError,
-    get_engine,
-    list_engines,
-    register_engine,
-    resolve_engine_name,
-)
-from repro.api.events import ExecutionHooks, JobEvent
-from repro.api.matrix import (
-    CACHE_MODES,
-    ENGINE_ORDER,
-    REFERENCE_CONFIG,
-    MatrixConfig,
-    MatrixRun,
-    matrix_configs,
-    run_config,
-    run_matrix,
-)
-from repro.api.plan import ExecutionPlan, plan
-from repro.api.result import ExecutionResult
-from repro.api.resume import resume, resume_info, run_with_journal
-from repro.api.session import ExecutionHandle, Session, run, submit
-from repro.cwl.faults import FaultPlan, FaultSpec, fault_profiles, get_fault_profile
-from repro.cwl.retry import RetryPolicy
+from typing import TYPE_CHECKING
 
-# Importing the module registers the built-in engines.
-from repro.api import engines as _builtin_engines  # noqa: F401  (side effect)
+from repro._lazy import lazy_exports
+
+# ``plan`` and ``resume`` are functions named like the submodules that define
+# them.  Importing a submodule binds it on the package, which would shadow a
+# lazily served function of the same name, so these two modules (the CWL
+# front end every engine needs, and the journal) are imported here.
+from repro.api.plan import ExecutionPlan, plan
+from repro.api.resume import resume, resume_info, run_with_journal
+
+if TYPE_CHECKING:
+    from repro.api.engine import (
+        Engine,
+        EngineError,
+        UnknownEngineError,
+        get_engine,
+        list_engines,
+        register_engine,
+        resolve_engine_name,
+    )
+    from repro.api.events import ExecutionHooks, JobEvent
+    from repro.api.matrix import (
+        CACHE_MODES,
+        ENGINE_ORDER,
+        REFERENCE_CONFIG,
+        MatrixConfig,
+        MatrixRun,
+        matrix_configs,
+        run_config,
+        run_matrix,
+    )
+    from repro.api.result import ExecutionResult
+    from repro.api.session import ExecutionHandle, Session, run, submit
+    from repro.cwl.faults import FaultPlan, FaultSpec, fault_profiles, get_fault_profile
+    from repro.cwl.retry import RetryPolicy
+
+# Names resolve on first use.  The built-in engines are registered by dotted
+# name in :mod:`repro.api.engine`, so ``list_engines()`` knows all four before
+# any engine module is imported, and ``get_engine`` imports only the one asked
+# for.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CACHE_MODES": "repro.api.matrix",
+    "ENGINE_ORDER": "repro.api.matrix",
+    "Engine": "repro.api.engine",
+    "EngineError": "repro.api.engine",
+    "ExecutionHandle": "repro.api.session",
+    "ExecutionHooks": "repro.api.events",
+    "ExecutionResult": "repro.api.result",
+    "FaultPlan": "repro.cwl.faults",
+    "FaultSpec": "repro.cwl.faults",
+    "JobEvent": "repro.api.events",
+    "MatrixConfig": "repro.api.matrix",
+    "MatrixRun": "repro.api.matrix",
+    "REFERENCE_CONFIG": "repro.api.matrix",
+    "RetryPolicy": "repro.cwl.retry",
+    "Session": "repro.api.session",
+    "UnknownEngineError": "repro.api.engine",
+    "fault_profiles": "repro.cwl.faults",
+    "get_engine": "repro.api.engine",
+    "get_fault_profile": "repro.cwl.faults",
+    "list_engines": "repro.api.engine",
+    "matrix_configs": "repro.api.matrix",
+    "register_engine": "repro.api.engine",
+    "resolve_engine_name": "repro.api.engine",
+    "run": "repro.api.session",
+    "run_config": "repro.api.matrix",
+    "run_matrix": "repro.api.matrix",
+    "submit": "repro.api.session",
+})
 
 __all__ = [
     "CACHE_MODES",

@@ -11,14 +11,18 @@ benchmarks, tests — select a backend by name:
     register_engine("reference", ReferenceEngine, aliases=("cwltool",))
     engine = get_engine("reference", parallel=True)
 
-Factories are any callable returning an :class:`Engine`; keyword options are
-passed through from :func:`get_engine` (and from
-:class:`~repro.api.session.Session`).
+Factories are any callable returning an :class:`Engine`, or its dotted name
+``"package.module:attribute"``, imported the first time the engine is asked
+for — which is how the four built-in engines are registered at the bottom of
+this module: ``list_engines()`` knows them all, and ``get_engine("reference")``
+does not import the Parsl substrate.  Keyword options are passed through from
+:func:`get_engine` (and from :class:`~repro.api.session.Session`).
 """
 
 from __future__ import annotations
 
 import abc
+import importlib
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
@@ -85,13 +89,13 @@ class Engine(abc.ABC):
 
 EngineFactory = Callable[..., Engine]
 
-_REGISTRY: Dict[str, EngineFactory] = {}
+_REGISTRY: Dict[str, Union[str, EngineFactory]] = {}
 _ALIASES: Dict[str, str] = {}
 
 
-def register_engine(name: str, factory: EngineFactory, *,
+def register_engine(name: str, factory: Union[str, EngineFactory], *,
                     aliases: Iterable[str] = (), replace: bool = False) -> None:
-    """Register ``factory`` under ``name`` (plus optional aliases)."""
+    """Register ``factory`` (or its ``"module:attribute"`` name) under ``name``."""
     key = name.lower()
     if key in _REGISTRY and not replace:
         raise ValueError(f"engine {name!r} is already registered "
@@ -120,7 +124,11 @@ def get_engine(name: str, **options: Any) -> Engine:
     ``config=`` for the Parsl engines, ``batch_system=`` for Toil, ...).
     """
     key = resolve_engine_name(name)
-    engine = _REGISTRY[key](**options)
+    factory = _REGISTRY[key]
+    if isinstance(factory, str):
+        module_name, _, attribute = factory.partition(":")
+        factory = _REGISTRY[key] = getattr(importlib.import_module(module_name), attribute)
+    engine = factory(**options)
     engine.name = key
     return engine
 
@@ -128,3 +136,11 @@ def get_engine(name: str, **options: Any) -> Engine:
 def list_engines() -> List[str]:
     """Sorted canonical names of all registered engines."""
     return sorted(_REGISTRY)
+
+
+register_engine("reference", "repro.api.engines:ReferenceEngine",
+                aliases=("cwltool", "cwltool-like"))
+register_engine("toil", "repro.api.toil_engine:ToilEngine", aliases=("toil-like",))
+register_engine("parsl", "repro.api.parsl_engines:ParslEngine", aliases=("parsl-cwl",))
+register_engine("parsl-workflow", "repro.api.parsl_engines:ParslWorkflowEngine",
+                aliases=("bridge",))

@@ -1,0 +1,203 @@
+"""The ``parsl`` and ``parsl-workflow`` engines: the paper's Parsl bridge.
+
+Their own module so that only a session that asks for them imports the Parsl
+substrate (see :mod:`repro.api.engines` for the table of built-in engines).
+Everything :meth:`ParslEngine.execute` needs is imported here, at engine
+construction, not inside the run.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from typing import Any, Dict, Optional
+
+from repro.api.engine import Engine, EngineError
+from repro.api.engines import _context_with_options, _event_cache_stats, _plan_for
+from repro.api.events import EventRecorder, ExecutionHooks
+from repro.api.result import ExecutionResult
+from repro.core.runner import run_tool_with_parsl
+from repro.core.workflow_bridge import CWLWorkflowBridge
+from repro.core.yaml_config import load_yaml_config
+from repro.cwl.retry import RetryObservation, execute_with_retries
+from repro.cwl.runtime import RuntimeContext
+from repro.cwl.schema import CommandLineTool, Workflow
+from repro.cwl.types import build_file_value
+from repro.parsl.config import Config
+from repro.parsl.data_provider.files import File as ParslFile
+from repro.parsl.dataflow.dflow import DataFlowKernelLoader
+from repro.parsl.errors import NoDataFlowKernelError
+
+
+class ParslEngine(Engine):
+    """Execute through the paper's Parsl bridge.
+
+    CommandLineTools go through ``run_tool_with_parsl`` (§III-B); Workflows go
+    through the :class:`CWLWorkflowBridge` (the paper's future-work extension).
+    The engine loads a DataFlowKernel from ``config`` on first use — or reuses
+    an already-loaded one — and clears it on :meth:`close` only if it loaded
+    the kernel itself, so it embeds cleanly in larger Parsl programs.
+    """
+
+    name = "parsl"
+
+    def __init__(self, config: Any = None, outdir: Optional[str] = None,
+                 runtime_context: Optional[RuntimeContext] = None,
+                 **options: Any) -> None:
+        self._config = config
+        self._outdir = outdir
+        #: The run options, honoured Parsl-side: retries wrap whole tool
+        #: invocations (cache probe included, so injected faults behave
+        #: identically warm or cold), timeouts are enforced in-shell on the
+        #: execution side, ``on_error`` governs whether a failed workflow
+        #: step aborts the bridge run, and ``max_inflight`` bounds unfinished
+        #: submissions during bridge submission.
+        self._context = _context_with_options(runtime_context, options)
+        self._started = False
+        self._loaded_here = False
+        self._kernel_lock = threading.Lock()
+
+    # -------------------------------------------------------------- lifecycle
+
+    def _ensure_kernel(self) -> None:
+        with self._kernel_lock:
+            self._ensure_kernel_locked()
+
+    def _ensure_kernel_locked(self) -> None:
+        if self._started:
+            return
+        if self._config is not None:
+            config = self._config
+            if not isinstance(config, Config):
+                config = load_yaml_config(config)
+            DataFlowKernelLoader.load(config)
+            self._loaded_here = True
+        else:
+            try:
+                DataFlowKernelLoader.dfk()
+            except NoDataFlowKernelError:
+                DataFlowKernelLoader.load(Config.default())
+                self._loaded_here = True
+        self._started = True
+
+    def close(self) -> None:
+        if self._started and self._loaded_here:
+            DataFlowKernelLoader.clear()
+        self._started = False
+        self._loaded_here = False
+
+    # -------------------------------------------------------------- execution
+
+    def execute(self, process, job_order: Dict[str, Any],
+                hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
+        process = self.load_process(process)
+        recorder = self.recorder_for(hooks)
+        self._ensure_kernel()
+        start = time.perf_counter()
+        failures: Dict[str, str] = {}
+        if isinstance(process, Workflow):
+            outputs, failures = self._run_workflow(process, dict(job_order or {}),
+                                                   recorder)
+        elif isinstance(process, CommandLineTool):
+            outputs = self._run_tool(process, dict(job_order or {}), recorder)
+        else:
+            raise EngineError(
+                f"the {self.name!r} engine cannot run a {type(process).__name__} "
+                "(CommandLineTool or Workflow expected)"
+            )
+        jobs_run = sum(1 for e in recorder.events if e.kind == "start")
+        # Counted from this execution's own per-job events (the store and its
+        # counters are shared process-wide, so a counter delta would absorb
+        # concurrent executions' traffic).
+        cache_stats = _event_cache_stats(recorder) \
+            if self._context.job_cache_dir() is not None else None
+        details: Dict[str, Any] = {}
+        if failures:
+            details["failures"] = dict(failures)
+        return ExecutionResult(
+            outputs=outputs,
+            status="permanentFail" if failures else "success",
+            engine=self.name,
+            jobs_run=jobs_run,
+            wall_time_s=time.perf_counter() - start,
+            events=recorder.events,
+            details=details,
+            plan=_plan_for(process),
+            cache_stats=cache_stats,
+            failures=failures,
+        )
+
+    def _run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
+                  recorder: EventRecorder) -> Dict[str, Any]:
+        context = self._context
+        job_name = tool.id or "tool"
+        cache_note: Dict[str, str] = {}
+        token = recorder.job_started(job_name)
+
+        def attempt(_n: int) -> Dict[str, Any]:
+            cache_note.clear()
+            # The retry loop wraps the whole call — submission-side cache
+            # probe included — so injected faults fire ahead of the probe,
+            # exactly as on the runner engines.
+            return run_tool_with_parsl(
+                tool=tool, job_order=job_order, config=None,
+                outdir=self._outdir, cleanup=False,
+                runtime_context=context, cache_note=cache_note)
+
+        def on_retry(attempt_no: int, exc: BaseException, delay: float) -> None:
+            recorder.job_retry(token, attempt_no, error=str(exc), delay_s=delay)
+            if context.journal is not None:
+                context.journal.record("retry", job=job_name, attempt=attempt_no,
+                                       error=str(exc), delay_s=delay)
+
+        observation = RetryObservation()
+        try:
+            outputs = execute_with_retries(
+                attempt, policy=context.retry_policy, job=job_name,
+                fault_plan=context.fault_plan, observation=observation,
+                on_retry=on_retry)
+        except Exception as exc:
+            recorder.job_finished(token, ok=False, error=str(exc),
+                                  attempt=observation.attempt)
+            raise
+        recorder.job_finished(token, cache=cache_note.get("cache"),
+                              attempt=observation.attempt)
+        return outputs
+
+    def _run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
+                      recorder: EventRecorder) -> tuple:
+        bridge = CWLWorkflowBridge(workflow, job_observer=recorder,
+                                   runtime_context=self._context)
+        outputs = bridge.run(job_order)
+        failures = {name: str(exc) for name, exc in bridge.failures.items()}
+        return ({key: _normalise_output(value) for key, value in outputs.items()},
+                failures)
+
+
+class ParslWorkflowEngine(ParslEngine):
+    """The CWL Workflow -> Parsl bridge, with strict Workflow-only semantics."""
+
+    name = "parsl-workflow"
+
+    def execute(self, process, job_order: Dict[str, Any],
+                hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
+        loaded = self.load_process(process)
+        if not isinstance(loaded, Workflow):
+            raise EngineError(
+                f"the {self.name!r} engine runs complete CWL Workflows; got "
+                f"{type(loaded).__name__} (use engine='parsl' for single tools)"
+            )
+        return super().execute(loaded, job_order, hooks)
+
+
+def _normalise_output(value: Any) -> Any:
+    """Convert Parsl-side File objects into CWL File value dictionaries.
+
+    The workflow bridge resolves its futures to Parsl ``File`` objects; the
+    unified result promises the same CWL output-object shape as the runners.
+    """
+    if isinstance(value, ParslFile):
+        return build_file_value(value.filepath)
+    if isinstance(value, list):
+        return [_normalise_output(item) for item in value]
+    return value

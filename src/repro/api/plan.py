@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.api.engine import Engine
 from repro.cwl.graph import build_graph
 from repro.cwl.schema import Workflow
 
@@ -111,6 +112,4 @@ def plan_for(process: Any) -> ExecutionPlan:
 
 def plan(process: Any) -> ExecutionPlan:
     """Compile ``process`` (path, dict or loaded Process) into its plan."""
-    from repro.api.engine import Engine
-
     return plan_for(Engine.load_process(process))

@@ -20,6 +20,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.api.engine import Engine, get_engine
 from repro.api.events import ExecutionHooks
+from repro.api.plan import ExecutionPlan, plan as build_plan
 from repro.api.result import ExecutionResult
 
 
@@ -92,15 +93,13 @@ class Session:
             raise RuntimeError("session is closed")
         return self.engine.execute(process, job_order or {}, hooks or self.hooks)
 
-    def plan(self, process: Any) -> "ExecutionPlan":
+    def plan(self, process: Any) -> ExecutionPlan:
         """Compile ``process`` into its dataflow plan without executing it.
 
         Returns the :class:`~repro.api.plan.ExecutionPlan` built from the same
         :class:`~repro.cwl.graph.WorkflowGraph` IR every engine executes from
         (nodes, dependency edges, critical path, scatter nodes).
         """
-        from repro.api.plan import plan as build_plan
-
         if self._closed:
             raise RuntimeError("session is closed")
         return build_plan(process)

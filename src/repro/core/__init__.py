@@ -16,11 +16,26 @@ Four pieces, matching §III–§V of the paper:
   each step into a CWLApp and wiring DataFutures between them.
 """
 
-from repro.core.cwl_app import CWLApp
-from repro.core.inline_python import InlinePythonEvaluator, InlinePythonRequirementError
-from repro.core.runner import run_tool_with_parsl
-from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.core.yaml_config import config_from_dict, load_yaml_config
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.cwl_app import CWLApp
+    from repro.core.inline_python import InlinePythonEvaluator, InlinePythonRequirementError
+    from repro.core.runner import run_tool_with_parsl
+    from repro.core.workflow_bridge import CWLWorkflowBridge
+    from repro.core.yaml_config import config_from_dict, load_yaml_config
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CWLApp": "repro.core.cwl_app",
+    "CWLWorkflowBridge": "repro.core.workflow_bridge",
+    "InlinePythonEvaluator": "repro.core.inline_python",
+    "InlinePythonRequirementError": "repro.core.inline_python",
+    "config_from_dict": "repro.core.yaml_config",
+    "load_yaml_config": "repro.core.yaml_config",
+    "run_tool_with_parsl": "repro.core.runner",
+})
 
 __all__ = [
     "CWLApp",

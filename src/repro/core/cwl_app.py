@@ -34,9 +34,18 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
 from repro.cwl.command_line import build_command_line, fill_in_defaults
-from repro.cwl.errors import InputValidationError, ValidationException
-from repro.cwl.jobcache import JobCache, resolve_job_cache
-from repro.cwl.loader import load_tool
+from repro.cwl.errors import InputValidationError, JobTimeout, ValidationException
+from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
+from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.jobcache import (
+    JobCache,
+    get_job_cache,
+    job_key,
+    relative_to_outdir,
+    resolve_job_cache,
+)
+from repro.cwl.loader import load_document, load_tool
+from repro.cwl.retry import execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, matches
@@ -68,8 +77,6 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     subprocess never runs; a miss leaves instructions in ``cwl_cache_ctx``
     for :func:`cached_bash_executor` to ingest the results afterwards.
     """
-    from repro.cwl.loader import load_document  # local import: runs inside workers
-
     tool = load_document(dict(tool_raw), base_dir=os.path.dirname(source_path) if source_path else None)
     if not isinstance(tool, CommandLineTool):
         raise ValidationException("CWLApp payload must be a CommandLineTool")
@@ -88,8 +95,6 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     cache_ctx = _parsl_kwargs.get("cwl_cache_ctx")
     cache_note = _parsl_kwargs.get("cwl_cache_note")
     if cache_dir:
-        from repro.cwl.jobcache import get_job_cache, job_key
-
         cache = get_job_cache(cache_dir)
         key = job_key(tool, job_order, cores=runtime["cores"], ram_mb=runtime["ram"])
         entry = cache.lookup(key)
@@ -111,8 +116,6 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     if _parsl_kwargs.get("cwl_compile_expressions", True) is False:
         uncompiled_evaluator = _uncompiled_evaluator(tool)
     else:
-        from repro.cwl.expressions.compiler import precompile_process
-
         precompile_process(tool)
 
     inline_python = extract_inline_python(tool)
@@ -179,9 +182,6 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
 
 def _uncompiled_evaluator(tool: CommandLineTool):
     """A fresh cwltool-style evaluator honouring the tool's expressionLib."""
-    from repro.cwl.expressions.compiler import expression_lib_of
-    from repro.cwl.expressions.evaluator import ExpressionEvaluator
-
     return ExpressionEvaluator(expression_lib=expression_lib_of(tool))
 
 
@@ -268,9 +268,6 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     recorded into the in-process ``cwl_retry_note`` list, which the workflow
     bridge reads off the future to emit ``"retry"`` events.
     """
-    from repro.cwl.errors import JobTimeout
-    from repro.cwl.retry import execute_with_retries
-
     kwargs = dict(kwargs)
     policy = kwargs.pop("cwl_retry_policy", None)
     plan = kwargs.pop("cwl_fault_plan", None)
@@ -301,8 +298,6 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
 def _store_bridge_results(ctx: Dict[str, Any], declared_outputs: List[Any],
                           stdout_spec: Any, stderr_spec: Any,
                           exit_code: int) -> None:
-    from repro.cwl.jobcache import relative_to_outdir
-
     cache = resolve_job_cache(ctx["cache_dir"])
     outdir = ctx["outdir"]
 

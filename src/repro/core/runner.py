@@ -21,12 +21,20 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.core.cwl_app import CWLApp, _uncompiled_evaluator
 from repro.core.yaml_config import load_yaml_config
+from repro.cwl.command_line import fill_in_defaults
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.jobcache import JobCache, job_key, relative_to_outdir
 from repro.cwl.loader import load_tool
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
-from repro.cwl.types import is_directory_value, is_file_value, value_to_path
+from repro.cwl.types import (
+    build_file_value,
+    coerce_file_inputs,
+    is_directory_value,
+    is_file_value,
+    value_to_path,
+)
 from repro.parsl.config import Config
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 from repro.parsl.errors import NoDataFlowKernelError
@@ -173,8 +181,6 @@ def _restore_cached(cache: JobCache, entry: Any, tool_doc: CommandLineTool,
     Copy-staged (not hardlinked) because the default outdir is the shared
     working directory, whose files may later be rewritten in place.
     """
-    from repro.cwl.expressions.compiler import precompile_process
-
     outdir = outdir or os.getcwd()
     cache.restore(entry, outdir, prefer_copy=True)
     precompile_process(tool_doc)
@@ -232,9 +238,6 @@ def _absolute(path: Optional[str], base: str) -> Optional[str]:
 
 def _cwl_job_order(tool: CommandLineTool, job_order: Dict[str, Any]) -> Dict[str, Any]:
     """Rebuild the CWL-side job order (File values as dictionaries) for output collection."""
-    from repro.cwl.command_line import fill_in_defaults
-    from repro.cwl.types import build_file_value, coerce_file_inputs
-
     rebuilt: Dict[str, Any] = {}
     for param in tool.inputs:
         if param.id not in job_order:

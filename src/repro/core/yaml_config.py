@@ -25,18 +25,17 @@ silently fall back to a default.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
-from repro.cluster.nodes import NodeInventory
-from repro.cluster.scheduler import SimulatedSlurmCluster
+# Executors and providers come from the packages' lazy surfaces: only the kind
+# a configuration names is imported (the Parsl engine imports this module).
+from repro.parsl import executors, providers
 from repro.parsl.config import Config
 from repro.parsl.errors import ConfigurationError
-from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
-from repro.parsl.executors.processes import ProcessPoolExecutor
-from repro.parsl.executors.threads import ThreadPoolExecutor
-from repro.parsl.providers.local import LocalProvider
-from repro.parsl.providers.slurm import SlurmProvider
 from repro.utils.yamlio import load_yaml_file
+
+if TYPE_CHECKING:
+    from repro.cluster.scheduler import SimulatedSlurmCluster
 
 _KNOWN_KEYS = {
     "executor", "provider", "nodes", "cores_per_node", "workers_per_node",
@@ -84,11 +83,13 @@ def config_from_dict(document: Dict[str, Any],
     label = document.get("label", executor_name)
 
     if executor_name == "threads":
-        executor = ThreadPoolExecutor(label=label, max_threads=int(document.get("max_threads", 8)))
+        executor = executors.ThreadPoolExecutor(
+            label=label, max_threads=int(document.get("max_threads", 8)))
     elif executor_name == "processes":
-        executor = ProcessPoolExecutor(label=label, max_workers=int(document.get("max_workers", 4)))
+        executor = executors.ProcessPoolExecutor(
+            label=label, max_workers=int(document.get("max_workers", 4)))
     else:  # htex
-        executor = HighThroughputExecutor(
+        executor = executors.HighThroughputExecutor(
             label=label,
             provider=_build_provider(document, cluster),
             max_workers_per_node=int(document.get("workers_per_node", 4)),
@@ -110,10 +111,13 @@ def _build_provider(document: Dict[str, Any], cluster: Optional[SimulatedSlurmCl
     walltime = str(document.get("walltime", "00:30:00"))
 
     if provider_name == "local":
-        return LocalProvider(nodes_per_block=nodes, cores_per_node=cores_per_node,
-                             init_blocks=1, max_blocks=1, walltime=walltime)
+        return providers.LocalProvider(nodes_per_block=nodes, cores_per_node=cores_per_node,
+                                       init_blocks=1, max_blocks=1, walltime=walltime)
     if provider_name == "slurm":
-        return SlurmProvider(
+        from repro.cluster.nodes import NodeInventory
+        from repro.cluster.scheduler import SimulatedSlurmCluster
+
+        return providers.SlurmProvider(
             nodes_per_block=nodes,
             cores_per_node=cores_per_node,
             init_blocks=1,

@@ -27,12 +27,31 @@ machinery the paper's integration and evaluation need:
   Toil-like runner used as evaluation baselines.
 """
 
-from repro.cwl.loader import load_document, load_tool
-from repro.cwl.schema import CommandLineTool, ExpressionTool, Workflow
-from repro.cwl.runtime import RuntimeContext
-from repro.cwl.job import CommandLineJob
-from repro.cwl.runners.reference import ReferenceRunner
-from repro.cwl.runners.toil.runner import ToilStyleRunner
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cwl.job import CommandLineJob
+    from repro.cwl.loader import load_document, load_tool
+    from repro.cwl.runners.reference import ReferenceRunner
+    from repro.cwl.runners.toil.runner import ToilStyleRunner
+    from repro.cwl.runtime import RuntimeContext
+    from repro.cwl.schema import CommandLineTool, ExpressionTool, Workflow
+
+# Every ``repro.cwl.<module>`` import runs this file; the reference engine must
+# not load the Toil-like runner through it, nor ``repro.cwl.errors`` a loader.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CommandLineJob": "repro.cwl.job",
+    "CommandLineTool": "repro.cwl.schema",
+    "ExpressionTool": "repro.cwl.schema",
+    "ReferenceRunner": "repro.cwl.runners.reference",
+    "RuntimeContext": "repro.cwl.runtime",
+    "ToilStyleRunner": "repro.cwl.runners.toil.runner",
+    "Workflow": "repro.cwl.schema",
+    "load_document": "repro.cwl.loader",
+    "load_tool": "repro.cwl.loader",
+})
 
 __all__ = [
     "CommandLineJob",

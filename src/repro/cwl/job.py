@@ -8,8 +8,8 @@ cwltool-like and Toil-like runners).
 
 from __future__ import annotations
 
-import asyncio
 import os
+import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -19,10 +19,12 @@ from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
 from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.jobcache import canonical_command, job_key
 from repro.cwl.outputs import collect_outputs
-from repro.cwl.runtime import RuntimeContext
+from repro.cwl.runtime import RuntimeContext, signal_job_process
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import coerce_file_inputs, matches
+from repro.utils.environment import subprocess_environment
 from repro.utils.logging_config import get_logger
 
 logger = get_logger("cwl.job")
@@ -178,8 +180,6 @@ class CommandLineJob:
         cache = self.runtime_context.get_job_cache()
         if cache is None:
             return None
-        from repro.cwl.jobcache import job_key
-
         context = self.runtime_context.with_resources(self.tool)
         key = job_key(self.tool, self.job_order,
                       cores=context.cores, ram_mb=context.ram_mb,
@@ -239,8 +239,6 @@ class CommandLineJob:
         staged = StagedJob(outdir=outdir, tmpdir=tmpdir, runtime=runtime)
         cache = self.runtime_context.get_job_cache()
         if cache is not None:
-            from repro.cwl.jobcache import job_key
-
             staged.cache = cache
             staged.cache_key = job_key(self.tool, self.job_order,
                                        cores=runtime["cores"], ram_mb=runtime["ram"],
@@ -270,8 +268,6 @@ class CommandLineJob:
             else subprocess.DEVNULL
         stderr_handle = open(staged.stderr_path, "wb") if staged.stderr_path \
             else subprocess.DEVNULL
-
-        from repro.utils.environment import subprocess_environment
 
         env = subprocess_environment()
         env.update(self.runtime_context.env)
@@ -347,6 +343,8 @@ class CommandLineJob:
         so interrupt-time ``terminate_processes`` reaps it like any other
         job; timeout reaping SIGTERMs then SIGKILLs the whole group.
         """
+        import asyncio
+
         if staged.cache_entry is not None:
             return staged.cache_entry.exit_code
         parts = staged.parts
@@ -418,8 +416,6 @@ class CommandLineJob:
         cacheable = not any(name and os.path.isabs(name)
                             for name in (parts.stdout, parts.stderr))
         if staged.cache is not None and staged.cache_key is not None and cacheable:
-            from repro.cwl.jobcache import canonical_command
-
             try:
                 staged.cache.store_outdir(
                     staged.cache_key, staged.outdir,
@@ -451,10 +447,6 @@ class CommandLineJob:
     @staticmethod
     def _reap(proc: "subprocess.Popen", grace_s: float = 2.0) -> None:
         """SIGTERM the timed-out subprocess (and its group), then SIGKILL."""
-        import signal
-
-        from repro.cwl.runtime import signal_job_process
-
         try:
             signal_job_process(proc, signal.SIGTERM)
             proc.wait(timeout=grace_s)
@@ -473,9 +465,7 @@ class CommandLineJob:
         """:meth:`_reap` for the asyncio exec path — same SIGTERM→SIGKILL
         escalation against the whole process group, awaited instead of
         blocked on."""
-        import signal
-
-        from repro.cwl.runtime import signal_job_process
+        import asyncio
 
         try:
             signal_job_process(proc, signal.SIGTERM)

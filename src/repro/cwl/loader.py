@@ -35,7 +35,7 @@ from repro.cwl.schema import (
     WorkflowStep,
     WorkflowStepInput,
 )
-from repro.utils.yamlio import load_yaml_file
+from repro.utils.yamlio import YAMLError, describe_yaml_error, load_yaml_file
 
 PathLike = Union[str, os.PathLike]
 
@@ -191,7 +191,10 @@ def load_document(source: Union[PathLike, Dict[str, Any]],
     source_path: Optional[str] = None
     if isinstance(source, (str, os.PathLike)):
         source_path = os.path.abspath(os.fspath(source))
-        document = load_yaml_file(source_path)
+        try:
+            document = load_yaml_file(source_path)
+        except YAMLError as exc:
+            raise ValidationException(describe_yaml_error(exc, source_path)) from exc
         base_dir = os.path.dirname(source_path)
     else:
         document = source

@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional
 from repro.cwl.errors import ValidationException
 from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.retry import RetryObservation, execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
 from repro.cwl.types import coerce_file_inputs
@@ -97,8 +98,6 @@ class BaseRunner(ABC):
         plan = runtime_context.fault_plan
         if policy is None and plan is None:
             return fn(1)
-        from repro.cwl.retry import RetryObservation, execute_with_retries
-
         hooks = self.hooks
 
         def on_retry(attempt: int, exc: BaseException, delay: float) -> None:

@@ -18,6 +18,8 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Set
 
+from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache
+
 
 def signal_job_process(proc: Any, sig: int) -> None:
     """Deliver ``sig`` to a job subprocess — its whole group when it leads one.
@@ -199,8 +201,6 @@ class RuntimeContext:
         :attr:`cache_dir`); ``job_cache=None`` enables exactly when a store
         was named via :attr:`cache_dir` or ``REPRO_JOBCACHE_DIR``.
         """
-        from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir
-
         if self.job_cache is False:
             return None
         if self.cache_dir:
@@ -214,8 +214,6 @@ class RuntimeContext:
         directory = self.job_cache_dir()
         if directory is None:
             return None
-        from repro.cwl.jobcache import get_job_cache
-
         return get_job_cache(directory)
 
     # ------------------------------------------------------------ subprocesses

@@ -20,14 +20,16 @@ with every other ready node in the shared pool.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures as cf
 import heapq
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+
+if TYPE_CHECKING:
+    import asyncio
 
 from repro.cwl.errors import WorkflowException
 from repro.cwl.graph import GraphNode, WorkflowGraph
@@ -366,6 +368,11 @@ class PipelineScheduler(GraphScheduler):
             if execute is None:
                 raise ValueError("PipelineScheduler needs an executor or a callable")
             executor = _CallableStageExecutor(execute)
+        # Every engine imports this module and only this opt-in core uses
+        # asyncio (40 ms of import), so the name is bound when the first
+        # pipelined scheduler is built, not at import.
+        global asyncio
+        import asyncio
         super().__init__(graph, execute or (lambda node: None), parallel=True,
                          max_workers=max_workers, on_error=on_error,
                          journal=journal)

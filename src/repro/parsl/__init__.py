@@ -25,34 +25,56 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.parsl.apps.app import bash_app, join_app, python_app
-from repro.parsl.config import Config
-from repro.parsl.data_provider.files import File
-from repro.parsl.dataflow.dflow import DataFlowKernel, DataFlowKernelLoader
-from repro.parsl.dataflow.futures import AppFuture, DataFuture
-from repro.parsl import configs  # noqa: F401  (re-exported as a namespace)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parsl import configs
+    from repro.parsl.apps.app import bash_app, join_app, python_app
+    from repro.parsl.config import Config
+    from repro.parsl.data_provider.files import File
+    from repro.parsl.dataflow.dflow import DataFlowKernel, DataFlowKernelLoader
+    from repro.parsl.dataflow.futures import AppFuture, DataFuture
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AppFuture": "repro.parsl.dataflow.futures",
+    "Config": "repro.parsl.config",
+    "DataFlowKernel": "repro.parsl.dataflow.dflow",
+    "DataFlowKernelLoader": "repro.parsl.dataflow.dflow",
+    "DataFuture": "repro.parsl.dataflow.futures",
+    "File": "repro.parsl.data_provider.files",
+    "bash_app": "repro.parsl.apps.app",
+    "configs": "repro.parsl.configs",
+    "join_app": "repro.parsl.apps.app",
+    "python_app": "repro.parsl.apps.app",
+})
+
+
+def _kernel_loader() -> "type[DataFlowKernelLoader]":
+    from repro.parsl.dataflow.dflow import DataFlowKernelLoader
+
+    return DataFlowKernelLoader
 
 
 def load(config: Optional[Config] = None) -> DataFlowKernel:
     """Load a DataFlowKernel from ``config`` (or the default thread pool)."""
-    return DataFlowKernelLoader.load(config)
+    return _kernel_loader().load(config)
 
 
 def clear() -> None:
     """Shut down the currently loaded DataFlowKernel, if any."""
-    DataFlowKernelLoader.clear()
+    _kernel_loader().clear()
 
 
 def dfk() -> DataFlowKernel:
     """Return the currently loaded DataFlowKernel."""
-    return DataFlowKernelLoader.dfk()
+    return _kernel_loader().dfk()
 
 
 def wait_for_current_tasks() -> None:
     """Block until all tasks submitted so far have finished."""
-    DataFlowKernelLoader.wait_for_current_tasks()
+    _kernel_loader().wait_for_current_tasks()
 
 
 __all__ = [

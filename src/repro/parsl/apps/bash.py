@@ -14,6 +14,7 @@ import subprocess
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.parsl.errors import AppBadFormatting, BashAppNoReturn, BashExitFailure, MissingOutputs
+from repro.utils.environment import subprocess_environment
 
 StdSpec = Union[None, str, Tuple[str, str]]
 
@@ -63,8 +64,6 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
     stdout_handle, _stdout_path = _open_std_stream(stdout_spec)
     stderr_handle, _stderr_path = _open_std_stream(stderr_spec)
     try:
-        from repro.utils.environment import subprocess_environment
-
         proc = subprocess.Popen(
             command,
             shell=True,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.parsl.errors import ConfigurationError
+from repro.parsl.executors.threads import ThreadPoolExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parsl.data_provider.staging import Staging
@@ -71,6 +72,4 @@ class Config:
     @classmethod
     def default(cls) -> "Config":
         """A single-node thread-pool configuration (Parsl's implicit default)."""
-        from repro.parsl.executors.threads import ThreadPoolExecutor
-
         return cls(executors=[ThreadPoolExecutor(label="threads", max_threads=8)])

@@ -9,35 +9,36 @@ files into live :class:`~repro.parsl.config.Config` objects.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.scheduler import SimulatedSlurmCluster
+# Executors and providers are taken from the packages' lazy surfaces, so a
+# factory imports only what it builds: ``thread_config`` loads neither the
+# HTEX interchange nor the cluster simulator.
+from repro.parsl import executors, providers
 from repro.parsl.config import Config
-from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
-from repro.parsl.executors.processes import ProcessPoolExecutor
-from repro.parsl.executors.threads import ThreadPoolExecutor
-from repro.parsl.providers.local import LocalProvider
-from repro.parsl.providers.slurm import SlurmProvider
+
+if TYPE_CHECKING:
+    from repro.cluster.scheduler import SimulatedSlurmCluster
 
 
 def thread_config(max_threads: int = 8, label: str = "threads", **config_kwargs) -> Config:
     """Single-node thread-pool configuration (``parsl.configs.local_threads`` analogue)."""
-    return Config(executors=[ThreadPoolExecutor(label=label, max_threads=max_threads)],
+    return Config(executors=[executors.ThreadPoolExecutor(label=label, max_threads=max_threads)],
                   **config_kwargs)
 
 
 def local_process_config(max_workers: int = 4, label: str = "processes", **config_kwargs) -> Config:
     """Single-node process-pool configuration."""
-    return Config(executors=[ProcessPoolExecutor(label=label, max_workers=max_workers)],
+    return Config(executors=[executors.ProcessPoolExecutor(label=label, max_workers=max_workers)],
                   **config_kwargs)
 
 
 def htex_local_config(workers: int = 4, label: str = "htex_local", **config_kwargs) -> Config:
     """HighThroughputExecutor on the local machine (one block, N workers)."""
-    provider = LocalProvider(nodes_per_block=1, cores_per_node=workers,
-                             init_blocks=1, max_blocks=1)
-    executor = HighThroughputExecutor(label=label, provider=provider,
-                                      max_workers_per_node=workers)
+    provider = providers.LocalProvider(nodes_per_block=1, cores_per_node=workers,
+                                       init_blocks=1, max_blocks=1)
+    executor = executors.HighThroughputExecutor(label=label, provider=provider,
+                                                max_workers_per_node=workers)
     return Config(executors=[executor], **config_kwargs)
 
 
@@ -55,14 +56,14 @@ def htex_config(
     experiment (Fig. 1a): one pilot block spanning ``nodes`` nodes, with
     ``workers_per_node`` worker processes per node.
     """
-    provider = SlurmProvider(
+    provider = providers.SlurmProvider(
         nodes_per_block=nodes,
         cores_per_node=cores_per_node,
         init_blocks=1,
         max_blocks=1,
         cluster=cluster,
     )
-    executor = HighThroughputExecutor(
+    executor = executors.HighThroughputExecutor(
         label=label,
         provider=provider,
         max_workers_per_node=workers_per_node,

@@ -195,7 +195,7 @@ def test_cwltool_cli_routes_through_registry(cwl_dir, tmp_path, capsys):
 
 
 def test_parsl_cli_routes_through_registry(cwl_dir, config_dir, tmp_path, capsys):
-    from repro.api.engines import ParslEngine
+    from repro.api.parsl_engines import ParslEngine
     from repro.core.cli import main as parsl_cwl_main
 
     instantiated = []

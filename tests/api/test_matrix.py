@@ -145,3 +145,13 @@ def test_conformance_cli_parses_pipeline_modes():
     assert [c.pipeline for c in configs] == [None, True]
     with pytest.raises(SystemExit):
         _configs_from(_parse_args(["--pipeline", "sideways"]))
+
+
+def test_malformed_document_is_invalid_with_one_message_on_every_engine(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    broken = tmp_path / "broken.cwl"
+    broken.write_text("class: CommandLineTool\ninputs: [a, b\nbaseCommand: echo\n")
+    runs = run_matrix(str(broken), {}, workdir=str(tmp_path / "matrix"))
+    assert [run.config.engine for run in runs] == list(ENGINE_ORDER)
+    assert {(run.exit_class, run.error_class, run.error) for run in runs} == {
+        ("invalid", "ValidationException", f"{broken}:3:12: invalid YAML (ParserError)")}

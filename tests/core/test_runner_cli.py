@@ -103,3 +103,14 @@ def test_parsl_cwl_cli_reports_failures(cwl_dir, config_dir, tmp_path, capsys):
     ])
     assert exit_code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_parsl_cwl_cli_reports_malformed_document_like_the_other_clis(
+        config_dir, tmp_path, capsys):
+    broken = tmp_path / "broken.cwl"
+    broken.write_text("class: CommandLineTool\ninputs: [a, b\nbaseCommand: echo\n")
+    exit_code = parsl_cwl_main(["--outdir", str(tmp_path / "out"), "--quiet",
+                                str(config_dir / "local_threads.yml"), str(broken)])
+    assert exit_code == 1
+    assert capsys.readouterr().err.strip() == \
+        f"parsl-cwl: error: {broken}:3:12: invalid YAML (ParserError)"

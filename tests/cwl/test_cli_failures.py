@@ -180,3 +180,11 @@ def test_workflow_partial_failure_leaves_cache_unpoisoned(cli, tmp_path, capsys)
     assert rc == 1
     assert out.strip() == ""
     assert "exit code 9" in err
+
+
+def test_malformed_document_exits_1_naming_path_line_and_column(cli, tmp_path, capsys):
+    broken = tmp_path / "broken.cwl"
+    broken.write_text("class: CommandLineTool\ninputs: [a, b\nbaseCommand: echo\n")
+    rc, out, err = cli([str(broken)], capsys)
+    assert rc == 1 and out.strip() == ""
+    assert err.strip().endswith(f"error: {broken}:3:12: invalid YAML (ParserError)")

@@ -159,3 +159,23 @@ def test_process_accessors(cwl_dir):
     assert tool.get_output("output_image") is not None
     assert tool.get_requirement("DockerRequirement") is None
     assert set(tool.output_ids()) == {"output_image"}
+
+
+def test_malformed_yaml_is_a_validation_error_naming_path_line_and_column(tmp_path):
+    import yaml
+
+    path = tmp_path / "broken.cwl"
+    path.write_text("class: CommandLineTool\ninputs: [a, b\nbaseCommand: echo\n")
+    with pytest.raises(ValidationException) as caught:
+        load_document(path)
+    assert str(caught.value) == f"{path}:3:12: invalid YAML (ParserError)"
+    assert isinstance(caught.value.__cause__, yaml.parser.ParserError)
+
+
+def test_duplicate_key_is_rejected_not_last_wins(tmp_path):
+    path = tmp_path / "twice.cwl"
+    path.write_text("class: CommandLineTool\nbaseCommand: echo\ninputs: {}\n"
+                    "outputs: {}\nbaseCommand: rm\n")
+    with pytest.raises(ValidationException, match=r"twice\.cwl:5:1: invalid YAML: found "
+                                                  r"duplicate key 'baseCommand' \(first given on line 2\)"):
+        load_document(path)
