@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import os
 import shlex
+import shutil
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
@@ -38,6 +39,7 @@ from repro.cwl.errors import InputValidationError, JobTimeout, ValidationExcepti
 from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.jobcache import (
+    CacheEntry,
     JobCache,
     get_job_cache,
     job_key,
@@ -50,9 +52,9 @@ from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, matches
 from repro.cwl.validate import ensure_valid
-from repro.parsl.apps.bash import remote_side_bash_executor
+from repro.parsl.apps.bash import _open_std_stream, remote_side_bash_executor
 from repro.parsl.data_provider.files import File
-from repro.parsl.errors import BashExitFailure
+from repro.parsl.errors import BashExitFailure, MissingOutputs
 from repro.parsl.dataflow.dflow import DataFlowKernel, DataFlowKernelLoader
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
 
@@ -71,11 +73,11 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
 
     With a job cache attached (``cwl_cache_dir`` in the app kwargs — inputs
     are concrete on the execution side, which is what makes this the right
-    place for the workflow bridge's cache check), a hit restores the cached
-    output files into the working directory and returns a trivial command
-    that merely replays the recorded stdout/stderr, so the tool's own
-    subprocess never runs; a miss leaves instructions in ``cwl_cache_ctx``
-    for :func:`cached_bash_executor` to ingest the results afterwards.
+    place for the workflow bridge's cache check), a hit builds no command:
+    it raises :class:`_CacheHit` through the bash executor to
+    :func:`cached_bash_executor`, which restores the recorded invocation in
+    process, so nothing is spawned; a miss leaves instructions in
+    ``cwl_cache_ctx`` for that wrapper to ingest the results afterwards.
     """
     tool = load_document(dict(tool_raw), base_dir=os.path.dirname(source_path) if source_path else None)
     if not isinstance(tool, CommandLineTool):
@@ -101,7 +103,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
         if isinstance(cache_note, dict):
             cache_note["cache"] = "hit" if entry is not None else "miss"
         if entry is not None:
-            return _cache_hit_command(cache, entry)
+            raise _CacheHit(cache, entry)
         if isinstance(cache_ctx, dict):
             cache_ctx.update(cache_dir=cache_dir, key=key, outdir=os.getcwd())
 
@@ -194,46 +196,78 @@ def _to_cwl_value(value: Any) -> Any:
     return value
 
 
-def _cache_hit_command(cache: JobCache, entry: Any) -> str:
-    """Restore a cached invocation into the cwd; return its replay command.
+class _CacheHit(Exception):
+    """How :func:`cwl_tool_command` says "hit" instead of returning a command.
 
-    Output files are copy-staged (the cwd is shared, and a later run may
-    rewrite them in place); the recorded stdout/stderr are *not* staged —
-    the bash executor opens and truncates those redirections itself, so the
-    replay command regenerates them by ``cat``-ing the stored bodies.  The
-    replay itself always exits 0: entries are only ever stored for
+    Raised before the bash executor has opened a redirection or spawned
+    anything, and caught by :func:`cached_bash_executor` in the same call
+    stack, so it never reaches a retry loop, a future or an executor boundary.
+    """
+
+    def __init__(self, cache: JobCache, entry: CacheEntry) -> None:
+        super().__init__(entry.key)
+        self.cache = cache
+        self.entry = entry
+
+
+def _replay_hit(hit: _CacheHit, app_name: str, stdout_spec: Any, stderr_spec: Any,
+                declared_outputs: List[Any]) -> int:
+    """Finish a cache hit in process: what the bash executor would have left.
+
+    Output files are copy-staged into the cwd (it is shared, and a later run
+    may rewrite them in place); the recorded stdout/stderr bodies go to
+    wherever *this* call redirects those streams, which need not be the name
+    they were recorded under.  Then the executor's own post-condition: every
+    declared output exists.  Always 0: entries are only ever stored for
     successful invocations, so a recorded non-zero code is necessarily one
     the tool permits via ``successCodes``.
     """
-    outdir = os.getcwd()
+    cache, entry = hit.cache, hit.entry
     stdout_name = entry.stream_name("stdout")
     stderr_name = entry.stream_name("stderr")
-    cache.restore(entry, outdir,
+    cache.restore(entry, os.getcwd(),
                   exclude=tuple(name for name in (stdout_name, stderr_name) if name),
                   prefer_copy=True)
-    replay: List[str] = []
-    stdout_body = cache.cas_body(entry, stdout_name) if stdout_name else None
-    stderr_body = cache.cas_body(entry, stderr_name) if stderr_name else None
-    if stdout_body:
-        replay.append(f"cat {shlex.quote(stdout_body)}")
-    if stderr_body:
-        replay.append(f"cat {shlex.quote(stderr_body)} 1>&2")
-    # Every store site runs only after a *successful* invocation (failed
-    # jobs are never ingested), so a hit is a recorded success by
-    # construction and the replay always exits 0 — whether the entry records
-    # a permitted non-zero code (runner-written, successCodes) or the
-    # post-remap 0 this path's own executor observed.
-    return "; ".join(replay) or ":"
+    _replay_stream(cache.cas_body(entry, stdout_name) if stdout_name else None, stdout_spec)
+    _replay_stream(cache.cas_body(entry, stderr_name) if stderr_name else None, stderr_spec)
+    paths = [f.filepath if hasattr(f, "filepath") else str(f) for f in declared_outputs]
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise MissingOutputs(app_name, missing)
+    return 0
+
+
+def _replay_stream(body: Optional[str], spec: Any) -> None:
+    """Leave at a ``path`` / ``(path, mode)`` redirection what bash would have.
+
+    The redirection is opened exactly as the bash executor opens it (parents
+    made, truncated or appended to as its mode says) and the recorded body,
+    if there is one, copied in; with none the file is left as opening it
+    leaves it — empty when new or truncated, which is what ``>`` leaves
+    behind a silent command.
+    """
+    handle, _path = _open_std_stream(spec)
+    if handle is None:
+        return
+    with handle:
+        if body is not None:
+            with open(body, "rb") as recorded:
+                shutil.copyfileobj(recorded, handle.buffer)
 
 
 def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
-    """Bash-app executor wrapper that ingests results into the job cache.
+    """Bash-app executor wrapper that attaches the job cache to a bash app.
 
     Runs the standard :func:`remote_side_bash_executor` with a mutable
-    ``cwl_cache_ctx`` injected for :func:`cwl_tool_command`; when the body
-    reports a cache miss (and the command then succeeded), the declared
-    output files plus the stdout/stderr redirections are stored under the
-    job's key, warming the store for every engine that shares it.
+    ``cwl_cache_ctx`` injected for :func:`cwl_tool_command`, and takes either
+    of that body's two answers.  **Hit** (the body raised :class:`_CacheHit`
+    before any redirection was opened): the invocation is finished here, in
+    process — output files restored, recorded streams put on this call's
+    redirections, declared outputs checked, exit code 0 — with no shell and
+    no subprocess.  **Miss** (the body returned a command, which then ran and
+    succeeded): the declared output files plus the stdout/stderr
+    redirections are stored under the job's key, warming the store for every
+    engine that shares it.
     """
     ctx: Dict[str, Any] = {}
     kwargs = dict(kwargs)
@@ -242,7 +276,11 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     stderr_spec = kwargs.get("stderr")
     declared_outputs = list(kwargs.get("outputs") or [])
 
-    exit_code = remote_side_bash_executor(func, *args, **kwargs)
+    try:
+        exit_code = remote_side_bash_executor(func, *args, **kwargs)
+    except _CacheHit as hit:
+        return _replay_hit(hit, getattr(func, "__name__", "bash_app"),
+                           stdout_spec, stderr_spec, declared_outputs)
 
     if ctx.get("key"):
         try:

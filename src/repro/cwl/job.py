@@ -55,7 +55,10 @@ class StagedJob:
     both scheduler cores call ``execute()`` whole (the pipelined core in its
     exec lane), none calls the steps individually.  ``cache_entry`` non-None
     means the invocation is a job cache hit: launch is a no-op and collect
-    restores instead of collecting.
+    restores instead of collecting.  On a hit ``outdir`` is the only
+    directory that exists: ``tmpdir`` (and ``runtime["tmpdir"]``) is an
+    absolute path that was never created, because nothing runs that could
+    write there, and ``evaluator`` / ``parts`` stay ``None``.
     """
 
     outdir: str
@@ -156,11 +159,7 @@ class CommandLineJob:
 
     def build(self, outdir: Optional[str] = None) -> CommandLineParts:
         """Construct the command line (without running it)."""
-        problems = self.validate_inputs()
-        if problems:
-            raise InputValidationError(
-                f"job order for tool {self.tool.id!r} is invalid: " + "; ".join(problems)
-            )
+        self._require_valid_inputs()
         outdir = outdir or self.runtime_context.ensure_outdir()
         tmpdir = self.runtime_context.make_tmpdir()
         runtime = self.runtime_context.with_resources(self.tool).runtime_object(outdir, tmpdir)
@@ -168,32 +167,56 @@ class CommandLineJob:
 
     # -------------------------------------------------------------- execution
 
+    def _require_valid_inputs(self) -> None:
+        problems = self.validate_inputs()
+        if problems:
+            raise InputValidationError(
+                f"job order for tool {self.tool.id!r} is invalid: " + "; ".join(problems)
+            )
+
+    def _probe_cache(self, record: bool) -> Tuple[RuntimeContext, Any, Optional[str], Any]:
+        """Validate the job order, then key it and probe the job cache.
+
+        The one way into the cache for :meth:`stage_execution` and
+        :meth:`cached_result`.  Touches no directory of the job: what a hit
+        or a miss needs on disk is decided by the caller afterwards.  Returns
+        ``(resourced context, cache, key, entry)``; the last three are
+        ``None`` when caching is off.
+        """
+        self._require_valid_inputs()
+        context = self.runtime_context.with_resources(self.tool)
+        cache = self.runtime_context.get_job_cache()
+        if cache is None:
+            return context, None, None, None
+        key = job_key(self.tool, self.job_order,
+                      cores=context.cores, ram_mb=context.ram_mb,
+                      extra_env=context.env)
+        return context, cache, key, cache.lookup(key, record=record)
+
+    def _make_job_dir(self) -> str:
+        return self.runtime_context.make_job_dir(
+            name=(self.tool.id or "tool").replace("/", "_") or "tool"
+        )
+
     def cached_result(self) -> Optional[JobResult]:
         """Probe the job cache without executing anything; restore on a hit.
 
         Lets runners short-circuit *before* entering their dispatch machinery
         (the Toil-like runner skips the batch-system round trip entirely).
-        A hit implies this exact invocation previously validated and executed
-        successfully, so input validation is not repeated.  A miss is not
-        counted here — the :meth:`execute` that follows records it.
+        The job order is validated, keyed and probed before any directory
+        exists; a hit then makes one directory — the job's output directory,
+        where the restored files live — and no scratch directory.  A miss
+        makes nothing and is not counted here — the :meth:`execute` that
+        follows records it.
         """
-        cache = self.runtime_context.get_job_cache()
-        if cache is None:
-            return None
-        context = self.runtime_context.with_resources(self.tool)
-        key = job_key(self.tool, self.job_order,
-                      cores=context.cores, ram_mb=context.ram_mb,
-                      extra_env=context.env)
-        entry = cache.lookup(key, record=False)
+        context, cache, _key, entry = self._probe_cache(record=False)
         if entry is None:
             return None
         cache.record_hit()
-        outdir = self.runtime_context.make_job_dir(
-            name=(self.tool.id or "tool").replace("/", "_") or "tool"
-        )
-        tmpdir = self.runtime_context.make_tmpdir()
-        runtime = context.runtime_object(outdir, tmpdir)
-        return self._restore_from_cache(cache, entry, outdir, tmpdir, runtime)
+        outdir = self._make_job_dir()
+        return self._restore_from_cache(
+            cache, entry, outdir,
+            context.runtime_object(outdir, self.runtime_context.unmade_tmpdir()))
 
     def execute(self, outdir: Optional[str] = None) -> JobResult:
         """Run the tool as a subprocess and collect its outputs.
@@ -221,36 +244,33 @@ class CommandLineJob:
     # ------------------------------------------------- pipeline: stage inputs
 
     def stage_execution(self, outdir: Optional[str] = None) -> StagedJob:
-        """Prepare everything the subprocess needs: dirs, validation, cache
-        probe, command line.  Pure staging — nothing is executed yet."""
-        outdir = outdir or self.runtime_context.make_job_dir(
-            name=(self.tool.id or "tool").replace("/", "_") or "tool"
-        )
-        os.makedirs(outdir, exist_ok=True)
+        """Prepare everything the subprocess needs: validation, cache probe,
+        dirs, command line.  Pure staging — nothing is executed yet.
+
+        Validation, key and probe come first and touch no directory.  A hit
+        makes (or takes) its output directory and returns: no scratch
+        directory, no command line.  A miss makes the output and scratch
+        directories, then builds the command line.
+        """
+        context, cache, key, entry = self._probe_cache(record=True)
+        if outdir:
+            os.makedirs(outdir, exist_ok=True)
+        else:
+            outdir = self._make_job_dir()
+        if entry is not None:
+            # Hit: skip command-line construction entirely (the key proves
+            # the resolved command would be identical).
+            tmpdir = self.runtime_context.unmade_tmpdir()
+            return StagedJob(outdir=outdir, tmpdir=tmpdir,
+                             runtime=context.runtime_object(outdir, tmpdir),
+                             cache=cache, cache_key=key, cache_entry=entry)
+
         tmpdir = self.runtime_context.make_tmpdir()
-        runtime = self.runtime_context.with_resources(self.tool).runtime_object(outdir, tmpdir)
-
-        problems = self.validate_inputs()
-        if problems:
-            raise InputValidationError(
-                f"job order for tool {self.tool.id!r} is invalid: " + "; ".join(problems)
-            )
-
-        staged = StagedJob(outdir=outdir, tmpdir=tmpdir, runtime=runtime)
-        cache = self.runtime_context.get_job_cache()
-        if cache is not None:
-            staged.cache = cache
-            staged.cache_key = job_key(self.tool, self.job_order,
-                                       cores=runtime["cores"], ram_mb=runtime["ram"],
-                                       extra_env=self.runtime_context.env)
-            staged.cache_entry = cache.lookup(staged.cache_key)
-            if staged.cache_entry is not None:
-                # Hit: skip command-line construction entirely (the key
-                # proves the resolved command would be identical).
-                return staged
-
+        staged = StagedJob(outdir=outdir, tmpdir=tmpdir,
+                           runtime=context.runtime_object(outdir, tmpdir),
+                           cache=cache, cache_key=key)
         staged.evaluator = self.make_evaluator()
-        staged.parts = build_command_line(self.tool, self.job_order, runtime,
+        staged.parts = build_command_line(self.tool, self.job_order, staged.runtime,
                                           staged.evaluator)
         if staged.parts.stdout:
             staged.stdout_path = os.path.join(outdir, staged.parts.stdout)
@@ -399,8 +419,7 @@ class CommandLineJob:
         """
         if staged.cache_entry is not None:
             return self._restore_from_cache(staged.cache, staged.cache_entry,
-                                            staged.outdir, staged.tmpdir,
-                                            staged.runtime)
+                                            staged.outdir, staged.runtime)
         parts = staged.parts
         assert parts is not None
         outputs = collect_outputs(
@@ -479,13 +498,14 @@ class CommandLineJob:
         except OSError:
             pass
 
-    def _restore_from_cache(self, cache, entry, outdir: str, tmpdir: str,
+    def _restore_from_cache(self, cache, entry, outdir: str,
                             runtime: Dict[str, Any]) -> JobResult:
         """Stage a cached invocation into ``outdir`` and re-collect its outputs.
 
         Skips command-line construction entirely (the key proves the resolved
         command would be identical), which is what makes warm re-runs of
-        expression-heavy tools near-constant time.
+        expression-heavy tools near-constant time.  There is no scratch
+        directory to clean up: a hit never made one.
         """
         logger.debug("job cache hit for %s (key %s)", self.tool.id, entry.key)
         cache.restore(entry, outdir)
@@ -503,7 +523,6 @@ class CommandLineJob:
             evaluator=self.make_evaluator(),
             compute_checksum=self.runtime_context.compute_checksum,
         )
-        self.runtime_context.cleanup_dir(tmpdir)
         if self.runtime_context.journal is not None:
             self.runtime_context.journal.record(
                 "job", tool=self.tool.id, key=entry.key, cache="hit",

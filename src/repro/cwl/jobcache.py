@@ -43,6 +43,49 @@ memoizer): restored files are hardlinks, so a consumer that *mutates* an
 output in place would corrupt the store — CWL tools treat outputs as
 immutable; and a tool that is non-deterministic or depends on un-fingerprinted
 ambient state (time, network) will happily replay its first recorded run.
+
+What a hit costs: one key (one ``stat`` per input file), one manifest read,
+one ``stat`` per CAS body and one ``link`` per restored file.  No scratch
+directory, command line, job description rewrite or process is made for the
+code segment a hit skips (see README "What a hit costs").
+
+Threat model of the content fingerprint
+---------------------------------------
+A wrong fingerprint is a wrong job key, and a wrong key can replay another
+job's outputs, so this is what :func:`file_fingerprint` does and does not
+take on trust.  A file's bytes are read when it is first seen and the digest
+is remembered under ``(st_dev, st_ino, st_size, st_mtime_ns)`` of the inode
+the path resolves to (one ``os.stat``, symlinks followed); the path itself
+is no part of the identity.
+
+*Detected, i.e. re-hashed:* a file rewritten in place when its size or its
+mtime changes; a file **replaced by rename** (``os.replace``, ``mv``,
+``cp -p`` / ``rsync -t`` / ``tar`` into place) even when the replacement has
+the same size and a preserved mtime — it is a different inode (a memo keyed
+on the path returned the old digest here); the same content under another
+name or behind a symlink, which is the *same* identity: a CAS body, the
+hardlink a hit restores from it and the Toil job store's import of that link
+are read once.  A file system that reports no inode number (``st_ino == 0``)
+is never memoized.  Independently of the memo, :meth:`JobCache.lookup`
+compares every CAS body's fingerprint with the name it is stored under and
+quarantines the entry on a mismatch, so damage to the store that the memo
+can see is never replayed.
+
+*Trusted, i.e. not detected:* the same inode rewritten in place with equal
+size inside one mtime tick of the file system (ext4 stamps from a clock that
+advances every few milliseconds), or with its mtime put back (``os.utime``,
+``touch -r``); and an inode number freed by a deletion and given to a new
+file of equal size and equal mtime (a copy from outside that preserves
+times — :func:`stage_file`'s own copies are stamped as new files for this
+reason — or a file made within the same tick) while the old digest is still
+in this process's memo.
+The inode-changing time ``st_ctime_ns`` would close both, but a hardlink
+changes it, which would make every restored file a stranger to the body it
+is a link of.  The memo is per process and bounded
+(``_FILE_HASH_MEMO_MAX``, oldest first); eviction costs a re-hash, never a
+wrong answer.  Job keys, tool fingerprints and manifest fingerprints come
+from :func:`~repro.utils.hashing.hash_obj`, which is a function of values
+only (no dependence on which parts of a key happen to be one object).
 """
 
 from __future__ import annotations
@@ -93,7 +136,8 @@ def stage_file(source: str, destination: str, overwrite: bool = True,
     ``"kept"`` when the destination existed and ``overwrite`` is false).
     Overwrites are atomic: the replacement is prepared under a temporary name
     in the destination directory and ``os.replace``d into place, so readers
-    never observe a half-staged file.
+    never observe a half-staged file.  A copy has the source's content and
+    mode and its own timestamps.
 
     ``prefer_copy=True`` skips the hardlink attempt — used whenever either
     side of the transfer lives in a *shared* directory whose files may later
@@ -102,14 +146,9 @@ def stage_file(source: str, destination: str, overwrite: bool = True,
     """
     source = os.fspath(source)
     destination = os.fspath(destination)
-    parent = os.path.dirname(os.path.abspath(destination))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-    if not overwrite and os.path.exists(destination):
-        return "kept"
-
-    if not prefer_copy and not os.path.exists(destination):
+    if not prefer_copy:
+        # The common case — a fresh name in an existing directory — is this
+        # one system call; everything below it is a fallback.
         try:
             os.link(source, destination)
             return "link"
@@ -117,51 +156,79 @@ def stage_file(source: str, destination: str, overwrite: bool = True,
             if not overwrite:
                 return "kept"
         except OSError:
-            pass  # cross-device, FS without hardlinks, odd sources: copy below
+            pass  # missing parent, cross-device, FS without hardlinks: below
+    elif not overwrite and os.path.exists(destination):
+        return "kept"
 
+    parent = os.path.dirname(os.path.abspath(destination))
     tmp = os.path.join(
         parent, f".stage-{os.getpid()}-{threading.get_ident()}-{os.path.basename(destination)}"
     )
     try:
         try:
-            if prefer_copy:
-                raise OSError("copy requested")
-            os.link(source, tmp)
-            how = "link"
-        except OSError:
-            shutil.copy2(source, tmp)
-            how = "copy"
+            how = _link_or_copy(source, tmp, prefer_copy)
+        except FileNotFoundError:
+            # The parent is made only once it has been found missing (a
+            # missing *source* raises again, as it always did).
+            os.makedirs(parent, exist_ok=True)
+            how = _link_or_copy(source, tmp, prefer_copy)
         os.replace(tmp, destination)
-    finally:
-        if os.path.exists(tmp):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return how
+
+
+def _link_or_copy(source: str, target: str, prefer_copy: bool) -> str:
+    if not prefer_copy:
+        try:
+            os.link(source, target)
+            return "link"
+        except FileNotFoundError:
+            raise
+        except OSError:
+            pass
+    # Content and mode, not times: a copy is a new file and is stamped as
+    # one.  A copy carrying its source's mtime is what it would take for a
+    # reused inode number to impersonate the file :func:`file_fingerprint`
+    # remembers under it (see "Threat model" in the module docstring).
+    shutil.copy(source, target)
+    return "copy"
 
 
 # ---------------------------------------------------------------- fingerprints
 
-#: Content-hash memo keyed by (realpath, size, mtime_ns): warm re-runs hash
-#: each distinct input file once per content change, not once per job.
+#: Content-hash memo keyed by ``(st_dev, st_ino, st_size, st_mtime_ns)``: a
+#: file is read once per content change however many paths name it, so a CAS
+#: body, the hardlink a hit restores and the Toil job store's import of that
+#: link are one entry (see "Threat model" in the module docstring).
 #: Process-global, so bounded: past the cap the oldest entries are evicted
 #: (a re-hash, never a wrong answer).
-_FILE_HASH_MEMO: Dict[Tuple[str, int, int], str] = {}
+_FILE_HASH_MEMO: Dict[Tuple[int, int, int, int], str] = {}
 _FILE_HASH_MEMO_MAX = 65536
 _FILE_HASH_LOCK = threading.Lock()
 
 
 def file_fingerprint(path: str) -> str:
-    """The sha1 of the file's *content*, memoized on (path, size, mtime)."""
-    real = os.path.realpath(path)
-    stat = os.stat(real)
-    memo_key = (real, stat.st_size, stat.st_mtime_ns)
+    """The sha1 of the file's *content*, memoized on the inode it names.
+
+    One ``os.stat`` (symlinks followed) per call; the bytes are read only
+    when no file with this device, inode, size and mtime has been hashed
+    before.  A file system that reports no inode number (``st_ino == 0``)
+    is never memoized.
+    """
+    stat = os.stat(path)
+    if not stat.st_ino:
+        return hash_file(path).split("$", 1)[1]
+    memo_key = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
     with _FILE_HASH_LOCK:
         cached = _FILE_HASH_MEMO.get(memo_key)
     if cached is not None:
         return cached
-    digest = hash_file(real).split("$", 1)[1]
+    digest = hash_file(path).split("$", 1)[1]
     with _FILE_HASH_LOCK:
         _FILE_HASH_MEMO[memo_key] = digest
         while len(_FILE_HASH_MEMO) > _FILE_HASH_MEMO_MAX:
@@ -416,17 +483,18 @@ class JobCache:
             body = self._cas_path(spec.get("cas", ""))
             # A missing, truncated or bit-flipped body (e.g. a shared file
             # later rewritten in place) quarantines the entry rather than
-            # replaying damaged data.  Size is the cheap first gate; the
-            # content fingerprint catches same-size corruption and is memoized
-            # on (path, size, mtime), so intact warm paths hash once, ever.
+            # replaying damaged data.  The content fingerprint is one ``stat``
+            # for a body this process has validated before (it is memoized on
+            # the inode), so the recorded size is looked at only to word the
+            # report of a body that failed.
             try:
-                if os.path.getsize(body) != int(spec.get("size", -1)):
-                    self._quarantine(body, f"size mismatch for entry {key}")
-                    self._quarantine(path, "stale CAS body")
-                    return None
                 if file_fingerprint(body) != spec.get("cas"):
-                    self._quarantine(body, f"content mismatch for entry {key}")
-                    self._quarantine(path, "corrupt CAS body")
+                    if os.path.getsize(body) != int(spec.get("size", -1)):
+                        self._quarantine(body, f"size mismatch for entry {key}")
+                        self._quarantine(path, "stale CAS body")
+                    else:
+                        self._quarantine(body, f"content mismatch for entry {key}")
+                        self._quarantine(path, "corrupt CAS body")
                     return None
             except OSError:
                 self._quarantine(path, f"missing CAS body {os.path.basename(body)}")
@@ -450,9 +518,11 @@ class JobCache:
 
         Zero-copy (hardlink) by default; pass ``prefer_copy=True`` when
         ``outdir`` is a *shared* directory whose files may later be rewritten
-        in place, which would otherwise alias into the store.
+        in place, which would otherwise alias into the store.  One ``link``
+        per file into an ``outdir`` that exists; a missing ``outdir`` or
+        sub-directory is made by the first file that needs it
+        (:func:`stage_file`).
         """
-        os.makedirs(outdir, exist_ok=True)
         excluded = {os.path.normpath(rel) for rel in exclude if rel}
         for rel in entry.dirs:
             os.makedirs(os.path.join(outdir, rel), exist_ok=True)
@@ -480,10 +550,8 @@ class JobCache:
         shared directories that may later be rewritten in place.
         """
         cas_id = file_fingerprint(path)
-        destination = self._cas_path(cas_id)
         size = os.path.getsize(path)
-        if not os.path.exists(destination):
-            stage_file(path, destination, overwrite=False, prefer_copy=prefer_copy)
+        stage_file(path, self._cas_path(cas_id), overwrite=False, prefer_copy=prefer_copy)
         return {"cas": cas_id, "size": size}
 
     def store_outdir(self, key: str, outdir: str, *,
@@ -600,14 +668,20 @@ def get_job_cache(cache_dir: Optional[str] = None) -> JobCache:
     """The process-wide :class:`JobCache` for ``cache_dir`` (created on demand).
 
     Keyed by real path so every engine — and every thread — pointing at the
-    same store shares one instance and therefore one set of statistics.
+    same store shares one instance and therefore one set of statistics.  The
+    real path is resolved once per *spelling* of an absolute directory and
+    remembered beside it: this runs once per job.
     """
-    directory = os.path.realpath(cache_dir or default_cache_dir())
+    directory = os.fspath(cache_dir or default_cache_dir())
     with _CACHES_LOCK:
         cache = _CACHES.get(directory)
         if cache is None:
-            cache = JobCache(directory)
-            _CACHES[directory] = cache
+            real = os.path.realpath(directory)
+            cache = _CACHES.get(real)
+            if cache is None:
+                cache = _CACHES[real] = JobCache(real)
+            if os.path.isabs(directory):
+                _CACHES[directory] = cache  # a relative name means what the cwd says
         return cache
 
 

@@ -27,8 +27,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.cwl.jobcache import stage_file
-from repro.utils.hashing import hash_file
+from repro.cwl.jobcache import file_fingerprint, stage_file
 from repro.utils.ids import RunIdGenerator
 
 
@@ -85,11 +84,18 @@ class FileJobStore:
         return os.path.join(self.jobs_dir, f"{job_id}.json")
 
     def create_job(self, name: str, requirements: Optional[Dict[str, Any]] = None,
-                   payload: Optional[Dict[str, Any]] = None) -> StoredJob:
-        """Create and persist a new job description."""
+                   payload: Optional[Dict[str, Any]] = None,
+                   state: str = "new") -> StoredJob:
+        """Create and persist a new job description: one write.
+
+        ``state`` is the state the description is born in.  A job that will
+        be issued starts as ``"new"`` and is rewritten on each transition; a
+        job whose result was already known when it was described (a job-cache
+        hit) is written once, as ``"done"``.
+        """
         with self._lock:
             job_id = f"job-{self._ids.next():06d}"
-        job = StoredJob(job_id=job_id, name=name,
+        job = StoredJob(job_id=job_id, name=name, state=state,
                         requirements=requirements or {}, payload=payload or {})
         self._write(job)
         with self._lock:
@@ -150,18 +156,20 @@ class FileJobStore:
 
         Zero-copy: the content-addressed store entry is a hardlink to the
         produced file whenever the filesystem allows it, with a copy as the
-        fallback (see :func:`repro.cwl.jobcache.stage_file`).
+        fallback (see :func:`repro.cwl.jobcache.stage_file`).  The content
+        digest comes from :func:`~repro.cwl.jobcache.file_fingerprint` (the
+        same SHA-1, memoized on the inode), so a file the job cache has
+        already hashed — every output of a cached or just-published job — is
+        not read again.
         """
-        checksum = hash_file(path).split("$", 1)[1]
-        basename = os.path.basename(path)
-        file_id = f"{checksum[:16]}-{basename}"
-        destination = os.path.join(self.files_dir, file_id)
-        if not os.path.exists(destination):
-            # stage_file reports "kept" when a concurrent importer won the
-            # race, so exactly one of the racers counts the new file.
-            if stage_file(path, destination, overwrite=False) != "kept":
-                with self._lock:
-                    self._file_count += 1
+        file_id = f"{file_fingerprint(path)[:16]}-{os.path.basename(path)}"
+        # stage_file reports "kept" when the file is already there (imported
+        # before, or a concurrent importer won the race), so exactly one
+        # importer counts the new file.
+        if stage_file(path, os.path.join(self.files_dir, file_id),
+                      overwrite=False) != "kept":
+            with self._lock:
+                self._file_count += 1
         return file_id
 
     def export_file(self, file_id: str, destination: str) -> str:

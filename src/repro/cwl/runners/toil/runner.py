@@ -13,6 +13,9 @@ Execution model (mirroring ``toil-cwl-runner``):
    :class:`~repro.cwl.workflow.WorkflowEngine`, with jobs running concurrently
    when the batch system allows it.
 
+With the job cache on, the cache is probed before step 1: a hit is never
+issued, and its description is written once, already ``done``.
+
 The per-job store writes and (for the Slurm batch system) the per-task
 scheduler round trips are what differentiate this runner's scaling behaviour
 from the Parsl bridge in Figure 1.
@@ -28,7 +31,7 @@ from repro.cwl.cow import job_order_view
 from repro.cwl.job import CommandLineJob
 from repro.cwl.runners.base import BaseRunner
 from repro.cwl.runners.toil.batch import BatchSystem, SingleMachineBatchSystem
-from repro.cwl.runners.toil.jobstore import FileJobStore
+from repro.cwl.runners.toil.jobstore import FileJobStore, StoredJob
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import is_file_value
@@ -72,12 +75,22 @@ class ToilStyleRunner(BaseRunner):
 
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
                  runtime_context: RuntimeContext) -> Dict[str, Any]:
-        stored = self.job_store.create_job(
-            name=tool.id or "tool",
-            requirements=self._job_requirements(tool),
-            payload={"inputs": _summarise_job_order(job_order)},
-        )
         cache_enabled = runtime_context.job_cache_dir() is not None
+        requirements = self._job_requirements(tool)
+        name = tool.id or "tool"
+        #: The job's one description, shared by every attempt.
+        stored: Optional[StoredJob] = None
+
+        def record(state: str, error: Optional[str] = None) -> None:
+            """Persist a state: the first call writes the description, born
+            in ``state``; later calls rewrite it."""
+            nonlocal stored
+            if stored is None:
+                stored = self.job_store.create_job(
+                    name=name, requirements=requirements,
+                    payload={"inputs": _summarise_job_order(job_order)}, state=state)
+            else:
+                self.job_store.update_job(stored, state=state, error=error)
 
         def attempt(_n: int) -> Dict[str, Any]:
             job = CommandLineJob(
@@ -88,21 +101,22 @@ class ToilStyleRunner(BaseRunner):
                 runtime_context=runtime_context,
             )
             if cache_enabled:
-                # Probe the job cache before issuing: a hit restores the
-                # outputs without the batch-system round trip (Toil likewise
-                # reuses job-store results without rescheduling the job).
+                # Probe the job cache before anything is written or issued:
+                # a hit restores the outputs without the batch-system round
+                # trip (Toil likewise reuses job-store results without
+                # rescheduling the job) and is described once, as done.
                 cached = job.cached_result()
                 if cached is not None:
                     if self.import_outputs:
                         self._import_output_files(cached.outputs)
-                    self.job_store.update_job(stored, state="done")
+                    record("done")
                     self.note_job_meta(cache="hit")
                     return cached.outputs
 
             cache_outcome: Dict[str, str] = {}
 
             def payload() -> Dict[str, Any]:
-                self.job_store.update_job(stored, state="running")
+                record("running")
                 result = job.execute()
                 if cache_enabled:
                     cache_outcome["cache"] = "hit" if result.cache_hit else "miss"
@@ -110,15 +124,17 @@ class ToilStyleRunner(BaseRunner):
                     self._import_output_files(result.outputs)
                 return result.outputs
 
-            self.job_store.update_job(stored, state="issued")
-            cores = int(self._job_requirements(tool).get("coresMin", 1))
-            future = self.batch_system.issue(stored.name, payload, cores=cores)
+            if stored is None:
+                record("new")
+            record("issued")
+            cores = int(requirements.get("coresMin", 1))
+            future = self.batch_system.issue(name, payload, cores=cores)
             try:
                 outputs = future.result()
             except Exception as exc:
-                self.job_store.update_job(stored, state="failed", error=str(exc))
+                record("failed", error=str(exc))
                 raise
-            self.job_store.update_job(stored, state="done")
+            record("done")
             if cache_outcome:
                 self.note_job_meta(**cache_outcome)
             return outputs

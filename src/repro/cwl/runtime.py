@@ -149,6 +149,16 @@ class RuntimeContext:
             self._scratch_dirs.add(path)
         return path
 
+    def unmade_tmpdir(self) -> str:
+        """Where :meth:`make_tmpdir` would put a scratch directory, not made.
+
+        What ``runtime.tmpdir`` reads on a job-cache hit: an absolute path
+        under the same prefix that does not exist, because a hit runs nothing
+        that could write there — so there is nothing to track or remove.
+        """
+        return os.path.abspath(os.path.join(
+            tempfile.gettempdir(), (self.tmpdir_prefix or "cwl-tmp-") + "unmade"))
+
     def runtime_object(self, outdir: str, tmpdir: str) -> Dict[str, Any]:
         """The ``runtime`` dictionary exposed to expressions for one job."""
         return {

@@ -10,6 +10,7 @@ Used by:
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 from typing import Any, Union
@@ -44,6 +45,13 @@ def hash_obj(obj: Any, algorithm: str = "md5") -> str:
     The object is first converted to a canonical representation: dictionaries
     are replaced by sorted item tuples recursively so that key insertion order
     does not affect the digest.  Unpicklable leaves fall back to ``repr``.
+
+    The digest is a function of *values* only.  Pickle's memo is switched off
+    (``Pickler.fast``): with it on, the second occurrence of an object pickles
+    as a back-reference, so ``(a, a)`` and ``(a, b)`` hashed differently for
+    equal strings ``a is not b`` and a job key depended on which of its parts
+    happened to share an object.  Digests therefore differ from those
+    computed before the memo was switched off.
     """
 
     def canonical(value: Any) -> Any:
@@ -56,7 +64,11 @@ def hash_obj(obj: Any, algorithm: str = "md5") -> str:
         return value
 
     try:
-        payload = pickle.dumps(canonical(obj), protocol=4)
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=4)
+        pickler.fast = True  # no memo: equal values pickle equally
+        pickler.dump(canonical(obj))
+        payload = buffer.getvalue()
     except Exception:
         payload = repr(obj).encode("utf-8")
     return hashlib.new(algorithm, payload).hexdigest()

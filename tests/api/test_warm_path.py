@@ -1,0 +1,377 @@
+"""What a job-cache hit costs, as counts — no clocks.
+
+A hit jumps from staging to collection, so it must allocate nothing for the
+segment it skips: no subprocess, no scratch directory, no command line, no
+job-description rewrite.  These tests hold all four engines to that on a
+chain + fan-in workflow and on a stdout-less tool with a declared output
+file, and pin the prerequisite that makes hits happen at all: a job key is a
+function of input *values*, not of which inputs share an object.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import subprocess
+
+import pytest
+
+import repro
+from repro import api
+from repro.core.cwl_app import (
+    cached_bash_executor,
+    cwl_tool_command,
+    resilient_bash_executor,
+)
+from repro.cwl.errors import InjectedFault
+from repro.cwl.faults import get_fault_profile
+from repro.cwl.jobcache import get_job_cache
+from repro.cwl.loader import load_document
+from repro.cwl.runners.toil.jobstore import FileJobStore
+from repro.cwl.runtime import RuntimeContext
+from repro.parsl.data_provider.files import File
+from repro.parsl.errors import MissingOutputs
+
+ENGINES = ["reference", "toil", "parsl", "parsl-workflow"]
+RUNNERS = ("reference", "toil")
+
+
+# ------------------------------------------------------------------ processes
+
+def cat_tool(arity: int, stdout: str) -> dict:
+    return {
+        "class": "CommandLineTool", "baseCommand": "cat",
+        "inputs": {f"f{i}": {"type": "File", "inputBinding": {"position": i + 1}}
+                   for i in range(arity)},
+        "outputs": {"out": "stdout"}, "stdout": stdout,
+    }
+
+
+def chain_fan_in_workflow() -> dict:
+    """shout → copy, then join reads both: a chain and a fan-in, 3 jobs."""
+    return {
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {"message": "string"},
+        "outputs": {"joined": {"type": "File", "outputSource": "join/out"},
+                    "copied": {"type": "File", "outputSource": "copy/out"}},
+        "steps": {
+            "shout": {"run": {"class": "CommandLineTool", "baseCommand": "echo",
+                              "inputs": {"message": {"type": "string",
+                                                     "inputBinding": {"position": 1}}},
+                              "outputs": {"out": "stdout"}, "stdout": "shout.txt"},
+                      "in": {"message": "message"}, "out": ["out"]},
+            "copy": {"run": cat_tool(1, "copy.txt"),
+                     "in": {"f0": "shout/out"}, "out": ["out"]},
+            "join": {"run": cat_tool(2, "join.txt"),
+                     "in": {"f0": "shout/out", "f1": "copy/out"}, "out": ["out"]},
+        },
+    }
+
+
+def made_tool() -> dict:
+    """No stdout/stderr redirection; one declared output file."""
+    return {
+        "class": "CommandLineTool",
+        "baseCommand": ["bash", "-c", "echo made > made.txt"],
+        "inputs": {},
+        "outputs": {"made": {"type": "File", "outputBinding": {"glob": "made.txt"}}},
+    }
+
+
+def one_step_workflow(tool: dict, inputs: dict) -> dict:
+    """``tool`` as the only step (``parsl-workflow`` runs Workflows only)."""
+    return {
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {name: spec["type"] for name, spec in inputs.items()},
+        "outputs": {name: {"type": "File", "outputSource": f"only/{name}"}
+                    for name in tool["outputs"]},
+        "steps": {"only": {"run": tool, "in": {name: name for name in inputs},
+                           "out": list(tool["outputs"])}},
+    }
+
+
+def file_bytes(value) -> bytes:
+    with open(value["path"], "rb") as handle:
+        return handle.read()
+
+
+def session_for(engine: str, store, workdir, monkeypatch) -> api.Session:
+    workdir.mkdir(parents=True, exist_ok=True)
+    context = RuntimeContext(tmpdir_prefix=str(workdir / "scratch" / "cwl-tmp-"))
+    options: dict = {"cache_dir": str(store)}
+    if engine in RUNNERS:
+        context = context.child(basedir=str(workdir / "jobs"))
+    if engine == "toil":
+        options["job_store_dir"] = str(workdir / "jobstore")
+    if engine.startswith("parsl"):
+        monkeypatch.chdir(workdir)
+        options["config"] = repro.thread_config(
+            max_threads=2, run_dir=str(workdir / "runinfo"))
+    return api.Session(engine=engine, runtime_context=context, **options)
+
+
+# --------------------------------------------------------------- the counters
+
+class Counted:
+    """Popen constructions, make_tmpdir calls and successful mkdirs."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.spawns = 0
+        self.tmpdirs = 0
+        self.mkdirs: list = []
+        real_popen_init = subprocess.Popen.__init__
+        real_make_tmpdir = RuntimeContext.make_tmpdir
+        real_mkdir = os.mkdir
+
+        def popen_init(popen, *args, **kwargs):
+            self.spawns += 1
+            real_popen_init(popen, *args, **kwargs)
+
+        def make_tmpdir(context):
+            self.tmpdirs += 1
+            return real_make_tmpdir(context)
+
+        def mkdir(path, *args, **kwargs):
+            real_mkdir(path, *args, **kwargs)
+            self.mkdirs.append(os.path.basename(os.fspath(path)))
+
+        monkeypatch.setattr(subprocess.Popen, "__init__", popen_init)
+        monkeypatch.setattr(RuntimeContext, "make_tmpdir", make_tmpdir)
+        monkeypatch.setattr(os, "mkdir", mkdir)
+
+    def job_dirs(self) -> list:
+        return [name for name in self.mkdirs if name.startswith("cwl-")]
+
+
+def cases_for(engine: str):
+    made = made_tool()
+    if engine == "parsl-workflow":
+        made = one_step_workflow(made, {})
+    return [("workflow", chain_fan_in_workflow(), {"message": "warm path"}, 3),
+            ("tool", made, {}, 1)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_hit_spawns_nothing_and_makes_only_its_output_directory(
+        engine, tmp_path, monkeypatch):
+    for label, process, order, jobs in cases_for(engine):
+        store = tmp_path / label / "store"
+        with session_for(engine, store, tmp_path / label / "cold", monkeypatch) as session:
+            cold = session.run(load_document(dict(process)), dict(order))
+        assert cold.jobs_run == jobs
+        assert cold.cache_stats == {"hits": 0, "misses": jobs}
+
+        warm_dir = tmp_path / label / "warm"
+        with monkeypatch.context() as patched:
+            counted = Counted(patched)
+            with session_for(engine, store, warm_dir, patched) as session:
+                warm = session.run(load_document(dict(process)), dict(order))
+
+        assert warm.jobs_run == jobs
+        assert warm.cache_stats == {"hits": jobs, "misses": 0}
+        ends = [event for event in warm.events if event.kind == "end"]
+        assert len(ends) == jobs and all(event.cache == "hit" for event in ends)
+        assert counted.spawns == 0, f"{label}: a hit spawned a process"
+        assert counted.tmpdirs == 0, f"{label}: a hit made a scratch directory"
+        # One directory per job — its output directory — on the runner
+        # engines; the Parsl engines restore into the shared cwd.
+        assert len(counted.job_dirs()) == (jobs if engine in RUNNERS else 0), counted.mkdirs
+        assert not [name for name in counted.mkdirs if name.startswith("cwl-tmp-")]
+        assert not (warm_dir / "scratch").exists()
+        assert set(warm.outputs) == set(cold.outputs)
+        for key in cold.outputs:
+            assert file_bytes(warm.outputs[key]) == file_bytes(cold.outputs[key])
+
+
+def test_toil_describes_a_hit_once_and_an_executed_job_four_times(tmp_path, monkeypatch):
+    """A hit is one write of a description born ``done``; an executed job
+    still goes new → issued → running → done (the paper's per-job store cost)."""
+    writes: list = []
+    real_write = FileJobStore._write
+
+    def counting_write(store, job):
+        writes.append((job.job_id, job.state))
+        real_write(store, job)
+
+    monkeypatch.setattr(FileJobStore, "_write", counting_write)
+    store = tmp_path / "store"
+    process, order = chain_fan_in_workflow(), {"message": "store writes"}
+
+    with session_for("toil", store, tmp_path / "cold", monkeypatch) as session:
+        cold = session.run(load_document(dict(process)), dict(order))
+    assert cold.cache_stats == {"hits": 0, "misses": 3}
+    per_job: dict = {}
+    for job_id, state in writes:
+        per_job.setdefault(job_id, []).append(state)
+    assert sorted(per_job.values()) == [["new", "issued", "running", "done"]] * 3
+
+    del writes[:]
+    with session_for("toil", store, tmp_path / "warm", monkeypatch) as session:
+        warm = session.run(load_document(dict(process)), dict(order))
+        described = FileJobStore(str(tmp_path / "warm" / "jobstore")).list_jobs()
+    assert warm.cache_stats == {"hits": 3, "misses": 0}
+    assert sorted(state for _job, state in writes) == ["done"] * 3
+    assert len({job_id for job_id, _state in writes}) == 3
+    assert [job.state for job in described] == ["done"] * 3
+    assert warm.details["job_store"].get("done") == 3
+
+
+# ------------------------------------------ keys are functions of values only
+
+def two_file_order(first, second) -> dict:
+    return {"f0": {"class": "File", "path": str(first)},
+            "f1": {"class": "File", "path": str(second)}}
+
+
+@pytest.fixture
+def equal_files(tmp_path):
+    """``d1/x.txt`` and ``d2/x.txt``: equal bytes, equal basename, two inodes."""
+    paths = []
+    for directory in ("d1", "d2"):
+        (tmp_path / directory).mkdir()
+        path = tmp_path / directory / "x.txt"
+        path.write_text("equal bytes\n")
+        paths.append(path)
+    return paths
+
+
+def cat_process(engine: str) -> dict:
+    tool = cat_tool(2, "joined.txt")
+    if engine == "parsl":
+        return tool  # the single-tool path of the Parsl engine
+    return one_step_workflow(tool, tool["inputs"])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_equal_inputs_hit_whatever_objects_they_share(engine, equal_files,
+                                                      tmp_path, monkeypatch):
+    """Warm with ``cat d1/x.txt d1/x.txt``; ``cat d1/x.txt d2/x.txt`` must hit.
+
+    The key is documented as path-independent, but ``hash_obj`` pickled with
+    a memo, so the digest depended on whether the two inputs' fingerprints
+    were one string object (same path) or two (different paths).
+    """
+    d1, d2 = equal_files
+    store = tmp_path / "store"
+    process = cat_process(engine)
+    with session_for(engine, store, tmp_path / "cold", monkeypatch) as session:
+        cold = session.run(load_document(dict(process)), two_file_order(d1, d1))
+    assert cold.cache_stats == {"hits": 0, "misses": 1}
+    with session_for(engine, store, tmp_path / "warm", monkeypatch) as session:
+        warm = session.run(load_document(dict(process)), two_file_order(d1, d2))
+    assert warm.cache_stats == {"hits": 1, "misses": 0}
+    assert file_bytes(warm.outputs["out"]) == file_bytes(cold.outputs["out"]) \
+        == b"equal bytes\nequal bytes\n"
+
+
+def test_store_warmed_with_shared_inputs_hits_on_every_other_engine(
+        equal_files, tmp_path, monkeypatch):
+    d1, d2 = equal_files
+    store = tmp_path / "store"
+    with session_for("reference", store, tmp_path / "reference", monkeypatch) as session:
+        cold = session.run(load_document(dict(cat_process("reference"))),
+                           two_file_order(d1, d1))
+    assert cold.cache_stats == {"hits": 0, "misses": 1}
+    for engine in ("toil", "parsl", "parsl-workflow"):
+        with session_for(engine, store, tmp_path / engine, monkeypatch) as session:
+            warm = session.run(load_document(dict(cat_process(engine))),
+                               two_file_order(d1, d2))
+        assert warm.cache_stats == {"hits": 1, "misses": 0}, engine
+        assert file_bytes(warm.outputs["out"]) == file_bytes(cold.outputs["out"])
+
+
+# -------------------------------------- the Parsl app path, executor by executor
+
+def echo_tool_raw() -> dict:
+    return {
+        "class": "CommandLineTool", "baseCommand": "echo", "id": "echo_app",
+        "inputs": {"message": {"type": "string", "inputBinding": {"position": 1}}},
+        "outputs": {"out": "stdout"}, "stdout": "echoed.txt",
+    }
+
+
+def app_body(tool: dict):
+    body = functools.partial(cwl_tool_command, tool, None)
+    body.__name__ = tool.get("id", "app")  # type: ignore[attr-defined]
+    return body
+
+
+@pytest.fixture
+def primed(tmp_path, monkeypatch):
+    """A store holding one ``echo recorded`` run made through the app path."""
+    monkeypatch.chdir(tmp_path)
+    store = str(tmp_path / "store")
+    kwargs = {"cwl_inputs": {"message": "recorded"}, "cwl_cache_dir": store}
+    assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
+                                **kwargs) == 0
+    assert (tmp_path / "echoed.txt").read_text() == "recorded\n"
+    assert get_job_cache(store).snapshot()["stores"] == 1
+    return kwargs
+
+
+def test_hit_appends_when_the_redirection_mode_says_so(primed, tmp_path, monkeypatch):
+    counted = Counted(monkeypatch)
+    log = tmp_path / "logs" / "all.txt"
+    log.parent.mkdir()
+    log.write_text("before\n")
+    note: dict = {}
+    assert cached_bash_executor(app_body(echo_tool_raw()), stdout=(str(log), "a"),
+                                cwl_cache_note=note, **primed) == 0
+    assert note == {"cache": "hit"}
+    assert log.read_text() == "before\nrecorded\n"
+    # A truncating redirection onto a name the entry was not recorded under.
+    other = tmp_path / "fresh" / "other.txt"
+    assert cached_bash_executor(app_body(echo_tool_raw()), stdout=str(other),
+                                **primed) == 0
+    assert other.read_text() == "recorded\n"
+    assert counted.spawns == 0
+
+
+def test_hit_leaves_an_empty_file_for_a_stream_nothing_was_recorded_for(
+        primed, tmp_path, monkeypatch):
+    """The entry holds no stderr body; bash's ``2> err.txt`` around a silent
+    command leaves an empty file, and so does the in-process hit."""
+    counted = Counted(monkeypatch)
+    stale = tmp_path / "err.txt"
+    stale.write_text("left over from an earlier run\n")
+    kept = tmp_path / "appended-err.txt"
+    kept.write_text("kept\n")
+    assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
+                                stderr="err.txt", **primed) == 0
+    assert stale.read_text() == ""
+    assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
+                                stderr=(str(kept), "a"), **primed) == 0
+    assert kept.read_text() == "kept\n"
+    assert counted.spawns == 0
+
+
+def test_hit_still_checks_declared_outputs(primed, tmp_path):
+    with pytest.raises(MissingOutputs) as raised:
+        cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
+                             outputs=[File("echoed.txt"), File("never-made.txt")],
+                             **primed)
+    assert "never-made.txt" in str(raised.value)
+
+
+def test_injected_fault_fires_before_the_probe(primed):
+    """``fatal-all``: every attempt fails before the app body runs, so the
+    store sees no lookup — no hit is counted, nothing is restored."""
+    profile = get_fault_profile("fatal-all")
+    cache = get_job_cache(primed["cwl_cache_dir"])
+    before = cache.snapshot()
+    note: dict = {}
+    retries: list = []
+    with pytest.raises(InjectedFault):
+        resilient_bash_executor(
+            app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
+            cwl_fault_plan=profile.make_plan(), cwl_retry_policy=profile.policy,
+            cwl_retry_note=retries, cwl_job_name="echo_app", **primed)
+    assert cache.snapshot() == before
+    assert note == {}
+    assert len(retries) == profile.policy.max_attempts - 1
+    # Without the plan the same call is a plain hit.
+    assert resilient_bash_executor(
+        app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
+        cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed) == 0
+    assert note == {"cache": "hit"}
+    assert cache.snapshot()["hits"] == before["hits"] + 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import shutil
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from repro.cwl.jobcache import (
 )
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.runtime import RuntimeContext
+from repro.utils.hashing import hash_file
 
 
 def echo_tool(message_default: str = "hi", stdout: str = "out.txt") -> dict:
@@ -286,10 +288,10 @@ def test_workflow_scatter_shards_share_one_store(tmp_path):
 def test_file_fingerprint_memoizes_and_invalidates(tmp_path, monkeypatch):
     """N consumers of one input hash it once; size or mtime changes re-hash.
 
-    The memo key is (realpath, size, mtime_ns): repeated fingerprints of an
-    unchanged file never re-read its content, while any visible change —
-    different size, same size but newer mtime — drops straight through to a
-    fresh content hash.
+    The memo key is (st_dev, st_ino, st_size, st_mtime_ns): repeated
+    fingerprints of an unchanged file never re-read its content, while any
+    visible change — different size, same size but newer mtime — drops
+    straight through to a fresh content hash.
     """
     import repro.cwl.jobcache as jobcache
 
@@ -319,7 +321,7 @@ def test_file_fingerprint_memoizes_and_invalidates(tmp_path, monkeypatch):
     third = file_fingerprint(str(data))
     assert third != second and len(hashed) == 3
 
-    # Symlinks resolve to the realpath: no duplicate hashing via an alias.
+    # Symlinks are followed to the inode: no duplicate hashing via an alias.
     alias = tmp_path / "alias.txt"
     alias.symlink_to(data)
     assert file_fingerprint(str(alias)) == third
@@ -337,10 +339,142 @@ def test_file_fingerprint_memo_is_bounded(tmp_path, monkeypatch):
     for index in range(cap + extra):
         path = tmp_path / f"input_{index}.txt"
         path.write_text(f"content {index}")
-        paths.append(os.path.realpath(path))
+        paths.append(str(path))
         file_fingerprint(str(path))
         assert len(jobcache._FILE_HASH_MEMO) <= cap
-    memoized = [key[0] for key in jobcache._FILE_HASH_MEMO]
-    assert memoized == paths[extra:]
+    # Keys are (st_dev, st_ino, st_size, st_mtime_ns); the survivors are the
+    # newest ``cap`` files, in the order they were hashed.
+    memoized = [key[:2] for key in jobcache._FILE_HASH_MEMO]
+    assert memoized == [(os.stat(path).st_dev, os.stat(path).st_ino)
+                        for path in paths[extra:]]
     # An evicted file still fingerprints correctly (it is simply re-hashed).
     assert file_fingerprint(paths[0]) == jobcache.hash_file(paths[0]).split("$", 1)[1]
+
+
+# ------------------------------------------------- fingerprint soundness
+# Counts of hash_file calls, never clocks: the memo is sound when the bytes
+# are read again exactly when the file behind the path may have changed.
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """A fresh memo plus the list of paths whose bytes were actually read."""
+    import repro.cwl.jobcache as jobcache
+
+    reads = []
+    real_hash_file = jobcache.hash_file
+
+    def counting_hash_file(path):
+        reads.append(os.fspath(path))
+        return real_hash_file(path)
+
+    monkeypatch.setattr(jobcache, "_FILE_HASH_MEMO", {})
+    monkeypatch.setattr(jobcache, "hash_file", counting_hash_file)
+    return reads
+
+
+def test_hardlink_of_a_hashed_file_is_a_memo_hit(tmp_path, hashed):
+    """One inode, however many names: the CAS body, the link a hit restores
+    and the job store's import of it are read once."""
+    body = tmp_path / "cas-body"
+    body.write_text("the same bytes")
+    first = file_fingerprint(str(body))
+    (tmp_path / "job").mkdir()
+    restored = tmp_path / "job" / "out.txt"
+    os.link(body, restored)
+    imported = tmp_path / "imported-out.txt"
+    os.link(restored, imported)
+    assert file_fingerprint(str(restored)) == first
+    assert file_fingerprint(str(imported)) == first
+    assert hashed == [str(body)]
+    # A *copy* is another inode: equal digest, but its bytes are read.
+    copy = tmp_path / "copy.txt"
+    shutil.copy2(body, copy)
+    assert file_fingerprint(str(copy)) == first
+    assert hashed == [str(body), str(copy)]
+
+
+def test_file_rewritten_in_place_is_rehashed(tmp_path, hashed):
+    data = tmp_path / "input.txt"
+    data.write_text("aaaa")
+    before = file_fingerprint(str(data))
+    inode = os.stat(data).st_ino
+
+    with open(data, "r+") as handle:   # same inode, new size
+        handle.write("bbbbbb")
+    assert os.stat(data).st_ino == inode
+    grown = file_fingerprint(str(data))
+    assert grown != before and len(hashed) == 2
+
+    stat = os.stat(data)
+    with open(data, "r+") as handle:   # same inode, same size, later mtime
+        handle.write("cccccc")
+    os.utime(data, ns=(stat.st_atime_ns, stat.st_mtime_ns + 5_000_000))
+    assert os.stat(data).st_ino == inode
+    assert file_fingerprint(str(data)) not in (before, grown)
+    assert len(hashed) == 3
+
+
+def test_file_replaced_by_rename_with_preserved_mtime_is_rehashed(tmp_path, hashed):
+    """``cp -p`` / ``rsync -t`` / ``tar``: a new file of equal size carrying
+    the old mtime is renamed over the path.  A memo keyed on (path, size,
+    mtime) answered with the old digest here — a wrong job key."""
+    data = tmp_path / "input.txt"
+    data.write_text("old bytes")
+    old = file_fingerprint(str(data))
+    stat = os.stat(data)
+
+    replacement = tmp_path / ".input.txt.new"
+    replacement.write_text("new bytes")
+    os.utime(replacement, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    os.replace(replacement, data)
+
+    after = os.stat(data)
+    assert (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert after.st_ino != stat.st_ino
+    new = file_fingerprint(str(data))
+    assert new != old
+    assert new == hash_file(str(data)).split("$", 1)[1]
+    assert len(hashed) == 2
+
+
+def test_file_without_an_inode_number_is_never_memoized(tmp_path, hashed, monkeypatch):
+    """Some FUSE and network file systems report ``st_ino == 0`` for every
+    file; two such files must never share a memo entry."""
+    import repro.cwl.jobcache as jobcache
+
+    first = tmp_path / "a.txt"
+    second = tmp_path / "b.txt"
+    first.write_text("11111")
+    second.write_text("22222")
+    stamp = os.stat(first)
+    os.utime(second, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    real_stat = os.stat
+
+    def inodeless_stat(path, *args, **kwargs):
+        result = real_stat(path, *args, **kwargs)
+        return os.stat_result((result.st_mode, 0) + tuple(result)[2:10])
+
+    with monkeypatch.context() as patched:
+        patched.setattr(jobcache.os, "stat", inodeless_stat)
+        assert file_fingerprint(str(first)) != file_fingerprint(str(second))
+        assert file_fingerprint(str(first)) == file_fingerprint(str(first))
+    assert len(hashed) == 4, "an inode-less file was served from the memo"
+    assert jobcache._FILE_HASH_MEMO == {}
+
+
+def test_a_staged_copy_is_stamped_as_a_new_file(tmp_path):
+    """``stage_file``'s copies carry content and mode, not the source's mtime:
+    a restored copy that kept its CAS body's mtime could, on a reused inode
+    number, match the memo entry of the equal-sized file that had the inode
+    before (two outputs written in one timestamp tick)."""
+    source = tmp_path / "body"
+    source.write_text("#!/bin/sh\n")
+    source.chmod(0o755)
+    long_ago = 1_000_000_000 * 10**9
+    os.utime(source, ns=(long_ago, long_ago))
+    copy = tmp_path / "restored" / "tool.sh"
+    assert stage_file(str(source), str(copy), prefer_copy=True) == "copy"
+    assert copy.read_text() == "#!/bin/sh\n"
+    assert os.stat(copy).st_mode & 0o777 == 0o755
+    assert os.stat(copy).st_mtime_ns != long_ago
+    assert file_fingerprint(str(copy)) == file_fingerprint(str(source))

@@ -53,3 +53,37 @@ def test_hash_obj_is_deterministic(payload):
 def test_hash_obj_lists_vs_tuples_equal_canonicalisation(items):
     # Lists and tuples canonicalise identically (documented behaviour).
     assert hash_obj(items) == hash_obj(tuple(items))
+
+
+def _distinct_equal_strings():
+    a = "x" * 40
+    b = "".join(["x"] * 40)
+    assert a == b and a is not b
+    return a, b
+
+
+def test_hash_obj_is_a_function_of_values_not_object_identity():
+    """Equal values hash equal whatever objects they share.
+
+    With pickle's memo on, the second occurrence of an object pickled as a
+    back-reference, so ``(a, a)`` and ``(a, b)`` differed for equal strings
+    ``a is not b`` — and a job key differed between the run that primed a
+    cache store and the run that read it.
+    """
+    a, b = _distinct_equal_strings()
+    assert hash_obj((a, a)) == hash_obj((a, b)) == hash_obj((b, a))
+    assert hash_obj([a, [a, {"k": a}]]) == hash_obj([a, [b, {"k": "x" * 40}]])
+    assert hash_obj({"p": a, "q": a}) == hash_obj({"p": a, "q": b})
+    assert hash_obj({"p": (a, a), "q": [a]}) == hash_obj({"q": [b], "p": (b, a)})
+    shared = ("File", "x.txt", a)
+    assert hash_obj((("f0", shared), ("f1", shared))) == \
+        hash_obj((("f0", ("File", "x.txt", a)), ("f1", ("File", "x.txt", b))))
+    # ... while different values still hash differently.
+    assert hash_obj((a, a)) != hash_obj((a, a + "y"))
+    assert hash_obj((1, True, 1.0)) != hash_obj((1, 1, 1))
+
+
+def test_hash_obj_self_referential_value_still_hashes():
+    loop: list = []
+    loop.append(loop)
+    assert isinstance(hash_obj(loop), str)
