@@ -13,13 +13,16 @@ in Python.  The supported keys:
     workers_per_node: 8
     max_threads: 8            # thread-pool
     max_workers: 4            # process-pool
-    retries: 0
+    partition: normal         # slurm
+    walltime: "00:30:00"      # htex
     run_dir: runinfo
-    app_cache: true
     label: htex
 
 Unknown keys raise immediately — misspelling ``workers_per_node`` should not
-silently fall back to a default.
+silently fall back to a default.  The file configures the Parsl runtime only:
+how a run retries, caches and resumes are run options (``retry_policy=``,
+``cache_dir=``, ``--rundir``), so a ``retries:`` key is rejected like any
+other unknown one, with a pointer to its successor.
 """
 
 from __future__ import annotations
@@ -39,9 +42,15 @@ if TYPE_CHECKING:
 
 _KNOWN_KEYS = {
     "executor", "provider", "nodes", "cores_per_node", "workers_per_node",
-    "max_threads", "max_workers", "retries", "run_dir",
-    "app_cache", "label", "monitoring", "partition", "walltime",
+    "max_threads", "max_workers", "run_dir",
+    "label", "partition", "walltime",
 }
+
+_RETRIES_MOVED = (
+    "; retries are a run option, not a Parsl setting: pass retry_policy= to "
+    "api.run / Session / CWLApp(runtime_context=...), or --retries to "
+    "repro-cwltool / repro-toil-cwl-runner"
+)
 
 _EXECUTOR_ALIASES = {
     "htex": "htex",
@@ -73,6 +82,7 @@ def config_from_dict(document: Dict[str, Any],
     if unknown:
         raise ConfigurationError(
             f"unknown configuration key(s) {sorted(unknown)}; supported keys are {sorted(_KNOWN_KEYS)}"
+            + (_RETRIES_MOVED if "retries" in unknown else "")
         )
 
     executor_name = _EXECUTOR_ALIASES.get(str(document.get("executor", "thread-pool")).lower())
@@ -95,13 +105,7 @@ def config_from_dict(document: Dict[str, Any],
             max_workers_per_node=int(document.get("workers_per_node", 4)),
         )
 
-    return Config(
-        executors=[executor],
-        retries=int(document.get("retries", 0)),
-        app_cache=bool(document.get("app_cache", True)),
-        run_dir=str(document.get("run_dir", "runinfo")),
-        monitoring=bool(document.get("monitoring", False)),
-    )
+    return Config(executors=[executor], run_dir=str(document.get("run_dir", "runinfo")))
 
 
 def _build_provider(document: Dict[str, Any], cluster: Optional[SimulatedSlurmCluster]):

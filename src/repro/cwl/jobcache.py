@@ -38,11 +38,11 @@ placeholders) and folds it into the reported ``fingerprint``; the command
 line is fully determined by the key's components, which is what lets a warm
 run skip rebuilding it.
 
-Known caveats (shared with cwltool's ``--cachedir`` and Parsl's app
-memoizer): restored files are hardlinks, so a consumer that *mutates* an
-output in place would corrupt the store — CWL tools treat outputs as
-immutable; and a tool that is non-deterministic or depends on un-fingerprinted
-ambient state (time, network) will happily replay its first recorded run.
+Known caveats (shared with cwltool's ``--cachedir``): restored files are
+hardlinks, so a consumer that *mutates* an output in place would corrupt the
+store — CWL tools treat outputs as immutable; and a tool that is
+non-deterministic or depends on un-fingerprinted ambient state (time, network)
+will happily replay its first recorded run.
 
 What a hit costs: one key (one ``stat`` per input file), one manifest read,
 one ``stat`` per CAS body and one ``link`` per restored file.  No scratch

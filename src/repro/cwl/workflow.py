@@ -76,7 +76,7 @@ ProcessRunner = Callable[[Process, Dict[str, Any], RuntimeContext], Dict[str, An
 
 @dataclass
 class StepExecutionRecord:
-    """Bookkeeping for one step execution (exposed for tests and monitoring)."""
+    """Bookkeeping for one step execution (exposed for tests)."""
 
     step_id: str
     scattered: bool = False

@@ -7,7 +7,7 @@ command line to execute in a subshell.  ``@join_app`` marks a function that
 itself returns futures; the app completes when the inner futures do.
 
 The decorators may be used bare (``@python_app``) or with arguments
-(``@python_app(cache=True, executors=["htex"])``), matching Parsl's API.
+(``@python_app(executors=["htex"])``), matching Parsl's API.
 """
 
 from __future__ import annotations
@@ -41,14 +41,10 @@ class AppBase:
         func: Callable,
         data_flow_kernel: Optional[DataFlowKernel] = None,
         executors: Union[str, Sequence[str], None] = "all",
-        cache: bool = False,
-        ignore_for_cache: Sequence[str] = (),
     ) -> None:
         self.func = func
         self.data_flow_kernel = data_flow_kernel
         self.executor_label = _resolve_executor_label(executors)
-        self.cache = cache
-        self.ignore_for_cache = tuple(ignore_for_cache)
         functools.update_wrapper(self, func)
 
     def _dfk(self) -> DataFlowKernel:
@@ -75,8 +71,6 @@ class PythonApp(AppBase):
             kwargs,
             app_type="python",
             executor_label=self.executor_label,
-            cache=self.cache,
-            ignore_for_cache=self.ignore_for_cache,
         )
 
 
@@ -94,8 +88,6 @@ class BashApp(AppBase):
             kwargs,
             app_type="bash",
             executor_label=self.executor_label,
-            cache=self.cache,
-            ignore_for_cache=self.ignore_for_cache,
         )
 
 
@@ -111,8 +103,6 @@ class JoinApp(AppBase):
             kwargs,
             app_type="join",
             executor_label=self.executor_label,
-            cache=self.cache,
-            ignore_for_cache=self.ignore_for_cache,
             join=True,
         )
 
@@ -124,16 +114,12 @@ def _make_decorator(app_class: type) -> Callable:
         function: Optional[Callable] = None,
         data_flow_kernel: Optional[DataFlowKernel] = None,
         executors: Union[str, List[str], None] = "all",
-        cache: bool = False,
-        ignore_for_cache: Sequence[str] = (),
     ):
         def wrap(func: Callable):
             return app_class(
                 func,
                 data_flow_kernel=data_flow_kernel,
                 executors=executors,
-                cache=cache,
-                ignore_for_cache=ignore_for_cache,
             )
 
         if function is not None:

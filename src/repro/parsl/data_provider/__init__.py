@@ -1,6 +1,5 @@
-"""Data management for the Parsl-like library: the ``File`` abstraction and staging."""
+"""Data management for the Parsl-like library: the ``File`` abstraction."""
 
 from repro.parsl.data_provider.files import File
-from repro.parsl.data_provider.staging import DataManager, NoOpStaging, Staging
 
-__all__ = ["DataManager", "File", "NoOpStaging", "Staging"]
+__all__ = ["File"]

@@ -1,17 +1,17 @@
 """The Parsl ``File`` abstraction.
 
 A :class:`File` names a piece of data independently of where an app executes.
-In full Parsl, Files can carry remote schemes (``globus://``, ``https://`` …) and
-are translated by staging providers; here local ``file://`` paths are the common
-case, but the URL parsing, scheme handling and equality semantics are kept so
-that the CWL bridge (which converts CWL ``File`` inputs into Parsl Files, §III-A
-of the paper) behaves like the original.
+In full Parsl, Files can carry remote schemes (``globus://``, ``https://`` …);
+here only local ``file`` paths can be opened — getting a file to where a job
+runs is the CWL layer's job (``stage_file``) — but the URL parsing, scheme
+handling and equality semantics are kept so that the CWL bridge (which converts
+CWL ``File`` inputs into Parsl Files, §III-A of the paper) behaves like the
+original.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 from urllib.parse import urlparse
 
 
@@ -36,18 +36,14 @@ class File:
         self.scheme = parsed.scheme if parsed.scheme else "file"
         self.netloc = parsed.netloc
         self.path = parsed.path if parsed.scheme else self.url
-        # local_path is set by staging providers once the file is available locally.
-        self.local_path: Optional[str] = None
 
     @property
     def filepath(self) -> str:
         """The path apps should use to access the file on the execution side."""
-        if self.local_path is not None:
-            return self.local_path
         if self.scheme in ("file", ""):
             return self.path
         raise ValueError(
-            f"File {self.url!r} has scheme {self.scheme!r} and no local_path; it must be staged first"
+            f"File {self.url!r} has scheme {self.scheme!r}; only local files can be opened"
         )
 
     @property
@@ -56,7 +52,7 @@ class File:
         return os.path.basename(self.path)
 
     def is_remote(self) -> bool:
-        """Whether this file needs staging before local access."""
+        """Whether this file lives somewhere other than the local filesystem."""
         return self.scheme not in ("file", "")
 
     def exists(self) -> bool:
@@ -69,10 +65,6 @@ class File:
     def size(self) -> int:
         """Size in bytes of the local file."""
         return os.stat(self.filepath).st_size
-
-    def cleancopy(self) -> "File":
-        """Return a fresh File with the same URL but no staging state."""
-        return File(self.url)
 
     def __fspath__(self) -> str:
         return self.filepath

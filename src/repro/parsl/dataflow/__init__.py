@@ -1,4 +1,4 @@
-"""The dataflow kernel: futures, task records, memoization and the DFK itself."""
+"""The dataflow kernel: futures, task records, task states and the DFK itself."""
 
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
 from repro.parsl.dataflow.states import States

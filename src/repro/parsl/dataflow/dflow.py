@@ -3,23 +3,27 @@
 The DFK is the heart of the Parsl programming model: every app invocation is
 submitted to it, it tracks dependencies between tasks through the futures passed
 as arguments, launches tasks on executors once their dependencies are met,
-handles retries, memoization and join apps, and exposes the familiar module
-level ``load`` / ``dfk`` / ``clear`` entry points through
-:class:`DataFlowKernelLoader`.
+handles join apps, and exposes the familiar module level ``load`` / ``dfk`` /
+``clear`` entry points through :class:`DataFlowKernelLoader`.
+
+That is all it does.  A task runs once: a failure is final here, and whether
+it is attempted again is decided by the run's one
+:class:`~repro.cwl.retry.RetryPolicy` (:mod:`repro.cwl.retry`).  Result reuse
+is :mod:`repro.cwl.jobcache`, resume is :mod:`repro.cwl.journal`, per-job
+events are :class:`~repro.api.events.JobEvent`, and files reach a job through
+the CWL layer's staging — the kernel has no second copy of any of them.
 """
 
 from __future__ import annotations
 
-import os
 import threading
+from collections import Counter
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.parsl.config import Config
 from repro.parsl.data_provider.files import File
-from repro.parsl.data_provider.staging import DataManager
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
-from repro.parsl.dataflow.memoization import Memoizer
 from repro.parsl.dataflow.rundirs import make_rundir
 from repro.parsl.dataflow.states import States
 from repro.parsl.dataflow.taskrecord import TaskRecord
@@ -30,7 +34,6 @@ from repro.parsl.errors import (
     JoinError,
     NoDataFlowKernelError,
 )
-from repro.parsl.monitoring.monitoring import MonitoringHub
 from repro.utils.ids import RunIdGenerator
 from repro.utils.logging_config import configure_logging, get_logger
 
@@ -47,18 +50,14 @@ class DataFlowKernel:
         self.run_dir = make_rundir(config.run_dir)
         configure_logging(run_dir=self.run_dir, stream=False)
 
+        #: The tasks that have not finished yet.  A record leaves when it is
+        #: final (its AppFuture still reaches it), so a long-lived kernel does
+        #: not grow with the number of invocations it has served.
         self.tasks: Dict[int, TaskRecord] = {}
+        self._finished_counts: Counter = Counter()
         self._task_id = RunIdGenerator()
-        self._tasks_lock = threading.Lock()
+        self._tasks_changed = threading.Condition()
         self._shutdown = False
-
-        self.memoizer = Memoizer(enabled=config.app_cache,
-                                 checkpoint_files=config.checkpoint_files)
-        self.data_manager = DataManager(config.staging_providers)
-        self.monitoring: Optional[MonitoringHub] = None
-        if config.monitoring:
-            self.monitoring = MonitoringHub(run_dir=self.run_dir)
-            self.monitoring.start()
 
         self.executors: Dict[str, Any] = {}
         labels = [executor.label for executor in config.executors]
@@ -80,8 +79,6 @@ class DataFlowKernel:
         app_kwargs: Dict[str, Any],
         app_type: str = "python",
         executor_label: str = "all",
-        cache: bool = False,
-        ignore_for_cache: Sequence[str] = (),
         join: bool = False,
     ) -> AppFuture:
         """Register one app invocation and return its :class:`AppFuture`."""
@@ -97,9 +94,6 @@ class DataFlowKernel:
             kwargs=dict(app_kwargs),
             app_type="join" if join else app_type,
             executor=executor_label,
-            retries_left=self.config.retries,
-            memoize=cache,
-            ignore_for_cache=tuple(ignore_for_cache),
         )
         app_future = AppFuture(record)
         record.app_future = app_future
@@ -114,22 +108,9 @@ class DataFlowKernel:
         if outputs:
             record.kwargs["outputs"] = normalized_outputs
 
-        # Stage in File arguments (inputs kwarg and any File anywhere in args).
-        inputs = record.kwargs.get("inputs") or []
-        staged_inputs = []
-        for item in inputs:
-            if isinstance(item, File):
-                staged_inputs.append(self.data_manager.stage_in(item))
-            else:
-                staged_inputs.append(item)
-        if inputs:
-            record.kwargs["inputs"] = staged_inputs
-
-        with self._tasks_lock:
+        with self._tasks_changed:
             self.tasks[task_id] = record
         record.transition(States.pending)
-        if self.monitoring:
-            self.monitoring.send_task_event(record)
 
         # Collect dependencies and register launch-on-completion callbacks.
         depends = self._gather_dependencies(record.args, record.kwargs)
@@ -137,7 +118,7 @@ class DataFlowKernel:
         logger.debug("task %s (%s) has %d dependencies", task_id, record.func_name, len(depends))
 
         if not depends:
-            self._launch_if_ready(record)
+            self._launch(record)
         else:
             pending = {"count": len(depends)}
             pending_lock = threading.Lock()
@@ -147,7 +128,7 @@ class DataFlowKernel:
                     pending["count"] -= 1
                     remaining = pending["count"]
                 if remaining == 0:
-                    self._launch_if_ready(rec)
+                    self._launch(rec)
 
             for dep in depends:
                 dep.add_done_callback(_dependency_done)
@@ -176,55 +157,26 @@ class DataFlowKernel:
 
     # ------------------------------------------------------------- launching
 
-    def _launch_if_ready(self, record: TaskRecord) -> None:
+    def _launch(self, record: TaskRecord) -> None:
         """Launch ``record`` onto an executor, or fail it if a dependency failed.
 
-        The executor submission (and the completion callback registration) happen
-        *outside* the task lock: a fast-failing task's future can be complete by
-        the time the callback is attached, which would re-enter this method from
-        the same call stack during a retry and deadlock on the non-reentrant lock.
+        Called once per record: by :meth:`submit` when there is nothing to wait
+        for, otherwise by the last dependency to finish.
         """
-        with record.lock:
-            if record.status not in (States.pending, States.retry):
-                return
-
-            failed_deps = [d for d in record.depends if d.done() and d.exception() is not None]
-            if failed_deps:
-                record.transition(States.dep_fail)
-                error = DependencyError([d.exception() for d in failed_deps], record.id)
-                record.app_future.set_exception(error)
-                self._record_event(record)
-                return
-
-            args, kwargs = self._sanitize_arguments(record)
-
-            memo_result = self.memoizer.check(record)
-            if memo_result is not None:
-                record.from_memo = True
-                record.transition(States.memo_done)
-                record.app_future.set_result(memo_result)
-                self._record_event(record)
-                return
-
-            try:
-                executor = self._executor_for(record.executor)
-            except Exception as exc:
-                record.transition(States.failed)
-                record.app_future.set_exception(exc)
-                self._record_event(record)
-                return
-            record.transition(States.launched)
-            self._record_event(record)
-
+        dep_errors = [e for e in (d.exception() for d in record.depends) if e is not None]
+        if dep_errors:
+            self._finish(record, States.dep_fail,
+                         exception=DependencyError(dep_errors, record.id))
+            return
         try:
+            args, kwargs = self._sanitize_arguments(record)
+            executor = self._executor_for(record.executor)
+            record.transition(States.launched)
             exec_future = executor.submit(record.func, record.resource_spec, *args, **kwargs)
         except Exception as exc:
-            logger.exception("executor submission failed for task %s", record.id)
-            record.transition(States.failed)
-            record.app_future.set_exception(exc)
-            self._record_event(record)
+            logger.exception("task %s could not be launched", record.id)
+            self._finish(record, States.failed, exception=exc)
             return
-        record.executor_future = exec_future
         exec_future.add_done_callback(lambda fut, rec=record: self._handle_exec_done(rec, fut))
 
     def _executor_for(self, label: str):
@@ -273,34 +225,15 @@ class DataFlowKernel:
     def _handle_exec_done(self, record: TaskRecord, exec_future: Future) -> None:
         exc = exec_future.exception()
         if exc is not None:
-            self._handle_failure(record, exc)
-            return
-
-        result = exec_future.result()
-        if record.app_type == "join":
-            self._handle_join(record, result)
-            return
-        self._finalize_success(record, result)
-
-    def _handle_failure(self, record: TaskRecord, exc: BaseException) -> None:
-        record.fail_count += 1
-        record.fail_history.append(f"{type(exc).__name__}: {exc}")
-        if record.retries_left > 0:
-            record.retries_left -= 1
-            logger.info("task %s failed (%s); retrying (%d retries left)",
-                        record.id, exc, record.retries_left)
-            record.transition(States.retry)
-            self._record_event(record)
-            self._launch_if_ready(record)
-            return
-        record.transition(States.failed)
-        record.app_future.set_exception(exc)
-        self._record_event(record)
+            self._finish(record, States.failed, exception=exc)
+        elif record.app_type == "join":
+            self._handle_join(record, exec_future.result())
+        else:
+            self._finish(record, States.exec_done, result=exec_future.result())
 
     def _handle_join(self, record: TaskRecord, result: Any) -> None:
         """A join app returned; wait for its inner future(s) before finishing."""
         record.transition(States.joining)
-        self._record_event(record)
 
         inner_futures: List[Future]
         if isinstance(result, Future):
@@ -310,10 +243,9 @@ class DataFlowKernel:
         else:
             # Not a future at all: treat as a plain result (matches Parsl >=2023 semantics
             # of allowing join apps to return plain values).
-            self._finalize_success(record, result)
+            self._finish(record, States.exec_done, result=result)
             return
 
-        record.join_future = result
         pending = {"count": len(inner_futures)}
         lock = threading.Lock()
 
@@ -325,76 +257,72 @@ class DataFlowKernel:
                 return
             errors = [f.exception() for f in inner_futures if f.exception() is not None]
             if errors:
-                record.transition(States.failed)
-                record.app_future.set_exception(JoinError(errors, record.id))
-                self._record_event(record)
+                self._finish(record, States.failed, exception=JoinError(errors, record.id))
             elif isinstance(result, Future):
-                self._finalize_success(record, inner_futures[0].result())
+                self._finish(record, States.exec_done, result=inner_futures[0].result())
             else:
-                self._finalize_success(record, [f.result() for f in inner_futures])
+                self._finish(record, States.exec_done,
+                             result=[f.result() for f in inner_futures])
 
         for fut in inner_futures:
             fut.add_done_callback(_inner_done)
 
-    def _finalize_success(self, record: TaskRecord, result: Any) -> None:
-        self.memoizer.update(record, result)
-        record.transition(States.exec_done)
-        record.app_future.set_result(result)
-        self._record_event(record)
+    def _finish(self, record: TaskRecord, state: States, result: Any = None,
+                exception: Optional[BaseException] = None) -> None:
+        """Move ``record`` to the final ``state``, resolve its AppFuture, drop it.
 
-    def _record_event(self, record: TaskRecord) -> None:
-        if self.monitoring:
-            self.monitoring.send_task_event(record)
+        The record leaves :attr:`tasks` only after the future is resolved and
+        its callbacks have run, so "no longer in ``tasks``" implies "done" for
+        :meth:`wait_for_current_tasks`; the per-state count moves in the same
+        critical section, so :meth:`task_summary` never loses or doubles a task.
+        """
+        record.transition(state)
+        try:
+            if exception is not None:
+                record.app_future.set_exception(exception)
+            else:
+                record.app_future.set_result(result)
+        finally:
+            with self._tasks_changed:
+                del self.tasks[record.id]
+                self._finished_counts[state.name] += 1
+                self._tasks_changed.notify_all()
 
     # ------------------------------------------------------------- lifecycle
 
     def wait_for_current_tasks(self, timeout: Optional[float] = None) -> None:
-        """Block until every task submitted so far has reached a final state."""
-        with self._tasks_lock:
-            futures = [t.app_future for t in self.tasks.values() if t.app_future is not None]
-        for future in futures:
-            if future is None:
-                continue
-            try:
-                future.exception(timeout)
-            except TimeoutError:
-                raise
-            except Exception:
-                # Task failures are reported through the future itself; waiting
-                # must not raise so that callers can inspect all tasks.
-                pass
+        """Block until every task submitted so far has reached a final state.
 
-    def checkpoint(self, path: Optional[str] = None) -> str:
-        """Write the memoization table to disk and return the checkpoint path."""
-        path = path or os.path.join(self.run_dir, "checkpoint", "tasks.pkl")
-        return self.memoizer.checkpoint(path)
+        Task failures are reported through the futures; waiting does not raise
+        for them, so that callers can inspect all tasks.  Raises
+        :class:`TimeoutError` if ``timeout`` seconds pass first.
+        """
+        with self._tasks_changed:
+            waiting_for = set(self.tasks)
+            if not self._tasks_changed.wait_for(
+                    lambda: waiting_for.isdisjoint(self.tasks), timeout):
+                raise TimeoutError(
+                    f"{len(waiting_for.intersection(self.tasks))} task(s) still running "
+                    f"after {timeout} s")
 
     def task_summary(self) -> Dict[str, int]:
-        """Counts of tasks per state name (used by monitoring and tests)."""
-        summary: Dict[str, int] = {}
-        with self._tasks_lock:
-            for record in self.tasks.values():
-                summary[record.status.name] = summary.get(record.status.name, 0) + 1
-        return summary
+        """Counts of tasks per state name, finished and unfinished alike."""
+        with self._tasks_changed:
+            summary = self._finished_counts.copy()
+            summary.update(record.status.name for record in self.tasks.values())
+        return dict(summary)
 
     def cleanup(self) -> None:
-        """Shut down executors and monitoring.  Idempotent."""
+        """Wait for outstanding tasks and shut down the executors.  Idempotent."""
         if self._shutdown:
             return
         self.wait_for_current_tasks()
         self._shutdown = True
-        if self.config.checkpoint_mode == "dfk_exit" and self.config.app_cache:
-            try:
-                self.checkpoint()
-            except Exception:  # pragma: no cover - checkpointing is best effort
-                logger.exception("checkpoint at exit failed")
         for executor in self.executors.values():
             try:
                 executor.shutdown()
             except Exception:  # pragma: no cover - defensive
                 logger.exception("error shutting down executor %s", executor.label)
-        if self.monitoring:
-            self.monitoring.close()
         logger.info("DataFlowKernel in %s cleaned up", self.run_dir)
 
     def __enter__(self) -> "DataFlowKernel":

@@ -1,8 +1,8 @@
 """Run directory management.
 
 Every loaded DataFlowKernel gets a fresh, numbered run directory (``runinfo/000``,
-``runinfo/001``, …) holding its logs, checkpoints, monitoring records and task
-working directories — the same layout Parsl users are used to.
+``runinfo/001``, …) holding its logs and its executors' working files — the
+same layout Parsl users are used to.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The state machine follows Parsl's:
 
 ``unsched -> pending -> launched -> running -> exec_done``
 
-with failure paths into ``failed``, ``dep_fail`` (a dependency failed so the
-task never launched), ``memo_done`` (result served from the memoization table)
-and ``joining`` (a join app waiting on its inner future).
+with failure paths into ``failed`` and ``dep_fail`` (a dependency failed so the
+task never launched), and ``joining`` (a join app waiting on its inner future).
+A failed task is final: re-attempts are decided one layer up, by the run's
+:class:`~repro.cwl.retry.RetryPolicy`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ class States(enum.IntEnum):
     exec_done = 4
     failed = 5
     dep_fail = 6
-    retry = 7
-    memo_done = 8
     joining = 9
     cancelled = 10
 
@@ -40,7 +39,7 @@ class States(enum.IntEnum):
 
 #: States from which a task will never move again.
 FINAL_STATES = frozenset(
-    {States.exec_done, States.failed, States.dep_fail, States.memo_done, States.cancelled}
+    {States.exec_done, States.failed, States.dep_fail, States.cancelled}
 )
 
 #: Final states that represent a failure.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -16,8 +15,9 @@ class TaskRecord:
     """Mutable record describing one submitted task.
 
     The DataFlowKernel creates one record per app invocation and mutates it as
-    the task moves through its lifecycle; the record also feeds the monitoring
-    subsystem and the memoizer.
+    the task moves through its lifecycle.  The kernel lets go of a record once
+    it is final; the task's :class:`AppFuture` keeps it reachable
+    (``future.task_record``).
     """
 
     id: int
@@ -30,20 +30,10 @@ class TaskRecord:
     status: States = States.unsched
     depends: List[Future] = field(default_factory=list)
     app_future: Optional[Any] = None   # AppFuture (typed loosely to avoid cycles)
-    executor_future: Optional[Future] = None
-    join_future: Optional[Future] = None
-    retries_left: int = 0
-    fail_count: int = 0
-    fail_history: List[str] = field(default_factory=list)
-    memoize: bool = True
-    hashsum: Optional[str] = None
-    from_memo: bool = False
-    ignore_for_cache: Tuple[str, ...] = ()
     resource_spec: Dict[str, Any] = field(default_factory=dict)
     time_invoked: float = field(default_factory=time.time)
     time_launched: Optional[float] = None
     time_returned: Optional[float] = None
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def transition(self, new_state: States) -> None:
         """Move to ``new_state`` and timestamp launch/return transitions."""
@@ -65,18 +55,3 @@ class TaskRecord:
         if self.time_returned is None:
             return None
         return self.time_returned - self.time_invoked
-
-    def describe(self) -> Dict[str, Any]:
-        """A JSON-friendly snapshot used by monitoring."""
-        return {
-            "task_id": self.id,
-            "func_name": self.func_name,
-            "app_type": self.app_type,
-            "executor": self.executor,
-            "status": self.status.name,
-            "fail_count": self.fail_count,
-            "from_memo": self.from_memo,
-            "time_invoked": self.time_invoked,
-            "time_launched": self.time_launched,
-            "time_returned": self.time_returned,
-        }

@@ -2,7 +2,8 @@
 
 Used by:
 
-* the Parsl-like memoizer (hash of app name + arguments),
+* the content-addressed job cache (:mod:`repro.cwl.jobcache`: job keys and
+  file-content digests),
 * CWL ``File`` objects (``checksum`` field, ``sha1$...`` per the CWL spec),
 * the Toil-like job store (content-addressed file copies).
 """

@@ -17,8 +17,7 @@ class Stopwatch:
     """A small stopwatch with named laps.
 
     Used by the benchmark harness to separate e.g. document-parse time from
-    execution time, and by the monitoring subsystem to timestamp task state
-    transitions.
+    execution time.
 
     Example::
 

@@ -15,8 +15,10 @@ import repro
 from repro import api
 from repro.cwl.errors import JobTimeout, exit_class, unwrap_failure
 from repro.cwl.faults import FaultPlan, FaultSpec
+from repro.cwl.journal import read_journal
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
+from repro.utils.yamlio import dump_yaml
 
 #: Engines that can run a bare CommandLineTool.
 TOOL_ENGINES = ["reference", "toil", "parsl"]
@@ -183,6 +185,68 @@ def test_never_retry_classes_win_over_listed_errors(engine, run_engine):
     assert retried == []
     assert exit_class(unwrap_failure(excinfo.value)) in (
         "expressionError", "invalid")
+
+
+# ------------------------------------------ one retry loop on the Parsl path
+
+def counting_process(log_path, shape: str) -> dict:
+    """A tool that appends one line to ``log_path`` per execution, then exits 3
+    — bare, or as the only step of a workflow."""
+    tool = {
+        "class": "CommandLineTool",
+        "baseCommand": ["sh", "-c", f"echo ran >> {log_path}; exit 3"],
+        "inputs": {"message": "string"},
+        "outputs": {"out": "stdout"}, "stdout": "never.txt",
+    }
+    return dict(tool, cwlVersion="v1.2") if shape == "tool" else wrap_in_workflow(tool)
+
+
+@pytest.mark.parametrize("policy,executions,expected_events", [
+    (api.RetryPolicy(max_attempts=4, backoff_s=0, retryable_exit_codes=(3,)), 4,
+     ["start", "retry 1", "retry 2", "retry 3", "end 4"]),
+    # Under the default policy exit 3 is not retryable: one execution.
+    (api.RetryPolicy(), 1, ["start", "end 1"]),
+    (None, 1, ["start", "end 1"]),
+])
+@pytest.mark.parametrize("engine,shape", [
+    ("parsl", "tool"), ("parsl", "workflow"), ("parsl-workflow", "workflow")])
+def test_parsl_path_executes_a_failing_tool_exactly_max_attempts_times(
+        engine, shape, policy, executions, expected_events, run_engine, tmp_path):
+    """The tool runs ``max_attempts`` times and every attempt is an event.
+
+    At the parent commit the kernel re-launched underneath the policy:
+    ``Config(retries=2)`` turned these 4 executions into 12 (and the 1 into 3,
+    reported as ``end(attempt=1)``).
+    """
+    log = tmp_path / "executions.log"
+    seen = []
+    hooks = api.ExecutionHooks(
+        on_job_start=lambda e: seen.append("start"),
+        on_job_retry=lambda e: seen.append(f"retry {e.attempt}"),
+        on_job_end=lambda e: seen.append(f"end {e.attempt}"))
+    with pytest.raises(Exception) as excinfo:
+        run_engine(engine, counting_process(log, shape), {"message": "x"},
+                   hooks=hooks, retry_policy=policy)
+    assert exit_class(unwrap_failure(excinfo.value)) == "permanentFail"
+    assert log.read_text() == "ran\n" * executions
+    assert seen == expected_events
+
+
+def test_parsl_tool_path_journals_one_retry_record_per_reattempt(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "executions.log"
+    tool_path = tmp_path / "fails.cwl"
+    tool_path.write_text(dump_yaml(counting_process(log, "tool")))
+    run_dir = tmp_path / "run"
+    with pytest.raises(Exception):
+        api.run_with_journal(
+            str(tool_path), {"message": "x"}, run_dir=str(run_dir), engine="parsl",
+            config=repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")),
+            retry_policy=api.RetryPolicy(max_attempts=4, backoff_s=0,
+                                         retryable_exit_codes=(3,)))
+    assert log.read_text() == "ran\n" * 4
+    retries = [r for r in read_journal(str(run_dir)) if r["kind"] == "retry"]
+    assert [r["attempt"] for r in retries] == [1, 2, 3]
 
 
 # ------------------------------------------------------------------ timeouts

@@ -22,6 +22,12 @@ CWL_DIR = EXAMPLES_DIR / "cwl"
 CONFIG_DIR = EXAMPLES_DIR / "configs"
 
 
+def pytest_configure(config):
+    """Register the suite's marks; an unregistered (misspelt) one is an error."""
+    config.addinivalue_line("markers", "slow: takes minutes rather than seconds")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnknownMarkWarning")
+
+
 @pytest.fixture(scope="session")
 def repo_root() -> Path:
     return REPO_ROOT

@@ -17,11 +17,10 @@ from repro.utils.yamlio import dump_yaml
 
 
 def test_thread_pool_config():
-    config = config_from_dict({"executor": "thread-pool", "max_threads": 3, "retries": 2})
+    config = config_from_dict({"executor": "thread-pool", "max_threads": 3})
     executor = config.executors[0]
     assert isinstance(executor, ThreadPoolExecutor)
     assert executor.max_threads == 3
-    assert config.retries == 2
 
 
 def test_process_pool_config():
@@ -63,6 +62,22 @@ def test_executor_aliases_accepted():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigurationError):
         config_from_dict({"executor": "thread-pool", "workers_per_nod": 3})
+
+
+def test_retries_key_is_rejected_with_a_pointer_to_retry_policy():
+    with pytest.raises(ConfigurationError) as excinfo:
+        config_from_dict({"executor": "thread-pool", "retries": 2})
+    message = str(excinfo.value)
+    assert "unknown configuration key(s) ['retries']" in message
+    assert "retry_policy=" in message and "--retries" in message
+
+
+def test_removed_kernel_keys_are_unknown_keys():
+    with pytest.raises(ConfigurationError) as excinfo:
+        config_from_dict({"app_cache": True, "monitoring": False})
+    message = str(excinfo.value)
+    assert "['app_cache', 'monitoring']" in message
+    assert "retry_policy" not in message  # the pointer is for `retries` alone
 
 
 def test_unknown_executor_and_provider_rejected():

@@ -1,9 +1,8 @@
-"""Tests for the DataFlowKernel: apps, dependencies, retries, memoization, joins."""
+"""Tests for the DataFlowKernel: apps, dependencies, joins, task bookkeeping."""
 
 from __future__ import annotations
 
-import os
-import time
+import sys
 
 import pytest
 
@@ -166,87 +165,48 @@ def test_futures_nested_in_containers_are_dependencies(parsl_threads, tmp_path):
     assert consume({"files": [producer.outputs[0]]}).result() == 42
 
 
-def test_retries_eventually_succeed(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config = Config(executors=[ThreadPoolExecutor(max_threads=2)], retries=2,
-                    run_dir=str(tmp_path / "runinfo"))
-    repro.load(config)
+def test_a_failed_task_runs_once(parsl_threads):
+    """The kernel never re-launches: retries belong to the run's RetryPolicy."""
     counter = {"attempts": 0}
 
     @python_app
-    def flaky():
-        counter["attempts"] += 1
-        if counter["attempts"] < 3:
-            raise RuntimeError("transient")
-        return "recovered"
-
-    try:
-        assert flaky().result() == "recovered"
-        assert counter["attempts"] == 3
-    finally:
-        repro.clear()
-
-
-def test_retries_exhausted_reports_failure(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    repro.load(Config(executors=[ThreadPoolExecutor(max_threads=2)], retries=1,
-                      run_dir=str(tmp_path / "runinfo")))
-
-    @python_app
     def always_bad():
+        counter["attempts"] += 1
         raise RuntimeError("permanent")
 
+    future = always_bad()
+    with pytest.raises(RuntimeError, match="permanent"):
+        future.result()
+    assert counter["attempts"] == 1
+    assert future.task_record.status == States.failed
+
+
+@pytest.mark.parametrize("decorator", [python_app, bash_app, join_app])
+def test_apps_take_no_cache_arguments(decorator):
+    with pytest.raises(TypeError):
+        decorator(cache=True)
+    with pytest.raises(TypeError):
+        decorator(ignore_for_cache=("x",))
+
+
+def test_finished_records_leave_the_kernel(parsl_threads):
+    """A long-lived kernel holds unfinished tasks only; the counts stay exact."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many hand-overs between the finishing workers
     try:
-        future = always_bad()
-        with pytest.raises(RuntimeError, match="permanent"):
-            future.result()
-        assert future.task_record.fail_count == 2  # original + one retry
+        futures = [add(i, 1) for i in range(200)]
+        failed = fail_always()
+        downstream = add(failed, 1)
+        parsl_threads.wait_for_current_tasks(timeout=60)
     finally:
-        repro.clear()
-
-
-def test_memoization_within_run(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    repro.load(Config(executors=[ThreadPoolExecutor(max_threads=2)], app_cache=True,
-                      run_dir=str(tmp_path / "runinfo")))
-    calls = {"n": 0}
-
-    @python_app(cache=True)
-    def expensive(x):
-        calls["n"] += 1
-        return x * 2
-
-    try:
-        assert expensive(4).result() == 8
-        assert expensive(4).result() == 8
-        assert expensive(5).result() == 10
-        assert calls["n"] == 2  # second call to expensive(4) served from memo
-    finally:
-        repro.clear()
-
-
-def test_checkpoint_and_reload(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config = Config(executors=[ThreadPoolExecutor(max_threads=2)], app_cache=True,
-                    run_dir=str(tmp_path / "runinfo"))
-    dfk = repro.load(config)
-
-    @python_app(cache=True)
-    def square(x):
-        return x * x
-
-    square(6).result()
-    checkpoint_path = dfk.checkpoint()
-    repro.clear()
-    assert os.path.exists(checkpoint_path)
-
-    repro.load(Config(executors=[ThreadPoolExecutor(max_threads=2)], app_cache=True,
-                      checkpoint_files=[checkpoint_path], run_dir=str(tmp_path / "runinfo2")))
-    try:
-        dfk2 = DataFlowKernelLoader.dfk()
-        assert len(dfk2.memoizer) == 1
-    finally:
-        repro.clear()
+        sys.setswitchinterval(interval)
+    assert [f.result() for f in futures] == [i + 1 for i in range(200)]
+    assert len(parsl_threads.tasks) == 0
+    assert parsl_threads.task_summary() == {"exec_done": 200, "failed": 1, "dep_fail": 1}
+    assert futures[0].task_record.status == States.exec_done
+    assert isinstance(downstream.exception(), DependencyError)
+    for attribute in ("memoizer", "data_manager", "monitoring", "checkpoint"):
+        assert not hasattr(parsl_threads, attribute)
 
 
 def test_task_summary_and_wait(parsl_threads):

@@ -29,8 +29,7 @@ def test_remote_url_requires_staging():
     assert file.is_remote()
     with pytest.raises(ValueError):
         _ = file.filepath
-    file.local_path = "/tmp/dataset.tar.gz"
-    assert file.filepath == "/tmp/dataset.tar.gz"
+    assert not file.exists()
 
 
 def test_exists_and_size(tmp_path):
@@ -61,14 +60,6 @@ def test_idempotent_construction():
     original = File("/tmp/a.txt")
     wrapped = File(original)
     assert wrapped == original
-
-
-def test_cleancopy_resets_staging_state():
-    file = File("https://example.org/x.bin")
-    file.local_path = "/scratch/x.bin"
-    fresh = file.cleancopy()
-    assert fresh.local_path is None
-    assert fresh.url == file.url
 
 
 def test_rejects_non_string():
