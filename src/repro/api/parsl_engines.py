@@ -16,17 +16,14 @@ from repro.api.engine import Engine, EngineError
 from repro.api.engines import _context_with_options, _event_cache_stats, _plan_for
 from repro.api.events import EventRecorder, ExecutionHooks
 from repro.api.result import ExecutionResult
-from repro.core.runner import run_tool_with_parsl
+from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.core.yaml_config import load_yaml_config
 from repro.cwl.retry import RetryObservation, execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, Workflow
 from repro.cwl.types import build_file_value
-from repro.parsl.config import Config
 from repro.parsl.data_provider.files import File as ParslFile
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
-from repro.parsl.errors import NoDataFlowKernelError
 
 
 class ParslEngine(Engine):
@@ -64,21 +61,9 @@ class ParslEngine(Engine):
             self._ensure_kernel_locked()
 
     def _ensure_kernel_locked(self) -> None:
-        if self._started:
-            return
-        if self._config is not None:
-            config = self._config
-            if not isinstance(config, Config):
-                config = load_yaml_config(config)
-            DataFlowKernelLoader.load(config)
-            self._loaded_here = True
-        else:
-            try:
-                DataFlowKernelLoader.dfk()
-            except NoDataFlowKernelError:
-                DataFlowKernelLoader.load(Config.default())
-                self._loaded_here = True
-        self._started = True
+        if not self._started:
+            self._loaded_here = ensure_kernel(self._config)
+            self._started = True
 
     def close(self) -> None:
         if self._started and self._loaded_here:
@@ -136,9 +121,9 @@ class ParslEngine(Engine):
 
         def attempt(_n: int) -> Dict[str, Any]:
             cache_note.clear()
-            # The retry loop wraps the whole call — submission-side cache
-            # probe included — so injected faults fire ahead of the probe,
-            # exactly as on the runner engines.
+            # The retry loop wraps the whole call — the app's execution-side
+            # cache probe included — so injected faults fire ahead of the
+            # probe, exactly as on the runner engines.
             return run_tool_with_parsl(
                 tool=tool, job_order=job_order, config=None,
                 outdir=self._outdir, cleanup=False,

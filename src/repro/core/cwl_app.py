@@ -42,11 +42,11 @@ from repro.cwl.jobcache import (
     CacheEntry,
     JobCache,
     get_job_cache,
-    job_key,
     relative_to_outdir,
     resolve_job_cache,
 )
 from repro.cwl.loader import load_document, load_tool
+from repro.cwl.outputs import matching_files, output_globs
 from repro.cwl.retry import execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
@@ -61,6 +61,10 @@ from repro.parsl.dataflow.futures import AppFuture, DataFuture
 __all__ = ["CWLApp", "cwl_tool_command", "cached_bash_executor",
            "resilient_bash_executor"]
 
+#: The :class:`RuntimeContext` fields a job runs under, sent to the execution
+#: side as ``cwl_<field>`` app kwargs.
+_CONTEXT_FIELDS = ("cores", "ram_mb", "env")
+
 
 def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
                      cwl_inputs: Dict[str, Any], **_parsl_kwargs: Any) -> str:
@@ -71,13 +75,17 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     tool model, runs InlinePython validation, evaluates InlinePython arguments,
     and returns the command line string for the bash executor to run.
 
-    With a job cache attached (``cwl_cache_dir`` in the app kwargs — inputs
-    are concrete on the execution side, which is what makes this the right
-    place for the workflow bridge's cache check), a hit builds no command:
-    it raises :class:`_CacheHit` through the bash executor to
+    The job runs under a context carrying the caller's ``cores``, ``ram_mb``
+    and ``env`` (``cwl_cores`` / ``cwl_ram_mb`` / ``cwl_env``), so
+    ``$(runtime.*)``, the exported environment and the job-cache key are
+    what the runner engines would use.  With a job cache attached
+    (``cwl_cache_dir`` — inputs are concrete on the execution side, which is
+    what makes this the Parsl path's one cache probe), a hit builds no
+    command: it raises :class:`_CacheHit` through the bash executor to
     :func:`cached_bash_executor`, which restores the recorded invocation in
-    process, so nothing is spawned; a miss leaves instructions in
-    ``cwl_cache_ctx`` for that wrapper to ingest the results afterwards.
+    process, so nothing is spawned; a miss leaves the key and every declared
+    output's evaluated glob in ``cwl_cache_ctx`` for that wrapper to store
+    what they match once the command succeeded.
     """
     tool = load_document(dict(tool_raw), base_dir=os.path.dirname(source_path) if source_path else None)
     if not isinstance(tool, CommandLineTool):
@@ -89,36 +97,38 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     job_order = fill_in_defaults(tool.inputs, job_order)
     job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
 
+    context = RuntimeContext(**{name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
+                                if f"cwl_{name}" in _parsl_kwargs})
     # Honour the tool's ResourceRequirement so $(runtime.cores) / $(runtime.ram)
     # expressions see the granted resources on the Parsl path too.
-    runtime = RuntimeContext().with_resources(tool).runtime_object(os.getcwd(), os.getcwd())
+    runtime = context.with_resources(tool).runtime_object(os.getcwd(), os.getcwd())
 
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
     cache_ctx = _parsl_kwargs.get("cwl_cache_ctx")
     cache_note = _parsl_kwargs.get("cwl_cache_note")
+    key = None
     if cache_dir:
         cache = get_job_cache(cache_dir)
-        key = job_key(tool, job_order, cores=runtime["cores"], ram_mb=runtime["ram"])
+        key = context.cache_key(tool, job_order)
         entry = cache.lookup(key)
         if isinstance(cache_note, dict):
             cache_note["cache"] = "hit" if entry is not None else "miss"
         if entry is not None:
             raise _CacheHit(cache, entry)
-        if isinstance(cache_ctx, dict):
-            cache_ctx.update(cache_dir=cache_dir, key=key, outdir=os.getcwd())
 
-    # The parsl path defaults to the compiled pipeline — this call is the
-    # switch: build_command_line/collect_output pick up tool.compiled.  The
-    # shared library scope and template cache are process-wide, so repeated
-    # invocations of the same tool in one worker skip all parsing.  With
+    # The parsl path defaults to the compiled pipeline: the tool's pinned
+    # templates and the process-wide library scope, so repeated invocations
+    # of the same tool in one worker skip all parsing.  With
     # ``cwl_compile_expressions: False`` in the app kwargs (the conformance
     # matrix's uncompiled leg) expressions go through a fresh uncached
     # evaluator instead, exactly like the reference runner.
-    uncompiled_evaluator = None
     if _parsl_kwargs.get("cwl_compile_expressions", True) is False:
-        uncompiled_evaluator = _uncompiled_evaluator(tool)
+        expression_evaluator = _uncompiled_evaluator(tool)
     else:
-        precompile_process(tool)
+        expression_evaluator = precompile_process(tool).evaluator
+    if key is not None and isinstance(cache_ctx, dict):
+        cache_ctx.update(cache_dir=cache_dir, key=key, outdir=os.getcwd(),
+                         globs=output_globs(tool, job_order, runtime, expression_evaluator))
 
     inline_python = extract_inline_python(tool)
     evaluator: Optional[InlinePythonEvaluator] = None
@@ -132,24 +142,26 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     # Evaluate InlinePython arguments before handing the tool to the generic
     # (JavaScript-based) command-line builder.
     if evaluator is not None and tool.arguments:
-        context = {"inputs": job_order, "runtime": runtime, "self": None}
+        scope = {"inputs": job_order, "runtime": runtime, "self": None}
         rewritten: List[Any] = []
         for argument in tool.arguments:
             if isinstance(argument, str) and is_python_expression(argument):
-                rewritten.append(str(evaluator.evaluate(argument, context)))
+                rewritten.append(str(evaluator.evaluate(argument, scope)))
             else:
                 rewritten.append(argument)
         tool.arguments = rewritten
 
-    parts = build_command_line(tool, job_order, runtime, uncompiled_evaluator)
+    parts = build_command_line(tool, job_order, runtime, expression_evaluator)
     command = parts.joined()
-    # The runners pass EnvVarRequirement variables through the subprocess
-    # environment; the bash executor runs with a fixed environment, so the
-    # variables are exported in-shell instead (sorted for determinism).
-    if parts.environment:
+    # The runners pass the context's env and then EnvVarRequirement
+    # variables (which win) through the subprocess environment; the bash
+    # executor runs with a fixed environment, so both are exported in-shell
+    # instead (sorted for determinism).
+    environment = {**context.env, **parts.environment}
+    if environment:
         exports = "; ".join(
             f"export {name}={shlex.quote(str(value))}"
-            for name, value in sorted(parts.environment.items()))
+            for name, value in sorted(environment.items()))
         command = f"{exports}; {command}"
     # The bash executor only wires stdout/stderr redirections; a ``stdin:``
     # field must become part of the shell command itself or the tool would
@@ -265,27 +277,26 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     process — output files restored, recorded streams put on this call's
     redirections, declared outputs checked, exit code 0 — with no shell and
     no subprocess.  **Miss** (the body returned a command, which then ran and
-    succeeded): the declared output files plus the stdout/stderr
-    redirections are stored under the job's key, warming the store for every
-    engine that shares it.
+    succeeded): the stdout/stderr redirections plus every file the tool's
+    evaluated output globs match in the cwd are stored under the job's key
+    — what collection will read, so a hit restores all of it — warming the
+    store for every engine that shares it.
     """
     ctx: Dict[str, Any] = {}
     kwargs = dict(kwargs)
     kwargs["cwl_cache_ctx"] = ctx
     stdout_spec = kwargs.get("stdout")
     stderr_spec = kwargs.get("stderr")
-    declared_outputs = list(kwargs.get("outputs") or [])
 
     try:
         exit_code = remote_side_bash_executor(func, *args, **kwargs)
     except _CacheHit as hit:
         return _replay_hit(hit, getattr(func, "__name__", "bash_app"),
-                           stdout_spec, stderr_spec, declared_outputs)
+                           stdout_spec, stderr_spec, list(kwargs.get("outputs") or []))
 
     if ctx.get("key"):
         try:
-            _store_bridge_results(ctx, declared_outputs, stdout_spec, stderr_spec,
-                                  exit_code)
+            _store_results(ctx, stdout_spec, stderr_spec, exit_code)
         except Exception:  # caching must never fail a successful job
             pass
     return exit_code
@@ -333,9 +344,8 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
                                 fault_plan=plan, on_retry=on_retry)
 
 
-def _store_bridge_results(ctx: Dict[str, Any], declared_outputs: List[Any],
-                          stdout_spec: Any, stderr_spec: Any,
-                          exit_code: int) -> None:
+def _store_results(ctx: Dict[str, Any], stdout_spec: Any, stderr_spec: Any,
+                   exit_code: int) -> None:
     cache = resolve_job_cache(ctx["cache_dir"])
     outdir = ctx["outdir"]
 
@@ -345,13 +355,11 @@ def _store_bridge_results(ctx: Dict[str, Any], declared_outputs: List[Any],
         path = os.fspath(spec[0] if isinstance(spec, tuple) else spec)
         return path if os.path.isabs(path) else os.path.join(outdir, path)
 
-    paths = [f.filepath if hasattr(f, "filepath") else os.fspath(f)
-             for f in declared_outputs]
     stdout_path = spec_path(stdout_spec)
     stderr_path = spec_path(stderr_spec)
-    for stream in (stdout_path, stderr_path):
-        if stream and os.path.isfile(stream):
-            paths.append(stream)
+    paths = matching_files(outdir, ctx["globs"])
+    paths += [stream for stream in (stdout_path, stderr_path)
+              if stream and os.path.isfile(stream)]
 
     cache.store_files(ctx["key"], outdir, paths,
                       stdout_name=relative_to_outdir(stdout_path, outdir),
@@ -483,6 +491,8 @@ class CWLApp:
         # The one place the context is unpacked for the execution side.
         context = self.runtime_context
         app_kwargs: Dict[str, Any] = {"cwl_inputs": cwl_inputs}
+        for name in _CONTEXT_FIELDS:
+            app_kwargs[f"cwl_{name}"] = getattr(context, name)
         if context.compile_expressions is False:
             app_kwargs["cwl_compile_expressions"] = False
         if stdout_path:
@@ -494,8 +504,9 @@ class CWLApp:
         executor_fn = remote_side_bash_executor
         cache_note: Optional[Dict[str, str]] = None
         # Content-addressed result reuse (see :mod:`repro.cwl.jobcache`): the
-        # probe runs on the execution side, where upstream futures are
-        # concrete, so chained/bridged apps cache correctly too.  The
+        # Parsl path's one probe runs on the execution side, where upstream
+        # futures are concrete, so chained/bridged apps and the single-tool
+        # runner all cache through it.  The
         # hit/miss outcome travels back through an in-process note dict, so
         # on process-based executors (ProcessPoolExecutor, HTEX) results are
         # still cached and restored, but the submit side cannot observe the

@@ -18,11 +18,12 @@ interleaves the steps as it would for a native Parsl program.  What stays here
 is Parsl's own: the ``CWLApp`` cache, job events, the ``max_inflight`` window,
 journal terminal states and ``on_error="continue"`` once futures drain.
 
-Two things cannot be decided before tasks run and are refused at submission
+Three things cannot be decided before tasks run and are refused at submission
 time with :class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over a
-value that is still a future (the width is unknown), and scattering a nested
+value that is still a future (the width is unknown), scattering a nested
 Workflow — Parsl apps share one working directory, so per-shard copies of the
-subworkflow would overwrite each other's literally named files.  A ``when`` /
+subworkflow would overwrite each other's literally named files — and a step
+output with an ``outputEval``, whose value is not a file future.  A ``when`` /
 ``valueFrom`` expression reading an upstream *result* sees a File-shaped
 stand-in (``class``, ``basename``, ``path``), not contents.
 """
@@ -68,6 +69,15 @@ class _SubmissionEngine(WorkflowEngine):
                 _context: RuntimeContext) -> Dict[str, DataFuture]:
         node = self._node
         app = self._bridge._app_for(process, node.step)
+        evaluated = [param.id for param in app.tool.outputs
+                     if param.id in node.step.out and param.output_binding is not None
+                     and param.output_binding.output_eval is not None]
+        if evaluated:
+            raise UnsupportedRequirement(
+                f"step {node.step.id!r}: output(s) {evaluated} have an outputEval, whose value "
+                "exists only once the step has run; the workflow bridge passes output files "
+                "between steps as futures (run the tool on engine='parsl', or the workflow on "
+                "a runner engine)")
         outputs = self._bridge._observed_call(app, job, node.id).cwl_outputs
         unknown = [out_id for out_id in node.step.out if out_id not in outputs]
         if unknown:
@@ -149,25 +159,30 @@ class CWLWorkflowBridge:
     def run(self, job_order: Dict[str, Any]) -> Dict[str, Any]:
         """Submit the workflow and block until all outputs are concrete values.
 
-        Under ``on_error="continue"`` a failed step does not abort the run:
-        outputs that (transitively) depend on it resolve to ``None`` — Parsl's
-        dependency propagation fails the dependent futures for us — and the
-        failures are available in :attr:`failures` afterwards.
+        Under ``on_error="stop"`` the first failed step is re-raised once
+        every submitted future has drained — also when no workflow output
+        depends on it.  Under ``on_error="continue"`` a failed step does not
+        abort the run: outputs that (transitively) depend on it resolve to
+        ``None`` — Parsl's dependency propagation fails the dependent futures
+        for us — and the failures are available in :attr:`failures`
+        afterwards.
         """
         self.failures = {}
+        stop = self.runtime_context.on_error == "stop"
+        resolved: Dict[str, Any] = {}
         try:
-            outputs = self.submit(job_order)
-            if self.runtime_context.on_error == "continue":
-                resolved: Dict[str, Any] = {}
-                for key, value in outputs.items():
-                    try:
-                        resolved[key] = self._wait(value)
-                    except Exception:
-                        resolved[key] = None
-                return resolved
-            return {key: self._wait(value) for key, value in outputs.items()}
+            for key, value in self.submit(job_order).items():
+                try:
+                    resolved[key] = self._wait(value)
+                except Exception:
+                    if stop:
+                        raise
+                    resolved[key] = None
         finally:
             self._drain_observations()
+        if stop and self.failures:
+            raise next(iter(self.failures.values()))
+        return resolved
 
     # ----------------------------------------------------------------- plumbing
 

@@ -19,7 +19,7 @@ from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
 from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
-from repro.cwl.jobcache import canonical_command, job_key
+from repro.cwl.jobcache import canonical_command
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, signal_job_process
 from repro.cwl.schema import CommandLineTool
@@ -188,9 +188,7 @@ class CommandLineJob:
         cache = self.runtime_context.get_job_cache()
         if cache is None:
             return context, None, None, None
-        key = job_key(self.tool, self.job_order,
-                      cores=context.cores, ram_mb=context.ram_mb,
-                      extra_env=context.env)
+        key = context.cache_key(self.tool, self.job_order)
         return context, cache, key, cache.lookup(key, record=record)
 
     def _make_job_dir(self) -> str:

@@ -35,6 +35,35 @@ def _glob_in(outdir: str, pattern: str) -> List[str]:
     return sorted(os.path.abspath(m) for m in matches)
 
 
+def _evaluated_patterns(glob: Any, evaluator: Any, context: Dict[str, Any]) -> List[str]:
+    """An ``outputBinding.glob`` (one pattern or a list) evaluated to strings."""
+    evaluated_patterns: List[str] = []
+    for pattern in glob if isinstance(glob, list) else [glob]:
+        evaluated = evaluator.evaluate(pattern, context)
+        if evaluated is not None:
+            evaluated_patterns.extend(
+                str(single) for single in (evaluated if isinstance(evaluated, list) else [evaluated]))
+    return evaluated_patterns
+
+
+def output_globs(tool: CommandLineTool, job_order: Dict[str, Any],
+                 runtime: Dict[str, Any], evaluator: Any) -> List[str]:
+    """Every declared output's evaluated glob patterns for one invocation.
+
+    Known before the command runs — a glob reads ``inputs`` and ``runtime``,
+    never results — and exactly what :func:`collect_output` matches after it.
+    """
+    context = {"inputs": job_order, "runtime": runtime, "self": None}
+    return [pattern for param in tool.outputs
+            if param.output_binding is not None and param.output_binding.glob is not None
+            for pattern in _evaluated_patterns(param.output_binding.glob, evaluator, context)]
+
+
+def matching_files(outdir: str, patterns: List[str]) -> List[str]:
+    """The absolute paths the glob ``patterns`` match in ``outdir``."""
+    return sorted({path for pattern in patterns for path in _glob_in(outdir, pattern)})
+
+
 def _load_contents(file_value: Dict[str, Any]) -> Dict[str, Any]:
     path = file_value.get("path")
     if path and os.path.exists(path):
@@ -87,14 +116,8 @@ def collect_output(
     matched_value: Any = None
     glob_matches: List[Dict[str, Any]] = []
     if binding.glob is not None:
-        patterns = binding.glob if isinstance(binding.glob, list) else [binding.glob]
-        matches: List[str] = []
-        for pattern in patterns:
-            evaluated = evaluator.evaluate(pattern, context)
-            if evaluated is None:
-                continue
-            for single in (evaluated if isinstance(evaluated, list) else [evaluated]):
-                matches.extend(_glob_in(outdir, str(single)))
+        matches = [path for pattern in _evaluated_patterns(binding.glob, evaluator, context)
+                   for path in _glob_in(outdir, pattern)]
         glob_matches = [build_file_value(path, compute_checksum=compute_checksum) for path in matches]
         if binding.load_contents:
             glob_matches = [_load_contents(fv) for fv in glob_matches]

@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Set
 
-from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache
+from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache, job_key
 
 
 def signal_job_process(proc: Any, sig: int) -> None:
@@ -225,6 +225,20 @@ class RuntimeContext:
         if directory is None:
             return None
         return get_job_cache(directory)
+
+    def cache_key(self, tool: Any, job_order: Dict[str, Any]) -> str:
+        """The job-cache key of one invocation of ``tool`` under this context.
+
+        How every engine keys a job — the runner engines in
+        :meth:`~repro.cwl.job.CommandLineJob._probe_cache`, the Parsl engines
+        on the execution side of a ``CWLApp`` — so the extra environment and
+        the resources granted after the tool's ``ResourceRequirement`` are in
+        every key, and a store is warm across engines exactly when the job
+        would run the same way.
+        """
+        granted = self.with_resources(tool)
+        return job_key(tool, job_order, cores=granted.cores, ram_mb=granted.ram_mb,
+                       extra_env=self.env)
 
     # ------------------------------------------------------------ subprocesses
 

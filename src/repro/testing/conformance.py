@@ -7,7 +7,9 @@ Default invocation — the full matrix, as CI runs it::
 runs every corpus case plus 20 generated workflows across
 {reference, toil, parsl, parsl-workflow} × cache {off, cold, warm} ×
 compiled expressions {on, off}, writes ``CONFORMANCE.json`` and exits
-non-zero on any divergence from the reference engine.
+non-zero on any divergence from the reference engine.  Warm runs that
+re-executed a job instead of restoring it are counted beside the
+divergences (``meta.warm_misses``) and listed on stderr.
 
 Useful variations::
 
@@ -178,6 +180,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cleanup:
             shutil.rmtree(base, ignore_errors=True)
 
+    warm_misses = [f"{outcome.case_id} :: {line}"
+                   for outcome in outcomes for line in outcome.warm_misses]
     report = build_report(outcomes, configs, meta={
         "corpus": str(args.corpus) if args.corpus else "conformance/corpus",
         "generated": len(generated),
@@ -188,14 +192,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Corpus cases, per engine, that carry an `overrides:` expectation.
         "overrides": dict(sorted(collections.Counter(
             engine for case in cases for engine in case.overrides).items())),
+        # Warm configurations in which a conforming run re-executed a job.
+        "warm_misses": len(warm_misses),
     })
     path = write_report(args.report, report)
 
     summary = report["summary"]
     say(f"conformance: {summary['passed_cases']}/{summary['cases']} cases passed "
         f"({summary['runs']} runs, {summary['divergences']} divergence(s), "
+        f"{len(warm_misses)} warm run(s) with misses, "
         f"per-engine overrides {report['meta']['overrides']}); "
         f"report written to {path}")
+    for line in warm_misses:
+        print(f"WARM MISS: {line}", file=sys.stderr)
     if summary["divergences"]:
         for line in report["divergences"]:
             print(f"DIVERGENCE: {line}", file=sys.stderr)

@@ -14,6 +14,11 @@ configuration must either
 Anything else is a divergence, recorded per configuration on the
 :class:`CaseOutcome`.
 
+Equal outputs do not show that a ``cache=warm`` run replayed anything, so
+warm runs are checked separately: every job of a conforming, successful warm
+run should be a hit on the store its priming run filled, and
+:attr:`ConfigOutcome.warm_misses` counts the jobs that were not.
+
 Configurations with a fault profile (``MatrixConfig.faults``) are compared
 against a *same-profile* reference baseline: the oracle for "engine X under
 injected fault plan P" is the reference runner under exactly the same plan P.
@@ -46,11 +51,22 @@ class ConfigOutcome:
     def passed(self) -> bool:
         return self.divergence is None
 
+    @property
+    def warm_misses(self) -> int:
+        """Jobs of a conforming, successful ``cache=warm`` run that were not
+        restored from the store its priming run filled (0 elsewhere)."""
+        result = self.run.result
+        if self.run.config.cache != "warm" or not self.passed or result is None:
+            return 0
+        return result.jobs_run - self.run.cache_hits()
+
     def describe(self) -> Dict[str, Any]:
         description = self.run.describe()
         description["passed"] = self.passed
         if self.divergence is not None:
             description["divergence"] = self.divergence
+        if self.warm_misses:
+            description["warm_misses"] = self.warm_misses
         return description
 
 
@@ -72,6 +88,13 @@ class CaseOutcome:
     def divergences(self) -> List[str]:
         return [f"{outcome.run.config.label}: {outcome.divergence}"
                 for outcome in self.outcomes if outcome.divergence]
+
+    @property
+    def warm_misses(self) -> List[str]:
+        """One line per warm configuration in which some job missed."""
+        return [f"{outcome.run.config.label}: {outcome.warm_misses} of "
+                f"{outcome.run.result.jobs_run} job(s) missed"
+                for outcome in self.outcomes if outcome.warm_misses]
 
 
 def _reference_for(faults: Optional[str]) -> MatrixConfig:

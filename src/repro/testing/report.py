@@ -27,7 +27,9 @@ Report shape (version 1)::
 
 CI uploads the file as an artifact and fails the conformance job when
 ``summary.divergences`` is non-zero.  ``meta.overrides`` (written by the CLI)
-counts, per engine, the corpus cases whose expectation that engine overrides.
+counts, per engine, the corpus cases whose expectation that engine overrides;
+``meta.warm_misses`` counts the ``cache=warm`` runs that conformed but
+re-executed a job (each such run also carries ``"warm_misses"``).
 """
 
 from __future__ import annotations

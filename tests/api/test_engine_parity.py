@@ -262,3 +262,42 @@ def test_run_options_travel_in_the_context_or_flat(engine, tmp_path, monkeypatch
 
     with pytest.raises(TypeError, match="no_such_option"):
         api.Session(engine, no_such_option=1, **backend)
+
+
+#: Echoes what the job was granted and the context's extra environment.
+GRANTED_TOOL = {
+    "class": "CommandLineTool",
+    "baseCommand": ["bash", "-c", 'echo "$1 $2 $FOO"', "bash"],
+    "arguments": ["$(runtime.cores)", "$(runtime.ram)"],
+    "inputs": {}, "outputs": {"out": "stdout"}, "stdout": "granted.txt",
+}
+
+
+@pytest.mark.parametrize("engine", WORKFLOW_ENGINES)
+def test_cores_ram_and_env_reach_the_job_and_its_cache_key(engine, tmp_path, monkeypatch):
+    """``cores`` / ``ram_mb`` / ``env`` from the context reach the job on every
+    engine, and are part of its cache key: a changed ``env`` is a miss, never
+    a replay of the other value's output."""
+    monkeypatch.chdir(tmp_path)
+    process = GRANTED_TOOL
+    if engine == "parsl-workflow":
+        process = {"cwlVersion": "v1.2", "class": "Workflow", "inputs": {},
+                   "outputs": {"out": {"type": "File", "outputSource": "only/out"}},
+                   "steps": {"only": {"run": GRANTED_TOOL, "in": {}, "out": ["out"]}}}
+    backend = {"basedir": str(tmp_path / "jobs"), "cache_dir": str(tmp_path / "store")}
+    if engine == "toil":
+        backend.update(job_store_dir=str(tmp_path / "jobstore"),
+                       destroy_job_store_on_close=True)
+    if engine in ("parsl", "parsl-workflow"):
+        backend["config"] = repro.thread_config(
+            max_threads=2, run_dir=str(tmp_path / "runinfo"))
+
+    def granted(foo):
+        result = api.run(dict(process), {}, engine=engine, cores=4, ram_mb=2048,
+                         env={"FOO": foo}, **backend)
+        return (normalise(result.outputs["out"])["contents"],
+                result.cache_stats)
+
+    assert granted("bar") == (b"4 2048 bar\n", {"hits": 0, "misses": 1})
+    assert granted("baz") == (b"4 2048 baz\n", {"hits": 0, "misses": 1})
+    assert granted("bar") == (b"4 2048 bar\n", {"hits": 1, "misses": 0})

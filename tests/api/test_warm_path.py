@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro import api
 from repro.core.cwl_app import (
+    CWLApp,
     cached_bash_executor,
     cwl_tool_command,
     resilient_bash_executor,
@@ -375,3 +376,52 @@ def test_injected_fault_fires_before_the_probe(primed):
         cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed) == 0
     assert note == {"cache": "hit"}
     assert cache.snapshot()["hits"] == before["hits"] + 1
+
+
+# ------------------------------ the execution-side store: what the globs matched
+
+def test_a_wildcard_glob_hit_restores_the_matched_file(tmp_path, monkeypatch):
+    """A bare ``CWLApp`` with a wildcard glob: nothing predicts ``x-out.txt``
+    at submission, so the store must hold what the glob matched once the
+    command succeeded — a hit in a fresh cwd restores it with the recorded
+    bytes, never an empty directory reporting ``cache="hit"``."""
+    tool = {"class": "CommandLineTool",
+            "baseCommand": ["bash", "-c", "echo wild > x-out.txt"],
+            "inputs": {}, "outputs": {"out": {"type": "File",
+                                              "outputBinding": {"glob": "*-out.txt"}}}}
+    context = RuntimeContext(cache_dir=str(tmp_path / "store"))
+    notes = []
+    for run in ("cold", "warm"):
+        workdir = tmp_path / run
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        repro.load(repro.thread_config(max_threads=2, run_dir=str(workdir / "runinfo")))
+        try:
+            future = CWLApp(load_document(dict(tool)), runtime_context=context)()
+            future.result()
+        finally:
+            repro.clear()
+        notes.append(future.cwl_cache_note)
+    assert notes == [{"cache": "miss"}, {"cache": "hit"}]
+    assert (tmp_path / "warm" / "x-out.txt").read_bytes() == b"wild\n"
+
+
+def test_an_output_eval_tool_hits_on_the_parsl_engine(tmp_path, monkeypatch):
+    """``outputEval`` reduces the matched file to an int, so the collected
+    output references no file; the store keeps the matched file itself and a
+    hit re-runs collection over the restored copy."""
+    tool = {"class": "CommandLineTool",
+            "baseCommand": ["bash", "-c", "echo 6 7 > numbers.txt"],
+            "requirements": [{"class": "InlineJavascriptRequirement"}],
+            "inputs": {}, "outputs": {"n": {"type": "int", "outputBinding": {
+                "glob": "numbers.txt", "loadContents": True,
+                "outputEval": "$(parseInt(self[0].contents.split(' ')[0]))"}}}}
+    results = []
+    for run in ("cold", "warm"):
+        with session_for("parsl", tmp_path / "store", tmp_path / run, monkeypatch) as session:
+            results.append(session.run(load_document(dict(tool)), {}))
+    cold, warm = results
+    assert cold.cache_stats == {"hits": 0, "misses": 1}
+    assert warm.cache_stats == {"hits": 1, "misses": 0}
+    assert [event.cache for event in warm.events if event.kind == "end"] == ["hit"]
+    assert warm.outputs == cold.outputs == {"n": 6}

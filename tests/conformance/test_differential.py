@@ -10,6 +10,7 @@ it ever reaches CI.
 from __future__ import annotations
 
 import json
+from typing import Dict
 
 import pytest
 
@@ -25,19 +26,31 @@ def _isolated_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+#: Corpus cases whose conforming warm runs may re-execute a job, each with
+#: the reason.  Expected to stay empty: a warm run that re-executes is a cache
+#: that silently does nothing.
+WARM_MISS_EXCEPTIONS: Dict[str, str] = {}
+
+
 def _tier1_configs():
     """Engines at their default expression pipeline, cache off."""
     return api.matrix_configs(cache_modes=("off",), compiled_modes=(None,))
 
 
 def test_tier1_corpus_has_zero_divergences(tier1_corpus, tmp_path):
-    """Every tier-1 case agrees with the reference engine on all engines."""
+    """Every tier-1 case agrees with the reference engine on all engines,
+    cache off and warm, and every job of a passing warm run is a hit."""
     assert tier1_corpus
+    configs = api.matrix_configs(cache_modes=("off", "warm"), compiled_modes=(None,))
     failures = []
+    misses = []
     for case in tier1_corpus:
-        outcome = run_case(case, _tier1_configs(), tmp_path / case.id)
+        outcome = run_case(case, configs, tmp_path / case.id)
         failures.extend(f"{case.id} :: {line}" for line in outcome.divergences)
+        if case.id not in WARM_MISS_EXCEPTIONS:
+            misses.extend(f"{case.id} :: {line}" for line in outcome.warm_misses)
     assert not failures, "\n".join(failures)
+    assert not misses, "\n".join(misses)
 
 
 def test_generated_workflows_have_zero_divergences(generated_suite, tmp_path):
@@ -58,10 +71,10 @@ def test_warm_cache_conforms_on_every_engine(corpus, tmp_path):
     warm_runs = [config_outcome.run for config_outcome in outcome.outcomes
                  if config_outcome.run.config.cache == "warm"]
     assert warm_runs
-    # the runner engines observably replay from the store on the warm leg
+    # every engine observably replays every job from the store on the warm leg
     for run in warm_runs:
-        if run.config.engine in ("reference", "toil"):
-            assert run.cache_hits() > 0, run.config.label
+        assert run.cache_hits() == run.result.jobs_run > 0, run.config.label
+    assert not outcome.warm_misses
 
 
 def test_compiled_and_uncompiled_agree(corpus, tmp_path):

@@ -3,7 +3,9 @@
 Scattering over a nested Workflow is supported by the runner engines but is
 a declared unsupported path on the Parsl bridge: both Parsl engines must
 raise :class:`UnsupportedRequirement` — not a generic failure — and the
-message must name the offending step, identically on both engines.
+message must name the offending step, identically on both engines.  The
+same holds for a step output reduced by ``outputEval``, whose value the
+bridge cannot hand on as a file future.
 """
 
 from __future__ import annotations
@@ -111,3 +113,36 @@ def test_scatter_over_future_width_is_unsupported_with_step_name(tmp_path, monke
         assert "'use'" in str(excinfo.value)
     finally:
         repro.clear()
+
+
+def output_eval_workflow():
+    """One step whose output is an ``outputEval``-reduced int, not a file."""
+    count = {
+        "class": "CommandLineTool",
+        "baseCommand": ["bash", "-c", "echo 42 > numbers.txt"],
+        "requirements": [{"class": "InlineJavascriptRequirement"}],
+        "inputs": {},
+        "outputs": {"n": {"type": "int", "outputBinding": {
+            "glob": "numbers.txt", "loadContents": True,
+            "outputEval": "$(parseInt(self[0].contents))"}}},
+    }
+    return {"cwlVersion": "v1.2", "class": "Workflow", "inputs": {},
+            "outputs": {"n": {"type": "int", "outputSource": "count/n"}},
+            "steps": {"count": {"run": count, "in": {}, "out": ["n"]}}}
+
+
+def test_runner_engines_run_an_output_eval_step(run_engine):
+    for engine in ("reference", "toil"):
+        assert run_engine(engine, output_eval_workflow(), {}).outputs == {"n": 42}
+
+
+@pytest.mark.parametrize("engine", PARSL_ENGINES)
+def test_parsl_engines_refuse_an_output_eval_step_output(run_engine, engine):
+    """The bridge passes file futures between steps; an ``outputEval`` value
+    exists only after the step ran, so it is refused by name, not replaced
+    by the matched file."""
+    with pytest.raises(UnsupportedRequirement) as excinfo:
+        run_engine(engine, output_eval_workflow(), {})
+    message = str(excinfo.value)
+    assert "'count'" in message and "['n']" in message and "outputEval" in message
+    assert exit_class(excinfo.value) == "unsupported"
