@@ -6,8 +6,8 @@ at increasing evaluation counts:
 * **uncached** — :class:`ExpressionEvaluator` keeps nothing (cwltool
   fidelity: re-scan, re-parse, re-compile, rebuild the stdlib and re-run the
   expressionLib in a fresh scope every time, the Figure 2 cost model),
-* **compiled** — :class:`CompiledEvaluator`: parse-once templates from the
-  bounded LRU, one shared library scope.
+* **compiled** — :class:`CompiledEvaluator`: each distinct string compiled
+  once into the evaluator's memo, one shared library scope.
 
 The recorded series land in ``BENCH_expressions.json`` (figure → series →
 points) so future PRs can track the trajectory.  Their timings are asserted
@@ -21,11 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cwl.expressions import compiler
-from repro.cwl.expressions.compiler import (
-    CompiledEvaluator,
-    clear_compile_cache,
-    compile_cache_stats,
-)
+from repro.cwl.expressions.compiler import CompiledEvaluator, compile_cache_stats
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
 
 EVALUATION_COUNTS = [32, 128, 512]
@@ -103,17 +99,20 @@ def test_ablation_shape_compiled_at_least_2x_faster(monkeypatch):
     assert uncached.engine_builds == len(parses) == javascript
 
     parses.clear()
-    clear_compile_cache()
+    before = compile_cache_stats()
     run_workload(make_compiled(), largest)
+    after = compile_cache_stats()
     assert len(parses) == 3
-    assert compile_cache_stats()["misses"] == len(EXPRESSIONS)
+    assert after["misses"] - before["misses"] == len(EXPRESSIONS)
+    assert after["hits"] - before["hits"] == largest - len(EXPRESSIONS)
 
 
 def test_ablation_compile_cache_is_actually_hit():
-    """The workload's repeated strings must be served from the template LRU."""
+    """The workload's repeated strings must be served from the evaluator's memo."""
     evaluator = CompiledEvaluator(expression_lib=[JS_LIB])
     run_workload(evaluator, 8)
-    before = compile_cache_stats()["hits"]
+    before = compile_cache_stats()
     run_workload(evaluator, 64)
-    after = compile_cache_stats()["hits"]
-    assert after > before
+    after = compile_cache_stats()
+    assert after["hits"] - before["hits"] == 64
+    assert after["misses"] == before["misses"]

@@ -25,7 +25,7 @@ DataFlowKernel:
   critical-path summary without executing anything (also attached to every
   workflow result as :attr:`ExecutionResult.plan`).
 * :func:`run_matrix` / :class:`MatrixConfig` — execute one process across
-  the engine × cache × compiled-expression × faults matrix with per-run
+  the engine × cache × faults × pipeline matrix with per-run
   isolation and canonicalised (engine-independent) outputs; the execution
   backbone of the conformance harness in :mod:`repro.testing`.
 * Fault tolerance — :class:`RetryPolicy` (deterministic seeded backoff),

@@ -24,11 +24,11 @@ Engines hold backend state across runs (the Toil engine keeps its job store
 and batch system, the Parsl engines keep the DataFlowKernel they loaded), so
 one :class:`~repro.api.session.Session` amortises setup over many executions.
 
-Expression handling differs by engine: ``reference`` keeps cwltool's
-per-evaluation cost model (fresh JS engine, re-parsed expressionLib — the
-Figure 2 baseline), while ``toil``, ``parsl`` and ``parsl-workflow`` default
-to the compiled pipeline of :mod:`repro.cwl.expressions.compiler`; pass
-``compile_expressions=`` to override either way.
+Expression handling is a property of the engine, not a run option:
+``reference`` keeps cwltool's per-evaluation cost model (a fresh library
+scope and a re-parse per JavaScript evaluation — the Figure 2 baseline), while
+``toil``, ``parsl`` and ``parsl-workflow`` compile each string of a document
+once (:mod:`repro.cwl.expressions.compiler`).
 
 Every engine constructor takes its backend arguments plus ``runtime_context=``
 and nothing else: any other keyword is a :class:`RuntimeContext` field given

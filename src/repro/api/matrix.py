@@ -1,4 +1,4 @@
-"""Run one process across an engine × cache × expression-pipeline matrix.
+"""Run one process across an engine × cache × faults × pipeline matrix.
 
 The conformance/differential harness (:mod:`repro.testing`) needs to execute
 the *same* document and job order under every supported configuration and
@@ -9,7 +9,7 @@ directories) and returns a :class:`MatrixRun` whose outputs are already
 normalised to the engine-independent canonical form of
 :mod:`repro.cwl.canonical`.
 
-A configuration has five axes:
+A configuration has four axes:
 
 ========== ==========================================================
 engine     any registry name (``reference``/``toil``/``parsl``/
@@ -17,8 +17,6 @@ engine     any registry name (``reference``/``toil``/``parsl``/
 cache      ``"off"`` (job cache disabled), ``"cold"`` (fresh store,
            single run) or ``"warm"`` (a priming run populates the
            store, a second run — the one reported — replays from it)
-compiled   ``None`` (engine default), ``True`` (compiled-expression
-           pipeline) or ``False`` (fresh uncached evaluators)
 faults     ``None`` (no injection) or the name of a
            :func:`repro.cwl.faults.fault_profiles` entry — a seeded
            deterministic fault plan plus the retry policy that rides
@@ -54,11 +52,10 @@ CACHE_MODES = ("off", "cold", "warm")
 
 @dataclass(frozen=True)
 class MatrixConfig:
-    """One point of the engine × cache × compiled matrix."""
+    """One point of the engine × cache × faults × pipeline matrix."""
 
     engine: str
     cache: str = "off"
-    compiled: Optional[bool] = None
     #: Name of a fault profile (see :func:`repro.cwl.faults.fault_profiles`)
     #: to inject, or ``None``.  A *name* rather than the plan object keeps
     #: the config frozen/hashable; the plan is instantiated fresh per run.
@@ -76,8 +73,7 @@ class MatrixConfig:
     @property
     def label(self) -> str:
         """Stable human-readable identifier (used in reports and paths)."""
-        compiled = {None: "default", True: "on", False: "off"}[self.compiled]
-        label = f"{self.engine}/cache={self.cache}/compiled={compiled}"
+        label = f"{self.engine}/cache={self.cache}"
         if self.faults:
             label += f"/faults={self.faults}"
         if self.pipeline:
@@ -86,8 +82,7 @@ class MatrixConfig:
 
 
 #: The oracle every other configuration is compared against: the
-#: cwltool-fidelity reference runner, no cache, its default (uncached)
-#: expression pipeline.
+#: cwltool-fidelity reference runner, no cache.
 REFERENCE_CONFIG = MatrixConfig("reference")
 
 
@@ -135,15 +130,13 @@ class MatrixRun:
 
 def matrix_configs(engines: Sequence[str] = ENGINE_ORDER,
                    cache_modes: Sequence[str] = ("off",),
-                   compiled_modes: Sequence[Optional[bool]] = (None,),
                    fault_modes: Sequence[Optional[str]] = (None,),
                    pipeline_modes: Sequence[Optional[bool]] = (None,),
                    ) -> List[MatrixConfig]:
-    """The cross product of the five axes, in deterministic order."""
-    return [MatrixConfig(engine, cache, compiled, faults, pipeline)
+    """The cross product of the four axes, in deterministic order."""
+    return [MatrixConfig(engine, cache, faults, pipeline)
             for engine in engines
             for cache in cache_modes
-            for compiled in compiled_modes
             for faults in fault_modes
             for pipeline in pipeline_modes]
 
@@ -176,8 +169,7 @@ def run_matrix(process: Any, job_order: Optional[Dict[str, Any]] = None, *,
                max_workers: int = 4) -> List[MatrixRun]:
     """Execute ``process`` under every configuration; returns one run each.
 
-    With no ``configs``, the four engines run cache-off at their default
-    expression pipeline.  With no ``workdir``, a temporary directory is used
+    With no ``configs``, the four engines run cache-off.  With no ``workdir``, a temporary directory is used
     and removed afterwards (outputs are canonicalised — content-hashed —
     before the files disappear).
     """
@@ -264,7 +256,6 @@ def _engine_options(config: MatrixConfig, run_dir: str,
     # window on the Parsl engines (which have no pipelined scheduler core).
     options["runtime_context"] = RuntimeContext(
         basedir=run_dir,
-        compile_expressions=config.compiled,
         cache_dir=cache_dir,
         job_cache=False if cache_dir is None else None,
         retry_policy=retry_policy,

@@ -36,8 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
 from repro.cwl.command_line import build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, JobTimeout, ValidationException
-from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.jobcache import (
     CacheEntry,
     JobCache,
@@ -116,16 +115,9 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
         if entry is not None:
             raise _CacheHit(cache, entry)
 
-    # The parsl path defaults to the compiled pipeline: the tool's pinned
-    # templates and the process-wide library scope, so repeated invocations
-    # of the same tool in one worker skip all parsing.  With
-    # ``cwl_compile_expressions: False`` in the app kwargs (the conformance
-    # matrix's uncompiled leg) expressions go through a fresh uncached
-    # evaluator instead, exactly like the reference runner.
-    if _parsl_kwargs.get("cwl_compile_expressions", True) is False:
-        expression_evaluator = _uncompiled_evaluator(tool)
-    else:
-        expression_evaluator = precompile_process(tool).evaluator
+    # The Parsl path's expression pipeline is the compiled one; the shared
+    # library scope spares each invocation rebuilding the standard library.
+    expression_evaluator = precompile_process(tool)
     if key is not None and isinstance(cache_ctx, dict):
         cache_ctx.update(cache_dir=cache_dir, key=key, outdir=os.getcwd(),
                          globs=output_globs(tool, job_order, runtime, expression_evaluator))
@@ -139,19 +131,18 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
         )
         evaluator.validate_inputs(tool, job_order, runtime)
 
-    # Evaluate InlinePython arguments before handing the tool to the generic
-    # (JavaScript-based) command-line builder.
+    # InlinePython arguments evaluate here, in Python.  Each result is one
+    # command-line token, used verbatim: the generic (JavaScript-based)
+    # builder never scans it for ``$(...)``.
+    builder_evaluator = expression_evaluator
     if evaluator is not None and tool.arguments:
         scope = {"inputs": job_order, "runtime": runtime, "self": None}
-        rewritten: List[Any] = []
-        for argument in tool.arguments:
-            if isinstance(argument, str) and is_python_expression(argument):
-                rewritten.append(str(evaluator.evaluate(argument, scope)))
-            else:
-                rewritten.append(argument)
-        tool.arguments = rewritten
+        builder_evaluator = _WithPythonArguments(expression_evaluator, {
+            argument: str(evaluator.evaluate(argument, scope))
+            for argument in tool.arguments
+            if isinstance(argument, str) and is_python_expression(argument)})
 
-    parts = build_command_line(tool, job_order, runtime, expression_evaluator)
+    parts = build_command_line(tool, job_order, runtime, builder_evaluator)
     command = parts.joined()
     # The runners pass the context's env and then EnvVarRequirement
     # variables (which win) through the subprocess environment; the bash
@@ -194,9 +185,20 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     return command
 
 
-def _uncompiled_evaluator(tool: CommandLineTool):
-    """A fresh cwltool-style evaluator honouring the tool's expressionLib."""
-    return ExpressionEvaluator(expression_lib=expression_lib_of(tool))
+class _WithPythonArguments:
+    """The command-line builder's evaluator on a tool with InlinePython
+    ``arguments``: each such argument's source maps to its result, already
+    evaluated in Python and returned as is; every other string goes to
+    ``evaluator``."""
+
+    def __init__(self, evaluator: Any, results: Dict[str, str]) -> None:
+        self._evaluator = evaluator
+        self._results = results
+
+    def evaluate(self, value: Any, context: Dict[str, Any]) -> Any:
+        if isinstance(value, str) and value in self._results:
+            return self._results[value]
+        return self._evaluator.evaluate(value, context)
 
 
 def _to_cwl_value(value: Any) -> Any:
@@ -391,15 +393,6 @@ class CWLApp:
         self.runtime_context = runtime_context or RuntimeContext()
         if validate_document:
             ensure_valid(self.tool)
-        # ``compile_expressions`` is tri-state: ``None``/``True`` use the
-        # compiled pipeline (the Parsl default), ``False`` evaluates every
-        # expression with a fresh uncached engine.
-        if validate_document and self.runtime_context.compile_expressions is not False:
-            # Validate-time compilation: submission-side expression use (static
-            # glob prediction, output collection) reuses the pinned templates.
-            from repro.cwl.expressions.compiler import precompile_process
-
-            precompile_process(self.tool)
         self.data_flow_kernel = data_flow_kernel
         self.executor_label = executors if isinstance(executors, str) or executors is None \
             else (executors[0] if executors else "all")
@@ -493,8 +486,6 @@ class CWLApp:
         app_kwargs: Dict[str, Any] = {"cwl_inputs": cwl_inputs}
         for name in _CONTEXT_FIELDS:
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
-        if context.compile_expressions is False:
-            app_kwargs["cwl_compile_expressions"] = False
         if stdout_path:
             app_kwargs["stdout"] = stdout_path
         if stderr_path:
@@ -643,7 +634,7 @@ class CWLApp:
         concrete = {key: _to_cwl_value(value) for key, value in job_order.items()
                     if not isinstance(value, DataFuture)}
         try:
-            evaluated = _uncompiled_evaluator(self.tool).evaluate(
+            evaluated = precompile_process(self.tool).evaluate(
                 spec, {"inputs": concrete, "runtime": {}, "self": None})
         except Exception:
             return spec

@@ -18,9 +18,10 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional, Union
 
-from repro.core.cwl_app import CWLApp, _uncompiled_evaluator
+from repro.core.cwl_app import CWLApp
 from repro.core.yaml_config import load_yaml_config
 from repro.cwl.command_line import fill_in_defaults
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.loader import load_tool
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext
@@ -85,10 +86,8 @@ def run_tool_with_parsl(
     runtime_context:
         The run options, handed to the :class:`CWLApp`: the job cache
         (``cache_dir`` / ``job_cache``; a hit is restored through the loaded
-        kernel, in process), ``cores`` / ``ram_mb`` / ``env``,
-        ``compile_expressions`` (``None``/``True`` = the compiled pipeline,
-        the Parsl default; ``False`` = fresh uncached engines like the
-        reference runner) and ``timeout_s`` (enforced in-shell on the
+        kernel, in process), ``cores`` / ``ram_mb`` / ``env`` and
+        ``timeout_s`` (enforced in-shell on the
         execution side; exceeding it raises
         :class:`~repro.cwl.errors.JobTimeout`).  Retries and fault injection
         are the caller's concern — the unified API wraps this whole call in
@@ -112,10 +111,6 @@ def run_tool_with_parsl(
         outdir = outdir or os.getcwd()
         stdout_path = _absolute(future.stdout, outdir)
         stderr_path = _absolute(future.stderr, outdir)
-        # By default collect_outputs' evaluator picks up the pinned templates
-        # the CWLApp constructor compiled onto the tool; with
-        # compile_expressions=False an explicit uncached evaluator is used
-        # instead.
         runtime = context.with_resources(app.tool).runtime_object(outdir, outdir)
         return collect_outputs(
             app.tool,
@@ -124,8 +119,7 @@ def run_tool_with_parsl(
             stderr_path=stderr_path,
             job_order=_cwl_job_order(app.tool, job_order),
             runtime=runtime,
-            evaluator=_uncompiled_evaluator(app.tool)
-            if context.compile_expressions is False else None,
+            evaluator=precompile_process(app.tool),
         )
     finally:
         if cleanup:

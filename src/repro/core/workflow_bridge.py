@@ -55,8 +55,7 @@ class _SubmissionEngine(WorkflowEngine):
         # Submission is serial and fails fast; the run's journal, failure
         # policy and in-flight window apply to the futures, i.e. to the bridge.
         super().__init__(bridge.workflow, self._submit, context.child(
-            journal=None, on_error="stop", pipeline=False,
-            compile_expressions=context.compile_expressions is not False))
+            journal=None, on_error="stop", pipeline=False))
         self._graph = bridge.graph
         self._bridge = bridge
         self._node: Optional[GraphNode] = None

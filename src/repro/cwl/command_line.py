@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cwl.errors import ValidationException
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.schema import CommandInputParameter, CommandLineBinding, CommandLineTool
 from repro.cwl.types import CWLType, is_directory_value, is_file_value, value_to_path
 
@@ -103,18 +102,13 @@ def build_command_line(
     tool: CommandLineTool,
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
-    evaluator: Optional[ExpressionEvaluator] = None,
+    evaluator: Any,
 ) -> CommandLineParts:
     """Construct the argv and redirections for one invocation of ``tool``.
 
-    When no ``evaluator`` is supplied, a tool that went through
-    :func:`~repro.cwl.expressions.compiler.precompile_process` contributes its
-    precompiled evaluator; otherwise a fresh uncached one is built.
+    ``evaluator`` is the runner's expression evaluator for ``tool`` (see
+    :meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`).
     """
-    if evaluator is None:
-        compilation = getattr(tool, "compiled", None)
-        evaluator = compilation.evaluator if compilation is not None \
-            else ExpressionEvaluator(js_enabled=True)
     context = {"inputs": job_order, "runtime": runtime, "self": None}
 
     bindings: List[Tuple[Tuple[int, int], List[str]]] = []

@@ -16,20 +16,19 @@ finds references/expressions in strings, compiles them, evaluates them against
 the CWL context (``inputs``, ``self``, ``runtime``) and performs string
 interpolation, mirroring the behaviour of cwltool's expression handling.
 
-Two evaluators are clients of that one compiler; they differ in what they keep:
+Two evaluators are clients of that one compiler; they differ in what they keep,
+and which one runs is a property of the engine:
 
-* the **uncached** :class:`ExpressionEvaluator` keeps nothing — every
-  evaluation re-parses and re-compiles its JavaScript and runs it in a newly
-  built library scope (cwltool fidelity — the Figure 2 cost model), and
-* the **compiled** :class:`~repro.cwl.expressions.compiler.CompiledEvaluator`
-  compiles each distinct string once, shares library scopes by content hash
-  and serves repeats from a bounded LRU (the default for the long-lived
-  ``toil`` / ``parsl`` / ``parsl-workflow`` engines).
+* the :class:`ExpressionEvaluator` of the ``reference`` engine keeps nothing —
+  every evaluation re-parses and re-compiles its JavaScript and runs it in a
+  newly built library scope (cwltool fidelity — the Figure 2 cost model), and
+* the :class:`~repro.cwl.expressions.compiler.CompiledEvaluator` of ``toil`` /
+  ``parsl`` / ``parsl-workflow`` compiles each distinct string of a document
+  once and shares library scopes by content hash.
 """
 
 from repro.cwl.expressions.compiler import (
     CompiledEvaluator,
-    clear_compile_cache,
     compile_cache_stats,
     precompile_process,
 )
@@ -42,7 +41,6 @@ from repro.cwl.expressions.paramrefs import (
 __all__ = [
     "CompiledEvaluator",
     "ExpressionEvaluator",
-    "clear_compile_cache",
     "compile_cache_stats",
     "find_expressions",
     "needs_expression_evaluation",

@@ -1,6 +1,7 @@
 """The expression compiler, and the compiled pipeline that keeps what it compiles.
 
-There is one compiler.  The two evaluators differ in what they keep:
+There is one compiler, and one expression pipeline per engine; the two
+evaluators differ only in what they keep:
 
 * :class:`CompiledExpression` — one ``$(...)``/``${...}`` occurrence, scanned
   and classified into a literal-free fast path: a *simple parameter
@@ -9,31 +10,27 @@ There is one compiler.  The two evaluators differ in what they keep:
 * :class:`CompiledTemplate` — a whole CWL string: plain literal, whole-string
   single expression (native value preserved) or an interpolation with
   precompiled segments and pre-unescaped literal pieces.
-* :class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator` (the uncached
-  pipeline, the reference runner's default) builds a throw-away template and a
-  fresh :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` for
-  every evaluation — the cwltool cost model the paper's Figure 2 measures —
-  and touches none of the caches below.
-* :class:`CompiledEvaluator` (the default of ``toil``, ``parsl``,
-  ``parsl-workflow``; same ``evaluate`` / ``evaluate_structure`` contract and
-  error messages) compiles each distinct string once through a process-wide
-  bounded LRU keyed by ``(source, js_enabled, library fingerprint)`` — a
-  changed ``expressionLib`` misses and recompiles — and evaluates against one
-  shared scope per library content.
-* :func:`precompile_process` — the validate-time pass that walks a loaded
-  document (arguments, input/output bindings, redirections, step ``when`` /
-  ``valueFrom``, embedded sub-processes) and pins every expression's compiled
-  template, so the first job of a scatter pays no parse cost either.
+* :class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator` — the
+  reference runner's pipeline — builds a throw-away template and a fresh
+  :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` for every
+  evaluation: the cwltool cost model the paper's Figure 2 measures.
+* :class:`CompiledEvaluator` — the pipeline of ``toil``, ``parsl`` and
+  ``parsl-workflow`` (same ``evaluate`` / ``evaluate_structure`` contract and
+  error messages) — compiles each distinct string once into its own memo and
+  evaluates against the one shared scope of its library content.
+  :func:`precompile_process` gives each process object one such evaluator.
+
+Which of the two a job gets is the runner's decision
+(:meth:`repro.cwl.runners.base.BaseRunner.evaluator_for`), never a run option.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cwl.errors import ExpressionError, JavaScriptError
+from repro.cwl.errors import ExpressionError
 from repro.cwl.expressions.jsengine.closures import (
     CompiledNode,
     LibraryScope,
@@ -54,12 +51,9 @@ __all__ = [
     "CompiledExpression",
     "CompiledTemplate",
     "CompiledEvaluator",
-    "ProcessCompilation",
-    "compile_template",
     "expression_lib_of",
     "precompile_process",
     "compile_cache_stats",
-    "clear_compile_cache",
 ]
 
 
@@ -171,73 +165,17 @@ class CompiledTemplate:
         return "".join(pieces)
 
 
-# ------------------------------------------------------------------ LRU cache
+# ------------------------------------------------------------------ evaluator
 
-
-class _CompileCache:
-    """Thread-safe bounded LRU of compiled templates, with hit/miss counters."""
-
-    def __init__(self, maxsize: int = 2048) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple[str, bool, str], CompiledTemplate]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compile(self, source: str, js_enabled: bool, fingerprint: str) -> CompiledTemplate:
-        key = (source, js_enabled, fingerprint)
-        with self._lock:
-            template = self._entries.get(key)
-            if template is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return template
-            self.misses += 1
-        # Compile outside the lock; duplicate compilations are harmless.
-        template = CompiledTemplate(source, js_enabled)
-        with self._lock:
-            self._entries[key] = template
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return template
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "size": len(self._entries), "maxsize": self.maxsize}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-_TEMPLATE_CACHE = _CompileCache()
-
-
-def compile_template(source: str, js_enabled: bool = True,
-                     fingerprint: str = "") -> CompiledTemplate:
-    """Compile ``source`` through the process-wide cache.
-
-    ``fingerprint`` is the library content hash; a changed ``expressionLib``
-    therefore misses the cache and recompiles against the new library.
-    """
-    return _TEMPLATE_CACHE.get_or_compile(source, js_enabled, fingerprint)
+#: Memo hits and misses summed over every :class:`CompiledEvaluator`.
+_MEMO_STATS = {"hits": 0, "misses": 0}
+_MEMO_STATS_LOCK = threading.Lock()
 
 
 def compile_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the global template cache."""
-    return _TEMPLATE_CACHE.stats()
-
-
-def clear_compile_cache() -> None:
-    """Empty the global template cache (tests and benchmarks)."""
-    _TEMPLATE_CACHE.clear()
-
-
-# ------------------------------------------------------------------ evaluator
+    """Hit/miss counters of the compiled evaluators' template memos."""
+    with _MEMO_STATS_LOCK:
+        return dict(_MEMO_STATS)
 
 
 class CompiledEvaluator:
@@ -245,9 +183,10 @@ class CompiledEvaluator:
 
     Same public contract — ``evaluate`` / ``evaluate_structure`` with identical
     value semantics and error messages — but every string is compiled once
-    (through the global LRU) and evaluated via the shared
+    into this evaluator's memo and evaluated via the shared
     :class:`LibraryScope`, so neither the standard library nor the
-    ``expressionLib`` is ever re-parsed.  Instances are cheap: evaluators with
+    ``expressionLib`` is ever re-parsed.  Only a document's own strings reach
+    an evaluator, so the document bounds the memo.  Evaluators with
     byte-identical libraries share one scope.
 
     Thread-safe: the scope binds each evaluation's context in a per-thread
@@ -255,34 +194,27 @@ class CompiledEvaluator:
     """
 
     def __init__(self, expression_lib: Optional[Sequence[str]] = None,
-                 js_enabled: bool = True,
-                 scope: Optional[LibraryScope] = None) -> None:
+                 js_enabled: bool = True) -> None:
         self.expression_lib = list(expression_lib or [])
         self.js_enabled = js_enabled
-        self.scope = scope if scope is not None else shared_library_scope(self.expression_lib)
+        self.scope = shared_library_scope(self.expression_lib)
         #: Interface parity with ``ExpressionEvaluator``: the library scope is
         #: built (at most) once per library content, not per evaluation.
         self.engine_builds = 1
-        #: Templates pinned by :meth:`compile` — immune to LRU eviction.
-        self._pinned: Dict[str, CompiledTemplate] = {}
-
-    # ------------------------------------------------------------------ public
-
-    def compile(self, source: str) -> CompiledTemplate:
-        """Compile ``source`` and pin the template for this evaluator's lifetime."""
-        template = self._pinned.get(source)
-        if template is None:
-            template = compile_template(source, self.js_enabled, self.scope.fingerprint)
-            self._pinned[source] = template
-        return template
+        self._templates: Dict[str, CompiledTemplate] = {}
 
     def evaluate(self, value: Any, context: Dict[str, Any]) -> Any:
         """Evaluate ``value`` against ``context`` (non-strings pass through)."""
         if not isinstance(value, str):
             return value
-        template = self._pinned.get(value)
+        template = self._templates.get(value)
+        outcome = "hits"
         if template is None:
-            template = compile_template(value, self.js_enabled, self.scope.fingerprint)
+            # Two threads may both compile a new string; either result serves.
+            outcome = "misses"
+            template = self._templates[value] = CompiledTemplate(value, self.js_enabled)
+        with _MEMO_STATS_LOCK:
+            _MEMO_STATS[outcome] += 1
         return template.evaluate(context, self.scope)
 
     def evaluate_structure(self, value: Any, context: Dict[str, Any]) -> Any:
@@ -296,116 +228,22 @@ class CompiledEvaluator:
         return value
 
 
-# --------------------------------------------------------- precompiled process
-
-
-class ProcessCompilation:
-    """The result of :func:`precompile_process`, attached to the process."""
-
-    __slots__ = ("evaluator", "fingerprint", "expression_count", "skipped")
-
-    def __init__(self, evaluator: CompiledEvaluator) -> None:
-        self.evaluator = evaluator
-        self.fingerprint = evaluator.scope.fingerprint
-        #: Number of expression-bearing strings successfully precompiled.
-        self.expression_count = 0
-        #: Strings that failed to compile (left for evaluation-time handling —
-        #: e.g. InlinePython f-string arguments that are not JavaScript).
-        self.skipped = 0
-
-
 def expression_lib_of(process: Any) -> List[str]:
     """The ``expressionLib`` of ``process``'s InlineJavascriptRequirement, if any."""
     js_req = process.get_requirement("InlineJavascriptRequirement")
     return list(js_req.get("expressionLib", [])) if js_req else []
 
 
-def iter_expression_sources(process: Any) -> Iterator[str]:
-    """Yield every string in ``process`` that may contain expressions."""
-    from repro.cwl.schema import CommandLineTool, ExpressionTool, Workflow
+def precompile_process(process: Any) -> CompiledEvaluator:
+    """The process's own :class:`CompiledEvaluator`, made on first use.
 
-    if isinstance(process, CommandLineTool):
-        for argument in process.arguments:
-            if isinstance(argument, str):
-                yield argument
-            elif argument.value_from is not None:
-                yield argument.value_from
-        for param in process.inputs:
-            binding = param.input_binding
-            if binding is None:
-                continue
-            if isinstance(binding.position, str):
-                yield binding.position
-            if binding.value_from is not None:
-                yield binding.value_from
-        for redirection in (process.stdin, process.stdout, process.stderr):
-            if redirection:
-                yield redirection
-        for param in process.outputs:
-            binding = param.output_binding
-            if binding is None:
-                continue
-            if binding.glob is not None:
-                patterns = binding.glob if isinstance(binding.glob, list) else [binding.glob]
-                for pattern in patterns:
-                    if isinstance(pattern, str):
-                        yield pattern
-            if binding.output_eval is not None:
-                yield binding.output_eval
-        env_req = process.get_requirement("EnvVarRequirement")
-        if env_req:
-            env_def = env_req.get("envDef", {})
-            if isinstance(env_def, list):
-                for entry in env_def:
-                    if isinstance(entry.get("envValue"), str):
-                        yield entry["envValue"]
-            elif isinstance(env_def, dict):
-                for value in env_def.values():
-                    if isinstance(value, str):
-                        yield value
-    elif isinstance(process, ExpressionTool):
-        yield process.expression
-    elif isinstance(process, Workflow):
-        for step in process.steps:
-            if step.when is not None:
-                yield step.when
-            for step_input in step.in_:
-                if step_input.value_from is not None:
-                    yield step_input.value_from
-
-
-def precompile_process(process: Any, recurse: bool = True) -> ProcessCompilation:
-    """Walk a loaded document and compile every expression it contains.
-
-    Runs at validate time; the compilation is memoized on the process object
-    (``process.compiled``), so repeated runs — and every job of a scatter —
-    reuse the same pinned templates and shared library scope.  Workflow steps
-    recurse into their embedded sub-processes, each compiled against its own
-    ``expressionLib``.
+    Kept on the process object (``process.compiled``), so every job of every
+    run of that object — each shard of a scatter, each step of a workflow
+    that names it — shares one memo and one library scope.  Strings compile
+    the first time they are evaluated.
     """
-    from repro.cwl.schema import Workflow
-
-    existing = getattr(process, "compiled", None)
-    if isinstance(existing, ProcessCompilation):
-        return existing
-
-    compilation = ProcessCompilation(CompiledEvaluator(
-        expression_lib=expression_lib_of(process), js_enabled=True))
-    for source in iter_expression_sources(process):
-        try:
-            compilation.evaluator.compile(source)
-            compilation.expression_count += 1
-        except (ExpressionError, JavaScriptError):
-            compilation.skipped += 1
-    process.compiled = compilation
-
-    if recurse and isinstance(process, Workflow):
-        from repro.cwl.schema import Process
-
-        for step in process.steps:
-            embedded = step.embedded_process
-            if embedded is None and isinstance(step.run, Process):
-                embedded = step.run
-            if embedded is not None:
-                precompile_process(embedded, recurse=recurse)
-    return compilation
+    evaluator = process.compiled
+    if evaluator is None:
+        # Racing first uses may each make one; any of them evaluates alike.
+        evaluator = process.compiled = CompiledEvaluator(expression_lib_of(process))
+    return evaluator

@@ -8,24 +8,22 @@ context (``inputs``, ``self``, ``runtime``), and returns the evaluated value:
   value is returned (so ``$(inputs.size)`` stays an int),
 * otherwise each embedded expression is evaluated and string-interpolated.
 
-This is the **uncached pipeline**, the cost model of cwltool (which hands every
-evaluation batch to a new node.js process) and what the paper's Figure 2
-measures: every call tokenizes, parses and closure-compiles its JavaScript
-again, and every JavaScript expression runs in a newly built
+This is the **reference runner's pipeline**, the cost model of cwltool (which
+hands every evaluation batch to a new node.js process) and what the paper's
+Figure 2 measures: every call tokenizes, parses and closure-compiles its
+JavaScript again, and every JavaScript expression runs in a newly built
 :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` — standard
 library rebuilt, whole ``expressionLib`` re-run.  Nothing is kept between
-calls and the compiled pipeline's caches are never touched.  (One shared
-shortcut: the *scanning* helpers in :mod:`repro.cwl.expressions.paramrefs` are
-memoized process-wide, so a string without expressions leaves on a cached
-scan.)
+calls.  (One shared shortcut: the *scanning* helpers in
+:mod:`repro.cwl.expressions.paramrefs` are memoized process-wide, so a string
+without expressions leaves on a cached scan.)
 
-It is a client of the same compiler as the **compiled pipeline**
+It is a client of the same compiler as the pipeline of every other engine
 (:class:`repro.cwl.expressions.compiler.CompiledEvaluator`), which differs only
 in what it keeps: each distinct string is compiled once and library scopes are
-shared by content hash.  The ``toil``, ``parsl`` and ``parsl-workflow`` engines
-default to that via ``RuntimeContext.compile_expressions``; this class is the
-default of the cwltool-fidelity reference runner and what
-``compile_expressions=False`` selects anywhere.
+shared by content hash.  The reference runner
+(:meth:`repro.cwl.runners.reference.ReferenceRunner.evaluator_for`) is the one
+place that picks this class.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ The two differ only where a scope is shared: an expression that *assigns* to a
 name defined by the expressionLib mutates the shared scope (a fresh scope
 re-runs the library next time), and library-level mutable globals keep their
 values across evaluations.  CWL expression libraries define helper functions,
-not mutable state, so neither arises in practice — the conformance matrix's
-``compiled on/off`` axis checks that the two agree.
+not mutable state, so neither arises in practice — the conformance matrix,
+whose oracle is the reference runner's fresh scopes and whose other engines
+share them, checks that the two agree.
 """
 
 from __future__ import annotations

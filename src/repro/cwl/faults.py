@@ -6,7 +6,7 @@ jobs fail, *how* (exit code), for *how many* attempts, plus artificial delays
 :class:`~repro.cwl.runtime.RuntimeContext` (and threaded to the Parsl paths)
 and consulted by the shared retry loop
 (:func:`repro.cwl.retry.execute_with_retries`) *before* each attempt, ahead of
-any cache probe, so every engine × cache × compiled configuration observes
+any cache probe, so every engine × cache configuration observes
 identical injected behaviour.  That is what lets the differential matrix
 (:mod:`repro.api.matrix`) treat fault injection as just another axis: under a
 deterministic plan the engines must still converge to identical outputs or

@@ -13,12 +13,11 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
-from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.jobcache import canonical_command
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, signal_job_process
@@ -115,6 +114,10 @@ class CommandLineJob:
     tool: CommandLineTool
     job_order: Dict[str, Any]
     runtime_context: RuntimeContext = field(default_factory=RuntimeContext)
+    #: The runner's choice of expression evaluator for a tool
+    #: (:meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`); by default
+    #: the tool's own compiled evaluator.
+    evaluator_for: Callable[[CommandLineTool], Any] = precompile_process
 
     def __post_init__(self) -> None:
         self.job_order = {k: coerce_file_inputs(v) for k, v in self.job_order.items()}
@@ -146,16 +149,8 @@ class CommandLineJob:
     # -------------------------------------------------------------- building
 
     def make_evaluator(self):
-        """Build the expression evaluator configured by the tool's requirements.
-
-        With ``runtime_context.compile_expressions`` on, this returns the
-        tool's precompiled :class:`~repro.cwl.expressions.compiler.CompiledEvaluator`
-        (parse-once, shared library scope); otherwise the cwltool-fidelity
-        :class:`ExpressionEvaluator`, which keeps nothing between evaluations.
-        """
-        if self.runtime_context.compile_expressions:
-            return precompile_process(self.tool).evaluator
-        return ExpressionEvaluator(expression_lib=expression_lib_of(self.tool))
+        """The expression evaluator this job's runner uses for its tool."""
+        return self.evaluator_for(self.tool)
 
     def build(self, outdir: Optional[str] = None) -> CommandLineParts:
         """Construct the command line (without running it)."""

@@ -20,7 +20,6 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.cwl.errors import OutputCollectionError
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.jobcache import stage_file
 from repro.cwl.schema import CommandLineTool, CommandOutputParameter
 from repro.cwl.types import build_directory_value, build_file_value, is_directory_value, is_file_value
@@ -79,20 +78,10 @@ def collect_output(
     stderr_path: Optional[str],
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
-    evaluator: Optional[ExpressionEvaluator] = None,
+    evaluator: Any,
     compute_checksum: bool = False,
-    tool: Optional[CommandLineTool] = None,
 ) -> Any:
-    """Collect one declared output parameter.
-
-    When no ``evaluator`` is supplied, a ``tool`` that went through
-    :func:`~repro.cwl.expressions.compiler.precompile_process` contributes its
-    precompiled evaluator; otherwise a fresh uncached one is built.
-    """
-    if evaluator is None:
-        compilation = getattr(tool, "compiled", None)
-        evaluator = compilation.evaluator if compilation is not None \
-            else ExpressionEvaluator(js_enabled=True)
+    """Collect one declared output parameter, evaluating with ``evaluator``."""
     context = {"inputs": job_order, "runtime": runtime, "self": None}
 
     raw_type = param.raw_type
@@ -194,10 +183,14 @@ def collect_outputs(
     stderr_path: Optional[str],
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
-    evaluator: Optional[ExpressionEvaluator] = None,
+    evaluator: Any,
     compute_checksum: bool = False,
 ) -> Dict[str, Any]:
-    """Collect every declared output of ``tool`` into an output object."""
+    """Collect every declared output of ``tool`` into an output object.
+
+    ``evaluator`` is the runner's expression evaluator for ``tool`` (see
+    :meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`).
+    """
     outputs: Dict[str, Any] = {}
     for param in tool.outputs:
         outputs[param.id] = collect_output(
@@ -209,6 +202,5 @@ def collect_outputs(
             runtime=runtime,
             evaluator=evaluator,
             compute_checksum=compute_checksum,
-            tool=tool,
         )
     return outputs

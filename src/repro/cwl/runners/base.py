@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.cwl.errors import ValidationException
-from repro.cwl.expressions.compiler import expression_lib_of, precompile_process
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.retry import RetryObservation, execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
@@ -118,6 +117,16 @@ class BaseRunner(ABC):
             if observation.attempt > 1:
                 self.note_job_meta(attempt=observation.attempt)
 
+    def evaluator_for(self, process: Process) -> Any:
+        """The expression evaluator every job, step and expression tool of
+        ``process`` uses on this runner: the one place an engine's expression
+        pipeline is chosen.  By default the process's own
+        :class:`~repro.cwl.expressions.compiler.CompiledEvaluator`, so each
+        string is compiled once per process object;
+        :class:`~repro.cwl.runners.reference.ReferenceRunner` overrides it.
+        """
+        return precompile_process(process)
+
     # ------------------------------------------------------------------ public
 
     def run(self, process: Process, job_order: Dict[str, Any]) -> RunnerResult:
@@ -130,11 +139,6 @@ class BaseRunner(ABC):
         self.failures: Dict[str, BaseException] = {}
         if self.validate:
             ensure_valid(process)
-        if self.runtime_context.compile_expressions:
-            # The precompiled-process pass: every expression in the document
-            # (bindings, outputs, step valueFrom/when, sub-processes) is
-            # compiled once here, at validate time.
-            precompile_process(process)
         job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
         outputs = self._run_process(process, job_order, self.runtime_context)
         elapsed = time.perf_counter() - start
@@ -206,6 +210,7 @@ class BaseRunner(ABC):
             runtime_context=runtime_context,
             parallel=self.parallel,
             max_workers=self.max_workers,
+            evaluator_for=self.evaluator_for,
         )
         try:
             return engine.run(job_order)
@@ -217,10 +222,7 @@ class BaseRunner(ABC):
     def run_expression_tool(self, tool: ExpressionTool, job_order: Dict[str, Any],
                             runtime_context: RuntimeContext) -> Dict[str, Any]:
         """Execute an ExpressionTool by evaluating its expression."""
-        if runtime_context.compile_expressions:
-            evaluator = precompile_process(tool).evaluator
-        else:
-            evaluator = ExpressionEvaluator(expression_lib=expression_lib_of(tool))
+        evaluator = self.evaluator_for(tool)
         context = {"inputs": job_order, "self": None,
                    "runtime": runtime_context.runtime_object("", "")}
         result = evaluator.evaluate(tool.expression, context)

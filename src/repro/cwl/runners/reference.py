@@ -7,10 +7,10 @@ This runner mirrors how ``cwltool`` executes documents:
   (cwltool rebuilds its internal ``Process`` state per job),
 * every JavaScript evaluation re-parses its expression and runs it in a newly
   built library scope (standard library rebuilt, ``expressionLib`` re-run) —
-  the analogue of cwltool starting a node.js sandbox for expression batches —
-  unless the runtime context turns on the compiled pipeline
-  (``compile_expressions=True``), which stays off by default so the Figure 2
-  uncached series keeps its cost model,
+  the analogue of cwltool starting a node.js sandbox for expression batches,
+  and the cost model of the paper's Figure 2.  That is a property of this
+  runner (:meth:`ReferenceRunner.evaluator_for`), not a run option: a process
+  object another engine compiled stays uncompiled here,
 * with ``parallel=False`` jobs run strictly one at a time (plain ``cwltool``);
   with ``parallel=True`` independent steps and scatter jobs run on a thread
   pool (``cwltool --parallel``), which is the configuration the paper compares
@@ -22,10 +22,12 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict
 
+from repro.cwl.expressions.compiler import expression_lib_of
+from repro.cwl.expressions.evaluator import ExpressionEvaluator
 from repro.cwl.job import CommandLineJob
 from repro.cwl.runners.base import BaseRunner
 from repro.cwl.runtime import RuntimeContext
-from repro.cwl.schema import CommandLineTool
+from repro.cwl.schema import CommandLineTool, Process
 from repro.cwl.validate import ensure_valid
 
 
@@ -33,6 +35,11 @@ class ReferenceRunner(BaseRunner):
     """Serial (or thread-parallel) local CWL runner."""
 
     name = "cwltool-like"
+
+    def evaluator_for(self, process: Process) -> ExpressionEvaluator:
+        """A fresh evaluator that keeps nothing: a new library scope, and a
+        new parse, for every JavaScript evaluation."""
+        return ExpressionEvaluator(expression_lib=expression_lib_of(process))
 
     # ----------------------------------------------------------------- tooling
 
@@ -47,6 +54,7 @@ class ReferenceRunner(BaseRunner):
                 tool=tool,
                 job_order=copy.deepcopy(job_order),
                 runtime_context=runtime_context,
+                evaluator_for=self.evaluator_for,
             )
             return job.execute()
 

@@ -55,12 +55,6 @@ class ToilStyleRunner(BaseRunner):
         import_outputs: bool = True,
         validate: bool = True,
     ) -> None:
-        runtime_context = runtime_context or RuntimeContext()
-        if runtime_context.compile_expressions is None:
-            # This long-lived runner defaults to the compiled-expression
-            # pipeline; pass compile_expressions=False to force the
-            # cwltool-style per-evaluation cost model instead.
-            runtime_context = runtime_context.child(compile_expressions=True)
         super().__init__(runtime_context=runtime_context, validate=validate,
                          parallel=parallel, max_workers=max_workers)
         #: True when this runner created a throwaway store itself; such stores
@@ -99,6 +93,7 @@ class ToilStyleRunner(BaseRunner):
                 # this per job, and the leaves never needed copying.
                 job_order=job_order_view(job_order),
                 runtime_context=runtime_context,
+                evaluator_for=self.evaluator_for,
             )
             if cache_enabled:
                 # Probe the job cache before anything is written or issued:

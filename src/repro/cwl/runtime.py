@@ -62,17 +62,8 @@ class RuntimeContext:
     move_outputs: bool = True
     #: Extra environment variables for every job.
     env: Dict[str, str] = field(default_factory=dict)
-    #: Use the compiled-expression pipeline (parse-once AST cache, shared
-    #: library scopes, precompiled processes — see
-    #: :mod:`repro.cwl.expressions.compiler`).  Tri-state: ``None`` lets the
-    #: runner pick its default — the ``toil``, ``parsl`` and
-    #: ``parsl-workflow`` engines turn it on, the cwltool-fidelity reference
-    #: runner leaves it off (its per-evaluation cost model is what Figure 2
-    #: measures).  Set ``True``/``False`` to force either mode on any engine.
-    compile_expressions: Optional[bool] = None
     #: Reuse CommandLineTool results through the content-addressed job cache
-    #: (:mod:`repro.cwl.jobcache`).  Tri-state like ``compile_expressions``:
-    #: ``None`` enables the cache exactly when a store was named — via
+    #: (:mod:`repro.cwl.jobcache`).  Tri-state: ``None`` enables the cache exactly when a store was named — via
     #: :attr:`cache_dir` or the ``REPRO_JOBCACHE_DIR`` environment variable —
     #: ``True`` forces it on (using the default store when none was named)
     #: and ``False`` forces it off regardless of :attr:`cache_dir`.

@@ -150,7 +150,7 @@ class Process:
     #: The raw normalised dictionary (kept for round-tripping and provenance).
     raw: Dict[str, Any] = field(default_factory=dict)
     #: Filled by :func:`repro.cwl.expressions.compiler.precompile_process` —
-    #: the document's expressions compiled once (a ``ProcessCompilation``).
+    #: the process's own ``CompiledEvaluator``.
     compiled: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def get_requirement(self, class_name: str, include_hints: bool = True) -> Optional[Dict[str, Any]]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cwl.errors import ValidationException, WorkflowException
-from repro.cwl.expressions.evaluator import ExpressionEvaluator
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.graph import (
     EGRESS,
     GATHER,
@@ -167,18 +167,23 @@ class WorkflowEngine:
         runtime_context: Optional[RuntimeContext] = None,
         parallel: bool = False,
         max_workers: int = 8,
+        evaluator_for: Callable[[Process], Any] = precompile_process,
     ) -> None:
         self.workflow = workflow
         self.process_runner = process_runner
         self.runtime_context = runtime_context or RuntimeContext()
         self.parallel = parallel
         self.max_workers = max_workers
+        #: The runner's choice of expression evaluator for a process
+        #: (:meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`): a step's
+        #: ``when`` / ``valueFrom`` use its owning workflow's evaluator, whose
+        #: ``expressionLib`` they therefore see.
+        self.evaluator_for = evaluator_for
         #: Per-stage wall time from the pipelined core (None otherwise).
         self.stage_timings: Optional[Dict[str, Any]] = None
         self.records: Dict[str, StepExecutionRecord] = {}
         self._values: Dict[str, Any] = {}
         self._values_lock = threading.Lock()
-        self._step_evaluator_cache: Optional[Any] = None
         #: Lazily resolved ``run:`` processes, pinned per engine instance so a
         #: single workflow run sees one snapshot of each tool even if the file
         #: changes mid-run (see :meth:`_resolve_process`).
@@ -197,24 +202,6 @@ class WorkflowEngine:
         #: node id -> exception, for nodes that failed under
         #: ``on_error="continue"``.
         self.failures: Dict[str, BaseException] = {}
-
-    def _step_evaluator(self):
-        """Evaluator for step-level ``when`` / ``valueFrom`` expressions.
-
-        With the compiled pipeline on, one parse-once evaluator is shared by
-        every step (thread-safe); otherwise a fresh cwltool-style evaluator is
-        built per use, as before.  Both are constructed *without* the
-        workflow's ``expressionLib`` — step-level expressions have never had
-        access to it here, and the compiled mode must not silently change
-        evaluation semantics, only cost.
-        """
-        if self.runtime_context.compile_expressions:
-            if self._step_evaluator_cache is None:
-                from repro.cwl.expressions.compiler import CompiledEvaluator
-
-                self._step_evaluator_cache = CompiledEvaluator(js_enabled=True)
-            return self._step_evaluator_cache
-        return ExpressionEvaluator()
 
     # ------------------------------------------------------------------ public
 
@@ -322,9 +309,9 @@ class WorkflowEngine:
         self.records[node.id] = record
 
         process = self._resolve_process(step, node.workflow)
-        step_inputs = self._gather_step_inputs(step, node.scope)
+        step_inputs = self._gather_step_inputs(node)
         staged = _StagedStep(record=record, process=process, inputs=step_inputs)
-        if step.when is not None and not self._evaluate_when(step, step_inputs):
+        if step.when is not None and not self._evaluate_when(node, step_inputs):
             record.skipped = True
             staged.skipped = True
         return staged
@@ -346,11 +333,10 @@ class WorkflowEngine:
             self._store(f"{node.scope}{step.id}/{out_id}", outputs[out_id])
         staged.record.outputs = {out_id: outputs[out_id] for out_id in step.out}
 
-    def _evaluate_when(self, step: WorkflowStep, step_inputs: Dict[str, Any]) -> bool:
-        evaluator = self._step_evaluator()
-        return bool(evaluator.evaluate(
-            step.when, {"inputs": self._expression_inputs(step_inputs), "self": None,
-                        "runtime": {}}))
+    def _evaluate_when(self, node: GraphNode, step_inputs: Dict[str, Any]) -> bool:
+        return bool(self.evaluator_for(node.workflow).evaluate(
+            node.step.when, {"inputs": self._expression_inputs(step_inputs), "self": None,
+                             "runtime": {}}))
 
     def _expression_inputs(self, step_inputs: Dict[str, Any]) -> Dict[str, Any]:
         """What a step-level ``when`` / ``valueFrom`` expression sees as ``inputs``."""
@@ -364,9 +350,9 @@ class WorkflowEngine:
         self.records[node.id] = record
 
         process = self._resolve_process(step, node.workflow)
-        step_inputs = self._gather_step_inputs(step, node.scope)
+        step_inputs = self._gather_step_inputs(node)
 
-        if step.when is not None and not self._evaluate_when(step, step_inputs):
+        if step.when is not None and not self._evaluate_when(node, step_inputs):
             record.skipped = True
             record.scattered = False
             record.job_count = 1
@@ -449,9 +435,9 @@ class WorkflowEngine:
         """Enter a flattened subworkflow: evaluate ``when``, seed child inputs."""
         step = node.step
         logger.debug("entering subworkflow %s", node.id)
-        step_inputs = self._gather_step_inputs(step, node.scope)
+        step_inputs = self._gather_step_inputs(node)
 
-        if step.when is not None and not self._evaluate_when(step, step_inputs):
+        if step.when is not None and not self._evaluate_when(node, step_inputs):
             self._skipped_scopes.append(node.child_scope)
             return
 
@@ -511,7 +497,8 @@ class WorkflowEngine:
 
     # ------------------------------------------------------------- step inputs
 
-    def _gather_step_inputs(self, step: WorkflowStep, scope: str = "") -> Dict[str, Any]:
+    def _gather_step_inputs(self, node: GraphNode) -> Dict[str, Any]:
+        step, scope = node.step, node.scope
         gathered: Dict[str, Any] = {}
         for step_input in step.in_:
             if step_input.source:
@@ -528,7 +515,7 @@ class WorkflowEngine:
         # to the pre-valueFrom value of that input (CWL v1.2 semantics).
         needs_expression = any(si.value_from is not None for si in step.in_)
         if needs_expression:
-            evaluator = self._step_evaluator()
+            evaluator = self.evaluator_for(node.workflow)
             base_context = self._expression_inputs(dict(gathered))
             for step_input in step.in_:
                 if step_input.value_from is None:

@@ -110,7 +110,7 @@ class DataFlowKernel:
 
         with self._tasks_changed:
             self.tasks[task_id] = record
-        record.transition(States.pending)
+        record.status = States.pending
 
         # Collect dependencies and register launch-on-completion callbacks.
         depends = self._gather_dependencies(record.args, record.kwargs)
@@ -171,7 +171,7 @@ class DataFlowKernel:
         try:
             args, kwargs = self._sanitize_arguments(record)
             executor = self._executor_for(record.executor)
-            record.transition(States.launched)
+            record.status = States.launched
             exec_future = executor.submit(record.func, record.resource_spec, *args, **kwargs)
         except Exception as exc:
             logger.exception("task %s could not be launched", record.id)
@@ -233,7 +233,7 @@ class DataFlowKernel:
 
     def _handle_join(self, record: TaskRecord, result: Any) -> None:
         """A join app returned; wait for its inner future(s) before finishing."""
-        record.transition(States.joining)
+        record.status = States.joining
 
         inner_futures: List[Future]
         if isinstance(result, Future):
@@ -276,7 +276,7 @@ class DataFlowKernel:
         :meth:`wait_for_current_tasks`; the per-state count moves in the same
         critical section, so :meth:`task_summary` never loses or doubles a task.
         """
-        record.transition(state)
+        record.status = state
         try:
             if exception is not None:
                 record.app_future.set_exception(exception)

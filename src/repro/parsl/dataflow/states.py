@@ -26,7 +26,6 @@ class States(enum.IntEnum):
     failed = 5
     dep_fail = 6
     joining = 9
-    cancelled = 10
 
     @property
     def is_final(self) -> bool:
@@ -38,9 +37,7 @@ class States(enum.IntEnum):
 
 
 #: States from which a task will never move again.
-FINAL_STATES = frozenset(
-    {States.exec_done, States.failed, States.dep_fail, States.cancelled}
-)
+FINAL_STATES = frozenset({States.exec_done, States.failed, States.dep_fail})
 
 #: Final states that represent a failure.
-FINAL_FAILURE_STATES = frozenset({States.failed, States.dep_fail, States.cancelled})
+FINAL_FAILURE_STATES = frozenset({States.failed, States.dep_fail})

@@ -1,8 +1,8 @@
 """Conformance and differential testing for every execution configuration.
 
-The repository runs the same CWL subset through four engines, with or
-without the content-addressed job cache, with or without the
-compiled-expression pipeline.  This package turns "they should all agree"
+The repository runs the same CWL subset through four engines, each with its
+own expression pipeline, with or without the content-addressed job cache.
+This package turns "they should all agree"
 into a tested property, in the spirit of the CWL conformance suite and of
 property-based differential testing of compilers:
 
@@ -14,7 +14,7 @@ property-based differential testing of compilers:
   with scatter, ``when`` guards and nested subworkflows, all inside the
   subset every engine supports.
 * :mod:`repro.testing.differential` — runs one case across the engine ×
-  cache × compiled × faults matrix (via :func:`repro.api.run_matrix`) and
+  cache × faults matrix (via :func:`repro.api.run_matrix`) and
   deep-compares each configuration's canonicalised outputs and exit classes
   against the reference engine (faulted configurations against a
   same-fault-profile reference baseline).

@@ -5,11 +5,13 @@ Default invocation — the full matrix, as CI runs it::
     python -m repro.testing.conformance
 
 runs every corpus case plus 20 generated workflows across
-{reference, toil, parsl, parsl-workflow} × cache {off, cold, warm} ×
-compiled expressions {on, off}, writes ``CONFORMANCE.json`` and exits
-non-zero on any divergence from the reference engine.  Warm runs that
-re-executed a job instead of restoring it are counted beside the
-divergences (``meta.warm_misses``) and listed on stderr.
+{reference, toil, parsl, parsl-workflow} × cache {off, cold, warm}, writes
+``CONFORMANCE.json`` and exits non-zero on any divergence from the reference
+engine or on any warm run that re-executed a job instead of restoring it
+(counted beside the divergences as ``meta.warm_misses`` and listed on
+stderr).  Each engine evaluates expressions through its own pipeline — the
+reference runner's fresh scope per evaluation, compile-once elsewhere — so
+the matrix compares the two on every case.
 
 Useful variations::
 
@@ -40,7 +42,6 @@ from repro.testing.differential import CaseOutcome, run_case, run_generated
 from repro.testing.generator import DEFAULT_BASE_SEED, DEFAULT_SUITE_SIZE, generate_suite
 from repro.testing.report import build_report, write_report
 
-_COMPILED_MODES = {"on": True, "off": False, "default": None}
 _PIPELINE_MODES = {"on": True, "default": None}
 
 
@@ -57,9 +58,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--cache", default=None,
                         help="comma-separated cache modes (off, cold, warm; "
                              "default: all three, or off,warm with --tier1)")
-    parser.add_argument("--compiled", default=None,
-                        help="comma-separated expression modes (on, off, default; "
-                             "default: on,off, or default with --tier1)")
     parser.add_argument("--generated", type=int, default=None,
                         help="number of generated workflows (0 disables; "
                              f"default: {DEFAULT_SUITE_SIZE}, or 2 with --tier1)")
@@ -69,8 +67,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                         help="run only these corpus case ids (repeatable)")
     parser.add_argument("--tier1", action="store_true",
                         help="fast subset: tier-1 cases, cache off+warm, "
-                             "engine-default expressions, 2 generated workflows "
-                             "(explicit --cache/--compiled/--generated still win)")
+                             "2 generated workflows "
+                             "(explicit --cache/--generated still win)")
     parser.add_argument("--faults", action="append", dest="faults", default=None,
                         help="inject this seeded fault profile into every "
                              "configuration (repeatable; see "
@@ -97,15 +95,8 @@ def _configs_from(args: argparse.Namespace) -> List[MatrixConfig]:
     """The requested matrix; ``--tier1`` only narrows flags left at default."""
     engines = tuple(args.engines) if args.engines else ENGINE_ORDER
     cache = args.cache or ("off,warm" if args.tier1 else "off,cold,warm")
-    compiled = args.compiled or ("default" if args.tier1 else "on,off")
     cache_modes: Sequence[str] = tuple(m.strip() for m in cache.split(",")
                                        if m.strip())
-    try:
-        compiled_modes: Sequence[Optional[bool]] = tuple(
-            _COMPILED_MODES[m.strip()] for m in compiled.split(",") if m.strip())
-    except KeyError as exc:
-        raise SystemExit(f"unknown --compiled mode {exc.args[0]!r} "
-                         f"(expected on, off or default)")
     fault_modes: Sequence[Optional[str]] = (None,)
     if args.faults:
         from repro.cwl.faults import fault_profiles
@@ -128,8 +119,7 @@ def _configs_from(args: argparse.Namespace) -> List[MatrixConfig]:
         except KeyError as exc:
             raise SystemExit(f"unknown --pipeline mode {exc.args[0]!r} "
                              f"(expected on or default)")
-    return matrix_configs(engines, cache_modes, compiled_modes, fault_modes,
-                          pipeline_modes)
+    return matrix_configs(engines, cache_modes, fault_modes, pipeline_modes)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -205,11 +195,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"report written to {path}")
     for line in warm_misses:
         print(f"WARM MISS: {line}", file=sys.stderr)
-    if summary["divergences"]:
-        for line in report["divergences"]:
-            print(f"DIVERGENCE: {line}", file=sys.stderr)
-        return 1
-    return 0
+    for line in report["divergences"]:
+        print(f"DIVERGENCE: {line}", file=sys.stderr)
+    return 1 if summary["divergences"] or warm_misses else 0
 
 
 def _report_case(outcome: CaseOutcome, say) -> None:

@@ -4,7 +4,7 @@ Report shape (version 1)::
 
     {
       "version": 1,
-      "matrix": ["reference/cache=off/compiled=on", ...],
+      "matrix": ["reference/cache=off", ...],
       "summary": {
         "cases": 47, "corpus_cases": 27, "generated_cases": 20,
         "runs": 1128, "passed_cases": 47, "failed_cases": 0,
@@ -25,8 +25,9 @@ Report shape (version 1)::
       }
     }
 
-CI uploads the file as an artifact and fails the conformance job when
-``summary.divergences`` is non-zero.  ``meta.overrides`` (written by the CLI)
+CI uploads the file as an artifact; the CLI fails the conformance job when
+``summary.divergences`` or ``meta.warm_misses`` is non-zero.
+``meta.overrides`` (written by the CLI)
 counts, per engine, the corpus cases whose expectation that engine overrides;
 ``meta.warm_misses`` counts the ``cache=warm`` runs that conformed but
 re-executed a job (each such run also carries ``"warm_misses"``).

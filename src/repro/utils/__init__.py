@@ -7,14 +7,12 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.utils.hashing import hash_bytes, hash_file, hash_obj
     from repro.utils.ids import RunIdGenerator, make_id
-    from repro.utils.timers import Stopwatch, wall_time
     from repro.utils.yamlio import dump_yaml, load_yaml, load_yaml_file
 
 # Every ``repro.utils.<module>`` import runs this file; it must not pull in
 # PyYAML for a caller that wanted ``repro.utils.ids``.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "RunIdGenerator": "repro.utils.ids",
-    "Stopwatch": "repro.utils.timers",
     "dump_yaml": "repro.utils.yamlio",
     "hash_bytes": "repro.utils.hashing",
     "hash_file": "repro.utils.hashing",
@@ -22,12 +20,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "load_yaml": "repro.utils.yamlio",
     "load_yaml_file": "repro.utils.yamlio",
     "make_id": "repro.utils.ids",
-    "wall_time": "repro.utils.timers",
 })
 
 __all__ = [
     "RunIdGenerator",
-    "Stopwatch",
     "dump_yaml",
     "hash_bytes",
     "hash_file",
@@ -35,5 +31,4 @@ __all__ = [
     "load_yaml",
     "load_yaml_file",
     "make_id",
-    "wall_time",
 ]

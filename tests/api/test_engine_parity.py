@@ -84,21 +84,6 @@ def test_js_expression_tool_outputs_identical(engine, run_engine, cwl_dir):
         b"The Compiled Pipeline Must Not Change Results\n"
 
 
-def test_toil_compiled_matches_toil_uncompiled(run_engine, cwl_dir, tmp_path_factory):
-    """Forcing compile_expressions off on the toil engine changes timing only."""
-    job_order = {"message": "compiled versus uncompiled"}
-    compiled = run_engine("toil", str(cwl_dir / "capitalize_js.cwl"), dict(job_order))
-
-    workdir = tmp_path_factory.mktemp("toil_uncompiled")
-    uncompiled = api.run(
-        str(cwl_dir / "capitalize_js.cwl"), dict(job_order), engine="toil",
-        job_store_dir=str(workdir / "jobstore"), destroy_job_store_on_close=True,
-        runtime_context=RuntimeContext(basedir=str(workdir), compile_expressions=False),
-    )
-    assert normalise(compiled.outputs["output"])["contents"] == \
-        normalise(uncompiled.outputs["output"])["contents"]
-
-
 #: A tool whose output file name derives from an input, so every engine —
 #: including the submission-time Parsl bridge — can predict and collect it.
 WRITE_TOOL = {

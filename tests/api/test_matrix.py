@@ -1,4 +1,4 @@
-"""The engine × cache × compiled matrix helper (`repro.api.run_matrix`)."""
+"""The engine × cache × faults × pipeline matrix helper (`repro.api.run_matrix`)."""
 
 from __future__ import annotations
 
@@ -35,15 +35,15 @@ FAILING_TOOL = {
 
 
 def test_matrix_configs_cross_product_order():
-    configs = matrix_configs(("reference", "toil"), ("off", "warm"), (True, False))
+    configs = matrix_configs(("reference", "toil"), ("off", "warm"), (None, "fatal-all"))
     assert len(configs) == 8
-    assert configs[0] == MatrixConfig("reference", "off", True)
-    assert configs[-1] == MatrixConfig("toil", "warm", False)
+    assert configs[0] == MatrixConfig("reference", "off", None)
+    assert configs[-1] == MatrixConfig("toil", "warm", "fatal-all")
 
 
 def test_matrix_config_labels_are_stable():
-    assert MatrixConfig("toil", "warm", False).label == "toil/cache=warm/compiled=off"
-    assert REFERENCE_CONFIG.label == "reference/cache=off/compiled=default"
+    assert MatrixConfig("toil", "warm", "fatal-all").label == "toil/cache=warm/faults=fatal-all"
+    assert REFERENCE_CONFIG.label == "reference/cache=off"
     assert set(CACHE_MODES) == {"off", "cold", "warm"}
     assert ENGINE_ORDER[0] == "reference"
 
@@ -109,11 +109,11 @@ def test_run_describe_is_json_ready(tmp_path):
 # ------------------------------------------------------------ pipeline axis
 
 def test_pipeline_axis_expands_and_labels():
-    configs = matrix_configs(("reference",), ("off",), (None,), (None,),
+    configs = matrix_configs(("reference",), ("off",), (None,),
                              pipeline_modes=(None, True))
     assert [c.pipeline for c in configs] == [None, True]
-    assert configs[0].label == "reference/cache=off/compiled=default"
-    assert configs[1].label == "reference/cache=off/compiled=default/pipeline=on"
+    assert configs[0].label == "reference/cache=off"
+    assert configs[1].label == "reference/cache=off/pipeline=on"
 
 
 def test_run_config_pipeline_matches_default_core(tmp_path):
@@ -140,7 +140,7 @@ def test_conformance_cli_parses_pipeline_modes():
     from repro.testing.conformance import _configs_from, _parse_args
 
     args = _parse_args(["--engine", "reference", "--cache", "off",
-                        "--compiled", "default", "--pipeline", "default,on"])
+                        "--pipeline", "default,on"])
     configs = _configs_from(args)
     assert [c.pipeline for c in configs] == [None, True]
     with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 """Differential execution: the tier-1 conformance subset, in-process.
 
-The full matrix (4 engines × 3 cache modes × 2 expression pipelines over the
-whole corpus plus 20 generated workflows) runs in the CI ``conformance`` job
+The full matrix (4 engines × 3 cache modes over the whole corpus plus 20
+generated workflows) runs in the CI ``conformance`` job
 via ``python -m repro.testing.conformance``; this module keeps a fast,
 deterministic subset in tier-1 so an engine divergence fails `pytest` before
 it ever reaches CI.
@@ -33,15 +33,15 @@ WARM_MISS_EXCEPTIONS: Dict[str, str] = {}
 
 
 def _tier1_configs():
-    """Engines at their default expression pipeline, cache off."""
-    return api.matrix_configs(cache_modes=("off",), compiled_modes=(None,))
+    """Every engine, cache off."""
+    return api.matrix_configs(cache_modes=("off",))
 
 
 def test_tier1_corpus_has_zero_divergences(tier1_corpus, tmp_path):
     """Every tier-1 case agrees with the reference engine on all engines,
     cache off and warm, and every job of a passing warm run is a hit."""
     assert tier1_corpus
-    configs = api.matrix_configs(cache_modes=("off", "warm"), compiled_modes=(None,))
+    configs = api.matrix_configs(cache_modes=("off", "warm"))
     failures = []
     misses = []
     for case in tier1_corpus:
@@ -65,7 +65,7 @@ def test_generated_workflows_have_zero_divergences(generated_suite, tmp_path):
 def test_warm_cache_conforms_on_every_engine(corpus, tmp_path):
     """cache=warm replays bit-identical results on each engine."""
     case = next(case for case in corpus if case.id == "wf_scatter_dotproduct")
-    configs = api.matrix_configs(cache_modes=("warm",), compiled_modes=(None,))
+    configs = api.matrix_configs(cache_modes=("warm",))
     outcome = run_case(case, configs, tmp_path)
     assert outcome.passed, "\n".join(outcome.divergences)
     warm_runs = [config_outcome.run for config_outcome in outcome.outcomes
@@ -78,11 +78,10 @@ def test_warm_cache_conforms_on_every_engine(corpus, tmp_path):
 
 
 def test_compiled_and_uncompiled_agree(corpus, tmp_path):
-    """The compiled-expression axis changes timing only, never outputs."""
+    """The compile-once engines agree with the reference runner's fresh scope
+    per evaluation: the pipeline changes cost only, never outputs."""
     case = next(case for case in corpus if case.id == "expression_lib_capitalize")
-    configs = api.matrix_configs(engines=("toil", "parsl"),
-                                 cache_modes=("off",),
-                                 compiled_modes=(True, False))
+    configs = api.matrix_configs(engines=("toil", "parsl"), cache_modes=("off",))
     outcome = run_case(case, configs, tmp_path)
     assert outcome.passed, "\n".join(outcome.divergences)
 
@@ -116,7 +115,7 @@ def test_conformance_cli_tier1_single_case(tmp_path):
     """The module CLI runs end to end and writes the report."""
     report_path = tmp_path / "CONFORMANCE.json"
     rc = conformance_main([
-        "--case", "echo_stdout", "--cache", "off", "--compiled", "default",
+        "--case", "echo_stdout", "--cache", "off",
         "--generated", "0", "--quiet", "--report", str(report_path),
         "--workdir", str(tmp_path / "work"),
     ])
@@ -140,3 +139,21 @@ def test_deep_compare_reports_the_first_difference():
     assert "length" in deep_compare([1, 2], [1])
     assert "missing key" in deep_compare({"a": 1, "b": 2}, {"a": 1})
     assert "unexpected key" in deep_compare({"a": 1}, {"a": 1, "b": 2})
+
+
+def test_conformance_cli_fails_on_a_warm_miss(tmp_path, monkeypatch, capsys):
+    """A warm run that re-executes a job fails the run like a divergence."""
+    from repro.cwl.jobcache import JobCache
+
+    monkeypatch.setattr(JobCache, "_load_entry", lambda self, key: None)
+    report_path = tmp_path / "CONFORMANCE.json"
+    rc = conformance_main([
+        "--case", "echo_stdout", "--engine", "reference", "--cache", "warm",
+        "--generated", "0", "--quiet", "--report", str(report_path),
+        "--workdir", str(tmp_path / "work"),
+    ])
+    assert rc == 1
+    report = json.loads(report_path.read_text())
+    assert report["summary"]["divergences"] == 0
+    assert report["meta"]["warm_misses"] == 1
+    assert "WARM MISS: echo_stdout" in capsys.readouterr().err

@@ -32,7 +32,7 @@ def _isolated_cwd(tmp_path, monkeypatch):
 
 def fault_configs(faults, engines=api.ENGINE_ORDER, cache_modes=("off",)):
     return api.matrix_configs(engines=engines, cache_modes=cache_modes,
-                              compiled_modes=(None,), fault_modes=(faults,))
+                              fault_modes=(faults,))
 
 
 def outcome_for(corpus, case_id, configs, workdir):
@@ -106,7 +106,7 @@ def test_conformance_cli_runs_the_fault_axis(tmp_path):
     report_path = tmp_path / "CONFORMANCE_FAULTS.json"
     rc = conformance_main([
         "--case", "echo_stdout", "--engine", "reference", "--engine", "toil",
-        "--cache", "off", "--compiled", "default",
+        "--cache", "off",
         "--faults", "transient-all", "--generated", "0", "--quiet",
         "--report", str(report_path), "--workdir", str(tmp_path / "work"),
     ])

@@ -106,6 +106,15 @@ def test_inline_python_argument_rewriting(cwl_dir, parsl_threads, tmp_path):
     assert (tmp_path / "cap.txt").read_text().strip() == "The Common Workflow Language"
 
 
+def test_inline_python_argument_result_is_used_verbatim(cwl_dir, parsl_threads, tmp_path):
+    """An InlinePython argument's result is a command-line token, not a CWL
+    template: ``$(...)``, ``${...}`` and backslashes in it reach the tool as is."""
+    message = r"cost $(runtime.cores) or ${ return 1; } per back\slash \$(x)"
+    app = CWLApp(str(cwl_dir / "capitalize_python.cwl"))
+    app(message=message, stdout="cap.txt").result()
+    assert (tmp_path / "cap.txt").read_text() == message.title() + "\n"
+
+
 def test_inline_python_validate_blocks_bad_inputs(cwl_dir, parsl_threads, tmp_path):
     (tmp_path / "ok.csv").write_text("a,b\n")
     (tmp_path / "bad.json").write_text("{}")

@@ -3,9 +3,9 @@
 Correctness is defined by equivalence: for every expression the compiled
 evaluator must produce exactly what the uncached cwltool-fidelity evaluator
 produces, including value types and error messages.  On top of that the
-caching layers themselves are exercised — the bounded template LRU, library
-fingerprint invalidation, the memoized scanners, the precompiled-process
-pass, the loader's sub-document cache and the copy-on-write job views.
+caching layers themselves are exercised — the per-evaluator template memo,
+library fingerprint invalidation, the memoized scanners, the process's own
+evaluator, the loader's sub-document cache and the copy-on-write job views.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from repro.cwl.errors import ExpressionError
 from repro.cwl.expressions.compiler import (
     CompiledEvaluator,
     CompiledTemplate,
-    _CompileCache,
-    clear_compile_cache,
     compile_cache_stats,
-    compile_template,
     precompile_process,
 )
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
@@ -158,21 +155,36 @@ def test_library_change_invalidates_cache():
 
 
 def test_template_cache_keyed_by_fingerprint():
-    clear_compile_cache()
-    template_a = compile_template("$(inputs.word)", True, "fp-a")
-    template_b = compile_template("$(inputs.word)", True, "fp-b")
-    template_a_again = compile_template("$(inputs.word)", True, "fp-a")
-    assert template_a is template_a_again
-    assert template_a is not template_b
-    stats = compile_cache_stats()
-    assert stats["hits"] >= 1 and stats["misses"] >= 2
+    """Each evaluator memoizes its own templates: a repeat is a hit on the
+    same template, and an evaluator of another library compiles its own."""
+    evaluator_a = CompiledEvaluator(expression_lib=["var fp = 'a';"])
+    evaluator_b = CompiledEvaluator(expression_lib=["var fp = 'b';"])
+    before = compile_cache_stats()
+    evaluator_a.evaluate("$(inputs.word)", CONTEXT)
+    evaluator_b.evaluate("$(inputs.word)", CONTEXT)
+    evaluator_a.evaluate("$(inputs.word)", CONTEXT)
+    after = compile_cache_stats()
+    assert evaluator_a._templates["$(inputs.word)"] is not evaluator_b._templates["$(inputs.word)"]
+    assert after["misses"] - before["misses"] == 2
+    assert after["hits"] - before["hits"] == 1
 
 
-def test_template_cache_is_bounded():
-    cache = _CompileCache(maxsize=8)
-    for index in range(50):
-        cache.get_or_compile(f"literal-{index}", True, "")
-    assert cache.stats()["size"] <= 8
+def test_template_cache_is_bounded(cwl_dir, tmp_path):
+    """Only document strings reach a process's evaluator, so however many
+    distinct inputs a tool runs with, its memo holds the document's strings:
+    here the argument and the stdout name."""
+    from repro.cwl.runners.toil.runner import ToilStyleRunner
+    from repro.cwl.runtime import RuntimeContext
+
+    tool = load_document(str(cwl_dir / "capitalize_js.cwl"))
+    runner = ToilStyleRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
+    try:
+        for index in range(5):
+            runner.run(tool, {"message": f"message number {index} $(inputs.x) ${{ 1 }}"})
+    finally:
+        runner.close()
+    assert set(tool.compiled._templates) == {"$(capitalizeWords(inputs.message))",
+                                             "capitalized.txt"}
 
 
 def test_template_classification():
@@ -244,24 +256,19 @@ def test_tokenize_path_memoized():
 
 
 def test_precompile_process_pins_every_expression(cwl_dir):
+    """``precompile_process`` gives a process one evaluator of its own, with
+    the process's ``expressionLib``; every expression compiles into it the
+    first time it is evaluated and is served from it afterwards."""
     tool = load_document(str(cwl_dir / "capitalize_js.cwl"))
-    compilation = precompile_process(tool)
-    # The argument expression and the stdout name, at minimum.
-    assert compilation.expression_count >= 2
-    assert compilation.skipped == 0
-    assert tool.compiled is compilation
-    assert precompile_process(tool) is compilation  # memoized
-    # The argument template is pinned on the evaluator, not just in the LRU.
-    assert "$(capitalizeWords(inputs.message))" in compilation.evaluator._pinned
-
-
-def test_precompile_workflow_recurses_into_steps(cwl_dir):
-    workflow = load_document(str(cwl_dir / "image_pipeline.cwl"))
-    precompile_process(workflow)
-    assert workflow.compiled is not None
-    for step in workflow.steps:
-        if step.embedded_process is not None:
-            assert step.embedded_process.compiled is not None
+    evaluator = precompile_process(tool)
+    assert tool.compiled is evaluator
+    assert precompile_process(tool) is evaluator  # memoized on the process
+    assert any("capitalizeWords" in source for source in evaluator.expression_lib)
+    context = {"inputs": {"message": "two words"}, "runtime": {}, "self": None}
+    assert evaluator.evaluate("$(capitalizeWords(inputs.message))", context) == "Two Words"
+    template = evaluator._templates["$(capitalizeWords(inputs.message))"]
+    evaluator.evaluate("$(capitalizeWords(inputs.message))", context)
+    assert evaluator._templates["$(capitalizeWords(inputs.message))"] is template
 
 
 # ------------------------------------------------------------------- cow views
@@ -329,21 +336,31 @@ def test_load_document_cached_invalidates_on_embedded_change(tmp_path):
     assert second.steps[0].embedded_process.id == "child_v2!"
 
 
-def test_workflow_step_evaluator_matches_uncompiled_semantics(cwl_dir):
-    """Step-level expressions must not gain expressionLib access in compiled
-    mode — both modes see the same (lib-less) evaluation environment."""
-    from repro.cwl.runtime import RuntimeContext
+def test_workflow_step_evaluator_matches_uncompiled_semantics():
+    """A step's ``when`` / ``valueFrom`` use the owning workflow's evaluator:
+    the reference runner's fresh one and the compiled one of every other
+    engine see the same ``expressionLib`` and give the same answers."""
+    from repro.cwl.runners.reference import ReferenceRunner
+    from repro.cwl.runners.toil.runner import ToilStyleRunner
     from repro.cwl.workflow import WorkflowEngine
 
-    workflow = load_document(str(cwl_dir / "image_pipeline.cwl"))
-    compiled_engine = WorkflowEngine(
-        workflow, process_runner=lambda *a: {},
-        runtime_context=RuntimeContext(compile_expressions=True))
-    uncompiled_engine = WorkflowEngine(
-        workflow, process_runner=lambda *a: {},
-        runtime_context=RuntimeContext(compile_expressions=False))
-    compiled_evaluator = compiled_engine._step_evaluator()
-    assert compiled_evaluator.expression_lib == []
-    context = {"inputs": {"x": 2}, "self": None, "runtime": {}}
-    assert compiled_evaluator.evaluate("$(inputs.x * 2)", context) == \
-        uncompiled_engine._step_evaluator().evaluate("$(inputs.x * 2)", context)
+    workflow = load_document({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "requirements": [{"class": "InlineJavascriptRequirement",
+                          "expressionLib": [JS_LIB]}],
+        "inputs": {}, "outputs": {}, "steps": {},
+    })
+    toil = ToilStyleRunner()
+    try:
+        evaluators = [ReferenceRunner().evaluator_for(workflow), toil.evaluator_for(workflow)]
+    finally:
+        toil.close()
+    assert isinstance(evaluators[0], ExpressionEvaluator)
+    assert evaluators[1] is precompile_process(workflow)
+    engine = WorkflowEngine(workflow, process_runner=lambda *a: {})
+    assert engine.evaluator_for(workflow) is evaluators[1]
+    context = {"inputs": {"x": 2, "word": "hi"}, "self": None, "runtime": {}}
+    for source in ("$(inputs.x * 2)", "$(shout(inputs.word))"):
+        assert evaluators[0].evaluate(source, context) == \
+            evaluators[1].evaluate(source, context)
+    assert evaluators[1].evaluate("$(shout(inputs.word))", context) == "HI!"

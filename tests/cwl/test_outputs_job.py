@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.cwl.errors import InputValidationError, JobFailure, OutputCollectionError
+from repro.cwl.expressions.compiler import CompiledEvaluator
 from repro.cwl.job import CommandLineJob
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.outputs import collect_output, collect_outputs
@@ -14,6 +15,7 @@ from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandOutputParameter
 
 RUNTIME = {"outdir": "/out", "tmpdir": "/tmp", "cores": 1, "ram": 1024}
+EVALUATOR = CompiledEvaluator()
 
 
 # ------------------------------------------------------------- output collection
@@ -23,7 +25,7 @@ def test_collect_stdout_output(tmp_path):
     stdout_file = tmp_path / "captured.txt"
     stdout_file.write_text("result")
     param = CommandOutputParameter.from_dict("out", "stdout")
-    value = collect_output(param, str(tmp_path), str(stdout_file), None, {}, RUNTIME)
+    value = collect_output(param, str(tmp_path), str(stdout_file), None, {}, RUNTIME, EVALUATOR)
     assert value["class"] == "File"
     assert value["basename"] == "captured.txt"
     assert value["size"] == 6
@@ -32,7 +34,7 @@ def test_collect_stdout_output(tmp_path):
 def test_collect_stdout_missing_file_raises(tmp_path):
     param = CommandOutputParameter.from_dict("out", "stdout")
     with pytest.raises(OutputCollectionError):
-        collect_output(param, str(tmp_path), None, None, {}, RUNTIME)
+        collect_output(param, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR)
 
 
 def test_collect_glob_literal_and_expression(tmp_path):
@@ -41,9 +43,9 @@ def test_collect_glob_literal_and_expression(tmp_path):
         "o1", {"type": "File", "outputBinding": {"glob": "result.txt"}})
     reference = CommandOutputParameter.from_dict(
         "o2", {"type": "File", "outputBinding": {"glob": "$(inputs.name)"}})
-    assert collect_output(literal, str(tmp_path), None, None, {}, RUNTIME)["basename"] == "result.txt"
+    assert collect_output(literal, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR)["basename"] == "result.txt"
     assert collect_output(reference, str(tmp_path), None, None,
-                          {"name": "result.txt"}, RUNTIME)["basename"] == "result.txt"
+                          {"name": "result.txt"}, RUNTIME, EVALUATOR)["basename"] == "result.txt"
 
 
 def test_collect_glob_array_output(tmp_path):
@@ -51,7 +53,7 @@ def test_collect_glob_array_output(tmp_path):
         (tmp_path / name).write_text(name)
     param = CommandOutputParameter.from_dict(
         "logs", {"type": "File[]", "outputBinding": {"glob": "*.log"}})
-    values = collect_output(param, str(tmp_path), None, None, {}, RUNTIME)
+    values = collect_output(param, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR)
     assert [v["basename"] for v in values] == ["a.log", "b.log"]
 
 
@@ -59,7 +61,7 @@ def test_collect_glob_load_contents(tmp_path):
     (tmp_path / "small.txt").write_text("contents!")
     param = CommandOutputParameter.from_dict(
         "o", {"type": "File", "outputBinding": {"glob": "small.txt", "loadContents": True}})
-    assert collect_output(param, str(tmp_path), None, None, {}, RUNTIME)["contents"] == "contents!"
+    assert collect_output(param, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR)["contents"] == "contents!"
 
 
 def test_collect_output_eval_transforms_matches(tmp_path):
@@ -68,27 +70,27 @@ def test_collect_output_eval_transforms_matches(tmp_path):
         "n", {"type": "int",
               "outputBinding": {"glob": "count.txt", "loadContents": True,
                                 "outputEval": "$(parseInt(self[0].contents))"}})
-    assert collect_output(param, str(tmp_path), None, None, {}, RUNTIME) == 17
+    assert collect_output(param, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR) == 17
 
 
 def test_collect_missing_required_output_raises(tmp_path):
     param = CommandOutputParameter.from_dict(
         "must", {"type": "File", "outputBinding": {"glob": "nope.txt"}})
     with pytest.raises(OutputCollectionError):
-        collect_output(param, str(tmp_path), None, None, {}, RUNTIME)
+        collect_output(param, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR)
 
 
 def test_collect_optional_output_absent_is_none(tmp_path):
     param = CommandOutputParameter.from_dict(
         "maybe", {"type": "File?", "outputBinding": {"glob": "nope.txt"}})
-    assert collect_output(param, str(tmp_path), None, None, {}, RUNTIME) is None
+    assert collect_output(param, str(tmp_path), None, None, {}, RUNTIME, EVALUATOR) is None
 
 
 def test_collect_outputs_for_whole_tool(tmp_path, cwl_dir):
     tool = load_tool(cwl_dir / "resize_image.cwl")
     (tmp_path / "resized.png").write_bytes(b"png-bytes")
     outputs = collect_outputs(tool, str(tmp_path), None, None,
-                              {"output_image": "resized.png"}, RUNTIME)
+                              {"output_image": "resized.png"}, RUNTIME, EVALUATOR)
     assert outputs["output_image"]["basename"] == "resized.png"
 
 

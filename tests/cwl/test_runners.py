@@ -83,10 +83,10 @@ def test_reference_runner_counts_scatter_jobs(cwl_dir, tmp_path, image_batch):
 
 
 def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, monkeypatch):
-    """The reference runner's cost model, by count: by default every JavaScript
-    evaluation parses its source again and builds one library scope of its own,
-    and the compiled pipeline's caches are never touched; with
-    ``compile_expressions=True`` the same runs compile each distinct string once."""
+    """The reference runner's cost model, by count: every JavaScript
+    evaluation parses its source again and builds one library scope of its
+    own, and no compiled evaluator is touched.  It stays that way on a process
+    object the toil runner has compiled in between, which parses once."""
     from repro.cwl.expressions import compiler, evaluator
 
     counts = collections.Counter()
@@ -103,25 +103,30 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
     count_calls(compiler, "parse_expression")
     count_calls(evaluator, "LibraryScope")  # the uncached pipeline's own scopes
     count_calls(compiler, "shared_library_scope")
+    tool = load_tool(cwl_dir / "capitalize_js.cwl")  # one JS argument, evaluated once per run
 
-    def run_three(**options):
+    def run_three(runner):
         counts.clear()
-        tool = load_tool(cwl_dir / "capitalize_js.cwl")  # one JS argument, evaluated once per run
-        runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path), **options))
         for message in ("one two", "three four", "five six"):
             assert runner.run(tool, {"message": message}).status == "success"
 
-    compiler.clear_compile_cache()
+    reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     before = compiler.compile_cache_stats()
-    run_three()
+    run_three(reference)
     assert counts == {"parse_expression": 3, "LibraryScope": 3}
     assert compiler.compile_cache_stats() == before
+    assert tool.compiled is None
 
-    run_three(compile_expressions=True)
-    assert counts["parse_expression"] == 1 and counts["LibraryScope"] == 0
-    assert counts["shared_library_scope"] >= 1
-    stats = compiler.compile_cache_stats()
-    assert stats["misses"] == stats["size"] == 2  # the argument and the stdout name
+    toil = ToilStyleRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
+    try:
+        run_three(toil)
+    finally:
+        toil.close()
+    assert counts == {"parse_expression": 1, "shared_library_scope": 1}
+    assert tool.compiled is not None
+
+    run_three(reference)
+    assert counts == {"parse_expression": 3, "LibraryScope": 3}
 
 
 # ------------------------------------------------------------------------ job store
