@@ -1,13 +1,15 @@
 """Legacy setuptools entry point.
 
-The offline environment has no ``wheel`` package, so PEP 660 editable installs
-(``pip install -e .`` with build isolation) cannot build an editable wheel.
-This ``setup.py`` enables the legacy development-install path::
+All project metadata lives in ``pyproject.toml``; this file only exists so
+the legacy development-install path has something to execute.  With
+``setuptools`` and ``wheel`` installed::
 
     pip install -e . --no-build-isolation --no-use-pep517
 
-All project metadata lives in ``pyproject.toml``; this file only exists so the
-legacy code path has something to execute.
+and where ``wheel`` is missing (pip refuses ``--no-use-pep517`` without it,
+and cannot build a PEP 660 editable wheel either), the same install::
+
+    python setup.py develop --no-deps
 """
 
 from setuptools import setup

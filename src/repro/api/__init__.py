@@ -16,8 +16,7 @@ DataFlowKernel:
   ``run(...) -> ExecutionResult`` blocks, ``submit(...) -> ExecutionHandle``
   is asynchronous.
 * :class:`ExecutionResult` — the unified return shape (outputs, status,
-  jobs_run, wall_time_s, per-job events) subsuming the runners' plain dicts,
-  futures dicts and ``RunnerResult``.
+  jobs_run, wall_time_s, per-job events) of every engine.
 * :class:`ExecutionHooks` — ``on_job_start`` / ``on_job_end`` callbacks so
   monitoring and benchmarks observe every engine through one interface.
 * :func:`plan` / :meth:`Session.plan` — compile a process into the shared

@@ -1,22 +1,47 @@
 """The :class:`Engine` protocol and the engine registry.
 
-An *engine* adapts one execution path (reference runner, Toil-like runner,
-Parsl bridge, ...) to the single calling convention
+An *engine* is one execution path behind the single calling convention
 ``execute(process, job_order, hooks) -> ExecutionResult``.  Engines are
 constructed through a registry of named factories so that callers — CLIs,
 benchmarks, tests — select a backend by name:
 
 .. code-block:: python
 
-    register_engine("reference", ReferenceEngine, aliases=("cwltool",))
+    register_engine("reference", ReferenceRunner, aliases=("cwltool",))
     engine = get_engine("reference", parallel=True)
+
+The four built-in engines are registered at the bottom of this module:
+
+========================  =====================================================
+registry name             engine
+========================  =====================================================
+``reference``             :class:`~repro.cwl.runners.reference.ReferenceRunner`
+                          (aliases ``cwltool``, ``cwltool-like``)
+``toil``                  :class:`~repro.cwl.runners.toil.runner.ToilStyleRunner`
+                          (alias ``toil-like``)
+``parsl``                 :class:`~repro.api.parsl_engines.ParslEngine`:
+                          ``run_tool_with_parsl`` for CommandLineTools and the
+                          workflow bridge for Workflows (alias ``parsl-cwl``)
+``parsl-workflow``        :class:`~repro.api.parsl_engines.ParslWorkflowEngine`:
+                          the bridge only, strict Workflow semantics (alias
+                          ``bridge``)
+========================  =====================================================
 
 Factories are any callable returning an :class:`Engine`, or its dotted name
 ``"package.module:attribute"``, imported the first time the engine is asked
-for — which is how the four built-in engines are registered at the bottom of
-this module: ``list_engines()`` knows them all, and ``get_engine("reference")``
-does not import the Parsl substrate.  Keyword options are passed through from
-:func:`get_engine` (and from :class:`~repro.api.session.Session`).
+for: ``list_engines()`` knows all four without importing any engine module,
+and a session imports only the substrate of the engine it asked for
+(``get_engine("reference")`` imports neither the Toil job store nor Parsl).
+
+Every engine constructor takes its backend arguments plus ``runtime_context=``
+and nothing else: any other keyword is a
+:class:`~repro.cwl.runtime.RuntimeContext` field given flat
+(``Session("toil", cache_dir=..., retry_policy=...)``), folded into the
+context by :func:`~repro.cwl.runtime.context_with_options`, so no engine
+re-declares a run option.  Engines hold backend state across runs (the Toil
+runner keeps its job store and batch system, the Parsl engines the
+DataFlowKernel they loaded), so one :class:`~repro.api.session.Session`
+amortises setup over many executions.
 """
 
 from __future__ import annotations
@@ -138,9 +163,10 @@ def list_engines() -> List[str]:
     return sorted(_REGISTRY)
 
 
-register_engine("reference", "repro.api.engines:ReferenceEngine",
+register_engine("reference", "repro.cwl.runners.reference:ReferenceRunner",
                 aliases=("cwltool", "cwltool-like"))
-register_engine("toil", "repro.api.toil_engine:ToilEngine", aliases=("toil-like",))
+register_engine("toil", "repro.cwl.runners.toil.runner:ToilStyleRunner",
+                aliases=("toil-like",))
 register_engine("parsl", "repro.api.parsl_engines:ParslEngine", aliases=("parsl-cwl",))
 register_engine("parsl-workflow", "repro.api.parsl_engines:ParslWorkflowEngine",
                 aliases=("bridge",))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 HookCallback = Callable[["JobEvent"], Any]
 
@@ -65,7 +65,8 @@ class EventRecorder:
     Implements the observer protocol duck-typed by
     :class:`~repro.cwl.runners.base.BaseRunner` and
     :class:`~repro.core.workflow_bridge.CWLWorkflowBridge`:
-    ``job_started(name) -> token`` and ``job_finished(token, ok, error)``.
+    ``job_started(name) -> token``, ``job_retry(token, attempt, error,
+    delay_s)`` and ``job_finished(token, ok, error, cache, attempt)``.
     """
 
     def __init__(self, hooks: Optional[ExecutionHooks] = None) -> None:
@@ -149,3 +150,9 @@ class EventRecorder:
             self._records.append(record)
         if hook is not None:
             hook(record)
+
+
+def cache_stats(events: List[JobEvent]) -> Dict[str, int]:
+    """Exact hit/miss counts from the per-job end events of one execution."""
+    outcomes = [e.cache for e in events if e.kind == "end"]
+    return {"hits": outcomes.count("hit"), "misses": outcomes.count("miss")}

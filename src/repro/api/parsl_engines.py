@@ -1,7 +1,7 @@
 """The ``parsl`` and ``parsl-workflow`` engines: the paper's Parsl bridge.
 
 Their own module so that only a session that asks for them imports the Parsl
-substrate (see :mod:`repro.api.engines` for the table of built-in engines).
+substrate (see :mod:`repro.api.engine` for the table of built-in engines).
 Everything :meth:`ParslEngine.execute` needs is imported here, at engine
 construction, not inside the run.
 """
@@ -13,13 +13,13 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.api.engine import Engine, EngineError
-from repro.api.engines import _context_with_options, _event_cache_stats, _plan_for
-from repro.api.events import EventRecorder, ExecutionHooks
+from repro.api.events import EventRecorder, ExecutionHooks, cache_stats
+from repro.api.plan import result_plan
 from repro.api.result import ExecutionResult
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.cwl.retry import RetryObservation, execute_with_retries
-from repro.cwl.runtime import RuntimeContext
+from repro.cwl.retry import RetryObservation, execute_with_retries, record_retry
+from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
 from repro.cwl.types import build_file_value
 from repro.parsl.data_provider.files import File as ParslFile
@@ -49,7 +49,7 @@ class ParslEngine(Engine):
         #: execution side, ``on_error`` governs whether a failed workflow
         #: step aborts the bridge run, and ``max_inflight`` bounds unfinished
         #: submissions during bridge submission.
-        self._context = _context_with_options(runtime_context, options)
+        self._context = context_with_options(runtime_context, options)
         self._started = False
         self._loaded_here = False
         self._kernel_lock = threading.Lock()
@@ -90,25 +90,20 @@ class ParslEngine(Engine):
                 f"the {self.name!r} engine cannot run a {type(process).__name__} "
                 "(CommandLineTool or Workflow expected)"
             )
-        jobs_run = sum(1 for e in recorder.events if e.kind == "start")
-        # Counted from this execution's own per-job events (the store and its
-        # counters are shared process-wide, so a counter delta would absorb
-        # concurrent executions' traffic).
-        cache_stats = _event_cache_stats(recorder) \
-            if self._context.job_cache_dir() is not None else None
-        details: Dict[str, Any] = {}
-        if failures:
-            details["failures"] = dict(failures)
+        events = recorder.events
         return ExecutionResult(
             outputs=outputs,
             status="permanentFail" if failures else "success",
             engine=self.name,
-            jobs_run=jobs_run,
+            jobs_run=sum(1 for e in events if e.kind == "start"),
             wall_time_s=time.perf_counter() - start,
-            events=recorder.events,
-            details=details,
-            plan=_plan_for(process),
-            cache_stats=cache_stats,
+            events=events,
+            plan=result_plan(process),
+            # Counted from this execution's own per-job events (the store and
+            # its counters are shared process-wide, so a counter delta would
+            # absorb concurrent executions' traffic).
+            cache_stats=cache_stats(events)
+            if self._context.job_cache_dir() is not None else None,
             failures=failures,
         )
 
@@ -130,10 +125,8 @@ class ParslEngine(Engine):
                 runtime_context=context, cache_note=cache_note)
 
         def on_retry(attempt_no: int, exc: BaseException, delay: float) -> None:
-            recorder.job_retry(token, attempt_no, error=str(exc), delay_s=delay)
-            if context.journal is not None:
-                context.journal.record("retry", job=job_name, attempt=attempt_no,
-                                       error=str(exc), delay_s=delay)
+            record_retry(recorder, token, context.journal, job_name, attempt_no,
+                         str(exc), delay)
 
         observation = RetryObservation()
         try:

@@ -18,7 +18,7 @@ Quick look::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.api.engine import Engine
 from repro.cwl.graph import build_graph
@@ -84,6 +84,17 @@ class ExecutionPlan:
 def describe_workflow(workflow: Workflow) -> Dict[str, Any]:
     """The graph summary engines attach to :attr:`ExecutionResult.plan`."""
     return build_graph(workflow).describe()
+
+
+def result_plan(process: Any) -> Optional[Dict[str, Any]]:
+    """What an engine attaches to :attr:`ExecutionResult.plan` (best-effort):
+    the workflow's graph summary, ``None`` for a single tool."""
+    if not isinstance(process, Workflow):
+        return None
+    try:
+        return describe_workflow(process)
+    except Exception:  # introspection must never fail an execution
+        return None
 
 
 def plan_for(process: Any) -> ExecutionPlan:

@@ -12,10 +12,10 @@ from repro.api.events import JobEvent
 class ExecutionResult:
     """Outputs plus bookkeeping from one execution, whatever the engine.
 
-    Subsumes the three return shapes of the underlying execution paths: the
-    runners' :class:`~repro.cwl.runners.base.RunnerResult`, the plain output
-    dict of ``run_tool_with_parsl`` and the futures dict of
-    ``CWLWorkflowBridge.submit``.
+    What every :meth:`~repro.api.engine.Engine.execute` returns: the runners
+    build it directly, the Parsl engines from the plain output dict of
+    ``run_tool_with_parsl`` or the resolved futures of
+    ``CWLWorkflowBridge.run``.
     """
 
     #: The CWL output object (output id -> value), fully resolved.  Under

@@ -20,6 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.cwl.cli import parse_cli_inputs
+from repro.cwl.schema import Process
 from repro.utils.yamlio import dump_json, load_yaml_file
 
 
@@ -75,13 +76,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.makedirs(outdir, exist_ok=True)
             os.chdir(outdir)
         try:
-            from repro.api import run as api_run
+            from repro.api import Engine, run as api_run
 
+            tool = Engine.load_process(os.path.join(previous_cwd, tool_path))
             result = api_run(
-                os.path.join(previous_cwd, tool_path) if not os.path.isabs(tool_path) else tool_path,
-                _resolve_job_paths(job_order, previous_cwd),
+                tool,
+                _resolve_job_paths(tool, job_order, previous_cwd),
                 engine="parsl",
-                config=os.path.join(previous_cwd, config_path) if not os.path.isabs(config_path) else config_path,
+                config=os.path.join(previous_cwd, config_path),
             )
         finally:
             if outdir:
@@ -96,18 +98,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _resolve_job_paths(job_order: dict, base: str) -> dict:
-    """Make relative File paths in the job order absolute against the invocation cwd."""
-    resolved = {}
-    for key, value in job_order.items():
+def _resolve_job_paths(tool: Process, job_order: dict, base: str) -> dict:
+    """Make the relative paths of ``tool``'s ``File`` inputs absolute against
+    the invocation cwd; the value of any other input is left as given."""
+    resolved = dict(job_order)
+    for param in tool.inputs:
+        if not param.type.is_file:
+            continue
+        value = job_order.get(param.id)
         if isinstance(value, dict) and value.get("class") == "File" and "path" in value \
                 and not os.path.isabs(value["path"]):
-            value = dict(value)
-            value["path"] = os.path.join(base, value["path"])
-        elif isinstance(value, str) and not os.path.isabs(value) and os.path.exists(os.path.join(base, value)) \
-                and ("/" in value or value.endswith((".png", ".txt", ".csv", ".json", ".yml", ".yaml"))):
-            value = os.path.join(base, value)
-        resolved[key] = value
+            resolved[param.id] = dict(value, path=os.path.join(base, value["path"]))
+        elif isinstance(value, str) and not os.path.isabs(value):
+            resolved[param.id] = os.path.join(base, value)
     return resolved
 
 

@@ -37,6 +37,7 @@ from repro.core.cwl_app import CWLApp
 from repro.cwl.errors import UnsupportedRequirement, WorkflowException
 from repro.cwl.graph import GraphNode, WorkflowGraph, build_graph
 from repro.cwl.loader import load_document
+from repro.cwl.retry import record_retry
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scatter import ScatterPlan
 from repro.cwl.scheduler import Expansion
@@ -240,26 +241,26 @@ class CWLWorkflowBridge:
 
         Futures are tracked even without an observer so ``on_error="continue"``
         can report which steps failed.  Retries are replayed from the future's
-        ``cwl_retry_note`` (:func:`~repro.core.cwl_app.resilient_bash_executor`),
-        so each job's events read start → retry* → end like the runner engines'.
+        ``cwl_retry_note`` (:func:`~repro.core.cwl_app.resilient_bash_executor`)
+        as events and journal records, so each job's events read start →
+        retry* → end like the runner engines'.
         """
         observer = self.job_observer
+        journal = self.runtime_context.journal
         pending, self._pending_observations = self._pending_observations, []
         for future, token, name in pending:
             exception = future.exception()
             if exception is not None:
                 self.failures.setdefault(name, exception)
-            note = getattr(future, "cwl_cache_note", None) or {}
             retries = getattr(future, "cwl_retry_note", None) or []
-            if self.runtime_context.journal is not None:
-                self.runtime_context.journal.node_state(
-                    name, "failed" if exception else "done")
+            for entry in retries:
+                record_retry(observer, token, journal, name, entry["attempt"],
+                             entry["error"], entry["delay_s"])
+            if journal is not None:
+                journal.node_state(name, "failed" if exception else "done")
             if observer is None:
                 continue
-            for entry in retries:
-                observer.job_retry(token, entry["attempt"],
-                                   error=entry["error"],
-                                   delay_s=entry["delay_s"])
+            note = getattr(future, "cwl_cache_note", None) or {}
             observer.job_finished(token, ok=exception is None,
                                   error=str(exception) if exception else None,
                                   cache=note.get("cache"),

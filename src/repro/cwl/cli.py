@@ -5,6 +5,8 @@
 * ``repro-toil-cwl-runner [--batchSystem single_machine|slurm] [--jobStore DIR] document.cwl [job.yml] ...``
   mirrors ``toil-cwl-runner``.
 
+``python -m repro.cwl.cli`` runs ``repro-cwltool``.
+
 Both print the CWL output object as JSON on stdout (the behaviour scripts and
 tests rely on) and return a non-zero exit code on failure.  Execution routes
 through the :mod:`repro.api` engine registry (``"reference"`` and ``"toil"``
@@ -306,3 +308,7 @@ def toil_main(argv: Optional[Sequence[str]] = None) -> int:
     return _runner_main("repro-toil-cwl-runner",
                         "Toil-like CWL runner (repro reimplementation)",
                         "toil", add_engine_args, engine_options, argv)
+
+
+if __name__ == "__main__":  # ``python -m repro.cwl.cli`` is ``repro-cwltool``
+    sys.exit(cwltool_main())

@@ -1,4 +1,4 @@
-"""The cwltool-like reference runner.
+"""The cwltool-like reference runner: the ``reference`` engine.
 
 This runner mirrors how ``cwltool`` executes documents:
 
@@ -20,21 +20,21 @@ This runner mirrors how ``cwltool`` executes documents:
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.cwl.expressions.compiler import expression_lib_of
 from repro.cwl.expressions.evaluator import ExpressionEvaluator
-from repro.cwl.job import CommandLineJob
-from repro.cwl.runners.base import BaseRunner
+from repro.cwl.job import CommandLineJob, JobResult
+from repro.cwl.runners.base import BaseRunner, RetryCallback
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, Process
 from repro.cwl.validate import ensure_valid
 
 
 class ReferenceRunner(BaseRunner):
-    """Serial (or thread-parallel) local CWL runner."""
+    """Serial (or thread-parallel) local CWL runner: the ``reference`` engine."""
 
-    name = "cwltool-like"
+    name = "reference"
 
     def evaluator_for(self, process: Process) -> ExpressionEvaluator:
         """A fresh evaluator that keeps nothing: a new library scope, and a
@@ -44,12 +44,14 @@ class ReferenceRunner(BaseRunner):
     # ----------------------------------------------------------------- tooling
 
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
-                 runtime_context: RuntimeContext) -> Dict[str, Any]:
+                 runtime_context: RuntimeContext,
+                 on_retry: Optional[RetryCallback] = None) -> JobResult:
         # cwltool revalidates and rebuilds its job object for every invocation;
         # reproducing that per-job work keeps the runner comparison honest.
         if self.validate:
             ensure_valid(tool)
-        def attempt(_n: int):
+
+        def attempt(_n: int) -> JobResult:
             job = CommandLineJob(
                 tool=tool,
                 job_order=copy.deepcopy(job_order),
@@ -58,7 +60,4 @@ class ReferenceRunner(BaseRunner):
             )
             return job.execute()
 
-        result = self._with_retries(runtime_context, tool.id or "<tool>", attempt)
-        if runtime_context.job_cache_dir() is not None:
-            self.note_job_meta(cache="hit" if result.cache_hit else "miss")
-        return result.outputs
+        return self._with_retries(runtime_context, tool, attempt, on_retry)

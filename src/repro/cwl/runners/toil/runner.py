@@ -1,4 +1,7 @@
-"""The Toil-like CWL runner.
+"""The Toil-like CWL runner: the ``toil`` engine.
+
+Only a session that asks for ``toil`` imports this module and, with it, the
+job store, the batch systems and the cluster simulator behind them.
 
 Execution model (mirroring ``toil-cwl-runner``):
 
@@ -27,9 +30,11 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
+from repro.api.events import ExecutionHooks
+from repro.api.result import ExecutionResult
 from repro.cwl.cow import job_order_view
-from repro.cwl.job import CommandLineJob
-from repro.cwl.runners.base import BaseRunner
+from repro.cwl.job import CommandLineJob, JobResult
+from repro.cwl.runners.base import BaseRunner, RetryCallback
 from repro.cwl.runners.toil.batch import BatchSystem, SingleMachineBatchSystem
 from repro.cwl.runners.toil.jobstore import FileJobStore, StoredJob
 from repro.cwl.runtime import RuntimeContext
@@ -41,9 +46,10 @@ logger = get_logger("cwl.runners.toil")
 
 
 class ToilStyleRunner(BaseRunner):
-    """Job-store based CWL runner with pluggable batch systems."""
+    """Job-store based CWL runner with pluggable batch systems: the ``toil``
+    engine."""
 
-    name = "toil-like"
+    name = "toil"
 
     def __init__(
         self,
@@ -54,21 +60,33 @@ class ToilStyleRunner(BaseRunner):
         max_workers: int = 8,
         import_outputs: bool = True,
         validate: bool = True,
+        destroy_job_store_on_close: Optional[bool] = None,
+        **options: Any,
     ) -> None:
         super().__init__(runtime_context=runtime_context, validate=validate,
-                         parallel=parallel, max_workers=max_workers)
-        #: True when this runner created a throwaway store itself; such stores
-        #: are destroyed on :meth:`close` by default so sessions never leak
-        #: ``toil-jobstore-*`` temp directories between runs.
-        self._owns_job_store = job_store_dir is None
+                         parallel=parallel, max_workers=max_workers, **options)
+        #: Whether :meth:`close` removes the job store; ``None`` = exactly
+        #: when this runner created it as a temp directory, so sessions never
+        #: leak ``toil-jobstore-*`` directories while a caller-supplied
+        #: ``job_store_dir`` is theirs to keep unless they ask.
+        self.destroy_job_store_on_close = (job_store_dir is None
+                                           if destroy_job_store_on_close is None
+                                           else destroy_job_store_on_close)
         self.job_store = FileJobStore(job_store_dir or tempfile.mkdtemp(prefix="toil-jobstore-"))
         self.batch_system = batch_system or SingleMachineBatchSystem(max_cores=max_workers)
         self.import_outputs = import_outputs
 
+    def execute(self, process: Any, job_order: Dict[str, Any],
+                hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
+        result = super().execute(process, job_order, hooks)
+        result.details["job_store"] = self.job_store.stats()
+        return result
+
     # ------------------------------------------------------------------ tools
 
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
-                 runtime_context: RuntimeContext) -> Dict[str, Any]:
+                 runtime_context: RuntimeContext,
+                 on_retry: Optional[RetryCallback] = None) -> JobResult:
         cache_enabled = runtime_context.job_cache_dir() is not None
         requirements = self._job_requirements(tool)
         name = tool.id or "tool"
@@ -86,7 +104,7 @@ class ToilStyleRunner(BaseRunner):
             else:
                 self.job_store.update_job(stored, state=state, error=error)
 
-        def attempt(_n: int) -> Dict[str, Any]:
+        def attempt(_n: int) -> JobResult:
             job = CommandLineJob(
                 tool=tool,
                 # Copy-on-write view instead of deepcopy: scatter loops issue
@@ -105,19 +123,14 @@ class ToilStyleRunner(BaseRunner):
                     if self.import_outputs:
                         self._import_output_files(cached.outputs)
                     record("done")
-                    self.note_job_meta(cache="hit")
-                    return cached.outputs
+                    return cached
 
-            cache_outcome: Dict[str, str] = {}
-
-            def payload() -> Dict[str, Any]:
+            def payload() -> JobResult:
                 record("running")
                 result = job.execute()
-                if cache_enabled:
-                    cache_outcome["cache"] = "hit" if result.cache_hit else "miss"
                 if self.import_outputs:
                     self._import_output_files(result.outputs)
-                return result.outputs
+                return result
 
             if stored is None:
                 record("new")
@@ -125,19 +138,17 @@ class ToilStyleRunner(BaseRunner):
             cores = int(requirements.get("coresMin", 1))
             future = self.batch_system.issue(name, payload, cores=cores)
             try:
-                outputs = future.result()
+                result = future.result()
             except Exception as exc:
                 record("failed", error=str(exc))
                 raise
             record("done")
-            if cache_outcome:
-                self.note_job_meta(**cache_outcome)
-            return outputs
+            return result
 
         # The retry loop wraps the whole probe-and-issue path, so injected
         # faults fire ahead of the cache probe (identical to the other
         # engines) and each re-attempt is re-issued through the batch system.
-        return self._with_retries(runtime_context, tool.id or "<tool>", attempt)
+        return self._with_retries(runtime_context, tool, attempt, on_retry)
 
     # --------------------------------------------------------------- plumbing
 
@@ -166,20 +177,16 @@ class ToilStyleRunner(BaseRunner):
 
         visit(outputs)
 
-    def close(self, destroy_job_store: Optional[bool] = None) -> None:
-        """Shut down the batch system and release the job store.
-
-        ``destroy_job_store=None`` (the default) removes the store only when
-        this runner created it as a temp directory; pass ``True``/``False`` to
-        force either way (a caller-supplied ``job_store_dir`` is theirs to
-        keep unless they ask for destruction).  Idempotent: closing twice is
-        safe, so engine/session teardown is deterministic.
+    def close(self) -> None:
+        """Shut down the batch system, release the job store (see
+        :attr:`destroy_job_store_on_close`) and reap the context's scratch
+        directories.  Idempotent: closing twice is safe, so session teardown
+        is deterministic.
         """
         self.batch_system.shutdown()
-        if destroy_job_store is None:
-            destroy_job_store = self._owns_job_store
-        if destroy_job_store:
+        if self.destroy_job_store_on_close:
             self.job_store.destroy()
+        super().close()
 
 
 def _summarise_job_order(job_order: Dict[str, Any]) -> Dict[str, Any]:

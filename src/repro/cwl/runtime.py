@@ -3,9 +3,8 @@
 The CWL ``runtime`` object exposed to expressions describes where a job runs
 (output and temporary directories) and what resources it was granted (cores,
 RAM).  :class:`RuntimeContext` carries the same information plus runner-level
-policy (whether to compute checksums, whether to relocate outputs, base
-directories for new working directories, whether to reuse results through the
-content-addressed job cache).
+policy (whether to compute checksums, base directories for new working
+directories, whether to reuse results through the content-addressed job cache).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import shutil
 import signal as _signal_module
 import tempfile
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Set
 
 from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache, job_key
@@ -58,8 +57,6 @@ class RuntimeContext:
     ram_mb: int = 1024
     #: Compute sha1 checksums for collected output Files.
     compute_checksum: bool = False
-    #: Move outputs from the working directory into ``outdir`` after the run.
-    move_outputs: bool = True
     #: Extra environment variables for every job.
     env: Dict[str, str] = field(default_factory=dict)
     #: Reuse CommandLineTool results through the content-addressed job cache
@@ -321,6 +318,27 @@ class RuntimeContext:
                 os.rmdir(parent)
             except OSError:
                 pass
+
+
+def context_with_options(runtime_context: Optional[RuntimeContext],
+                         options: Dict[str, Any]) -> RuntimeContext:
+    """Fold flat keyword options into a :class:`RuntimeContext`.
+
+    The one place ``Session(engine, cache_dir=...)`` /
+    ``api.run(..., retry_policy=...)`` keywords become context fields: every
+    engine constructor passes its ``**options`` here.  An explicit keyword
+    overrides the given context's field; ``None`` means "keep the context's
+    setting"; a name that is not a public context field raises
+    :exc:`TypeError`.
+    """
+    known = {f.name for f in fields(RuntimeContext) if not f.name.startswith("_")}
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise TypeError(f"unknown engine option(s) {unknown}; run options are "
+                        f"the RuntimeContext fields {sorted(known)}")
+    context = runtime_context if runtime_context is not None else RuntimeContext()
+    overrides = {k: v for k, v in options.items() if v is not None}
+    return context.child(**overrides) if overrides else context
 
 
 def _now() -> float:

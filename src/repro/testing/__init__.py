@@ -37,7 +37,6 @@ from repro.testing.differential import (
     ConfigOutcome,
     deep_compare,
     run_case,
-    run_generated,
 )
 from repro.testing.generator import GeneratedWorkflow, generate_suite, generate_workflow
 from repro.testing.report import build_report, write_report
@@ -56,6 +55,5 @@ __all__ = [
     "load_corpus",
     "materialize_job_order",
     "run_case",
-    "run_generated",
     "write_report",
 ]

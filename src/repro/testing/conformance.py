@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 
 from repro.api.matrix import ENGINE_ORDER, MatrixConfig, matrix_configs
 from repro.testing.corpus import load_corpus
-from repro.testing.differential import CaseOutcome, run_case, run_generated
+from repro.testing.differential import CaseOutcome, run_case
 from repro.testing.generator import DEFAULT_BASE_SEED, DEFAULT_SUITE_SIZE, generate_suite
 from repro.testing.report import build_report, write_report
 
@@ -161,9 +161,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             outcomes.append(outcome)
             _report_case(outcome, say)
         for workflow in generated:
-            outcome = run_generated(workflow, configs,
-                                    os.path.join(base, "generated", workflow.id),
-                                    max_workers=args.max_workers)
+            outcome = run_case(workflow.as_case(), configs,
+                               os.path.join(base, "generated", workflow.id),
+                               max_workers=args.max_workers)
             outcomes.append(outcome)
             _report_case(outcome, say)
     finally:

@@ -99,6 +99,9 @@ class ConformanceCase:
     tier1: bool = False
     doc: Optional[str] = None
     source: Optional[str] = None
+    #: ``"corpus"``, or ``"generated"`` for a
+    #: :meth:`~repro.testing.generator.GeneratedWorkflow.as_case`.
+    origin: str = "corpus"
 
     def expectation_for(self, engine: str) -> CaseExpectation:
         return self.overrides.get(engine, self.expect)

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.api.matrix import REFERENCE_CONFIG, MatrixConfig, MatrixRun, run_config
 from repro.cwl.canonical import expected_value
 from repro.testing.corpus import CaseExpectation, ConformanceCase, materialize_job_order
-from repro.testing.generator import GeneratedWorkflow
 
 
 @dataclass
@@ -123,21 +122,23 @@ def _baseline_dir(workdir: str, faults: Optional[str]) -> str:
 
 def run_case(case: ConformanceCase, configs: Sequence[MatrixConfig],
              workdir: str, max_workers: int = 4) -> CaseOutcome:
-    """Run one corpus case under every applicable configuration."""
+    """Run one case — from the corpus, or a generated workflow's
+    :meth:`~repro.testing.generator.GeneratedWorkflow.as_case` — under every
+    applicable configuration."""
     workdir = os.path.abspath(workdir)
     job = materialize_job_order(case.job, os.path.join(workdir, "inputs"))
     engines = case.applicable_engines()
 
-    outcome = CaseOutcome(case_id=case.id, origin="corpus")
+    outcome = CaseOutcome(case_id=case.id, origin=case.origin)
     baselines: Dict[Optional[str], MatrixRun] = {}
     for faults in _baseline_faults(configs):
         baseline = run_config(case.process, job, _reference_for(faults),
                               _baseline_dir(workdir, faults),
                               max_workers=max_workers)
         baselines[faults] = baseline
-        # Corpus expectations describe unfaulted behaviour; a faulted
-        # baseline is an oracle by definition (cross-engine agreement is
-        # what the fault axis asserts).
+        # Case expectations describe unfaulted behaviour; a faulted baseline
+        # is an oracle by definition (cross-engine agreement is what the
+        # fault axis asserts; a fail-forever plan may break any case).
         outcome.outcomes.append(ConfigOutcome(
             run=baseline,
             divergence=_check_expectation(baseline,
@@ -159,38 +160,6 @@ def run_case(case: ConformanceCase, configs: Sequence[MatrixConfig],
             divergence=_verdict(run, baselines[config.faults],
                                 case.expectation_for(config.engine)),
         ))
-    return outcome
-
-
-def run_generated(generated: GeneratedWorkflow, configs: Sequence[MatrixConfig],
-                  workdir: str, max_workers: int = 4) -> CaseOutcome:
-    """Run one generated workflow; the reference engine is the only oracle."""
-    workdir = os.path.abspath(workdir)
-    outcome = CaseOutcome(case_id=generated.id, origin="generated")
-    baselines: Dict[Optional[str], MatrixRun] = {}
-    for faults in _baseline_faults(configs):
-        baseline = run_config(generated.doc, generated.job,
-                              _reference_for(faults),
-                              _baseline_dir(workdir, faults),
-                              max_workers=max_workers)
-        baselines[faults] = baseline
-        divergence = None
-        if faults is None and not baseline.ok:
-            # Generated workflows must pass unfaulted; under a fault profile
-            # a failing baseline can be by design (fail-forever plans).
-            divergence = (f"reference baseline failed: {baseline.exit_class} "
-                          f"({baseline.error})")
-        outcome.outcomes.append(ConfigOutcome(run=baseline, divergence=divergence))
-
-    for index, config in enumerate(configs):
-        if config == _reference_for(config.faults):
-            continue
-        run = run_config(generated.doc, generated.job, config,
-                         os.path.join(workdir, f"{index:03d}"),
-                         max_workers=max_workers)
-        outcome.outcomes.append(ConfigOutcome(
-            run=run, divergence=_verdict(run, baselines[config.faults],
-                                         CaseExpectation())))
     return outcome
 
 

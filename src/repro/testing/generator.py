@@ -35,6 +35,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.testing.corpus import ConformanceCase
+
 #: Deterministic word pool for generated messages.
 WORDS = (
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -61,6 +63,13 @@ class GeneratedWorkflow:
     @property
     def id(self) -> str:
         return f"gen-{self.seed:05d}"
+
+    def as_case(self) -> ConformanceCase:
+        """This workflow as a conformance case: the default expectation (the
+        reference engine's outputs are the oracle, and the unfaulted
+        reference run must succeed) on every workflow engine."""
+        return ConformanceCase(id=self.id, process=self.doc, job=self.job,
+                               origin="generated")
 
 
 # ------------------------------------------------------------------ tool docs

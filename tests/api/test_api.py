@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 import repro
@@ -140,18 +143,73 @@ def test_parsl_workflow_engine_rejects_tools(cwl_dir, tmp_path, monkeypatch):
                                            run_dir=str(tmp_path / "runinfo")))
 
 
-def test_concurrent_submits_on_one_toil_session(cwl_dir, tmp_path, monkeypatch):
-    """Runner engines serialise concurrent submits without crossing state."""
+def echo_workflow(prefix: str, steps: int) -> dict:
+    """A workflow of ``steps`` independent echo steps, ``{prefix}1`` ... (each
+    step's tool carries the step's name as its id)."""
+    def tool(name: str) -> dict:
+        return {"class": "CommandLineTool", "id": name, "baseCommand": "echo",
+                "inputs": {"message": {"type": "string", "inputBinding": {"position": 1}}},
+                "outputs": {"out": "stdout"}, "stdout": f"{name}.txt"}
+
+    names = [f"{prefix}{index}" for index in range(1, steps + 1)]
+    return {"cwlVersion": "v1.2", "class": "Workflow", "inputs": {"message": "string"},
+            "outputs": {"out": {"type": "File", "outputSource": f"{names[0]}/out"}},
+            "steps": {name: {"run": tool(name), "in": {"message": "message"}, "out": ["out"]}
+                      for name in names}}
+
+
+def test_concurrent_submits_on_one_reference_session(tmp_path, monkeypatch):
+    """Two workflows in flight at once on one runner: each result holds only
+    its own events and counts only its own jobs."""
     monkeypatch.chdir(tmp_path)
-    with api.Session(engine="toil", job_store_dir=str(tmp_path / "jobstore"),
-                     runtime_context=RuntimeContext(basedir=str(tmp_path)),
-                     destroy_job_store_on_close=True) as session:
-        handles = [session.submit(str(cwl_dir / "echo.cwl"), {"message": f"c{i}"})
-                   for i in range(4)]
-        results = [handle.result(timeout=120) for handle in handles]
+    both_running = threading.Barrier(2)
+
+    def meet_on_first_start() -> api.ExecutionHooks:
+        started = []
+
+        def on_start(event):
+            if not started:
+                started.append(event.job)
+                # Runs serialised on the engine would never both get here.
+                both_running.wait(timeout=60)
+
+        return api.ExecutionHooks(on_job_start=on_start)
+
+    sizes = {"a": 2, "b": 3}
+    with api.Session(engine="reference",
+                     runtime_context=RuntimeContext(basedir=str(tmp_path))) as session:
+        handles = {prefix: session.submit(echo_workflow(prefix, steps), {"message": prefix},
+                                          hooks=meet_on_first_start())
+                   for prefix, steps in sizes.items()}
+        results = {prefix: handle.result(timeout=120) for prefix, handle in handles.items()}
+    for prefix, steps in sizes.items():
+        result = results[prefix]
+        names = [f"{prefix}{index}" for index in range(1, steps + 1)]
+        assert result.jobs_run == steps
+        assert sorted(result.job_names()) == names
+        assert sorted(e.job for e in result.events if e.kind == "end") == names
+
+
+def test_concurrent_submits_on_one_toil_session(cwl_dir, tmp_path, monkeypatch):
+    """Concurrent submits on one Toil runner do not cross state: each result
+    holds its own job, and the job store they share counts every one."""
+    monkeypatch.chdir(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # thread switches between almost every bytecode
+    try:
+        with api.Session(engine="toil", job_store_dir=str(tmp_path / "jobstore"),
+                         runtime_context=RuntimeContext(basedir=str(tmp_path)),
+                         destroy_job_store_on_close=True) as session:
+            handles = [session.submit(str(cwl_dir / "echo.cwl"), {"message": f"c{i}"})
+                       for i in range(8)]
+            results = [handle.result(timeout=120) for handle in handles]
+            stats = session.engine.job_store.stats()
+    finally:
+        sys.setswitchinterval(interval)
     for result in results:
         assert result.jobs_run == 1
         assert [e.kind for e in result.events] == ["start", "end"]
+    assert stats.get("done") == 8
 
 
 def test_workflow_end_events_present_when_run_returns(cwl_dir, small_image, tmp_path,
@@ -172,14 +230,26 @@ def test_workflow_end_events_present_when_run_returns(cwl_dir, small_image, tmp_
 # ---------------------------------------------------- CLI routes through API
 
 
+def test_runner_engines_are_the_runners():
+    from repro.cwl.runners.reference import ReferenceRunner
+    from repro.cwl.runners.toil.runner import ToilStyleRunner
+
+    for name, runner_class in (("reference", ReferenceRunner), ("toil", ToilStyleRunner)):
+        engine = api.get_engine(name)
+        try:
+            assert type(engine) is runner_class and engine.name == name
+        finally:
+            engine.close()
+
+
 def test_cwltool_cli_routes_through_registry(cwl_dir, tmp_path, capsys):
-    from repro.api.engines import ReferenceEngine
     from repro.cwl.cli import cwltool_main
+    from repro.cwl.runners.reference import ReferenceRunner
 
     instantiated = []
 
     def spy_factory(**options):
-        engine = ReferenceEngine(**options)
+        engine = ReferenceRunner(**options)
         instantiated.append(engine)
         return engine
 
@@ -188,7 +258,7 @@ def test_cwltool_cli_routes_through_registry(cwl_dir, tmp_path, capsys):
         exit_code = cwltool_main(["--outdir", str(tmp_path), "--quiet",
                                   str(cwl_dir / "echo.cwl"), "--message", "spied"])
     finally:
-        api.register_engine("reference", ReferenceEngine, replace=True)
+        api.register_engine("reference", ReferenceRunner, replace=True)
     assert exit_code == 0
     assert len(instantiated) == 1
     capsys.readouterr()

@@ -232,18 +232,29 @@ def test_parsl_path_executes_a_failing_tool_exactly_max_attempts_times(
     assert seen == expected_events
 
 
-def test_parsl_tool_path_journals_one_retry_record_per_reattempt(tmp_path, monkeypatch):
+@pytest.mark.parametrize("engine,shape", [
+    ("parsl", "tool"),
+    *((engine, "workflow") for engine in WORKFLOW_ENGINES)])
+def test_every_engine_journals_one_retry_record_per_reattempt(engine, shape, tmp_path,
+                                                              monkeypatch):
+    """Each re-attempt is one journal ``retry`` record on every engine,
+    including a workflow on the Parsl engines, whose retries happen on the
+    execution side and are journalled when the bridge drains the futures."""
     monkeypatch.chdir(tmp_path)
     log = tmp_path / "executions.log"
-    tool_path = tmp_path / "fails.cwl"
-    tool_path.write_text(dump_yaml(counting_process(log, "tool")))
+    document = tmp_path / "fails.cwl"
+    document.write_text(dump_yaml(dict(counting_process(log, shape), cwlVersion="v1.2")))
     run_dir = tmp_path / "run"
+    if engine.startswith("parsl"):
+        options = {"config": repro.thread_config(max_threads=2,
+                                                 run_dir=str(tmp_path / "runinfo"))}
+    else:
+        options = {"runtime_context": RuntimeContext(basedir=str(tmp_path / "jobs"))}
     with pytest.raises(Exception):
         api.run_with_journal(
-            str(tool_path), {"message": "x"}, run_dir=str(run_dir), engine="parsl",
-            config=repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")),
+            str(document), {"message": "x"}, run_dir=str(run_dir), engine=engine,
             retry_policy=api.RetryPolicy(max_attempts=4, backoff_s=0,
-                                         retryable_exit_codes=(3,)))
+                                         retryable_exit_codes=(3,)), **options)
     assert log.read_text() == "ran\n" * 4
     retries = [r for r in read_journal(str(run_dir)) if r["kind"] == "retry"]
     assert [r["attempt"] for r in retries] == [1, 2, 3]

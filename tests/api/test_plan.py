@@ -76,7 +76,7 @@ def test_toil_session_destroys_its_own_temp_job_store(cwl_dir, tmp_path, monkeyp
     with api.Session(engine="toil",
                      runtime_context=RuntimeContext(basedir=str(tmp_path))) as session:
         session.run(str(cwl_dir / "echo.cwl"), {"message": "store lifecycle"})
-        store_dir = session.engine._runner.job_store.store_dir  # type: ignore[union-attr]
+        store_dir = session.engine.job_store.store_dir
         assert os.path.isdir(store_dir)
     assert not os.path.exists(store_dir), \
         "engine-created temp job store must be removed on Session close"

@@ -16,7 +16,7 @@ import pytest
 
 from repro import api
 from repro.testing.conformance import main as conformance_main
-from repro.testing.differential import deep_compare, run_case, run_generated
+from repro.testing.differential import deep_compare, run_case
 from repro.testing.report import build_report, write_report
 
 
@@ -56,7 +56,7 @@ def test_tier1_corpus_has_zero_divergences(tier1_corpus, tmp_path):
 def test_generated_workflows_have_zero_divergences(generated_suite, tmp_path):
     """Generated DAGs agree across all four engines (reference as oracle)."""
     for workflow in generated_suite[:2]:
-        outcome = run_generated(workflow, _tier1_configs(), tmp_path / workflow.id)
+        outcome = run_case(workflow.as_case(), _tier1_configs(), tmp_path / workflow.id)
         assert outcome.passed, "\n".join(outcome.divergences)
         # the reference baseline plus the three other engines all ran
         assert len(outcome.outcomes) == 4

@@ -17,7 +17,7 @@ import pytest
 from repro import api
 from repro.cwl.faults import fault_profiles
 from repro.testing.conformance import main as conformance_main
-from repro.testing.differential import run_case, run_generated
+from repro.testing.differential import run_case
 
 #: The two contrasting profiles the acceptance criterion requires: one that
 #: recovers (retried to success) and one that exhausts (permanentFail).
@@ -60,8 +60,7 @@ def test_fault_profile_has_zero_divergences_across_engines(
 def test_fault_profile_agrees_on_a_generated_workflow(
         profile, generated_suite, tmp_path):
     """A multi-step generated DAG also agrees under injected faults."""
-    outcome = run_generated(generated_suite[0], fault_configs(profile),
-                            tmp_path)
+    outcome = run_case(generated_suite[0].as_case(), fault_configs(profile), tmp_path)
     assert outcome.passed, "\n".join(outcome.divergences)
 
 

@@ -90,6 +90,25 @@ def test_parsl_cwl_cli_with_job_order_file(cwl_dir, config_dir, tmp_path, capsys
     assert (tmp_path / "out" / "hello.txt").read_text().strip() == "from inputs.yml"
 
 
+def test_parsl_cwl_cli_resolves_only_file_inputs(cwl_dir, config_dir, tmp_path,
+                                                 monkeypatch, capsys):
+    """A relative path is made absolute only for an input the tool declares
+    as ``File``: a ``string`` input naming an existing file is passed on as
+    the user typed it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notes.txt").write_text("one two three four\n")
+    config = str(config_dir / "local_threads.yml")
+
+    assert parsl_cwl_main(["--outdir", "said", "--quiet", config,
+                           str(cwl_dir / "echo.cwl"), "--message", "notes.txt"]) == 0
+    assert (tmp_path / "said" / "hello.txt").read_text() == "notes.txt\n"
+
+    assert parsl_cwl_main(["--outdir", "counted", "--quiet", config,
+                           str(cwl_dir / "wordcount.cwl"), "--text_file", "notes.txt"]) == 0
+    assert (tmp_path / "counted" / "count.txt").read_text().split()[0] == "4"
+    capsys.readouterr()
+
+
 def test_parsl_cwl_cli_usage_error(capsys):
     assert parsl_cwl_main([]) == 2
     assert "usage" in capsys.readouterr().err

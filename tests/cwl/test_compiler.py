@@ -180,7 +180,7 @@ def test_template_cache_is_bounded(cwl_dir, tmp_path):
     runner = ToilStyleRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     try:
         for index in range(5):
-            runner.run(tool, {"message": f"message number {index} $(inputs.x) ${{ 1 }}"})
+            runner.execute(tool, {"message": f"message number {index} $(inputs.x) ${{ 1 }}"})
     finally:
         runner.close()
     assert set(tool.compiled._templates) == {"$(capitalizeWords(inputs.message))",

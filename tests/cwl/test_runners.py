@@ -1,4 +1,5 @@
-"""Tests for the cwltool-like reference runner and the Toil-like runner."""
+"""Tests for the cwltool-like reference runner and the Toil-like runner,
+driven through :meth:`~repro.cwl.runners.base.BaseRunner.execute`."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from repro.cwl.schema import ExpressionTool
 
 def test_reference_runner_single_tool(cwl_dir, tmp_path):
     runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
-    result = runner.run(load_tool(cwl_dir / "echo.cwl"), {"message": "ref"})
+    result = runner.execute(load_tool(cwl_dir / "echo.cwl"), {"message": "ref"})
     assert result.status == "success"
     assert result.jobs_run == 1
     assert result.wall_time_s > 0
@@ -37,10 +38,10 @@ def test_reference_runner_validates_document(tmp_path):
                              "inputs": {}, "outputs": {}})
     runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     with pytest.raises(ValidationException):
-        runner.run(invalid, {})
+        runner.execute(invalid, {})
     relaxed = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)), validate=False)
     with pytest.raises(Exception):
-        relaxed.run(invalid, {})  # still fails at execution, but not at validation
+        relaxed.execute(invalid, {})  # still fails at execution, but not at validation
 
 
 def test_reference_runner_tool_failure_propagates(tmp_path):
@@ -48,7 +49,7 @@ def test_reference_runner_tool_failure_propagates(tmp_path):
                              "baseCommand": "false", "inputs": {}, "outputs": {}})
     runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     with pytest.raises(JobFailure):
-        runner.run(failing, {})
+        runner.execute(failing, {})
 
 
 def test_reference_runner_expression_tool(tmp_path):
@@ -60,7 +61,7 @@ def test_reference_runner_expression_tool(tmp_path):
     })
     assert isinstance(tool, ExpressionTool)
     runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
-    result = runner.run(tool, {"x": 4})
+    result = runner.execute(tool, {"x": 4})
     assert result.outputs == {"doubled": 8, "label": "x4"}
 
 
@@ -72,7 +73,7 @@ def test_reference_runner_counts_scatter_jobs(cwl_dir, tmp_path, image_batch):
         "input_images": [{"class": "File", "path": p} for p in image_batch],
         "size": 16, "sepia": True, "radius": 1,
     }
-    result = runner.run(workflow, job_order)
+    result = runner.execute(workflow, job_order)
     outputs = result.outputs["final_outputs"]
     assert len(outputs) == len(image_batch)
     assert all(o["basename"] == "blurred.png" for o in outputs)
@@ -108,7 +109,7 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
     def run_three(runner):
         counts.clear()
         for message in ("one two", "three four", "five six"):
-            assert runner.run(tool, {"message": message}).status == "success"
+            assert runner.execute(tool, {"message": message}).status == "success"
 
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     before = compiler.compile_cache_stats()
@@ -204,7 +205,7 @@ def test_slurm_batch_system_propagates_payload_failure():
 def test_toil_runner_single_tool_records_jobs(cwl_dir, tmp_path):
     runner = ToilStyleRunner(job_store_dir=str(tmp_path / "jobstore"),
                              runtime_context=RuntimeContext(basedir=str(tmp_path)))
-    result = runner.run(load_tool(cwl_dir / "echo.cwl"), {"message": "via toil"})
+    result = runner.execute(load_tool(cwl_dir / "echo.cwl"), {"message": "via toil"})
     assert result.status == "success"
     stats = runner.job_store.stats()
     assert stats.get("done") == 1
@@ -218,7 +219,7 @@ def test_toil_runner_failure_marks_job_failed(tmp_path):
     runner = ToilStyleRunner(job_store_dir=str(tmp_path / "jobstore"),
                              runtime_context=RuntimeContext(basedir=str(tmp_path)))
     with pytest.raises(JobFailure):
-        runner.run(failing, {})
+        runner.execute(failing, {})
     assert runner.job_store.stats().get("failed") == 1
     runner.close()
 
@@ -226,16 +227,16 @@ def test_toil_runner_failure_marks_job_failed(tmp_path):
 def test_toil_runner_workflow_imports_outputs(cwl_dir, tmp_path, small_image):
     runner = ToilStyleRunner(job_store_dir=str(tmp_path / "jobstore"),
                              runtime_context=RuntimeContext(basedir=str(tmp_path)),
-                             max_workers=4)
+                             max_workers=4, destroy_job_store_on_close=True)
     workflow = load_document(cwl_dir / "image_pipeline.cwl")
-    result = runner.run(workflow, {"input_image": {"class": "File", "path": small_image},
+    result = runner.execute(workflow, {"input_image": {"class": "File", "path": small_image},
                                    "size": 16, "sepia": False, "radius": 1})
     final = result.outputs["final_output"]
     assert final["basename"] == "blurred.png"
     assert "jobStoreFileID" in final
     assert runner.job_store.has_file(final["jobStoreFileID"])
     assert result.jobs_run == 3
-    runner.close(destroy_job_store=True)
+    runner.close()
     assert not os.path.exists(str(tmp_path / "jobstore"))
 
 
@@ -248,7 +249,7 @@ def test_toil_runner_with_slurm_batch_system(cwl_dir, tmp_path, small_image):
     )
     try:
         workflow = load_document(cwl_dir / "image_pipeline.cwl")
-        result = runner.run(workflow, {"input_image": {"class": "File", "path": small_image},
+        result = runner.execute(workflow, {"input_image": {"class": "File", "path": small_image},
                                        "size": 16, "sepia": True, "radius": 1})
         assert result.outputs["final_output"]["basename"] == "blurred.png"
         # Every pipeline stage went through the simulated scheduler.

@@ -431,7 +431,7 @@ def test_image_pipeline_workflow_with_real_tools(cwl_dir, tmp_path, small_image)
 
     workflow = load_document(cwl_dir / "image_pipeline.cwl")
     runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
-    result = runner.run(workflow, {
+    result = runner.execute(workflow, {
         "input_image": {"class": "File", "path": small_image},
         "size": 24, "sepia": True, "radius": 1,
     })

@@ -28,11 +28,11 @@ def test_reference_and_toil_produce_identical_images(cwl_dir, tmp_path, pipeline
     workflow = load_document(cwl_dir / "image_pipeline.cwl")
 
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path / "ref")))
-    ref_out = reference.run(workflow, dict(pipeline_inputs)).outputs["final_output"]
+    ref_out = reference.execute(workflow, dict(pipeline_inputs)).outputs["final_output"]
 
     toil = ToilStyleRunner(job_store_dir=str(tmp_path / "jobstore"),
                            runtime_context=RuntimeContext(basedir=str(tmp_path / "toil")))
-    toil_out = toil.run(workflow, dict(pipeline_inputs)).outputs["final_output"]
+    toil_out = toil.execute(workflow, dict(pipeline_inputs)).outputs["final_output"]
     toil.close()
 
     assert np.array_equal(read_png(ref_out["path"]), read_png(toil_out["path"]))
@@ -42,7 +42,7 @@ def test_parsl_bridge_matches_reference_runner(cwl_dir, tmp_path, pipeline_input
                                                parsl_threads):
     workflow = load_document(cwl_dir / "image_pipeline.cwl")
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path / "ref")))
-    ref_image = read_png(reference.run(workflow, dict(pipeline_inputs))
+    ref_image = read_png(reference.execute(workflow, dict(pipeline_inputs))
                          .outputs["final_output"]["path"])
 
     bridge = CWLWorkflowBridge(str(cwl_dir / "image_pipeline.cwl"))
@@ -57,7 +57,7 @@ def test_chained_cwlapps_match_reference_runner(cwl_dir, tmp_path, pipeline_inpu
     """The hand-written Parsl program (Listing 4 style) produces the same final image."""
     workflow = load_document(cwl_dir / "image_pipeline.cwl")
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path / "ref")))
-    ref_image = read_png(reference.run(workflow, dict(pipeline_inputs))
+    ref_image = read_png(reference.execute(workflow, dict(pipeline_inputs))
                          .outputs["final_output"]["path"])
 
     resize = CWLApp(str(cwl_dir / "resize_image.cwl"))
@@ -78,7 +78,7 @@ def test_inline_python_and_js_expressions_agree(cwl_dir, tmp_path, parsl_threads
 
     js_tool = load_document(cwl_dir / "capitalize_js.cwl")
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path / "js")))
-    js_out = reference.run(js_tool, {"message": message}).outputs["output"]
+    js_out = reference.execute(js_tool, {"message": message}).outputs["output"]
     js_text = open(js_out["path"]).read().strip()
 
     py_app = CWLApp(str(cwl_dir / "capitalize_python.cwl"))
@@ -96,12 +96,12 @@ def test_scatter_workflow_counts_match_across_runners(cwl_dir, tmp_path, image_b
 
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path / "ref")),
                                 parallel=True, max_workers=4)
-    ref_outputs = reference.run(workflow, dict(job_order)).outputs["final_outputs"]
+    ref_outputs = reference.execute(workflow, dict(job_order)).outputs["final_outputs"]
 
     toil = ToilStyleRunner(job_store_dir=str(tmp_path / "jobstore"),
                            runtime_context=RuntimeContext(basedir=str(tmp_path / "toil")),
                            max_workers=4)
-    toil_outputs = toil.run(workflow, dict(job_order)).outputs["final_outputs"]
+    toil_outputs = toil.execute(workflow, dict(job_order)).outputs["final_outputs"]
     toil.close()
 
     assert len(ref_outputs) == len(toil_outputs) == len(image_batch)
