@@ -16,13 +16,11 @@ from repro.api.engine import Engine, EngineError
 from repro.api.events import EventRecorder, ExecutionHooks, cache_stats
 from repro.api.plan import result_plan
 from repro.api.result import ExecutionResult
+from repro.core.cwl_app import to_cwl_value
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.cwl.retry import RetryObservation, execute_with_retries, record_retry
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
-from repro.cwl.types import build_file_value
-from repro.parsl.data_provider.files import File as ParslFile
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 
 
@@ -43,12 +41,13 @@ class ParslEngine(Engine):
                  **options: Any) -> None:
         self._config = config
         self._outdir = outdir
-        #: The run options, honoured Parsl-side: retries wrap whole tool
-        #: invocations (cache probe included, so injected faults behave
-        #: identically warm or cold), timeouts are enforced in-shell on the
-        #: execution side, ``on_error`` governs whether a failed workflow
-        #: step aborts the bridge run, and ``max_inflight`` bounds unfinished
-        #: submissions during bridge submission.
+        #: The run options, honoured Parsl-side: every tool invocation, bare
+        #: or a workflow step, retries on the execution side around its cache
+        #: probe (so injected faults behave identically warm or cold), and
+        #: its timeout is enforced in-shell there; ``on_error`` governs
+        #: whether a failed workflow step aborts the bridge run, and
+        #: ``max_inflight`` bounds unfinished submissions during bridge
+        #: submission.
         self._context = context_with_options(runtime_context, options)
         self._started = False
         self._loaded_here = False
@@ -84,7 +83,10 @@ class ParslEngine(Engine):
             outputs, failures = self._run_workflow(process, dict(job_order or {}),
                                                    recorder)
         elif isinstance(process, CommandLineTool):
-            outputs = self._run_tool(process, dict(job_order or {}), recorder)
+            outputs = run_tool_with_parsl(
+                tool=process, job_order=dict(job_order or {}), config=None,
+                outdir=self._outdir, cleanup=False, runtime_context=self._context,
+                job_observer=recorder)
         else:
             raise EngineError(
                 f"the {self.name!r} engine cannot run a {type(process).__name__} "
@@ -107,48 +109,13 @@ class ParslEngine(Engine):
             failures=failures,
         )
 
-    def _run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
-                  recorder: EventRecorder) -> Dict[str, Any]:
-        context = self._context
-        job_name = tool.id or "tool"
-        cache_note: Dict[str, str] = {}
-        token = recorder.job_started(job_name)
-
-        def attempt(_n: int) -> Dict[str, Any]:
-            cache_note.clear()
-            # The retry loop wraps the whole call — the app's execution-side
-            # cache probe included — so injected faults fire ahead of the
-            # probe, exactly as on the runner engines.
-            return run_tool_with_parsl(
-                tool=tool, job_order=job_order, config=None,
-                outdir=self._outdir, cleanup=False,
-                runtime_context=context, cache_note=cache_note)
-
-        def on_retry(attempt_no: int, exc: BaseException, delay: float) -> None:
-            record_retry(recorder, token, context.journal, job_name, attempt_no,
-                         str(exc), delay)
-
-        observation = RetryObservation()
-        try:
-            outputs = execute_with_retries(
-                attempt, policy=context.retry_policy, job=job_name,
-                fault_plan=context.fault_plan, observation=observation,
-                on_retry=on_retry)
-        except Exception as exc:
-            recorder.job_finished(token, ok=False, error=str(exc),
-                                  attempt=observation.attempt)
-            raise
-        recorder.job_finished(token, cache=cache_note.get("cache"),
-                              attempt=observation.attempt)
-        return outputs
-
     def _run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
                       recorder: EventRecorder) -> tuple:
         bridge = CWLWorkflowBridge(workflow, job_observer=recorder,
                                    runtime_context=self._context)
         outputs = bridge.run(job_order)
         failures = {name: str(exc) for name, exc in bridge.failures.items()}
-        return ({key: _normalise_output(value) for key, value in outputs.items()},
+        return ({key: to_cwl_value(value) for key, value in outputs.items()},
                 failures)
 
 
@@ -166,16 +133,3 @@ class ParslWorkflowEngine(ParslEngine):
                 f"{type(loaded).__name__} (use engine='parsl' for single tools)"
             )
         return super().execute(loaded, job_order, hooks)
-
-
-def _normalise_output(value: Any) -> Any:
-    """Convert Parsl-side File objects into CWL File value dictionaries.
-
-    The workflow bridge resolves its futures to Parsl ``File`` objects; the
-    unified result promises the same CWL output-object shape as the runners.
-    """
-    if isinstance(value, ParslFile):
-        return build_file_value(value.filepath)
-    if isinstance(value, list):
-        return [_normalise_output(item) for item in value]
-    return value

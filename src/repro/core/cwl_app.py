@@ -46,7 +46,7 @@ from repro.cwl.jobcache import (
 )
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.outputs import matching_files, output_globs
-from repro.cwl.retry import execute_with_retries
+from repro.cwl.retry import execute_with_retries, record_retry
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, matches
@@ -58,7 +58,7 @@ from repro.parsl.dataflow.dflow import DataFlowKernel, DataFlowKernelLoader
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
 
 __all__ = ["CWLApp", "cwl_tool_command", "cached_bash_executor",
-           "resilient_bash_executor"]
+           "resilient_bash_executor", "report_finished"]
 
 #: The :class:`RuntimeContext` fields a job runs under, sent to the execution
 #: side as ``cwl_<field>`` app kwargs.
@@ -92,7 +92,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
 
     job_order: Dict[str, Any] = {}
     for key, value in cwl_inputs.items():
-        job_order[key] = _to_cwl_value(value)
+        job_order[key] = to_cwl_value(value)
     job_order = fill_in_defaults(tool.inputs, job_order)
     job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
 
@@ -201,12 +201,12 @@ class _WithPythonArguments:
         return self._evaluator.evaluate(value, context)
 
 
-def _to_cwl_value(value: Any) -> Any:
-    """Convert Parsl-side values (File, paths, plain scalars) to CWL job-order values."""
+def to_cwl_value(value: Any) -> Any:
+    """Convert Parsl-side values (File, paths, plain scalars) to CWL values."""
     if isinstance(value, File):
         return build_file_value(value.filepath)
     if isinstance(value, list):
-        return [_to_cwl_value(item) for item in value]
+        return [to_cwl_value(item) for item in value]
     return value
 
 
@@ -282,7 +282,8 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     succeeded): the stdout/stderr redirections plus every file the tool's
     evaluated output globs match in the cwd are stored under the job's key
     — what collection will read, so a hit restores all of it — warming the
-    store for every engine that shares it.
+    store for every engine that shares it.  Without ``cwl_cache_dir`` the
+    body probes nothing, so this is a plain bash-executor call.
     """
     ctx: Dict[str, Any] = {}
     kwargs = dict(kwargs)
@@ -305,19 +306,19 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
 
 
 def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
-    """Bash-app executor adding retries, fault injection and timeout mapping.
+    """The executor every ``CWLApp`` invocation is submitted through: retries,
+    fault injection and timeout mapping around :func:`cached_bash_executor`.
 
-    The fault-tolerance layer's execution-side half for the Parsl engines:
-    the same :func:`~repro.cwl.retry.execute_with_retries` loop the runner
-    engines use wraps the whole inner executor call, so injected faults fire
-    *before* the execution-side cache probe (``cwl_tool_command`` runs inside
-    the inner executor) and every re-attempt re-opens (and truncates) the
-    stdout/stderr redirections.  A ``timeout``-killed command (exit 124 with
+    The Parsl engines' one retry loop, run where the job runs: the same
+    :func:`~repro.cwl.retry.execute_with_retries` loop the runner engines use
+    wraps the whole cache-layer call, so injected faults fire *before* the
+    execution-side cache probe and every re-attempt re-opens (and truncates)
+    the stdout/stderr redirections; without ``cwl_retry_policy`` it makes a
+    single call.  A ``timeout``-killed command (exit 124 with
     ``cwl_timeout_s`` configured) is re-raised as
-    :class:`~repro.cwl.errors.JobTimeout` so retry classification and the
-    conformance exit-class contract match the runner engines.  Retries are
-    recorded into the in-process ``cwl_retry_note`` list, which the workflow
-    bridge reads off the future to emit ``"retry"`` events.
+    :class:`~repro.cwl.errors.JobTimeout`, classified as on the runner
+    engines.  Retries are appended to the in-process ``cwl_retry_note`` list
+    for :func:`report_finished`.
     """
     kwargs = dict(kwargs)
     policy = kwargs.pop("cwl_retry_policy", None)
@@ -325,13 +326,10 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     retry_note = kwargs.pop("cwl_retry_note", None)
     job_name = kwargs.pop("cwl_job_name", None) or getattr(func, "__name__", "<tool>")
     timeout_s = kwargs.get("cwl_timeout_s")
-    inner = cached_bash_executor if kwargs.get("cwl_cache_dir") else remote_side_bash_executor
 
     def attempt(_n: int) -> int:
         try:
-            # A fresh kwargs copy per attempt: the caching wrapper injects a
-            # mutable cwl_cache_ctx into its own copy each time.
-            return inner(func, *args, **dict(kwargs))
+            return cached_bash_executor(func, *args, **kwargs)
         except BashExitFailure as exc:
             if timeout_s and exc.exitcode == 124:
                 raise JobTimeout(job_name, float(timeout_s)) from exc
@@ -344,6 +342,28 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
 
     return execute_with_retries(attempt, policy=policy, job=job_name,
                                 fault_plan=plan, on_retry=on_retry)
+
+
+def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
+                    journal: Any, job: str, error: Optional[BaseException] = None) -> None:
+    """Report how one ``CWLApp`` invocation ended (``error`` ``None``: it succeeded).
+
+    The one routine both Parsl entry points report a job through: each entry
+    of the future's ``cwl_retry_note`` becomes a ``"retry"`` event and a
+    journal record (:func:`~repro.cwl.retry.record_retry`), then the ``"end"``
+    event gets the ``cwl_cache_note`` outcome and the final attempt.
+    ``future`` is ``None`` when the call failed before submitting.  On
+    process-based executors both notes stay empty: nothing is observed.
+    """
+    retries = getattr(future, "cwl_retry_note", None) or []
+    for entry in retries:
+        record_retry(observer, token, journal, job, entry["attempt"],
+                     entry["error"], entry["delay_s"])
+    if observer is not None:
+        note = getattr(future, "cwl_cache_note", None) or {}
+        observer.job_finished(token, ok=error is None,
+                              error=None if error is None else str(error),
+                              cache=note.get("cache"), attempt=len(retries) + 1)
 
 
 def _store_results(ctx: Dict[str, Any], stdout_spec: Any, stderr_spec: Any,
@@ -439,7 +459,9 @@ class CWLApp:
 
         Keyword arguments are the tool's declared inputs; additionally the Parsl
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
-        and any unknown keyword raises immediately.
+        and any unknown keyword raises immediately.  Whatever the options, the
+        app is submitted through one chain: :func:`resilient_bash_executor` →
+        :func:`cached_bash_executor` → ``remote_side_bash_executor``.
         """
         dfk = self.data_flow_kernel or DataFlowKernelLoader.dfk()
 
@@ -481,10 +503,20 @@ class CWLApp:
         named_outputs = self._predict_output_files(cwl_inputs, stdout_path, stderr_path)
         output_files = [file_obj for _name, file_obj in named_outputs]
 
-        # The one place the context is unpacked for the execution side.
+        # The one place the context is unpacked for the execution side.  An
+        # absent option travels as None: no store, no retry policy.  The
+        # notes are filled there and read off the future (report_finished).
         context = self.runtime_context
-        app_kwargs: Dict[str, Any] = {"cwl_inputs": cwl_inputs}
-        for name in _CONTEXT_FIELDS:
+        cache = context.get_job_cache()
+        cache_note: Dict[str, str] = {}
+        retry_note: List[Dict[str, Any]] = []
+        # An id-less tool has the runners' job name, so FaultSpecs and
+        # backoff schedules see the same job on every engine.
+        app_kwargs: Dict[str, Any] = {
+            "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.id or "<tool>",
+            "cwl_cache_dir": cache.cache_dir if cache is not None else None,
+            "cwl_cache_note": cache_note, "cwl_retry_note": retry_note}
+        for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan", "timeout_s"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
         if stdout_path:
             app_kwargs["stdout"] = stdout_path
@@ -492,47 +524,11 @@ class CWLApp:
             app_kwargs["stderr"] = stderr_path
         if output_files:
             app_kwargs["outputs"] = output_files
-        executor_fn = remote_side_bash_executor
-        cache_note: Optional[Dict[str, str]] = None
-        # Content-addressed result reuse (see :mod:`repro.cwl.jobcache`): the
-        # Parsl path's one probe runs on the execution side, where upstream
-        # futures are concrete, so chained/bridged apps and the single-tool
-        # runner all cache through it.  The
-        # hit/miss outcome travels back through an in-process note dict, so
-        # on process-based executors (ProcessPoolExecutor, HTEX) results are
-        # still cached and restored, but the submit side cannot observe the
-        # outcome: ``JobEvent.cache`` / ``cache_stats`` read as no caching.
-        cache = context.get_job_cache()
-        if cache is not None:
-            app_kwargs["cwl_cache_dir"] = cache.cache_dir
-            # Per-call outcome channel: filled execution-side, read off the
-            # future by the workflow bridge to tag its per-job end events.
-            cache_note = {}
-            app_kwargs["cwl_cache_note"] = cache_note
-            executor_fn = cached_bash_executor
-        # Fault tolerance (see :mod:`repro.cwl.retry` / :mod:`repro.cwl.faults`):
-        # when any option is set the app routes through
-        # :func:`resilient_bash_executor`, which retries the whole
-        # execution-side call (cache probe included) under the policy.
-        retry_note: Optional[List[Dict[str, Any]]] = None
-        if (context.retry_policy is not None or context.fault_plan is not None
-                or context.timeout_s):
-            if context.timeout_s:
-                app_kwargs["cwl_timeout_s"] = float(context.timeout_s)
-            if context.retry_policy is not None:
-                app_kwargs["cwl_retry_policy"] = context.retry_policy
-            if context.fault_plan is not None:
-                app_kwargs["cwl_fault_plan"] = context.fault_plan
-            app_kwargs["cwl_job_name"] = self.tool.id or self.__name__
-            # Per-call retry channel, the resilience analogue of cache_note.
-            retry_note = []
-            app_kwargs["cwl_retry_note"] = retry_note
-            executor_fn = resilient_bash_executor
 
         body = functools.partial(cwl_tool_command, self.tool.raw, self.cwl_path)
         functools.update_wrapper(body, cwl_tool_command)
         body.__name__ = self.__name__  # type: ignore[attr-defined]
-        wrapped = functools.partial(executor_fn, body)
+        wrapped = functools.partial(resilient_bash_executor, body)
         functools.update_wrapper(wrapped, body)
 
         future = dfk.submit(
@@ -548,10 +544,8 @@ class CWLApp:
         for (name, _file_obj), data_future in zip(named_outputs, future.outputs):
             named.setdefault(name, data_future)
         future.cwl_outputs = named  # type: ignore[attr-defined]
-        if cache_note is not None:
-            future.cwl_cache_note = cache_note  # type: ignore[attr-defined]
-        if retry_note is not None:
-            future.cwl_retry_note = retry_note  # type: ignore[attr-defined]
+        future.cwl_cache_note = cache_note  # type: ignore[attr-defined]
+        future.cwl_retry_note = retry_note  # type: ignore[attr-defined]
         return future
 
     # ----------------------------------------------------------------- helpers
@@ -631,7 +625,7 @@ class CWLApp:
         resolved = self._resolve_static_glob(spec, job_order)
         if resolved is not None:
             return resolved
-        concrete = {key: _to_cwl_value(value) for key, value in job_order.items()
+        concrete = {key: to_cwl_value(value) for key, value in job_order.items()
                     if not isinstance(value, DataFuture)}
         try:
             evaluated = precompile_process(self.tool).evaluate(

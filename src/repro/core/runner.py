@@ -6,11 +6,11 @@ line prints.  The function manages the DataFlowKernel lifecycle only when it
 loaded the kernel itself, so it can be embedded in a larger Parsl program that
 already called :func:`repro.parsl.load`.
 
-The job cache is the ``CWLApp``'s own (:func:`~repro.core.cwl_app.cwl_tool_command`
-probes it on the execution side): a hit goes through the loaded kernel like
-any invocation, restores the recorded files into the working directory
-without spawning anything, and outputs are then collected from there exactly
-as after a run.
+The tool runs as one ``CWLApp`` invocation under the caller's whole context:
+retries wrap the job-cache probe on the execution side, a hit restores the
+recorded files into the working directory without spawning anything, and
+outputs are collected from there exactly as after a run.  The job is reported
+through :func:`~repro.core.cwl_app.report_finished`, as bridge steps are.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional, Union
 
-from repro.core.cwl_app import CWLApp
+from repro.core.cwl_app import CWLApp, report_finished
 from repro.core.yaml_config import load_yaml_config
 from repro.cwl.command_line import fill_in_defaults
 from repro.cwl.expressions.compiler import precompile_process
@@ -58,8 +58,8 @@ def run_tool_with_parsl(
     config: Union[None, str, os.PathLike, Config] = None,
     outdir: Optional[str] = None,
     cleanup: Optional[bool] = None,
-    cache_note: Optional[Dict[str, str]] = None,
     runtime_context: Optional[RuntimeContext] = None,
+    job_observer: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Execute ``tool`` with the given ``job_order`` on Parsl.
 
@@ -80,18 +80,17 @@ def run_tool_with_parsl(
     cleanup:
         Whether to shut down the DataFlowKernel afterwards.  Defaults to True
         exactly when this call loaded the kernel itself.
-    cache_note:
-        Optional dict the call annotates with ``{"cache": "hit"|"miss"}``
-        (used by the unified API to tag the per-job event).
     runtime_context:
-        The run options, handed to the :class:`CWLApp`: the job cache
+        The run options, handed whole to the :class:`CWLApp`: the job cache
         (``cache_dir`` / ``job_cache``; a hit is restored through the loaded
-        kernel, in process), ``cores`` / ``ram_mb`` / ``env`` and
-        ``timeout_s`` (enforced in-shell on the
-        execution side; exceeding it raises
-        :class:`~repro.cwl.errors.JobTimeout`).  Retries and fault injection
-        are the caller's concern — the unified API wraps this whole call in
-        its retry loop — so the app runs without them.
+        kernel, in process), ``cores`` / ``ram_mb`` / ``env``, ``timeout_s``
+        (enforced in-shell; exceeding it raises
+        :class:`~repro.cwl.errors.JobTimeout`), and ``retry_policy`` /
+        ``fault_plan``, honoured on the execution side around the cache
+        probe.  Each retry is a journal ``retry`` record under ``journal``.
+    job_observer:
+        Optional :class:`~repro.api.events.EventRecorder`-like observer: told
+        of the job's start, then (after output collection) its retries and end.
     """
     job_order = dict(job_order or {})
     tool_doc = tool if isinstance(tool, CommandLineTool) else load_tool(tool)
@@ -100,13 +99,13 @@ def run_tool_with_parsl(
     if cleanup is None:
         cleanup = loaded_here
 
+    job = tool_doc.id or "<tool>"
+    token = job_observer.job_started(job) if job_observer is not None else None
+    future = error = None
     try:
-        app = CWLApp(tool_doc, runtime_context=context.child(
-            retry_policy=None, fault_plan=None))
+        app = CWLApp(tool_doc, runtime_context=context)
         future = app(**job_order)
         future.result()
-        if cache_note is not None:
-            cache_note.update(getattr(future, "cwl_cache_note", None) or {})
 
         outdir = outdir or os.getcwd()
         stdout_path = _absolute(future.stdout, outdir)
@@ -121,7 +120,11 @@ def run_tool_with_parsl(
             runtime=runtime,
             evaluator=precompile_process(app.tool),
         )
+    except BaseException as exc:
+        error = exc
+        raise
     finally:
+        report_finished(future, job_observer, token, context.journal, job, error)
         if cleanup:
             DataFlowKernelLoader.clear()
 

@@ -33,11 +33,10 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.cwl_app import CWLApp
+from repro.core.cwl_app import CWLApp, report_finished
 from repro.cwl.errors import UnsupportedRequirement, WorkflowException
 from repro.cwl.graph import GraphNode, WorkflowGraph, build_graph
 from repro.cwl.loader import load_document
-from repro.cwl.retry import record_retry
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scatter import ScatterPlan
 from repro.cwl.scheduler import Expansion
@@ -210,8 +209,7 @@ class CWLWorkflowBridge:
         try:
             future = app(**kwargs)
         except Exception as exc:
-            if observer is not None:
-                observer.job_finished(token, ok=False, error=str(exc))
+            report_finished(None, observer, token, None, name, exc)
             raise
         self._pending_observations.append((future, token, name))
         self._throttle_inflight()
@@ -237,34 +235,24 @@ class CWLWorkflowBridge:
             live[0].exception()  # block for completion without raising
 
     def _drain_observations(self) -> None:
-        """Resolve every submitted future: failures, retry events, end events.
+        """Resolve every submitted future: failures, retries, end events.
 
         Futures are tracked even without an observer so ``on_error="continue"``
-        can report which steps failed.  Retries are replayed from the future's
-        ``cwl_retry_note`` (:func:`~repro.core.cwl_app.resilient_bash_executor`)
-        as events and journal records, so each job's events read start →
+        can report which steps failed.  Each step is reported through
+        :func:`~repro.core.cwl_app.report_finished`, the routine
+        ``run_tool_with_parsl`` uses too: the retries its execution side made
+        become events and journal records, so each job's events read start →
         retry* → end like the runner engines'.
         """
-        observer = self.job_observer
         journal = self.runtime_context.journal
         pending, self._pending_observations = self._pending_observations, []
         for future, token, name in pending:
             exception = future.exception()
             if exception is not None:
                 self.failures.setdefault(name, exception)
-            retries = getattr(future, "cwl_retry_note", None) or []
-            for entry in retries:
-                record_retry(observer, token, journal, name, entry["attempt"],
-                             entry["error"], entry["delay_s"])
+            report_finished(future, self.job_observer, token, journal, name, exception)
             if journal is not None:
                 journal.node_state(name, "failed" if exception else "done")
-            if observer is None:
-                continue
-            note = getattr(future, "cwl_cache_note", None) or {}
-            observer.job_finished(token, ok=exception is None,
-                                  error=str(exception) if exception else None,
-                                  cache=note.get("cache"),
-                                  attempt=retries[-1]["attempt"] + 1 if retries else 1)
 
     @staticmethod
     def _wait(value: Any) -> Any:

@@ -17,16 +17,16 @@ Two properties matter for reproducibility:
   exit codes and listed error classes do.
 
 The module-level :func:`execute_with_retries` is the one retry loop every
-execution path shares (reference runner, Toil batch payload, Parsl
-submission side and the bridge's execution-side bash wrapper), so fault
-injection and attempt accounting behave identically everywhere.
+execution path shares (the runners' ``run_tool`` and, on both Parsl engines,
+the execution-side executor every ``CWLApp`` invocation goes through), so
+fault injection and attempt accounting behave identically everywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.cwl.errors import JobFailure, JobTimeout, exit_class, unwrap_failure
@@ -120,21 +120,12 @@ def record_retry(observer: Any, token: Any, journal: Any, job: str,
         journal.record("retry", job=job, attempt=attempt, error=error, delay_s=delay_s)
 
 
-@dataclass
-class RetryObservation:
-    """Mutable attempt accounting filled in by :func:`execute_with_retries`."""
-
-    attempt: int = 1
-    retries: list = field(default_factory=list)  # (attempt, error str, delay)
-
-
 def execute_with_retries(
     fn: Callable[[int], Any],
     *,
     policy: Optional[RetryPolicy],
     job: str,
     fault_plan: Optional[Any] = None,
-    observation: Optional[RetryObservation] = None,
     on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Any:
@@ -143,13 +134,10 @@ def execute_with_retries(
     The fault plan is consulted *before* each attempt (ahead of any cache
     probe inside ``fn``), so warm and cold cache modes observe identical
     injected behaviour on every engine.  ``on_retry(attempt, exc, delay)``
-    fires once per retry before sleeping; ``observation`` (if given) ends up
-    holding the final attempt number.
+    fires once per retry before sleeping.
     """
     attempt = 1
     while True:
-        if observation is not None:
-            observation.attempt = attempt
         try:
             if fault_plan is not None:
                 fault_plan.apply(job, attempt)
@@ -159,8 +147,6 @@ def execute_with_retries(
                     or not policy.retryable(exc)):
                 raise
             delay = policy.delay_s(job, attempt)
-            if observation is not None:
-                observation.retries.append((attempt, str(exc), delay))
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
             if delay > 0:

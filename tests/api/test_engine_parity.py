@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.cwl.faults import FaultPlan, FaultSpec
 from repro.cwl.runtime import RuntimeContext
 
 #: Engines that can run a bare CommandLineTool.
@@ -205,8 +206,6 @@ def test_run_options_travel_in_the_context_or_flat(engine, tmp_path, monkeypatch
     inside ``runtime_context=`` behave exactly like the same options given as
     flat keywords, a flat keyword overrides the context's field, and a name
     that is no context field raises TypeError naming it."""
-    from repro.cwl.faults import FaultPlan, FaultSpec
-
     monkeypatch.chdir(tmp_path)
     backend = {"basedir": str(tmp_path / "jobs")}  # a context field, given flat
     if engine == "toil":
@@ -286,3 +285,27 @@ def test_cores_ram_and_env_reach_the_job_and_its_cache_key(engine, tmp_path, mon
     assert granted("bar") == (b"4 2048 bar\n", {"hits": 0, "misses": 1})
     assert granted("baz") == (b"4 2048 baz\n", {"hits": 0, "misses": 1})
     assert granted("bar") == (b"4 2048 bar\n", {"hits": 1, "misses": 0})
+
+
+@pytest.mark.parametrize("engine", TOOL_ENGINES)
+def test_an_id_less_tool_is_one_job_to_faults_and_retries(engine, tmp_path, monkeypatch):
+    """A tool without an ``id`` (a dict document) is ``<tool>`` to fault plans
+    and retry policies on every engine: a ``FaultSpec`` naming it fires, and
+    the job is retried as often as the spec fails it."""
+    monkeypatch.chdir(tmp_path)
+    backend = {"basedir": str(tmp_path / "jobs")}
+    if engine == "toil":
+        backend.update(job_store_dir=str(tmp_path / "jobstore"),
+                       destroy_job_store_on_close=True)
+    if engine == "parsl":
+        backend["config"] = repro.thread_config(
+            max_threads=2, run_dir=str(tmp_path / "runinfo"))
+    tool = ECHO_WORKFLOW["steps"]["only"]["run"]
+    assert "id" not in tool
+    result = api.run(
+        dict(tool), {"message": "named once"}, engine=engine,
+        fault_plan=FaultPlan(specs=(FaultSpec(job="<tool>", exit_code=11, attempts=2),)),
+        retry_policy=api.RetryPolicy(max_attempts=3, backoff_s=0,
+                                     retryable_exit_codes=(11,)), **backend)
+    assert result.retries() == 2
+    assert normalise(result.outputs["out"])["contents"] == b"named once\n"

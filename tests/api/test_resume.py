@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +60,7 @@ def context_for(workdir):
 
 
 def output_bytes(result):
-    return {key: open(value["path"], "rb").read()
+    return {key: Path(value["path"]).read_bytes()
             for key, value in result.outputs.items() if value}
 
 

@@ -102,7 +102,8 @@ def test_report_shape_and_write(tier1_corpus, tmp_path):
     report = build_report([outcome], configs, meta={"tier1": True})
     path = write_report(tmp_path / "CONFORMANCE.json", report)
 
-    loaded = json.loads(open(path).read())
+    with open(path) as handle:
+        loaded = json.load(handle)
     assert loaded["version"] == 1
     assert loaded["summary"]["cases"] == 1
     assert loaded["summary"]["divergences"] == 0

@@ -10,6 +10,10 @@ import pytest
 import repro
 from repro.core.cli import main as parsl_cwl_main
 from repro.core.runner import run_tool_with_parsl
+from repro.cwl.errors import exit_class, unwrap_failure
+from repro.cwl.loader import load_document
+from repro.cwl.retry import RetryPolicy
+from repro.cwl.runtime import RuntimeContext
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 from repro.parsl.errors import NoDataFlowKernelError
 from repro.utils.yamlio import dump_yaml
@@ -62,6 +66,24 @@ def test_run_tool_with_file_input(cwl_dir, tmp_path, monkeypatch):
     )
     with open(outputs["count"]["path"]) as handle:
         assert handle.read().split()[0] == "3"
+
+
+def test_run_tool_retries_under_the_context_policy(tmp_path, monkeypatch):
+    """A direct call honours the context's ``retry_policy``: a tool that exits
+    3 under ``max_attempts=3`` runs three times, not once."""
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "executions.log"
+    tool = load_document({
+        "cwlVersion": "v1.2", "class": "CommandLineTool",
+        "baseCommand": ["sh", "-c", f"echo ran >> {log}; exit 3"],
+        "inputs": {}, "outputs": {}})
+    policy = RetryPolicy(max_attempts=3, backoff_s=0, retryable_exit_codes=(3,))
+    with pytest.raises(Exception) as excinfo:
+        run_tool_with_parsl(
+            tool, config=repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")),
+            runtime_context=RuntimeContext(retry_policy=policy))
+    assert exit_class(unwrap_failure(excinfo.value)) == "permanentFail"
+    assert log.read_text() == "ran\n" * 3
 
 
 def test_parsl_cwl_cli_with_flag_inputs(cwl_dir, config_dir, tmp_path, capsys):

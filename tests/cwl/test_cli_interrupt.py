@@ -114,21 +114,20 @@ def launch(staged, *extra_args):
 
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
 def test_interrupt_tears_down_and_leaves_a_resumable_run(staged_run, signum):
-    proc = launch(staged_run)
-    try:
-        # Let the first step finish and the sleeper actually start.
-        wait_for(lambda: sleeping_tool_pids(),
-                 message="the slow step's sleep subprocess")
-        journal = staged_run["rundir"] / "journal.jsonl"
-        wait_for(journal.exists, message="the journal file")
+    # Leaving the block closes both pipes and waits for the process.
+    with launch(staged_run) as proc:
+        try:
+            # Let the first step finish and the sleeper actually start.
+            wait_for(lambda: sleeping_tool_pids(),
+                     message="the slow step's sleep subprocess")
+            journal = staged_run["rundir"] / "journal.jsonl"
+            wait_for(journal.exists, message="the journal file")
 
-        proc.send_signal(signum)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    stderr = proc.stderr.read()
+            proc.send_signal(signum)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
     assert proc.returncode == 130, stderr
     assert "interrupted" in stderr

@@ -20,7 +20,6 @@ from repro.cwl.errors import (
 from repro.cwl.faults import FaultPlan, FaultSpec
 from repro.cwl.retry import (
     NEVER_RETRY_EXIT_CLASSES,
-    RetryObservation,
     RetryPolicy,
     execute_with_retries,
 )
@@ -92,27 +91,6 @@ def test_error_class_names_gate_plain_exceptions():
 
 def _no_sleep(_delay):
     pass
-
-
-def test_retries_until_success_with_accounting():
-    calls = []
-
-    def flaky(attempt):
-        calls.append(attempt)
-        if attempt < 3:
-            raise JobFailure("job", 11)
-        return "ok"
-
-    observation = RetryObservation()
-    retried = []
-    result = execute_with_retries(
-        flaky, policy=RetryPolicy(max_attempts=4, retryable_exit_codes=(11,)),
-        job="job", observation=observation,
-        on_retry=lambda a, e, d: retried.append((a, d)), sleep=_no_sleep)
-    assert result == "ok"
-    assert calls == [1, 2, 3]
-    assert observation.attempt == 3
-    assert [a for a, _ in retried] == [1, 2]
 
 
 def test_attempt_cap_is_enforced():

@@ -156,7 +156,8 @@ def test_job_store_file_import_export(tmp_path):
     # Importing identical content is idempotent (content-addressed).
     assert store.import_file(str(source)) == file_id
     exported = store.export_file(file_id, str(tmp_path / "out" / "copy.txt"))
-    assert open(exported).read() == "precious bytes"
+    with open(exported) as handle:
+        assert handle.read() == "precious bytes"
     store.destroy()
     assert not os.path.exists(store.store_dir)
 

@@ -79,7 +79,8 @@ def test_inline_python_and_js_expressions_agree(cwl_dir, tmp_path, parsl_threads
     js_tool = load_document(cwl_dir / "capitalize_js.cwl")
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path / "js")))
     js_out = reference.execute(js_tool, {"message": message}).outputs["output"]
-    js_text = open(js_out["path"]).read().strip()
+    with open(js_out["path"]) as handle:
+        js_text = handle.read().strip()
 
     py_app = CWLApp(str(cwl_dir / "capitalize_python.cwl"))
     future = py_app(message=message, stdout="py.txt")
