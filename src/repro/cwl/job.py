@@ -118,6 +118,10 @@ class CommandLineJob:
     #: (:meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`); by default
     #: the tool's own compiled evaluator.
     evaluator_for: Callable[[CommandLineTool], Any] = precompile_process
+    #: The probe a :meth:`cached_result` miss found, ``(context, cache, key,
+    #: None)``, kept for the :meth:`stage_execution` that follows.
+    _missed_probe: Optional[Tuple[RuntimeContext, Any, Optional[str], Any]] = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.job_order = {k: coerce_file_inputs(v) for k, v in self.job_order.items()}
@@ -169,22 +173,27 @@ class CommandLineJob:
                 f"job order for tool {self.tool.id!r} is invalid: " + "; ".join(problems)
             )
 
-    def _probe_cache(self, record: bool) -> Tuple[RuntimeContext, Any, Optional[str], Any]:
+    def _probe_cache(self) -> Tuple[RuntimeContext, Any, Optional[str], Any]:
         """Validate the job order, then key it and probe the job cache.
 
         The one way into the cache for :meth:`stage_execution` and
-        :meth:`cached_result`.  Touches no directory of the job: what a hit
-        or a miss needs on disk is decided by the caller afterwards.  Returns
-        ``(resourced context, cache, key, entry)``; the last three are
-        ``None`` when caching is off.
+        :meth:`cached_result`; the lookup is not counted, the caller records
+        its outcome.  A probe that :meth:`cached_result` missed is taken
+        instead, once, so an attempt validates, keys and looks up once.
+        Touches no directory of the job: what a hit or a miss needs on disk
+        is decided by the caller afterwards.  Returns ``(resourced context,
+        cache, key, entry)``; the last three are ``None`` when caching is off.
         """
+        if self._missed_probe is not None:
+            probe, self._missed_probe = self._missed_probe, None
+            return probe
         self._require_valid_inputs()
         context = self.runtime_context.with_resources(self.tool)
         cache = self.runtime_context.get_job_cache()
         if cache is None:
             return context, None, None, None
         key = context.cache_key(self.tool, self.job_order)
-        return context, cache, key, cache.lookup(key, record=record)
+        return context, cache, key, cache.lookup(key, record=False)
 
     def _make_job_dir(self) -> str:
         return self.runtime_context.make_job_dir(
@@ -199,13 +208,15 @@ class CommandLineJob:
         The job order is validated, keyed and probed before any directory
         exists; a hit then makes one directory — the job's output directory,
         where the restored files live — and no scratch directory.  A miss
-        makes nothing and is not counted here — the :meth:`execute` that
-        follows records it.
+        makes nothing and is not counted here: the probe stays on the job,
+        and the :meth:`execute` that follows takes it and records the miss.
         """
-        context, cache, _key, entry = self._probe_cache(record=False)
+        probe = self._probe_cache()
+        context, cache, _key, entry = probe
         if entry is None:
+            self._missed_probe = probe
             return None
-        cache.record_hit()
+        cache.record(entry)
         outdir = self._make_job_dir()
         return self._restore_from_cache(
             cache, entry, outdir,
@@ -245,7 +256,9 @@ class CommandLineJob:
         directory, no command line.  A miss makes the output and scratch
         directories, then builds the command line.
         """
-        context, cache, key, entry = self._probe_cache(record=True)
+        context, cache, key, entry = self._probe_cache()
+        if cache is not None:
+            cache.record(entry)
         if outdir:
             os.makedirs(outdir, exist_ok=True)
         else:

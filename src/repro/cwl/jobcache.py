@@ -436,17 +436,17 @@ class JobCache:
         """
         entry = self._load_entry(key)
         if record:
-            with self._stats_lock:
-                if entry is None:
-                    self.stats.misses += 1
-                else:
-                    self.stats.hits += 1
+            self.record(entry)
         return entry
 
-    def record_hit(self) -> None:
-        """Count a hit whose lookup ran with ``record=False`` (probe pattern)."""
+    def record(self, entry: Optional[CacheEntry]) -> None:
+        """Count the outcome of a lookup that ran with ``record=False``: a hit
+        when ``entry`` is not ``None``, else a miss (probe pattern)."""
         with self._stats_lock:
-            self.stats.hits += 1
+            if entry is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
 
     def _quarantine(self, path: str, reason: str) -> None:
         """Move a damaged store artifact aside (``*.corrupt``) — never raise.

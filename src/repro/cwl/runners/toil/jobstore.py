@@ -5,30 +5,45 @@ files into a *job store* so that interrupted workflows can be resumed.  This
 class reproduces the parts that matter for behaviour and for the performance
 comparison:
 
-* each job is a JSON document on disk, written when the job is created and
-  rewritten on every state change,
+* jobs live in one append-only log, ``jobs/jobs.jsonl``: a job's description
+  is appended when the job is created, and every state change appends one
+  short record (``job_id``, ``state``, ``updated_at``, ``error``) — an executed
+  job appends four records (``new → issued → running → done``), a job-cache
+  hit one, born ``done``,
 * intermediate files are imported into the store as content-addressed copies
   and exported back out when a downstream job (or the final output) needs them,
 * the store can be reopened and enumerated, which is what makes the Toil-like
-  runner restartable.
+  runner restartable: opening replays the log into an in-memory index of the
+  latest state per job.
 
-These per-job filesystem writes are exactly the overhead that makes a job-store
-based runner slower per task than Parsl's in-memory dataflow, which is the
-effect visible in the paper's Figure 1.
+Each record is one ``write()`` through one ``O_APPEND`` descriptor under the
+store lock, the shape of :mod:`repro.cwl.journal`; there is no temp file, no
+rename and no per-record fsync, so a crash leaves at worst a torn final line,
+which the next open skips.  Per-job ``jobs/<id>.json`` documents written by
+older versions of this store are not read.
+
+These per-job filesystem writes are the overhead that makes a job-store based
+runner slower per task than Parsl's in-memory dataflow, which is the effect
+visible in the paper's Figure 1.  One process appends to a store at a time:
+job ids are numbered per store object, continuing after the highest id in the
+log.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, BinaryIO, Dict, List, Optional
 
 from repro.cwl.jobcache import file_fingerprint, stage_file
-from repro.utils.ids import RunIdGenerator
+
+#: The store's one job log, inside its ``jobs`` directory.
+JOBS_LOG = "jobs.jsonl"
 
 
 @dataclass
@@ -55,60 +70,99 @@ class FileJobStore:
         self.store_dir = os.path.abspath(store_dir)
         self.jobs_dir = os.path.join(self.store_dir, "jobs")
         self.files_dir = os.path.join(self.store_dir, "files")
+        self.log_path = os.path.join(self.jobs_dir, JOBS_LOG)
         os.makedirs(self.jobs_dir, exist_ok=True)
         os.makedirs(self.files_dir, exist_ok=True)
-        self._ids = RunIdGenerator(start=1)
         self._lock = threading.Lock()
-        # State counts are maintained incrementally (one scan on open for
-        # restartability) so stats() stays O(1) however many jobs a
-        # long-lived session accumulates.  Unreadable job documents (e.g.
-        # truncated by a crash) are skipped, not fatal.
+        #: The latest record of every live job, and the number of jobs per
+        #: state, both kept current by every append.
+        self._jobs: Dict[str, StoredJob] = {}
         self._state_counts: Dict[str, int] = {}
-        self._file_count = 0
-        for entry in sorted(os.listdir(self.jobs_dir)):
-            if not entry.endswith(".json"):
-                continue
-            try:
-                state = self.load_job(entry[:-5]).state
-            except Exception:
-                continue
-            self._state_counts[state] = self._state_counts.get(state, 0) + 1
+        #: The highest job number in the log, deleted jobs included.
+        self._last_id = 0
+        #: Opened by the first append, so a store opened only to read holds
+        #: no descriptor.
+        self._log: Optional[BinaryIO] = None
+        self._torn_tail = self._replay()
         try:
             self._file_count = len(os.listdir(self.files_dir))
         except OSError:
             self._file_count = 0
 
-    # ----------------------------------------------------------------- jobs
+    def _replay(self) -> bool:
+        """Rebuild the index from the log; True when its last line is torn.
 
-    def _job_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, f"{job_id}.json")
+        An unreadable line (a crash mid-append) is skipped, not fatal.
+        """
+        try:
+            with open(self.log_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return False
+        for line in data.splitlines():
+            try:
+                record = json.loads(line)
+                job_id = record["job_id"]
+                if record.get("deleted"):
+                    job = None
+                elif "name" in record:
+                    job = StoredJob(**record)
+                else:
+                    job = dataclasses.replace(
+                        self._jobs[job_id], state=record["state"],
+                        updated_at=record["updated_at"], error=record["error"])
+            except (ValueError, KeyError, TypeError):
+                continue
+            self._last_id = max(self._last_id, _job_number(job_id))
+            self._index(job_id, job)
+        return bool(data) and not data.endswith(b"\n")
+
+    def _index(self, job_id: str, job: Optional[StoredJob]) -> None:
+        """Make ``job`` the latest record of ``job_id`` (None: deleted).
+        Callers hold the lock or own the store."""
+        previous = self._jobs.pop(job_id, None)
+        if previous is not None:
+            self._state_counts[previous.state] -= 1
+        if job is not None:
+            self._jobs[job_id] = job
+            self._state_counts[job.state] = self._state_counts.get(job.state, 0) + 1
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        """Append one record to the log: one ``write()``.  Callers hold the
+        lock."""
+        line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        if self._log is None:
+            self._log = open(self.log_path, "ab", buffering=0)
+            if self._torn_tail:
+                # Start on a fresh line: never extend a crashed record.
+                line = b"\n" + line
+                self._torn_tail = False
+        self._log.write(line)
+
+    # ----------------------------------------------------------------- jobs
 
     def create_job(self, name: str, requirements: Optional[Dict[str, Any]] = None,
                    payload: Optional[Dict[str, Any]] = None,
                    state: str = "new") -> StoredJob:
-        """Create and persist a new job description: one write.
+        """Create and persist a new job description: one record.
 
         ``state`` is the state the description is born in.  A job that will
-        be issued starts as ``"new"`` and is rewritten on each transition; a
+        be issued starts as ``"new"`` and appends a record per transition; a
         job whose result was already known when it was described (a job-cache
         hit) is written once, as ``"done"``.
         """
         with self._lock:
-            job_id = f"job-{self._ids.next():06d}"
+            self._last_id += 1
+            job_id = f"job-{self._last_id:06d}"
         job = StoredJob(job_id=job_id, name=name, state=state,
                         requirements=requirements or {}, payload=payload or {})
         self._write(job)
-        with self._lock:
-            self._state_counts[job.state] = self._state_counts.get(job.state, 0) + 1
         return job
 
     def update_job(self, job: StoredJob, state: Optional[str] = None,
                    error: Optional[str] = None) -> StoredJob:
-        """Persist a state change."""
-        if state is not None and state != job.state:
-            with self._lock:
-                self._state_counts[job.state] = self._state_counts.get(job.state, 1) - 1
-                self._state_counts[state] = self._state_counts.get(state, 0) + 1
+        """Persist a state change: one short record."""
+        if state is not None:
             job.state = state
         if error is not None:
             job.error = error
@@ -116,38 +170,40 @@ class FileJobStore:
         self._write(job)
         return job
 
+    def _write(self, job: StoredJob) -> None:
+        """Persist ``job``'s current state: the one append per state change.
+
+        The first write of a job appends its whole description; every later
+        one only what a state change alters.
+        """
+        with self._lock:
+            if job.job_id in self._jobs:
+                record = {"job_id": job.job_id, "state": job.state,
+                          "updated_at": job.updated_at, "error": job.error}
+            else:
+                record = job.to_json()
+            self._append(record)
+            self._index(job.job_id, dataclasses.replace(job))
+
     def load_job(self, job_id: str) -> StoredJob:
-        with open(self._job_path(job_id), "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return StoredJob(**data)
+        with self._lock:
+            job = self._jobs.get(job_id)
+        if job is None:
+            raise KeyError(f"no job {job_id!r} in job store {self.store_dir}")
+        return dataclasses.replace(job)
 
     def list_jobs(self) -> List[StoredJob]:
-        jobs = []
-        for entry in sorted(os.listdir(self.jobs_dir)):
-            if entry.endswith(".json"):
-                jobs.append(self.load_job(entry[:-5]))
-        return jobs
+        with self._lock:
+            jobs = list(self._jobs.values())
+        return [dataclasses.replace(job) for job in sorted(jobs, key=lambda j: j.job_id)]
 
     def delete_job(self, job_id: str) -> None:
-        state: Optional[str] = None
-        try:
-            state = self.load_job(job_id).state
-        except Exception:
-            pass  # corrupt documents are still deletable
-        try:
-            os.unlink(self._job_path(job_id))
-        except FileNotFoundError:
-            return
-        if state is not None:
-            with self._lock:
-                self._state_counts[state] = self._state_counts.get(state, 1) - 1
-
-    def _write(self, job: StoredJob) -> None:
-        path = self._job_path(job.job_id)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(job.to_json(), handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
+        """Forget a job: one tombstone record.  Unknown ids are ignored."""
+        with self._lock:
+            if job_id not in self._jobs:
+                return
+            self._append({"job_id": job_id, "deleted": True})
+            self._index(job_id, None)
 
     # ---------------------------------------------------------------- files
 
@@ -188,18 +244,34 @@ class FileJobStore:
     # ------------------------------------------------------------- lifecycle
 
     def stats(self) -> Dict[str, int]:
-        """Counts of jobs per state plus stored file count.
-
-        Served from incrementally maintained counters — constant time, where
-        the previous implementation re-read every job document on each call
-        (a growing per-run cost in long-lived sessions).
-        """
+        """Counts of jobs per state plus stored file count, from the index."""
         with self._lock:
             counts = {state: count for state, count in self._state_counts.items()
                       if count > 0}
             counts["files"] = self._file_count
         return counts
 
+    def close(self) -> None:
+        """Close the job log.  Idempotent; the store stays readable, and a
+        later append opens the log again."""
+        with self._lock:
+            if self._log is not None:
+                self._log.close()
+                self._log = None
+
+    def __enter__(self) -> "FileJobStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def destroy(self) -> None:
-        """Remove the job store from disk entirely."""
+        """Close the store and remove it from disk entirely."""
+        self.close()
         shutil.rmtree(self.store_dir, ignore_errors=True)
+
+
+def _job_number(job_id: str) -> int:
+    """``job-000042`` → 42; ids in another shape number nothing."""
+    _, _, number = job_id.rpartition("-")
+    return int(number) if number.isdigit() else 0

@@ -5,11 +5,11 @@ job store, the batch systems and the cluster simulator behind them.
 
 Execution model (mirroring ``toil-cwl-runner``):
 
-1. every tool invocation becomes a job *description* written to the file-based
-   job store,
+1. every tool invocation becomes a job *description* appended to the
+   file-based job store's log,
 2. the job is issued to a batch system (local thread pool or the simulated
-   Slurm cluster) and its state transitions (issued → running → done/failed)
-   are persisted back to the store,
+   Slurm cluster) and each of its state transitions (issued → running →
+   done/failed) appends one record to the log,
 3. output files are imported into the job store (content-addressed copies) so
    a resumed workflow could reuse them,
 4. workflow-level dataflow (step ordering, scatter, ``when``) reuses the shared
@@ -17,9 +17,10 @@ Execution model (mirroring ``toil-cwl-runner``):
    when the batch system allows it.
 
 With the job cache on, the cache is probed before step 1: a hit is never
-issued, and its description is written once, already ``done``.
+issued, and its description is one record, already ``done``.  A miss keeps
+its probe on the job, so the issued job does not key the invocation again.
 
-The per-job store writes and (for the Slurm batch system) the per-task
+The per-job store records and (for the Slurm batch system) the per-task
 scheduler round trips are what differentiate this runner's scaling behaviour
 from the Parsl bridge in Figure 1.
 """
@@ -94,8 +95,8 @@ class ToilStyleRunner(BaseRunner):
         stored: Optional[StoredJob] = None
 
         def record(state: str, error: Optional[str] = None) -> None:
-            """Persist a state: the first call writes the description, born
-            in ``state``; later calls rewrite it."""
+            """Persist a state: the first call appends the description, born
+            in ``state``; later calls append the state change."""
             nonlocal stored
             if stored is None:
                 stored = self.job_store.create_job(
@@ -178,14 +179,16 @@ class ToilStyleRunner(BaseRunner):
         visit(outputs)
 
     def close(self) -> None:
-        """Shut down the batch system, release the job store (see
-        :attr:`destroy_job_store_on_close`) and reap the context's scratch
-        directories.  Idempotent: closing twice is safe, so session teardown
-        is deterministic.
+        """Shut down the batch system, close the job store's log, remove the
+        store (see :attr:`destroy_job_store_on_close`) and reap the context's
+        scratch directories.  Idempotent: closing twice is safe, so session
+        teardown is deterministic.
         """
         self.batch_system.shutdown()
         if self.destroy_job_store_on_close:
             self.job_store.destroy()
+        else:
+            self.job_store.close()
         super().close()
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 
 import pytest
 
 from repro import api
+from repro.cwl.runners.toil.jobstore import FileJobStore
 from repro.cwl.runtime import RuntimeContext
 
 
@@ -85,10 +88,18 @@ def test_toil_session_destroys_its_own_temp_job_store(cwl_dir, tmp_path, monkeyp
 def test_toil_session_keeps_caller_supplied_job_store(cwl_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     store_dir = tmp_path / "jobstore"
-    with api.Session(engine="toil", job_store_dir=str(store_dir),
-                     runtime_context=RuntimeContext(basedir=str(tmp_path))) as session:
-        session.run(str(cwl_dir / "echo.cwl"), {"message": "keep me"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with api.Session(engine="toil", job_store_dir=str(store_dir),
+                         runtime_context=RuntimeContext(basedir=str(tmp_path))) as session:
+            session.run(str(cwl_dir / "echo.cwl"), {"message": "keep me"})
+        del session
+        gc.collect()
     assert store_dir.is_dir(), "caller-supplied job store must survive close"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)], \
+        "closing the session must close the kept store's job log"
+    with FileJobStore(str(store_dir)) as reopened:
+        assert [job.state for job in reopened.list_jobs()] == ["done"]
 
     with api.Session(engine="toil", job_store_dir=str(store_dir),
                      destroy_job_store_on_close=True,

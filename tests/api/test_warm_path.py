@@ -96,10 +96,10 @@ def file_bytes(value) -> bytes:
         return handle.read()
 
 
-def session_for(engine: str, store, workdir, monkeypatch) -> api.Session:
+def session_for(engine: str, store, workdir, monkeypatch, **options) -> api.Session:
     workdir.mkdir(parents=True, exist_ok=True)
     context = RuntimeContext(tmpdir_prefix=str(workdir / "scratch" / "cwl-tmp-"))
-    options: dict = {"cache_dir": str(store)}
+    options["cache_dir"] = str(store)
     if engine in RUNNERS:
         context = context.child(basedir=str(workdir / "jobs"))
     if engine == "toil":
@@ -215,6 +215,31 @@ def test_toil_describes_a_hit_once_and_an_executed_job_four_times(tmp_path, monk
     assert len({job_id for job_id, _state in writes}) == 3
     assert [job.state for job in described] == ["done"] * 3
     assert warm.details["job_store"].get("done") == 3
+
+
+@pytest.mark.parametrize("faults", [None, "transient-all"])
+def test_toil_keys_each_attempt_once(faults, tmp_path, monkeypatch):
+    """A miss found by the probe ahead of the batch system is the probe the
+    issued job stages with: one key per attempt, one miss per job."""
+    keys: list = []
+    real_cache_key = RuntimeContext.cache_key
+
+    def counting_cache_key(context, tool, job_order):
+        keys.append(tuple(sorted(job_order)))
+        return real_cache_key(context, tool, job_order)
+
+    monkeypatch.setattr(RuntimeContext, "cache_key", counting_cache_key)
+    options = {}
+    if faults is not None:
+        profile = get_fault_profile(faults)
+        options = {"fault_plan": profile.make_plan(), "retry_policy": profile.policy}
+    with session_for("toil", tmp_path / "store", tmp_path / "cold", monkeypatch,
+                     **options) as session:
+        cold = session.run(load_document(chain_fan_in_workflow()), {"message": "one key"})
+    assert cold.cache_stats == {"hits": 0, "misses": 3}
+    # transient-all fails every job's first attempt before it probes.
+    assert cold.retries() == (3 if faults else 0)
+    assert sorted(keys) == [("f0",), ("f0", "f1"), ("message",)]
 
 
 # ------------------------------------------ keys are functions of values only

@@ -134,17 +134,18 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
 
 
 def test_job_store_job_lifecycle(tmp_path):
-    store = FileJobStore(str(tmp_path / "store"))
-    job = store.create_job("step-a", requirements={"coresMin": 2}, payload={"inputs": {"x": 1}})
-    assert job.state == "new"
-    store.update_job(job, state="issued")
-    store.update_job(job, state="done")
-    reloaded = store.load_job(job.job_id)
-    assert reloaded.state == "done"
-    assert reloaded.requirements == {"coresMin": 2}
-    assert store.stats()["done"] == 1
-    store.delete_job(job.job_id)
-    assert store.list_jobs() == []
+    with FileJobStore(str(tmp_path / "store")) as store:
+        job = store.create_job("step-a", requirements={"coresMin": 2},
+                               payload={"inputs": {"x": 1}})
+        assert job.state == "new"
+        store.update_job(job, state="issued")
+        store.update_job(job, state="done")
+        reloaded = store.load_job(job.job_id)
+        assert reloaded.state == "done"
+        assert reloaded.requirements == {"coresMin": 2}
+        assert store.stats()["done"] == 1
+        store.delete_job(job.job_id)
+        assert store.list_jobs() == []
 
 
 def test_job_store_file_import_export(tmp_path):
