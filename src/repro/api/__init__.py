@@ -28,9 +28,10 @@ DataFlowKernel:
   isolation and canonicalised (engine-independent) outputs; the execution
   backbone of the conformance harness in :mod:`repro.testing`.
 * Fault tolerance — :class:`RetryPolicy` (deterministic seeded backoff),
-  per-job ``timeout_s``, ``on_error="continue"`` partial results,
-  :func:`run_with_journal` / :func:`resume` for crash-safe runs, and the
-  seeded fault-injection plans of :mod:`repro.cwl.faults`.
+  per-job ``timeout_s``, ``on_error="continue"`` partial results, crash-safe
+  runs (``run_dir=`` on any run journals it; :func:`resume` picks an
+  interrupted one back up), and the seeded fault-injection plans of
+  :mod:`repro.cwl.faults`.
 
 Quickstart::
 
@@ -54,7 +55,7 @@ from repro._lazy import lazy_exports
 # lazily served function of the same name, so these two modules (the CWL
 # front end every engine needs, and the journal) are imported here.
 from repro.api.plan import ExecutionPlan, plan
-from repro.api.resume import resume, resume_info, run_with_journal
+from repro.api.resume import resume, resume_info
 
 if TYPE_CHECKING:
     from repro.api.engine import (
@@ -147,6 +148,5 @@ __all__ = [
     "run",
     "run_config",
     "run_matrix",
-    "run_with_journal",
     "submit",
 ]

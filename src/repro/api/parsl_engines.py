@@ -8,6 +8,7 @@ construction, not inside the run.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Any, Dict, Optional
@@ -19,8 +20,10 @@ from repro.api.result import ExecutionResult
 from repro.core.cwl_app import to_cwl_value
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
+from repro.cwl.journal import run_journalled
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
+from repro.parsl.apps.bash import running_commands
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 
 
@@ -74,18 +77,30 @@ class ParslEngine(Engine):
 
     def execute(self, process, job_order: Dict[str, Any],
                 hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
+        """Run a tool or workflow.  An interrupted run hands its running
+        commands to the context to reap: clearing the kernel waits for them."""
         process = self.load_process(process)
+        try:
+            return run_journalled(self._context, process, job_order, self.name,
+                                  functools.partial(self._run, process, job_order, hooks))
+        except KeyboardInterrupt:
+            for proc in running_commands():
+                self._context.register_process(proc)
+            raise
+
+    def _run(self, process, job_order: Dict[str, Any], hooks: Optional[ExecutionHooks],
+             context: RuntimeContext) -> ExecutionResult:
         recorder = self.recorder_for(hooks)
         self._ensure_kernel()
         start = time.perf_counter()
         failures: Dict[str, str] = {}
         if isinstance(process, Workflow):
             outputs, failures = self._run_workflow(process, dict(job_order or {}),
-                                                   recorder)
+                                                   recorder, context)
         elif isinstance(process, CommandLineTool):
             outputs = run_tool_with_parsl(
                 tool=process, job_order=dict(job_order or {}), config=None,
-                outdir=self._outdir, cleanup=False, runtime_context=self._context,
+                outdir=self._outdir, cleanup=False, runtime_context=context,
                 job_observer=recorder)
         else:
             raise EngineError(
@@ -105,14 +120,14 @@ class ParslEngine(Engine):
             # its counters are shared process-wide, so a counter delta would
             # absorb concurrent executions' traffic).
             cache_stats=cache_stats(events)
-            if self._context.job_cache_dir() is not None else None,
+            if context.job_cache_dir() is not None else None,
             failures=failures,
         )
 
     def _run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
-                      recorder: EventRecorder) -> tuple:
+                      recorder: EventRecorder, context: RuntimeContext) -> tuple:
         bridge = CWLWorkflowBridge(workflow, job_observer=recorder,
-                                   runtime_context=self._context)
+                                   runtime_context=context)
         outputs = bridge.run(job_order)
         failures = {name: str(exc) for name, exc in bridge.failures.items()}
         return ({key: to_cwl_value(value) for key, value in outputs.items()},

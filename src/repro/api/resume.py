@@ -1,13 +1,15 @@
-"""Crash-safe runs: journalled execution and ``resume()``.
+"""Crash-safe runs: ``resume()`` of a journalled run.
 
-:func:`run_with_journal` executes a process with a *run directory* attached:
-an append-only JSONL journal of state transitions plus a job-cache store
-scoped to the run.  If the process (or the whole interpreter) dies mid-run —
-crash, SIGKILL, Ctrl-C — :func:`resume` picks the run back up from the same
-directory: the document fingerprint is verified against the journal header,
-the run re-executes against the same store, and every node that completed
-before the interruption replays as a cache hit, so only incomplete nodes
-actually re-execute.
+A journalled run is any run with a *run directory*:
+``api.run(doc, order, run_dir="run1/")`` (or ``Session(engine,
+run_dir=...)``, or ``--rundir`` on every CLI) keeps an append-only JSONL
+journal of state transitions plus a job-cache store scoped to the run (see
+:mod:`repro.cwl.journal`).  If the process (or the whole interpreter) dies
+mid-run — crash, SIGKILL, Ctrl-C — :func:`resume` picks the run back up from
+the same directory: the document fingerprint is verified against the journal
+header, the run re-executes against the same store, and every node that
+completed before the interruption replays as a cache hit, so only incomplete
+nodes actually re-execute.
 
 This is deliberately *re-execution through the cache* rather than journal
 replay: the journal tells us (and tests/operators) what happened, while
@@ -18,52 +20,11 @@ four engines.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Optional
 
-from repro.cwl.journal import (
-    document_fingerprint,
-    journal_header,
-    node_states,
-    open_run_dir,
-    read_journal,
-    run_cache_dir,
-)
+from repro.cwl.journal import journal_header, node_states, read_journal, resume_header
 
-__all__ = ["run_with_journal", "resume", "resume_info"]
-
-
-def run_with_journal(process_path: str,
-                     job_order: Optional[Dict[str, Any]] = None, *,
-                     run_dir: str, engine: str = "reference",
-                     hooks: Any = None, **engine_options: Any):
-    """Execute ``process_path`` with a journal + run-scoped cache attached.
-
-    The run directory is created if missing.  ``engine_options`` pass through
-    to the engine exactly like :func:`repro.api.run`; the journal and the
-    run's private cache store are folded in on top (an explicit
-    ``cache_dir=`` in the options wins over the run-scoped store).
-    """
-    from repro.api.session import run as api_run
-
-    job_order = dict(job_order or {})
-    journal = open_run_dir(run_dir, process_path=os.fspath(process_path),
-                           job_order=_json_safe(job_order), engine=engine)
-    options = dict(engine_options)
-    options.setdefault("cache_dir", run_cache_dir(run_dir))
-    options["journal"] = journal
-    try:
-        result = api_run(os.fspath(process_path), job_order, engine=engine,
-                         hooks=hooks, **options)
-    except BaseException as exc:
-        journal.record("result", status="failed", error=str(exc),
-                       error_class=type(exc).__name__)
-        raise
-    else:
-        journal.record("result", status=result.status)
-        return result
-    finally:
-        journal.close()
+__all__ = ["resume", "resume_info"]
 
 
 def resume(run_dir: str, *, engine: Optional[str] = None,
@@ -71,27 +32,19 @@ def resume(run_dir: str, *, engine: Optional[str] = None,
     """Resume an interrupted journalled run from its run directory.
 
     Reads the journal header, refuses to continue if the process document
-    changed since the original run (fingerprint mismatch), then re-runs the
-    workflow with the same job order and run-scoped cache: completed nodes
-    replay as cache hits, incomplete nodes execute for real.  ``engine=``
-    overrides the recorded engine (the cache store is engine-independent).
+    changed since the original run (fingerprint mismatch), then re-runs it
+    with the recorded job order in the same run directory: completed nodes
+    replay from the run-scoped cache, incomplete nodes execute for real.
+    ``engine=`` overrides the recorded engine (the cache store is
+    engine-independent); ``engine_options`` pass through to
+    :func:`repro.api.run`.
     """
-    records = read_journal(run_dir)
-    header = journal_header(records)
-    process_path = header["process"]
-    if not os.path.exists(process_path):
-        raise FileNotFoundError(
-            f"cannot resume {run_dir!r}: process document {process_path!r} "
-            "no longer exists")
-    current = document_fingerprint(process_path)
-    if current != header.get("fingerprint"):
-        raise ValueError(
-            f"cannot resume {run_dir!r}: {process_path!r} changed since the "
-            "original run (document fingerprint mismatch); start a fresh run")
-    return run_with_journal(
-        process_path, dict(header.get("job_order") or {}),
-        run_dir=run_dir, engine=engine or header.get("engine", "reference"),
-        hooks=hooks, **engine_options)
+    from repro.api.session import run
+
+    header = resume_header(run_dir)
+    return run(header["process"], dict(header.get("job_order") or {}),
+               engine=engine or header.get("engine", "reference"), hooks=hooks,
+               run_dir=run_dir, **engine_options)
 
 
 def resume_info(run_dir: str) -> Dict[str, Any]:
@@ -111,18 +64,3 @@ def resume_info(run_dir: str) -> Dict[str, Any]:
         "completed": bool(results),
         "status": results[-1].get("status") if results else None,
     }
-
-
-def _json_safe(value: Any) -> Any:
-    """Best-effort conversion of a job order to JSON-serialisable values."""
-    import json
-
-    try:
-        json.dumps(value)
-        return value
-    except (TypeError, ValueError):
-        if isinstance(value, dict):
-            return {str(k): _json_safe(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [_json_safe(v) for v in value]
-        return repr(value)

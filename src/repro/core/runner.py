@@ -87,7 +87,8 @@ def run_tool_with_parsl(
         (enforced in-shell; exceeding it raises
         :class:`~repro.cwl.errors.JobTimeout`), and ``retry_policy`` /
         ``fault_plan``, honoured on the execution side around the cache
-        probe.  Each retry is a journal ``retry`` record under ``journal``.
+        probe.  Each retry is a ``retry`` record in the context's journal,
+        when it has one (a journalled run's ``run_dir``).
     job_observer:
         Optional :class:`~repro.api.events.EventRecorder`-like observer: told
         of the job's start, then (after output collection) its retries and end.

@@ -54,8 +54,9 @@ class _SubmissionEngine(WorkflowEngine):
         context = bridge.runtime_context
         # Submission is serial and fails fast; the run's journal, failure
         # policy and in-flight window apply to the futures, i.e. to the bridge.
+        # The run directory stays, and with it the run-scoped job cache.
         super().__init__(bridge.workflow, self._submit, context.child(
-            journal=None, on_error="stop", pipeline=False))
+            _journal=None, on_error="stop", pipeline=False))
         self._graph = bridge.graph
         self._bridge = bridge
         self._node: Optional[GraphNode] = None
@@ -169,6 +170,7 @@ class CWLWorkflowBridge:
         self.failures = {}
         stop = self.runtime_context.on_error == "stop"
         resolved: Dict[str, Any] = {}
+        interrupted = False
         try:
             for key, value in self.submit(job_order).items():
                 try:
@@ -177,8 +179,13 @@ class CWLWorkflowBridge:
                     if stop:
                         raise
                     resolved[key] = None
+        except KeyboardInterrupt:
+            interrupted = True
+            raise
         finally:
-            self._drain_observations()
+            # An interrupted run reports the steps that finished and waits
+            # for none that are still running: reaping those is teardown's.
+            self._drain_observations(wait=not interrupted)
         if stop and self.failures:
             raise next(iter(self.failures.values()))
         return resolved
@@ -234,8 +241,9 @@ class CWLWorkflowBridge:
                 return
             live[0].exception()  # block for completion without raising
 
-    def _drain_observations(self) -> None:
-        """Resolve every submitted future: failures, retries, end events.
+    def _drain_observations(self, wait: bool = True) -> None:
+        """Resolve every submitted future (with ``wait=False``, every finished
+        one): failures, retries, end events.
 
         Futures are tracked even without an observer so ``on_error="continue"``
         can report which steps failed.  Each step is reported through
@@ -247,6 +255,8 @@ class CWLWorkflowBridge:
         journal = self.runtime_context.journal
         pending, self._pending_observations = self._pending_observations, []
         for future, token, name in pending:
+            if not (wait or future.done()):
+                continue
             exception = future.exception()
             if exception is not None:
                 self.failures.setdefault(name, exception)

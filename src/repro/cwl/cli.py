@@ -4,13 +4,18 @@
   mirrors ``cwltool``'s basic invocation.
 * ``repro-toil-cwl-runner [--batchSystem single_machine|slurm] [--jobStore DIR] document.cwl [job.yml] ...``
   mirrors ``toil-cwl-runner``.
+* ``parsl-cwl config.yml document.cwl [job.yml] ...`` is the paper's runner,
+  defined in :mod:`repro.core.cli` on the same body.
 
 ``python -m repro.cwl.cli`` runs ``repro-cwltool``.
 
-Both print the CWL output object as JSON on stdout (the behaviour scripts and
+All three share :func:`_runner_main`: the same run-option flags
+(``--cachedir``, ``--retries``, ``--timeout``, ``--on-error``, ``--rundir`` /
+``--resume``, ...), the same SIGTERM handling and exit-130 epilogue.  They
+print the CWL output object as JSON on stdout (the behaviour scripts and
 tests rely on) and return a non-zero exit code on failure.  Execution routes
-through the :mod:`repro.api` engine registry (``"reference"`` and ``"toil"``
-respectively), so these CLIs observe exactly what a
+through the :mod:`repro.api` engine registry (``"reference"``, ``"toil"``
+and ``"parsl"``), so these CLIs observe exactly what a
 :class:`repro.api.Session` would.
 """
 
@@ -18,13 +23,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import signal
 import sys
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cwl.journal import resume_header
 from repro.cwl.loader import load_document
+from repro.cwl.outputs import stage_outputs
 from repro.cwl.runtime import RuntimeContext
+from repro.cwl.schema import Process
 from repro.utils.yamlio import dump_json, load_yaml_file
 
 
@@ -80,28 +89,26 @@ def _coerce_scalar(raw: str) -> Any:
     return raw
 
 
-def _split_known_args(argv: Sequence[str]) -> Tuple[List[str], List[str]]:
-    """Split argv into (known option/positional tokens, trailing input overrides).
-
-    Everything after the first positional CWL document and optional job file
-    that starts with ``--`` is treated as an input override.
-    """
+def _split_known_args(parser: argparse.ArgumentParser,
+                      argv: Sequence[str]) -> Tuple[List[str], List[str]]:
+    """Split argv into (``parser``'s tokens, trailing input overrides): the
+    first ``--`` token after the parser's required positionals starts the
+    overrides.  Which options take a value is read off the parser too."""
+    takes_value = {option for action in parser._actions if action.nargs != 0
+                   for option in action.option_strings}
+    required = len(_required_positionals(parser))
     known: List[str] = []
     overrides: List[str] = []
     positionals = 0
     i = 0
     argv = list(argv)
-    option_with_value = {"--outdir", "--max-workers", "--jobStore", "--batchSystem", "--nodes",
-                         "--cores-per-node", "--cachedir", "--retries", "--retry-backoff",
-                         "--retry-exit-codes", "--timeout", "--on-error", "--rundir",
-                         "--max-inflight"}
     while i < len(argv):
         token = argv[i]
-        if token.startswith("--") and positionals >= 1:
+        if token.startswith("--") and positionals >= required:
             overrides.extend(argv[i:])
             break
         known.append(token)
-        if token in option_with_value and i + 1 < len(argv):
+        if token in takes_value and i + 1 < len(argv):
             known.append(argv[i + 1])
             i += 2
             continue
@@ -111,18 +118,24 @@ def _split_known_args(argv: Sequence[str]) -> Tuple[List[str], List[str]]:
     return known, overrides
 
 
-def _finalise_outputs(outputs: Dict[str, Any], outdir: Optional[str]) -> Dict[str, Any]:
-    """Collect final output files into ``--outdir`` (zero-copy staging).
+def _required_positionals(parser: argparse.ArgumentParser) -> List[str]:
+    return [action.dest for action in parser._actions
+            if not action.option_strings and action.nargs is None]
 
-    Mirrors ``cwltool``: with an ``--outdir``, every output File/Directory is
-    staged into it — hardlinked where the filesystem allows, copied otherwise
-    — and the printed output object points at the staged copies.
-    """
-    if not outdir:
-        return outputs
-    from repro.cwl.outputs import stage_outputs
 
-    return stage_outputs(outputs, outdir)
+def _resolve_file_inputs(process: Process, job_order: Dict[str, Any]) -> Dict[str, Any]:
+    """Make relative ``File`` input paths absolute (``parsl-cwl`` runs its
+    tool in ``--outdir``); any other input is left as given."""
+    resolved = dict(job_order)
+    for param in process.inputs:
+        if not param.type.is_file:
+            continue
+        value = job_order.get(param.id)
+        if isinstance(value, dict) and value.get("class") == "File" and "path" in value:
+            resolved[param.id] = dict(value, path=os.path.abspath(value["path"]))
+        elif isinstance(value, str):
+            resolved[param.id] = os.path.abspath(value)
+    return resolved
 
 
 def _retry_policy_from_args(args: argparse.Namespace):
@@ -157,14 +170,16 @@ def _install_sigterm_handler() -> None:
         pass
 
 
-def _handle_interrupt(prog: str, runtime_context: RuntimeContext,
-                      rundir: Optional[str]) -> int:
+def _handle_interrupt(parser: argparse.ArgumentParser,
+                      runtime_context: RuntimeContext) -> int:
     """Common Ctrl-C/SIGTERM epilogue: reap jobs, clean scratch, hint resume."""
     reaped = runtime_context.terminate_processes()
     runtime_context.close()
-    message = f"{prog}: interrupted; terminated {reaped} live job(s)"
-    if rundir:
-        message += f"; resume with: {prog} --rundir {rundir} --resume <document>"
+    message = f"{parser.prog}: interrupted; terminated {reaped} live job(s)"
+    if runtime_context.run_dir:
+        message += "; resume with: " + " ".join(
+            [parser.prog, "--rundir", runtime_context.run_dir, "--resume"]
+            + [f"<{name}>" for name in _required_positionals(parser)])
     print(message, file=sys.stderr)
     return 130
 
@@ -174,24 +189,25 @@ def _runner_main(prog: str, description: str, engine: str,
                  engine_options: Callable[[argparse.Namespace, contextlib.ExitStack],
                                           Dict[str, Any]],
                  argv: Optional[Sequence[str]]) -> int:
-    """The body both runner CLIs share.
+    """The body all three CLIs share.
 
-    They differ only in ``add_engine_args`` (backend flags) and
-    ``engine_options`` (the engine's backend arguments, built from the parsed
-    flags; anything that must be shut down afterwards is registered on the
-    given exit stack).  Every run option becomes a
-    :class:`RuntimeContext` field here, once.
+    They differ only in ``add_engine_args`` (backend flags, and positionals
+    ahead of the document) and ``engine_options`` (the engine's backend
+    arguments, built from the parsed flags; anything that must be undone
+    afterwards is registered on the given exit stack, which closes the
+    session first).  Every run option becomes a :class:`RuntimeContext`
+    field here, once, and every run — journalled, resumed or neither — is
+    one :meth:`Session.run <repro.api.Session.run>`.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    known, overrides = _split_known_args(argv)
-
     parser = argparse.ArgumentParser(prog=prog, description=description)
+    add_engine_args(parser)
     parser.add_argument("document", help="CWL document (CommandLineTool or Workflow)")
     parser.add_argument("job_order", nargs="?", help="YAML/JSON job order file")
-    add_engine_args(parser)
-    parser.add_argument("--outdir", default=None, help="directory for final outputs")
-    parser.add_argument("--max-workers", type=int, default=8)
-    parser.add_argument("--cachedir", dest="cache_dir", default=None,
+    # Paths are absolute from here on: parsl-cwl runs in --outdir.
+    parser.add_argument("--outdir", type=os.path.abspath, default=None,
+                        help="directory for final outputs")
+    parser.add_argument("--cachedir", dest="cache_dir", type=os.path.abspath,
+                        default=None,
                         help="reuse tool results through the job cache at this directory")
     parser.add_argument("--pipeline", action="store_true",
                         help="run on the asyncio pipelined scheduler core "
@@ -199,9 +215,9 @@ def _runner_main(prog: str, description: str, engine: str,
                              "thread-pool core)")
     parser.add_argument("--max-inflight", dest="max_inflight", type=int,
                         default=None,
-                        help="bound on jobs concurrently in the pipelined "
-                             "core's window (default 64; implies nothing "
-                             "without --pipeline)")
+                        help="bound on jobs in flight: the pipelined core's "
+                             "window (default 64), or unfinished Parsl "
+                             "submissions (default: no bound)")
     parser.add_argument("--retries", type=int, default=0,
                         help="retry transient job failures up to N times (default 0)")
     parser.add_argument("--retry-backoff", type=float, default=0.05,
@@ -214,13 +230,18 @@ def _runner_main(prog: str, description: str, engine: str,
                         choices=("stop", "continue"),
                         help="stop on the first failed step, or continue and "
                              "report partial outputs (failed subtrees skipped)")
-    parser.add_argument("--rundir", default=None,
+    parser.add_argument("--rundir", type=os.path.abspath, default=None,
                         help="journalled run directory (crash-safe; enables --resume)")
     parser.add_argument("--resume", action="store_true",
                         help="resume the interrupted run recorded in --rundir "
                              "(completed jobs replay from its cache)")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(known)
+    known, overrides = _split_known_args(
+        parser, sys.argv[1:] if argv is None else argv)
+    try:
+        args = parser.parse_args(known)
+    except SystemExit as exit_:  # usage error or --help, already printed
+        return int(exit_.code or 0)
 
     _install_sigterm_handler()
     runtime_context = RuntimeContext(outdir=args.outdir, basedir=args.outdir,
@@ -229,29 +250,33 @@ def _runner_main(prog: str, description: str, engine: str,
                                      timeout_s=args.timeout,
                                      on_error=args.on_error,
                                      pipeline=args.pipeline,
-                                     max_inflight=args.max_inflight)
+                                     max_inflight=args.max_inflight,
+                                     run_dir=args.rundir)
     with contextlib.ExitStack() as cleanup:
         try:
             from repro import api
 
-            job_order = parse_job_order(args.job_order, overrides)
-            options = dict(engine_options(args, cleanup),
-                           runtime_context=runtime_context)
             if args.resume:
                 if not args.rundir:
                     raise ValueError("--resume requires --rundir")
-                result = api.resume(args.rundir, engine=engine, **options)
-            elif args.rundir:
-                result = api.run_with_journal(
-                    args.document, job_order, run_dir=args.rundir,
-                    engine=engine, **options)
+                header = resume_header(args.rundir)
+                document, job_order = header["process"], header.get("job_order") or {}
             else:
-                process = load_document(args.document)
-                with api.Session(engine=engine, **options) as session:
-                    result = session.run(process, job_order)
-            outputs = _finalise_outputs(result.outputs, args.outdir)
+                document = args.document
+                job_order = parse_job_order(args.job_order, overrides)
+            process = load_document(document)
+            job_order = _resolve_file_inputs(process, job_order)
+            # On the exit stack, so an interrupt reaps the jobs before the
+            # session closes: closing waits for them.
+            session = cleanup.enter_context(api.Session(
+                engine=engine, runtime_context=runtime_context,
+                **engine_options(args, cleanup)))
+            result = session.run(process, job_order)
+            # Like cwltool --outdir: every output file is staged into it.
+            outputs = stage_outputs(result.outputs, args.outdir) if args.outdir \
+                else result.outputs
         except KeyboardInterrupt:
-            return _handle_interrupt(prog, runtime_context, args.rundir)
+            return _handle_interrupt(parser, runtime_context)
         except Exception as exc:  # CLI boundary: report and return failure
             print(f"{prog}: error: {exc}", file=sys.stderr)
             return 1
@@ -267,6 +292,7 @@ def cwltool_main(argv: Optional[Sequence[str]] = None) -> int:
     def add_engine_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--parallel", action="store_true",
                             help="run independent jobs concurrently")
+        parser.add_argument("--max-workers", type=int, default=8)
 
     def engine_options(args: argparse.Namespace,
                        _cleanup: contextlib.ExitStack) -> Dict[str, Any]:
@@ -287,6 +313,7 @@ def toil_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.add_argument("--nodes", type=int, default=3,
                             help="simulated cluster size for slurm")
         parser.add_argument("--cores-per-node", type=int, default=48)
+        parser.add_argument("--max-workers", type=int, default=8)
 
     def engine_options(args: argparse.Namespace,
                        cleanup: contextlib.ExitStack) -> Dict[str, Any]:

@@ -1,7 +1,10 @@
 """Append-only run journal for crash-safe resume.
 
-A run directory holds everything needed to pick an interrupted execution back
-up: a ``journal.jsonl`` of state transitions and the run's private job-cache
+A journalled run is any run with
+:attr:`~repro.cwl.runtime.RuntimeContext.run_dir` set (every engine's
+``execute`` goes through :func:`run_journalled`).  A run directory holds
+everything needed to pick an interrupted execution back up: a
+``journal.jsonl`` of state transitions and the run's private job-cache
 store.  The journal is append-only JSONL — each record is one ``json.dumps``
 line written and flushed atomically under a lock, so a crash (or SIGKILL)
 mid-run leaves at worst a truncated *final* line, which :func:`read_journal`
@@ -13,7 +16,8 @@ skips.  Layout::
 
 The first record is a ``{"kind": "header", ...}`` carrying the process path,
 job order, engine and a fingerprint of the document, letting
-:func:`repro.api.resume.resume` re-run the same workflow with the same store:
+:func:`repro.api.resume.resume` (and ``--resume`` on every CLI) re-run the
+same workflow with the same store — :func:`resume_header` reads it back:
 nodes that completed before the crash replay as cache hits, so only
 incomplete nodes re-execute.
 """
@@ -25,7 +29,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 JOURNAL_NAME = "journal.jsonl"
 CACHE_SUBDIR = "jobcache"
@@ -107,6 +111,50 @@ def open_run_dir(run_dir: str, *, process_path: str,
         pid=os.getpid(),
     )
     return journal
+
+
+def run_journalled(context: Any, process: Any, job_order: Dict[str, Any],
+                   engine: str, run: Callable[[Any], Any]) -> Any:
+    """``run(context)``, journalled when ``context.run_dir`` is set: open the
+    run directory, write the header (an in-memory document, with no
+    ``source_path`` to resume from, raises :exc:`ValueError` first), run under
+    a child context whose ``journal`` is open, record the ``result`` (status,
+    or ``failed`` with the error class) and close the journal."""
+    if not context.run_dir:
+        return run(context)
+    if not process.source_path:
+        raise ValueError(
+            f"run_dir={context.run_dir!r} needs a process loaded from a file: "
+            "resuming re-reads the document from its path")
+    journal = open_run_dir(context.run_dir, process_path=process.source_path,
+                           job_order=job_order, engine=engine)
+    try:
+        result = run(context.child(_journal=journal))
+    except BaseException as exc:
+        journal.record("result", status="failed", error=str(exc),
+                       error_class=type(exc).__name__)
+        raise
+    else:
+        journal.record("result", status=result.status)
+        return result
+    finally:
+        journal.close()
+
+
+def resume_header(run_dir: str) -> Dict[str, Any]:
+    """The header of ``run_dir``'s journal, once its document is known to be
+    unchanged (else :exc:`FileNotFoundError` / :exc:`ValueError`)."""
+    header = journal_header(read_journal(run_dir))
+    process_path = header["process"]
+    if not os.path.exists(process_path):
+        raise FileNotFoundError(
+            f"cannot resume {run_dir!r}: process document {process_path!r} "
+            "no longer exists")
+    if document_fingerprint(process_path) != header.get("fingerprint"):
+        raise ValueError(
+            f"cannot resume {run_dir!r}: {process_path!r} changed since the "
+            "original run (document fingerprint mismatch); start a fresh run")
+    return header
 
 
 def read_journal(run_dir: str) -> List[Dict[str, Any]]:

@@ -139,7 +139,8 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
     filesystem, never a ``shutil.copy`` when a link suffices) and the value's
     ``path``/``location`` are rewritten to the staged copy.  Values whose
     source no longer exists are passed through unchanged.  Returns a new
-    output object; the input is not mutated.
+    output object; the input is not mutated.  A value already at its staged
+    path (``parsl-cwl`` runs its tool in ``destination``) is left as it is.
     """
 
     def restage(value: Any) -> Any:
@@ -149,6 +150,8 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
                 return value
             target = os.path.join(destination, value.get("basename") or
                                   os.path.basename(source))
+            if os.path.abspath(source) == os.path.abspath(target):
+                return value
             stage_file(source, target)
             staged = build_file_value(target, compute_checksum=compute_checksum)
             staged.update({k: v for k, v in value.items() if k not in staged})
@@ -159,6 +162,8 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
                 return value
             target = os.path.join(destination, value.get("basename") or
                                   os.path.basename(source))
+            if os.path.abspath(source) == os.path.abspath(target):
+                return value
             for root, _dirs, names in os.walk(source):
                 rel = os.path.relpath(root, source)
                 os.makedirs(os.path.normpath(os.path.join(target, rel)), exist_ok=True)

@@ -31,6 +31,7 @@ from repro.api.result import ExecutionResult
 from repro.cwl.errors import ValidationException
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.job import JobResult
+from repro.cwl.journal import run_journalled
 from repro.cwl.retry import execute_with_retries, record_retry
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
@@ -56,7 +57,7 @@ class BaseRunner(Engine):
     def __init__(self, runtime_context: Optional[RuntimeContext] = None,
                  parallel: bool = False, max_workers: int = 8,
                  validate: bool = True, **options: Any) -> None:
-        #: Every run option (cache, retries, timeout, ``on_error``, journal,
+        #: Every run option (cache, retries, timeout, ``on_error``, run dir,
         #: scheduler core, ...) lives on the context; ``options`` are context
         #: fields given flat, folded in by :func:`context_with_options`.
         self.runtime_context = context_with_options(runtime_context, options)
@@ -86,10 +87,16 @@ class BaseRunner(Engine):
 
     def execute(self, process: Any, job_order: Dict[str, Any],
                 hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
-        """Run any process (tool, expression tool or workflow)."""
+        """Run any process (tool, expression tool or workflow), journalled
+        when the context has a ``run_dir``."""
         process = self.load_process(process)
+        return run_journalled(self.runtime_context, process, job_order, self.name,
+                              functools.partial(self._run, process, job_order, hooks))
+
+    def _run(self, process: Process, job_order: Dict[str, Any],
+             hooks: Optional[ExecutionHooks],
+             context: RuntimeContext) -> ExecutionResult:
         recorder = self.recorder_for(hooks)
-        context = self.runtime_context
         start = time.perf_counter()
         if self.validate:
             ensure_valid(process)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Set
 
 from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache, job_key
+from repro.cwl.journal import run_cache_dir
 
 
 def signal_job_process(proc: Any, sig: int) -> None:
@@ -84,10 +85,9 @@ class RuntimeContext:
     #: Deterministic fault-injection plan (:class:`~repro.cwl.faults.FaultPlan`)
     #: consulted before every job attempt; ``None`` injects nothing.
     fault_plan: Optional[Any] = None
-    #: Append-only run journal (:class:`~repro.cwl.journal.RunJournal`) that
-    #: node transitions and job cache keys are recorded to; ``None`` disables
-    #: journaling.
-    journal: Optional[Any] = None
+    #: Run directory of a journalled, resumable run (:mod:`repro.cwl.journal`);
+    #: an unset :attr:`cache_dir` then means its store ``<run_dir>/jobcache``.
+    run_dir: Optional[str] = None
     #: Run workflows on the asyncio pipelined scheduler core instead of the
     #: thread-pool core (runner engines; opt-in — see README "The pipelined
     #: scheduler core").
@@ -107,6 +107,14 @@ class RuntimeContext:
     _created_parents: Set[str] = field(default_factory=set, repr=False, compare=False)
     _teardown_lock: threading.Lock = field(default_factory=threading.Lock,
                                            repr=False, compare=False)
+    #: The open :class:`~repro.cwl.journal.RunJournal` of the execution this
+    #: context belongs to, set by :func:`~repro.cwl.journal.run_journalled`.
+    _journal: Optional[Any] = field(default=None, repr=False, compare=False)
+
+    @property
+    def journal(self) -> Optional[Any]:
+        """The run journal records go to, or ``None`` outside a journalled run."""
+        return self._journal
 
     def ensure_outdir(self) -> str:
         """Create (if needed) and return the output directory."""
@@ -195,14 +203,17 @@ class RuntimeContext:
         """The resolved store directory, or ``None`` when caching is off.
 
         Tri-state resolution: ``job_cache=False`` always disables;
-        ``job_cache=True`` always enables (default store when no
-        :attr:`cache_dir`); ``job_cache=None`` enables exactly when a store
-        was named via :attr:`cache_dir` or ``REPRO_JOBCACHE_DIR``.
+        ``job_cache=True`` always enables; ``job_cache=None`` enables exactly
+        when a store was named via :attr:`cache_dir`, :attr:`run_dir` or
+        ``REPRO_JOBCACHE_DIR``.  The store is the first of :attr:`cache_dir`,
+        the run's ``<run_dir>/jobcache``, then the default store.
         """
         if self.job_cache is False:
             return None
         if self.cache_dir:
             return os.fspath(self.cache_dir)
+        if self.run_dir:
+            return run_cache_dir(self.run_dir)
         if self.job_cache:
             return default_cache_dir()
         return os.environ.get(CACHE_DIR_ENV) or None

@@ -5,18 +5,32 @@ that command in a subshell on the executor side, wiring ``stdout`` / ``stderr``
 kwargs to files and translating non-zero exit codes into
 :class:`~repro.parsl.errors.BashExitFailure`.  It is a module-level function so
 that it can be serialized by reference and shipped to worker processes.
+
+Each command leads its own session, as the CWL runners' jobs do, so an
+interrupted run's teardown can signal its whole process group
+(:func:`running_commands` lists the ones still running in this process).
 """
 
 from __future__ import annotations
 
 import os
 import subprocess
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+import threading
+from typing import Any, Callable, List, Set, Tuple, Union
 
 from repro.parsl.errors import AppBadFormatting, BashAppNoReturn, BashExitFailure, MissingOutputs
 from repro.utils.environment import subprocess_environment
 
 StdSpec = Union[None, str, Tuple[str, str]]
+
+_RUNNING: Set[subprocess.Popen] = set()
+_RUNNING_LOCK = threading.Lock()
+
+
+def running_commands() -> List[subprocess.Popen]:
+    """The bash-app commands this process started that have not been waited for."""
+    with _RUNNING_LOCK:
+        return list(_RUNNING)
 
 
 def _open_std_stream(spec: StdSpec):
@@ -71,8 +85,15 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
             env=subprocess_environment(),
             stdout=stdout_handle if stdout_handle is not None else subprocess.DEVNULL,
             stderr=stderr_handle if stderr_handle is not None else subprocess.DEVNULL,
+            start_new_session=True,
         )
-        exit_code = proc.wait()
+        with _RUNNING_LOCK:
+            _RUNNING.add(proc)
+        try:
+            exit_code = proc.wait()
+        finally:
+            with _RUNNING_LOCK:
+                _RUNNING.discard(proc)
     finally:
         for handle in (stdout_handle, stderr_handle):
             if handle is not None:
@@ -88,25 +109,3 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
         raise MissingOutputs(app_name, missing)
 
     return exit_code
-
-
-def execute_wait(command: str, env: Optional[Dict[str, str]] = None,
-                 cwd: Optional[str] = None, timeout: Optional[float] = None) -> Tuple[int, str, str]:
-    """Run ``command`` synchronously and capture its output.
-
-    A convenience used by providers and the CWL runners; not part of
-    the app execution path itself.
-    """
-    merged_env = dict(os.environ)
-    if env:
-        merged_env.update(env)
-    proc = subprocess.run(
-        command,
-        shell=True,
-        env=merged_env,
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    return proc.returncode, proc.stdout, proc.stderr

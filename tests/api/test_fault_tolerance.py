@@ -251,7 +251,7 @@ def test_every_engine_journals_one_retry_record_per_reattempt(engine, shape, tmp
     else:
         options = {"runtime_context": RuntimeContext(basedir=str(tmp_path / "jobs"))}
     with pytest.raises(Exception):
-        api.run_with_journal(
+        api.run(
             str(document), {"message": "x"}, run_dir=str(run_dir), engine=engine,
             retry_policy=api.RetryPolicy(max_attempts=4, backoff_s=0,
                                          retryable_exit_codes=(3,)), **options)

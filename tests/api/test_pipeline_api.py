@@ -154,7 +154,7 @@ def test_resume_replays_bit_identically_under_pipeline(tmp_path):
     doc_path.write_text(json.dumps(case.doc))
     run_dir = str(tmp_path / "run")
 
-    first = api.run_with_journal(
+    first = api.run(
         str(doc_path), dict(case.job), run_dir=run_dir, engine="reference",
         runtime_context=RuntimeContext(basedir=str(tmp_path / "wd1")),
         parallel=True, max_workers=4, pipeline=True, max_inflight=4)

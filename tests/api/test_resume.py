@@ -80,7 +80,7 @@ def fail_count_step() -> FaultPlan:
 def test_journalled_run_records_header_states_and_result(tmp_path,
                                                          chain_doc_path):
     run_dir = str(tmp_path / "run")
-    result = api.run_with_journal(
+    result = api.run(
         chain_doc_path, dict(ORDER), run_dir=run_dir, engine="reference",
         runtime_context=context_for(tmp_path / "wd"))
     assert result.status == "success"
@@ -96,7 +96,7 @@ def test_journalled_run_records_header_states_and_result(tmp_path,
 
 def test_resume_of_a_completed_run_is_all_hits(tmp_path, chain_doc_path):
     run_dir = str(tmp_path / "run")
-    first = api.run_with_journal(
+    first = api.run(
         chain_doc_path, dict(ORDER), run_dir=run_dir,
         runtime_context=context_for(tmp_path / "wd1"))
     again = api.resume(run_dir, runtime_context=context_for(tmp_path / "wd2"))
@@ -116,13 +116,13 @@ def test_resume_reexecutes_only_incomplete_nodes(tmp_path, chain_doc_path):
     one (miss), with outputs bit-identical to a never-interrupted run.
     """
     # What an uninterrupted run produces, for the bit-identical check.
-    pristine = api.run_with_journal(
+    pristine = api.run(
         chain_doc_path, dict(ORDER), run_dir=str(tmp_path / "pristine"),
         runtime_context=context_for(tmp_path / "wd0"))
 
     run_dir = str(tmp_path / "run")
     with pytest.raises(Exception):
-        api.run_with_journal(
+        api.run(
             chain_doc_path, dict(ORDER), run_dir=run_dir,
             fault_plan=fail_count_step(),
             runtime_context=context_for(tmp_path / "wd1"))
@@ -150,7 +150,7 @@ def test_resume_can_switch_engines(tmp_path, chain_doc_path):
     """The run cache is engine-independent, so resume may change engine."""
     run_dir = str(tmp_path / "run")
     with pytest.raises(Exception):
-        api.run_with_journal(
+        api.run(
             chain_doc_path, dict(ORDER), run_dir=run_dir,
             fault_plan=fail_count_step(),
             runtime_context=context_for(tmp_path / "wd1"))
@@ -167,8 +167,8 @@ def test_resume_can_switch_engines(tmp_path, chain_doc_path):
 
 def test_resume_refuses_a_changed_document(tmp_path, chain_doc_path):
     run_dir = str(tmp_path / "run")
-    api.run_with_journal(chain_doc_path, dict(ORDER), run_dir=run_dir,
-                         runtime_context=context_for(tmp_path / "wd"))
+    api.run(chain_doc_path, dict(ORDER), run_dir=run_dir,
+            runtime_context=context_for(tmp_path / "wd"))
     with open(chain_doc_path, "a") as handle:
         handle.write("\n")
     with pytest.raises(ValueError, match="fingerprint"):
@@ -177,8 +177,8 @@ def test_resume_refuses_a_changed_document(tmp_path, chain_doc_path):
 
 def test_resume_refuses_a_missing_document(tmp_path, chain_doc_path):
     run_dir = str(tmp_path / "run")
-    api.run_with_journal(chain_doc_path, dict(ORDER), run_dir=run_dir,
-                         runtime_context=context_for(tmp_path / "wd"))
+    api.run(chain_doc_path, dict(ORDER), run_dir=run_dir,
+            runtime_context=context_for(tmp_path / "wd"))
     os.unlink(chain_doc_path)
     with pytest.raises(FileNotFoundError):
         api.resume(run_dir)

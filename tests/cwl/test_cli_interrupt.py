@@ -1,6 +1,6 @@
 """CLI interrupt handling: SIGTERM/SIGINT still tear down, runs stay resumable.
 
-Runs ``repro-cwltool`` in a real subprocess, interrupts it mid-job, and
+Runs each of the three CLIs in a real subprocess, interrupts it mid-job, and
 asserts the contract: exit code 130, the in-flight tool subprocess is
 reaped, tracked scratch directories are removed, the journal survives, and
 ``--resume`` finishes the run.
@@ -24,8 +24,17 @@ SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
 #: Unique sleep duration so /proc scans cannot collide with anything else.
 SLEEP_MARKER = "28731"
 
-CLI_STUB = ("import sys; from repro.cwl.cli import cwltool_main; "
-            "sys.exit(cwltool_main(sys.argv[1:]))")
+CONFIG = os.path.join(os.path.dirname(SRC_DIR), "examples", "configs",
+                      "local_threads.yml")
+
+CLI_STUBS = {
+    "cwltool": ("import sys; from repro.cwl.cli import cwltool_main; "
+                "sys.exit(cwltool_main(sys.argv[1:]))"),
+    "toil": ("import sys; from repro.cwl.cli import toil_main; "
+             "sys.exit(toil_main(sys.argv[1:]))"),
+    "parsl-cwl": ("import sys; from repro.core.cli import main; "
+                  f"sys.exit(main([{CONFIG!r}] + sys.argv[1:]))"),
+}
 
 
 def interruptible_workflow() -> dict:
@@ -80,9 +89,9 @@ def wait_for(predicate, timeout_s=30.0, message="condition"):
     pytest.fail(f"timed out waiting for {message}")
 
 
-@pytest.fixture
-def staged_run(tmp_path):
-    """Paths for one interruptible journalled CLI run."""
+@pytest.fixture(params=sorted(CLI_STUBS))
+def staged_run(request, tmp_path):
+    """Paths for one interruptible journalled run of each CLI."""
     # A crashed earlier run may have orphaned marker sleeps; they would make
     # the reap assertion below fail forever, so clear them first.
     for pid in sleeping_tool_pids():
@@ -100,13 +109,13 @@ def staged_run(tmp_path):
     env = dict(os.environ,
                PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""),
                TMPDIR=str(scratch))
-    return {"doc": doc, "order": order, "tmp": tmp_path,
+    return {"doc": doc, "order": order, "tmp": tmp_path, "stub": CLI_STUBS[request.param],
             "rundir": tmp_path / "run", "scratch": scratch, "env": env}
 
 
 def launch(staged, *extra_args):
     return subprocess.Popen(
-        [sys.executable, "-c", CLI_STUB, "--rundir", str(staged["rundir"]),
+        [sys.executable, "-c", staged["stub"], "--rundir", str(staged["rundir"]),
          *extra_args, str(staged["doc"]), str(staged["order"])],
         env=staged["env"], cwd=str(staged["tmp"]),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

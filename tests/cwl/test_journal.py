@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import api
 from repro.cwl.journal import (
     RunJournal,
     document_fingerprint,
@@ -17,6 +18,7 @@ from repro.cwl.journal import (
     read_journal,
     run_cache_dir,
 )
+from repro.cwl.runtime import RuntimeContext
 
 
 @pytest.fixture
@@ -96,3 +98,23 @@ def test_second_header_wins_for_resumed_runs(tmp_path, process_doc):
                  engine="toil").close()
     header = journal_header(read_journal(run_dir))
     assert header["engine"] == "toil"
+
+
+def test_a_run_dir_names_the_run_scoped_store_unless_a_store_is_given(tmp_path):
+    run_dir = str(tmp_path / "run")
+    assert RuntimeContext(run_dir=run_dir).job_cache_dir() == run_cache_dir(run_dir)
+    assert RuntimeContext(run_dir=run_dir, cache_dir="elsewhere").job_cache_dir() \
+        == "elsewhere"
+    assert RuntimeContext(run_dir=run_dir, job_cache=False).job_cache_dir() is None
+
+
+@pytest.mark.parametrize("engine", ["reference", "toil"])
+def test_a_run_dir_needs_a_document_loaded_from_a_file(engine, tmp_path):
+    marker = tmp_path / "ran"
+    tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["touch", str(marker)], "inputs": {}, "outputs": {}}
+    with pytest.raises(ValueError, match="run_dir"):
+        api.run(tool, {}, engine=engine, run_dir=str(tmp_path / "run"),
+                runtime_context=RuntimeContext(basedir=str(tmp_path / "jobs")))
+    assert not marker.exists()
+    assert not (tmp_path / "run").exists()
