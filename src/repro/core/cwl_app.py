@@ -79,8 +79,9 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     ``$(runtime.*)``, the exported environment and the job-cache key are
     what the runner engines would use.  With a job cache attached
     (``cwl_cache_dir`` — inputs are concrete on the execution side, which is
-    what makes this the Parsl path's one cache probe), a hit builds no
-    command: it raises :class:`_CacheHit` through the bash executor to
+    what makes this the Parsl path's one cache probe; its key and outcome go
+    into ``cwl_cache_note``), a hit builds no command: it raises
+    :class:`_CacheHit` through the bash executor to
     :func:`cached_bash_executor`, which restores the recorded invocation in
     process, so nothing is spawned; a miss leaves the key and every declared
     output's evaluated glob in ``cwl_cache_ctx`` for that wrapper to store
@@ -110,15 +111,14 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
         cache = get_job_cache(cache_dir)
         key = context.cache_key(tool, job_order)
         entry = cache.lookup(key)
-        if isinstance(cache_note, dict):
-            cache_note["cache"] = "hit" if entry is not None else "miss"
+        cache_note.update(key=key, cache="hit" if entry is not None else "miss")
         if entry is not None:
             raise _CacheHit(cache, entry)
 
     # The Parsl path's expression pipeline is the compiled one; the shared
     # library scope spares each invocation rebuilding the standard library.
     expression_evaluator = precompile_process(tool)
-    if key is not None and isinstance(cache_ctx, dict):
+    if key is not None:
         cache_ctx.update(cache_dir=cache_dir, key=key, outdir=os.getcwd(),
                          globs=output_globs(tool, job_order, runtime, expression_evaluator))
 
@@ -290,13 +290,16 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     kwargs["cwl_cache_ctx"] = ctx
     stdout_spec = kwargs.get("stdout")
     stderr_spec = kwargs.get("stderr")
+    cache_note = kwargs.setdefault("cwl_cache_note", {})
 
     try:
         exit_code = remote_side_bash_executor(func, *args, **kwargs)
     except _CacheHit as hit:
+        cache_note["exit_code"] = hit.entry.exit_code
         return _replay_hit(hit, getattr(func, "__name__", "bash_app"),
                            stdout_spec, stderr_spec, list(kwargs.get("outputs") or []))
 
+    cache_note["exit_code"] = exit_code
     if ctx.get("key"):
         try:
             _store_results(ctx, stdout_spec, stderr_spec, exit_code)
@@ -350,8 +353,10 @@ def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
 
     The one routine both Parsl entry points report a job through: each entry
     of the future's ``cwl_retry_note`` becomes a ``"retry"`` event and a
-    journal record (:func:`~repro.cwl.retry.record_retry`), then the ``"end"``
-    event gets the ``cwl_cache_note`` outcome and the final attempt.
+    journal record (:func:`~repro.cwl.retry.record_retry`), a success becomes
+    the ``job`` journal record :class:`~repro.cwl.job.CommandLineJob` writes
+    (tool, key, cache outcome and exit code, from the ``cwl_cache_note``),
+    then the ``"end"`` event gets the cache outcome and the final attempt.
     ``future`` is ``None`` when the call failed before submitting.  On
     process-based executors both notes stay empty: nothing is observed.
     """
@@ -359,8 +364,11 @@ def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
     for entry in retries:
         record_retry(observer, token, journal, job, entry["attempt"],
                      entry["error"], entry["delay_s"])
+    note = getattr(future, "cwl_cache_note", None) or {}
+    if journal is not None and error is None and "exit_code" in note:
+        journal.record("job", tool=note.get("tool"), key=note.get("key"),
+                       cache=note.get("cache", "miss"), exit_code=note["exit_code"])
     if observer is not None:
-        note = getattr(future, "cwl_cache_note", None) or {}
         observer.job_finished(token, ok=error is None,
                               error=None if error is None else str(error),
                               cache=note.get("cache"), attempt=len(retries) + 1)
@@ -508,7 +516,7 @@ class CWLApp:
         # notes are filled there and read off the future (report_finished).
         context = self.runtime_context
         cache = context.get_job_cache()
-        cache_note: Dict[str, str] = {}
+        cache_note: Dict[str, Any] = {"tool": self.tool.id}
         retry_note: List[Dict[str, Any]] = []
         # An id-less tool has the runners' job name, so FaultSpecs and
         # backoff schedules see the same job on every engine.

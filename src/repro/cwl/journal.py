@@ -5,10 +5,8 @@ A journalled run is any run with
 ``execute`` goes through :func:`run_journalled`).  A run directory holds
 everything needed to pick an interrupted execution back up: a
 ``journal.jsonl`` of state transitions and the run's private job-cache
-store.  The journal is append-only JSONL — each record is one ``json.dumps``
-line written and flushed atomically under a lock, so a crash (or SIGKILL)
-mid-run leaves at worst a truncated *final* line, which :func:`read_journal`
-skips.  Layout::
+store.  The journal is a :mod:`repro.utils.applog` log, fsynced per record;
+its commit rule says which records a crash leaves.  Layout::
 
     <run_dir>/
       journal.jsonl   # header record, then node/job transitions
@@ -24,67 +22,36 @@ incomplete nodes re-execute.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.utils.applog import AppendLog, read_log
+from repro.utils.hashing import hash_file
 
 JOURNAL_NAME = "journal.jsonl"
 CACHE_SUBDIR = "jobcache"
 FORMAT_VERSION = 1
 
 
-class RunJournal:
-    """Thread-safe append-only JSONL journal for one run."""
+class RunJournal(AppendLog):
+    """The append-only JSONL journal of one run, fsynced per record."""
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._lock = threading.Lock()
-        self._handle = open(path, "a", encoding="utf-8")
+        super().__init__(path, fsync=True)
 
     def record(self, kind: str, **fields: Any) -> None:
-        """Append one record; the line is flushed+fsynced before returning."""
-        entry = {"kind": kind, "t": time.time()}
-        entry.update(fields)
-        line = json.dumps(entry, sort_keys=True, default=str)
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            try:
-                os.fsync(self._handle.fileno())
-            except OSError:
-                pass
+        """Append one record, on disk before this returns."""
+        self.append({"kind": kind, "t": time.time(), **fields})
 
     def node_state(self, node_id: str, state: str, **fields: Any) -> None:
         """Record a scheduler node transition (``running``/``done``/...)."""
         self.record("node", node=node_id, state=state, **fields)
 
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 def document_fingerprint(path: str) -> str:
     """sha1 of the process document, to refuse resuming a changed workflow."""
-    digest = hashlib.sha1()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hash_file(path).partition("$")[2]
 
 
 def journal_path(run_dir: str) -> str:
@@ -98,7 +65,6 @@ def run_cache_dir(run_dir: str) -> str:
 def open_run_dir(run_dir: str, *, process_path: str,
                  job_order: Dict[str, Any], engine: str) -> RunJournal:
     """Create/open a run directory and journal, appending the header record."""
-    os.makedirs(run_dir, exist_ok=True)
     os.makedirs(run_cache_dir(run_dir), exist_ok=True)
     journal = RunJournal(journal_path(run_dir))
     journal.record(
@@ -158,28 +124,9 @@ def resume_header(run_dir: str) -> Dict[str, Any]:
 
 
 def read_journal(run_dir: str) -> List[Dict[str, Any]]:
-    """All intact records of a run directory's journal, oldest first.
-
-    A torn final line (crash mid-append) is silently dropped; a torn line in
-    the *middle* of the file means the journal is not append-only damage and
-    raises.
-    """
-    path = journal_path(run_dir)
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if index == len(lines) - 1:
-                break  # torn tail from a crash — expected, drop it
-            raise ValueError(
-                f"corrupt journal record at {path}:{index + 1}")
-    return records
+    """Every committed record of a run directory's journal, oldest first
+    (see :func:`repro.utils.applog.read_log`)."""
+    return read_log(journal_path(run_dir))
 
 
 def journal_header(records: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -16,11 +16,10 @@ comparison:
   runner restartable: opening replays the log into an in-memory index of the
   latest state per job.
 
-Each record is one ``write()`` through one ``O_APPEND`` descriptor under the
-store lock, the shape of :mod:`repro.cwl.journal`; there is no temp file, no
-rename and no per-record fsync, so a crash leaves at worst a torn final line,
-which the next open skips.  Per-job ``jobs/<id>.json`` documents written by
-older versions of this store are not read.
+The log is a :mod:`repro.utils.applog` log that is never fsynced: one
+``write()`` per record, no temp file and no rename, and that module's commit
+rule says which records a crash leaves.  Per-job ``jobs/<id>.json``
+documents written by older versions of this store are not read.
 
 These per-job filesystem writes are the overhead that makes a job-store based
 runner slower per task than Parsl's in-memory dataflow, which is the effect
@@ -32,15 +31,15 @@ log.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import shutil
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, BinaryIO, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cwl.jobcache import file_fingerprint, stage_file
+from repro.utils.applog import AppendLog, read_log
 
 #: The store's one job log, inside its ``jobs`` directory.
 JOBS_LOG = "jobs.jsonl"
@@ -58,9 +57,6 @@ class StoredJob:
     created_at: float = field(default_factory=time.time)
     updated_at: float = field(default_factory=time.time)
     error: Optional[str] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
 
 
 class FileJobStore:
@@ -80,42 +76,27 @@ class FileJobStore:
         self._state_counts: Dict[str, int] = {}
         #: The highest job number in the log, deleted jobs included.
         self._last_id = 0
-        #: Opened by the first append, so a store opened only to read holds
-        #: no descriptor.
-        self._log: Optional[BinaryIO] = None
-        self._torn_tail = self._replay()
         try:
             self._file_count = len(os.listdir(self.files_dir))
         except OSError:
             self._file_count = 0
-
-    def _replay(self) -> bool:
-        """Rebuild the index from the log; True when its last line is torn.
-
-        An unreadable line (a crash mid-append) is skipped, not fatal.
-        """
+        self._log = AppendLog(self.log_path, fsync=False)
         try:
-            with open(self.log_path, "rb") as handle:
-                data = handle.read()
+            records = read_log(self.log_path)
         except FileNotFoundError:
-            return False
-        for line in data.splitlines():
-            try:
-                record = json.loads(line)
-                job_id = record["job_id"]
-                if record.get("deleted"):
-                    job = None
-                elif "name" in record:
-                    job = StoredJob(**record)
-                else:
-                    job = dataclasses.replace(
-                        self._jobs[job_id], state=record["state"],
-                        updated_at=record["updated_at"], error=record["error"])
-            except (ValueError, KeyError, TypeError):
-                continue
+            records = []
+        for record in records:
+            job_id = record["job_id"]
+            if record.get("deleted"):
+                job = None
+            elif "name" in record:
+                job = StoredJob(**record)
+            else:
+                job = dataclasses.replace(
+                    self._jobs[job_id], state=record["state"],
+                    updated_at=record["updated_at"], error=record["error"])
             self._last_id = max(self._last_id, _job_number(job_id))
             self._index(job_id, job)
-        return bool(data) and not data.endswith(b"\n")
 
     def _index(self, job_id: str, job: Optional[StoredJob]) -> None:
         """Make ``job`` the latest record of ``job_id`` (None: deleted).
@@ -126,18 +107,6 @@ class FileJobStore:
         if job is not None:
             self._jobs[job_id] = job
             self._state_counts[job.state] = self._state_counts.get(job.state, 0) + 1
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Append one record to the log: one ``write()``.  Callers hold the
-        lock."""
-        line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-        if self._log is None:
-            self._log = open(self.log_path, "ab", buffering=0)
-            if self._torn_tail:
-                # Start on a fresh line: never extend a crashed record.
-                line = b"\n" + line
-                self._torn_tail = False
-        self._log.write(line)
 
     # ----------------------------------------------------------------- jobs
 
@@ -181,8 +150,8 @@ class FileJobStore:
                 record = {"job_id": job.job_id, "state": job.state,
                           "updated_at": job.updated_at, "error": job.error}
             else:
-                record = job.to_json()
-            self._append(record)
+                record = asdict(job)
+            self._log.append(record)
             self._index(job.job_id, dataclasses.replace(job))
 
     def load_job(self, job_id: str) -> StoredJob:
@@ -202,7 +171,7 @@ class FileJobStore:
         with self._lock:
             if job_id not in self._jobs:
                 return
-            self._append({"job_id": job_id, "deleted": True})
+            self._log.append({"job_id": job_id, "deleted": True})
             self._index(job_id, None)
 
     # ---------------------------------------------------------------- files
@@ -235,9 +204,6 @@ class FileJobStore:
         stage_file(source, destination)
         return destination
 
-    def file_path(self, file_id: str) -> str:
-        return os.path.join(self.files_dir, file_id)
-
     def has_file(self, file_id: str) -> bool:
         return os.path.exists(os.path.join(self.files_dir, file_id))
 
@@ -252,12 +218,8 @@ class FileJobStore:
         return counts
 
     def close(self) -> None:
-        """Close the job log.  Idempotent; the store stays readable, and a
-        later append opens the log again."""
-        with self._lock:
-            if self._log is not None:
-                self._log.close()
-                self._log = None
+        """Close the job log.  Idempotent; the store stays readable."""
+        self._log.close()
 
     def __enter__(self) -> "FileJobStore":
         return self

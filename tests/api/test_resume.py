@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import api
 from repro.cwl.faults import FaultPlan, FaultSpec
-from repro.cwl.journal import read_journal
+from repro.cwl.journal import journal_path, read_journal
 from repro.cwl.runtime import RuntimeContext
 
 CHAIN_DOC = {
@@ -161,6 +162,62 @@ def test_resume_can_switch_engines(tmp_path, chain_doc_path):
     assert resumed.engine == "toil"
     assert resumed.status == "success"
     assert cache_modes(resumed)["shout-tool"] == "hit"
+
+
+# ------------------------------------------------- a crash mid-append
+
+def engine_options(engine, workdir, monkeypatch):
+    """Run options for ``engine`` in a fresh working directory (the Parsl
+    engines run their tools in the cwd)."""
+    os.makedirs(workdir)
+    monkeypatch.chdir(workdir)
+    if engine == "parsl":
+        return {"config": repro.thread_config(max_threads=2,
+                                              run_dir=str(workdir / "runinfo"))}
+    return {"runtime_context": RuntimeContext(basedir=str(workdir))}
+
+
+@pytest.mark.parametrize("engine", ["reference", "toil", "parsl"])
+def test_resume_after_a_torn_final_record(engine, tmp_path, chain_doc_path,
+                                          monkeypatch):
+    """A crash mid-append leaves a torn final journal record.  Resume used to
+    append its header onto the fragment, after which every read of the
+    journal raised ``corrupt journal record``."""
+    run_dir = str(tmp_path / "run")
+    first = api.run(chain_doc_path, dict(ORDER), run_dir=run_dir, engine=engine,
+                    **engine_options(engine, tmp_path / "wd1", monkeypatch))
+    expected = output_bytes(first)
+    with open(journal_path(run_dir), "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "node", "node": "co')
+
+    resumed = api.resume(run_dir, **engine_options(engine, tmp_path / "wd2", monkeypatch))
+    assert resumed.status == "success"
+    assert output_bytes(resumed) == expected
+    info = api.resume_info(run_dir)
+    assert info["completed"] and info["status"] == "success"
+    again = api.resume(run_dir, **engine_options(engine, tmp_path / "wd3", monkeypatch))
+    assert again.cache_stats == {"hits": 2, "misses": 0}
+    assert output_bytes(again) == expected
+    assert [record["status"] for record in read_journal(run_dir)
+            if record["kind"] == "result"] == ["success"] * 3
+
+
+def test_every_engine_journals_the_same_job_records(tmp_path, chain_doc_path,
+                                                    monkeypatch):
+    """One ``job`` record per executed or replayed job, with its cache outcome,
+    key and exit code: the Parsl path writes what ``CommandLineJob`` writes."""
+    jobs = {}
+    for engine in ("reference", "toil", "parsl"):
+        run_dir = str(tmp_path / engine / "run")
+        for attempt in ("cold", "warm"):
+            api.run(chain_doc_path, dict(ORDER), run_dir=run_dir, engine=engine,
+                    **engine_options(engine, tmp_path / engine / attempt, monkeypatch))
+        jobs[engine] = [(record["tool"], record["key"], record["cache"],
+                         record["exit_code"])
+                        for record in read_journal(run_dir) if record["kind"] == "job"]
+    assert [cache for _tool, _key, cache, _code in jobs["reference"]] == \
+        ["miss", "miss", "hit", "hit"]
+    assert jobs["toil"] == jobs["parsl"] == jobs["reference"]
 
 
 # ------------------------------------------------------------------ refusals

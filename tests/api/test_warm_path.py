@@ -335,6 +335,15 @@ def primed(tmp_path, monkeypatch):
     return kwargs
 
 
+def hit_note(primed) -> dict:
+    """What a hit on the primed store leaves in ``cwl_cache_note``: the
+    outcome, the key and the recorded exit code, for the journal's ``job``
+    record."""
+    (entry,) = os.listdir(os.path.join(primed["cwl_cache_dir"], "entries"))
+    key = entry[:-len(".json")]
+    return {"cache": "hit", "key": key, "exit_code": 0}
+
+
 def test_hit_appends_when_the_redirection_mode_says_so(primed, tmp_path, monkeypatch):
     counted = Counted(monkeypatch)
     log = tmp_path / "logs" / "all.txt"
@@ -343,7 +352,7 @@ def test_hit_appends_when_the_redirection_mode_says_so(primed, tmp_path, monkeyp
     note: dict = {}
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout=(str(log), "a"),
                                 cwl_cache_note=note, **primed) == 0
-    assert note == {"cache": "hit"}
+    assert note == hit_note(primed)
     assert log.read_text() == "before\nrecorded\n"
     # A truncating redirection onto a name the entry was not recorded under.
     other = tmp_path / "fresh" / "other.txt"
@@ -399,7 +408,7 @@ def test_injected_fault_fires_before_the_probe(primed):
     assert resilient_bash_executor(
         app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
         cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed) == 0
-    assert note == {"cache": "hit"}
+    assert note == hit_note(primed)
     assert cache.snapshot()["hits"] == before["hits"] + 1
 
 
@@ -427,7 +436,9 @@ def test_a_wildcard_glob_hit_restores_the_matched_file(tmp_path, monkeypatch):
         finally:
             repro.clear()
         notes.append(future.cwl_cache_note)
-    assert notes == [{"cache": "miss"}, {"cache": "hit"}]
+    assert [(note["cache"], note["exit_code"]) for note in notes] == [
+        ("miss", 0), ("hit", 0)]
+    assert notes[0]["key"] == notes[1]["key"]
     assert (tmp_path / "warm" / "x-out.txt").read_bytes() == b"wild\n"
 
 
