@@ -77,13 +77,16 @@ class ParslEngine(Engine):
 
     def execute(self, process, job_order: Dict[str, Any],
                 hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
-        """Run a tool or workflow.  An interrupted run hands its running
-        commands to the context to reap: clearing the kernel waits for them."""
+        """Run a tool or workflow.  Clearing the kernel waits for every task,
+        so an interrupted run cancels the tasks that have not started and
+        hands its running commands to the context to reap."""
         process = self.load_process(process)
         try:
             return run_journalled(self._context, process, job_order, self.name,
                                   functools.partial(self._run, process, job_order, hooks))
         except KeyboardInterrupt:
+            if self._started:
+                DataFlowKernelLoader.dfk().cancel_unstarted()
             for proc in running_commands():
                 self._context.register_process(proc)
             raise

@@ -45,6 +45,7 @@ from repro.cwl.validate import ensure_valid
 from repro.cwl.workflow import WorkflowEngine
 from repro.parsl.dataflow.dflow import DataFlowKernel
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
+from repro.utils.continuation import Continuation
 
 
 class _SubmissionEngine(WorkflowEngine):
@@ -61,9 +62,9 @@ class _SubmissionEngine(WorkflowEngine):
         self._bridge = bridge
         self._node: Optional[GraphNode] = None
 
-    def _execute_node(self, node: GraphNode) -> Optional[Expansion]:
+    def _execute_node(self, node: GraphNode) -> Continuation[Optional[Expansion]]:
         self._node = node  # names the job a step or shard node submits
-        return super()._execute_node(node)
+        return (yield from super()._execute_node(node))
 
     def _submit(self, process: Process, job: Dict[str, Any],
                 _context: RuntimeContext) -> Dict[str, DataFuture]:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.utils.errors import PicklableError
 
-class CWLError(Exception):
-    """Base class for all CWL errors."""
+
+class CWLError(PicklableError):
+    """Base class for all CWL errors; each one survives a pickle round trip."""
 
 
 class ValidationException(CWLError):

@@ -5,7 +5,7 @@ jobs fail, *how* (exit code), for *how many* attempts, plus artificial delays
 — as a pure function of ``(seed, job name, attempt)``.  Plans are carried on
 :class:`~repro.cwl.runtime.RuntimeContext` (and threaded to the Parsl paths)
 and consulted by the shared retry loop
-(:func:`repro.cwl.retry.execute_with_retries`) *before* each attempt, ahead of
+(:func:`repro.cwl.retry.retrying`) *before* each attempt, ahead of
 any cache probe, so every engine × cache configuration observes
 identical injected behaviour.  That is what lets the differential matrix
 (:mod:`repro.api.matrix`) treat fault injection as just another axis: under a
@@ -94,6 +94,11 @@ class FaultPlan:
         """The specs that fire for this ``(job, attempt)`` pair."""
         return [spec for spec in self.specs
                 if attempt <= spec.attempts and self._selected(spec, job)]
+
+    def delays(self, job: str, attempt: int) -> bool:
+        """Whether :meth:`apply` will sleep for this ``(job, attempt)``."""
+        return any(spec.action == "delay" and spec.delay_s > 0
+                   for spec in self.faults_for(job, attempt))
 
     def apply(self, job: str, attempt: int) -> None:
         """Inject whatever the plan dictates for this attempt (or nothing)."""

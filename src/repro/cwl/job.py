@@ -203,8 +203,10 @@ class CommandLineJob:
     def cached_result(self) -> Optional[JobResult]:
         """Probe the job cache without executing anything; restore on a hit.
 
-        Lets runners short-circuit *before* entering their dispatch machinery
-        (the Toil-like runner skips the batch-system round trip entirely).
+        Lets runners short-circuit *before* anything blocks: both runners
+        probe first and yield their attempt to the scheduler's pool only on a
+        miss, so a hit is restored on the dispatching thread (and the
+        Toil-like runner skips the batch-system round trip entirely).
         The job order is validated, keyed and probed before any directory
         exists; a hit then makes one directory — the job's output directory,
         where the restored files live — and no scratch directory.  A miss

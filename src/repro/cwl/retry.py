@@ -16,10 +16,13 @@ Two properties matter for reproducibility:
   never retry — re-running cannot fix a bad document — while timeouts, listed
   exit codes and listed error classes do.
 
-The module-level :func:`execute_with_retries` is the one retry loop every
-execution path shares (the runners' ``run_tool`` and, on both Parsl engines,
-the execution-side executor every ``CWLApp`` invocation goes through), so
-fault injection and attempt accounting behave identically everywhere.
+:func:`retrying` is the one retry loop every execution path shares, so fault
+injection and attempt accounting behave identically everywhere.  It is a
+continuation (:mod:`repro.utils.continuation`): the runners' ``run_tool``
+yields from it, and it yields before every backoff sleep, so a wait never
+holds the thread that dispatches workflow nodes.  :func:`execute_with_retries`
+runs it to the end for a plain callable: on both Parsl engines, the
+execution-side executor every ``CWLApp`` invocation goes through.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.cwl.errors import JobFailure, JobTimeout, exit_class, unwrap_failure
+from repro.utils.continuation import Continuation, as_continuation, finish
 
 #: Exit classes that retrying can never fix: the document (or the engine's
 #: supported subset) is the problem, not the execution.
@@ -120,35 +124,47 @@ def record_retry(observer: Any, token: Any, journal: Any, job: str,
         journal.record("retry", job=job, attempt=attempt, error=error, delay_s=delay_s)
 
 
-def execute_with_retries(
-    fn: Callable[[int], Any],
+def retrying(
+    attempt_fn: Callable[[int], Continuation[Any]],
     *,
     policy: Optional[RetryPolicy],
     job: str,
     fault_plan: Optional[Any] = None,
     on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Any:
-    """Run ``fn(attempt)`` under ``policy``, injecting faults from ``fault_plan``.
+    sleep: Optional[Callable[[float], None]] = None,
+) -> Continuation[Any]:
+    """Run ``attempt_fn(attempt)``'s continuation under ``policy``, injecting
+    faults from ``fault_plan``; the loop yields where the attempt does.
 
     The fault plan is consulted *before* each attempt (ahead of any cache
-    probe inside ``fn``), so warm and cold cache modes observe identical
-    injected behaviour on every engine.  ``on_retry(attempt, exc, delay)``
-    fires once per retry before sleeping.
+    probe inside the attempt), so warm and cold cache modes observe identical
+    injected behaviour on every engine; the loop yields first when the plan
+    delays the attempt.  ``on_retry(attempt, exc, delay)`` fires once per
+    retry, then the loop yields and sleeps ``delay`` (``time.sleep`` unless
+    ``sleep`` is given).
     """
     attempt = 1
     while True:
         try:
             if fault_plan is not None:
+                if fault_plan.delays(job, attempt):
+                    yield
                 fault_plan.apply(job, attempt)
-            return fn(attempt)
+            return (yield from attempt_fn(attempt))
         except BaseException as exc:
-            if (policy is None or attempt >= policy.max_attempts
-                    or not policy.retryable(exc)):
+            if (isinstance(exc, GeneratorExit) or policy is None
+                    or attempt >= policy.max_attempts or not policy.retryable(exc)):
                 raise
             delay = policy.delay_s(job, attempt)
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
-            if delay > 0:
-                sleep(delay)
-            attempt += 1
+        if delay > 0:
+            yield
+            (sleep or time.sleep)(delay)
+        attempt += 1
+
+
+def execute_with_retries(fn: Callable[[int], Any], **options: Any) -> Any:
+    """:func:`retrying` over the plain callable ``fn(attempt)``, run to the
+    end on the calling thread; ``options`` are its keyword arguments."""
+    return finish(retrying(as_continuation(fn), **options))

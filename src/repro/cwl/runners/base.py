@@ -15,6 +15,12 @@ in how they execute individual jobs:
 
 The Parsl bridge (:mod:`repro.core`) is effectively a third runner and is the
 paper's contribution.
+
+Running a job is a continuation (:mod:`repro.utils.continuation`).  Each
+attempt injects its fault, probes the job cache, and yields only on a miss,
+before it spawns or is issued.  A hit is restored without yielding, so in a
+workflow it completes on the dispatching thread.  The missed probe stays on
+the job (``CommandLineJob._missed_probe``), so each attempt is keyed once.
 """
 
 from __future__ import annotations
@@ -32,14 +38,15 @@ from repro.cwl.errors import ValidationException
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.job import JobResult
 from repro.cwl.journal import run_journalled
-from repro.cwl.retry import execute_with_retries, record_retry
+from repro.cwl.retry import record_retry, retrying
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
 from repro.cwl.types import coerce_file_inputs
 from repro.cwl.validate import ensure_valid
 from repro.cwl.workflow import WorkflowEngine
+from repro.utils.continuation import Continuation, finish
 
-#: ``on_retry(attempt, exc, delay_s)``, as :func:`execute_with_retries` calls it.
+#: ``on_retry(attempt, exc, delay_s)``, as :func:`retrying` calls it.
 RetryCallback = Callable[[int, BaseException, float], None]
 
 
@@ -116,7 +123,7 @@ class BaseRunner(Engine):
             failures = {node: str(exc) for node, exc in workflow.failures.items()}
             node_states, stage_timings = workflow.node_states, workflow.stage_timings
         else:
-            outputs = run_job(process, job_order, context)
+            outputs = finish(run_job(process, job_order, context))
         events = recorder.events
         return ExecutionResult(
             outputs=outputs,
@@ -136,9 +143,10 @@ class BaseRunner(Engine):
 
     def _observed(self, recorder: EventRecorder, process: Process,
                   job_order: Dict[str, Any],
-                  runtime_context: RuntimeContext) -> Dict[str, Any]:
+                  runtime_context: RuntimeContext) -> Continuation[Dict[str, Any]]:
         """Run one tool or expression-tool job, reporting its start, retries
         and end to ``recorder`` (the workflow engine's ``process_runner``).
+        A continuation: it yields where the tool's run does.
 
         The end event's cache outcome comes back with the tool's
         :class:`JobResult`; its attempt is one past the last retry this job
@@ -161,7 +169,8 @@ class BaseRunner(Engine):
             if isinstance(process, ExpressionTool):
                 outputs = self.run_expression_tool(process, job_order, runtime_context)
             else:
-                result = self.run_tool(process, job_order, runtime_context, on_retry)
+                result = yield from self.run_tool(process, job_order, runtime_context,
+                                                  on_retry)
                 outputs = result.outputs
                 if runtime_context.job_cache_dir() is not None:
                     cache = "hit" if result.cache_hit else "miss"
@@ -172,29 +181,31 @@ class BaseRunner(Engine):
         return outputs
 
     def _with_retries(self, runtime_context: RuntimeContext, tool: CommandLineTool,
-                      fn: Callable[[int], JobResult],
-                      on_retry: Optional[RetryCallback]) -> JobResult:
-        """Run ``fn(attempt)`` under the context's retry policy + fault plan.
+                      attempt: Callable[[int], Continuation[JobResult]],
+                      on_retry: Optional[RetryCallback]) -> Continuation[JobResult]:
+        """``attempt(n)``'s continuation under the context's retry policy +
+        fault plan.
 
         The one retry loop every runner's ``run_tool`` goes through: faults
-        inject *before* each attempt (ahead of any cache probe), and each
-        retry is reported through ``on_retry``.
+        inject *before* each attempt (ahead of any cache probe), each retry is
+        reported through ``on_retry``, and the loop yields before a backoff.
         """
         policy = runtime_context.retry_policy
         plan = runtime_context.fault_plan
         if policy is None and plan is None:
-            return fn(1)
-        return execute_with_retries(fn, policy=policy, job=tool.id or "<tool>",
-                                    fault_plan=plan, on_retry=on_retry)
+            return attempt(1)
+        return retrying(attempt, policy=policy, job=tool.id or "<tool>",
+                        fault_plan=plan, on_retry=on_retry)
 
     # ------------------------------------------------------------- per-process
 
     @abstractmethod
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
                  runtime_context: RuntimeContext,
-                 on_retry: Optional[RetryCallback] = None) -> JobResult:
-        """Execute one CommandLineTool invocation, reporting each retry
-        through ``on_retry``; the result says whether it came from the job
+                 on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
+        """The continuation of one CommandLineTool invocation, reporting each
+        retry through ``on_retry``.  It yields once an attempt misses the job
+        cache, before the tool runs; its result says whether it came from the
         cache."""
 
     def run_expression_tool(self, tool: ExpressionTool, job_order: Dict[str, Any],

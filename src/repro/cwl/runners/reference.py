@@ -14,7 +14,10 @@ This runner mirrors how ``cwltool`` executes documents:
 * with ``parallel=False`` jobs run strictly one at a time (plain ``cwltool``);
   with ``parallel=True`` independent steps and scatter jobs run on a thread
   pool (``cwltool --parallel``), which is the configuration the paper compares
-  against.
+  against.  Only a job that runs its tool goes to the pool: a job-cache hit is
+  restored on the thread that dispatches the workflow's nodes, because an
+  attempt probes the cache first and yields only on a miss, right before the
+  spawn.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.cwl.runners.base import BaseRunner, RetryCallback
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, Process
 from repro.cwl.validate import ensure_valid
+from repro.utils.continuation import Continuation
 
 
 class ReferenceRunner(BaseRunner):
@@ -45,19 +49,24 @@ class ReferenceRunner(BaseRunner):
 
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
                  runtime_context: RuntimeContext,
-                 on_retry: Optional[RetryCallback] = None) -> JobResult:
+                 on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
         # cwltool revalidates and rebuilds its job object for every invocation;
         # reproducing that per-job work keeps the runner comparison honest.
         if self.validate:
             ensure_valid(tool)
 
-        def attempt(_n: int) -> JobResult:
+        def attempt(_n: int) -> Continuation[JobResult]:
             job = CommandLineJob(
                 tool=tool,
                 job_order=copy.deepcopy(job_order),
                 runtime_context=runtime_context,
                 evaluator_for=self.evaluator_for,
             )
+            if runtime_context.job_cache_dir() is not None:
+                cached = job.cached_result()
+                if cached is not None:
+                    return cached
+            yield  # the spawn blocks; a miss's probe rides along on the job
             return job.execute()
 
         return self._with_retries(runtime_context, tool, attempt, on_retry)

@@ -19,6 +19,8 @@ Execution model (mirroring ``toil-cwl-runner``):
 With the job cache on, the cache is probed before step 1: a hit is never
 issued, and its description is one record, already ``done``.  A miss keeps
 its probe on the job, so the issued job does not key the invocation again.
+An attempt is a continuation that yields only before the job is described
+and issued, so in a workflow a hit completes on the dispatching thread.
 
 The per-job store records and (for the Slurm batch system) the per-task
 scheduler round trips are what differentiate this runner's scaling behaviour
@@ -41,6 +43,7 @@ from repro.cwl.runners.toil.jobstore import FileJobStore, StoredJob
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import is_file_value
+from repro.utils.continuation import Continuation
 from repro.utils.logging_config import get_logger
 
 logger = get_logger("cwl.runners.toil")
@@ -87,7 +90,7 @@ class ToilStyleRunner(BaseRunner):
 
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
                  runtime_context: RuntimeContext,
-                 on_retry: Optional[RetryCallback] = None) -> JobResult:
+                 on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
         cache_enabled = runtime_context.job_cache_dir() is not None
         requirements = self._job_requirements(tool)
         name = tool.id or "tool"
@@ -105,7 +108,7 @@ class ToilStyleRunner(BaseRunner):
             else:
                 self.job_store.update_job(stored, state=state, error=error)
 
-        def attempt(_n: int) -> JobResult:
+        def attempt(_n: int) -> Continuation[JobResult]:
             job = CommandLineJob(
                 tool=tool,
                 # Copy-on-write view instead of deepcopy: scatter loops issue
@@ -125,6 +128,7 @@ class ToilStyleRunner(BaseRunner):
                         self._import_output_files(cached.outputs)
                     record("done")
                     return cached
+            yield  # issuing blocks until the batch system ran the job
 
             def payload() -> JobResult:
                 record("running")

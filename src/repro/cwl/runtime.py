@@ -126,24 +126,26 @@ class RuntimeContext:
     def make_job_dir(self, name: str = "job") -> str:
         """Create a fresh working directory for one job."""
         base = self.basedir or tempfile.gettempdir()
-        if not os.path.isdir(base):
-            os.makedirs(base, exist_ok=True)
-            with self._teardown_lock:
-                self._created_parents.add(os.path.abspath(base))
-        return tempfile.mkdtemp(prefix=f"cwl-{name}-", dir=base)
+        with self._teardown_lock:
+            self._make_parent_locked(base)
+            return tempfile.mkdtemp(prefix=f"cwl-{name}-", dir=base)
 
     def make_tmpdir(self) -> str:
         """Create a fresh scratch directory for one job (tracked for teardown)."""
         prefix = self.tmpdir_prefix or "cwl-tmp-"
-        parent = os.path.dirname(prefix)
-        if parent and not os.path.isdir(parent):
-            os.makedirs(parent, exist_ok=True)
-            with self._teardown_lock:
-                self._created_parents.add(os.path.abspath(parent))
-        path = tempfile.mkdtemp(prefix=prefix)
         with self._teardown_lock:
+            self._make_parent_locked(os.path.dirname(prefix))
+            path = tempfile.mkdtemp(prefix=prefix)
             self._scratch_dirs.add(path)
         return path
+
+    def _make_parent_locked(self, parent: str) -> None:
+        """Make a missing staging parent, tracked for pruning.  Under the
+        teardown lock, like the pruning, so a concurrent job's cleanup cannot
+        remove the parent between this check and the ``mkdtemp`` in it."""
+        if parent and not os.path.isdir(parent):
+            os.makedirs(parent, exist_ok=True)
+            self._created_parents.add(os.path.abspath(parent))
 
     def unmade_tmpdir(self) -> str:
         """Where :meth:`make_tmpdir` would put a scratch directory, not made.
@@ -296,11 +298,10 @@ class RuntimeContext:
             with self._teardown_lock:
                 if directory not in self._created_parents:
                     return
-            try:
-                os.rmdir(directory)
-            except OSError:
-                return  # not empty (or already gone from another closer)
-            with self._teardown_lock:
+                try:
+                    os.rmdir(directory)
+                except OSError:
+                    return  # not empty (or already gone from another closer)
                 self._created_parents.discard(directory)
             directory = os.path.dirname(directory)
 

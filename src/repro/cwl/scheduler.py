@@ -5,17 +5,27 @@ pending step under a lock, O(V²) in the step count) and the nested
 per-scatter-step thread pools.  Scheduling is dependency-counting: every node
 carries its predecessor count; a completion event decrements each successor's
 count and enqueues the ones that hit zero into a priority heap (critical-path
-priority first, insertion order as the tie-break).  Work runs on **one**
-bounded pool — ``max_workers`` is a global cap on live worker threads, however
-deeply scatter and subworkflows nest — and in serial mode the same bookkeeping
-runs inline with no threads at all.
+priority first, insertion order as the tie-break).
+
+One dispatch loop runs every node, on the thread that called :meth:`run`.  A
+node's execution is a continuation (:mod:`repro.utils.continuation`): a
+generator that yields once it reaches its first blocking point (a spawn, a
+batch-system ``issue``, a retry backoff).  The loop runs the inline segment
+itself.  A node that returns without yielding completes right there, with no
+pool submission and no wake-up: cache hits, ingress/egress/scatter/gather,
+ExpressionTool steps and skipped scopes.  Only the rest of a node that
+yielded goes to **one** bounded pool.  ``max_workers`` caps the blocking
+segments in flight, however deeply scatter and subworkflows nest.  Serial mode
+(``parallel=False``) is the case where every continuation runs inline to its
+end.  The scheduler lock is never held while a node runs.  A plain callable
+given as the executor is all blocking segment.
 
 Dynamic expansion: a node's executor may return an :class:`Expansion` —
 freshly created nodes (scatter shards, shard subgraphs, a gather node) that
 join the running schedule.  ``retarget`` moves the expanding node's successors
 onto the expansion's terminal node (the gather), so downstream consumers wait
 for assembled scatter outputs while the shards themselves interleave freely
-with every other ready node in the shared pool.
+with every other ready node.
 """
 
 from __future__ import annotations
@@ -33,9 +43,12 @@ if TYPE_CHECKING:
 
 from repro.cwl.errors import WorkflowException
 from repro.cwl.graph import GraphNode, WorkflowGraph
+from repro.utils.continuation import Continuation, as_continuation, finish
 
-#: A node executor: runs one node, optionally returning new nodes to schedule.
-NodeExecutor = Callable[[GraphNode], Optional["Expansion"]]
+#: A node executor: makes one node's continuation, whose value is an optional
+#: :class:`Expansion` of new nodes to schedule.  A plain callable (returning
+#: the expansion) is accepted too and runs wholly as a blocking segment.
+NodeExecutor = Callable[[GraphNode], Any]
 
 #: Scheduler node states (also what the run journal records).
 NODE_PENDING = "pending"
@@ -67,7 +80,9 @@ class GraphScheduler:
         if on_error not in ("stop", "continue"):
             raise ValueError(f"on_error must be 'stop' or 'continue', got {on_error!r}")
         self.graph = graph
-        self.execute = execute
+        self.execute = as_continuation(execute)
+        #: ``False`` runs every continuation inline to its end; ``True`` hands
+        #: the blocking segment of a node that yields to the pool.
         self.parallel = parallel
         self.max_workers = max(1, int(max_workers))
         #: ``"stop"`` aborts the whole DAG on the first failed node;
@@ -89,8 +104,10 @@ class GraphScheduler:
         self._pending = len(self._nodes)
         self._completed: set = set()
         self._skipped: set = set()
+        #: Blocking segments handed to the pool and not finished yet.
         self._inflight = 0
         self._failure: Optional[BaseException] = None
+        #: Made when the first node yields: an all-inline run starts no thread.
         self._pool: Optional[cf.ThreadPoolExecutor] = None
         #: Final state per node id (``pending``/``running``/``done``/
         #: ``failed``/``skipped``) — inspect after :meth:`run`.
@@ -106,95 +123,112 @@ class GraphScheduler:
         With ``on_error="continue"`` node failures do not raise — they are
         collected in :attr:`failures`, their transitive successors are marked
         ``skipped`` in :attr:`states`, and every independent branch still
-        executes.
+        executes.  An interrupt (any exception that is not an
+        :class:`Exception`, such as :class:`KeyboardInterrupt`) aborts the run
+        under either policy.
         """
         for node_id in self.graph.topological_order():
             if self._indegree[node_id] == 0:
                 self._push(node_id)
-        if self.parallel:
-            self._run_parallel()
-        else:
-            self._run_serial()
-
-    # ------------------------------------------------------------------ serial
-
-    def _run_serial(self) -> None:
-        while self._ready:
-            node_id = self._pop()
-            node = self._nodes[node_id]
-            self._set_state(node_id, NODE_RUNNING)
-            try:
-                expansion = self.execute(node)
-                self._complete(node_id, expansion)
-            except BaseException as exc:  # noqa: BLE001 — classified below
-                with self._lock:
-                    self._node_failed_locked(node_id, exc)
-                if self._failure is not None:
-                    raise self._failure
-        self._check_drained()
-
-    # ---------------------------------------------------------------- parallel
-
-    def _run_parallel(self) -> None:
-        self._pool = cf.ThreadPoolExecutor(max_workers=self.max_workers,
-                                           thread_name_prefix="cwl-dag")
         try:
-            with self._lock:
-                self._dispatch()
-                while self._pending and self._failure is None:
-                    if self._inflight == 0 and not self._ready:
-                        break  # stalled; reported by _check_drained below
-                    self._event.wait()
-            # Let in-flight workers finish before surfacing the outcome.
+            self._dispatch()
         except BaseException as exc:  # interrupt: stop feeding, don't block
             with self._lock:
                 if self._failure is None:
                     self._failure = exc
-            # wait=False: in-flight jobs may sit in minutes-long subprocess
-            # waits; the caller reaps those (RuntimeContext.terminate_processes)
-            # and the workers then drain on their own threads.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            if self._pool is not None:
+                # wait=False: in-flight jobs may sit in minutes-long subprocess
+                # waits; the caller reaps those (RuntimeContext.terminate_processes)
+                # and the workers then drain on their own threads.
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
             raise
-        self._pool.shutdown(wait=True)
-        self._pool = None
+        if self._pool is not None:
+            # Let in-flight workers finish before surfacing the outcome.
+            self._pool.shutdown(wait=True)
+            self._pool = None
         if self._failure is not None:
             raise self._failure
         self._check_drained()
 
-    def _worker(self, node_id: str) -> None:
-        node = self._nodes[node_id]
-        expansion: Optional[Expansion] = None
-        failure: Optional[BaseException] = None
+    # ---------------------------------------------------------------- dispatch
+
+    def _dispatch(self) -> None:
+        """The dispatch loop: pop ready nodes, highest priority first, and
+        run each one's inline segment; wait only while the pool is full or
+        nothing is ready."""
+        while True:
+            with self._lock:
+                while True:
+                    if self._failure is not None or not self._pending:
+                        return
+                    if self._ready and self._inflight < self.max_workers:
+                        break
+                    if not self._inflight:
+                        return  # stalled; reported by _check_drained
+                    self._event.wait()
+                node_id = self._pop()
+                self._set_state(node_id, NODE_RUNNING)
+            self._step(node_id)
+
+    def _step(self, node_id: str) -> None:
+        """Run one node on this thread up to its first yield; a node that
+        yielded continues on the pool (or, serially, right here)."""
         try:
-            expansion = self.execute(node)
-        except BaseException as exc:  # noqa: BLE001 — re-raised by run()
-            failure = exc
+            continuation = self.execute(self._nodes[node_id])
+            if not self.parallel:
+                expansion = finish(continuation)
+            else:
+                try:
+                    next(continuation)
+                except StopIteration as done:
+                    expansion = done.value
+                else:
+                    self._hand_off(node_id, continuation)
+                    return
+        except BaseException as exc:  # noqa: BLE001 — classified below
+            self._finished(node_id, failure=exc)
+            if not isinstance(exc, Exception):
+                raise  # an interrupt unwinds the dispatcher
+            return
+        self._finished(node_id, expansion)
+
+    def _hand_off(self, node_id: str, continuation: Continuation[Any]) -> None:
         with self._lock:
-            self._inflight -= 1
+            self._inflight += 1
+        if self._pool is None:
+            self._pool = cf.ThreadPoolExecutor(max_workers=self.max_workers,
+                                               thread_name_prefix="cwl-dag")
+        self._pool.submit(self._worker, node_id, continuation)
+
+    def _worker(self, node_id: str, continuation: Continuation[Any]) -> None:
+        """A pool thread: run the rest of a node that yielded."""
+        try:
+            expansion = finish(continuation)
+        except BaseException as exc:  # noqa: BLE001 — re-raised by run()
+            self._finished(node_id, failure=exc, pooled=True)
+        else:
+            self._finished(node_id, expansion, pooled=True)
+
+    def _finished(self, node_id: str, expansion: Optional[Expansion] = None,
+                  failure: Optional[BaseException] = None, pooled: bool = False) -> None:
+        """Record how a node ended; a pool thread also wakes the dispatcher."""
+        with self._lock:
+            if pooled:
+                self._inflight -= 1
             try:
                 if failure is not None:
                     self._node_failed_locked(node_id, failure)
                 elif self._failure is None:
                     self._complete(node_id, expansion)
-                if self._failure is None:
-                    self._dispatch()
             except BaseException as exc:  # noqa: BLE001 — bookkeeping fault
                 # A bug in completion bookkeeping (e.g. a malformed dynamic
                 # expansion) must surface as the run's failure — swallowing it
-                # here would leave run() blocked in _event.wait() forever.
+                # here would leave the dispatcher waiting forever.
                 if self._failure is None:
                     self._failure = exc
-            finally:
-                self._event.notify_all()
-
-    def _dispatch(self) -> None:
-        """Submit ready nodes, highest priority first, up to the worker cap."""
-        while self._ready and self._inflight < self.max_workers and self._failure is None:
-            node_id = self._pop()
-            self._set_state(node_id, NODE_RUNNING)
-            self._inflight += 1
-            self._pool.submit(self._worker, node_id)
+            if pooled:
+                self._event.notify()
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -223,16 +257,17 @@ class GraphScheduler:
         self._set_state(node_id, NODE_DONE)
 
     def _node_failed_locked(self, node_id: str, exc: BaseException) -> None:
-        """Record a node failure (caller holds the lock in parallel mode).
+        """Record a node failure (the caller holds the lock).
 
         ``on_error="stop"``: the exception becomes the run's failure and
         aborts the DAG.  ``on_error="continue"``: the failure poisons only the
         node's transitive successors — each is marked ``skipped`` and removed
-        from the schedule — while every independent branch keeps running.
+        from the schedule — while every independent branch keeps running.  An
+        interrupt aborts the DAG under either policy.
         """
         self.failures[node_id] = exc
         self._set_state(node_id, NODE_FAILED)
-        if self.on_error != "continue":
+        if self.on_error != "continue" or not isinstance(exc, Exception):
             if self._failure is None:
                 self._failure = exc
             return
@@ -305,17 +340,18 @@ class GraphScheduler:
 
 
 class _CallableStageExecutor:
-    """Adapt a plain :data:`NodeExecutor` to the three-stage protocol.
+    """Adapt a :data:`NodeExecutor` to the three-stage protocol.
 
-    The whole node runs in the exec lane; stage and collect are no-ops and
-    nothing is tiny.  Used when :class:`PipelineScheduler` is handed a bare
-    callable instead of a stage executor.
+    The whole node runs in the exec lane, its continuation driven to the end
+    there; stage and collect are no-ops and nothing is tiny.  Used when
+    :class:`PipelineScheduler` is handed a bare callable instead of a stage
+    executor.
     """
 
     __slots__ = ("_execute",)
 
     def __init__(self, execute: NodeExecutor) -> None:
-        self._execute = execute
+        self._execute = as_continuation(execute)
 
     def is_tiny(self, node: GraphNode) -> bool:
         return False
@@ -324,7 +360,7 @@ class _CallableStageExecutor:
         return None
 
     def execute(self, node: GraphNode, staged: Any) -> Any:
-        return self._execute(node)
+        return finish(self._execute(node))
 
     def collect(self, node: GraphNode, staged: Any, result: Any) -> Optional[Expansion]:
         return result

@@ -18,14 +18,18 @@ number of live worker threads never exceeds ``max_workers``.
 The engine is the one interpreter of workflow wiring for all four engines and
 is runner-agnostic: the actual execution of a step's process is delegated to a
 ``process_runner`` callable, which receives the resolved process, the step's
-job order and the runtime context and returns the output object.  The
-cwltool-like and Toil-like runners run the process and return its outputs; the
-Parsl bridge (:mod:`repro.core.workflow_bridge`) runs the engine inline
-(``parallel=False``, on the submitting thread) with a runner that submits the
-step's ``CWLApp`` and returns its output *futures*.  Its subclass overrides
-two hooks that default to the identity, :meth:`WorkflowEngine._expression_inputs`
-(what an expression sees for a value) and :meth:`WorkflowEngine._plan_scatter`
-(where a scatter can be refused).  The engine handles:
+job order and the runtime context and returns the output object, or a
+continuation (:mod:`repro.utils.continuation`) whose value it is.  Step and
+shard nodes ``yield from`` it, so the runner decides where a node blocks: the
+cwltool-like and Toil-like runners yield only when a job misses the cache and
+must spawn or be issued, so a hit finishes on the dispatching thread.  A plain
+callable is all blocking segment.  The Parsl bridge
+(:mod:`repro.core.workflow_bridge`) runs the engine inline (``parallel=False``,
+on the submitting thread) with a runner that submits the step's ``CWLApp`` and
+returns its output *futures*.  Its subclass overrides two hooks that default
+to the identity, :meth:`WorkflowEngine._expression_inputs` (what an expression
+sees for a value) and :meth:`WorkflowEngine._plan_scatter` (where a scatter can
+be refused).  The engine handles:
 
 * gathering step inputs from workflow inputs and upstream step outputs
   (including ``MultipleInputFeatureRequirement`` merging and defaults),
@@ -66,12 +70,15 @@ from repro.cwl.scatter import ScatterPlan, build_scatter_jobs, nest_outputs
 from repro.cwl.scheduler import Expansion, GraphScheduler, PipelineScheduler
 from repro.cwl.schema import ExpressionTool, Process, Workflow, WorkflowStep
 from repro.cwl.types import coerce_file_inputs
+from repro.utils.continuation import Continuation, as_continuation, finish
 from repro.utils.logging_config import get_logger
 
 logger = get_logger("cwl.workflow")
 
-#: Signature of the callable that actually runs one process invocation.
-ProcessRunner = Callable[[Process, Dict[str, Any], RuntimeContext], Dict[str, Any]]
+#: Signature of the callable that actually runs one process invocation: a
+#: plain callable returning the output object, or a function making a
+#: continuation that returns it.
+ProcessRunner = Callable[[Process, Dict[str, Any], RuntimeContext], Any]
 
 
 @dataclass
@@ -136,14 +143,14 @@ class _PipelinedNodeExecutor:
         if staged is not None:  # heavy STEP
             if staged.skipped:
                 return None
-            return engine.process_runner(staged.process, staged.inputs,
-                                         engine.runtime_context)
+            return finish(engine.process_runner(staged.process, staged.inputs,
+                                                engine.runtime_context))
         if node.kind == SHARD and not engine._is_skipped(node.scope):
             process, job = node.payload
-            return engine.process_runner(process, job, engine.runtime_context)
+            return finish(engine.process_runner(process, job, engine.runtime_context))
         # Tiny kinds (and skipped scopes) take the thread-pool core's exact
         # dispatch path, so the two cores cannot diverge on plumbing.
-        return engine._execute_node(node)
+        return finish(engine._execute_node(node))
 
     def collect(self, node: GraphNode, staged: Optional[_StagedStep],
                 result: Any) -> Optional[Expansion]:
@@ -170,7 +177,7 @@ class WorkflowEngine:
         evaluator_for: Callable[[Process], Any] = precompile_process,
     ) -> None:
         self.workflow = workflow
-        self.process_runner = process_runner
+        self.process_runner = as_continuation(process_runner)
         self.runtime_context = runtime_context or RuntimeContext()
         self.parallel = parallel
         self.max_workers = max_workers
@@ -276,17 +283,22 @@ class WorkflowEngine:
     def _is_skipped(self, scope: str) -> bool:
         return any(scope.startswith(skipped) for skipped in self._skipped_scopes)
 
-    def _execute_node(self, node: GraphNode) -> Optional[Expansion]:
+    def _execute_node(self, node: GraphNode) -> Continuation[Optional[Expansion]]:
+        """The node's continuation (its value: an optional :class:`Expansion`).
+
+        Only step and shard nodes can yield, where their process runner does;
+        every other kind, and any node of a skipped scope, returns at once.
+        """
         if node.kind == EGRESS:
             return self._execute_egress(node)
         if self._is_skipped(node.scope):
             return None
         if node.kind == STEP:
-            return self._execute_step_node(node)
+            return (yield from self._execute_step_node(node))
         if node.kind == SCATTER:
             return self._execute_scatter_node(node)
         if node.kind == SHARD:
-            return self._execute_shard_node(node)
+            return (yield from self._execute_shard_node(node))
         if node.kind == GATHER:
             return self._execute_gather_node(node)
         if node.kind == INGRESS:
@@ -295,10 +307,10 @@ class WorkflowEngine:
 
     # ------------------------------------------------------------- plain steps
 
-    def _execute_step_node(self, node: GraphNode) -> None:
+    def _execute_step_node(self, node: GraphNode) -> Continuation[None]:
         staged = self._stage_step(node)
-        outputs = None if staged.skipped else self.process_runner(
-            staged.process, staged.inputs, self.runtime_context)
+        outputs = None if staged.skipped else (yield from self.process_runner(
+            staged.process, staged.inputs, self.runtime_context))
         self._collect_step(node, staged, outputs)
 
     def _stage_step(self, node: GraphNode) -> _StagedStep:
@@ -407,9 +419,9 @@ class WorkflowEngine:
         return Expansion(nodes=list(builder.nodes.values()), preds=builder.preds,
                          retarget=gather_id)
 
-    def _execute_shard_node(self, node: GraphNode) -> None:
+    def _execute_shard_node(self, node: GraphNode) -> Continuation[None]:
         process, job = node.payload
-        outputs = self.process_runner(process, job, self.runtime_context)
+        outputs = yield from self.process_runner(process, job, self.runtime_context)
         for out_id in node.step.out:
             self._store(f"{node.id}/{out_id}", outputs.get(out_id))
 

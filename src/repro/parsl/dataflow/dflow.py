@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.parsl.config import Config
@@ -56,6 +56,8 @@ class DataFlowKernel:
         self.tasks: Dict[int, TaskRecord] = {}
         self._finished_counts: Counter = Counter()
         self._task_id = RunIdGenerator()
+        #: Tasks with a lower id never launch (see :meth:`cancel_unstarted`).
+        self._cancelled_below = 0
         self._tasks_changed = threading.Condition()
         self._shutdown = False
 
@@ -161,8 +163,12 @@ class DataFlowKernel:
         """Launch ``record`` onto an executor, or fail it if a dependency failed.
 
         Called once per record: by :meth:`submit` when there is nothing to wait
-        for, otherwise by the last dependency to finish.
+        for, otherwise by the last dependency to finish.  A task submitted
+        before :meth:`cancel_unstarted` fails instead.
         """
+        if record.id < self._cancelled_below:
+            self._finish(record, States.failed, exception=_cancelled(record))
+            return
         dep_errors = [e for e in (d.exception() for d in record.depends) if e is not None]
         if dep_errors:
             self._finish(record, States.dep_fail,
@@ -177,6 +183,7 @@ class DataFlowKernel:
             logger.exception("task %s could not be launched", record.id)
             self._finish(record, States.failed, exception=exc)
             return
+        record.exec_future = exec_future
         exec_future.add_done_callback(lambda fut, rec=record: self._handle_exec_done(rec, fut))
 
     def _executor_for(self, label: str):
@@ -223,6 +230,9 @@ class DataFlowKernel:
     # ------------------------------------------------------------ completion
 
     def _handle_exec_done(self, record: TaskRecord, exec_future: Future) -> None:
+        if exec_future.cancelled():
+            self._finish(record, States.failed, exception=_cancelled(record))
+            return
         exc = exec_future.exception()
         if exc is not None:
             self._finish(record, States.failed, exception=exc)
@@ -285,6 +295,7 @@ class DataFlowKernel:
         finally:
             with self._tasks_changed:
                 del self.tasks[record.id]
+                record.exec_future = None  # the AppFuture keeps the record alive
                 self._finished_counts[state.name] += 1
                 self._tasks_changed.notify_all()
 
@@ -304,6 +315,25 @@ class DataFlowKernel:
                 raise TimeoutError(
                     f"{len(waiting_for.intersection(self.tasks))} task(s) still running "
                     f"after {timeout} s")
+
+    def cancel_unstarted(self) -> None:
+        """Fail every task submitted so far that has not started running.
+
+        For an interrupted run, whose kernel is about to be cleared: clearing
+        waits for every task, so a task still waiting for its dependencies, or
+        queued behind the running ones, would otherwise start then.  A waiting
+        task fails when it would launch.  A queued one is withdrawn when its
+        executor can tell queued from running (:meth:`ParslExecutor.withdraw`).
+        Both fail with :class:`~concurrent.futures.CancelledError`.  Running
+        tasks, and one being launched at this moment, are left to the caller,
+        which reaps their commands.
+        """
+        self._cancelled_below = self._task_id.peek()
+        with self._tasks_changed:
+            launched = [(record.executor, record.exec_future)
+                        for record in self.tasks.values() if record.exec_future is not None]
+        for executor, future in launched:
+            self._executor_for(executor).withdraw(future)
 
     def task_summary(self) -> Dict[str, int]:
         """Counts of tasks per state name, finished and unfinished alike."""
@@ -330,6 +360,11 @@ class DataFlowKernel:
 
     def __exit__(self, *_exc_info: Any) -> None:
         self.cleanup()
+
+
+def _cancelled(record: TaskRecord) -> CancelledError:
+    return CancelledError(f"task {record.id} ({record.func_name}) was cancelled "
+                          "before it started")
 
 
 class DataFlowKernelLoader:

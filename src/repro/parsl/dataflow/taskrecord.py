@@ -29,4 +29,6 @@ class TaskRecord:
     status: States = States.unsched
     depends: List[Future] = field(default_factory=list)
     app_future: Optional[Any] = None   # AppFuture (typed loosely to avoid cycles)
+    #: The executor's future while the task is launched and not finished.
+    exec_future: Optional[Future] = None
     resource_spec: Dict[str, Any] = field(default_factory=dict)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.utils.errors import PicklableError
 
-class ParslError(Exception):
-    """Base class for all errors raised by :mod:`repro.parsl`."""
+
+class ParslError(PicklableError):
+    """Base class for all errors raised by :mod:`repro.parsl`; each one
+    survives a pickle round trip (HTEX returns task errors pickled)."""
 
 
 class ConfigurationError(ParslError):

@@ -37,6 +37,10 @@ class ParslExecutor(ABC):
     def shutdown(self) -> None:
         """Release all resources.  Must be idempotent."""
 
+    def withdraw(self, future: Future) -> None:
+        """Take a submitted task back if it has not started running; its
+        future is then cancelled.  By default nothing can be withdrawn."""
+
     # ------------------------------------------------------------- optional
 
     def scale_out(self, blocks: int = 1) -> int:

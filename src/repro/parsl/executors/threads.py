@@ -51,6 +51,10 @@ class ThreadPoolExecutor(ParslExecutor):
         future.add_done_callback(_done)
         return future
 
+    def withdraw(self, future: cf.Future) -> None:
+        """A task still queued for a thread leaves the queue."""
+        future.cancel()
+
     def outstanding(self) -> int:
         with self._lock:
             return self._outstanding

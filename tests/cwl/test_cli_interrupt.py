@@ -162,3 +162,75 @@ def test_interrupt_tears_down_and_leaves_a_resumable_run(staged_run, signum):
     outputs = json.loads(out)
     with open(outputs["count"]["path"]) as handle:
         assert handle.read().strip() == "13"  # wc -c of "interrupt me\n"
+
+
+#: Its own sleep duration, so the reap check sees only this test's tools.
+QUEUED_MARKER = "28737"
+
+
+def two_sleepers_workflow() -> dict:
+    """Two independent steps; each touches its start marker, then sleeps."""
+    tool = {"class": "CommandLineTool",
+            "baseCommand": ["sh", "-c", f'touch "$1"; sleep {QUEUED_MARKER}', "sh"],
+            "inputs": {"marker": {"type": "string", "inputBinding": {"position": 1}}},
+            "outputs": {"out": "stdout"}}
+    return {
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {"first": "string", "second": "string"},
+        "outputs": {"a": {"type": "File", "outputSource": "a/out"},
+                    "b": {"type": "File", "outputSource": "b/out"}},
+        "steps": {name: {"run": dict(tool, id=f"{name}-tool", stdout=f"{name}.txt"),
+                         "in": {"marker": source}, "out": ["out"]}
+                  for name, source in (("a", "first"), ("b", "second"))},
+    }
+
+
+def queued_sleeper_pids() -> list:
+    pids = []
+    for proc_dir in glob.glob("/proc/[0-9]*"):
+        try:
+            with open(os.path.join(proc_dir, "cmdline"), "rb") as handle:
+                cmdline = handle.read().split(b"\0")
+        except OSError:
+            continue
+        if b"sleep" in cmdline and QUEUED_MARKER.encode() in cmdline:
+            pids.append(int(os.path.basename(proc_dir)))
+    return pids
+
+
+def test_interrupted_parsl_cwl_cancels_the_task_queued_behind_the_running_one(tmp_path):
+    """On a one-thread kernel the second step waits in the executor's queue.
+    SIGTERM while the first runs: the queued one must never start (its marker
+    is never made), and clearing the kernel then waits for nothing."""
+    config = tmp_path / "one_thread.yml"
+    config.write_text("executor: thread-pool\nmax_threads: 1\n")
+    doc = tmp_path / "wf.cwl"
+    doc.write_text(json.dumps(two_sleepers_workflow()))
+    markers = [tmp_path / "first.started", tmp_path / "second.started"]
+    order = tmp_path / "job.json"
+    order.write_text(json.dumps({"first": str(markers[0]), "second": str(markers[1])}))
+    stub = ("import sys; from repro.core.cli import main; "
+            f"sys.exit(main([{str(config)!r}] + sys.argv[1:]))")
+    env = dict(os.environ,
+               PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with subprocess.Popen([sys.executable, "-c", stub, str(doc), str(order)],
+                          env=env, cwd=str(tmp_path), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            wait_for(lambda: any(marker.exists() for marker in markers)
+                     and queued_sleeper_pids(), message="the first step's sleep")
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=30)
+            deadline = time.monotonic() + 10
+            while queued_sleeper_pids() and time.monotonic() < deadline:
+                time.sleep(0.1)
+            leftover = queued_sleeper_pids()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            for pid in queued_sleeper_pids():
+                os.kill(pid, signal.SIGKILL)
+
+    assert proc.returncode == 130, stderr
+    assert sum(marker.exists() for marker in markers) == 1, "the queued step started"
+    assert leftover == [], "a tool outlived the interrupted run"

@@ -22,6 +22,7 @@ from repro.cwl.retry import (
     NEVER_RETRY_EXIT_CLASSES,
     RetryPolicy,
     execute_with_retries,
+    retrying,
 )
 
 
@@ -148,6 +149,34 @@ def test_fault_plan_consulted_before_each_attempt():
     assert result == "ok"
     assert ran == [3]  # attempts 1-2 faulted before fn ever ran
     assert [(j, a) for j, a, _ in plan.injected] == [("job", 1), ("job", 2)]
+
+
+def test_the_loop_yields_before_every_sleep_and_follows_a_yielding_attempt():
+    """A delay fault and a backoff are blocking points: the loop yields
+    before each, so whoever drives it can move the rest off its thread."""
+    slept = []
+    plan = FaultPlan(specs=(FaultSpec(job="job", action="delay", delay_s=0.5),
+                            FaultSpec(job="job", exit_code=7)),
+                     _sleep=slept.append)
+    policy = RetryPolicy(max_attempts=2, backoff_s=0.2, jitter=0,
+                         retryable_exit_codes=(7,))
+
+    def attempt(n):
+        slept.append(f"attempt {n}")
+        yield
+        return n
+
+    loop = retrying(attempt, policy=policy, job="job", fault_plan=plan,
+                    sleep=slept.append)
+    next(loop)
+    assert slept == []                           # yielded before the delay fault
+    next(loop)
+    assert slept == [0.5]                        # the fault failed; yielded before backoff
+    next(loop)
+    assert slept == [0.5, 0.2, "attempt 2"]      # attempt 2 yields where it blocks
+    with pytest.raises(StopIteration) as done:
+        next(loop)
+    assert done.value.value == 2
 
 
 def test_sleep_receives_the_deterministic_schedule():

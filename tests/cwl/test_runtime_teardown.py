@@ -81,3 +81,34 @@ def test_child_contexts_share_teardown_tracking(tmp_path):
     scratch = child.make_tmpdir()
     parent.close()
     assert not os.path.exists(scratch)
+
+
+def test_making_and_pruning_scratch_dirs_race_without_losing_the_parent(tmp_path):
+    """One job's cleanup prunes the empty ``tmpdir_prefix`` parent the context
+    made, while another job makes its scratch directory there: the make must
+    never find the parent gone."""
+    import sys
+
+    context = RuntimeContext(tmpdir_prefix=str(tmp_path / "scratch" / "cwl-tmp-"))
+    errors = []
+
+    def churn():
+        try:
+            for _ in range(200):
+                context.cleanup_dir(context.make_tmpdir())
+        except OSError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    assert not (tmp_path / "scratch").exists()

@@ -260,3 +260,41 @@ def test_submit_after_cleanup_rejected(tmp_path, monkeypatch):
 
     with pytest.raises((DataFlowKernelShutdownError, NoDataFlowKernelError)):
         dfk.submit(lambda: 1, (), {})
+
+
+def test_cancel_unstarted_fails_waiting_and_queued_tasks_only(tmp_path):
+    """One thread: ``blocker`` runs, ``queued`` waits for the thread and
+    ``dependent`` for ``blocker``.  Cancelling leaves ``blocker`` alone; the
+    other two never run, even though ``blocker`` then succeeds."""
+    import threading
+    from concurrent.futures import CancelledError
+
+    started, gate, ran = threading.Event(), threading.Event(), []
+
+    @python_app
+    def blocker():
+        started.set()
+        gate.wait(30)
+        return "blocked"
+
+    @python_app
+    def record(name, _after=None):
+        ran.append(name)
+
+    dfk = repro.load(repro.thread_config(max_threads=1, run_dir=str(tmp_path / "runinfo")))
+    try:
+        first = blocker()
+        queued = record("queued")
+        dependent = record("dependent", first)
+        assert started.wait(30)
+        dfk.cancel_unstarted()
+        gate.set()
+        assert first.result() == "blocked"
+        for future in (queued, dependent):
+            with pytest.raises(CancelledError):
+                future.result(timeout=30)
+        dfk.wait_for_current_tasks(timeout=30)
+        assert ran == []
+    finally:
+        gate.set()
+        repro.clear()

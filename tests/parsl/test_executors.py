@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.parsl.errors import BashExitFailure
 from repro.parsl.executors.high_throughput.executor import HighThroughputExecutor
 from repro.parsl.executors.processes import ProcessPoolExecutor
 from repro.parsl.executors.threads import ThreadPoolExecutor
@@ -110,6 +111,18 @@ def test_htex_runs_tasks_in_worker_processes(htex):
 def test_htex_task_exception_propagates(htex):
     with pytest.raises(RuntimeError, match="executor task failure"):
         htex.submit(boom, {}).result()
+
+
+def exit_like_a_failing_bash_app():
+    raise BashExitFailure("false_app", 3, "false")
+
+
+def test_htex_returns_a_bash_exit_failure_as_itself(htex):
+    """The worker pickles the task's exception; it must come back whole."""
+    with pytest.raises(BashExitFailure) as failure:
+        htex.submit(exit_like_a_failing_bash_app, {}).result()
+    assert (failure.value.app_name, failure.value.exitcode, failure.value.command) \
+        == ("false_app", 3, "false")
 
 
 def test_htex_tasks_really_use_other_processes(htex):
