@@ -18,11 +18,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
 from repro.cwl.expressions.compiler import precompile_process
-from repro.cwl.jobcache import canonical_command
+from repro.cwl.jobcache import (DEFERRED, INLINE_HASH_BYTES, canonical_command,
+                                device_of, unhashed_bytes)
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, signal_job_process
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import coerce_file_inputs, matches
+from repro.utils.continuation import Continuation
 from repro.utils.environment import subprocess_environment
 from repro.utils.logging_config import get_logger
 
@@ -118,8 +120,10 @@ class CommandLineJob:
     #: (:meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`); by default
     #: the tool's own compiled evaluator.
     evaluator_for: Callable[[CommandLineTool], Any] = precompile_process
-    #: The probe a :meth:`cached_result` miss found, ``(context, cache, key,
-    #: None)``, kept for the :meth:`stage_execution` that follows.
+    #: The probe a :meth:`cached_result` miss (entry ``None``) or deferral
+    #: (entry :data:`~repro.cwl.jobcache.DEFERRED`) found, ``(context, cache,
+    #: key, entry)``, kept for the :meth:`cached_result` or
+    #: :meth:`stage_execution` that follows.
     _missed_probe: Optional[Tuple[RuntimeContext, Any, Optional[str], Any]] = field(
         default=None, init=False, repr=False)
 
@@ -173,19 +177,24 @@ class CommandLineJob:
                 f"job order for tool {self.tool.id!r} is invalid: " + "; ".join(problems)
             )
 
-    def _probe_cache(self) -> Tuple[RuntimeContext, Any, Optional[str], Any]:
+    def _probe_cache(self, verify_limit: Optional[int] = None
+                     ) -> Tuple[RuntimeContext, Any, Optional[str], Any]:
         """Validate the job order, then key it and probe the job cache.
 
         The one way into the cache for :meth:`stage_execution` and
         :meth:`cached_result`; the lookup is not counted, the caller records
         its outcome.  A probe that :meth:`cached_result` missed is taken
-        instead, once, so an attempt validates, keys and looks up once.
+        instead, once, so an attempt validates, keys and looks up once; a
+        deferred one is looked up again under the same key, unlimited.
         Touches no directory of the job: what a hit or a miss needs on disk
         is decided by the caller afterwards.  Returns ``(resourced context,
         cache, key, entry)``; the last three are ``None`` when caching is off.
         """
         if self._missed_probe is not None:
             probe, self._missed_probe = self._missed_probe, None
+            context, cache, key, entry = probe
+            if entry is DEFERRED:
+                return context, cache, key, cache.lookup(key, record=False)
             return probe
         self._require_valid_inputs()
         context = self.runtime_context.with_resources(self.tool)
@@ -193,14 +202,51 @@ class CommandLineJob:
         if cache is None:
             return context, None, None, None
         key = context.cache_key(self.tool, self.job_order)
-        return context, cache, key, cache.lookup(key, record=False)
+        return context, cache, key, cache.lookup(key, record=False,
+                                                 verify_limit=verify_limit)
 
     def _make_job_dir(self) -> str:
         return self.runtime_context.make_job_dir(
             name=(self.tool.id or "tool").replace("/", "_") or "tool"
         )
 
-    def cached_result(self) -> Optional[JobResult]:
+    def probe_stays_inline(self, *devices: int) -> bool:
+        """Whether keying this job and staging a hit touch file metadata
+        only, as far as can be seen before the probe.
+
+        True when keying reads at most ``INLINE_HASH_BYTES`` of input not
+        hashed yet, and a hit hardlinks its files instead of copying them:
+        the job cache, and every store a hit is staged into (``devices``,
+        the Toil job store's), is on the device of the job directories.
+        """
+        cache = self.runtime_context.get_job_cache()
+        if cache is None:
+            return True
+        device = device_of(self.runtime_context.job_dir_base())
+        return (all(store == device for store in (cache.device, *devices))
+                and unhashed_bytes(self.job_order) <= INLINE_HASH_BYTES)
+
+    def restore_if_cached(self, *devices: int) -> Continuation[Optional[JobResult]]:
+        """:meth:`cached_result` as a continuation: it yields before the
+        probe reads or copies file bodies, so only metadata work stays on the
+        thread that dispatches workflow nodes.
+
+        It yields before probing when :meth:`probe_stays_inline` says no,
+        and before checking a hit whose bodies not yet hashed in this process
+        exceed ``INLINE_HASH_BYTES``.  Hashing and copying release the GIL,
+        so after the yield a pool thread does them in parallel with the rest
+        of the run.  ``devices`` are the stores a hit is also staged into.
+        """
+        if not self.probe_stays_inline(*devices):
+            yield
+            return self.cached_result()
+        cached = self.cached_result(verify_limit=INLINE_HASH_BYTES)
+        if cached is DEFERRED:
+            yield
+            cached = self.cached_result()
+        return cached
+
+    def cached_result(self, verify_limit: Optional[int] = None) -> Optional[JobResult]:
         """Probe the job cache without executing anything; restore on a hit.
 
         Lets runners short-circuit *before* anything blocks: both runners
@@ -212,12 +258,15 @@ class CommandLineJob:
         where the restored files live — and no scratch directory.  A miss
         makes nothing and is not counted here: the probe stays on the job,
         and the :meth:`execute` that follows takes it and records the miss.
+        With ``verify_limit``, a hit whose bodies would read more than that to
+        check returns :data:`~repro.cwl.jobcache.DEFERRED` instead, and the
+        next call finishes the probe under the same key.
         """
-        probe = self._probe_cache()
+        probe = self._probe_cache(verify_limit)
         context, cache, _key, entry = probe
-        if entry is None:
+        if entry is None or entry is DEFERRED:
             self._missed_probe = probe
-            return None
+            return entry
         cache.record(entry)
         outdir = self._make_job_dir()
         return self._restore_from_cache(

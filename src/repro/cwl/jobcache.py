@@ -236,6 +236,69 @@ def file_fingerprint(path: str) -> str:
     return digest
 
 
+#: Bytes a job-cache probe may hash on the thread that dispatches workflow
+#: nodes, for its inputs and again for a hit's bodies (see
+#: :meth:`~repro.cwl.job.CommandLineJob.restore_if_cached`).  sha1 reads
+#: about 0.9 GB/s on one core, so this is about 0.3 ms of hashing, the order
+#: of one hand-off to the scheduler's pool; hashing releases the GIL, so past
+#: it a pool thread hashes in parallel with the rest of the run.
+INLINE_HASH_BYTES = 256 * 1024
+
+#: What :meth:`JobCache.lookup` returns instead of an entry when checking the
+#: entry's bodies would read more than its ``verify_limit``.
+DEFERRED = type("Deferred", (), {"__repr__": lambda self: "DEFERRED"})()
+
+
+def unhashed_bytes(value: Any) -> int:
+    """How many bytes keying ``value`` (a job order, or part of one) would
+    read: the sizes of its ``File`` and ``Directory`` inputs whose content
+    :func:`file_fingerprint` has not memoized.  One ``os.stat`` per file;
+    nothing is read."""
+    if isinstance(value, dict):
+        cls = value.get("class")
+        if cls == "File":
+            return _unhashed_file_bytes(value.get("path"))
+        if cls == "Directory":
+            path = value.get("path")
+            if not path or not os.path.isdir(path):
+                return 0
+            return sum(_unhashed_file_bytes(os.path.join(root, name))
+                       for root, _dirs, files in os.walk(path) for name in files)
+        return sum(unhashed_bytes(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(unhashed_bytes(item) for item in value)
+    return 0
+
+
+def device_of(path: str) -> Optional[int]:
+    """The ``st_dev`` of ``path``, or of its nearest existing ancestor (the
+    device ``os.makedirs`` would make it on); ``None`` when unreadable."""
+    path = os.path.abspath(path)
+    while True:
+        try:
+            return os.stat(path).st_dev
+        except FileNotFoundError:
+            parent = os.path.dirname(path)
+            if parent == path:
+                return None
+            path = parent
+        except OSError:
+            return None
+
+
+def _unhashed_file_bytes(path: Optional[str]) -> int:
+    if not path:
+        return 0
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return 0
+    memo_key = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    if stat.st_ino and memo_key in _FILE_HASH_MEMO:
+        return 0
+    return stat.st_size
+
+
 def directory_fingerprint(path: str) -> str:
     """A stable fingerprint of a directory tree (names + file contents)."""
     entries: List[Tuple[str, str]] = []
@@ -416,6 +479,9 @@ class JobCache:
         self.cas_dir = os.path.join(self.cache_dir, "cas")
         os.makedirs(self.entries_dir, exist_ok=True)
         os.makedirs(self.cas_dir, exist_ok=True)
+        #: The store's ``st_dev``: a restore into a directory on another
+        #: device copies every byte instead of hardlinking.
+        self.device = os.stat(self.cas_dir).st_dev
         self.stats = CacheStats()
         self._stats_lock = threading.Lock()
 
@@ -427,14 +493,24 @@ class JobCache:
     def _cas_path(self, cas_id: str) -> str:
         return os.path.join(self.cas_dir, cas_id)
 
-    def lookup(self, key: str, record: bool = True) -> Optional[CacheEntry]:
+    def lookup(self, key: str, record: bool = True,
+               verify_limit: Optional[int] = None) -> Optional[CacheEntry]:
         """Load and validate the manifest for ``key``; records hit/miss stats.
 
         A manifest whose CAS bodies have gone missing (a partially deleted
         store) is treated as a miss, so the entry is transparently re-created
-        by the run that follows.
+        by the run that follows.  With ``verify_limit``, an entry whose
+        bodies not yet hashed in this process add up to more bytes than that
+        is not checked: the lookup returns :data:`DEFERRED` and records
+        nothing.
         """
         entry = self._load_entry(key)
+        if entry is not None:
+            if verify_limit is not None and verify_limit < sum(
+                    _unhashed_file_bytes(self._cas_path(spec.get("cas", "")))
+                    for spec in entry.files.values()):
+                return DEFERRED
+            entry = self._checked(entry)
         if record:
             self.record(entry)
         return entry
@@ -465,6 +541,7 @@ class JobCache:
                            path, reason, exc_info=True)
 
     def _load_entry(self, key: str) -> Optional[CacheEntry]:
+        """The manifest for ``key``, parsed; its bodies are not checked."""
         path = self._entry_path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -478,8 +555,20 @@ class JobCache:
             return None
         if data.get("version") != MANIFEST_VERSION:
             return None
-        files = dict(data.get("files") or {})
-        for spec in files.values():
+        return CacheEntry(
+            key=key,
+            fingerprint=data.get("fingerprint", key),
+            files=dict(data.get("files") or {}),
+            dirs=list(data.get("dirs") or []),
+            streams=dict(data.get("streams") or {}),
+            exit_code=int(data.get("exit_code", 0)),
+            command=dict(data.get("command") or {}),
+        )
+
+    def _checked(self, entry: CacheEntry) -> Optional[CacheEntry]:
+        """``entry`` if every body is intact; else quarantine it, ``None``."""
+        path = self._entry_path(entry.key)
+        for spec in entry.files.values():
             body = self._cas_path(spec.get("cas", ""))
             # A missing, truncated or bit-flipped body (e.g. a shared file
             # later rewritten in place) quarantines the entry rather than
@@ -490,24 +579,16 @@ class JobCache:
             try:
                 if file_fingerprint(body) != spec.get("cas"):
                     if os.path.getsize(body) != int(spec.get("size", -1)):
-                        self._quarantine(body, f"size mismatch for entry {key}")
+                        self._quarantine(body, f"size mismatch for entry {entry.key}")
                         self._quarantine(path, "stale CAS body")
                     else:
-                        self._quarantine(body, f"content mismatch for entry {key}")
+                        self._quarantine(body, f"content mismatch for entry {entry.key}")
                         self._quarantine(path, "corrupt CAS body")
                     return None
             except OSError:
                 self._quarantine(path, f"missing CAS body {os.path.basename(body)}")
                 return None
-        return CacheEntry(
-            key=key,
-            fingerprint=data.get("fingerprint", key),
-            files=files,
-            dirs=list(data.get("dirs") or []),
-            streams=dict(data.get("streams") or {}),
-            exit_code=int(data.get("exit_code", 0)),
-            command=dict(data.get("command") or {}),
-        )
+        return entry
 
     # ----------------------------------------------------------------- restore
 

@@ -19,8 +19,11 @@ paper's contribution.
 Running a job is a continuation (:mod:`repro.utils.continuation`).  Each
 attempt injects its fault, probes the job cache, and yields only on a miss,
 before it spawns or is issued.  A hit is restored without yielding, so in a
-workflow it completes on the dispatching thread.  The missed probe stays on
-the job (``CommandLineJob._missed_probe``), so each attempt is keyed once.
+workflow it completes on the dispatching thread.  That holds while a probe
+touches metadata only: an attempt whose probe would hash large inputs or a
+large hit's bodies, or copy a hit's files across devices, yields first
+(``CommandLineJob.restore_if_cached``).  The missed probe stays on the job
+(``CommandLineJob._missed_probe``), so each attempt is keyed once.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ This runner mirrors how ``cwltool`` executes documents:
   against.  Only a job that runs its tool goes to the pool: a job-cache hit is
   restored on the thread that dispatches the workflow's nodes, because an
   attempt probes the cache first and yields only on a miss, right before the
-  spawn.
+  spawn, or earlier when the probe would read or copy file bodies
+  (:meth:`~repro.cwl.job.CommandLineJob.restore_if_cached`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class ReferenceRunner(BaseRunner):
                 evaluator_for=self.evaluator_for,
             )
             if runtime_context.job_cache_dir() is not None:
-                cached = job.cached_result()
+                cached = yield from job.restore_if_cached()
                 if cached is not None:
                     return cached
             yield  # the spawn blocks; a miss's probe rides along on the job

@@ -69,6 +69,9 @@ class FileJobStore:
         self.log_path = os.path.join(self.jobs_dir, JOBS_LOG)
         os.makedirs(self.jobs_dir, exist_ok=True)
         os.makedirs(self.files_dir, exist_ok=True)
+        #: The store's ``st_dev``: importing a file from another device
+        #: copies it instead of hardlinking.
+        self.device = os.stat(self.files_dir).st_dev
         self._lock = threading.Lock()
         #: The latest record of every live job, and the number of jobs per
         #: state, both kept current by every append.

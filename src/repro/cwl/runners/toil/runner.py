@@ -122,7 +122,8 @@ class ToilStyleRunner(BaseRunner):
                 # a hit restores the outputs without the batch-system round
                 # trip (Toil likewise reuses job-store results without
                 # rescheduling the job) and is described once, as done.
-                cached = job.cached_result()
+                cached = yield from job.restore_if_cached(
+                    *((self.job_store.device,) if self.import_outputs else ()))
                 if cached is not None:
                     if self.import_outputs:
                         self._import_output_files(cached.outputs)

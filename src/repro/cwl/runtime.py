@@ -123,9 +123,13 @@ class RuntimeContext:
         os.makedirs(self.outdir, exist_ok=True)
         return self.outdir
 
+    def job_dir_base(self) -> str:
+        """The directory :meth:`make_job_dir` makes job directories in."""
+        return self.basedir or tempfile.gettempdir()
+
     def make_job_dir(self, name: str = "job") -> str:
         """Create a fresh working directory for one job."""
-        base = self.basedir or tempfile.gettempdir()
+        base = self.job_dir_base()
         with self._teardown_lock:
             self._make_parent_locked(base)
             return tempfile.mkdtemp(prefix=f"cwl-{name}-", dir=base)

@@ -174,6 +174,7 @@ class GraphScheduler:
     def _step(self, node_id: str) -> None:
         """Run one node on this thread up to its first yield; a node that
         yielded continues on the pool (or, serially, right here)."""
+        yielded = False
         try:
             continuation = self.execute(self._nodes[node_id])
             if not self.parallel:
@@ -184,22 +185,39 @@ class GraphScheduler:
                 except StopIteration as done:
                     expansion = done.value
                 else:
-                    self._hand_off(node_id, continuation)
-                    return
+                    yielded = True
         except BaseException as exc:  # noqa: BLE001 — classified below
             self._finished(node_id, failure=exc)
             if not isinstance(exc, Exception):
                 raise  # an interrupt unwinds the dispatcher
             return
-        self._finished(node_id, expansion)
+        if yielded:
+            self._hand_off(node_id, continuation)
+        else:
+            self._finished(node_id, expansion)
 
     def _hand_off(self, node_id: str, continuation: Continuation[Any]) -> None:
+        """Give the rest of a node that yielded to the pool.  A pool that
+        cannot take it (no thread can be started, the interpreter is shutting
+        down) fails the run under either ``on_error`` policy: the scheduler
+        failed, not the node."""
         with self._lock:
             self._inflight += 1
-        if self._pool is None:
-            self._pool = cf.ThreadPoolExecutor(max_workers=self.max_workers,
-                                               thread_name_prefix="cwl-dag")
-        self._pool.submit(self._worker, node_id, continuation)
+        try:
+            if self._pool is None:
+                self._pool = cf.ThreadPoolExecutor(max_workers=self.max_workers,
+                                                   thread_name_prefix="cwl-dag")
+            self._pool.submit(self._worker, node_id, continuation)
+        except BaseException as exc:
+            with self._lock:
+                self._inflight -= 1
+                self.failures[node_id] = exc
+                self._set_state(node_id, NODE_FAILED)
+                if self._failure is None:
+                    self._failure = exc
+            continuation.close()
+            if not isinstance(exc, Exception):
+                raise
 
     def _worker(self, node_id: str, continuation: Continuation[Any]) -> None:
         """A pool thread: run the rest of a node that yielded."""

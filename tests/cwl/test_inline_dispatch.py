@@ -22,7 +22,7 @@ from repro.api.events import ExecutionHooks
 from repro.cwl.faults import FaultPlan, get_fault_profile
 from repro.cwl.graph import GraphNode, WorkflowGraph
 from repro.cwl.job import CommandLineJob
-from repro.cwl.jobcache import JobCache
+from repro.cwl.jobcache import INLINE_HASH_BYTES, JobCache, file_fingerprint, get_job_cache
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scheduler import NODE_DONE, NODE_FAILED, NODE_SKIPPED, GraphScheduler
@@ -146,9 +146,9 @@ def test_a_warm_retry_faults_before_its_probe_and_backs_off_on_the_pool(
         trace.append(("fault", job, attempt, threading.get_ident()))
         real_apply(plan, job, attempt)
 
-    def cached_result(job):
+    def cached_result(job, **kwargs):
         trace.append(("probe", job.tool.id, None, threading.get_ident()))
-        return real_probe(job)
+        return real_probe(job, **kwargs)
 
     monkeypatch.setattr(FaultPlan, "apply", apply)
     monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
@@ -173,7 +173,153 @@ def test_a_warm_retry_faults_before_its_probe_and_backs_off_on_the_pool(
     assert submissions.count == JOBS
 
 
+# ------------------------------------------- probes that would read or copy bodies
+
+@pytest.mark.parametrize("engine", RUNNERS)
+def test_a_store_on_another_device_probes_on_the_pool(engine, tmp_path, monkeypatch):
+    """A hit from a store on another device than the job directories copies
+    its files, so every attempt yields before probing: all hits, all pooled."""
+    store = tmp_path / "store"
+    run(engine, tmp_path / "cold", store)
+
+    probed = []
+    real_probe = CommandLineJob.cached_result
+
+    def cached_result(job, **kwargs):
+        probed.append(threading.get_ident())
+        return real_probe(job, **kwargs)
+
+    monkeypatch.setattr(get_job_cache(str(store)), "device", -1)
+    monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
+    submissions = PoolSubmissions(monkeypatch)
+    warm = run(engine, tmp_path / "warm", store)
+
+    assert warm.cache_stats == {"hits": JOBS, "misses": 0}
+    assert submissions.count == JOBS
+    assert len(probed) == JOBS and threading.get_ident() not in probed
+
+
+def test_a_probe_stays_inline_only_while_it_touches_metadata(tmp_path):
+    """Unhashed input past ``INLINE_HASH_BYTES``, or a hit staged into a
+    store on another device, sends the probe to the pool."""
+    tool = load_document(cat_step("x")["run"])
+    big = tmp_path / "big.bin"
+    big.write_bytes(b"x" * (INLINE_HASH_BYTES + 1))
+    small = tmp_path / "small.txt"
+    small.write_bytes(b"x" * INLINE_HASH_BYTES)
+    context = RuntimeContext(cache_dir=str(tmp_path / "store"), basedir=str(tmp_path))
+    device = os.stat(tmp_path).st_dev
+
+    def job(path):
+        return CommandLineJob(tool=tool, runtime_context=context,
+                              job_order={"f0": {"class": "File", "path": str(path)}})
+
+    assert job(small).probe_stays_inline()
+    assert job(small).probe_stays_inline(device)
+    assert not job(small).probe_stays_inline(device, -1)
+    assert not job(big).probe_stays_inline()
+    file_fingerprint(str(big))  # hashed once: keying it reads nothing
+    assert job(big).probe_stays_inline()
+    assert CommandLineJob(tool=tool, runtime_context=RuntimeContext(job_cache=False),
+                          job_order={"f0": {"class": "File", "path": str(big)}}
+                          ).probe_stays_inline(-1)
+
+
+@pytest.mark.parametrize("engine", RUNNERS)
+def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
+        engine, tmp_path, monkeypatch):
+    """A fresh process has hashed none of a hit's bodies; past
+    ``INLINE_HASH_BYTES`` the check defers to the pool, keyed once."""
+    seq = {"cwlVersion": "v1.2", "class": "Workflow", "inputs": {"n": "int"},
+           "outputs": {"out": {"type": "File", "outputSource": "s/out"}},
+           "steps": {"s": {"run": {"class": "CommandLineTool", "baseCommand": "seq",
+                                   "inputs": {"n": {"type": "int",
+                                                    "inputBinding": {"position": 1}}},
+                                   "outputs": {"out": "stdout"}, "stdout": "seq.txt"},
+                           "in": {"n": "n"}, "out": ["out"]}}}
+    order = {"n": 60000}  # 348,894 bytes of stdout
+    store = tmp_path / "store"
+
+    def run_seq(workdir):
+        with session_for(engine, workdir, store) as session:
+            return session.run(load_document(seq), dict(order))
+
+    run_seq(tmp_path / "cold")
+    monkeypatch.setattr("repro.cwl.jobcache._FILE_HASH_MEMO", {})
+    probes, keys = [], []
+    real_probe, real_key = CommandLineJob.cached_result, RuntimeContext.cache_key
+
+    def cached_result(job, **kwargs):
+        result = real_probe(job, **kwargs)
+        probes.append((threading.get_ident(), repr(result) == "DEFERRED"))
+        return result
+
+    def cache_key(context, tool, job_order):
+        keys.append(tool.id)
+        return real_key(context, tool, job_order)
+
+    monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
+    monkeypatch.setattr(RuntimeContext, "cache_key", cache_key)
+    submissions = PoolSubmissions(monkeypatch)
+    warm = run_seq(tmp_path / "warm")
+
+    assert warm.cache_stats == {"hits": 1, "misses": 0}
+    assert os.path.getsize(warm.outputs["out"]["path"]) > INLINE_HASH_BYTES
+    caller = threading.get_ident()
+    assert [(thread == caller, deferred) for thread, deferred in probes] \
+        == [(True, True), (False, False)]
+    assert len(keys) == 1 and submissions.count == 1
+
+
+def test_a_lookup_defers_only_past_its_verify_limit(tmp_path):
+    cache = JobCache(str(tmp_path / "store"))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "a.txt").write_bytes(b"x" * 100)
+    cache.store_files("k", str(outdir), [str(outdir / "a.txt")])
+    import repro.cwl.jobcache as jobcache
+
+    jobcache._FILE_HASH_MEMO.clear()
+    assert repr(cache.lookup("k", verify_limit=99)) == "DEFERRED"
+    assert cache.stats.hits == cache.stats.misses == 0
+    assert cache.lookup("k", verify_limit=100).key == "k"
+    assert cache.lookup("k", verify_limit=0).key == "k"  # hashed now: reads nothing
+    assert cache.stats.hits == 2
+
+
 # ------------------------------------------------------- failures and interrupts
+
+def test_a_pool_that_refuses_a_node_fails_the_run_under_continue(monkeypatch):
+    """A hand-off the pool cannot take is the run's failure, not a node's:
+    ``run()`` raises it instead of waiting, with its one worker slot taken,
+    on a segment nothing runs."""
+    graph = make_graph([("a", "b")], extra_nodes=["island"])
+
+    def execute(node):
+        yield
+
+    def submit(pool, fn, *args, **kwargs):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(cf.ThreadPoolExecutor, "submit", submit)
+    scheduler = GraphScheduler(graph, execute, parallel=True, max_workers=1,
+                               on_error="continue")
+    outcome = []
+
+    def target():
+        try:
+            scheduler.run()
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(10)
+    assert not runner.is_alive()
+    assert [str(exc) for exc in outcome] == ["can't start new thread"]
+    assert scheduler.states["a"] == NODE_FAILED and scheduler._inflight == 0
+    assert "b" not in scheduler.failures and scheduler.states["b"] != NODE_SKIPPED
+
 
 def make_graph(edges, extra_nodes=()):
     graph = WorkflowGraph()
@@ -237,11 +383,11 @@ def test_a_warm_step_failing_inline_under_continue_skips_its_branch_only(
     real_probe = CommandLineJob.cached_result
     probed = []
 
-    def cached_result(job):
+    def cached_result(job, **kwargs):
         probed.append(threading.get_ident())
         if job.job_order.get("text") == "alpha":
             raise OSError("manifest unreadable")
-        return real_probe(job)
+        return real_probe(job, **kwargs)
 
     monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
     submissions = PoolSubmissions(monkeypatch)
