@@ -246,13 +246,15 @@ class CommandLineJob:
             cached = self.cached_result()
         return cached
 
-    def cached_result(self, verify_limit: Optional[int] = None) -> Optional[JobResult]:
+    def cached_result(self, verify_limit: Optional[int] = None) -> Any:
         """Probe the job cache without executing anything; restore on a hit.
 
-        Lets runners short-circuit *before* anything blocks: both runners
-        probe first and yield their attempt to the scheduler's pool only on a
-        miss, so a hit is restored on the dispatching thread (and the
-        Toil-like runner skips the batch-system round trip entirely).
+        Returns the hit's :class:`JobResult`, or ``None`` on a miss.  Lets
+        runners short-circuit *before* anything blocks: both runners probe
+        first (:meth:`restore_if_cached`) and yield their attempt to the
+        scheduler's pool on a miss, so a hit is restored on the dispatching
+        thread (and the Toil-like runner skips the batch-system round trip
+        entirely).
         The job order is validated, keyed and probed before any directory
         exists; a hit then makes one directory — the job's output directory,
         where the restored files live — and no scratch directory.  A miss

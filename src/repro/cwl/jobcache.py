@@ -45,7 +45,9 @@ non-deterministic or depends on un-fingerprinted ambient state (time, network)
 will happily replay its first recorded run.
 
 What a hit costs: one key (one ``stat`` per input file), one manifest read,
-one ``stat`` per CAS body and one ``link`` per restored file.  No scratch
+one ``stat`` per CAS body and one ``link`` per restored file.  A probe on the
+thread that dispatches workflow nodes stats each input file and CAS body
+once more, to see that it will read no body (``INLINE_HASH_BYTES``).  No scratch
 directory, command line, job description rewrite or process is made for the
 code segment a hit skips (see README "What a hit costs").
 
@@ -90,6 +92,7 @@ only (no dependence on which parts of a key happen to be one object).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -244,9 +247,14 @@ def file_fingerprint(path: str) -> str:
 #: it a pool thread hashes in parallel with the rest of the run.
 INLINE_HASH_BYTES = 256 * 1024
 
+class _Deferred:
+    def __repr__(self) -> str:
+        return "DEFERRED"
+
+
 #: What :meth:`JobCache.lookup` returns instead of an entry when checking the
 #: entry's bodies would read more than its ``verify_limit``.
-DEFERRED = type("Deferred", (), {"__repr__": lambda self: "DEFERRED"})()
+DEFERRED = _Deferred()
 
 
 def unhashed_bytes(value: Any) -> int:
@@ -270,9 +278,11 @@ def unhashed_bytes(value: Any) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=256)
 def device_of(path: str) -> Optional[int]:
     """The ``st_dev`` of ``path``, or of its nearest existing ancestor (the
-    device ``os.makedirs`` would make it on); ``None`` when unreadable."""
+    device ``os.makedirs`` would make it on); ``None`` when unreadable.
+    Remembered per path: it changes only when something is mounted there."""
     path = os.path.abspath(path)
     while True:
         try:

@@ -22,7 +22,8 @@ from repro.api.events import ExecutionHooks
 from repro.cwl.faults import FaultPlan, get_fault_profile
 from repro.cwl.graph import GraphNode, WorkflowGraph
 from repro.cwl.job import CommandLineJob
-from repro.cwl.jobcache import INLINE_HASH_BYTES, JobCache, file_fingerprint, get_job_cache
+from repro.cwl.jobcache import (DEFERRED, INLINE_HASH_BYTES, JobCache, file_fingerprint,
+                                get_job_cache)
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scheduler import NODE_DONE, NODE_FAILED, NODE_SKIPPED, GraphScheduler
@@ -199,9 +200,10 @@ def test_a_store_on_another_device_probes_on_the_pool(engine, tmp_path, monkeypa
     assert len(probed) == JOBS and threading.get_ident() not in probed
 
 
-def test_a_probe_stays_inline_only_while_it_touches_metadata(tmp_path):
+def test_a_probe_stays_inline_only_while_it_touches_metadata(tmp_path, monkeypatch):
     """Unhashed input past ``INLINE_HASH_BYTES``, or a hit staged into a
     store on another device, sends the probe to the pool."""
+    monkeypatch.setattr("repro.cwl.jobcache._FILE_HASH_MEMO", {})
     tool = load_document(cat_step("x")["run"])
     big = tmp_path / "big.bin"
     big.write_bytes(b"x" * (INLINE_HASH_BYTES + 1))
@@ -251,7 +253,7 @@ def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
 
     def cached_result(job, **kwargs):
         result = real_probe(job, **kwargs)
-        probes.append((threading.get_ident(), repr(result) == "DEFERRED"))
+        probes.append((threading.get_ident(), result is DEFERRED))
         return result
 
     def cache_key(context, tool, job_order):
@@ -271,16 +273,15 @@ def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
     assert len(keys) == 1 and submissions.count == 1
 
 
-def test_a_lookup_defers_only_past_its_verify_limit(tmp_path):
+def test_a_lookup_defers_only_past_its_verify_limit(tmp_path, monkeypatch):
     cache = JobCache(str(tmp_path / "store"))
     outdir = tmp_path / "out"
     outdir.mkdir()
     (outdir / "a.txt").write_bytes(b"x" * 100)
     cache.store_files("k", str(outdir), [str(outdir / "a.txt")])
-    import repro.cwl.jobcache as jobcache
 
-    jobcache._FILE_HASH_MEMO.clear()
-    assert repr(cache.lookup("k", verify_limit=99)) == "DEFERRED"
+    monkeypatch.setattr("repro.cwl.jobcache._FILE_HASH_MEMO", {})  # a fresh process
+    assert cache.lookup("k", verify_limit=99) is DEFERRED
     assert cache.stats.hits == cache.stats.misses == 0
     assert cache.lookup("k", verify_limit=100).key == "k"
     assert cache.lookup("k", verify_limit=0).key == "k"  # hashed now: reads nothing
