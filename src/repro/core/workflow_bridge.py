@@ -31,6 +31,7 @@ stand-in (``class``, ``basename``, ``path``), not contents.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.cwl_app import CWLApp, report_finished
@@ -149,6 +150,10 @@ class CWLWorkflowBridge:
         self.failures: Dict[str, BaseException] = {}
         self._pending_observations: List[tuple] = []
         self._apps: Dict[int, CWLApp] = {}
+        #: Submitted futures not finished yet, counted out by a done-callback,
+        #: and the condition the ``max_inflight`` window waits on.
+        self._unfinished = 0
+        self._one_finished = threading.Condition()
 
     # -------------------------------------------------------------- submission
 
@@ -220,27 +225,34 @@ class CWLWorkflowBridge:
             report_finished(None, observer, token, None, name, exc)
             raise
         self._pending_observations.append((future, token, name))
-        self._throttle_inflight()
+        self._throttle_inflight(future)
         return future
 
-    def _throttle_inflight(self) -> None:
+    def _throttle_inflight(self, future: AppFuture) -> None:
         """Backpressure submission against ``max_inflight``.
 
         With a 10k node graph, eagerly materialising every app call would hold
-        every staged input handle live at once, so this blocks on the oldest
-        unfinished future while ``max_inflight`` submitted jobs are live.  It
-        is a topological ancestor or peer of everything after it, so waiting
-        cannot deadlock the dataflow.  ``None`` keeps Parsl's eager submission.
+        every staged input handle live at once, so this blocks while
+        ``max_inflight`` submitted jobs are unfinished.  Every unfinished job
+        was submitted before the one waiting, so it is a topological ancestor
+        or peer of everything after it, and waiting cannot deadlock the
+        dataflow.  ``future`` is counted in here and out by its done-callback,
+        so a submission costs the same however many came before it.  ``None``
+        keeps Parsl's eager submission.
         """
         if not self.runtime_context.max_inflight:
             return
         max_inflight = max(1, int(self.runtime_context.max_inflight))
-        while True:
-            live = [f for f, _tok, _name in self._pending_observations
-                    if not f.done()]
-            if len(live) < max_inflight:
-                return
-            live[0].exception()  # block for completion without raising
+        with self._one_finished:
+            self._unfinished += 1
+        future.add_done_callback(self._count_finished)
+        with self._one_finished:
+            self._one_finished.wait_for(lambda: self._unfinished < max_inflight)
+
+    def _count_finished(self, _future: AppFuture) -> None:
+        with self._one_finished:
+            self._unfinished -= 1
+            self._one_finished.notify()
 
     def _drain_observations(self, wait: bool = True) -> None:
         """Resolve every submitted future (with ``wait=False``, every finished

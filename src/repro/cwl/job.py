@@ -1,9 +1,14 @@
 """Single-tool job execution.
 
 A :class:`CommandLineJob` takes a tool, a job order and a runtime context and
-can either *build* the command (used by the Parsl bridge, which executes it
-through a Parsl bash app) or *execute* it directly as a subprocess (used by the
-cwltool-like and Toil-like runners).
+runs the tool as a subprocess; it is how the cwltool-like and Toil-like
+runners execute every job.  An attempt is :meth:`~CommandLineJob.probe` (a
+continuation that validates, keys and looks the job up in the job cache),
+then :meth:`~CommandLineJob.cached_result`, which restores a hit, or
+:meth:`~CommandLineJob.execute`, which runs the tool of a missed probe.  The
+Parsl bridge builds the same command line with
+:func:`~repro.cwl.command_line.build_command_line` and runs it through a
+Parsl bash app.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
 from repro.cwl.expressions.compiler import precompile_process
-from repro.cwl.jobcache import (DEFERRED, INLINE_HASH_BYTES, canonical_command,
-                                device_of, unhashed_bytes)
+from repro.cwl.jobcache import INLINE_HASH_BYTES, canonical_command, device_of, unhashed_bytes
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, signal_job_process
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import coerce_file_inputs, matches
-from repro.utils.continuation import Continuation
+from repro.utils.continuation import Continuation, finish
 from repro.utils.environment import subprocess_environment
 from repro.utils.logging_config import get_logger
 
@@ -47,6 +51,23 @@ class JobResult:
 
 
 @dataclass
+class CacheProbe:
+    """What :meth:`CommandLineJob.probe` found, handed to the segment that
+    follows it: :meth:`CommandLineJob.cached_result` restores ``entry``,
+    :meth:`CommandLineJob.execute` runs the tool and stores under ``key``.
+
+    ``context`` is the job's context with the tool's resources granted.
+    ``cache``, ``key`` and ``entry`` are ``None`` when caching is off;
+    ``entry`` is the checked hit, or ``None`` on a miss.
+    """
+
+    context: RuntimeContext
+    cache: Any = None
+    key: Optional[str] = None
+    entry: Any = None
+
+
+@dataclass
 class StagedJob:
     """Everything :meth:`CommandLineJob.stage_execution` prepares up front.
 
@@ -54,28 +75,18 @@ class StagedJob:
     composes — ``stage_execution`` → ``launch`` → ``collect_execution`` — so
     none of it is derived twice.  The steps run back to back on one worker:
     both scheduler cores call ``execute()`` whole (the pipelined core in its
-    exec lane), none calls the steps individually.  ``cache_entry`` non-None
-    means the invocation is a job cache hit: launch is a no-op and collect
-    restores instead of collecting.  On a hit ``outdir`` is the only
-    directory that exists: ``tmpdir`` (and ``runtime["tmpdir"]``) is an
-    absolute path that was never created, because nothing runs that could
-    write there, and ``evaluator`` / ``parts`` stay ``None``.
+    exec lane), none calls the steps individually.
     """
 
     outdir: str
     tmpdir: str
     runtime: Dict[str, Any]
-    evaluator: Any = None
-    parts: Optional[CommandLineParts] = None
+    evaluator: Any
+    parts: CommandLineParts
     cache: Any = None
     cache_key: Optional[str] = None
-    cache_entry: Any = None
     stdout_path: Optional[str] = None
     stderr_path: Optional[str] = None
-
-    @property
-    def cache_hit(self) -> bool:
-        return self.cache_entry is not None
 
 
 class _AsyncProcessHandle:
@@ -120,12 +131,6 @@ class CommandLineJob:
     #: (:meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`); by default
     #: the tool's own compiled evaluator.
     evaluator_for: Callable[[CommandLineTool], Any] = precompile_process
-    #: The probe a :meth:`cached_result` miss (entry ``None``) or deferral
-    #: (entry :data:`~repro.cwl.jobcache.DEFERRED`) found, ``(context, cache,
-    #: key, entry)``, kept for the :meth:`cached_result` or
-    #: :meth:`stage_execution` that follows.
-    _missed_probe: Optional[Tuple[RuntimeContext, Any, Optional[str], Any]] = field(
-        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.job_order = {k: coerce_file_inputs(v) for k, v in self.job_order.items()}
@@ -154,21 +159,11 @@ class CommandLineJob:
                 problems.append(f"unknown input {key!r} (tool declares {sorted(declared)})")
         return problems
 
-    # -------------------------------------------------------------- building
+    # ------------------------------------------------------------ the probe
 
     def make_evaluator(self):
         """The expression evaluator this job's runner uses for its tool."""
         return self.evaluator_for(self.tool)
-
-    def build(self, outdir: Optional[str] = None) -> CommandLineParts:
-        """Construct the command line (without running it)."""
-        self._require_valid_inputs()
-        outdir = outdir or self.runtime_context.ensure_outdir()
-        tmpdir = self.runtime_context.make_tmpdir()
-        runtime = self.runtime_context.with_resources(self.tool).runtime_object(outdir, tmpdir)
-        return build_command_line(self.tool, self.job_order, runtime, self.make_evaluator())
-
-    # -------------------------------------------------------------- execution
 
     def _require_valid_inputs(self) -> None:
         problems = self.validate_inputs()
@@ -176,34 +171,6 @@ class CommandLineJob:
             raise InputValidationError(
                 f"job order for tool {self.tool.id!r} is invalid: " + "; ".join(problems)
             )
-
-    def _probe_cache(self, verify_limit: Optional[int] = None
-                     ) -> Tuple[RuntimeContext, Any, Optional[str], Any]:
-        """Validate the job order, then key it and probe the job cache.
-
-        The one way into the cache for :meth:`stage_execution` and
-        :meth:`cached_result`; the lookup is not counted, the caller records
-        its outcome.  A probe that :meth:`cached_result` missed is taken
-        instead, once, so an attempt validates, keys and looks up once; a
-        deferred one is looked up again under the same key, unlimited.
-        Touches no directory of the job: what a hit or a miss needs on disk
-        is decided by the caller afterwards.  Returns ``(resourced context,
-        cache, key, entry)``; the last three are ``None`` when caching is off.
-        """
-        if self._missed_probe is not None:
-            probe, self._missed_probe = self._missed_probe, None
-            context, cache, key, entry = probe
-            if entry is DEFERRED:
-                return context, cache, key, cache.lookup(key, record=False)
-            return probe
-        self._require_valid_inputs()
-        context = self.runtime_context.with_resources(self.tool)
-        cache = self.runtime_context.get_job_cache()
-        if cache is None:
-            return context, None, None, None
-        key = context.cache_key(self.tool, self.job_order)
-        return context, cache, key, cache.lookup(key, record=False,
-                                                 verify_limit=verify_limit)
 
     def _make_job_dir(self) -> str:
         return self.runtime_context.make_job_dir(
@@ -226,122 +193,129 @@ class CommandLineJob:
         return (all(store == device for store in (cache.device, *devices))
                 and unhashed_bytes(self.job_order) <= INLINE_HASH_BYTES)
 
-    def restore_if_cached(self, *devices: int) -> Continuation[Optional[JobResult]]:
-        """:meth:`cached_result` as a continuation: it yields before the
-        probe reads or copies file bodies, so only metadata work stays on the
-        thread that dispatches workflow nodes.
+    def probe(self, *devices: int) -> Continuation[CacheProbe]:
+        """Validate the job order, key it and look it up in the job cache;
+        count the hit or miss.  The first segment of every attempt, and the
+        only way into the cache on the runners.
 
-        It yields before probing when :meth:`probe_stays_inline` says no,
-        and before checking a hit whose bodies not yet hashed in this process
+        A continuation that yields before it would read or copy file bodies,
+        so only metadata work stays on the thread that dispatches workflow
+        nodes: before keying when :meth:`probe_stays_inline` says no, and
+        before checking a hit whose bodies not yet hashed in this process
         exceed ``INLINE_HASH_BYTES``.  Hashing and copying release the GIL,
         so after the yield a pool thread does them in parallel with the rest
         of the run.  ``devices`` are the stores a hit is also staged into.
+        With caching off it returns at once, without yielding.  Touches no
+        directory of the job.
         """
-        if not self.probe_stays_inline(*devices):
+        inline = self.probe_stays_inline(*devices)
+        if not inline:
             yield
-            return self.cached_result()
-        cached = self.cached_result(verify_limit=INLINE_HASH_BYTES)
-        if cached is DEFERRED:
+        self._require_valid_inputs()
+        context = self.runtime_context.with_resources(self.tool)
+        cache = self.runtime_context.get_job_cache()
+        if cache is None:
+            return CacheProbe(context)
+        key = context.cache_key(self.tool, self.job_order)
+        entry = cache.manifest(key)
+        if inline and entry is not None and cache.unhashed_body_bytes(entry) > INLINE_HASH_BYTES:
             yield
-            cached = self.cached_result()
-        return cached
-
-    def cached_result(self, verify_limit: Optional[int] = None) -> Any:
-        """Probe the job cache without executing anything; restore on a hit.
-
-        Returns the hit's :class:`JobResult`, or ``None`` on a miss.  Lets
-        runners short-circuit *before* anything blocks: both runners probe
-        first (:meth:`restore_if_cached`) and yield their attempt to the
-        scheduler's pool on a miss, so a hit is restored on the dispatching
-        thread (and the Toil-like runner skips the batch-system round trip
-        entirely).
-        The job order is validated, keyed and probed before any directory
-        exists; a hit then makes one directory — the job's output directory,
-        where the restored files live — and no scratch directory.  A miss
-        makes nothing and is not counted here: the probe stays on the job,
-        and the :meth:`execute` that follows takes it and records the miss.
-        With ``verify_limit``, a hit whose bodies would read more than that to
-        check returns :data:`~repro.cwl.jobcache.DEFERRED` instead, and the
-        next call finishes the probe under the same key.
-        """
-        probe = self._probe_cache(verify_limit)
-        context, cache, _key, entry = probe
-        if entry is None or entry is DEFERRED:
-            self._missed_probe = probe
-            return entry
+        entry = cache.checked(entry)
         cache.record(entry)
-        outdir = self._make_job_dir()
-        return self._restore_from_cache(
-            cache, entry, outdir,
-            context.runtime_object(outdir, self.runtime_context.unmade_tmpdir()))
+        return CacheProbe(context, cache, key, entry)
 
-    def execute(self, outdir: Optional[str] = None) -> JobResult:
-        """Run the tool as a subprocess and collect its outputs.
+    def cached_result(self, probe: CacheProbe) -> Optional[JobResult]:
+        """Restore the hit ``probe`` found; ``None`` on a miss.  The one hit path.
 
-        With the job cache enabled (see
-        :meth:`~repro.cwl.runtime.RuntimeContext.get_job_cache`), a previous
-        invocation with the same tool document, input contents, environment
-        and granted resources is *restored* — its files hardlinked into this
-        job's fresh working directory — and the subprocess never runs; output
-        collection still executes against the restored files, so hits and
+        Makes one directory, the job's output directory, where the cached
+        files are hardlinked, and no scratch directory: ``runtime.tmpdir``
+        is an absolute path that was never created, because nothing runs
+        that could write there.  Skips command-line construction entirely
+        (the key proves the resolved command would be identical), which is
+        what makes warm re-runs of expression-heavy tools near-constant time;
+        output collection still runs against the restored files, so hits and
         misses flow through identical collection code.
+        """
+        entry = probe.entry
+        if entry is None:
+            return None
+        logger.debug("job cache hit for %s (key %s)", self.tool.id, entry.key)
+        outdir = self._make_job_dir()
+        probe.cache.restore(entry, outdir)
+        stdout_name = entry.stream_name("stdout")
+        stderr_name = entry.stream_name("stderr")
+        stdout_path = os.path.join(outdir, stdout_name) if stdout_name else None
+        stderr_path = os.path.join(outdir, stderr_name) if stderr_name else None
+        outputs = collect_outputs(
+            self.tool,
+            outdir=outdir,
+            stdout_path=stdout_path,
+            stderr_path=stderr_path,
+            job_order=self.job_order,
+            runtime=probe.context.runtime_object(outdir, self.runtime_context.unmade_tmpdir()),
+            evaluator=self.make_evaluator(),
+            compute_checksum=self.runtime_context.compute_checksum,
+        )
+        if self.runtime_context.journal is not None:
+            self.runtime_context.journal.record(
+                "job", tool=self.tool.id, key=entry.key, cache="hit",
+                exit_code=entry.exit_code)
+        return JobResult(
+            outputs=outputs,
+            exit_code=entry.exit_code,
+            command=list(entry.command.get("argv") or []),
+            outdir=outdir,
+            stdout_path=stdout_path,
+            stderr_path=stderr_path,
+            cache_hit=True,
+        )
 
-        Synchronous composition of :meth:`stage_execution` (job dirs,
-        validation, cache probe, command line), :meth:`launch` and
+    # -------------------------------------------------------------- execution
+
+    def execute(self, probe: Optional[CacheProbe] = None) -> JobResult:
+        """Run the tool of a missed ``probe`` as a subprocess and collect its
+        outputs; a miss is stored in the job cache for the next run.
+
+        Without ``probe`` the job probes itself on this thread and returns
+        a hit's restored result, so a job built directly behaves like one
+        attempt of a runner.  Synchronous composition of
+        :meth:`stage_execution` (job dirs, command line), :meth:`launch` and
         :meth:`collect_execution` (outputs, cache store, journal record).
         Every caller runs it whole on one worker — under the pipelined
         scheduler core that is the exec lane; that core's stage and collect
         lanes only gather step inputs and store step outputs
         (``repro.cwl.workflow._PipelinedNodeExecutor``).
         """
-        staged = self.stage_execution(outdir)
+        if probe is None:
+            probe = finish(self.probe())
+            cached = self.cached_result(probe)
+            if cached is not None:
+                return cached
+        staged = self.stage_execution(probe)
         exit_code = self.launch(staged)
         return self.collect_execution(staged, exit_code)
 
     # ------------------------------------------------- pipeline: stage inputs
 
-    def stage_execution(self, outdir: Optional[str] = None) -> StagedJob:
-        """Prepare everything the subprocess needs: validation, cache probe,
-        dirs, command line.  Pure staging — nothing is executed yet.
-
-        Validation, key and probe come first and touch no directory.  A hit
-        makes (or takes) its output directory and returns: no scratch
-        directory, no command line.  A miss makes the output and scratch
-        directories, then builds the command line.
-        """
-        context, cache, key, entry = self._probe_cache()
-        if cache is not None:
-            cache.record(entry)
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
-        else:
-            outdir = self._make_job_dir()
-        if entry is not None:
-            # Hit: skip command-line construction entirely (the key proves
-            # the resolved command would be identical).
-            tmpdir = self.runtime_context.unmade_tmpdir()
-            return StagedJob(outdir=outdir, tmpdir=tmpdir,
-                             runtime=context.runtime_object(outdir, tmpdir),
-                             cache=cache, cache_key=key, cache_entry=entry)
-
+    def stage_execution(self, probe: CacheProbe) -> StagedJob:
+        """Prepare everything the subprocess of a missed ``probe`` needs: the
+        output and scratch directories, then the command line.  Pure staging
+        — nothing is executed yet."""
+        outdir = self._make_job_dir()
         tmpdir = self.runtime_context.make_tmpdir()
-        staged = StagedJob(outdir=outdir, tmpdir=tmpdir,
-                           runtime=context.runtime_object(outdir, tmpdir),
-                           cache=cache, cache_key=key)
-        staged.evaluator = self.make_evaluator()
-        staged.parts = build_command_line(self.tool, self.job_order, staged.runtime,
-                                          staged.evaluator)
-        if staged.parts.stdout:
-            staged.stdout_path = os.path.join(outdir, staged.parts.stdout)
-        if staged.parts.stderr:
-            staged.stderr_path = os.path.join(outdir, staged.parts.stderr)
-        return staged
+        runtime = probe.context.runtime_object(outdir, tmpdir)
+        evaluator = self.make_evaluator()
+        parts = build_command_line(self.tool, self.job_order, runtime, evaluator)
+        return StagedJob(
+            outdir=outdir, tmpdir=tmpdir, runtime=runtime, evaluator=evaluator,
+            parts=parts, cache=probe.cache, cache_key=probe.key,
+            stdout_path=os.path.join(outdir, parts.stdout) if parts.stdout else None,
+            stderr_path=os.path.join(outdir, parts.stderr) if parts.stderr else None)
 
     # ---------------------------------------------- pipeline: run the process
 
     def _open_launch_handles(self, staged: StagedJob) -> Tuple[Any, Any, Any, Dict[str, str]]:
         parts = staged.parts
-        assert parts is not None
         stdin_handle = open(parts.stdin, "rb") if parts.stdin else subprocess.DEVNULL
         stdout_handle = open(staged.stdout_path, "wb") if staged.stdout_path \
             else subprocess.DEVNULL
@@ -364,15 +338,10 @@ class CommandLineJob:
     def launch(self, staged: StagedJob) -> int:
         """Run the staged subprocess to completion and return its exit code.
 
-        A no-op on a cache hit (the cached exit code is returned so collect
-        sees the same value either way).  Raises :class:`JobTimeout` after
-        group-reaping on timeout and :class:`JobFailure` on a non-success
-        exit code, exactly like the pre-split monolithic ``execute``.
+        Raises :class:`JobTimeout` after group-reaping on timeout and
+        :class:`JobFailure` on a non-success exit code.
         """
-        if staged.cache_entry is not None:
-            return staged.cache_entry.exit_code
         parts = staged.parts
-        assert parts is not None
         stdin_handle, stdout_handle, stderr_handle, env = \
             self._open_launch_handles(staged)
 
@@ -424,10 +393,7 @@ class CommandLineJob:
         """
         import asyncio
 
-        if staged.cache_entry is not None:
-            return staged.cache_entry.exit_code
         parts = staged.parts
-        assert parts is not None
         stdin_handle, stdout_handle, stderr_handle, env = \
             self._open_launch_handles(staged)
 
@@ -470,17 +436,8 @@ class CommandLineJob:
     # -------------------------------------------- pipeline: collect + persist
 
     def collect_execution(self, staged: StagedJob, exit_code: int) -> JobResult:
-        """Collect outputs, store into the cache, journal, clean up.
-
-        On a cache hit this restores the cached invocation instead (hits and
-        misses still flow through identical output-collection code inside
-        :meth:`_restore_from_cache`).
-        """
-        if staged.cache_entry is not None:
-            return self._restore_from_cache(staged.cache, staged.cache_entry,
-                                            staged.outdir, staged.runtime)
+        """Collect outputs, store into the cache, journal, clean up."""
         parts = staged.parts
-        assert parts is not None
         outputs = collect_outputs(
             self.tool,
             outdir=staged.outdir,
@@ -556,42 +513,3 @@ class CommandLineJob:
                 logger.warning("timed-out job pid %s survived SIGKILL", proc.pid)
         except OSError:
             pass
-
-    def _restore_from_cache(self, cache, entry, outdir: str,
-                            runtime: Dict[str, Any]) -> JobResult:
-        """Stage a cached invocation into ``outdir`` and re-collect its outputs.
-
-        Skips command-line construction entirely (the key proves the resolved
-        command would be identical), which is what makes warm re-runs of
-        expression-heavy tools near-constant time.  There is no scratch
-        directory to clean up: a hit never made one.
-        """
-        logger.debug("job cache hit for %s (key %s)", self.tool.id, entry.key)
-        cache.restore(entry, outdir)
-        stdout_name = entry.stream_name("stdout")
-        stderr_name = entry.stream_name("stderr")
-        stdout_path = os.path.join(outdir, stdout_name) if stdout_name else None
-        stderr_path = os.path.join(outdir, stderr_name) if stderr_name else None
-        outputs = collect_outputs(
-            self.tool,
-            outdir=outdir,
-            stdout_path=stdout_path,
-            stderr_path=stderr_path,
-            job_order=self.job_order,
-            runtime=runtime,
-            evaluator=self.make_evaluator(),
-            compute_checksum=self.runtime_context.compute_checksum,
-        )
-        if self.runtime_context.journal is not None:
-            self.runtime_context.journal.record(
-                "job", tool=self.tool.id, key=entry.key, cache="hit",
-                exit_code=entry.exit_code)
-        return JobResult(
-            outputs=outputs,
-            exit_code=entry.exit_code,
-            command=list(entry.command.get("argv") or []),
-            outdir=outdir,
-            stdout_path=stdout_path,
-            stderr_path=stderr_path,
-            cache_hit=True,
-        )

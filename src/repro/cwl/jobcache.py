@@ -45,11 +45,14 @@ non-deterministic or depends on un-fingerprinted ambient state (time, network)
 will happily replay its first recorded run.
 
 What a hit costs: one key (one ``stat`` per input file), one manifest read,
-one ``stat`` per CAS body and one ``link`` per restored file.  A probe on the
-thread that dispatches workflow nodes stats each input file and CAS body
-once more, to see that it will read no body (``INLINE_HASH_BYTES``).  No scratch
-directory, command line, job description rewrite or process is made for the
-code segment a hit skips (see README "What a hit costs").
+one ``stat`` per CAS body and one ``link`` per restored file.  The runners'
+probe (:meth:`~repro.cwl.job.CommandLineJob.probe`) is :meth:`JobCache.lookup`
+in three steps, :meth:`~JobCache.manifest`, :meth:`~JobCache.unhashed_body_bytes`
+and :meth:`~JobCache.checked`, so it can stat each input file and CAS body once
+more and leave the thread that dispatches workflow nodes before it reads a
+body (``INLINE_HASH_BYTES``).  No scratch directory, command line, job
+description rewrite or process is made for the code segment a hit skips (see
+README "What a hit costs").
 
 Threat model of the content fingerprint
 ---------------------------------------
@@ -241,20 +244,11 @@ def file_fingerprint(path: str) -> str:
 
 #: Bytes a job-cache probe may hash on the thread that dispatches workflow
 #: nodes, for its inputs and again for a hit's bodies (see
-#: :meth:`~repro.cwl.job.CommandLineJob.restore_if_cached`).  sha1 reads
+#: :meth:`~repro.cwl.job.CommandLineJob.probe`).  sha1 reads
 #: about 0.9 GB/s on one core, so this is about 0.3 ms of hashing, the order
 #: of one hand-off to the scheduler's pool; hashing releases the GIL, so past
 #: it a pool thread hashes in parallel with the rest of the run.
 INLINE_HASH_BYTES = 256 * 1024
-
-class _Deferred:
-    def __repr__(self) -> str:
-        return "DEFERRED"
-
-
-#: What :meth:`JobCache.lookup` returns instead of an entry when checking the
-#: entry's bodies would read more than its ``verify_limit``.
-DEFERRED = _Deferred()
 
 
 def unhashed_bytes(value: Any) -> int:
@@ -503,31 +497,21 @@ class JobCache:
     def _cas_path(self, cas_id: str) -> str:
         return os.path.join(self.cas_dir, cas_id)
 
-    def lookup(self, key: str, record: bool = True,
-               verify_limit: Optional[int] = None) -> Optional[CacheEntry]:
+    def lookup(self, key: str, record: bool = True) -> Optional[CacheEntry]:
         """Load and validate the manifest for ``key``; records hit/miss stats.
 
-        A manifest whose CAS bodies have gone missing (a partially deleted
-        store) is treated as a miss, so the entry is transparently re-created
-        by the run that follows.  With ``verify_limit``, an entry whose
-        bodies not yet hashed in this process add up to more bytes than that
-        is not checked: the lookup returns :data:`DEFERRED` and records
-        nothing.
+        :meth:`manifest`, then :meth:`checked`.  A manifest whose CAS bodies
+        have gone missing (a partially deleted store) is treated as a miss,
+        so the entry is transparently re-created by the run that follows.
         """
-        entry = self._load_entry(key)
-        if entry is not None:
-            if verify_limit is not None and verify_limit < sum(
-                    _unhashed_file_bytes(self._cas_path(spec.get("cas", "")))
-                    for spec in entry.files.values()):
-                return DEFERRED
-            entry = self._checked(entry)
+        entry = self.checked(self.manifest(key))
         if record:
             self.record(entry)
         return entry
 
     def record(self, entry: Optional[CacheEntry]) -> None:
-        """Count the outcome of a lookup that ran with ``record=False``: a hit
-        when ``entry`` is not ``None``, else a miss (probe pattern)."""
+        """Count the outcome of a probe: a hit when ``entry`` is not ``None``,
+        else a miss."""
         with self._stats_lock:
             if entry is None:
                 self.stats.misses += 1
@@ -550,7 +534,7 @@ class JobCache:
             logger.warning("could not quarantine job-cache artifact %s (%s)",
                            path, reason, exc_info=True)
 
-    def _load_entry(self, key: str) -> Optional[CacheEntry]:
+    def manifest(self, key: str) -> Optional[CacheEntry]:
         """The manifest for ``key``, parsed; its bodies are not checked."""
         path = self._entry_path(key)
         try:
@@ -575,8 +559,17 @@ class JobCache:
             command=dict(data.get("command") or {}),
         )
 
-    def _checked(self, entry: CacheEntry) -> Optional[CacheEntry]:
+    def unhashed_body_bytes(self, entry: CacheEntry) -> int:
+        """How many bytes :meth:`checked` would read for ``entry``: the sizes
+        of its bodies :func:`file_fingerprint` has not memoized.  One
+        ``os.stat`` per body; nothing is read."""
+        return sum(_unhashed_file_bytes(self._cas_path(spec.get("cas", "")))
+                   for spec in entry.files.values())
+
+    def checked(self, entry: Optional[CacheEntry]) -> Optional[CacheEntry]:
         """``entry`` if every body is intact; else quarantine it, ``None``."""
+        if entry is None:
+            return None
         path = self._entry_path(entry.key)
         for spec in entry.files.values():
             body = self._cas_path(spec.get("cas", ""))

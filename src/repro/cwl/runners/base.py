@@ -17,13 +17,14 @@ The Parsl bridge (:mod:`repro.core`) is effectively a third runner and is the
 paper's contribution.
 
 Running a job is a continuation (:mod:`repro.utils.continuation`).  Each
-attempt injects its fault, probes the job cache, and yields only on a miss,
-before it spawns or is issued.  A hit is restored without yielding, so in a
-workflow it completes on the dispatching thread.  That holds while a probe
-touches metadata only: an attempt whose probe would hash large inputs or a
-large hit's bodies, or copy a hit's files across devices, yields first
-(``CommandLineJob.restore_if_cached``).  The missed probe stays on the job
-(``CommandLineJob._missed_probe``), so each attempt is keyed once.
+attempt injects its fault, then is ``CommandLineJob.probe``, then either
+``CommandLineJob.cached_result`` (a hit, restored without yielding, so in a
+workflow it completes on the dispatching thread) or a yield followed by
+``CommandLineJob.execute(probe)`` (a miss, which spawns or is issued).  The
+probe is handed on as a value, so each attempt is keyed and counted once.  A
+probe stays on the dispatching thread while it touches metadata only: one
+that would hash large inputs or a large hit's bodies, or copy a hit's files
+across devices, yields first.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ This runner mirrors how ``cwltool`` executes documents:
   restored on the thread that dispatches the workflow's nodes, because an
   attempt probes the cache first and yields only on a miss, right before the
   spawn, or earlier when the probe would read or copy file bodies
-  (:meth:`~repro.cwl.job.CommandLineJob.restore_if_cached`).
+  (:meth:`~repro.cwl.job.CommandLineJob.probe`).
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ class ReferenceRunner(BaseRunner):
                 runtime_context=runtime_context,
                 evaluator_for=self.evaluator_for,
             )
-            if runtime_context.job_cache_dir() is not None:
-                cached = yield from job.restore_if_cached()
-                if cached is not None:
-                    return cached
-            yield  # the spawn blocks; a miss's probe rides along on the job
-            return job.execute()
+            probe = yield from job.probe()
+            cached = job.cached_result(probe)
+            if cached is not None:
+                return cached
+            yield  # the spawn blocks
+            return job.execute(probe)
 
         return self._with_retries(runtime_context, tool, attempt, on_retry)

@@ -16,11 +16,11 @@ Execution model (mirroring ``toil-cwl-runner``):
    :class:`~repro.cwl.workflow.WorkflowEngine`, with jobs running concurrently
    when the batch system allows it.
 
-With the job cache on, the cache is probed before step 1: a hit is never
-issued, and its description is one record, already ``done``.  A miss keeps
-its probe on the job, so the issued job does not key the invocation again.
-An attempt is a continuation that yields only before the job is described
-and issued, so in a workflow a hit completes on the dispatching thread.
+Every attempt probes the job cache before step 1: a hit is never issued, and
+its description is one record, already ``done``.  A miss hands its probe to
+the issued job, so the invocation is keyed once.  An attempt is a
+continuation that yields only before the job is described and issued, so in
+a workflow a hit completes on the dispatching thread.
 
 The per-job store records and (for the Slurm batch system) the per-task
 scheduler round trips are what differentiate this runner's scaling behaviour
@@ -62,7 +62,6 @@ class ToilStyleRunner(BaseRunner):
         runtime_context: Optional[RuntimeContext] = None,
         parallel: bool = True,
         max_workers: int = 8,
-        import_outputs: bool = True,
         validate: bool = True,
         destroy_job_store_on_close: Optional[bool] = None,
         **options: Any,
@@ -78,7 +77,6 @@ class ToilStyleRunner(BaseRunner):
                                            else destroy_job_store_on_close)
         self.job_store = FileJobStore(job_store_dir or tempfile.mkdtemp(prefix="toil-jobstore-"))
         self.batch_system = batch_system or SingleMachineBatchSystem(max_cores=max_workers)
-        self.import_outputs = import_outputs
 
     def execute(self, process: Any, job_order: Dict[str, Any],
                 hooks: Optional[ExecutionHooks] = None) -> ExecutionResult:
@@ -91,7 +89,6 @@ class ToilStyleRunner(BaseRunner):
     def run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
                  runtime_context: RuntimeContext,
                  on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
-        cache_enabled = runtime_context.job_cache_dir() is not None
         requirements = self._job_requirements(tool)
         name = tool.id or "tool"
         #: The job's one description, shared by every attempt.
@@ -117,25 +114,22 @@ class ToilStyleRunner(BaseRunner):
                 runtime_context=runtime_context,
                 evaluator_for=self.evaluator_for,
             )
-            if cache_enabled:
-                # Probe the job cache before anything is written or issued:
-                # a hit restores the outputs without the batch-system round
-                # trip (Toil likewise reuses job-store results without
-                # rescheduling the job) and is described once, as done.
-                cached = yield from job.restore_if_cached(
-                    *((self.job_store.device,) if self.import_outputs else ()))
-                if cached is not None:
-                    if self.import_outputs:
-                        self._import_output_files(cached.outputs)
-                    record("done")
-                    return cached
+            # Probe the job cache before anything is written or issued: a
+            # hit restores the outputs without the batch-system round trip
+            # (Toil likewise reuses job-store results without rescheduling
+            # the job) and is described once, as done.
+            probe = yield from job.probe(self.job_store.device)
+            cached = job.cached_result(probe)
+            if cached is not None:
+                self._import_output_files(cached.outputs)
+                record("done")
+                return cached
             yield  # issuing blocks until the batch system ran the job
 
             def payload() -> JobResult:
                 record("running")
-                result = job.execute()
-                if self.import_outputs:
-                    self._import_output_files(result.outputs)
+                result = job.execute(probe)
+                self._import_output_files(result.outputs)
                 return result
 
             if stored is None:

@@ -235,7 +235,7 @@ class RuntimeContext:
         """The job-cache key of one invocation of ``tool`` under this context.
 
         How every engine keys a job — the runner engines in
-        :meth:`~repro.cwl.job.CommandLineJob._probe_cache`, the Parsl engines
+        :meth:`~repro.cwl.job.CommandLineJob.probe`, the Parsl engines
         on the execution side of a ``CWLApp`` — so the extra environment and
         the resources granted after the tool's ``ResourceRequirement`` are in
         every key, and a store is warm across engines exactly when the job

@@ -113,6 +113,77 @@ def test_parsl_bridge_max_inflight_bounds_submissions(tmp_path):
     assert canonical_outputs(throttled.outputs) == canonical_outputs(eager.outputs)
 
 
+def test_parsl_bridge_max_inflight_window_is_linear():
+    """Each submission costs the same however many came before it: N
+    submissions make O(N) checks of futures, not one per earlier future; the
+    next submission still finds fewer than ``max_inflight`` submitted futures
+    unfinished; and the window's count, updated from more finishing threads
+    than cores, ends at zero."""
+    from concurrent.futures import Future, ThreadPoolExecutor
+    import sys
+    import threading
+
+    from repro.core.workflow_bridge import CWLWorkflowBridge
+
+    submissions, max_inflight = 2000, 4
+    lock = threading.Lock()
+    checks = unfinished = peak = 0
+
+    class CountedFuture(Future):
+        def done(self):
+            nonlocal checks
+            checks += 1
+            return super().done()
+
+        def result(self, timeout=None):
+            nonlocal checks
+            checks += 1
+            return super().result(timeout)
+
+        def exception(self, timeout=None):
+            nonlocal checks
+            checks += 1
+            return super().exception(timeout)
+
+    def finished(_future):
+        nonlocal unfinished
+        with lock:
+            unfinished -= 1
+
+    bridge = CWLWorkflowBridge(
+        load_document(dict(generate_workflow(PARITY_SEEDS[0]).doc)),
+        runtime_context=RuntimeContext(max_inflight=max_inflight))
+
+    def submit_all(pool):
+        def app():
+            nonlocal unfinished, peak
+            future = CountedFuture()
+            # Registered before the bridge's own callback, so it runs first.
+            future.add_done_callback(finished)
+            with lock:
+                peak = max(peak, unfinished)
+                unfinished += 1
+            pool.submit(future.set_result, None)
+            return future
+
+        for index in range(submissions):
+            bridge._observed_call(app, {}, f"job{index}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            submitter = threading.Thread(target=submit_all, args=(pool,), daemon=True)
+            submitter.start()
+            submitter.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not submitter.is_alive()
+    assert checks <= submissions
+    assert peak < max_inflight
+    assert bridge._unfinished == 0 and unfinished == 0
+
+
 # ------------------------------------------------------- timeouts / reaping
 
 def test_pipeline_timeout_reaps_the_whole_process_group(tmp_path):

@@ -146,7 +146,7 @@ def test_conformance_cli_fails_on_a_warm_miss(tmp_path, monkeypatch, capsys):
     """A warm run that re-executes a job fails the run like a divergence."""
     from repro.cwl.jobcache import JobCache
 
-    monkeypatch.setattr(JobCache, "_load_entry", lambda self, key: None)
+    monkeypatch.setattr(JobCache, "manifest", lambda self, key: None)
     report_path = tmp_path / "CONFORMANCE.json"
     rc = conformance_main([
         "--case", "echo_stdout", "--engine", "reference", "--cache", "warm",

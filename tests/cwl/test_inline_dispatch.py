@@ -22,8 +22,7 @@ from repro.api.events import ExecutionHooks
 from repro.cwl.faults import FaultPlan, get_fault_profile
 from repro.cwl.graph import GraphNode, WorkflowGraph
 from repro.cwl.job import CommandLineJob
-from repro.cwl.jobcache import (DEFERRED, INLINE_HASH_BYTES, JobCache, file_fingerprint,
-                                get_job_cache)
+from repro.cwl.jobcache import INLINE_HASH_BYTES, JobCache, file_fingerprint, get_job_cache
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scheduler import NODE_DONE, NODE_FAILED, NODE_SKIPPED, GraphScheduler
@@ -147,9 +146,9 @@ def test_a_warm_retry_faults_before_its_probe_and_backs_off_on_the_pool(
         trace.append(("fault", job, attempt, threading.get_ident()))
         real_apply(plan, job, attempt)
 
-    def cached_result(job, **kwargs):
+    def cached_result(job, probe):
         trace.append(("probe", job.tool.id, None, threading.get_ident()))
-        return real_probe(job, **kwargs)
+        return real_probe(job, probe)
 
     monkeypatch.setattr(FaultPlan, "apply", apply)
     monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
@@ -186,9 +185,9 @@ def test_a_store_on_another_device_probes_on_the_pool(engine, tmp_path, monkeypa
     probed = []
     real_probe = CommandLineJob.cached_result
 
-    def cached_result(job, **kwargs):
+    def cached_result(job, probe):
         probed.append(threading.get_ident())
-        return real_probe(job, **kwargs)
+        return real_probe(job, probe)
 
     monkeypatch.setattr(get_job_cache(str(store)), "device", -1)
     monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
@@ -231,7 +230,8 @@ def test_a_probe_stays_inline_only_while_it_touches_metadata(tmp_path, monkeypat
 def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
         engine, tmp_path, monkeypatch):
     """A fresh process has hashed none of a hit's bodies; past
-    ``INLINE_HASH_BYTES`` the check defers to the pool, keyed once."""
+    ``INLINE_HASH_BYTES`` the probe keys on the calling thread, then yields
+    and checks the bodies on the pool: keyed once, one submission."""
     seq = {"cwlVersion": "v1.2", "class": "Workflow", "inputs": {"n": "int"},
            "outputs": {"out": {"type": "File", "outputSource": "s/out"}},
            "steps": {"s": {"run": {"class": "CommandLineTool", "baseCommand": "seq",
@@ -248,19 +248,18 @@ def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
 
     run_seq(tmp_path / "cold")
     monkeypatch.setattr("repro.cwl.jobcache._FILE_HASH_MEMO", {})
-    probes, keys = [], []
-    real_probe, real_key = CommandLineJob.cached_result, RuntimeContext.cache_key
+    checks, keys = [], []
+    real_checked, real_key = JobCache.checked, RuntimeContext.cache_key
 
-    def cached_result(job, **kwargs):
-        result = real_probe(job, **kwargs)
-        probes.append((threading.get_ident(), result is DEFERRED))
-        return result
+    def checked(cache, entry):
+        checks.append(threading.get_ident())
+        return real_checked(cache, entry)
 
     def cache_key(context, tool, job_order):
-        keys.append(tool.id)
+        keys.append(threading.get_ident())
         return real_key(context, tool, job_order)
 
-    monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
+    monkeypatch.setattr(JobCache, "checked", checked)
     monkeypatch.setattr(RuntimeContext, "cache_key", cache_key)
     submissions = PoolSubmissions(monkeypatch)
     warm = run_seq(tmp_path / "warm")
@@ -268,12 +267,13 @@ def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
     assert warm.cache_stats == {"hits": 1, "misses": 0}
     assert os.path.getsize(warm.outputs["out"]["path"]) > INLINE_HASH_BYTES
     caller = threading.get_ident()
-    assert [(thread == caller, deferred) for thread, deferred in probes] \
-        == [(True, True), (False, False)]
-    assert len(keys) == 1 and submissions.count == 1
+    assert keys == [caller]
+    assert len(checks) == 1 and checks[0] != caller
+    assert submissions.count == 1
 
 
-def test_a_lookup_defers_only_past_its_verify_limit(tmp_path, monkeypatch):
+def test_an_entrys_unhashed_body_bytes_go_to_zero_once_checked(tmp_path, monkeypatch):
+    """The fact the probe yields on: what checking an entry would read."""
     cache = JobCache(str(tmp_path / "store"))
     outdir = tmp_path / "out"
     outdir.mkdir()
@@ -281,11 +281,55 @@ def test_a_lookup_defers_only_past_its_verify_limit(tmp_path, monkeypatch):
     cache.store_files("k", str(outdir), [str(outdir / "a.txt")])
 
     monkeypatch.setattr("repro.cwl.jobcache._FILE_HASH_MEMO", {})  # a fresh process
-    assert cache.lookup("k", verify_limit=99) is DEFERRED
-    assert cache.stats.hits == cache.stats.misses == 0
-    assert cache.lookup("k", verify_limit=100).key == "k"
-    assert cache.lookup("k", verify_limit=0).key == "k"  # hashed now: reads nothing
-    assert cache.stats.hits == 2
+    entry = cache.manifest("k")
+    assert cache.unhashed_body_bytes(entry) == 100
+    assert cache.checked(entry) is entry
+    assert cache.unhashed_body_bytes(entry) == 0
+    assert cache.stats.hits == cache.stats.misses == 0  # facts count nothing
+
+
+# ------------------------------------------------ a job built directly probes itself
+
+def job_on(store, basedir, text="hello"):
+    tool = load_document(echo_step("x")["run"])
+    return CommandLineJob(tool=tool, job_order={"text": text},
+                          runtime_context=RuntimeContext(cache_dir=str(store),
+                                                         basedir=str(basedir)))
+
+
+def test_execute_on_a_cold_store_keys_once_and_counts_one_miss(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    keys = []
+    real_key = RuntimeContext.cache_key
+
+    def cache_key(context, tool, job_order):
+        keys.append(tool.id)
+        return real_key(context, tool, job_order)
+
+    monkeypatch.setattr(RuntimeContext, "cache_key", cache_key)
+    result = job_on(store, tmp_path / "cold").execute()
+
+    assert not result.cache_hit
+    assert open(result.outputs["out"]["path"]).read() == "hello\n"
+    assert len(keys) == 1
+    assert get_job_cache(str(store)).snapshot()["misses"] == 1
+
+
+def test_execute_on_a_warm_store_restores_without_spawning(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    job_on(store, tmp_path / "cold").execute()
+    before = get_job_cache(str(store)).snapshot()
+
+    def popen(*args, **kwargs):
+        raise AssertionError("a hit spawned a process")
+
+    monkeypatch.setattr("repro.cwl.job.subprocess.Popen", popen)
+    result = job_on(store, tmp_path / "warm").execute()
+
+    assert result.cache_hit
+    assert open(result.outputs["out"]["path"]).read() == "hello\n"
+    after = get_job_cache(str(store)).snapshot()
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
 
 
 # ------------------------------------------------------- failures and interrupts
@@ -384,11 +428,11 @@ def test_a_warm_step_failing_inline_under_continue_skips_its_branch_only(
     real_probe = CommandLineJob.cached_result
     probed = []
 
-    def cached_result(job, **kwargs):
+    def cached_result(job, probe):
         probed.append(threading.get_ident())
         if job.job_order.get("text") == "alpha":
             raise OSError("manifest unreadable")
-        return real_probe(job, **kwargs)
+        return real_probe(job, probe)
 
     monkeypatch.setattr(CommandLineJob, "cached_result", cached_result)
     submissions = PoolSubmissions(monkeypatch)

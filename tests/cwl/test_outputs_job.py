@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.cwl.command_line import build_command_line
 from repro.cwl.errors import InputValidationError, JobFailure, OutputCollectionError
 from repro.cwl.expressions.compiler import CompiledEvaluator
 from repro.cwl.job import CommandLineJob
@@ -169,14 +170,17 @@ def test_command_line_job_env_requirement(tmp_path):
 
 
 def test_command_line_job_build_only(cwl_dir, tmp_path):
+    """The command line a job would run, built without running it (what the
+    Parsl bridge does on the execution side of a ``CWLApp``)."""
     tool = load_tool(cwl_dir / "blur_image.cwl")
     job = CommandLineJob(tool, {"input_image": {"class": "File", "path": "/img/in.png"},
-                                "radius": 3},
-                         RuntimeContext(basedir=str(tmp_path), outdir=str(tmp_path)))
-    parts = job.build()
+                                "radius": 3})
+    runtime = RuntimeContext().with_resources(tool).runtime_object(str(tmp_path), str(tmp_path))
+    parts = build_command_line(tool, job.job_order, runtime, job.make_evaluator())
     assert parts.argv[:4] == ["python3", "-m", "repro.imaging.cli", "blur"]
     assert "--radius" in parts.argv and "3" in parts.argv
     assert "/img/in.png" in parts.argv
+    assert os.listdir(tmp_path) == []
 
 
 def test_image_tool_executes_fully(cwl_dir, tmp_path, small_image):
