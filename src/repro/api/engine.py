@@ -51,7 +51,7 @@ import importlib
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from repro.api.events import EventRecorder, ExecutionHooks
+from repro.api.events import ExecutionHooks
 from repro.api.result import ExecutionResult
 from repro.cwl.loader import load_document, load_document_cached
 from repro.cwl.schema import Process
@@ -97,10 +97,6 @@ class Engine(abc.ABC):
         if isinstance(process, (str, os.PathLike)):
             return load_document_cached(process)
         return load_document(process)
-
-    @staticmethod
-    def recorder_for(hooks: Optional[ExecutionHooks]) -> EventRecorder:
-        return EventRecorder(hooks)
 
     def __enter__(self) -> "Engine":
         return self

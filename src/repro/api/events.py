@@ -1,11 +1,14 @@
 """Per-job event stream shared by every engine.
 
-Engines report the start and end of each individual job (one CommandLineTool
-or ExpressionTool invocation) to an :class:`EventRecorder`, which timestamps
-the transitions, accumulates :class:`JobEvent` records for the
-:class:`~repro.api.result.ExecutionResult`, and forwards them to the user's
-:class:`ExecutionHooks` callbacks.  Recording is thread-safe: parallel
-runners and the Parsl dataflow deliver events from worker threads.
+Engines report the start, retries and end of each individual job (one
+CommandLineTool or ExpressionTool invocation) to an :class:`EventRecorder`,
+which timestamps the transitions, accumulates :class:`JobEvent` records for
+the :class:`~repro.api.result.ExecutionResult`, and forwards them to the
+user's :class:`ExecutionHooks` callbacks.  In a journalled run it is also the
+one writer of the journal's per-job records: a ``retry`` record with each
+retry event and a ``job`` record with each successful tool job's end event.
+Recording is thread-safe: parallel runners and the Parsl dataflow deliver
+events from worker threads.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 HookCallback = Callable[["JobEvent"], Any]
 
@@ -60,17 +63,24 @@ class _ActiveJob:
 
 
 class EventRecorder:
-    """Collects job events for one execution and fans them out to hooks.
+    """Collects job events for one execution, fans them out to hooks and
+    writes the matching records to the run's journal.
 
     Implements the observer protocol duck-typed by
     :class:`~repro.cwl.runners.base.BaseRunner` and
     :class:`~repro.core.workflow_bridge.CWLWorkflowBridge`:
     ``job_started(name) -> token``, ``job_retry(token, attempt, error,
-    delay_s)`` and ``job_finished(token, ok, error, cache, attempt)``.
+    delay_s)`` and ``job_finished(token, ok, error, cache, attempt, tool,
+    key, exit_code)``.  One recorder is made per execution, when it starts.
     """
 
-    def __init__(self, hooks: Optional[ExecutionHooks] = None) -> None:
+    def __init__(self, hooks: Optional[ExecutionHooks] = None,
+                 journal: Optional[Any] = None) -> None:
         self.hooks = hooks
+        #: The run's :class:`~repro.cwl.journal.RunJournal`, or ``None``.
+        self.journal = journal
+        #: ``perf_counter`` when the execution started.
+        self.started = time.perf_counter()
         #: Raw records: either a materialised :class:`JobEvent` (hook path) or
         #: a compact ``(kind, job, timestamp, ok, error, duration_s, cache,
         #: attempt)`` tuple.  Tuples become events lazily via :attr:`events`,
@@ -107,6 +117,9 @@ class EventRecorder:
                   error: Optional[str] = None,
                   delay_s: Optional[float] = None) -> None:
         """Record that attempt ``attempt`` of a job failed and will be retried."""
+        if self.journal is not None:
+            self.journal.record("retry", job=token.job, attempt=attempt, error=error,
+                                delay_s=delay_s)
         hook = self.hooks.on_job_retry if self.hooks else None
         if hook is None:
             record: Any = ("retry", token.job, time.time(), False, error,
@@ -129,7 +142,17 @@ class EventRecorder:
     def job_finished(self, token: _ActiveJob, ok: bool = True,
                      error: Optional[str] = None,
                      cache: Optional[str] = None,
-                     attempt: int = 1) -> None:
+                     attempt: int = 1, tool: Optional[str] = None,
+                     key: Optional[str] = None,
+                     exit_code: Optional[int] = None) -> None:
+        """Record a job's end.  A successful tool job (one with an
+        ``exit_code``) is also the journal's ``job`` record: the tool's id,
+        its cache key and outcome (``"miss"`` unless it was a hit) and its
+        exit code."""
+        if self.journal is not None and ok and exit_code is not None:
+            self.journal.record("job", tool=tool, key=key,
+                                cache="hit" if cache == "hit" else "miss",
+                                exit_code=exit_code)
         duration = time.perf_counter() - token.started_at
         hook = self.hooks.on_job_end if self.hooks else None
         if hook is None:
@@ -150,9 +173,3 @@ class EventRecorder:
             self._records.append(record)
         if hook is not None:
             hook(record)
-
-
-def cache_stats(events: List[JobEvent]) -> Dict[str, int]:
-    """Exact hit/miss counts from the per-job end events of one execution."""
-    outcomes = [e.cache for e in events if e.kind == "end"]
-    return {"hits": outcomes.count("hit"), "misses": outcomes.count("miss")}

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from typing import Any, Dict, Optional
 
 from repro.api.engine import Engine, EngineError
-from repro.api.events import EventRecorder, ExecutionHooks, cache_stats
-from repro.api.plan import result_plan
-from repro.api.result import ExecutionResult
+from repro.api.events import EventRecorder, ExecutionHooks
+from repro.api.result import ExecutionResult, run_result
 from repro.core.cwl_app import to_cwl_value
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
@@ -93,48 +91,25 @@ class ParslEngine(Engine):
 
     def _run(self, process, job_order: Dict[str, Any], hooks: Optional[ExecutionHooks],
              context: RuntimeContext) -> ExecutionResult:
-        recorder = self.recorder_for(hooks)
         self._ensure_kernel()
-        start = time.perf_counter()
-        failures: Dict[str, str] = {}
+        recorder = EventRecorder(hooks, context.journal)
+        job_order = dict(job_order or {})
         if isinstance(process, Workflow):
-            outputs, failures = self._run_workflow(process, dict(job_order or {}),
-                                                   recorder, context)
-        elif isinstance(process, CommandLineTool):
-            outputs = run_tool_with_parsl(
-                tool=process, job_order=dict(job_order or {}), config=None,
-                outdir=self._outdir, cleanup=False, runtime_context=context,
-                job_observer=recorder)
-        else:
+            bridge = CWLWorkflowBridge(process, job_observer=recorder,
+                                       runtime_context=context)
+            outputs = bridge.run(job_order)
+            return run_result(recorder, context, self.name,
+                              {key: to_cwl_value(value) for key, value in outputs.items()},
+                              graph=bridge.graph, failures=bridge.failures)
+        if not isinstance(process, CommandLineTool):
             raise EngineError(
                 f"the {self.name!r} engine cannot run a {type(process).__name__} "
                 "(CommandLineTool or Workflow expected)"
             )
-        events = recorder.events
-        return ExecutionResult(
-            outputs=outputs,
-            status="permanentFail" if failures else "success",
-            engine=self.name,
-            jobs_run=sum(1 for e in events if e.kind == "start"),
-            wall_time_s=time.perf_counter() - start,
-            events=events,
-            plan=result_plan(process),
-            # Counted from this execution's own per-job events (the store and
-            # its counters are shared process-wide, so a counter delta would
-            # absorb concurrent executions' traffic).
-            cache_stats=cache_stats(events)
-            if context.job_cache_dir() is not None else None,
-            failures=failures,
-        )
-
-    def _run_workflow(self, workflow: Workflow, job_order: Dict[str, Any],
-                      recorder: EventRecorder, context: RuntimeContext) -> tuple:
-        bridge = CWLWorkflowBridge(workflow, job_observer=recorder,
-                                   runtime_context=context)
-        outputs = bridge.run(job_order)
-        failures = {name: str(exc) for name, exc in bridge.failures.items()}
-        return ({key: to_cwl_value(value) for key, value in outputs.items()},
-                failures)
+        outputs = run_tool_with_parsl(
+            tool=process, job_order=job_order, config=None, outdir=self._outdir,
+            cleanup=False, runtime_context=context, job_observer=recorder)
+        return run_result(recorder, context, self.name, outputs)
 
 
 class ParslWorkflowEngine(ParslEngine):

@@ -18,7 +18,7 @@ Quick look::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.api.engine import Engine
 from repro.cwl.graph import build_graph
@@ -82,19 +82,9 @@ class ExecutionPlan:
 
 
 def describe_workflow(workflow: Workflow) -> Dict[str, Any]:
-    """The graph summary engines attach to :attr:`ExecutionResult.plan`."""
+    """The graph summary of ``workflow``: what an engine that runs it attaches
+    to :attr:`ExecutionResult.plan`, from the graph it executed."""
     return build_graph(workflow).describe()
-
-
-def result_plan(process: Any) -> Optional[Dict[str, Any]]:
-    """What an engine attaches to :attr:`ExecutionResult.plan` (best-effort):
-    the workflow's graph summary, ``None`` for a single tool."""
-    if not isinstance(process, Workflow):
-        return None
-    try:
-        return describe_workflow(process)
-    except Exception:  # introspection must never fail an execution
-        return None
 
 
 def plan_for(process: Any) -> ExecutionPlan:
@@ -109,7 +99,7 @@ def plan_for(process: Any) -> ExecutionPlan:
             critical_path=description["critical_path"],
             critical_path_length=description["critical_path_length"],
         )
-    node_id = process.id or type(process).__name__
+    node_id = process.job_name
     return ExecutionPlan(
         process_id=process.id or "",
         kind=type(process).__name__,

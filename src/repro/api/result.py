@@ -1,21 +1,25 @@
-"""The unified return shape of every engine."""
+"""The unified return shape of every engine, and the one function that
+builds it."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.api.events import JobEvent
+from repro.api.events import EventRecorder, JobEvent
+
+if TYPE_CHECKING:
+    from repro.cwl.graph import WorkflowGraph
+    from repro.cwl.runtime import RuntimeContext
 
 
 @dataclass
 class ExecutionResult:
     """Outputs plus bookkeeping from one execution, whatever the engine.
 
-    What every :meth:`~repro.api.engine.Engine.execute` returns: the runners
-    build it directly, the Parsl engines from the plain output dict of
-    ``run_tool_with_parsl`` or the resolved futures of
-    ``CWLWorkflowBridge.run``.
+    What every :meth:`~repro.api.engine.Engine.execute` returns.  The
+    built-in engines make it with :func:`run_result`, from what they ran.
     """
 
     #: The CWL output object (output id -> value), fully resolved.  Under
@@ -37,9 +41,9 @@ class ExecutionResult:
     #: The workflow dataflow plan (``WorkflowGraph.describe()`` — nodes, edges,
     #: critical path) when a Workflow was executed; ``None`` for single tools.
     plan: Optional[Dict[str, Any]] = None
-    #: Job-cache accounting for this execution — ``{"hits": ..., "misses": ...}``
-    #: (runner engines count exactly from per-job events; the Parsl engines
-    #: report the store's counter delta) — or ``None`` when caching was off.
+    #: Job-cache accounting for this execution — ``{"hits": ..., "misses": ...}``,
+    #: counted from its own per-job end events on every engine — or ``None``
+    #: when caching was off.
     cache_stats: Optional[Dict[str, int]] = None
     #: Failed node/step id -> error string (non-empty only under
     #: ``on_error="continue"``; with ``"stop"`` the first failure raises).
@@ -74,3 +78,35 @@ class ExecutionResult:
         """One human-readable line (used by CLIs in verbose mode)."""
         return (f"engine={self.engine or '?'} status={self.status} "
                 f"jobs={self.jobs_run} wall_time={self.wall_time_s:.3f}s")
+
+
+def run_result(recorder: EventRecorder, context: "RuntimeContext", engine: str,
+               outputs: Dict[str, Any], graph: Optional["WorkflowGraph"] = None,
+               failures: Optional[Dict[str, BaseException]] = None,
+               node_states: Optional[Dict[str, str]] = None,
+               stage_timings: Optional[Dict[str, Any]] = None) -> ExecutionResult:
+    """The result of one execution on a built-in engine.
+
+    Every fact that is not the engine's own comes from the run's
+    ``recorder`` (events, job count, cache counts, wall time since it was
+    made), the :class:`~repro.cwl.graph.WorkflowGraph` the run executed
+    (``graph``, the plan; ``None`` for a single tool) and its ``context``
+    (whether caching was on).  The engine supplies the outputs, the failed
+    nodes (under ``on_error="continue"``) and the node states.
+    """
+    events = recorder.events
+    outcomes = [e.cache for e in events if e.kind == "end"]
+    return ExecutionResult(
+        outputs=outputs,
+        status="permanentFail" if failures else "success",
+        engine=engine,
+        jobs_run=sum(1 for e in events if e.kind == "start"),
+        wall_time_s=time.perf_counter() - recorder.started,
+        events=events,
+        plan=graph.describe() if graph is not None else None,
+        cache_stats={"hits": outcomes.count("hit"), "misses": outcomes.count("miss")}
+        if context.job_cache_dir() is not None else None,
+        failures={node: str(exc) for node, exc in (failures or {}).items()},
+        node_states=node_states or {},
+        stage_timings=stage_timings,
+    )

@@ -46,7 +46,7 @@ from repro.cwl.jobcache import (
 )
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.outputs import matching_files, output_globs
-from repro.cwl.retry import execute_with_retries, record_retry
+from repro.cwl.retry import execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, matches
@@ -348,30 +348,29 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
 
 
 def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
-                    journal: Any, job: str, error: Optional[BaseException] = None) -> None:
+                    error: Optional[BaseException] = None) -> None:
     """Report how one ``CWLApp`` invocation ended (``error`` ``None``: it succeeded).
 
     The one routine both Parsl entry points report a job through: each entry
-    of the future's ``cwl_retry_note`` becomes a ``"retry"`` event and a
-    journal record (:func:`~repro.cwl.retry.record_retry`), a success becomes
-    the ``job`` journal record :class:`~repro.cwl.job.CommandLineJob` writes
-    (tool, key, cache outcome and exit code, from the ``cwl_cache_note``),
-    then the ``"end"`` event gets the cache outcome and the final attempt.
+    of the future's ``cwl_retry_note`` becomes a ``"retry"`` event, then the
+    ``"end"`` event gets the final attempt and, from the ``cwl_cache_note``,
+    the tool, key, cache outcome and exit code, which a journalling observer
+    (:class:`~repro.api.events.EventRecorder`) writes as the ``job`` record.
     ``future`` is ``None`` when the call failed before submitting.  On
     process-based executors both notes stay empty: nothing is observed.
     """
+    if observer is None:
+        return
     retries = getattr(future, "cwl_retry_note", None) or []
     for entry in retries:
-        record_retry(observer, token, journal, job, entry["attempt"],
-                     entry["error"], entry["delay_s"])
+        observer.job_retry(token, entry["attempt"], error=entry["error"],
+                           delay_s=entry["delay_s"])
     note = getattr(future, "cwl_cache_note", None) or {}
-    if journal is not None and error is None and "exit_code" in note:
-        journal.record("job", tool=note.get("tool"), key=note.get("key"),
-                       cache=note.get("cache", "miss"), exit_code=note["exit_code"])
-    if observer is not None:
-        observer.job_finished(token, ok=error is None,
-                              error=None if error is None else str(error),
-                              cache=note.get("cache"), attempt=len(retries) + 1)
+    observer.job_finished(token, ok=error is None,
+                          error=None if error is None else str(error),
+                          cache=note.get("cache"), attempt=len(retries) + 1,
+                          tool=note.get("tool"), key=note.get("key"),
+                          exit_code=note.get("exit_code"))
 
 
 def _store_results(ctx: Dict[str, Any], stdout_spec: Any, stderr_spec: Any,
@@ -518,10 +517,10 @@ class CWLApp:
         cache = context.get_job_cache()
         cache_note: Dict[str, Any] = {"tool": self.tool.id}
         retry_note: List[Dict[str, Any]] = []
-        # An id-less tool has the runners' job name, so FaultSpecs and
-        # backoff schedules see the same job on every engine.
+        # The job name every engine gives the tool, so FaultSpecs and backoff
+        # schedules see the same job everywhere.
         app_kwargs: Dict[str, Any] = {
-            "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.id or "<tool>",
+            "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.job_name,
             "cwl_cache_dir": cache.cache_dir if cache is not None else None,
             "cwl_cache_note": cache_note, "cwl_retry_note": retry_note}
         for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan", "timeout_s"):

@@ -87,11 +87,11 @@ def run_tool_with_parsl(
         (enforced in-shell; exceeding it raises
         :class:`~repro.cwl.errors.JobTimeout`), and ``retry_policy`` /
         ``fault_plan``, honoured on the execution side around the cache
-        probe.  Each retry is a ``retry`` record in the context's journal,
-        when it has one (a journalled run's ``run_dir``).
+        probe.
     job_observer:
         Optional :class:`~repro.api.events.EventRecorder`-like observer: told
         of the job's start, then (after output collection) its retries and end.
+        A journalling recorder writes the job's ``retry`` and ``job`` records.
     """
     job_order = dict(job_order or {})
     tool_doc = tool if isinstance(tool, CommandLineTool) else load_tool(tool)
@@ -100,8 +100,7 @@ def run_tool_with_parsl(
     if cleanup is None:
         cleanup = loaded_here
 
-    job = tool_doc.id or "<tool>"
-    token = job_observer.job_started(job) if job_observer is not None else None
+    token = None if job_observer is None else job_observer.job_started(tool_doc.job_name)
     future = error = None
     try:
         app = CWLApp(tool_doc, runtime_context=context)
@@ -125,7 +124,7 @@ def run_tool_with_parsl(
         error = exc
         raise
     finally:
-        report_finished(future, job_observer, token, context.journal, job, error)
+        report_finished(future, job_observer, token, error)
         if cleanup:
             DataFlowKernelLoader.clear()
 

@@ -222,7 +222,7 @@ class CWLWorkflowBridge:
         try:
             future = app(**kwargs)
         except Exception as exc:
-            report_finished(None, observer, token, None, name, exc)
+            report_finished(None, observer, token, exc)
             raise
         self._pending_observations.append((future, token, name))
         self._throttle_inflight(future)
@@ -262,8 +262,9 @@ class CWLWorkflowBridge:
         can report which steps failed.  Each step is reported through
         :func:`~repro.core.cwl_app.report_finished`, the routine
         ``run_tool_with_parsl`` uses too: the retries its execution side made
-        become events and journal records, so each job's events read start →
-        retry* → end like the runner engines'.
+        become events, so each job's events read start → retry* → end like
+        the runner engines'.  The step's terminal node state is journalled
+        here, after its job's records.
         """
         journal = self.runtime_context.journal
         pending, self._pending_observations = self._pending_observations, []
@@ -273,7 +274,7 @@ class CWLWorkflowBridge:
             exception = future.exception()
             if exception is not None:
                 self.failures.setdefault(name, exception)
-            report_finished(future, self.job_observer, token, journal, name, exception)
+            report_finished(future, self.job_observer, token, exception)
             if journal is not None:
                 journal.node_state(name, "failed" if exception else "done")
 

@@ -206,14 +206,6 @@ class GraphNode:
     child: Optional[Workflow] = field(default=None, repr=False, compare=False)
     child_scope: str = ""
 
-    @property
-    def record_id(self) -> str:
-        """The step-record key for this node (node id minus @in/@out/@gather)."""
-        for marker in ("@in", "@out", "@gather"):
-            if self.id.endswith(marker):
-                return self.id[: -len(marker)]
-        return self.id
-
 
 class WorkflowGraph:
     """The immutable-after-build dataflow graph of one workflow."""
@@ -314,10 +306,8 @@ class WorkflowGraph:
 class GraphBuilder:
     """Builds :class:`WorkflowGraph` s (and runtime scatter-expansion subgraphs)."""
 
-    def __init__(self, resolve: Optional[StepResolver] = None,
-                 flatten_subworkflows: bool = True) -> None:
+    def __init__(self, resolve: Optional[StepResolver] = None) -> None:
         self.resolve = resolve or default_resolver
-        self.flatten = flatten_subworkflows
         self.nodes: Dict[str, GraphNode] = {}
         self.preds: Dict[str, List[str]] = {}
 
@@ -355,7 +345,7 @@ class GraphBuilder:
         for step in workflow.steps:
             process = self.resolve(step, workflow)
             resolved[step.id] = process
-            if self.flatten and not step.scatter and isinstance(process, Workflow):
+            if not step.scatter and isinstance(process, Workflow):
                 flattened.add(step.id)
 
         producer: Dict[str, str] = {}
@@ -444,9 +434,8 @@ class GraphBuilder:
         return graph
 
 
-def build_graph(workflow: Workflow, resolve: Optional[StepResolver] = None,
-                flatten_subworkflows: bool = True) -> WorkflowGraph:
+def build_graph(workflow: Workflow, resolve: Optional[StepResolver] = None) -> WorkflowGraph:
     """Compile ``workflow`` into its dataflow :class:`WorkflowGraph`."""
-    builder = GraphBuilder(resolve=resolve, flatten_subworkflows=flatten_subworkflows)
+    builder = GraphBuilder(resolve=resolve)
     builder.add_workflow(workflow, scope="", entry=None)
     return builder.finish()

@@ -48,6 +48,9 @@ class JobResult:
     #: True when the result was restored from the job cache instead of
     #: executing the subprocess (see :mod:`repro.cwl.jobcache`).
     cache_hit: bool = False
+    #: The job's cache key (``None`` when caching is off), which the runner
+    #: reports with the job's end.
+    cache_key: Optional[str] = None
 
 
 @dataclass
@@ -194,9 +197,9 @@ class CommandLineJob:
                 and unhashed_bytes(self.job_order) <= INLINE_HASH_BYTES)
 
     def probe(self, *devices: int) -> Continuation[CacheProbe]:
-        """Validate the job order, key it and look it up in the job cache;
-        count the hit or miss.  The first segment of every attempt, and the
-        only way into the cache on the runners.
+        """Validate the job order, key it and look it up in the job cache.
+        The first segment of every attempt, and the only way into the cache
+        on the runners.
 
         A continuation that yields before it would read or copy file bodies,
         so only metadata work stays on the thread that dispatches workflow
@@ -220,9 +223,7 @@ class CommandLineJob:
         entry = cache.manifest(key)
         if inline and entry is not None and cache.unhashed_body_bytes(entry) > INLINE_HASH_BYTES:
             yield
-        entry = cache.checked(entry)
-        cache.record(entry)
-        return CacheProbe(context, cache, key, entry)
+        return CacheProbe(context, cache, key, cache.checked(entry))
 
     def cached_result(self, probe: CacheProbe) -> Optional[JobResult]:
         """Restore the hit ``probe`` found; ``None`` on a miss.  The one hit path.
@@ -256,10 +257,6 @@ class CommandLineJob:
             evaluator=self.make_evaluator(),
             compute_checksum=self.runtime_context.compute_checksum,
         )
-        if self.runtime_context.journal is not None:
-            self.runtime_context.journal.record(
-                "job", tool=self.tool.id, key=entry.key, cache="hit",
-                exit_code=entry.exit_code)
         return JobResult(
             outputs=outputs,
             exit_code=entry.exit_code,
@@ -268,6 +265,7 @@ class CommandLineJob:
             stdout_path=stdout_path,
             stderr_path=stderr_path,
             cache_hit=True,
+            cache_key=entry.key,
         )
 
     # -------------------------------------------------------------- execution
@@ -280,7 +278,7 @@ class CommandLineJob:
         a hit's restored result, so a job built directly behaves like one
         attempt of a runner.  Synchronous composition of
         :meth:`stage_execution` (job dirs, command line), :meth:`launch` and
-        :meth:`collect_execution` (outputs, cache store, journal record).
+        :meth:`collect_execution` (outputs, cache store).
         Every caller runs it whole on one worker — under the pipelined
         scheduler core that is the exec lane; that core's stage and collect
         lanes only gather step inputs and store step outputs
@@ -366,7 +364,7 @@ class CommandLineJob:
             except subprocess.TimeoutExpired:
                 self._reap(proc)
                 self.runtime_context.cleanup_dir(staged.tmpdir)
-                raise JobTimeout(self.tool.id or "<tool>",
+                raise JobTimeout(self.tool.job_name,
                                  float(self.runtime_context.timeout_s or 0))
             except BaseException:
                 # Interrupted mid-wait (KeyboardInterrupt/SIGTERM unwinding
@@ -380,7 +378,7 @@ class CommandLineJob:
             self._close_launch_handles(stdin_handle, stdout_handle, stderr_handle)
 
         if exit_code not in self.tool.success_codes:
-            raise JobFailure(self.tool.id or "<tool>", exit_code, " ".join(parts.argv))
+            raise JobFailure(self.tool.job_name, exit_code, " ".join(parts.argv))
         return exit_code
 
     async def launch_async(self, staged: StagedJob) -> int:
@@ -417,7 +415,7 @@ class CommandLineJob:
             except asyncio.TimeoutError:
                 await self._reap_async(proc)
                 self.runtime_context.cleanup_dir(staged.tmpdir)
-                raise JobTimeout(self.tool.id or "<tool>",
+                raise JobTimeout(self.tool.job_name,
                                  float(self.runtime_context.timeout_s or 0))
             except BaseException:
                 # Cancelled mid-wait (scheduler shutdown): reap before the
@@ -430,13 +428,13 @@ class CommandLineJob:
             self._close_launch_handles(stdin_handle, stdout_handle, stderr_handle)
 
         if exit_code not in self.tool.success_codes:
-            raise JobFailure(self.tool.id or "<tool>", exit_code, " ".join(parts.argv))
+            raise JobFailure(self.tool.job_name, exit_code, " ".join(parts.argv))
         return exit_code
 
     # -------------------------------------------- pipeline: collect + persist
 
     def collect_execution(self, staged: StagedJob, exit_code: int) -> JobResult:
-        """Collect outputs, store into the cache, journal, clean up."""
+        """Collect outputs, store into the cache, clean up."""
         parts = staged.parts
         outputs = collect_outputs(
             self.tool,
@@ -466,10 +464,6 @@ class CommandLineJob:
                 logger.warning("could not store job %s in the cache at %s",
                                self.tool.id, staged.cache.cache_dir, exc_info=True)
         self.runtime_context.cleanup_dir(staged.tmpdir)
-        if self.runtime_context.journal is not None:
-            self.runtime_context.journal.record(
-                "job", tool=self.tool.id, key=staged.cache_key, cache="miss",
-                exit_code=exit_code)
         return JobResult(
             outputs=outputs,
             exit_code=exit_code,
@@ -477,6 +471,7 @@ class CommandLineJob:
             outdir=staged.outdir,
             stdout_path=staged.stdout_path,
             stderr_path=staged.stderr_path,
+            cache_key=staged.cache_key,
         )
 
     @staticmethod

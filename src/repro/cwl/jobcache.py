@@ -460,20 +460,6 @@ class CacheEntry:
         return self.streams.get(which)
 
 
-@dataclass
-class CacheStats:
-    """Monotonic per-store counters (snapshot with :meth:`as_dict`)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    restored_files: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "restored_files": self.restored_files}
-
-
 class JobCache:
     """Persistent content-addressed store of CommandLineTool results."""
 
@@ -486,8 +472,6 @@ class JobCache:
         #: The store's ``st_dev``: a restore into a directory on another
         #: device copies every byte instead of hardlinking.
         self.device = os.stat(self.cas_dir).st_dev
-        self.stats = CacheStats()
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------ lookup
 
@@ -497,26 +481,16 @@ class JobCache:
     def _cas_path(self, cas_id: str) -> str:
         return os.path.join(self.cas_dir, cas_id)
 
-    def lookup(self, key: str, record: bool = True) -> Optional[CacheEntry]:
-        """Load and validate the manifest for ``key``; records hit/miss stats.
+    def lookup(self, key: str) -> Optional[CacheEntry]:
+        """Load and validate the manifest for ``key``: the hit, or ``None``.
 
         :meth:`manifest`, then :meth:`checked`.  A manifest whose CAS bodies
         have gone missing (a partially deleted store) is treated as a miss,
         so the entry is transparently re-created by the run that follows.
+        Counts nothing: an execution counts its hits and misses from its
+        own job events (:attr:`~repro.api.result.ExecutionResult.cache_stats`).
         """
-        entry = self.checked(self.manifest(key))
-        if record:
-            self.record(entry)
-        return entry
-
-    def record(self, entry: Optional[CacheEntry]) -> None:
-        """Count the outcome of a probe: a hit when ``entry`` is not ``None``,
-        else a miss."""
-        with self._stats_lock:
-            if entry is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
+        return self.checked(self.manifest(key))
 
     def _quarantine(self, path: str, reason: str) -> None:
         """Move a damaged store artifact aside (``*.corrupt``) — never raise.
@@ -610,15 +584,11 @@ class JobCache:
         excluded = {os.path.normpath(rel) for rel in exclude if rel}
         for rel in entry.dirs:
             os.makedirs(os.path.join(outdir, rel), exist_ok=True)
-        restored = 0
         for rel, spec in entry.files.items():
             if os.path.normpath(rel) in excluded:
                 continue
             stage_file(self._cas_path(spec["cas"]), os.path.join(outdir, rel),
                        prefer_copy=prefer_copy)
-            restored += 1
-        with self._stats_lock:
-            self.stats.restored_files += restored
 
     def cas_body(self, entry: CacheEntry, rel: str) -> Optional[str]:
         """Absolute CAS path of the body cached for ``rel``, if any."""
@@ -713,24 +683,11 @@ class JobCache:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
         os.replace(tmp, path)
-        with self._stats_lock:
-            self.stats.stores += 1
         return CacheEntry(key=key, fingerprint=fingerprint, files=files, dirs=dirs,
                           streams={"stdout": stdout_name, "stderr": stderr_name},
                           exit_code=exit_code, command=command or {})
 
     # ------------------------------------------------------------------- admin
-
-    def snapshot(self) -> Dict[str, int]:
-        """A point-in-time copy of the counters (thread-safe)."""
-        with self._stats_lock:
-            return self.stats.as_dict()
-
-    def entry_count(self) -> int:
-        try:
-            return sum(1 for name in os.listdir(self.entries_dir) if name.endswith(".json"))
-        except OSError:
-            return 0
 
     def clear(self) -> None:
         """Drop every entry and CAS body (the store directory itself remains)."""
@@ -739,7 +696,7 @@ class JobCache:
             os.makedirs(directory, exist_ok=True)
 
     def __repr__(self) -> str:
-        return f"<JobCache {self.cache_dir!r} {self.snapshot()}>"
+        return f"<JobCache {self.cache_dir!r}>"
 
 
 # -------------------------------------------------------- process-wide handles
@@ -752,7 +709,7 @@ def get_job_cache(cache_dir: Optional[str] = None) -> JobCache:
     """The process-wide :class:`JobCache` for ``cache_dir`` (created on demand).
 
     Keyed by real path so every engine — and every thread — pointing at the
-    same store shares one instance and therefore one set of statistics.  The
+    same store shares one instance (and makes its directories once).  The
     real path is resolved once per *spelling* of an absolute directory and
     remembered beside it: this runs once per job.
     """

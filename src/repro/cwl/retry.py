@@ -110,20 +110,6 @@ class RetryPolicy:
         return type(exc).__name__ in self.retryable_errors
 
 
-def record_retry(observer: Any, token: Any, journal: Any, job: str,
-                 attempt: int, error: str, delay_s: float) -> None:
-    """Report that ``attempt`` of ``job`` failed and will be retried.
-
-    The one place every engine records a retry: a ``"retry"`` event on the
-    job's observer (:meth:`~repro.api.events.EventRecorder.job_retry`) and a
-    ``retry`` record in the run journal, each when there is one.
-    """
-    if observer is not None:
-        observer.job_retry(token, attempt, error=error, delay_s=delay_s)
-    if journal is not None:
-        journal.record("retry", job=job, attempt=attempt, error=error, delay_s=delay_s)
-
-
 def retrying(
     attempt_fn: Callable[[int], Continuation[Any]],
     *,

@@ -21,28 +21,28 @@ attempt injects its fault, then is ``CommandLineJob.probe``, then either
 ``CommandLineJob.cached_result`` (a hit, restored without yielding, so in a
 workflow it completes on the dispatching thread) or a yield followed by
 ``CommandLineJob.execute(probe)`` (a miss, which spawns or is issued).  The
-probe is handed on as a value, so each attempt is keyed and counted once.  A
-probe stays on the dispatching thread while it touches metadata only: one
+probe is handed on as a value, so each attempt is keyed once.  A probe
+stays on the dispatching thread while it touches metadata only: one
 that would hash large inputs or a large hit's bodies, or copy a hit's files
-across devices, yields first.
+across devices, yields first.  The job's start, retries and end go to the
+run's :class:`~repro.api.events.EventRecorder`, with the key and exit code
+its :class:`~repro.cwl.job.JobResult` hands on.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from abc import abstractmethod
 from typing import Any, Callable, Dict, Optional
 
 from repro.api.engine import Engine
-from repro.api.events import EventRecorder, ExecutionHooks, cache_stats
-from repro.api.plan import result_plan
-from repro.api.result import ExecutionResult
+from repro.api.events import EventRecorder, ExecutionHooks
+from repro.api.result import ExecutionResult, run_result
 from repro.cwl.errors import ValidationException
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.job import JobResult
 from repro.cwl.journal import run_journalled
-from repro.cwl.retry import record_retry, retrying
+from repro.cwl.retry import retrying
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
 from repro.cwl.types import coerce_file_inputs
@@ -107,41 +107,24 @@ class BaseRunner(Engine):
     def _run(self, process: Process, job_order: Dict[str, Any],
              hooks: Optional[ExecutionHooks],
              context: RuntimeContext) -> ExecutionResult:
-        recorder = self.recorder_for(hooks)
-        start = time.perf_counter()
+        recorder = EventRecorder(hooks, context.journal)
         if self.validate:
             ensure_valid(process)
         job_order = {k: coerce_file_inputs(v) for k, v in (job_order or {}).items()}
         run_job = functools.partial(self._observed, recorder)
-        failures: Dict[str, str] = {}
-        node_states: Dict[str, str] = {}
-        stage_timings = None
-        if isinstance(process, Workflow):
-            workflow = WorkflowEngine(
-                process, process_runner=run_job, runtime_context=context,
-                parallel=self.parallel, max_workers=self.max_workers,
-                evaluator_for=self.evaluator_for)
-            outputs = workflow.run(job_order)
-            # Failed nodes only reach this point under on_error="continue":
-            # the outputs are partial and the result says so instead of raising.
-            failures = {node: str(exc) for node, exc in workflow.failures.items()}
-            node_states, stage_timings = workflow.node_states, workflow.stage_timings
-        else:
+        if not isinstance(process, Workflow):
             outputs = finish(run_job(process, job_order, context))
-        events = recorder.events
-        return ExecutionResult(
-            outputs=outputs,
-            status="permanentFail" if failures else "success",
-            engine=self.name,
-            jobs_run=sum(1 for e in events if e.kind == "start"),
-            wall_time_s=time.perf_counter() - start,
-            events=events,
-            plan=result_plan(process),
-            cache_stats=cache_stats(events) if context.job_cache_dir() is not None else None,
-            failures=failures,
-            node_states=node_states,
-            stage_timings=stage_timings,
-        )
+            return run_result(recorder, context, self.name, outputs)
+        workflow = WorkflowEngine(
+            process, process_runner=run_job, runtime_context=context,
+            parallel=self.parallel, max_workers=self.max_workers,
+            evaluator_for=self.evaluator_for)
+        outputs = workflow.run(job_order)
+        # Failed nodes only reach this point under on_error="continue": the
+        # outputs are partial and the result says so instead of raising.
+        return run_result(recorder, context, self.name, outputs, graph=workflow.graph,
+                          failures=workflow.failures, node_states=workflow.node_states,
+                          stage_timings=workflow.stage_timings)
 
     # ----------------------------------------------------------------- dispatch
 
@@ -152,36 +135,36 @@ class BaseRunner(Engine):
         and end to ``recorder`` (the workflow engine's ``process_runner``).
         A continuation: it yields where the tool's run does.
 
-        The end event's cache outcome comes back with the tool's
-        :class:`JobResult`; its attempt is one past the last retry this job
-        reported, which holds for a failed job too.
+        The end event's cache outcome, key and exit code come back with the
+        tool's :class:`JobResult`; its attempt is one past the last retry this
+        job reported, which holds for a failed job too.
         """
         if not isinstance(process, (CommandLineTool, ExpressionTool)):
             raise ValidationException(
                 f"cannot run process of type {type(process).__name__}")
-        token = recorder.job_started(process.id or type(process).__name__)
+        token = recorder.job_started(process.job_name)
         retried = 0  # the last attempt that failed and was retried
 
         def on_retry(attempt: int, exc: BaseException, delay_s: float) -> None:
             nonlocal retried
             retried = attempt
-            record_retry(recorder, token, runtime_context.journal,
-                         process.id or "<tool>", attempt, str(exc), delay_s)
+            recorder.job_retry(token, attempt, error=str(exc), delay_s=delay_s)
 
-        cache = None
+        cache = key = exit_code = None
         try:
             if isinstance(process, ExpressionTool):
                 outputs = self.run_expression_tool(process, job_order, runtime_context)
             else:
                 result = yield from self.run_tool(process, job_order, runtime_context,
                                                   on_retry)
-                outputs = result.outputs
+                outputs, key, exit_code = result.outputs, result.cache_key, result.exit_code
                 if runtime_context.job_cache_dir() is not None:
                     cache = "hit" if result.cache_hit else "miss"
         except Exception as exc:
             recorder.job_finished(token, ok=False, error=str(exc), attempt=retried + 1)
             raise
-        recorder.job_finished(token, cache=cache, attempt=retried + 1)
+        recorder.job_finished(token, cache=cache, attempt=retried + 1, tool=process.id,
+                              key=key, exit_code=exit_code)
         return outputs
 
     def _with_retries(self, runtime_context: RuntimeContext, tool: CommandLineTool,
@@ -198,7 +181,7 @@ class BaseRunner(Engine):
         plan = runtime_context.fault_plan
         if policy is None and plan is None:
             return attempt(1)
-        return retrying(attempt, policy=policy, job=tool.id or "<tool>",
+        return retrying(attempt, policy=policy, job=tool.job_name,
                         fault_plan=plan, on_retry=on_retry)
 
     # ------------------------------------------------------------- per-process

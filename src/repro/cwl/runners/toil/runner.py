@@ -90,7 +90,7 @@ class ToilStyleRunner(BaseRunner):
                  runtime_context: RuntimeContext,
                  on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
         requirements = self._job_requirements(tool)
-        name = tool.id or "tool"
+        name = tool.job_name
         #: The job's one description, shared by every attempt.
         stored: Optional[StoredJob] = None
 

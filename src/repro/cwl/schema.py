@@ -153,6 +153,13 @@ class Process:
     #: the process's own ``CompiledEvaluator``.
     compiled: Optional[Any] = field(default=None, repr=False, compare=False)
 
+    @property
+    def job_name(self) -> str:
+        """What a job of this process is called on every engine: in its
+        events, retries, fault plans, errors and Toil job description.  The
+        process id, or ``<tool>`` for a process without one."""
+        return self.id or "<tool>"
+
     def get_requirement(self, class_name: str, include_hints: bool = True) -> Optional[Dict[str, Any]]:
         """Return the requirement dictionary with the given ``class``, if present."""
         for req in self.requirements:

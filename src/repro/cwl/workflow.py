@@ -44,7 +44,7 @@ be refused).  The engine handles:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cwl.errors import ValidationException, WorkflowException
@@ -82,21 +82,9 @@ ProcessRunner = Callable[[Process, Dict[str, Any], RuntimeContext], Any]
 
 
 @dataclass
-class StepExecutionRecord:
-    """Bookkeeping for one step execution (exposed for tests)."""
-
-    step_id: str
-    scattered: bool = False
-    job_count: int = 1
-    skipped: bool = False
-    outputs: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class _StagedStep:
     """What :meth:`WorkflowEngine._stage_step` prepares for one step node."""
 
-    record: StepExecutionRecord
     process: Optional[Process] = None
     inputs: Optional[Dict[str, Any]] = None
     skipped: bool = False
@@ -188,7 +176,6 @@ class WorkflowEngine:
         self.evaluator_for = evaluator_for
         #: Per-stage wall time from the pipelined core (None otherwise).
         self.stage_timings: Optional[Dict[str, Any]] = None
-        self.records: Dict[str, StepExecutionRecord] = {}
         self._values: Dict[str, Any] = {}
         self._values_lock = threading.Lock()
         #: Lazily resolved ``run:`` processes, pinned per engine instance so a
@@ -317,14 +304,10 @@ class WorkflowEngine:
         """Stage one step: resolve the process, gather inputs, evaluate ``when``."""
         step = node.step
         logger.debug("executing step %s", node.id)
-        record = StepExecutionRecord(step_id=node.id)
-        self.records[node.id] = record
-
         process = self._resolve_process(step, node.workflow)
         step_inputs = self._gather_step_inputs(node)
-        staged = _StagedStep(record=record, process=process, inputs=step_inputs)
+        staged = _StagedStep(process=process, inputs=step_inputs)
         if step.when is not None and not self._evaluate_when(node, step_inputs):
-            record.skipped = True
             staged.skipped = True
         return staged
 
@@ -343,7 +326,6 @@ class WorkflowEngine:
                     f"(produced {sorted(outputs)})"
                 )
             self._store(f"{node.scope}{step.id}/{out_id}", outputs[out_id])
-        staged.record.outputs = {out_id: outputs[out_id] for out_id in step.out}
 
     def _evaluate_when(self, node: GraphNode, step_inputs: Dict[str, Any]) -> bool:
         return bool(self.evaluator_for(node.workflow).evaluate(
@@ -358,22 +340,15 @@ class WorkflowEngine:
 
     def _execute_scatter_node(self, node: GraphNode) -> Optional[Expansion]:
         step = node.step
-        record = StepExecutionRecord(step_id=node.id, scattered=True)
-        self.records[node.id] = record
-
         process = self._resolve_process(step, node.workflow)
         step_inputs = self._gather_step_inputs(node)
 
         if step.when is not None and not self._evaluate_when(node, step_inputs):
-            record.skipped = True
-            record.scattered = False
-            record.job_count = 1
             for out_id in step.out:
                 self._store(f"{node.scope}{step.id}/{out_id}", None)
             return None
 
         plan = self._plan_scatter(step, process, step_inputs)
-        record.job_count = len(plan.jobs)
         return self._expand_scatter(node, process, plan)
 
     def _plan_scatter(self, step: WorkflowStep, process: Process,
@@ -428,18 +403,15 @@ class WorkflowEngine:
     def _execute_gather_node(self, node: GraphNode) -> None:
         step = node.step
         plan = node.payload
-        base_id = node.record_id
-        record = self.records[base_id]
+        scatter_id = f"{node.scope}{step.id}"  # its shards are scatter_id[i]
         for out_id in step.out:
-            flat = [self._get_or_none(f"{base_id}[{index}]/{out_id}")
+            flat = [self._get_or_none(f"{scatter_id}[{index}]/{out_id}")
                     for index in range(len(plan.jobs))]
             if step.scatter_method == "nested_crossproduct":
                 value = nest_outputs(flat, plan.shape)
             else:
                 value = flat
-            self._store(f"{node.scope}{step.id}/{out_id}", value)
-        record.outputs = {out_id: self._get(f"{node.scope}{step.id}/{out_id}")
-                          for out_id in step.out}
+            self._store(f"{scatter_id}/{out_id}", value)
 
     # ------------------------------------------------------------ subworkflows
 
@@ -461,18 +433,13 @@ class WorkflowEngine:
     def _execute_egress(self, node: GraphNode) -> None:
         """Leave a subworkflow instance: map child outputs into the parent scope."""
         step = node.step
-        record_id = node.record_id
         if self._is_skipped(node.child_scope):
-            record = StepExecutionRecord(step_id=record_id, skipped=True)
-            self.records[record_id] = record
             for out_id in step.out:
                 self._store(node.child_scope + out_id, None)
             return
 
         child_outputs = self._collect_outputs(node.child, node.child_scope)
         strict = node.id not in self._lenient_egress
-        record = StepExecutionRecord(step_id=record_id)
-        self.records[record_id] = record
         for out_id in step.out:
             if out_id not in child_outputs:
                 if strict:
@@ -483,7 +450,6 @@ class WorkflowEngine:
                 child_outputs[out_id] = None
         for out_id, value in child_outputs.items():
             self._store(node.child_scope + out_id, value)
-        record.outputs = {out_id: child_outputs.get(out_id) for out_id in step.out}
 
     # ---------------------------------------------------------------- resolve
 

@@ -289,9 +289,10 @@ def test_cores_ram_and_env_reach_the_job_and_its_cache_key(engine, tmp_path, mon
 
 @pytest.mark.parametrize("engine", TOOL_ENGINES)
 def test_an_id_less_tool_is_one_job_to_faults_and_retries(engine, tmp_path, monkeypatch):
-    """A tool without an ``id`` (a dict document) is ``<tool>`` to fault plans
-    and retry policies on every engine: a ``FaultSpec`` naming it fires, and
-    the job is retried as often as the spec fails it."""
+    """A tool without an ``id`` (a dict document) is ``<tool>`` to fault plans,
+    retry policies and job events on every engine: a ``FaultSpec`` naming it
+    fires, the job is retried as often as the spec fails it, and its events
+    carry the same name."""
     monkeypatch.chdir(tmp_path)
     backend = {"basedir": str(tmp_path / "jobs")}
     if engine == "toil":
@@ -308,4 +309,5 @@ def test_an_id_less_tool_is_one_job_to_faults_and_retries(engine, tmp_path, monk
         retry_policy=api.RetryPolicy(max_attempts=3, backoff_s=0,
                                      retryable_exit_codes=(11,)), **backend)
     assert result.retries() == 2
+    assert result.job_names() == ["<tool>"]
     assert normalise(result.outputs["out"])["contents"] == b"named once\n"

@@ -26,7 +26,7 @@ from repro.core.cwl_app import (
 )
 from repro.cwl.errors import InjectedFault
 from repro.cwl.faults import get_fault_profile
-from repro.cwl.jobcache import get_job_cache
+from repro.cwl.jobcache import JobCache
 from repro.cwl.loader import load_document
 from repro.cwl.runners.toil.jobstore import FileJobStore
 from repro.cwl.runtime import RuntimeContext
@@ -331,7 +331,7 @@ def primed(tmp_path, monkeypatch):
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
                                 **kwargs) == 0
     assert (tmp_path / "echoed.txt").read_text() == "recorded\n"
-    assert get_job_cache(store).snapshot()["stores"] == 1
+    assert len(os.listdir(os.path.join(store, "entries"))) == 1
     return kwargs
 
 
@@ -388,12 +388,18 @@ def test_hit_still_checks_declared_outputs(primed, tmp_path):
     assert "never-made.txt" in str(raised.value)
 
 
-def test_injected_fault_fires_before_the_probe(primed):
+def test_injected_fault_fires_before_the_probe(primed, monkeypatch):
     """``fatal-all``: every attempt fails before the app body runs, so the
-    store sees no lookup — no hit is counted, nothing is restored."""
+    store sees no lookup — no hit is found, nothing is restored."""
     profile = get_fault_profile("fatal-all")
-    cache = get_job_cache(primed["cwl_cache_dir"])
-    before = cache.snapshot()
+    lookups = []
+    real_lookup = JobCache.lookup
+
+    def lookup(cache, key):
+        lookups.append(real_lookup(cache, key))
+        return lookups[-1]
+
+    monkeypatch.setattr(JobCache, "lookup", lookup)
     note: dict = {}
     retries: list = []
     with pytest.raises(InjectedFault):
@@ -401,7 +407,7 @@ def test_injected_fault_fires_before_the_probe(primed):
             app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
             cwl_fault_plan=profile.make_plan(), cwl_retry_policy=profile.policy,
             cwl_retry_note=retries, cwl_job_name="echo_app", **primed)
-    assert cache.snapshot() == before
+    assert lookups == []
     assert note == {}
     assert len(retries) == profile.policy.max_attempts - 1
     # Without the plan the same call is a plain hit.
@@ -409,7 +415,7 @@ def test_injected_fault_fires_before_the_probe(primed):
         app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
         cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed) == 0
     assert note == hit_note(primed)
-    assert cache.snapshot()["hits"] == before["hits"] + 1
+    assert len(lookups) == 1 and lookups[0] is not None
 
 
 # ------------------------------ the execution-side store: what the globs matched

@@ -118,25 +118,6 @@ def test_subworkflow_is_flattened_with_ingress_and_egress():
     assert ("sub@out", "after") in edges
 
 
-def test_flattening_can_be_disabled():
-    child = {
-        "cwlVersion": "v1.2", "class": "Workflow",
-        "inputs": {"value": "Any"},
-        "outputs": {"result": {"type": "Any", "outputSource": "inner/out"}},
-        "steps": {"inner": {"run": dict(SIMPLE_TOOL), "in": {"value": "value"},
-                            "out": ["out"]}},
-    }
-    parent = make_workflow({
-        "cwlVersion": "v1.2", "class": "Workflow",
-        "inputs": {"start": "int"},
-        "outputs": {"final": {"type": "Any", "outputSource": "sub/result"}},
-        "steps": {"sub": {"run": child, "in": {"value": "start"}, "out": ["result"]}},
-    })
-    graph = build_graph(parent, flatten_subworkflows=False)
-    assert set(graph.nodes) == {"sub"}
-    assert graph.nodes["sub"].kind == STEP
-
-
 # --------------------------------------------------------------------- errors
 
 def test_cycle_raises_naming_the_steps():

@@ -52,14 +52,16 @@ def linear_workflow():
 
 
 def test_linear_workflow_passes_values_between_steps():
-    def runner(process, job_order):
+    def double(process, job_order):
         return {"out": job_order["value"] * 2 if isinstance(job_order["value"], int)
                 else job_order["value"]}
 
-    engine = WorkflowEngine(linear_workflow(), counting_runner(runner))
+    runner = counting_runner(double)
+    engine = WorkflowEngine(linear_workflow(), runner)
     outputs = engine.run({"start": 3})
     assert outputs == {"final": 12}
-    assert engine.records["first"].outputs["out"] == 6
+    # The second step ran on the first one's output.
+    assert [job["value"] for _tool, job in runner.calls] == [3, 6]
 
 
 def test_workflow_requires_its_inputs():
@@ -293,18 +295,23 @@ def nested_scatter_workflow():
 
 
 def test_scatter_over_subworkflow_expands_per_shard_subgraphs():
-    def runner(process, job_order):
+    def increment(process, job_order):
         return {"out": job_order["value"] + 1}
 
-    engine = WorkflowEngine(nested_scatter_workflow(), counting_runner(runner))
+    runner = counting_runner(increment)
+    engine = WorkflowEngine(nested_scatter_workflow(), runner)
     outputs = engine.run({"values": [10, 20]})
     # Each shard runs first(+1) then second(+1): 10 -> 12, 20 -> 22.
     assert outputs["all"] == [12, 22]
     assert outputs["side"] == [11, 21]
-    assert engine.records["pipe"].scattered and engine.records["pipe"].job_count == 2
-    # Inner steps are first-class records, namespaced per shard.
-    assert engine.records["pipe[0]/first"].outputs["out"] == 11
-    assert engine.records["pipe[1]/second"].outputs["out"] == 22
+    # Six jobs: two shards of the two-step subworkflow, two of the side step;
+    # each shard's second step ran on its first step's output.
+    assert sorted(job["value"] for _tool, job in runner.calls) == [10, 10, 11, 20, 20, 21]
+    # Inner steps are first-class nodes, namespaced per shard.
+    pipe_nodes = {node for node in engine.node_states if node.startswith("pipe[")}
+    assert pipe_nodes == {f"pipe[{index}]{suffix}" for index in (0, 1)
+                          for suffix in ("/first", "/second", "@out")}
+    assert {engine.node_states[node] for node in pipe_nodes} == {"done"}
 
 
 def test_parallel_worker_threads_never_exceed_max_workers():
