@@ -45,7 +45,7 @@ class ParslEngine(Engine):
         #: The run options, honoured Parsl-side: every tool invocation, bare
         #: or a workflow step, retries on the execution side around its cache
         #: probe (so injected faults behave identically warm or cold), and
-        #: its timeout is enforced in-shell there; ``on_error`` governs
+        #: its timeout is enforced there by the runners' launcher; ``on_error`` governs
         #: whether a failed workflow step aborts the bridge run, and
         #: ``max_inflight`` bounds unfinished submissions during bridge
         #: submission.

@@ -17,7 +17,8 @@ What happens underneath, following the paper:
   chained without waiting),
 * the command line is constructed from the tool's ``baseCommand``, ``arguments``
   and ``inputBinding`` definitions *on the execution side*, after upstream
-  DataFutures have resolved,
+  DataFutures have resolved, and spawned there with no shell by the runner
+  engines' launcher (:func:`~repro.cwl.job.run_process`),
 * ``stdout`` / ``stderr`` and any statically determinable output files become
   ``DataFuture`` s on the returned ``AppFuture`` (``future.outputs``),
 * if the tool carries an ``InlinePythonRequirement``, its per-input ``validate:``
@@ -27,16 +28,18 @@ What happens underneath, following the paper:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
-import shlex
 import shutil
-from typing import Any, Dict, List, Optional, Sequence, Union
+import subprocess
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
-from repro.cwl.command_line import build_command_line, fill_in_defaults
-from repro.cwl.errors import InputValidationError, JobTimeout, ValidationException
+from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
+from repro.cwl.errors import InputValidationError, ValidationException
 from repro.cwl.expressions.compiler import precompile_process
+from repro.cwl.job import run_process
 from repro.cwl.jobcache import (
     CacheEntry,
     JobCache,
@@ -51,40 +54,51 @@ from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, matches
 from repro.cwl.validate import ensure_valid
-from repro.parsl.apps.bash import _open_std_stream, remote_side_bash_executor
+from repro.parsl.apps.bash import _open_std_stream, check_outputs, register_command, unregister_command
 from repro.parsl.data_provider.files import File
-from repro.parsl.errors import BashExitFailure, MissingOutputs
+from repro.parsl.errors import BashExitFailure
 from repro.parsl.dataflow.dflow import DataFlowKernel, DataFlowKernelLoader
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
+from repro.utils.environment import subprocess_environment
 
-__all__ = ["CWLApp", "cwl_tool_command", "cached_bash_executor",
-           "resilient_bash_executor", "report_finished"]
+__all__ = ["CWLApp", "ToolCommand", "cwl_tool_command",
+           "cached_bash_executor", "resilient_bash_executor", "report_finished"]
 
 #: The :class:`RuntimeContext` fields a job runs under, sent to the execution
 #: side as ``cwl_<field>`` app kwargs.
 _CONTEXT_FIELDS = ("cores", "ram_mb", "env")
 
 
+class ToolCommand(NamedTuple):
+    """A job to run: its command line, the variables it adds to the process
+    environment (the context's ``env``, then ``EnvVarRequirement``, which
+    wins) and the exit codes that count as success."""
+
+    parts: CommandLineParts
+    environment: Dict[str, str]
+    success_codes: Tuple[int, ...]
+
+
 def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
-                     cwl_inputs: Dict[str, Any], **_parsl_kwargs: Any) -> str:
-    """Execution-side body of a CWLApp (a Parsl *bash app* function).
+                     cwl_inputs: Dict[str, Any],
+                     **_parsl_kwargs: Any) -> Union[CacheEntry, ToolCommand]:
+    """Execution-side body of a CWLApp: what :func:`cached_bash_executor` runs.
 
     Receives the raw tool document plus the resolved CWL input values (Parsl has
     already replaced DataFutures with Files by the time this runs), rebuilds the
     tool model, runs InlinePython validation, evaluates InlinePython arguments,
-    and returns the command line string for the bash executor to run.
+    and returns the :class:`ToolCommand` to spawn, argv and all: no shell
+    string.
 
     The job runs under a context carrying the caller's ``cores``, ``ram_mb``
     and ``env`` (``cwl_cores`` / ``cwl_ram_mb`` / ``cwl_env``), so
-    ``$(runtime.*)``, the exported environment and the job-cache key are
-    what the runner engines would use.  With a job cache attached
+    ``$(runtime.*)``, the job's environment and the job-cache key are what
+    the runner engines would use.  With a job cache attached
     (``cwl_cache_dir`` — inputs are concrete on the execution side, which is
     what makes this the Parsl path's one cache probe; its key and outcome go
-    into ``cwl_cache_note``), a hit builds no command: it raises
-    :class:`_CacheHit` through the bash executor to
-    :func:`cached_bash_executor`, which restores the recorded invocation in
-    process, so nothing is spawned; a miss leaves the key and every declared
-    output's evaluated glob in ``cwl_cache_ctx`` for that wrapper to store
+    into ``cwl_cache_note``), a hit builds no command and returns the
+    :class:`~repro.cwl.jobcache.CacheEntry` instead; a miss leaves the key and every declared
+    output's evaluated glob in ``cwl_cache_ctx`` for the caller to store
     what they match once the command succeeded.
     """
     tool = load_document(dict(tool_raw), base_dir=os.path.dirname(source_path) if source_path else None)
@@ -113,7 +127,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
         entry = cache.lookup(key)
         cache_note.update(key=key, cache="hit" if entry is not None else "miss")
         if entry is not None:
-            raise _CacheHit(cache, entry)
+            return entry
 
     # The Parsl path's expression pipeline is the compiled one; the shared
     # library scope spares each invocation rebuilding the standard library.
@@ -143,46 +157,8 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
             if isinstance(argument, str) and is_python_expression(argument)})
 
     parts = build_command_line(tool, job_order, runtime, builder_evaluator)
-    command = parts.joined()
-    # The runners pass the context's env and then EnvVarRequirement
-    # variables (which win) through the subprocess environment; the bash
-    # executor runs with a fixed environment, so both are exported in-shell
-    # instead (sorted for determinism).
-    environment = {**context.env, **parts.environment}
-    if environment:
-        exports = "; ".join(
-            f"export {name}={shlex.quote(str(value))}"
-            for name, value in sorted(environment.items()))
-        command = f"{exports}; {command}"
-    # The bash executor only wires stdout/stderr redirections; a ``stdin:``
-    # field must become part of the shell command itself or the tool would
-    # silently read from the worker's inherited stdin (a conformance
-    # divergence the stdin corpus cases guard).
-    if parts.stdin:
-        command += f" < {shlex.quote(parts.stdin)}"
-    # Wall-clock timeout: the bash executor has no reaping machinery of its
-    # own, so the limit is enforced in-shell with coreutils ``timeout`` (the
-    # sub-shell keeps redirections/exports inside the timed region).  Exit
-    # 124 travels back as BashExitFailure and is mapped to
-    # :class:`~repro.cwl.errors.JobTimeout` by :func:`resilient_bash_executor`,
-    # matching the runner engines' SIGTERM→SIGKILL reap classification.
-    timeout_s = _parsl_kwargs.get("cwl_timeout_s")
-    if timeout_s:
-        command = (f"timeout -k 2 {float(timeout_s):g} /bin/bash -c "
-                   f"{shlex.quote(command)}")
-    # The executor treats any non-zero exit as failure; tools that declare
-    # additional successCodes remap them to 0 in-shell so the Parsl path
-    # accepts exactly the exits the runners accept.
-    success_codes = tuple(tool.success_codes or (0,))
-    if set(success_codes) != {0}:
-        allowed = " ".join(str(int(code)) for code in success_codes)
-        # Strict mapping both ways: a permitted code exits 0, and a code
-        # outside successCodes fails even when it is 0 (the runners raise
-        # JobFailure for exit 0 when 0 is not permitted).
-        command = (f"{command}; __cwl_ec=$?; for __cwl_ok in {allowed}; do "
-                   f"[ \"$__cwl_ec\" -eq \"$__cwl_ok\" ] && exit 0; done; "
-                   f"[ \"$__cwl_ec\" -eq 0 ] && exit 1; exit $__cwl_ec")
-    return command
+    return ToolCommand(parts, {**context.env, **parts.environment},
+                       tuple(tool.success_codes))
 
 
 class _WithPythonArguments:
@@ -210,33 +186,15 @@ def to_cwl_value(value: Any) -> Any:
     return value
 
 
-class _CacheHit(Exception):
-    """How :func:`cwl_tool_command` says "hit" instead of returning a command.
-
-    Raised before the bash executor has opened a redirection or spawned
-    anything, and caught by :func:`cached_bash_executor` in the same call
-    stack, so it never reaches a retry loop, a future or an executor boundary.
-    """
-
-    def __init__(self, cache: JobCache, entry: CacheEntry) -> None:
-        super().__init__(entry.key)
-        self.cache = cache
-        self.entry = entry
-
-
-def _replay_hit(hit: _CacheHit, app_name: str, stdout_spec: Any, stderr_spec: Any,
-                declared_outputs: List[Any]) -> int:
-    """Finish a cache hit in process: what the bash executor would have left.
+def _replay_hit(cache: JobCache, entry: CacheEntry, stdout_spec: Any, stderr_spec: Any) -> int:
+    """Finish a cache hit in process: what running the command would have left.
 
     Output files are copy-staged into the cwd (it is shared, and a later run
     may rewrite them in place); the recorded stdout/stderr bodies go to
     wherever *this* call redirects those streams, which need not be the name
-    they were recorded under.  Then the executor's own post-condition: every
-    declared output exists.  Always 0: entries are only ever stored for
-    successful invocations, so a recorded non-zero code is necessarily one
-    the tool permits via ``successCodes``.
+    they were recorded under.  Returns the recorded exit code, one the tool's
+    ``successCodes`` permit: entries are only stored for successful runs.
     """
-    cache, entry = hit.cache, hit.entry
     stdout_name = entry.stream_name("stdout")
     stderr_name = entry.stream_name("stderr")
     cache.restore(entry, os.getcwd(),
@@ -244,23 +202,19 @@ def _replay_hit(hit: _CacheHit, app_name: str, stdout_spec: Any, stderr_spec: An
                   prefer_copy=True)
     _replay_stream(cache.cas_body(entry, stdout_name) if stdout_name else None, stdout_spec)
     _replay_stream(cache.cas_body(entry, stderr_name) if stderr_name else None, stderr_spec)
-    paths = [f.filepath if hasattr(f, "filepath") else str(f) for f in declared_outputs]
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        raise MissingOutputs(app_name, missing)
-    return 0
+    return entry.exit_code
 
 
 def _replay_stream(body: Optional[str], spec: Any) -> None:
-    """Leave at a ``path`` / ``(path, mode)`` redirection what bash would have.
+    """Leave at a ``path`` / ``(path, mode)`` redirection what a run would have.
 
-    The redirection is opened exactly as the bash executor opens it (parents
-    made, truncated or appended to as its mode says) and the recorded body,
-    if there is one, copied in; with none the file is left as opening it
-    leaves it — empty when new or truncated, which is what ``>`` leaves
-    behind a silent command.
+    The redirection is opened exactly as a run opens it (parents made,
+    truncated or appended to as its mode says) and the recorded body, if
+    there is one, copied in; with none the file is left as opening it
+    leaves it — empty when new or truncated, which is what a silent
+    command leaves behind.
     """
-    handle, _path = _open_std_stream(spec)
+    handle = _open_std_stream(spec)
     if handle is None:
         return
     with handle:
@@ -269,37 +223,60 @@ def _replay_stream(body: Optional[str], spec: Any) -> None:
                 shutil.copyfileobj(recorded, handle.buffer)
 
 
-def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
-    """Bash-app executor wrapper that attaches the job cache to a bash app.
+def _run_command(command: ToolCommand, app_name: str, stdout_spec: Any, stderr_spec: Any,
+                 timeout_s: Optional[float], job_name: str) -> int:
+    """Spawn a missed job's argv in the cwd with the runners' launcher,
+    registered in the bash-app module's running-command set (which an
+    interrupted Parsl engine reaps); its exit code, or
+    :class:`~repro.parsl.errors.BashExitFailure` if not permitted."""
+    parts = command.parts
+    env = subprocess_environment()
+    env.update(command.environment)
+    with contextlib.ExitStack() as handles:
 
-    Runs the standard :func:`remote_side_bash_executor` with a mutable
-    ``cwl_cache_ctx`` injected for :func:`cwl_tool_command`, and takes either
-    of that body's two answers.  **Hit** (the body raised :class:`_CacheHit`
-    before any redirection was opened): the invocation is finished here, in
-    process — output files restored, recorded streams put on this call's
-    redirections, declared outputs checked, exit code 0 — with no shell and
-    no subprocess.  **Miss** (the body returned a command, which then ran and
-    succeeded): the stdout/stderr redirections plus every file the tool's
-    evaluated output globs match in the cwd are stored under the job's key
-    — what collection will read, so a hit restores all of it — warming the
-    store for every engine that shares it.  Without ``cwl_cache_dir`` the
-    body probes nothing, so this is a plain bash-executor call.
+        def opened(handle: Any) -> Any:
+            return subprocess.DEVNULL if handle is None else handles.enter_context(handle)
+
+        exit_code = run_process(
+            parts.argv, register_command, unregister_command, job_name, timeout_s, env=env,
+            stdin=opened(open(parts.stdin, "rb") if parts.stdin else None),
+            stdout=opened(_open_std_stream(stdout_spec)),
+            stderr=opened(_open_std_stream(stderr_spec)))
+    if exit_code not in command.success_codes:
+        raise BashExitFailure(app_name, exit_code, " ".join(parts.argv))
+    return exit_code
+
+
+def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
+    """Run one ``CWLApp`` invocation, with the job cache attached.
+
+    Calls the app body (:func:`cwl_tool_command`) with a mutable
+    ``cwl_cache_ctx`` injected.  A hit (a cache entry) is finished here, in
+    process, with no subprocess: output files restored, recorded streams put
+    on this call's ``stdout=`` / ``stderr=``.  A miss (a :class:`ToolCommand`)
+    runs under ``cwl_timeout_s``; then the redirections plus every file the
+    tool's evaluated output globs match in the cwd are stored under the
+    job's key, warming the store for every engine that shares it.  Either
+    way every declared output must exist, and the exit code (on a hit, the
+    recorded one) is returned and noted in ``cwl_cache_note``.
     """
     ctx: Dict[str, Any] = {}
-    kwargs = dict(kwargs)
-    kwargs["cwl_cache_ctx"] = ctx
-    stdout_spec = kwargs.get("stdout")
-    stderr_spec = kwargs.get("stderr")
+    kwargs = dict(kwargs, cwl_cache_ctx=ctx)
+    stdout_spec = kwargs.pop("stdout", None)
+    stderr_spec = kwargs.pop("stderr", None)
     cache_note = kwargs.setdefault("cwl_cache_note", {})
+    app_name = getattr(func, "__name__", "bash_app")
 
-    try:
-        exit_code = remote_side_bash_executor(func, *args, **kwargs)
-    except _CacheHit as hit:
-        cache_note["exit_code"] = hit.entry.exit_code
-        return _replay_hit(hit, getattr(func, "__name__", "bash_app"),
-                           stdout_spec, stderr_spec, list(kwargs.get("outputs") or []))
-
+    answer = func(*args, **kwargs)
+    if isinstance(answer, CacheEntry):
+        exit_code = _replay_hit(get_job_cache(kwargs["cwl_cache_dir"]), answer,
+                                stdout_spec, stderr_spec)
+    else:
+        exit_code = _run_command(answer, app_name, stdout_spec, stderr_spec,
+                                 kwargs.get("cwl_timeout_s"),
+                                 kwargs.get("cwl_job_name") or app_name)
     cache_note["exit_code"] = exit_code
+    check_outputs(app_name, kwargs.get("outputs") or [])
     if ctx.get("key"):
         try:
             _store_results(ctx, stdout_spec, stderr_spec, exit_code)
@@ -309,41 +286,32 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
 
 
 def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
-    """The executor every ``CWLApp`` invocation is submitted through: retries,
-    fault injection and timeout mapping around :func:`cached_bash_executor`.
+    """The executor every ``CWLApp`` invocation is submitted through: retries
+    and fault injection around :func:`cached_bash_executor`.
 
     The Parsl engines' one retry loop, run where the job runs: the same
     :func:`~repro.cwl.retry.execute_with_retries` loop the runner engines use
     wraps the whole cache-layer call, so injected faults fire *before* the
     execution-side cache probe and every re-attempt re-opens (and truncates)
     the stdout/stderr redirections; without ``cwl_retry_policy`` it makes a
-    single call.  A ``timeout``-killed command (exit 124 with
-    ``cwl_timeout_s`` configured) is re-raised as
-    :class:`~repro.cwl.errors.JobTimeout`, classified as on the runner
-    engines.  Retries are appended to the in-process ``cwl_retry_note`` list
-    for :func:`report_finished`.
+    single call.  A timed-out attempt raises
+    :class:`~repro.cwl.errors.JobTimeout` from the launcher itself, as on the
+    runner engines.  Retries are appended to the in-process
+    ``cwl_retry_note`` list for :func:`report_finished`.
     """
     kwargs = dict(kwargs)
     policy = kwargs.pop("cwl_retry_policy", None)
     plan = kwargs.pop("cwl_fault_plan", None)
     retry_note = kwargs.pop("cwl_retry_note", None)
-    job_name = kwargs.pop("cwl_job_name", None) or getattr(func, "__name__", "<tool>")
-    timeout_s = kwargs.get("cwl_timeout_s")
-
-    def attempt(_n: int) -> int:
-        try:
-            return cached_bash_executor(func, *args, **kwargs)
-        except BashExitFailure as exc:
-            if timeout_s and exc.exitcode == 124:
-                raise JobTimeout(job_name, float(timeout_s)) from exc
-            raise
+    job_name = kwargs.get("cwl_job_name") or getattr(func, "__name__", "<tool>")
 
     def on_retry(attempt_no: int, exc: BaseException, delay: float) -> None:
         if retry_note is not None:
             retry_note.append({"attempt": attempt_no, "error": str(exc),
                                "delay_s": delay})
 
-    return execute_with_retries(attempt, policy=policy, job=job_name,
+    return execute_with_retries(lambda _n: cached_bash_executor(func, *args, **kwargs),
+                                policy=policy, job=job_name,
                                 fault_plan=plan, on_retry=on_retry)
 
 
@@ -468,7 +436,8 @@ class CWLApp:
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
         and any unknown keyword raises immediately.  Whatever the options, the
         app is submitted through one chain: :func:`resilient_bash_executor` →
-        :func:`cached_bash_executor` → ``remote_side_bash_executor``.
+        :func:`cached_bash_executor` → :func:`cwl_tool_command`, then the
+        tool's argv is spawned directly, with no shell.
         """
         dfk = self.data_flow_kernel or DataFlowKernelLoader.dfk()
 

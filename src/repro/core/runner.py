@@ -84,7 +84,7 @@ def run_tool_with_parsl(
         The run options, handed whole to the :class:`CWLApp`: the job cache
         (``cache_dir`` / ``job_cache``; a hit is restored through the loaded
         kernel, in process), ``cores`` / ``ram_mb`` / ``env``, ``timeout_s``
-        (enforced in-shell; exceeding it raises
+        (enforced by the launcher the runners use; exceeding it raises
         :class:`~repro.cwl.errors.JobTimeout`), and ``retry_policy`` /
         ``fault_plan``, honoured on the execution side around the cache
         probe.

@@ -16,7 +16,6 @@ stdin/stdout/stderr redirections, following the CWL binding rules:
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -38,10 +37,6 @@ class CommandLineParts:
     def __post_init__(self) -> None:
         if self.environment is None:
             self.environment = {}
-
-    def joined(self) -> str:
-        """The argv as a single shell-quoted string (for logging / bash apps)."""
-        return " ".join(shlex.quote(part) for part in self.argv)
 
 
 def _value_to_cli_string(value: Any) -> str:

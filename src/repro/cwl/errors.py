@@ -56,10 +56,10 @@ class JobFailure(WorkflowException):
 class JobTimeout(WorkflowException):
     """A command-line job exceeded its wall-clock deadline and was reaped.
 
-    Raised after the SIGTERM→SIGKILL escalation in
-    :meth:`~repro.cwl.job.CommandLineJob.execute` (or after the in-shell
-    ``timeout(1)`` wrapper on the Parsl paths).  Timeouts are *transient* by
-    definition — a :class:`~repro.cwl.retry.RetryPolicy` retries them.
+    Raised after the SIGTERM→SIGKILL escalation of the job's process group
+    in :func:`~repro.cwl.job.run_process`, on every engine (the asyncio core
+    escalates the same way in ``launch_async``).  Timeouts are *transient*
+    by definition — a :class:`~repro.cwl.retry.RetryPolicy` retries them.
     """
 
     def __init__(self, tool_id: str, timeout_s: float) -> None:

@@ -7,8 +7,8 @@ continuation that validates, keys and looks the job up in the job cache),
 then :meth:`~CommandLineJob.cached_result`, which restores a hit, or
 :meth:`~CommandLineJob.execute`, which runs the tool of a missed probe.  The
 Parsl bridge builds the same command line with
-:func:`~repro.cwl.command_line.build_command_line` and runs it through a
-Parsl bash app.
+:func:`~repro.cwl.command_line.build_command_line` and spawns it through the
+same :func:`run_process`.
 """
 
 from __future__ import annotations
@@ -121,6 +121,60 @@ class _AsyncProcessHandle:
                 raise subprocess.TimeoutExpired("<async job>", timeout or 0)
             time.sleep(0.02)
         return self._proc.returncode
+
+
+def _exec_failure_code(exc: OSError) -> int:
+    """What a shell exits with for an argv it cannot exec."""
+    return 127 if isinstance(exc, FileNotFoundError) else 126
+
+
+def run_process(argv: List[str], register: Callable[[Any], None],
+                unregister: Callable[[Any], None], job_name: str,
+                timeout_s: Optional[float], **popen: Any) -> int:
+    """Run one job's ``argv`` (no shell) to completion; its exit code.
+
+    The spawn-and-reap routine of :meth:`CommandLineJob.launch` and of the
+    Parsl engines' :func:`repro.core.cwl_app.cached_bash_executor`, which
+    differ only in where the live process is registered for interrupt-time
+    reaping.  It leads its own session, so reaping signals its whole group:
+    a shell wrapper cannot orphan grandchildren (``sh -c '...; sleep N'``).
+    An argv that cannot be exec'd exits 127 (not found) or 126 (not
+    executable), as under a shell; past ``timeout_s`` the group is reaped
+    and :class:`JobTimeout` raised.
+    """
+    try:
+        proc = subprocess.Popen(argv, start_new_session=True, **popen)
+    except (FileNotFoundError, PermissionError) as exc:
+        return _exec_failure_code(exc)
+    register(proc)
+    try:
+        return proc.wait(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        _reap(proc)
+        raise JobTimeout(job_name, float(timeout_s or 0)) from None
+    except BaseException:
+        # Interrupted mid-wait (KeyboardInterrupt/SIGTERM unwinding the
+        # serial path): reap before unregistering, or the tool would
+        # outlive the run.
+        _reap(proc)
+        raise
+    finally:
+        unregister(proc)
+
+
+def _reap(proc: "subprocess.Popen", grace_s: float = 2.0) -> None:
+    """SIGTERM the timed-out subprocess (and its group), then SIGKILL."""
+    try:
+        signal_job_process(proc, signal.SIGTERM)
+        proc.wait(timeout=grace_s)
+    except subprocess.TimeoutExpired:
+        signal_job_process(proc, signal.SIGKILL)
+        try:
+            proc.wait(timeout=grace_s)
+        except subprocess.TimeoutExpired:
+            logger.warning("timed-out job pid %s survived SIGKILL", proc.pid)
+    except OSError:
+        pass
 
 
 @dataclass
@@ -334,49 +388,32 @@ class CommandLineJob:
                 handle.close()
 
     def launch(self, staged: StagedJob) -> int:
-        """Run the staged subprocess to completion and return its exit code.
+        """Run the staged subprocess through :func:`run_process`, registered
+        with the run's context; its exit code.
 
-        Raises :class:`JobTimeout` after group-reaping on timeout and
+        Raises :class:`JobTimeout` (scratch directory removed) on timeout and
         :class:`JobFailure` on a non-success exit code.
         """
         parts = staged.parts
+        context = self.runtime_context
         stdin_handle, stdout_handle, stderr_handle, env = \
             self._open_launch_handles(staged)
 
         logger.debug("executing %s in %s", parts.argv, staged.outdir)
-        proc = None
         try:
-            proc = subprocess.Popen(
-                parts.argv,
-                cwd=staged.outdir,
-                env=env,
-                stdin=stdin_handle,
-                stdout=stdout_handle,
-                stderr=stderr_handle,
-                # Own session ⇒ own process group: timeout/interrupt reaping
-                # signals the whole group, so a shell wrapper cannot orphan
-                # grandchildren (sh -c '...; sleep N').
-                start_new_session=True,
-            )
-            self.runtime_context.register_process(proc)
-            try:
-                exit_code = proc.wait(timeout=self.runtime_context.timeout_s)
-            except subprocess.TimeoutExpired:
-                self._reap(proc)
-                self.runtime_context.cleanup_dir(staged.tmpdir)
-                raise JobTimeout(self.tool.job_name,
-                                 float(self.runtime_context.timeout_s or 0))
-            except BaseException:
-                # Interrupted mid-wait (KeyboardInterrupt/SIGTERM unwinding
-                # the serial path): reap before the finally unregisters the
-                # process, or the tool would outlive the runner.
-                self._reap(proc)
-                raise
+            exit_code = run_process(
+                parts.argv, context.register_process, context.unregister_process,
+                self.tool.job_name, context.timeout_s, cwd=staged.outdir, env=env,
+                stdin=stdin_handle, stdout=stdout_handle, stderr=stderr_handle)
+        except JobTimeout:
+            context.cleanup_dir(staged.tmpdir)
+            raise
         finally:
-            if proc is not None:
-                self.runtime_context.unregister_process(proc)
             self._close_launch_handles(stdin_handle, stdout_handle, stderr_handle)
+        return self._permitted(exit_code, parts)
 
+    def _permitted(self, exit_code: int, parts: CommandLineParts) -> int:
+        """``exit_code``, or :class:`JobFailure` if ``successCodes`` forbid it."""
         if exit_code not in self.tool.success_codes:
             raise JobFailure(self.tool.job_name, exit_code, " ".join(parts.argv))
         return exit_code
@@ -398,15 +435,18 @@ class CommandLineJob:
         logger.debug("executing %s in %s (async)", parts.argv, staged.outdir)
         handle = None
         try:
-            proc = await asyncio.create_subprocess_exec(
-                *parts.argv,
-                cwd=staged.outdir,
-                env=env,
-                stdin=stdin_handle,
-                stdout=stdout_handle,
-                stderr=stderr_handle,
-                start_new_session=True,
-            )
+            try:
+                proc = await asyncio.create_subprocess_exec(
+                    *parts.argv,
+                    cwd=staged.outdir,
+                    env=env,
+                    stdin=stdin_handle,
+                    stdout=stdout_handle,
+                    stderr=stderr_handle,
+                    start_new_session=True,
+                )
+            except (FileNotFoundError, PermissionError) as exc:
+                return self._permitted(_exec_failure_code(exc), parts)
             handle = _AsyncProcessHandle(proc)
             self.runtime_context.register_process(handle)
             try:
@@ -426,10 +466,7 @@ class CommandLineJob:
             if handle is not None:
                 self.runtime_context.unregister_process(handle)
             self._close_launch_handles(stdin_handle, stdout_handle, stderr_handle)
-
-        if exit_code not in self.tool.success_codes:
-            raise JobFailure(self.tool.job_name, exit_code, " ".join(parts.argv))
-        return exit_code
+        return self._permitted(exit_code, parts)
 
     # -------------------------------------------- pipeline: collect + persist
 
@@ -475,24 +512,9 @@ class CommandLineJob:
         )
 
     @staticmethod
-    def _reap(proc: "subprocess.Popen", grace_s: float = 2.0) -> None:
-        """SIGTERM the timed-out subprocess (and its group), then SIGKILL."""
-        try:
-            signal_job_process(proc, signal.SIGTERM)
-            proc.wait(timeout=grace_s)
-        except subprocess.TimeoutExpired:
-            signal_job_process(proc, signal.SIGKILL)
-            try:
-                proc.wait(timeout=grace_s)
-            except subprocess.TimeoutExpired:
-                logger.warning("timed-out job pid %s survived SIGKILL", proc.pid)
-        except OSError:
-            pass
-
-    @staticmethod
     async def _reap_async(proc: "asyncio.subprocess.Process",
                           grace_s: float = 2.0) -> None:
-        """:meth:`_reap` for the asyncio exec path — same SIGTERM→SIGKILL
+        """:func:`_reap` for the asyncio exec path — same SIGTERM→SIGKILL
         escalation against the whole process group, awaited instead of
         blocked on."""
         import asyncio

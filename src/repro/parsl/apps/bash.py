@@ -8,7 +8,8 @@ that it can be serialized by reference and shipped to worker processes.
 
 Each command leads its own session, as the CWL runners' jobs do, so an
 interrupted run's teardown can signal its whole process group
-(:func:`running_commands` lists the ones still running in this process).
+(:func:`running_commands` lists the ones still running in this process, a
+``CWLApp``'s tool included: it registers with :func:`register_command`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,30 @@ def running_commands() -> List[subprocess.Popen]:
         return list(_RUNNING)
 
 
+def register_command(proc: subprocess.Popen) -> None:
+    """Track a running command, for :func:`running_commands`."""
+    with _RUNNING_LOCK:
+        _RUNNING.add(proc)
+
+
+def unregister_command(proc: subprocess.Popen) -> None:
+    """Stop tracking a command once it has been waited for."""
+    with _RUNNING_LOCK:
+        _RUNNING.discard(proc)
+
+
+def check_outputs(app_name: str, declared_outputs: List[Any]) -> None:
+    """Raise :class:`MissingOutputs` unless every declared output file exists."""
+    paths = [f.filepath if hasattr(f, "filepath") else str(f) for f in declared_outputs]
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise MissingOutputs(app_name, missing)
+
+
 def _open_std_stream(spec: StdSpec):
     """Open a stdout/stderr specification: a path, or a ``(path, mode)`` tuple."""
     if spec is None:
-        return None, None
+        return None
     if isinstance(spec, tuple):
         path, mode = spec
     else:
@@ -45,7 +66,7 @@ def _open_std_stream(spec: StdSpec):
     parent = os.path.dirname(os.path.abspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
-    return open(path, mode), path
+    return open(path, mode)
 
 
 def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
@@ -75,8 +96,8 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
     if not isinstance(command, str):
         raise BashAppNoReturn(app_name, command)
 
-    stdout_handle, _stdout_path = _open_std_stream(stdout_spec)
-    stderr_handle, _stderr_path = _open_std_stream(stderr_spec)
+    stdout_handle = _open_std_stream(stdout_spec)
+    stderr_handle = _open_std_stream(stderr_spec)
     try:
         proc = subprocess.Popen(
             command,
@@ -87,13 +108,11 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
             stderr=stderr_handle if stderr_handle is not None else subprocess.DEVNULL,
             start_new_session=True,
         )
-        with _RUNNING_LOCK:
-            _RUNNING.add(proc)
+        register_command(proc)
         try:
             exit_code = proc.wait()
         finally:
-            with _RUNNING_LOCK:
-                _RUNNING.discard(proc)
+            unregister_command(proc)
     finally:
         for handle in (stdout_handle, stderr_handle):
             if handle is not None:
@@ -101,11 +120,5 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
 
     if exit_code != 0:
         raise BashExitFailure(app_name, exit_code, command)
-
-    missing = [f.filepath if hasattr(f, "filepath") else str(f)
-               for f in declared_outputs
-               if not os.path.exists(f.filepath if hasattr(f, "filepath") else str(f))]
-    if missing:
-        raise MissingOutputs(app_name, missing)
-
+    check_outputs(app_name, declared_outputs)
     return exit_code

@@ -91,7 +91,7 @@ class DataFlowKernel:
         record = TaskRecord(
             id=task_id,
             func=func,
-            func_name=getattr(func, "__name__", repr(func)),
+            func_name=getattr(func, "__name__", None) or repr(func),
             args=tuple(app_args),
             kwargs=dict(app_kwargs),
             app_type="join" if join else app_type,

@@ -271,6 +271,18 @@ def test_timeout_reaps_the_job(engine, run_engine):
     assert isinstance(failure, JobTimeout)
 
 
+@pytest.mark.parametrize("engine", TOOL_ENGINES)
+def test_a_tool_exiting_124_under_a_timeout_is_a_permanent_failure(engine, run_engine):
+    """Exit 124 is the tool's own code, not a timeout, on every engine."""
+    exits_124 = {"class": "CommandLineTool", "baseCommand": ["sh", "-c", "exit 124"],
+                 "inputs": {}, "outputs": {}}
+    with pytest.raises(Exception) as excinfo:
+        run_engine(engine, exits_124, {}, timeout_s=30)
+    failure = unwrap_failure(excinfo.value)
+    assert not isinstance(failure, JobTimeout)
+    assert exit_class(failure) == "permanentFail"
+
+
 def test_timeout_is_retryable(run_engine):
     retried = []
     hooks = api.ExecutionHooks(on_job_retry=lambda e: retried.append(e.attempt))

@@ -4,7 +4,7 @@
 performance knob: canonical outputs identical to the thread-pool core on
 both runner engines, per-stage timings surfaced on the result, journalled
 runs resumable bit-identically, runaway jobs reaped (whole process groups)
-by the asyncio subprocess path, and the Parsl engines' ``max_inflight``
+by the asyncio subprocess path as by every engine's default launcher, and the Parsl engines' ``max_inflight``
 bounding bridge submissions without changing results.
 """
 
@@ -145,10 +145,15 @@ def test_parsl_bridge_max_inflight_window_is_linear():
             checks += 1
             return super().exception(timeout)
 
-    def finished(_future):
+    def finish(future):
+        # Counted out before the future is done: a done-callback added to a
+        # finished future runs at once, on the submitting thread, so the
+        # bridge may count a job out before a callback of the finishing
+        # thread could.
         nonlocal unfinished
         with lock:
             unfinished -= 1
+        future.set_result(None)
 
     bridge = CWLWorkflowBridge(
         load_document(dict(generate_workflow(PARITY_SEEDS[0]).doc)),
@@ -158,12 +163,10 @@ def test_parsl_bridge_max_inflight_window_is_linear():
         def app():
             nonlocal unfinished, peak
             future = CountedFuture()
-            # Registered before the bridge's own callback, so it runs first.
-            future.add_done_callback(finished)
             with lock:
                 peak = max(peak, unfinished)
                 unfinished += 1
-            pool.submit(future.set_result, None)
+            pool.submit(finish, future)
             return future
 
         for index in range(submissions):
@@ -186,24 +189,33 @@ def test_parsl_bridge_max_inflight_window_is_linear():
 
 # ------------------------------------------------------- timeouts / reaping
 
-def test_pipeline_timeout_reaps_the_whole_process_group(tmp_path):
-    marker = "31557"  # improbable sleep duration: greppable in ps output
+@pytest.mark.parametrize("engine,options,marker", [
+    ("reference", {"parallel": True, "max_workers": 2, "pipeline": True}, "31557"),
+    ("reference", {}, "31558"), ("toil", {}, "31559"), ("parsl", {}, "31560")],
+    ids=["reference-pipeline", "reference", "toil", "parsl"])
+def test_timeout_reaps_the_whole_process_group(engine, options, marker, tmp_path,
+                                               monkeypatch):
+    """The asyncio core and every engine's default launcher reap a timed-out
+    job's whole process group: ``sh -c 'sleep N & wait'`` leaves no
+    ``sleep`` behind (``marker``, an improbable duration, is greppable)."""
+    monkeypatch.chdir(tmp_path)
     doc = {
         "cwlVersion": "v1.2", "class": "Workflow",
         "inputs": {}, "outputs": {},
         "steps": {"runaway": {
             "run": {"class": "CommandLineTool",
-                    "baseCommand": ["/bin/sh", "-c",
-                                    f"sleep {marker} & sleep {marker}"],
+                    "baseCommand": ["/bin/sh", "-c", f"sleep {marker} & wait"],
                     "inputs": {}, "outputs": {}},
             "in": {}, "out": []}},
     }
+    if engine == "parsl":
+        options = {"config": repro.thread_config(max_threads=2,
+                                                 run_dir=str(tmp_path / "runinfo"))}
+    else:
+        options = dict(options, runtime_context=RuntimeContext(basedir=str(tmp_path)))
     started = time.time()
     with pytest.raises(Exception) as excinfo:
-        api.run(load_document(doc), {}, engine="reference",
-                runtime_context=RuntimeContext(basedir=str(tmp_path),
-                                               timeout_s=0.5),
-                parallel=True, max_workers=2, pipeline=True)
+        api.run(load_document(doc), {}, engine=engine, timeout_s=0.5, **options)
     assert isinstance(unwrap_failure(excinfo.value), JobTimeout)
     assert time.time() - started < 20, "reaping took pathologically long"
     # The grandchild (`sleep ... &`) dies with the group, not just the shell.

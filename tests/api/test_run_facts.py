@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,12 @@ import repro
 from repro import api
 from repro.cwl.faults import get_fault_profile
 from repro.cwl.graph import GraphBuilder
+from repro.cwl.jobcache import get_job_cache
 from repro.cwl.journal import read_journal
 from repro.cwl.runtime import RuntimeContext
+from repro.testing.corpus import load_case
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 ENGINES = ("reference", "toil", "parsl")
 
 
@@ -116,3 +120,31 @@ def test_a_journalled_run_records_each_retry_and_each_job_once(
         ["count-tool", "each-tool", "each-tool", "each-tool", "shout-tool"]
     assert {(r["cache"], r["exit_code"]) for r in jobs} == {("miss", 0)}
     assert len({r["key"] for r in jobs}) == 5
+
+
+def test_a_permitted_nonzero_exit_is_recorded_as_the_tool_exited_on_every_engine(
+        tmp_path, monkeypatch):
+    """``success_codes_nonzero`` exits 3 under ``successCodes: [0, 3]``: each
+    engine's journal ``job`` record and cache manifest carry 3, under one
+    key, and a runner hitting the entry the Parsl engine stored reports 3."""
+    case = load_case(REPO_ROOT / "conformance" / "corpus" / "success_codes_nonzero.yaml")
+    document = tmp_path / "nonzero.cwl"
+    document.write_text(json.dumps(dict(case.process, cwlVersion="v1.2")))
+
+    def job_record(engine, run_dir, **options):
+        api.run(str(document), {}, engine=engine, run_dir=str(run_dir),
+                **engine_options(engine, tmp_path / f"{run_dir.name}-wd", monkeypatch),
+                **options)
+        (job,) = [r for r in read_journal(str(run_dir)) if r["kind"] == "job"]
+        return job
+
+    records = {engine: job_record(engine, tmp_path / engine) for engine in ENGINES}
+    assert {engine: (r["cache"], r["exit_code"]) for engine, r in records.items()} == \
+        {engine: ("miss", 3) for engine in ENGINES}
+    (key,) = {r["key"] for r in records.values()}
+    stores = {engine: get_job_cache(str(tmp_path / engine / "jobcache")) for engine in ENGINES}
+    assert {engine: store.lookup(key).exit_code for engine, store in stores.items()} == \
+        {engine: 3 for engine in ENGINES}
+    warm = job_record("reference", tmp_path / "warm",
+                      cache_dir=str(tmp_path / "parsl" / "jobcache"))
+    assert (warm["cache"], warm["exit_code"], warm["key"]) == ("hit", 3, key)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import subprocess
 
 import pytest
 
@@ -132,8 +133,24 @@ def test_cwl_tool_command_builds_command_without_parsl(cwl_dir, tmp_path):
     """The execution-side body is usable standalone (it is what workers run)."""
     tool = load_tool(cwl_dir / "echo.cwl")
     command = cwl_tool_command(tool.raw, tool.source_path, {"message": "direct"})
-    assert command.startswith("echo ")
-    assert "direct" in command
+    assert command.parts.argv == ["echo", "direct"]
+    assert command.success_codes == (0,)
+
+
+def test_a_cwl_app_spawns_the_tool_argv_with_no_shell(cwl_dir, parsl_threads, tmp_path,
+                                                       monkeypatch):
+    spawned = []
+    real_init = subprocess.Popen.__init__
+
+    def spy(self, args, *rest, **kwargs):
+        spawned.append((args, kwargs.get("shell", False)))
+        real_init(self, args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", spy)
+    message = "two words; $HOME `and` more"
+    assert CWLApp(str(cwl_dir / "echo.cwl"))(message=message).result() == 0
+    assert spawned == [(["echo", message], False)]
+    assert (tmp_path / "hello.txt").read_text() == message + "\n"
 
 
 def test_cwl_app_works_on_htex(cwl_dir, parsl_htex_local, tmp_path):

@@ -209,6 +209,31 @@ def test_finished_records_leave_the_kernel(parsl_threads):
         assert not hasattr(parsl_threads, attribute)
 
 
+def test_submit_builds_a_functions_repr_only_when_it_has_no_name(parsl_threads):
+    """A task is named by ``__name__``; a ``CWLApp`` call's repr holds the
+    whole tool document, so building it per submission is pure waste."""
+
+    class Counted:
+        reprs = 0
+
+        def __call__(self):
+            return "ran"
+
+        def __repr__(self):
+            Counted.reprs += 1
+            return "<counted>"
+
+    named = Counted()
+    named.__name__ = "named"
+    future = parsl_threads.submit(named, (), {})
+    assert future.result() == "ran"
+    assert future.task_record.func_name == "named"
+    assert Counted.reprs == 0
+    unnamed = parsl_threads.submit(Counted(), (), {})
+    assert unnamed.result() == "ran"
+    assert unnamed.task_record.func_name == "<counted>"
+
+
 def test_task_summary_and_wait(parsl_threads):
     futures = [add(i, i) for i in range(5)]
     parsl_threads.wait_for_current_tasks()
