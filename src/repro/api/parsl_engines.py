@@ -99,7 +99,7 @@ class ParslEngine(Engine):
                                        runtime_context=context)
             outputs = bridge.run(job_order)
             return run_result(recorder, context, self.name,
-                              {key: to_cwl_value(value) for key, value in outputs.items()},
+                              to_cwl_value(outputs),
                               graph=bridge.graph, failures=bridge.failures)
         if not isinstance(process, CommandLineTool):
             raise EngineError(

@@ -19,8 +19,10 @@ What happens underneath, following the paper:
   and ``inputBinding`` definitions *on the execution side*, after upstream
   DataFutures have resolved, and spawned there with no shell by the runner
   engines' launcher (:func:`~repro.cwl.job.run_process`),
-* ``stdout`` / ``stderr`` and any statically determinable output files become
-  ``DataFuture`` s on the returned ``AppFuture`` (``future.outputs``),
+* ``stdout`` / ``stderr`` and every output whose evaluated glob has no
+  wildcard become ``DataFuture`` s on the returned ``AppFuture``
+  (``future.outputs``), named at submission by the runners' own rules on
+  :func:`job_order_view`; a stream the job then names differently fails it,
 * if the tool carries an ``InlinePythonRequirement``, its per-input ``validate:``
   expressions run before the command executes and its expression library is
   available to ``arguments`` entries written in the paper's f-string syntax.
@@ -36,23 +38,24 @@ import subprocess
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
-from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
-from repro.cwl.errors import InputValidationError, ValidationException
+from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults, stream_redirect
+from repro.cwl.errors import InputValidationError, UnsupportedRequirement, ValidationException
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.job import run_process
 from repro.cwl.jobcache import (
     CacheEntry,
     JobCache,
+    canonical_command,
     get_job_cache,
     relative_to_outdir,
     resolve_job_cache,
 )
 from repro.cwl.loader import load_document, load_tool
-from repro.cwl.outputs import matching_files, output_globs
+from repro.cwl.outputs import evaluated_patterns, matching_files, output_globs
 from repro.cwl.retry import execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
-from repro.cwl.types import build_file_value, coerce_file_inputs, matches
+from repro.cwl.types import build_file_value, coerce_file_inputs, file_value_of_path, matches
 from repro.cwl.validate import ensure_valid
 from repro.parsl.apps.bash import _open_std_stream, check_outputs, register_command, unregister_command
 from repro.parsl.data_provider.files import File
@@ -97,25 +100,20 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     (``cwl_cache_dir`` — inputs are concrete on the execution side, which is
     what makes this the Parsl path's one cache probe; its key and outcome go
     into ``cwl_cache_note``), a hit builds no command and returns the
-    :class:`~repro.cwl.jobcache.CacheEntry` instead; a miss leaves the key and every declared
-    output's evaluated glob in ``cwl_cache_ctx`` for the caller to store
-    what they match once the command succeeded.
+    :class:`~repro.cwl.jobcache.CacheEntry` instead; a miss leaves the key, every declared
+    output's evaluated glob and the canonical command line in
+    ``cwl_cache_ctx`` for the caller to store once the command succeeded.
+    A stream named at submission (``cwl_streams``) must be the one the
+    command line redirects.
     """
     tool = load_document(dict(tool_raw), base_dir=os.path.dirname(source_path) if source_path else None)
     if not isinstance(tool, CommandLineTool):
         raise ValidationException("CWLApp payload must be a CommandLineTool")
 
-    job_order: Dict[str, Any] = {}
-    for key, value in cwl_inputs.items():
-        job_order[key] = to_cwl_value(value)
-    job_order = fill_in_defaults(tool.inputs, job_order)
-    job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
-
+    job_order = job_order_view(tool, cwl_inputs)
     context = RuntimeContext(**{name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
                                 if f"cwl_{name}" in _parsl_kwargs})
-    # Honour the tool's ResourceRequirement so $(runtime.cores) / $(runtime.ram)
-    # expressions see the granted resources on the Parsl path too.
-    runtime = context.with_resources(tool).runtime_object(os.getcwd(), os.getcwd())
+    runtime = _job_runtime(context, tool)
 
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
     cache_ctx = _parsl_kwargs.get("cwl_cache_ctx")
@@ -132,9 +130,6 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     # The Parsl path's expression pipeline is the compiled one; the shared
     # library scope spares each invocation rebuilding the standard library.
     expression_evaluator = precompile_process(tool)
-    if key is not None:
-        cache_ctx.update(cache_dir=cache_dir, key=key, outdir=os.getcwd(),
-                         globs=output_globs(tool, job_order, runtime, expression_evaluator))
 
     inline_python = extract_inline_python(tool)
     evaluator: Optional[InlinePythonEvaluator] = None
@@ -157,6 +152,19 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
             if isinstance(argument, str) and is_python_expression(argument)})
 
     parts = build_command_line(tool, job_order, runtime, builder_evaluator)
+    for stream, submitted in (_parsl_kwargs.get("cwl_streams") or {}).items():
+        if getattr(parts, stream) != submitted:
+            raise UnsupportedRequirement(
+                f"job {tool.job_name!r}: {stream} is {getattr(parts, stream)!r} once the job "
+                f"runs but was named {submitted!r} at submission, where an upstream File has "
+                "only the fields its path gives")
+    if key is not None:
+        cache_ctx.update(
+            cache_dir=cache_dir, key=key, outdir=runtime["outdir"],
+            globs=output_globs(tool, job_order, runtime, expression_evaluator),
+            command=canonical_command(parts.argv, parts.stdin, parts.stdout, parts.stderr,
+                                      parts.environment, outdir=runtime["outdir"],
+                                      tmpdir=runtime["tmpdir"], job_order=job_order))
     return ToolCommand(parts, {**context.env, **parts.environment},
                        tuple(tool.success_codes))
 
@@ -178,12 +186,51 @@ class _WithPythonArguments:
 
 
 def to_cwl_value(value: Any) -> Any:
-    """Convert Parsl-side values (File, paths, plain scalars) to CWL values."""
+    """The CWL value a Parsl-side value stands for, through lists and records.
+
+    A :class:`DataFuture` is the File it will be, with only the fields its
+    path gives: a file of that name left by an earlier run is not it.
+    """
+    if isinstance(value, DataFuture):
+        return file_value_of_path(value.filepath)
     if isinstance(value, File):
         return build_file_value(value.filepath)
     if isinstance(value, list):
         return [to_cwl_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_cwl_value(item) for key, item in value.items()}
     return value
+
+
+def _to_parsl_value(value: Any, wants_file: bool) -> Any:
+    """A call's input value as a ``CWLApp`` passes it on: in a File-typed
+    input, a path or File value becomes a Parsl :class:`File`."""
+    if isinstance(value, (DataFuture, File)):
+        return value
+    if isinstance(value, list):
+        return [_to_parsl_value(item, wants_file) for item in value]
+    if wants_file and isinstance(value, (str, os.PathLike)):
+        return File(os.fspath(value))
+    if wants_file and isinstance(value, dict) and value.get("class") == "File":
+        return File(value.get("path") or value.get("location", ""))
+    return value
+
+
+def job_order_view(tool: CommandLineTool, values: Dict[str, Any]) -> Dict[str, Any]:
+    """The job order ``tool`` sees for one call's input ``values`` (as
+    passed to a :class:`CWLApp` or received by its body): the one view the
+    call's file names, command line and collected outputs are evaluated on."""
+    job_order = {param.id: to_cwl_value(_to_parsl_value(values[param.id], param.type.is_file))
+                 for param in tool.inputs if param.id in values}
+    return {key: coerce_file_inputs(value)
+            for key, value in fill_in_defaults(tool.inputs, job_order).items()}
+
+
+def _job_runtime(context: RuntimeContext, tool: CommandLineTool) -> Dict[str, Any]:
+    """``runtime`` of a ``CWLApp`` job: the working directory as outdir and
+    tmpdir, the cores and RAM the tool's ResourceRequirement is granted."""
+    cwd = os.getcwd()
+    return context.with_resources(tool).runtime_object(cwd, cwd)
 
 
 def _replay_hit(cache: JobCache, entry: CacheEntry, stdout_spec: Any, stderr_spec: Any) -> int:
@@ -361,7 +408,7 @@ def _store_results(ctx: Dict[str, Any], stdout_spec: Any, stderr_spec: Any,
     cache.store_files(ctx["key"], outdir, paths,
                       stdout_name=relative_to_outdir(stdout_path, outdir),
                       stderr_name=relative_to_outdir(stderr_path, outdir),
-                      exit_code=exit_code)
+                      exit_code=exit_code, command=ctx["command"])
 
 
 class CWLApp:
@@ -394,6 +441,10 @@ class CWLApp:
         if self.executor_label is None:
             self.executor_label = "all"
         self._inline_python = extract_inline_python(self.tool)
+        #: Whether a file name of this tool is an expression: only then does a
+        #: call build the inputs and runtime its names are evaluated on.
+        self._names_are_expressions = "$" in repr([self.tool.stdout, self.tool.stderr] + [
+            param.output_binding.glob for param in self.tool.outputs if param.output_binding])
         self.__name__ = self.tool.id or os.path.basename(self.cwl_path or "cwl_app")
         self.__doc__ = self.tool.doc or f"CWLApp wrapping {self.__name__}"
 
@@ -441,8 +492,7 @@ class CWLApp:
         """
         dfk = self.data_flow_kernel or DataFlowKernelLoader.dfk()
 
-        stdout_override = kwargs.pop("stdout", None)
-        stderr_override = kwargs.pop("stderr", None)
+        overrides = {stream: kwargs.pop(stream, None) for stream in ("stdout", "stderr")}
 
         declared = set(self.input_names)
         unknown = [key for key in kwargs if key not in declared]
@@ -459,24 +509,22 @@ class CWLApp:
 
         # Convert values: File-typed inputs given as paths become Parsl Files;
         # DataFutures and Files pass straight through (dependencies / staging).
-        cwl_inputs: Dict[str, Any] = {}
-        for param in self.tool.inputs:
-            if param.id not in kwargs:
-                continue
-            value = kwargs[param.id]
-            cwl_inputs[param.id] = self._convert_input(value, wants_file=param.type.is_file)
+        cwl_inputs = {param.id: _to_parsl_value(kwargs[param.id], param.type.is_file)
+                      for param in self.tool.inputs if param.id in kwargs}
         self._validate_concrete_inputs(cwl_inputs)
 
-        # stdout:/stderr: may be expressions; anything whose referenced
-        # inputs are concrete at submission time is evaluated here, so the
-        # redirection lands on the *evaluated* file name exactly as it does
-        # under the runner engines.
-        job_for_defaults = fill_in_defaults(self.tool.inputs, dict(cwl_inputs))
-        stdout_path = stdout_override or self._resolve_static_std(
-            self.tool.stdout, job_for_defaults)
-        stderr_path = stderr_override or self._resolve_static_std(
-            self.tool.stderr, job_for_defaults)
-        named_outputs = self._predict_output_files(cwl_inputs, stdout_path, stderr_path)
+        # The call's files are named here, by the rules the job follows, so
+        # that they can be DataFutures; the job checks the streams it was not
+        # given (``cwl_streams``).
+        names_context = {"inputs": {}, "runtime": {}, "self": None}
+        if self._names_are_expressions:
+            names_context.update(inputs=job_order_view(self.tool, cwl_inputs),
+                                 runtime=_job_runtime(self.runtime_context, self.tool))
+        evaluator = precompile_process(self.tool)
+        streams = {stream: stream_redirect(self.tool, stream, names_context, evaluator)
+                   for stream, override in overrides.items() if not override}
+        redirects = {**overrides, **streams}
+        named_outputs = self._output_files(names_context, evaluator, redirects)
         output_files = [file_obj for _name, file_obj in named_outputs]
 
         # The one place the context is unpacked for the execution side.  An
@@ -491,13 +539,11 @@ class CWLApp:
         app_kwargs: Dict[str, Any] = {
             "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.job_name,
             "cwl_cache_dir": cache.cache_dir if cache is not None else None,
-            "cwl_cache_note": cache_note, "cwl_retry_note": retry_note}
+            "cwl_cache_note": cache_note, "cwl_retry_note": retry_note,
+            "cwl_streams": streams}
         for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan", "timeout_s"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
-        if stdout_path:
-            app_kwargs["stdout"] = stdout_path
-        if stderr_path:
-            app_kwargs["stderr"] = stderr_path
+        app_kwargs.update((stream, path) for stream, path in redirects.items() if path)
         if output_files:
             app_kwargs["outputs"] = output_files
 
@@ -526,17 +572,6 @@ class CWLApp:
 
     # ----------------------------------------------------------------- helpers
 
-    def _convert_input(self, value: Any, wants_file: bool) -> Any:
-        if isinstance(value, (DataFuture, File)):
-            return value
-        if isinstance(value, list):
-            return [self._convert_input(item, wants_file) for item in value]
-        if wants_file and isinstance(value, (str, os.PathLike)):
-            return File(os.fspath(value))
-        if wants_file and isinstance(value, dict) and value.get("class") == "File":
-            return File(value.get("path") or value.get("location", ""))
-        return value
-
     def _validate_concrete_inputs(self, cwl_inputs: Dict[str, Any]) -> None:
         """Fail fast on concrete values that cannot match the declared type."""
         for param in self.tool.inputs:
@@ -554,80 +589,19 @@ class CWLApp:
                     f"input {param.id!r} value {value!r} does not match declared type {param.type}"
                 )
 
-    def _predict_output_files(self, cwl_inputs: Dict[str, Any],
-                              stdout_path: Optional[str],
-                              stderr_path: Optional[str]) -> List[tuple]:
-        """Determine output file names that are knowable at submission time.
-
-        Returns ``(output_id, File)`` pairs.  Covers the common cases used
-        throughout the paper: ``type: stdout`` / ``type: stderr`` outputs and
-        ``outputBinding.glob`` patterns that are either literal file names or
-        single ``$(inputs.x)`` references to an input provided in this call (or
-        a default).
-        """
-        job_for_defaults = fill_in_defaults(self.tool.inputs, dict(cwl_inputs))
-        predicted: List[tuple] = []
+    def _output_files(self, context: Dict[str, Any], evaluator: Any,
+                      redirects: Dict[str, Optional[str]]) -> List[tuple]:
+        """``(output_id, File)`` for every output file named before the job
+        runs: each stream output's redirection, each wildcard-free glob."""
+        named: List[tuple] = []
         for param in self.tool.outputs:
-            if param.raw_type == "stdout":
-                if stdout_path:
-                    predicted.append((param.id, File(stdout_path)))
-                continue
-            if param.raw_type == "stderr":
-                if stderr_path:
-                    predicted.append((param.id, File(stderr_path)))
-                continue
-            binding = param.output_binding
-            if binding is None or binding.glob is None:
-                continue
-            globs = binding.glob if isinstance(binding.glob, list) else [binding.glob]
-            for pattern in globs:
-                resolved = self._resolve_static_glob(pattern, job_for_defaults)
-                if resolved is not None and not any(ch in resolved for ch in "*?["):
-                    predicted.append((param.id, File(resolved)))
-        return predicted
-
-    def _resolve_static_std(self, spec: Optional[str],
-                            job_order: Dict[str, Any]) -> Optional[str]:
-        """Evaluate a ``stdout:``/``stderr:`` file-name template if possible.
-
-        Literals pass through; single ``$(inputs.x)`` references resolve like
-        static globs; richer templates (``$(inputs.text).txt``) are evaluated
-        with whatever inputs are already concrete.  Unresolvable specs (e.g.
-        referencing an upstream future) fall back to the raw string — the
-        pre-existing behaviour.
-        """
-        if spec is None or ("$(" not in spec and "${" not in spec):
-            return spec
-        resolved = self._resolve_static_glob(spec, job_order)
-        if resolved is not None:
-            return resolved
-        concrete = {key: to_cwl_value(value) for key, value in job_order.items()
-                    if not isinstance(value, DataFuture)}
-        try:
-            evaluated = precompile_process(self.tool).evaluate(
-                spec, {"inputs": concrete, "runtime": {}, "self": None})
-        except Exception:
-            return spec
-        return str(evaluated) if evaluated is not None else spec
-
-    @staticmethod
-    def _resolve_static_glob(pattern: str, job_order: Dict[str, Any]) -> Optional[str]:
-        if not isinstance(pattern, str):
-            return None
-        pattern = pattern.strip()
-        if pattern.startswith("$(") and pattern.endswith(")"):
-            body = pattern[2:-1].strip()
-            if body.startswith("inputs."):
-                value = job_order.get(body[len("inputs."):])
-                if isinstance(value, File):
-                    return value.filepath
-                if isinstance(value, str):
-                    return value
-                return None
-            return None
-        if "$(" in pattern or "${" in pattern:
-            return None
-        return pattern
+            if param.raw_type in redirects:
+                named.append((param.id, File(redirects[param.raw_type])))
+            elif param.output_binding is not None and param.output_binding.glob is not None:
+                named.extend((param.id, File(pattern)) for pattern in evaluated_patterns(
+                    param.output_binding.glob, evaluator, context)
+                    if not any(ch in pattern for ch in "*?["))
+        return named
 
     def __repr__(self) -> str:
         return f"<CWLApp {self.__name__!r} from {self.cwl_path!r}>"

@@ -18,15 +18,13 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional, Union
 
-from repro.core.cwl_app import CWLApp, report_finished
+from repro.core.cwl_app import CWLApp, job_order_view, report_finished
 from repro.core.yaml_config import load_yaml_config
-from repro.cwl.command_line import fill_in_defaults
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.loader import load_tool
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
-from repro.cwl.types import build_file_value, coerce_file_inputs
 from repro.parsl.config import Config
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 from repro.parsl.errors import NoDataFlowKernelError
@@ -108,15 +106,16 @@ def run_tool_with_parsl(
         future.result()
 
         outdir = outdir or os.getcwd()
-        stdout_path = _absolute(future.stdout, outdir)
-        stderr_path = _absolute(future.stderr, outdir)
+        # A relative redirection is one under ``outdir``.
+        stdout_path, stderr_path = (os.path.join(outdir, stream) if stream else None
+                                    for stream in (future.stdout, future.stderr))
         runtime = context.with_resources(app.tool).runtime_object(outdir, outdir)
         return collect_outputs(
             app.tool,
             outdir=outdir,
             stdout_path=stdout_path,
             stderr_path=stderr_path,
-            job_order=_cwl_job_order(app.tool, job_order),
+            job_order=job_order_view(app.tool, job_order),
             runtime=runtime,
             evaluator=precompile_process(app.tool),
         )
@@ -128,22 +127,3 @@ def run_tool_with_parsl(
         if cleanup:
             DataFlowKernelLoader.clear()
 
-
-def _absolute(path: Optional[str], base: str) -> Optional[str]:
-    if path is None:
-        return None
-    return path if os.path.isabs(path) else os.path.join(base, path)
-
-
-def _cwl_job_order(tool: CommandLineTool, job_order: Dict[str, Any]) -> Dict[str, Any]:
-    """Rebuild the CWL-side job order (File values as dictionaries) for output collection."""
-    rebuilt: Dict[str, Any] = {}
-    for param in tool.inputs:
-        if param.id not in job_order:
-            continue
-        value = job_order[param.id]
-        if param.type.is_file and isinstance(value, (str, os.PathLike)):
-            rebuilt[param.id] = build_file_value(os.fspath(value))
-        else:
-            rebuilt[param.id] = coerce_file_inputs(value)
-    return fill_in_defaults(tool.inputs, rebuilt)

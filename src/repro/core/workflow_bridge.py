@@ -23,9 +23,11 @@ time with :class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over a
 value that is still a future (the width is unknown), scattering a nested
 Workflow — Parsl apps share one working directory, so per-shard copies of the
 subworkflow would overwrite each other's literally named files — and a step
-output with an ``outputEval``, whose value is not a file future.  A ``when`` /
-``valueFrom`` expression reading an upstream *result* sees a File-shaped
-stand-in (``class``, ``basename``, ``path``), not contents.
+output with an ``outputEval``, whose value is not a file future.  A step output
+whose evaluated glob has a wildcard names no file yet, and is refused with a
+:class:`~repro.cwl.errors.WorkflowException`.  ``when`` / ``valueFrom`` and
+the steps' file names see an upstream future as the File it will be
+(:func:`~repro.core.cwl_app.to_cwl_value`: only the fields its path gives).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.cwl_app import CWLApp, report_finished
+from repro.core.cwl_app import CWLApp, report_finished, to_cwl_value
 from repro.cwl.errors import UnsupportedRequirement, WorkflowException
 from repro.cwl.graph import GraphNode, WorkflowGraph, build_graph
 from repro.cwl.loader import load_document
@@ -86,15 +88,12 @@ class _SubmissionEngine(WorkflowEngine):
             raise WorkflowException(
                 f"step {node.step.id!r}: output(s) {unknown} cannot be predicted at submission "
                 f"time (predictable outputs: {sorted(outputs)}); the workflow bridge requires "
-                "literal or input-derived glob patterns")
+                "glob patterns that evaluate to file names without wildcards")
         return outputs
 
     def _expression_inputs(self, step_inputs: Dict[str, Any]) -> Dict[str, Any]:
-        """Futures cannot be inspected before they run: show a File-shaped stand-in."""
-        return {key: {"basename": getattr(value, "filename", None),
-                      "path": getattr(value, "filepath", None),
-                      "class": "File"} if isinstance(value, (AppFuture, DataFuture)) else value
-                for key, value in step_inputs.items()}
+        """A future is shown as the File it will be (:func:`to_cwl_value`)."""
+        return to_cwl_value(step_inputs)
 
     def _plan_scatter(self, step: WorkflowStep, process: Process,
                       step_inputs: Dict[str, Any]) -> ScatterPlan:

@@ -151,14 +151,6 @@ def build_command_line(
         argv.extend(tokens)
 
     stdin = evaluator.evaluate(tool.stdin, context) if tool.stdin else None
-    stdout = evaluator.evaluate(tool.stdout, context) if tool.stdout else None
-    stderr = evaluator.evaluate(tool.stderr, context) if tool.stderr else None
-
-    # Tools whose outputs use type stdout/stderr without naming a file get a default name.
-    if stdout is None and any(o.raw_type == "stdout" for o in tool.outputs):
-        stdout = f"{(tool.id or 'tool').replace('/', '_')}.stdout"
-    if stderr is None and any(o.raw_type == "stderr" for o in tool.outputs):
-        stderr = f"{(tool.id or 'tool').replace('/', '_')}.stderr"
 
     environment: Dict[str, str] = {}
     env_req = tool.get_requirement("EnvVarRequirement")
@@ -177,10 +169,22 @@ def build_command_line(
     return CommandLineParts(
         argv=[str(part) for part in argv],
         stdin=stdin if stdin is None or isinstance(stdin, str) else str(stdin),
-        stdout=stdout if stdout is None or isinstance(stdout, str) else str(stdout),
-        stderr=stderr if stderr is None or isinstance(stderr, str) else str(stderr),
+        stdout=stream_redirect(tool, "stdout", context, evaluator),
+        stderr=stream_redirect(tool, "stderr", context, evaluator),
         environment=environment,
     )
+
+
+def stream_redirect(tool: CommandLineTool, stream: str, context: Dict[str, Any],
+                    evaluator: Any) -> Optional[str]:
+    """Where a job's ``stream`` (``"stdout"`` / ``"stderr"``) goes: the tool's
+    field of that name evaluated, else ``<id>.<stream>`` if an output has that
+    stream's type, else ``None``."""
+    spec = getattr(tool, stream)
+    name = evaluator.evaluate(spec, context) if spec else None
+    if name is None and any(o.raw_type == stream for o in tool.outputs):
+        return f"{(tool.id or 'tool').replace('/', '_')}.{stream}"
+    return name if name is None else str(name)
 
 
 def fill_in_defaults(tool_inputs: List[CommandInputParameter],

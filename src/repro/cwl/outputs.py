@@ -34,15 +34,15 @@ def _glob_in(outdir: str, pattern: str) -> List[str]:
     return sorted(os.path.abspath(m) for m in matches)
 
 
-def _evaluated_patterns(glob: Any, evaluator: Any, context: Dict[str, Any]) -> List[str]:
+def evaluated_patterns(glob: Any, evaluator: Any, context: Dict[str, Any]) -> List[str]:
     """An ``outputBinding.glob`` (one pattern or a list) evaluated to strings."""
-    evaluated_patterns: List[str] = []
+    patterns: List[str] = []
     for pattern in glob if isinstance(glob, list) else [glob]:
         evaluated = evaluator.evaluate(pattern, context)
         if evaluated is not None:
-            evaluated_patterns.extend(
+            patterns.extend(
                 str(single) for single in (evaluated if isinstance(evaluated, list) else [evaluated]))
-    return evaluated_patterns
+    return patterns
 
 
 def output_globs(tool: CommandLineTool, job_order: Dict[str, Any],
@@ -55,7 +55,7 @@ def output_globs(tool: CommandLineTool, job_order: Dict[str, Any],
     context = {"inputs": job_order, "runtime": runtime, "self": None}
     return [pattern for param in tool.outputs
             if param.output_binding is not None and param.output_binding.glob is not None
-            for pattern in _evaluated_patterns(param.output_binding.glob, evaluator, context)]
+            for pattern in evaluated_patterns(param.output_binding.glob, evaluator, context)]
 
 
 def matching_files(outdir: str, patterns: List[str]) -> List[str]:
@@ -105,7 +105,7 @@ def collect_output(
     matched_value: Any = None
     glob_matches: List[Dict[str, Any]] = []
     if binding.glob is not None:
-        matches = [path for pattern in _evaluated_patterns(binding.glob, evaluator, context)
+        matches = [path for pattern in evaluated_patterns(binding.glob, evaluator, context)
                    for path in _glob_in(outdir, pattern)]
         glob_matches = [build_file_value(path, compute_checksum=compute_checksum) for path in matches]
         if binding.load_contents:

@@ -198,13 +198,12 @@ def matches(value: Any, cwl_type: Union[CWLType, Any]) -> bool:
     raise ValidationException(f"cannot check value against unknown type kind {kind!r}")
 
 
-def build_file_value(path: str, compute_checksum: bool = False,
-                     load_contents: bool = False) -> Dict[str, Any]:
-    """Construct a CWL File value dictionary for a local path."""
+def file_value_of_path(path: str) -> Dict[str, Any]:
+    """The fields of a CWL File value that its path alone gives: no ``stat``."""
     path = os.path.abspath(os.fspath(path))
     basename = os.path.basename(path)
     nameroot, nameext = os.path.splitext(basename)
-    value: Dict[str, Any] = {
+    return {
         "class": "File",
         "path": path,
         "location": f"file://{path}",
@@ -213,6 +212,13 @@ def build_file_value(path: str, compute_checksum: bool = False,
         "nameext": nameext,
         "dirname": os.path.dirname(path),
     }
+
+
+def build_file_value(path: str, compute_checksum: bool = False,
+                     load_contents: bool = False) -> Dict[str, Any]:
+    """Construct a CWL File value dictionary for a local path."""
+    value = file_value_of_path(path)
+    path = value["path"]
     if os.path.exists(path):
         value["size"] = os.stat(path).st_size
         if compute_checksum:

@@ -9,6 +9,7 @@ invalidate on input-content changes, tool-document edits and
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -122,6 +123,25 @@ def test_store_warmed_by_one_engine_is_warm_for_the_others(tmp_path, monkeypatch
         assert warm.cache_stats == {"hits": 2, "misses": 0}, engine
         for key in cold.outputs:
             assert file_bytes(warm.outputs[key]) == file_bytes(cold.outputs[key])
+
+
+def test_one_key_gets_one_manifest_command_on_every_engine(tmp_path, monkeypatch, cwl_dir):
+    """The Parsl path records the tool's canonical command line, as the
+    runners do, so the manifest it writes for a key has the same `command`
+    and `fingerprint` as the reference runner's."""
+    manifests = {}
+    for engine in ("reference", "parsl"):
+        store = tmp_path / engine / "store"
+        run_once(engine, load_document(str(cwl_dir / "echo.cwl")).raw, {"message": "hi"},
+                 store, tmp_path / engine, monkeypatch)
+        [entry] = os.listdir(store / "entries")
+        with open(store / "entries" / entry) as handle:
+            manifests[engine] = json.load(handle)
+    reference, parsl = manifests["reference"], manifests["parsl"]
+    assert parsl["key"] == reference["key"]
+    assert reference["command"]["argv"] == ["echo", "hi"]
+    assert parsl["command"] == reference["command"]
+    assert parsl["fingerprint"] == reference["fingerprint"]
 
 
 def test_per_job_events_carry_hit_and_miss(tmp_path, monkeypatch):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro import api
 from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.cwl.errors import UnsupportedRequirement, WorkflowException
+from repro.cwl.errors import UnsupportedRequirement, WorkflowException, unwrap_failure
 from repro.cwl.loader import load_document
 from repro.imaging.png import read_png
 from repro.parsl.dataflow.futures import DataFuture
@@ -192,3 +193,75 @@ def test_bridge_refuses_outputs_it_cannot_name_at_submission(parsl_threads, tmp_
     })
     with pytest.raises(WorkflowException, match="'make'.*cannot be predicted at submission"):
         CWLWorkflowBridge(workflow).run({"names": ["a.txt", "b.txt"], "one": "c.txt"})
+
+
+def _produce_then(consumer: dict) -> dict:
+    """A workflow: `produce` echoes "hi" to produced.txt, `use` runs
+    ``consumer`` on that File as its `source` input."""
+    return {
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {}, "outputs": {"out": {"type": "File", "outputSource": "use/out"}},
+        "steps": {
+            "produce": {"run": {"class": "CommandLineTool", "baseCommand": ["echo", "hi"],
+                                "inputs": {}, "outputs": {"out": "stdout"},
+                                "stdout": "produced.txt"},
+                        "in": {}, "out": ["out"]},
+            "use": {"run": consumer, "in": {"source": "produce/out"}, "out": ["out"]},
+        },
+    }
+
+
+@pytest.mark.parametrize("engine", ["reference", "toil", "parsl", "parsl-workflow"])
+def test_a_stream_named_from_a_field_a_future_lacks_fails_instead_of_misnaming(
+        engine, tmp_path, monkeypatch):
+    """A future shows only the fields its path gives, so a stdout name built
+    from the upstream File's `size` cannot be known at submission.  The runners
+    name the file `3.copy` ("hi\\n" is 3 bytes); the Parsl engines must fail the
+    job, naming the stream and both names, rather than write `null.copy`."""
+    monkeypatch.chdir(tmp_path)
+    workflow = _produce_then({
+        "class": "CommandLineTool", "baseCommand": "cat",
+        "requirements": [{"class": "InlineJavascriptRequirement"}],
+        "inputs": {"source": {"type": "File", "inputBinding": {"position": 1}}},
+        "outputs": {"out": "stdout"}, "stdout": "$(inputs.source.size).copy",
+    })
+    options = {}
+    if engine == "toil":
+        options = {"job_store_dir": str(tmp_path / "jobstore"),
+                   "destroy_job_store_on_close": True}
+    elif engine.startswith("parsl"):
+        options = {"config": repro.thread_config(max_threads=2,
+                                                 run_dir=str(tmp_path / "runinfo"))}
+    if not engine.startswith("parsl"):
+        result = api.run(workflow, {}, engine=engine, **options)
+        assert result.outputs["out"]["basename"] == "3.copy"
+        return
+    with pytest.raises(Exception) as excinfo:
+        api.run(workflow, {}, engine=engine, **options)
+    failure = unwrap_failure(excinfo.value)
+    assert isinstance(failure, UnsupportedRequirement)
+    assert "stdout is '3.copy'" in str(failure) and "'null.copy'" in str(failure)
+    assert not (tmp_path / "null.copy").exists()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Parsl apps share one working directory, so every shard writes the same "
+    "said.txt; ROADMAP 'One command-line-job implementation'"))
+def test_scatter_shards_with_one_literal_output_name_keep_their_own_outputs(
+        parsl_threads, tmp_path):
+    """Each shard of a scattered step with a literal `stdout:` keeps its own
+    output, as on the runners (`a`, `b`, `c`)."""
+    workflow = load_document({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "requirements": [{"class": "ScatterFeatureRequirement"}],
+        "inputs": {"words": "string[]"},
+        "outputs": {"said": {"type": "File[]", "outputSource": "say/out"}},
+        "steps": {"say": {
+            "run": {"class": "CommandLineTool", "baseCommand": "echo",
+                    "inputs": {"word": {"type": "string", "inputBinding": {"position": 1}}},
+                    "outputs": {"out": "stdout"}, "stdout": "said.txt"},
+            "scatter": "word", "in": {"word": "words"}, "out": ["out"]}},
+    })
+    outputs = CWLWorkflowBridge(workflow).run({"words": ["a", "b", "c"]})
+    assert [open(future.filepath).read() for future in outputs["said"]] == \
+        ["a\n", "b\n", "c\n"]
