@@ -15,13 +15,12 @@ from typing import Any, Dict, Optional
 from repro.api.engine import Engine, EngineError
 from repro.api.events import EventRecorder, ExecutionHooks
 from repro.api.result import ExecutionResult, run_result
-from repro.core.cwl_app import to_cwl_value
+from repro.core.cwl_app import running_jobs, to_cwl_value
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
 from repro.cwl.journal import run_journalled
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
-from repro.parsl.apps.bash import running_commands
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 
 
@@ -85,7 +84,7 @@ class ParslEngine(Engine):
         except KeyboardInterrupt:
             if self._started:
                 DataFlowKernelLoader.dfk().cancel_unstarted()
-            for proc in running_commands():
+            for proc in running_jobs():
                 self._context.register_process(proc)
             raise
 

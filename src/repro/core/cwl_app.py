@@ -15,10 +15,11 @@ What happens underneath, following the paper:
   arguments, ``File``-typed inputs are converted to Parsl ``File`` objects (or
   accepted as ``DataFuture`` s from upstream apps, which is what lets CWLApps be
   chained without waiting),
-* the command line is constructed from the tool's ``baseCommand``, ``arguments``
-  and ``inputBinding`` definitions *on the execution side*, after upstream
-  DataFutures have resolved, and spawned there with no shell by the runner
-  engines' launcher (:func:`~repro.cwl.job.run_process`),
+* on the execution side, after upstream DataFutures have resolved, the call
+  is one attempt of the runners' :class:`~repro.cwl.job.CommandLineJob`: the
+  job-cache probe, then the hit restored or the tool's argv spawned with no
+  shell, in the job's output directory (its worker thread's); the job's
+  files are then moved or copied to where the call named them,
 * ``stdout`` / ``stderr`` and every output whose evaluated glob has no
   wildcard become ``DataFuture`` s on the returned ``AppFuture``
   (``future.outputs``), named at submission by the runners' own rules on
@@ -30,159 +31,158 @@ What happens underneath, following the paper:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import shutil
-import subprocess
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+import stat
+import weakref
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
-from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults, stream_redirect
+from repro.cwl.command_line import fill_in_defaults, stream_redirect
 from repro.cwl.errors import InputValidationError, UnsupportedRequirement, ValidationException
 from repro.cwl.expressions.compiler import precompile_process
-from repro.cwl.job import run_process
-from repro.cwl.jobcache import (
-    CacheEntry,
-    JobCache,
-    canonical_command,
-    get_job_cache,
-    relative_to_outdir,
-    resolve_job_cache,
-)
+from repro.cwl.job import CommandLineJob, JobResult
+from repro.cwl.jobcache import stage_file
 from repro.cwl.loader import load_document, load_tool
-from repro.cwl.outputs import evaluated_patterns, matching_files, output_globs
+from repro.cwl.outputs import evaluated_patterns
 from repro.cwl.retry import execute_with_retries
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, file_value_of_path, matches
 from repro.cwl.validate import ensure_valid
-from repro.parsl.apps.bash import _open_std_stream, check_outputs, register_command, unregister_command
+from repro.parsl.apps.bash import _open_std_stream, check_outputs
 from repro.parsl.data_provider.files import File
-from repro.parsl.errors import BashExitFailure
 from repro.parsl.dataflow.dflow import DataFlowKernel, DataFlowKernelLoader
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
-from repro.utils.environment import subprocess_environment
+from repro.utils.continuation import finish
 
-__all__ = ["CWLApp", "ToolCommand", "cwl_tool_command",
-           "cached_bash_executor", "resilient_bash_executor", "report_finished"]
+__all__ = ["CWLApp", "cwl_tool_command", "cached_bash_executor", "resilient_bash_executor",
+           "report_finished", "running_jobs"]
 
 #: The :class:`RuntimeContext` fields a job runs under, sent to the execution
 #: side as ``cwl_<field>`` app kwargs.
-_CONTEXT_FIELDS = ("cores", "ram_mb", "env")
+_CONTEXT_FIELDS = ("cores", "ram_mb", "env", "timeout_s", "basedir", "tmpdir_prefix")
 
 
-class ToolCommand(NamedTuple):
-    """A job to run: its command line, the variables it adds to the process
-    environment (the context's ``env``, then ``EnvVarRequirement``, which
-    wins) and the exit codes that count as success."""
+class _CallContext(RuntimeContext):
+    """The context of ``CWLApp`` jobs.  A call moves or copies every file out
+    of its job's output directory, so that directory, like the job's
+    scratch directory, is its worker thread's: made for the thread's first
+    job, emptied for each later one, removed when the family closes."""
 
-    parts: CommandLineParts
-    environment: Dict[str, str]
-    success_codes: Tuple[int, ...]
+    def make_job_dir(self, name: str = "job") -> str:
+        return self._thread_dir(("out", self.basedir),
+                                lambda: RuntimeContext.make_job_dir(self, "app"))
+
+
+#: The context family of the ``CWLApp`` jobs that run on this process's
+#: threads: their directories and the tools still running.  The kernel the
+#: jobs were submitted to closes it when it is cleaned up.
+_JOBS = _CallContext()
+#: The process whose kernel closes :data:`_JOBS`.  A job in any other
+#: process (a worker of a process-based executor) runs in a family of its
+#: own, closed when the job ends.
+_JOBS_PID: Optional[int] = None
+
+
+def _runs_in_jobs() -> bool:
+    """Whether a job made here runs in :data:`_JOBS` (else in its own family)."""
+    return _JOBS_PID == os.getpid()
+
+
+def _open_jobs(dfk: DataFlowKernel) -> None:
+    """Run the jobs this process submits to ``dfk`` on its own threads in
+    :data:`_JOBS`, closed when ``dfk`` is cleaned up."""
+    global _JOBS_PID
+    _JOBS_PID = os.getpid()
+    dfk.call_on_cleanup(_close_jobs)
+
+
+def _close_jobs() -> None:
+    global _JOBS_PID
+    _JOBS_PID = None
+    _JOBS.close()
+
+
+def running_jobs() -> List[Any]:
+    """The tools of the ``CWLApp`` jobs running on this process's threads,
+    for an interrupted engine to reap."""
+    return _JOBS.live_processes()
 
 
 def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
-                     cwl_inputs: Dict[str, Any],
-                     **_parsl_kwargs: Any) -> Union[CacheEntry, ToolCommand]:
-    """Execution-side body of a CWLApp: what :func:`cached_bash_executor` runs.
+                     cwl_inputs: Dict[str, Any], **_parsl_kwargs: Any) -> CommandLineJob:
+    """Execution-side body of a CWLApp: the call's
+    :class:`~repro.cwl.job.CommandLineJob`, which :func:`cached_bash_executor`
+    runs.
 
-    Receives the raw tool document plus the resolved CWL input values (Parsl has
-    already replaced DataFutures with Files by the time this runs), rebuilds the
-    tool model, runs InlinePython validation, evaluates InlinePython arguments,
-    and returns the :class:`ToolCommand` to spawn, argv and all: no shell
-    string.
-
-    The job runs under a context carrying the caller's ``cores``, ``ram_mb``
-    and ``env`` (``cwl_cores`` / ``cwl_ram_mb`` / ``cwl_env``), so
-    ``$(runtime.*)``, the job's environment and the job-cache key are what
-    the runner engines would use.  With a job cache attached
-    (``cwl_cache_dir`` — inputs are concrete on the execution side, which is
-    what makes this the Parsl path's one cache probe; its key and outcome go
-    into ``cwl_cache_note``), a hit builds no command and returns the
-    :class:`~repro.cwl.jobcache.CacheEntry` instead; a miss leaves the key, every declared
-    output's evaluated glob and the canonical command line in
-    ``cwl_cache_ctx`` for the caller to store once the command succeeded.
-    A stream named at submission (``cwl_streams``) must be the one the
-    command line redirects.
+    Receives the raw tool document plus the resolved CWL input values (Parsl
+    has already replaced DataFutures with Files by the time this runs),
+    rebuilds the tool model and makes the job of :func:`job_order_view`.  Its
+    context carries the caller's cores, RAM, environment, timeout, job
+    directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``), so
+    ``$(runtime.*)``, the job's environment and its cache key are what the
+    runner engines would use.  On a tool with an ``InlinePythonRequirement``
+    the job's ``evaluator_for`` is :class:`_InlinePythonTool`.
     """
+    tool = _tool_of(tool_raw, source_path)
+    job_order = job_order_view(tool, cwl_inputs)
+    family = _JOBS if _runs_in_jobs() else _CallContext()
+    cache_dir = _parsl_kwargs.get("cwl_cache_dir")
+    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir), **{
+        name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
+        if _parsl_kwargs.get(f"cwl_{name}") is not None})
+    evaluator_for: Any = precompile_process
+    if extract_inline_python(tool) is not None:
+        evaluator_for = functools.partial(_InlinePythonTool, job_order=job_order,
+                                          runtime=_job_runtime(context, tool))
+    return CommandLineJob(tool, job_order, context, evaluator_for=evaluator_for)
+
+
+#: The tool of every live ``CWLApp``, by ``id`` of its raw document: a call
+#: run on a thread of the submitting process uses its app's own tool (with
+#: its fingerprint and compiled expressions) instead of loading the document
+#: again.  The tool holds the document, so the ``id`` is not reused while
+#: the entry lives.
+_TOOLS: "weakref.WeakValueDictionary[int, CommandLineTool]" = weakref.WeakValueDictionary()
+
+
+def _tool_of(tool_raw: Dict[str, Any], source_path: Optional[str]) -> CommandLineTool:
+    """The tool of a ``CWLApp`` body's raw document."""
+    tool = _TOOLS.get(id(tool_raw))
+    if tool is not None and tool.raw is tool_raw:
+        return tool
     tool = load_document(dict(tool_raw), base_dir=os.path.dirname(source_path) if source_path else None)
     if not isinstance(tool, CommandLineTool):
         raise ValidationException("CWLApp payload must be a CommandLineTool")
-
-    job_order = job_order_view(tool, cwl_inputs)
-    context = RuntimeContext(**{name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
-                                if f"cwl_{name}" in _parsl_kwargs})
-    runtime = _job_runtime(context, tool)
-
-    cache_dir = _parsl_kwargs.get("cwl_cache_dir")
-    cache_ctx = _parsl_kwargs.get("cwl_cache_ctx")
-    cache_note = _parsl_kwargs.get("cwl_cache_note")
-    key = None
-    if cache_dir:
-        cache = get_job_cache(cache_dir)
-        key = context.cache_key(tool, job_order)
-        entry = cache.lookup(key)
-        cache_note.update(key=key, cache="hit" if entry is not None else "miss")
-        if entry is not None:
-            return entry
-
-    # The Parsl path's expression pipeline is the compiled one; the shared
-    # library scope spares each invocation rebuilding the standard library.
-    expression_evaluator = precompile_process(tool)
-
-    inline_python = extract_inline_python(tool)
-    evaluator: Optional[InlinePythonEvaluator] = None
-    if inline_python is not None:
-        evaluator = InlinePythonEvaluator(
-            expression_lib=inline_python.get("expressionLib", []),
-            external_files=inline_python.get("externalPythonFiles", []),
-        )
-        evaluator.validate_inputs(tool, job_order, runtime)
-
-    # InlinePython arguments evaluate here, in Python.  Each result is one
-    # command-line token, used verbatim: the generic (JavaScript-based)
-    # builder never scans it for ``$(...)``.
-    builder_evaluator = expression_evaluator
-    if evaluator is not None and tool.arguments:
-        scope = {"inputs": job_order, "runtime": runtime, "self": None}
-        builder_evaluator = _WithPythonArguments(expression_evaluator, {
-            argument: str(evaluator.evaluate(argument, scope))
-            for argument in tool.arguments
-            if isinstance(argument, str) and is_python_expression(argument)})
-
-    parts = build_command_line(tool, job_order, runtime, builder_evaluator)
-    for stream, submitted in (_parsl_kwargs.get("cwl_streams") or {}).items():
-        if getattr(parts, stream) != submitted:
-            raise UnsupportedRequirement(
-                f"job {tool.job_name!r}: {stream} is {getattr(parts, stream)!r} once the job "
-                f"runs but was named {submitted!r} at submission, where an upstream File has "
-                "only the fields its path gives")
-    if key is not None:
-        cache_ctx.update(
-            cache_dir=cache_dir, key=key, outdir=runtime["outdir"],
-            globs=output_globs(tool, job_order, runtime, expression_evaluator),
-            command=canonical_command(parts.argv, parts.stdin, parts.stdout, parts.stderr,
-                                      parts.environment, outdir=runtime["outdir"],
-                                      tmpdir=runtime["tmpdir"], job_order=job_order))
-    return ToolCommand(parts, {**context.env, **parts.environment},
-                       tuple(tool.success_codes))
+    return tool
 
 
-class _WithPythonArguments:
-    """The command-line builder's evaluator on a tool with InlinePython
-    ``arguments``: each such argument's source maps to its result, already
-    evaluated in Python and returned as is; every other string goes to
-    ``evaluator``."""
+class _InlinePythonTool:
+    """The expression evaluator of a ``CWLApp`` job whose tool has an
+    ``InlinePythonRequirement``: the job's ``evaluator_for``.
 
-    def __init__(self, evaluator: Any, results: Dict[str, str]) -> None:
-        self._evaluator = evaluator
-        self._results = results
+    Made before the job builds its command line or collects a hit's
+    outputs, it first runs every input's ``validate:`` expression, so a
+    rejected job order never runs the tool.  An ``arguments`` entry in the
+    paper's f-string syntax evaluates in Python, its result one command-line
+    token used verbatim (the generic builder never scans it for ``$(...)``);
+    every other string goes to the tool's compiled evaluator.
+    """
+
+    def __init__(self, tool: CommandLineTool, job_order: Dict[str, Any],
+                 runtime: Dict[str, Any]) -> None:
+        self._python = InlinePythonEvaluator.from_process(tool)
+        self._python.validate_inputs(tool, job_order, runtime)
+        self._arguments = {argument for argument in tool.arguments
+                           if is_python_expression(argument)}
+        self._compiled = precompile_process(tool)
 
     def evaluate(self, value: Any, context: Dict[str, Any]) -> Any:
-        if isinstance(value, str) and value in self._results:
-            return self._results[value]
-        return self._evaluator.evaluate(value, context)
+        if isinstance(value, str) and value in self._arguments:
+            return str(self._python.evaluate(value, context))
+        return self._compiled.evaluate(value, context)
 
 
 def to_cwl_value(value: Any) -> Any:
@@ -227,109 +227,110 @@ def job_order_view(tool: CommandLineTool, values: Dict[str, Any]) -> Dict[str, A
 
 
 def _job_runtime(context: RuntimeContext, tool: CommandLineTool) -> Dict[str, Any]:
-    """``runtime`` of a ``CWLApp`` job: the working directory as outdir and
-    tmpdir, the cores and RAM the tool's ResourceRequirement is granted."""
+    """The ``runtime`` a call's file names (and InlinePython ``validate:``)
+    are evaluated on: the working directory the job's files are copied to
+    as outdir and tmpdir, the cores and RAM the tool's ResourceRequirement
+    is granted."""
     cwd = os.getcwd()
     return context.with_resources(tool).runtime_object(cwd, cwd)
 
 
-def _replay_hit(cache: JobCache, entry: CacheEntry, stdout_spec: Any, stderr_spec: Any) -> int:
-    """Finish a cache hit in process: what running the command would have left.
-
-    Output files are copy-staged into the cwd (it is shared, and a later run
-    may rewrite them in place); the recorded stdout/stderr bodies go to
-    wherever *this* call redirects those streams, which need not be the name
-    they were recorded under.  Returns the recorded exit code, one the tool's
-    ``successCodes`` permit: entries are only stored for successful runs.
-    """
-    stdout_name = entry.stream_name("stdout")
-    stderr_name = entry.stream_name("stderr")
-    cache.restore(entry, os.getcwd(),
-                  exclude=tuple(name for name in (stdout_name, stderr_name) if name),
-                  prefer_copy=True)
-    _replay_stream(cache.cas_body(entry, stdout_name) if stdout_name else None, stdout_spec)
-    _replay_stream(cache.cas_body(entry, stderr_name) if stderr_name else None, stderr_spec)
-    return entry.exit_code
-
-
-def _replay_stream(body: Optional[str], spec: Any) -> None:
-    """Leave at a ``path`` / ``(path, mode)`` redirection what a run would have.
-
-    The redirection is opened exactly as a run opens it (parents made,
-    truncated or appended to as its mode says) and the recorded body, if
-    there is one, copied in; with none the file is left as opening it
-    leaves it — empty when new or truncated, which is what a silent
-    command leaves behind.
-    """
-    handle = _open_std_stream(spec)
-    if handle is None:
-        return
-    with handle:
-        if body is not None:
-            with open(body, "rb") as recorded:
-                shutil.copyfileobj(recorded, handle.buffer)
-
-
-def _run_command(command: ToolCommand, app_name: str, stdout_spec: Any, stderr_spec: Any,
-                 timeout_s: Optional[float], job_name: str) -> int:
-    """Spawn a missed job's argv in the cwd with the runners' launcher,
-    registered in the bash-app module's running-command set (which an
-    interrupted Parsl engine reaps); its exit code, or
-    :class:`~repro.parsl.errors.BashExitFailure` if not permitted."""
-    parts = command.parts
-    env = subprocess_environment()
-    env.update(command.environment)
-    with contextlib.ExitStack() as handles:
-
-        def opened(handle: Any) -> Any:
-            return subprocess.DEVNULL if handle is None else handles.enter_context(handle)
-
-        exit_code = run_process(
-            parts.argv, register_command, unregister_command, job_name, timeout_s, env=env,
-            stdin=opened(open(parts.stdin, "rb") if parts.stdin else None),
-            stdout=opened(_open_std_stream(stdout_spec)),
-            stderr=opened(_open_std_stream(stderr_spec)))
-    if exit_code not in command.success_codes:
-        raise BashExitFailure(app_name, exit_code, " ".join(parts.argv))
-    return exit_code
-
-
 def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
-    """Run one ``CWLApp`` invocation, with the job cache attached.
+    """Run one ``CWLApp`` invocation: one attempt of its
+    :class:`~repro.cwl.job.CommandLineJob`, as on the runner engines.
 
-    Calls the app body (:func:`cwl_tool_command`) with a mutable
-    ``cwl_cache_ctx`` injected.  A hit (a cache entry) is finished here, in
-    process, with no subprocess: output files restored, recorded streams put
-    on this call's ``stdout=`` / ``stderr=``.  A miss (a :class:`ToolCommand`)
-    runs under ``cwl_timeout_s``; then the redirections plus every file the
-    tool's evaluated output globs match in the cwd are stored under the
-    job's key, warming the store for every engine that shares it.  Either
-    way every declared output must exist, and the exit code (on a hit, the
-    recorded one) is returned and noted in ``cwl_cache_note``.
+    The app body (:func:`cwl_tool_command`) makes the job; its probe's key
+    and outcome go into ``cwl_cache_note``.  A hit is restored, a miss runs
+    the tool and is stored, both in the job's output directory; a stream named
+    at submission (``cwl_streams``) must be the one the job names.  The
+    job's files are then put where the call named them (:func:`_deliver`).
+    Every declared output must then exist; the exit code (on a hit, the
+    recorded one) is returned and noted.
     """
-    ctx: Dict[str, Any] = {}
-    kwargs = dict(kwargs, cwl_cache_ctx=ctx)
     stdout_spec = kwargs.pop("stdout", None)
     stderr_spec = kwargs.pop("stderr", None)
     cache_note = kwargs.setdefault("cwl_cache_note", {})
     app_name = getattr(func, "__name__", "bash_app")
 
-    answer = func(*args, **kwargs)
-    if isinstance(answer, CacheEntry):
-        exit_code = _replay_hit(get_job_cache(kwargs["cwl_cache_dir"]), answer,
-                                stdout_spec, stderr_spec)
-    else:
-        exit_code = _run_command(answer, app_name, stdout_spec, stderr_spec,
-                                 kwargs.get("cwl_timeout_s"),
-                                 kwargs.get("cwl_job_name") or app_name)
-    cache_note["exit_code"] = exit_code
+    job = func(*args, **kwargs)
+    try:
+        probe = finish(job.probe())
+        if probe.key is not None:
+            cache_note.update(key=probe.key, cache="miss" if probe.entry is None else "hit")
+        result = job.cached_result(probe) or job.execute(probe)
+        _check_streams(job, result, kwargs.get("cwl_streams") or {})
+        _deliver(result, stdout_spec, stderr_spec)
+    finally:
+        if not _runs_in_jobs():
+            job.runtime_context.close()
+    cache_note["exit_code"] = result.exit_code
     check_outputs(app_name, kwargs.get("outputs") or [])
-    if ctx.get("key"):
-        try:
-            _store_results(ctx, stdout_spec, stderr_spec, exit_code)
-        except Exception:  # caching must never fail a successful job
-            pass
-    return exit_code
+    return result.exit_code
+
+
+def _check_streams(job: CommandLineJob, result: JobResult, submitted: Dict[str, Any]) -> None:
+    """Fail the job if it names a stream otherwise than its submission did."""
+    for stream, name in submitted.items():
+        path = getattr(result, f"{stream}_path")
+        if path != (os.path.join(result.outdir, name) if name else None):
+            actual = os.path.relpath(path, result.outdir) if path else None
+            raise UnsupportedRequirement(
+                f"job {job.tool.job_name!r}: {stream} is {actual!r} once the job "
+                f"runs but was named {name!r} at submission, where an upstream File has "
+                "only the fields its path gives")
+
+
+def _deliver(result: JobResult, stdout_spec: Any, stderr_spec: Any) -> None:
+    """Put a finished job's files where the call named them: each stream at
+    the call's ``stdout=`` / ``stderr=`` redirection, every other file (so
+    every collected output) at its path relative to the job's directory,
+    under the working directory: moved when nothing links to it
+    (:func:`_moved`), else copied."""
+    streams = {os.path.normpath(path) for path in (result.stdout_path, result.stderr_path)
+               if path}
+    _deliver_tree(result.outdir, os.curdir, streams)
+    for path, spec in ((result.stdout_path, stdout_spec), (result.stderr_path, stderr_spec)):
+        if spec is None and path is not None:
+            spec = os.path.relpath(path, result.outdir)
+        if path is not None and not isinstance(spec, tuple) and _moved(path, os.fspath(spec)):
+            continue
+        # Opened as a run opens a redirection (parents made, truncated or
+        # appended to as its mode says), with the job's stream copied in.
+        handle = _open_std_stream(spec)
+        if handle is None:
+            continue
+        with handle:
+            if path is not None:
+                with open(path, "rb") as body:
+                    shutil.copyfileobj(body, handle.buffer)
+
+
+def _deliver_tree(directory: str, destination: str, streams: Set[str]) -> None:
+    """Every regular file under ``directory`` but the ``streams``, and every
+    directory, to the same relative path under ``destination``."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            target = os.path.join(destination, entry.name)
+            if entry.is_dir(follow_symlinks=False):
+                os.makedirs(target, exist_ok=True)
+                _deliver_tree(entry.path, target, streams)
+            elif (entry.is_file() and entry.path not in streams
+                  and not _moved(entry.path, target)):
+                stage_file(entry.path, target, prefer_copy=True)
+
+
+def _moved(path: str, destination: str) -> bool:
+    """Rename ``path`` to ``destination`` if it is a regular file nothing
+    else links to (the job stored nothing in the cache), so no file of the
+    working directory shares an inode with the job cache; whether it was."""
+    status = os.lstat(path)
+    if status.st_nlink != 1 or not stat.S_ISREG(status.st_mode):
+        return False
+    try:
+        os.replace(path, destination)
+        return True
+    except OSError:
+        return False  # another device or a missing parent
 
 
 def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
@@ -388,29 +389,6 @@ def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
                           exit_code=note.get("exit_code"))
 
 
-def _store_results(ctx: Dict[str, Any], stdout_spec: Any, stderr_spec: Any,
-                   exit_code: int) -> None:
-    cache = resolve_job_cache(ctx["cache_dir"])
-    outdir = ctx["outdir"]
-
-    def spec_path(spec: Any) -> Optional[str]:
-        if spec is None:
-            return None
-        path = os.fspath(spec[0] if isinstance(spec, tuple) else spec)
-        return path if os.path.isabs(path) else os.path.join(outdir, path)
-
-    stdout_path = spec_path(stdout_spec)
-    stderr_path = spec_path(stderr_spec)
-    paths = matching_files(outdir, ctx["globs"])
-    paths += [stream for stream in (stdout_path, stderr_path)
-              if stream and os.path.isfile(stream)]
-
-    cache.store_files(ctx["key"], outdir, paths,
-                      stdout_name=relative_to_outdir(stdout_path, outdir),
-                      stderr_name=relative_to_outdir(stderr_path, outdir),
-                      exit_code=exit_code, command=ctx["command"])
-
-
 class CWLApp:
     """A CWL CommandLineTool callable as a Parsl app."""
 
@@ -435,6 +413,7 @@ class CWLApp:
         self.runtime_context = runtime_context or RuntimeContext()
         if validate_document:
             ensure_valid(self.tool)
+        _TOOLS[id(self.tool.raw)] = self.tool
         self.data_flow_kernel = data_flow_kernel
         self.executor_label = executors if isinstance(executors, str) or executors is None \
             else (executors[0] if executors else "all")
@@ -487,8 +466,8 @@ class CWLApp:
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
         and any unknown keyword raises immediately.  Whatever the options, the
         app is submitted through one chain: :func:`resilient_bash_executor` →
-        :func:`cached_bash_executor` → :func:`cwl_tool_command`, then the
-        tool's argv is spawned directly, with no shell.
+        :func:`cached_bash_executor` → :func:`cwl_tool_command`, one
+        :class:`~repro.cwl.job.CommandLineJob` attempt per try.
         """
         dfk = self.data_flow_kernel or DataFlowKernelLoader.dfk()
 
@@ -541,7 +520,7 @@ class CWLApp:
             "cwl_cache_dir": cache.cache_dir if cache is not None else None,
             "cwl_cache_note": cache_note, "cwl_retry_note": retry_note,
             "cwl_streams": streams}
-        for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan", "timeout_s"):
+        for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
         app_kwargs.update((stream, path) for stream, path in redirects.items() if path)
         if output_files:
@@ -552,6 +531,7 @@ class CWLApp:
         body.__name__ = self.__name__  # type: ignore[attr-defined]
         wrapped = functools.partial(resilient_bash_executor, body)
         functools.update_wrapper(wrapped, body)
+        _open_jobs(dfk)
 
         future = dfk.submit(
             wrapped,

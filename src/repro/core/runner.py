@@ -7,9 +7,9 @@ loaded the kernel itself, so it can be embedded in a larger Parsl program that
 already called :func:`repro.parsl.load`.
 
 The tool runs as one ``CWLApp`` invocation under the caller's whole context:
-retries wrap the job-cache probe on the execution side, a hit restores the
-recorded files into the working directory without spawning anything, and
-outputs are collected from there exactly as after a run.  The job is reported
+retries wrap the runners' job attempt on the execution side (a hit restores
+the recorded files without spawning anything), the job's files are copied
+into the working directory, and outputs are collected from there.  The job is reported
 through :func:`~repro.core.cwl_app.report_finished`, as bridge steps are.
 """
 

@@ -15,7 +15,7 @@ that calls the step's :class:`~repro.core.cwl_app.CWLApp` and returns
 ``future.cwl_outputs``.  The value store therefore holds ``DataFuture`` s, the
 whole graph is submitted without waiting, and Parsl's dataflow kernel
 interleaves the steps as it would for a native Parsl program.  What stays here
-is Parsl's own: the ``CWLApp`` cache, job events, the ``max_inflight`` window,
+is Parsl's own: the ``CWLApp`` calls, job events, the ``max_inflight`` window,
 journal terminal states and ``on_error="continue"`` once futures drain.
 
 Three things cannot be decided before tasks run and are refused at submission

@@ -1,14 +1,18 @@
 """Single-tool job execution.
 
 A :class:`CommandLineJob` takes a tool, a job order and a runtime context and
-runs the tool as a subprocess; it is how the cwltool-like and Toil-like
-runners execute every job.  An attempt is :meth:`~CommandLineJob.probe` (a
-continuation that validates, keys and looks the job up in the job cache),
-then :meth:`~CommandLineJob.cached_result`, which restores a hit, or
+runs the tool as a subprocess; it is how every engine executes every job.
+An attempt is :meth:`~CommandLineJob.probe` (a continuation that validates,
+keys and looks the job up in the job cache), then
+:meth:`~CommandLineJob.cached_result`, which restores a hit, or
 :meth:`~CommandLineJob.execute`, which runs the tool of a missed probe.  The
-Parsl bridge builds the same command line with
-:func:`~repro.cwl.command_line.build_command_line` and spawns it through the
-same :func:`run_process`.
+runners make that attempt in their schedulers; on the Parsl engines each
+``CWLApp`` call makes it on the execution side
+(:func:`repro.core.cwl_app.cached_bash_executor`) and copies the job's files
+to where the call named them.  A job that runs its tool gets its own output
+directory and its thread's scratch directory
+(:meth:`~repro.cwl.runtime.RuntimeContext.job_tmpdir`), emptied of the
+thread's last job.
 """
 
 from __future__ import annotations
@@ -133,11 +137,11 @@ def run_process(argv: List[str], register: Callable[[Any], None],
                 timeout_s: Optional[float], **popen: Any) -> int:
     """Run one job's ``argv`` (no shell) to completion; its exit code.
 
-    The spawn-and-reap routine of :meth:`CommandLineJob.launch` and of the
-    Parsl engines' :func:`repro.core.cwl_app.cached_bash_executor`, which
-    differ only in where the live process is registered for interrupt-time
-    reaping.  It leads its own session, so reaping signals its whole group:
-    a shell wrapper cannot orphan grandchildren (``sh -c '...; sleep N'``).
+    The spawn-and-reap routine of :meth:`CommandLineJob.launch`, on every
+    engine; ``register`` / ``unregister`` track the live process for
+    interrupt-time reaping.  It leads its own session, so reaping signals
+    its whole group: a shell wrapper cannot orphan grandchildren
+    (``sh -c '...; sleep N'``).
     An argv that cannot be exec'd exits 127 (not found) or 126 (not
     executable), as under a shell; past ``timeout_s`` the group is reaped
     and :class:`JobTimeout` raised.
@@ -351,12 +355,12 @@ class CommandLineJob:
 
     def stage_execution(self, probe: CacheProbe) -> StagedJob:
         """Prepare everything the subprocess of a missed ``probe`` needs: the
-        output and scratch directories, then the command line.  Pure staging
-        — nothing is executed yet."""
-        outdir = self._make_job_dir()
-        tmpdir = self.runtime_context.make_tmpdir()
-        runtime = probe.context.runtime_object(outdir, tmpdir)
+        output directory, this thread's scratch directory, then the command
+        line.  Pure staging — nothing is executed yet."""
         evaluator = self.make_evaluator()
+        outdir = self._make_job_dir()
+        tmpdir = self.runtime_context.job_tmpdir()
+        runtime = probe.context.runtime_object(outdir, tmpdir)
         parts = build_command_line(self.tool, self.job_order, runtime, evaluator)
         return StagedJob(
             outdir=outdir, tmpdir=tmpdir, runtime=runtime, evaluator=evaluator,
@@ -391,8 +395,8 @@ class CommandLineJob:
         """Run the staged subprocess through :func:`run_process`, registered
         with the run's context; its exit code.
 
-        Raises :class:`JobTimeout` (scratch directory removed) on timeout and
-        :class:`JobFailure` on a non-success exit code.
+        Raises :class:`JobTimeout` on timeout and :class:`JobFailure` on a
+        non-success exit code.
         """
         parts = staged.parts
         context = self.runtime_context
@@ -405,9 +409,6 @@ class CommandLineJob:
                 parts.argv, context.register_process, context.unregister_process,
                 self.tool.job_name, context.timeout_s, cwd=staged.outdir, env=env,
                 stdin=stdin_handle, stdout=stdout_handle, stderr=stderr_handle)
-        except JobTimeout:
-            context.cleanup_dir(staged.tmpdir)
-            raise
         finally:
             self._close_launch_handles(stdin_handle, stdout_handle, stderr_handle)
         return self._permitted(exit_code, parts)
@@ -454,7 +455,6 @@ class CommandLineJob:
                     proc.wait(), timeout=self.runtime_context.timeout_s)
             except asyncio.TimeoutError:
                 await self._reap_async(proc)
-                self.runtime_context.cleanup_dir(staged.tmpdir)
                 raise JobTimeout(self.tool.job_name,
                                  float(self.runtime_context.timeout_s or 0))
             except BaseException:
@@ -471,7 +471,7 @@ class CommandLineJob:
     # -------------------------------------------- pipeline: collect + persist
 
     def collect_execution(self, staged: StagedJob, exit_code: int) -> JobResult:
-        """Collect outputs, store into the cache, clean up."""
+        """Collect outputs and store them into the cache."""
         parts = staged.parts
         outputs = collect_outputs(
             self.tool,
@@ -500,7 +500,6 @@ class CommandLineJob:
                 # A full/read-only store must never fail a job that succeeded.
                 logger.warning("could not store job %s in the cache at %s",
                                self.tool.id, staged.cache.cache_dir, exc_info=True)
-        self.runtime_context.cleanup_dir(staged.tmpdir)
         return JobResult(
             outputs=outputs,
             exit_code=exit_code,

@@ -45,12 +45,15 @@ non-deterministic or depends on un-fingerprinted ambient state (time, network)
 will happily replay its first recorded run.
 
 What a hit costs: one key (one ``stat`` per input file), one manifest read,
-one ``stat`` per CAS body and one ``link`` per restored file.  The runners'
-probe (:meth:`~repro.cwl.job.CommandLineJob.probe`) is :meth:`JobCache.lookup`
-in three steps, :meth:`~JobCache.manifest`, :meth:`~JobCache.unhashed_body_bytes`
-and :meth:`~JobCache.checked`, so it can stat each input file and CAS body once
+one ``stat`` per CAS body and one ``link`` per restored file.  Every engine's
+probe is :meth:`~repro.cwl.job.CommandLineJob.probe`, in three steps,
+:meth:`~JobCache.manifest`, :meth:`~JobCache.unhashed_body_bytes` and
+:meth:`~JobCache.checked`, so it can stat each input file and CAS body once
 more and leave the thread that dispatches workflow nodes before it reads a
-body (``INLINE_HASH_BYTES``).  No scratch directory, command line, job
+body (``INLINE_HASH_BYTES``); a hit is restored by
+:meth:`~repro.cwl.job.CommandLineJob.cached_result` and a miss published
+with :meth:`JobCache.store_outdir`, so one key gets one manifest whichever
+engine wrote it.  No scratch directory, command line, job
 description rewrite or process is made for the code segment a hit skips (see
 README "What a hit costs").
 
@@ -71,7 +74,7 @@ on the path returned the old digest here); the same content under another
 name or behind a symlink, which is the *same* identity: a CAS body, the
 hardlink a hit restores from it and the Toil job store's import of that link
 are read once.  A file system that reports no inode number (``st_ino == 0``)
-is never memoized.  Independently of the memo, :meth:`JobCache.lookup`
+is never memoized.  Independently of the memo, :meth:`JobCache.checked`
 compares every CAS body's fingerprint with the name it is stored under and
 quarantines the entry on a mismatch, so damage to the store that the memo
 can see is never replayed.
@@ -115,7 +118,10 @@ logger = get_logger("cwl.jobcache")
 #: left at their ``job_cache=None`` default.
 CACHE_DIR_ENV = "REPRO_JOBCACHE_DIR"
 
-MANIFEST_VERSION = 1
+#: Version 2: every manifest is a job's whole output directory under its
+#: own stream names.  A version-1 entry may record a ``CWLApp`` caller's
+#: redirection as the tool's stream, so it is a miss.
+MANIFEST_VERSION = 2
 
 
 def default_cache_dir() -> str:
@@ -569,26 +575,16 @@ class JobCache:
 
     # ----------------------------------------------------------------- restore
 
-    def restore(self, entry: CacheEntry, outdir: str,
-                exclude: Tuple[str, ...] = (),
-                prefer_copy: bool = False) -> None:
-        """Stage every cached file of ``entry`` into ``outdir``.
-
-        Zero-copy (hardlink) by default; pass ``prefer_copy=True`` when
-        ``outdir`` is a *shared* directory whose files may later be rewritten
-        in place, which would otherwise alias into the store.  One ``link``
-        per file into an ``outdir`` that exists; a missing ``outdir`` or
-        sub-directory is made by the first file that needs it
-        (:func:`stage_file`).
+    def restore(self, entry: CacheEntry, outdir: str) -> None:
+        """Stage every cached file of ``entry`` into ``outdir`` (a job's own
+        output directory): one ``link`` per file into an ``outdir`` that
+        exists; a missing ``outdir`` or sub-directory is made by the first
+        file that needs it (:func:`stage_file`).
         """
-        excluded = {os.path.normpath(rel) for rel in exclude if rel}
         for rel in entry.dirs:
             os.makedirs(os.path.join(outdir, rel), exist_ok=True)
         for rel, spec in entry.files.items():
-            if os.path.normpath(rel) in excluded:
-                continue
-            stage_file(self._cas_path(spec["cas"]), os.path.join(outdir, rel),
-                       prefer_copy=prefer_copy)
+            stage_file(self._cas_path(spec["cas"]), os.path.join(outdir, rel))
 
     def cas_body(self, entry: CacheEntry, rel: str) -> Optional[str]:
         """Absolute CAS path of the body cached for ``rel``, if any."""
@@ -636,7 +632,7 @@ class JobCache:
                     exit_code: int = 0,
                     command: Optional[Dict[str, Any]] = None,
                     prefer_copy: bool = True) -> Optional[CacheEntry]:
-        """Store an explicit file list (used where the outdir is shared).
+        """Store an explicit file list from ``outdir``.
 
         Paths outside ``outdir`` cannot be expressed as store-relative names,
         and non-regular-file paths (a Directory output, a vanished file)
@@ -736,14 +732,3 @@ def resolve_job_cache(candidate: Any) -> Optional[JobCache]:
         return get_job_cache(None)
     return get_job_cache(os.fspath(candidate))
 
-
-def relative_to_outdir(path: Optional[str], outdir: str) -> Optional[str]:
-    """``path`` as an outdir-relative name, or ``None`` when it escapes it.
-
-    Shared by the store-ingestion paths (manifest stream names must be
-    store-relative).  Both operands are absolutized first.
-    """
-    if not path:
-        return None
-    rel = os.path.relpath(os.path.abspath(path), os.path.abspath(outdir))
-    return None if rel.startswith("..") else rel

@@ -45,24 +45,6 @@ def evaluated_patterns(glob: Any, evaluator: Any, context: Dict[str, Any]) -> Li
     return patterns
 
 
-def output_globs(tool: CommandLineTool, job_order: Dict[str, Any],
-                 runtime: Dict[str, Any], evaluator: Any) -> List[str]:
-    """Every declared output's evaluated glob patterns for one invocation.
-
-    Known before the command runs — a glob reads ``inputs`` and ``runtime``,
-    never results — and exactly what :func:`collect_output` matches after it.
-    """
-    context = {"inputs": job_order, "runtime": runtime, "self": None}
-    return [pattern for param in tool.outputs
-            if param.output_binding is not None and param.output_binding.glob is not None
-            for pattern in evaluated_patterns(param.output_binding.glob, evaluator, context)]
-
-
-def matching_files(outdir: str, patterns: List[str]) -> List[str]:
-    """The absolute paths the glob ``patterns`` match in ``outdir``."""
-    return sorted({path for pattern in patterns for path in _glob_in(outdir, pattern)})
-
-
 def _load_contents(file_value: Dict[str, Any]) -> Dict[str, Any]:
     path = file_value.get("path")
     if path and os.path.exists(path):

@@ -14,8 +14,9 @@ import shutil
 import signal as _signal_module
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache, job_key
 from repro.cwl.journal import run_cache_dir
@@ -40,6 +41,13 @@ def signal_job_process(proc: Any, sig: int) -> None:
         proc.send_signal(sig)
     except OSError:
         pass
+
+
+class _ThreadDirs(dict):
+    """A context family's ``_thread_dirs``: a dict that can be weakly
+    referenced, so the family's directories can be removed with it."""
+
+    finalizer: Optional[weakref.finalize] = None
 
 
 @dataclass
@@ -74,8 +82,8 @@ class RuntimeContext:
     #: every job; ``None`` disables retries (fail on first error).
     retry_policy: Optional[Any] = None
     #: Per-job wall-clock deadline in seconds.  On expiry the subprocess is
-    #: reaped (SIGTERM, grace period, SIGKILL), its scratch dirs cleaned up,
-    #: and a retryable :class:`~repro.cwl.errors.JobTimeout` raised.
+    #: reaped (SIGTERM, grace period, SIGKILL) and a retryable
+    #: :class:`~repro.cwl.errors.JobTimeout` raised.
     timeout_s: Optional[float] = None
     #: Workflow failure semantics: ``"stop"`` aborts the DAG on the first
     #: failed node (historic behaviour); ``"continue"`` lets independent
@@ -99,6 +107,9 @@ class RuntimeContext:
     max_inflight: Optional[int] = None
     #: Scratch directories this context created, removed by :meth:`close`.
     _scratch_dirs: Set[str] = field(default_factory=set, repr=False, compare=False)
+    #: ``(thread, kind)`` -> that thread's reused directory of that kind
+    #: (:meth:`_thread_dir`), shared with children like the set above.
+    _thread_dirs: _ThreadDirs = field(default_factory=_ThreadDirs, repr=False, compare=False)
     #: Live subprocesses started under this context (shared with children),
     #: so an interrupted run can reap them via :meth:`terminate_processes`.
     _live_procs: Set[Any] = field(default_factory=set, repr=False, compare=False)
@@ -135,11 +146,41 @@ class RuntimeContext:
             return tempfile.mkdtemp(prefix=f"cwl-{name}-", dir=base)
 
     def make_tmpdir(self) -> str:
-        """Create a fresh scratch directory for one job (tracked for teardown)."""
+        """Create a fresh scratch directory (tracked for teardown)."""
         prefix = self.tmpdir_prefix or "cwl-tmp-"
         with self._teardown_lock:
             self._make_parent_locked(os.path.dirname(prefix))
             path = tempfile.mkdtemp(prefix=prefix)
+            self._scratch_dirs.add(path)
+        return path
+
+    def job_tmpdir(self) -> str:
+        """The scratch directory of a job that runs its tool on this thread:
+        one per thread and ``tmpdir_prefix`` in this context family, made by
+        :meth:`make_tmpdir` for the thread's first job and emptied for each
+        later one (:meth:`_thread_dir`)."""
+        return self._thread_dir(self.tmpdir_prefix, self.make_tmpdir)
+
+    def _thread_dir(self, kind: Any, make: Callable[[], str]) -> str:
+        """This thread's directory of ``kind`` in this context family,
+        emptied of what the thread's last job left there: made by ``make``
+        the first time (or again, if it was removed behind the context's
+        back) and removed by :meth:`close`."""
+        key = (threading.get_ident(), kind)
+        path = self._thread_dirs.get(key)
+        if path is not None:
+            try:
+                _empty_directory(path)
+                return path
+            except FileNotFoundError:
+                pass
+        path = make()
+        with self._teardown_lock:
+            if self._thread_dirs.finalizer is None:
+                # A family dropped without close() takes its directories along.
+                self._thread_dirs.finalizer = weakref.finalize(
+                    self._thread_dirs, _remove_directories, self._scratch_dirs)
+            self._thread_dirs[key] = path
             self._scratch_dirs.add(path)
         return path
 
@@ -256,6 +297,11 @@ class RuntimeContext:
         with self._teardown_lock:
             self._live_procs.discard(proc)
 
+    def live_processes(self) -> List[Any]:
+        """The registered job subprocesses that are still running."""
+        with self._teardown_lock:
+            return [proc for proc in self._live_procs if proc.poll() is None]
+
     def terminate_processes(self, grace_s: float = 2.0) -> int:
         """SIGTERM every live job subprocess, escalating to SIGKILL.
 
@@ -263,8 +309,7 @@ class RuntimeContext:
         ``proc.wait()`` unblock promptly and teardown can run.  Returns the
         number of processes signalled.
         """
-        with self._teardown_lock:
-            procs = [p for p in self._live_procs if p.poll() is None]
+        procs = self.live_processes()
         for proc in procs:
             signal_job_process(proc, _signal_module.SIGTERM)
         deadline = _now() + grace_s
@@ -317,6 +362,8 @@ class RuntimeContext:
         (or double-report) the same path, and a second :meth:`close` finds
         nothing left to do.
         """
+        with self._teardown_lock:
+            self._thread_dirs.clear()
         while True:
             with self._teardown_lock:
                 if not self._scratch_dirs:
@@ -355,6 +402,24 @@ def context_with_options(runtime_context: Optional[RuntimeContext],
     context = runtime_context if runtime_context is not None else RuntimeContext()
     overrides = {k: v for k, v in options.items() if v is not None}
     return context.child(**overrides) if overrides else context
+
+
+def _remove_directories(paths: Set[str]) -> None:
+    while paths:
+        shutil.rmtree(paths.pop(), ignore_errors=True)
+
+
+def _empty_directory(path: str) -> None:
+    """Remove everything in ``path``; :exc:`FileNotFoundError` if it is gone."""
+    with os.scandir(path) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                shutil.rmtree(entry.path, ignore_errors=True)
+            else:
+                try:
+                    os.unlink(entry.path)
+                except OSError:
+                    pass
 
 
 def _now() -> float:

@@ -6,45 +6,20 @@ kwargs to files and translating non-zero exit codes into
 :class:`~repro.parsl.errors.BashExitFailure`.  It is a module-level function so
 that it can be serialized by reference and shipped to worker processes.
 
-Each command leads its own session, as the CWL runners' jobs do, so an
-interrupted run's teardown can signal its whole process group
-(:func:`running_commands` lists the ones still running in this process, a
-``CWLApp``'s tool included: it registers with :func:`register_command`).
+Each command leads its own session, as the CWL runners' jobs do, so
+signalling it reaches its whole process group.
 """
 
 from __future__ import annotations
 
 import os
 import subprocess
-import threading
-from typing import Any, Callable, List, Set, Tuple, Union
+from typing import Any, Callable, List, Tuple, Union
 
 from repro.parsl.errors import AppBadFormatting, BashAppNoReturn, BashExitFailure, MissingOutputs
 from repro.utils.environment import subprocess_environment
 
 StdSpec = Union[None, str, Tuple[str, str]]
-
-_RUNNING: Set[subprocess.Popen] = set()
-_RUNNING_LOCK = threading.Lock()
-
-
-def running_commands() -> List[subprocess.Popen]:
-    """The bash-app commands this process started that have not been waited for."""
-    with _RUNNING_LOCK:
-        return list(_RUNNING)
-
-
-def register_command(proc: subprocess.Popen) -> None:
-    """Track a running command, for :func:`running_commands`."""
-    with _RUNNING_LOCK:
-        _RUNNING.add(proc)
-
-
-def unregister_command(proc: subprocess.Popen) -> None:
-    """Stop tracking a command once it has been waited for."""
-    with _RUNNING_LOCK:
-        _RUNNING.discard(proc)
-
 
 def check_outputs(app_name: str, declared_outputs: List[Any]) -> None:
     """Raise :class:`MissingOutputs` unless every declared output file exists."""
@@ -108,11 +83,7 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
             stderr=stderr_handle if stderr_handle is not None else subprocess.DEVNULL,
             start_new_session=True,
         )
-        register_command(proc)
-        try:
-            exit_code = proc.wait()
-        finally:
-            unregister_command(proc)
+        exit_code = proc.wait()
     finally:
         for handle in (stdout_handle, stderr_handle):
             if handle is not None:

@@ -60,6 +60,8 @@ class DataFlowKernel:
         self._cancelled_below = 0
         self._tasks_changed = threading.Condition()
         self._shutdown = False
+        #: What :meth:`cleanup` calls last (:meth:`call_on_cleanup`), in order.
+        self._on_cleanup: Dict[Callable[[], None], None] = {}
 
         self.executors: Dict[str, Any] = {}
         labels = [executor.label for executor in config.executors]
@@ -353,7 +355,17 @@ class DataFlowKernel:
                 executor.shutdown()
             except Exception:  # pragma: no cover - defensive
                 logger.exception("error shutting down executor %s", executor.label)
+        for callback in self._on_cleanup:
+            try:
+                callback()
+            except Exception:  # pragma: no cover - defensive
+                logger.exception("error in cleanup callback %r", callback)
         logger.info("DataFlowKernel in %s cleaned up", self.run_dir)
+
+    def call_on_cleanup(self, callback: Callable[[], None]) -> None:
+        """Have :meth:`cleanup` call ``callback`` once the executors are shut
+        down: once, however often it is asked."""
+        self._on_cleanup[callback] = None
 
     def __enter__(self) -> "DataFlowKernel":
         return self

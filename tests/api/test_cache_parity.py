@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.core.cwl_app import CWLApp
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
 
@@ -126,22 +127,63 @@ def test_store_warmed_by_one_engine_is_warm_for_the_others(tmp_path, monkeypatch
 
 
 def test_one_key_gets_one_manifest_command_on_every_engine(tmp_path, monkeypatch, cwl_dir):
-    """The Parsl path records the tool's canonical command line, as the
-    runners do, so the manifest it writes for a key has the same `command`
-    and `fingerprint` as the reference runner's."""
-    manifests = {}
-    for engine in ("reference", "parsl"):
-        store = tmp_path / engine / "store"
-        run_once(engine, load_document(str(cwl_dir / "echo.cwl")).raw, {"message": "hi"},
-                 store, tmp_path / engine, monkeypatch)
-        [entry] = os.listdir(store / "entries")
-        with open(store / "entries" / entry) as handle:
-            manifests[engine] = json.load(handle)
-    reference, parsl = manifests["reference"], manifests["parsl"]
-    assert parsl["key"] == reference["key"]
-    assert reference["command"]["argv"] == ["echo", "hi"]
-    assert parsl["command"] == reference["command"]
-    assert parsl["fingerprint"] == reference["fingerprint"]
+    """The Parsl path stores what the runners store for a key: the tool's
+    canonical command line (so the same ``fingerprint``), its own stream
+    names and the whole output directory, a file no output names included."""
+    side_file_tool = {
+        "class": "CommandLineTool", "id": "side",
+        "baseCommand": ["sh", "-c", 'echo "$0" > out.txt; echo noted > side.log'],
+        "inputs": {"message": {"type": "string", "inputBinding": {"position": 1}}},
+        "outputs": {"out": {"type": "File", "outputBinding": {"glob": "out.txt"}}}}
+    processes = {"echo": load_document(str(cwl_dir / "echo.cwl")).raw, "side": side_file_tool}
+    for label, process in processes.items():
+        manifests = {}
+        for engine in ("reference", "parsl"):
+            store = tmp_path / label / engine / "store"
+            run_once(engine, process, {"message": "hi"}, store, tmp_path / label / engine,
+                     monkeypatch)
+            [entry] = os.listdir(store / "entries")
+            with open(store / "entries" / entry) as handle:
+                manifests[engine] = json.load(handle)
+        reference, parsl = manifests["reference"], manifests["parsl"]
+        assert parsl["key"] == reference["key"]
+        assert parsl["command"] == reference["command"]
+        assert parsl["fingerprint"] == reference["fingerprint"]
+        assert parsl["streams"] == reference["streams"]
+        assert parsl["files"] == reference["files"]
+    assert reference["command"]["argv"][-1] == "hi"
+    assert set(reference["files"]) == {"out.txt", "side.log"}
+    assert manifests["reference"]["streams"] == {"stdout": None, "stderr": None}
+
+
+def test_a_hit_on_a_cwl_app_entry_names_files_as_a_run_does(tmp_path, monkeypatch, cwl_dir):
+    """A ``CWLApp`` call that redirects stdout to ``mine.txt`` stores the
+    tool's own stream name, so a ``reference`` hit on its entry returns the
+    file a cold ``reference`` run names, ``capitalized.txt``."""
+    tool = str(cwl_dir / "capitalize_js.cwl")
+    store = tmp_path / "store"
+    app_cwd = tmp_path / "app"
+    app_cwd.mkdir()
+    monkeypatch.chdir(app_cwd)
+    repro.load(repro.thread_config(max_threads=1, run_dir=str(app_cwd / "runinfo")))
+    try:
+        future = CWLApp(tool, runtime_context=RuntimeContext(cache_dir=str(store)))(
+            message="one key", stdout="mine.txt")
+        assert future.result() == 0
+    finally:
+        repro.clear()
+    assert future.cwl_cache_note["cache"] == "miss"
+    assert (app_cwd / "mine.txt").read_text() == "One Key\n"
+
+    order = {"message": "one key"}
+    hit = api.run(load_document(tool), order, engine="reference", cache_dir=str(store),
+                  runtime_context=RuntimeContext(basedir=str(tmp_path / "hit")))
+    cold = api.run(load_document(tool), order, engine="reference",
+                   runtime_context=RuntimeContext(basedir=str(tmp_path / "cold")))
+    assert hit.cache_stats == {"hits": 1, "misses": 0}
+    assert hit.outputs["output"]["basename"] == cold.outputs["output"]["basename"] \
+        == "capitalized.txt"
+    assert file_bytes(hit.outputs["output"]) == file_bytes(cold.outputs["output"])
 
 
 def test_per_job_events_carry_hit_and_miss(tmp_path, monkeypatch):

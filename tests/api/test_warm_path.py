@@ -26,7 +26,7 @@ from repro.core.cwl_app import (
 )
 from repro.cwl.errors import InjectedFault
 from repro.cwl.faults import get_fault_profile
-from repro.cwl.jobcache import JobCache
+from repro.cwl.job import CommandLineJob
 from repro.cwl.loader import load_document
 from repro.cwl.runners.toil.jobstore import FileJobStore
 from repro.cwl.runtime import RuntimeContext
@@ -174,9 +174,12 @@ def test_a_hit_spawns_nothing_and_makes_only_its_output_directory(
         assert len(ends) == jobs and all(event.cache == "hit" for event in ends)
         assert counted.spawns == 0, f"{label}: a hit spawned a process"
         assert counted.tmpdirs == 0, f"{label}: a hit made a scratch directory"
-        # One directory per job — its output directory — on the runner
-        # engines; the Parsl engines restore into the shared cwd.
-        assert len(counted.job_dirs()) == (jobs if engine in RUNNERS else 0), counted.mkdirs
+        # One output directory per job on the runner engines.  A Parsl job
+        # restores into its worker thread's output directory (two threads
+        # here), reused by the thread's later jobs, and copies its files
+        # from there into the shared cwd.
+        made = len(counted.job_dirs())
+        assert made == jobs if engine in RUNNERS else 1 <= made <= min(jobs, 2), counted.mkdirs
         assert not [name for name in counted.mkdirs if name.startswith("cwl-tmp-")]
         assert not (warm_dir / "scratch").exists()
         assert set(warm.outputs) == set(cold.outputs)
@@ -390,16 +393,17 @@ def test_hit_still_checks_declared_outputs(primed, tmp_path):
 
 def test_injected_fault_fires_before_the_probe(primed, monkeypatch):
     """``fatal-all``: every attempt fails before the app body runs, so the
-    store sees no lookup — no hit is found, nothing is restored."""
+    job is never probed — no hit is found, nothing is restored."""
     profile = get_fault_profile("fatal-all")
-    lookups = []
-    real_lookup = JobCache.lookup
+    probes = []
+    real_probe = CommandLineJob.probe
 
-    def lookup(cache, key):
-        lookups.append(real_lookup(cache, key))
-        return lookups[-1]
+    def probe(job, *devices):
+        found = yield from real_probe(job, *devices)
+        probes.append(found)
+        return found
 
-    monkeypatch.setattr(JobCache, "lookup", lookup)
+    monkeypatch.setattr(CommandLineJob, "probe", probe)
     note: dict = {}
     retries: list = []
     with pytest.raises(InjectedFault):
@@ -407,7 +411,7 @@ def test_injected_fault_fires_before_the_probe(primed, monkeypatch):
             app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
             cwl_fault_plan=profile.make_plan(), cwl_retry_policy=profile.policy,
             cwl_retry_note=retries, cwl_job_name="echo_app", **primed)
-    assert lookups == []
+    assert probes == []
     assert note == {}
     assert len(retries) == profile.policy.max_attempts - 1
     # Without the plan the same call is a plain hit.
@@ -415,7 +419,35 @@ def test_injected_fault_fires_before_the_probe(primed, monkeypatch):
         app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
         cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed) == 0
     assert note == hit_note(primed)
-    assert len(lookups) == 1 and lookups[0] is not None
+    assert len(probes) == 1 and probes[0].entry is not None
+
+
+def test_a_redirection_outside_the_cwd_is_cached_and_hit(tmp_path, monkeypatch):
+    """``stdout=`` an absolute path outside the cwd: the job's stream is
+    stored under the tool's own name, so the second call hits, spawns
+    nothing and copies the recorded stream there again, linked to nothing."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    outside = tmp_path / "elsewhere" / "far.txt"
+    context = RuntimeContext(cache_dir=str(tmp_path / "store"))
+    seen = []
+    for _run in ("cold", "warm"):
+        repro.load(repro.thread_config(max_threads=1, run_dir=str(cwd / "runinfo")))
+        try:
+            with monkeypatch.context() as patched:
+                counted = Counted(patched)
+                future = CWLApp(load_document(echo_tool_raw()), runtime_context=context)(
+                    message="far away", stdout=str(outside))
+                assert future.result() == 0
+        finally:
+            repro.clear()
+        seen.append((future.cwl_cache_note["cache"], counted.spawns))
+        assert outside.read_text() == "far away\n"
+        assert os.stat(outside).st_nlink == 1
+        outside.unlink()
+    assert seen == [("miss", 1), ("hit", 0)]
+    assert not (cwd / "echoed.txt").exists()
 
 
 # ------------------------------ the execution-side store: what the globs matched

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+import tempfile
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.cwl.errors import InputValidationError, ValidationException
 from repro.cwl.loader import load_tool
 from repro.imaging.png import read_png
 from repro.parsl.data_provider.files import File
+from repro.utils.continuation import finish
 
 
 def test_cwl_app_describe_and_introspection(cwl_dir):
@@ -130,11 +132,18 @@ def test_inline_python_validate_blocks_bad_inputs(cwl_dir, parsl_threads, tmp_pa
 
 
 def test_cwl_tool_command_builds_command_without_parsl(cwl_dir, tmp_path):
-    """The execution-side body is usable standalone (it is what workers run)."""
+    """The execution-side body is usable standalone (it is what workers run):
+    it makes the call's job, whose command line is the tool's."""
     tool = load_tool(cwl_dir / "echo.cwl")
-    command = cwl_tool_command(tool.raw, tool.source_path, {"message": "direct"})
-    assert command.parts.argv == ["echo", "direct"]
-    assert command.success_codes == (0,)
+    job = cwl_tool_command(tool.raw, tool.source_path, {"message": "direct"},
+                           cwl_basedir=str(tmp_path))
+    try:
+        staged = job.stage_execution(finish(job.probe()))
+        assert staged.parts.argv == ["echo", "direct"]
+        assert staged.parts.stdout == "hello.txt"
+        assert list(job.tool.success_codes) == [0]
+    finally:
+        job.runtime_context.close()
 
 
 def test_a_cwl_app_spawns_the_tool_argv_with_no_shell(cwl_dir, parsl_threads, tmp_path,
@@ -151,6 +160,26 @@ def test_a_cwl_app_spawns_the_tool_argv_with_no_shell(cwl_dir, parsl_threads, tm
     assert CWLApp(str(cwl_dir / "echo.cwl"))(message=message).result() == 0
     assert spawned == [(["echo", message], False)]
     assert (tmp_path / "hello.txt").read_text() == message + "\n"
+
+
+def test_clearing_the_kernel_leaves_no_job_directories(cwl_dir, tmp_path, monkeypatch):
+    """A call runs in its worker thread's output and scratch directories,
+    which outlive the job; ``repro.clear()`` removes them."""
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.chdir(tmp_path)
+    repro.load(repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")))
+    try:
+        app = CWLApp(str(cwl_dir / "echo.cwl"))
+        for index in range(3):
+            assert app(message=f"call {index}", stdout=f"echo-{index}.txt").result() == 0
+        assert os.listdir(scratch)
+    finally:
+        repro.clear()
+    assert os.listdir(scratch) == []
+    assert (tmp_path / "echo-2.txt").read_text() == "call 2\n"
+    assert os.stat(tmp_path / "echo-2.txt").st_nlink == 1
 
 
 def test_cwl_app_works_on_htex(cwl_dir, parsl_htex_local, tmp_path):

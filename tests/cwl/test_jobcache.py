@@ -10,7 +10,9 @@ import threading
 
 import pytest
 
+from repro.cwl.job import CommandLineJob
 from repro.cwl.jobcache import (
+    MANIFEST_VERSION,
     JobCache,
     file_fingerprint,
     get_job_cache,
@@ -20,6 +22,7 @@ from repro.cwl.jobcache import (
 )
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.runtime import RuntimeContext
+from repro.utils.continuation import finish
 from repro.utils.hashing import hash_file
 
 
@@ -183,6 +186,35 @@ def test_store_files_refuses_paths_outside_outdir(tmp_path):
     outside.write_text("not cacheable")
     assert cache.store_files("k1", str(tmp_path / "job"), [str(outside)]) is None
     assert cache.lookup("k1") is None
+
+
+def test_an_entry_of_an_older_manifest_version_is_a_clean_miss(tmp_path):
+    """A version-1 entry may record a ``CWLApp`` caller's redirection as the
+    tool's stream: the run misses, names its file as the tool does and
+    stores the entry again under the current version."""
+    tool = load_document(echo_tool())
+    store = tmp_path / "store"
+
+    def run(basedir: str):
+        context = RuntimeContext(basedir=str(tmp_path / basedir), cache_dir=str(store))
+        probe = finish(CommandLineJob(tool, {"message": "old"}, context).probe())
+        return probe, CommandLineJob(tool, {"message": "old"}, context).execute(probe)
+
+    _, first = run("first")
+    [name] = os.listdir(store / "entries")
+    with open(store / "entries" / name) as handle:
+        manifest = json.load(handle)
+    manifest.update(version=1, streams={"stdout": "mine.txt", "stderr": None},
+                    files={"mine.txt": manifest["files"]["out.txt"]})
+    with open(store / "entries" / name, "w") as handle:
+        json.dump(manifest, handle)
+
+    probe, second = run("second")
+    assert probe.key == first.cache_key and probe.entry is None
+    assert not second.cache_hit
+    assert os.path.basename(second.outputs["out"]["path"]) == "out.txt"
+    with open(store / "entries" / name) as handle:
+        assert json.load(handle)["version"] == MANIFEST_VERSION
 
 
 def test_get_job_cache_shares_instances_per_directory(tmp_path):

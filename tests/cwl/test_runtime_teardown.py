@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 
@@ -112,3 +113,35 @@ def test_making_and_pruning_scratch_dirs_race_without_losing_the_parent(tmp_path
     assert not any(worker.is_alive() for worker in workers)
     assert errors == []
     assert not (tmp_path / "scratch").exists()
+
+
+def test_a_thread_reuses_one_scratch_directory_emptied_for_each_job(tmp_path):
+    """``job_tmpdir``: one directory per thread in a context family, handed
+    out empty to each job and removed by ``close``."""
+    context = RuntimeContext(tmpdir_prefix=str(tmp_path / "stage" / "tmp-"))
+    first = context.job_tmpdir()
+    (tmp_path / "stage" / os.path.basename(first) / "left.txt").write_text("x")
+    os.mkdir(os.path.join(first, "nested"))
+    assert context.child(cores=2).job_tmpdir() == first
+    assert os.listdir(first) == []
+
+    other = []
+    thread = threading.Thread(target=lambda: other.append(context.job_tmpdir()))
+    thread.start()
+    thread.join()
+    assert other[0] != first
+
+    context.close()
+    assert not os.path.exists(first) and not os.path.exists(other[0])
+    assert not (tmp_path / "stage").exists()
+    # Removed behind the context's back: the thread's next job gets a new one.
+    again = context.job_tmpdir()
+    os.rmdir(again)
+    assert os.path.isdir(context.job_tmpdir())
+    context.close()
+
+
+def test_a_family_dropped_without_close_takes_its_thread_directories_along(tmp_path):
+    dropped = RuntimeContext(tmpdir_prefix=str(tmp_path / "tmp-")).child(cores=2).job_tmpdir()
+    gc.collect()
+    assert not os.path.exists(dropped)
