@@ -40,7 +40,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
 from repro.cwl.command_line import fill_in_defaults, stream_redirect
-from repro.cwl.errors import InputValidationError, UnsupportedRequirement, ValidationException
+from repro.cwl.errors import (InputValidationError, JobFailure, JobTimeout, UnsupportedRequirement,
+                              ValidationException)
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.job import CommandLineJob, JobResult
 from repro.cwl.jobcache import stage_file
@@ -86,11 +87,6 @@ _JOBS = _CallContext()
 _JOBS_PID: Optional[int] = None
 
 
-def _runs_in_jobs() -> bool:
-    """Whether a job made here runs in :data:`_JOBS` (else in its own family)."""
-    return _JOBS_PID == os.getpid()
-
-
 def _open_jobs(dfk: DataFlowKernel) -> None:
     """Run the jobs this process submits to ``dfk`` on its own threads in
     :data:`_JOBS`, closed when ``dfk`` is cleaned up."""
@@ -112,7 +108,8 @@ def running_jobs() -> List[Any]:
 
 
 def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
-                     cwl_inputs: Dict[str, Any], **_parsl_kwargs: Any) -> CommandLineJob:
+                     cwl_inputs: Dict[str, Any], stdout: Any = None, stderr: Any = None,
+                     **_parsl_kwargs: Any) -> CommandLineJob:
     """Execution-side body of a CWLApp: the call's
     :class:`~repro.cwl.job.CommandLineJob`, which :func:`cached_bash_executor`
     runs.
@@ -124,11 +121,20 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``), so
     ``$(runtime.*)``, the job's environment and its cache key are what the
     runner engines would use.  On a tool with an ``InlinePythonRequirement``
-    the job's ``evaluator_for`` is :class:`_InlinePythonTool`.
+    the job's ``evaluator_for`` is :class:`_InlinePythonTool`.  A stream the
+    call redirects (``stdout`` / ``stderr``) and the tool does not is
+    captured under ``<id>.<stream>``, a field its job's tool gains, so the
+    job keys apart from the tool's own and a runner never hits its entry.
     """
     tool = _tool_of(tool_raw, source_path)
+    captured = {stream: f"{(tool.id or 'tool').replace('/', '_')}.{stream}"
+                for stream, spec in (("stdout", stdout), ("stderr", stderr))
+                if spec is not None and not getattr(tool, stream)
+                and not any(param.raw_type == stream for param in tool.outputs)}
+    if captured:
+        tool = _tool_of(dict(tool_raw, **captured), source_path)
     job_order = job_order_view(tool, cwl_inputs)
-    family = _JOBS if _runs_in_jobs() else _CallContext()
+    family = _JOBS if _JOBS_PID == os.getpid() else _CallContext()
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
     context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir), **{
         name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
@@ -243,14 +249,14 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     and outcome go into ``cwl_cache_note``.  A hit is restored, a miss runs
     the tool and is stored, both in the job's output directory; a stream named
     at submission (``cwl_streams``) must be the one the job names.  The
-    job's files are then put where the call named them (:func:`_deliver`).
+    job's files are then put where the call named them (:func:`_deliver`),
+    those of a failed or timed-out run too before its error propagates.
     Every declared output must then exist; the exit code (on a hit, the
     recorded one) is returned and noted.
     """
-    stdout_spec = kwargs.pop("stdout", None)
-    stderr_spec = kwargs.pop("stderr", None)
+    stdout_spec = kwargs.get("stdout")
+    stderr_spec = kwargs.get("stderr")
     cache_note = kwargs.setdefault("cwl_cache_note", {})
-    app_name = getattr(func, "__name__", "bash_app")
 
     job = func(*args, **kwargs)
     try:
@@ -260,11 +266,14 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
         result = job.cached_result(probe) or job.execute(probe)
         _check_streams(job, result, kwargs.get("cwl_streams") or {})
         _deliver(result, stdout_spec, stderr_spec)
+    except (JobFailure, JobTimeout) as failure:
+        _deliver(failure.result, stdout_spec, stderr_spec)
+        raise
     finally:
-        if not _runs_in_jobs():
+        if _JOBS_PID != os.getpid():
             job.runtime_context.close()
     cache_note["exit_code"] = result.exit_code
-    check_outputs(app_name, kwargs.get("outputs") or [])
+    check_outputs(getattr(func, "__name__", "bash_app"), kwargs.get("outputs") or [])
     return result.exit_code
 
 
@@ -281,7 +290,7 @@ def _check_streams(job: CommandLineJob, result: JobResult, submitted: Dict[str, 
 
 
 def _deliver(result: JobResult, stdout_spec: Any, stderr_spec: Any) -> None:
-    """Put a finished job's files where the call named them: each stream at
+    """Put a job's files where the call named them: each stream at
     the call's ``stdout=`` / ``stderr=`` redirection, every other file (so
     every collected output) at its path relative to the job's directory,
     under the working directory: moved when nothing links to it
@@ -290,19 +299,14 @@ def _deliver(result: JobResult, stdout_spec: Any, stderr_spec: Any) -> None:
                if path}
     _deliver_tree(result.outdir, os.curdir, streams)
     for path, spec in ((result.stdout_path, stdout_spec), (result.stderr_path, stderr_spec)):
-        if spec is None and path is not None:
-            spec = os.path.relpath(path, result.outdir)
-        if path is not None and not isinstance(spec, tuple) and _moved(path, os.fspath(spec)):
+        if path is None:
             continue
-        # Opened as a run opens a redirection (parents made, truncated or
-        # appended to as its mode says), with the job's stream copied in.
-        handle = _open_std_stream(spec)
-        if handle is None:
-            continue
-        with handle:
-            if path is not None:
-                with open(path, "rb") as body:
-                    shutil.copyfileobj(body, handle.buffer)
+        spec = os.path.relpath(path, result.outdir) if spec is None else spec
+        if isinstance(spec, tuple) or not _moved(path, os.fspath(spec)):
+            # Opened as a run opens a redirection (parents made, truncated or
+            # appended to as its mode says), with the job's stream copied in.
+            with _open_std_stream(spec) as handle, open(path, "rb") as body:
+                shutil.copyfileobj(body, handle.buffer)
 
 
 def _deliver_tree(directory: str, destination: str, streams: Set[str]) -> None:

@@ -396,7 +396,7 @@ class CommandLineJob:
         with the run's context; its exit code.
 
         Raises :class:`JobTimeout` on timeout and :class:`JobFailure` on a
-        non-success exit code.
+        non-success exit code, its ``result`` where the attempt's files are.
         """
         parts = staged.parts
         context = self.runtime_context
@@ -409,9 +409,13 @@ class CommandLineJob:
                 parts.argv, context.register_process, context.unregister_process,
                 self.tool.job_name, context.timeout_s, cwd=staged.outdir, env=env,
                 stdin=stdin_handle, stdout=stdout_handle, stderr=stderr_handle)
+            return self._permitted(exit_code, parts)
+        except (JobFailure, JobTimeout) as failure:
+            failure.result = JobResult({}, getattr(failure, "exit_code", None), parts.argv,
+                                       staged.outdir, staged.stdout_path, staged.stderr_path)
+            raise
         finally:
             self._close_launch_handles(stdin_handle, stdout_handle, stderr_handle)
-        return self._permitted(exit_code, parts)
 
     def _permitted(self, exit_code: int, parts: CommandLineParts) -> int:
         """``exit_code``, or :class:`JobFailure` if ``successCodes`` forbid it."""

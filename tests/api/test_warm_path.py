@@ -365,10 +365,12 @@ def test_hit_appends_when_the_redirection_mode_says_so(primed, tmp_path, monkeyp
     assert counted.spawns == 0
 
 
-def test_hit_leaves_an_empty_file_for_a_stream_nothing_was_recorded_for(
-        primed, tmp_path, monkeypatch):
-    """The entry holds no stderr body; bash's ``2> err.txt`` around a silent
-    command leaves an empty file, and so does the in-process hit."""
+def test_a_hit_opens_a_silent_stream_redirection_as_a_run_does(primed, tmp_path, monkeypatch):
+    """``stderr=`` on a tool that writes none and names none: the stream is
+    captured empty under the call's own key.  Bash's ``2> err.txt`` around a
+    silent command leaves an empty file, and so does the hit."""
+    assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
+                                stderr="first-err.txt", **primed) == 0
     counted = Counted(monkeypatch)
     stale = tmp_path / "err.txt"
     stale.write_text("left over from an earlier run\n")
@@ -448,6 +450,36 @@ def test_a_redirection_outside_the_cwd_is_cached_and_hit(tmp_path, monkeypatch):
         outside.unlink()
     assert seen == [("miss", 1), ("hit", 0)]
     assert not (cwd / "echoed.txt").exists()
+
+
+def test_a_stream_the_tool_leaves_alone_is_captured_for_the_redirection(tmp_path, monkeypatch):
+    """``stderr=`` on a tool with no ``stderr``: the job captures the stream
+    and delivers it on the miss and on the hit, under a key of its own, so a
+    runner's run of the tool itself does not hit that entry."""
+    monkeypatch.chdir(tmp_path)
+    tool = {"class": "CommandLineTool", "id": "warn", "baseCommand": ["sh", "-c", 'echo "$0" >&2'],
+            "inputs": {"message": {"type": "string", "inputBinding": {"position": 1}}},
+            "outputs": {}}
+    context = RuntimeContext(cache_dir=str(tmp_path / "store"))
+    seen = []
+    for _run in ("cold", "warm"):
+        repro.load(repro.thread_config(max_threads=1, run_dir=str(tmp_path / "runinfo")))
+        try:
+            with monkeypatch.context() as patched:
+                counted = Counted(patched)
+                future = CWLApp(load_document(dict(tool)), runtime_context=context)(
+                    message="warned", stderr="err.txt")
+                assert future.result() == 0
+        finally:
+            repro.clear()
+        seen.append((future.cwl_cache_note["cache"], counted.spawns))
+        assert (tmp_path / "err.txt").read_text() == "warned\n"
+        (tmp_path / "err.txt").unlink()
+    assert seen == [("miss", 1), ("hit", 0)]
+    own = api.run(load_document(dict(tool)), {"message": "warned"}, engine="reference",
+                  cache_dir=str(tmp_path / "store"),
+                  runtime_context=RuntimeContext(basedir=str(tmp_path / "own")))
+    assert own.cache_stats == {"hits": 0, "misses": 1}
 
 
 # ------------------------------ the execution-side store: what the globs matched

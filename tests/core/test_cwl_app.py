@@ -10,8 +10,9 @@ import pytest
 
 import repro
 from repro.core.cwl_app import CWLApp, cwl_tool_command
-from repro.cwl.errors import InputValidationError, ValidationException
-from repro.cwl.loader import load_tool
+from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout, ValidationException
+from repro.cwl.loader import load_document, load_tool
+from repro.cwl.runtime import RuntimeContext
 from repro.imaging.png import read_png
 from repro.parsl.data_provider.files import File
 from repro.utils.continuation import finish
@@ -160,6 +161,26 @@ def test_a_cwl_app_spawns_the_tool_argv_with_no_shell(cwl_dir, parsl_threads, tm
     assert CWLApp(str(cwl_dir / "echo.cwl"))(message=message).result() == 0
     assert spawned == [(["echo", message], False)]
     assert (tmp_path / "hello.txt").read_text() == message + "\n"
+
+
+@pytest.mark.parametrize("script, options, error", [
+    ("exit 3", {}, JobFailure),
+    ("sleep 30", {"timeout_s": 0.5}, JobTimeout),
+])
+def test_a_failed_call_leaves_its_streams_at_the_redirections(parsl_threads, tmp_path,
+                                                              script, options, error):
+    """A tool that fails or times out: what it wrote to its streams is at the
+    call's ``stdout=`` / ``stderr=`` when its error reaches the caller."""
+    tool = {"class": "CommandLineTool", "id": "fails",
+            "baseCommand": ["sh", "-c", f'echo out; echo "$0" >&2; {script}'],
+            "inputs": {"message": {"type": "string", "inputBinding": {"position": 1}}},
+            "outputs": {}}
+    app = CWLApp(load_document(tool), runtime_context=RuntimeContext(**options))
+    future = app(message="why it failed", stdout="out.txt", stderr=("err.txt", "a"))
+    with pytest.raises(error):
+        future.result()
+    assert (tmp_path / "out.txt").read_text() == "out\n"
+    assert (tmp_path / "err.txt").read_text() == "why it failed\n"
 
 
 def test_clearing_the_kernel_leaves_no_job_directories(cwl_dir, tmp_path, monkeypatch):
