@@ -64,9 +64,9 @@ def main() -> None:
                      max_workers=args.workers)
     timings["toil-like (single machine)"] = result.wall_time_s
 
-    # Parsl integration: the same pipeline written as chained CWLApps (Listing 4 style —
-    # the per-image sub-workflow is a nested Workflow, which the CWLWorkflowBridge does
-    # not scatter, so the Parsl program drives the three CommandLineTools directly).
+    # Parsl integration: the same pipeline written as chained CWLApps, as the paper's
+    # Listing 4 does, naming each image's outputs itself (engine="parsl-workflow" runs
+    # scatter_images.cwl from its CWL definition instead).
     import concurrent.futures
 
     repro.load(repro.thread_config(max_threads=args.workers))

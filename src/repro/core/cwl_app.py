@@ -18,8 +18,9 @@ What happens underneath, following the paper:
 * on the execution side, after upstream DataFutures have resolved, the call
   is one attempt of the runners' :class:`~repro.cwl.job.CommandLineJob`: the
   job-cache probe, then the hit restored or the tool's argv spawned with no
-  shell, in the job's output directory (its worker thread's); the job's
-  files are then moved or copied to where the call named them,
+  shell, in the job's output directory: a bridge step's node directory,
+  where its files stay, else its worker thread's, whose files are then
+  moved or copied to where the call named them,
 * ``stdout`` / ``stderr`` and every output whose evaluated glob has no
   wildcard become ``DataFuture`` s on the returned ``AppFuture``
   (``future.outputs``), named at submission by the runners' own rules on
@@ -48,7 +49,7 @@ from repro.cwl.jobcache import stage_file
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.outputs import evaluated_patterns
 from repro.cwl.retry import execute_with_retries
-from repro.cwl.runtime import RuntimeContext
+from repro.cwl.runtime import RuntimeContext, empty_directory
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, file_value_of_path, matches
 from repro.cwl.validate import ensure_valid
@@ -67,12 +68,16 @@ _CONTEXT_FIELDS = ("cores", "ram_mb", "env", "timeout_s", "basedir", "tmpdir_pre
 
 
 class _CallContext(RuntimeContext):
-    """The context of ``CWLApp`` jobs.  A call moves or copies every file out
-    of its job's output directory, so that directory, like the job's
-    scratch directory, is its worker thread's: made for the thread's first
-    job, emptied for each later one, removed when the family closes."""
+    """The context of ``CWLApp`` jobs.  A job with an ``outdir`` (a bridge
+    step's node directory) runs there, emptied for each attempt.  Any other
+    job's files are moved or copied out of its output directory, so that,
+    like its scratch directory, is its worker thread's: made for the
+    thread's first job, emptied for each later one, removed on close."""
 
     def make_job_dir(self, name: str = "job") -> str:
+        if self.outdir is not None:
+            empty_directory(self.ensure_outdir())
+            return self.outdir
         return self._thread_dir(("out", self.basedir),
                                 lambda: RuntimeContext.make_job_dir(self, "app"))
 
@@ -118,7 +123,8 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     has already replaced DataFutures with Files by the time this runs),
     rebuilds the tool model and makes the job of :func:`job_order_view`.  Its
     context carries the caller's cores, RAM, environment, timeout, job
-    directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``), so
+    directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``,
+    ``cwl_outdir``), so
     ``$(runtime.*)``, the job's environment and its cache key are what the
     runner engines would use.  On a tool with an ``InlinePythonRequirement``
     the job's ``evaluator_for`` is :class:`_InlinePythonTool`.  A stream the
@@ -136,13 +142,14 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     job_order = job_order_view(tool, cwl_inputs)
     family = _JOBS if _JOBS_PID == os.getpid() else _CallContext()
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
-    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir), **{
+    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir),
+                           outdir=_parsl_kwargs.get("cwl_outdir"), **{
         name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
         if _parsl_kwargs.get(f"cwl_{name}") is not None})
     evaluator_for: Any = precompile_process
     if extract_inline_python(tool) is not None:
         evaluator_for = functools.partial(_InlinePythonTool, job_order=job_order,
-                                          runtime=_job_runtime(context, tool))
+                                          runtime=_job_runtime(context, tool, context.outdir))
     return CommandLineJob(tool, job_order, context, evaluator_for=evaluator_for)
 
 
@@ -232,13 +239,15 @@ def job_order_view(tool: CommandLineTool, values: Dict[str, Any]) -> Dict[str, A
             for key, value in fill_in_defaults(tool.inputs, job_order).items()}
 
 
-def _job_runtime(context: RuntimeContext, tool: CommandLineTool) -> Dict[str, Any]:
+def _job_runtime(context: RuntimeContext, tool: CommandLineTool,
+                 outdir: Optional[str]) -> Dict[str, Any]:
     """The ``runtime`` a call's file names (and InlinePython ``validate:``)
-    are evaluated on: the working directory the job's files are copied to
-    as outdir and tmpdir, the cores and RAM the tool's ResourceRequirement
-    is granted."""
-    cwd = os.getcwd()
-    return context.with_resources(tool).runtime_object(cwd, cwd)
+    are evaluated on: the job's directory if the call named one
+    (``outdir``), else the working directory its files are delivered to, as
+    outdir and tmpdir; the cores and RAM the tool's ResourceRequirement is
+    granted."""
+    outdir = outdir or os.getcwd()
+    return context.with_resources(tool).runtime_object(outdir, outdir)
 
 
 def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
@@ -248,26 +257,30 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     The app body (:func:`cwl_tool_command`) makes the job; its probe's key
     and outcome go into ``cwl_cache_note``.  A hit is restored, a miss runs
     the tool and is stored, both in the job's output directory; a stream named
-    at submission (``cwl_streams``) must be the one the job names.  The
-    job's files are then put where the call named them (:func:`_deliver`),
-    those of a failed or timed-out run too before its error propagates.
-    Every declared output must then exist; the exit code (on a hit, the
-    recorded one) is returned and noted.
+    at submission (``cwl_streams``) must be the one the job names.  Unless
+    the call named that directory (``cwl_outdir``), the job's files are then
+    put where the call named them (:func:`_deliver`), those of a failed or
+    timed-out run too before its error propagates.  Every declared output
+    must then exist; the exit code (on a hit, the recorded one) is returned
+    and noted.
     """
     stdout_spec = kwargs.get("stdout")
     stderr_spec = kwargs.get("stderr")
     cache_note = kwargs.setdefault("cwl_cache_note", {})
 
     job = func(*args, **kwargs)
+    deliver = job.runtime_context.outdir is None
     try:
         probe = finish(job.probe())
         if probe.key is not None:
             cache_note.update(key=probe.key, cache="miss" if probe.entry is None else "hit")
         result = job.cached_result(probe) or job.execute(probe)
         _check_streams(job, result, kwargs.get("cwl_streams") or {})
-        _deliver(result, stdout_spec, stderr_spec)
+        if deliver:
+            _deliver(result, stdout_spec, stderr_spec)
     except (JobFailure, JobTimeout) as failure:
-        _deliver(failure.result, stdout_spec, stderr_spec)
+        if deliver:
+            _deliver(failure.result, stdout_spec, stderr_spec)
         raise
     finally:
         if _JOBS_PID != os.getpid():
@@ -468,7 +481,9 @@ class CWLApp:
 
         Keyword arguments are the tool's declared inputs; additionally the Parsl
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
-        and any unknown keyword raises immediately.  Whatever the options, the
+        and any unknown keyword raises immediately; the bridge's private
+        ``_job_dir=`` is the job's directory, which the call's file names
+        and ``runtime.outdir`` are then under.  Whatever the options, the
         app is submitted through one chain: :func:`resilient_bash_executor` →
         :func:`cached_bash_executor` → :func:`cwl_tool_command`, one
         :class:`~repro.cwl.job.CommandLineJob` attempt per try.
@@ -476,6 +491,7 @@ class CWLApp:
         dfk = self.data_flow_kernel or DataFlowKernelLoader.dfk()
 
         overrides = {stream: kwargs.pop(stream, None) for stream in ("stdout", "stderr")}
+        job_dir = kwargs.pop("_job_dir", None)
 
         declared = set(self.input_names)
         unknown = [key for key in kwargs if key not in declared]
@@ -502,12 +518,14 @@ class CWLApp:
         names_context = {"inputs": {}, "runtime": {}, "self": None}
         if self._names_are_expressions:
             names_context.update(inputs=job_order_view(self.tool, cwl_inputs),
-                                 runtime=_job_runtime(self.runtime_context, self.tool))
+                                 runtime=_job_runtime(self.runtime_context, self.tool, job_dir))
         evaluator = precompile_process(self.tool)
         streams = {stream: stream_redirect(self.tool, stream, names_context, evaluator)
                    for stream, override in overrides.items() if not override}
-        redirects = {**overrides, **streams}
-        named_outputs = self._output_files(names_context, evaluator, redirects)
+        directory = job_dir or ""
+        redirects = {**overrides, **{stream: name and os.path.join(directory, name)
+                                     for stream, name in streams.items()}}
+        named_outputs = self._output_files(names_context, evaluator, redirects, directory)
         output_files = [file_obj for _name, file_obj in named_outputs]
 
         # The one place the context is unpacked for the execution side.  An
@@ -523,7 +541,7 @@ class CWLApp:
             "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.job_name,
             "cwl_cache_dir": cache.cache_dir if cache is not None else None,
             "cwl_cache_note": cache_note, "cwl_retry_note": retry_note,
-            "cwl_streams": streams}
+            "cwl_streams": streams, "cwl_outdir": job_dir}
         for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
         app_kwargs.update((stream, path) for stream, path in redirects.items() if path)
@@ -574,17 +592,18 @@ class CWLApp:
                 )
 
     def _output_files(self, context: Dict[str, Any], evaluator: Any,
-                      redirects: Dict[str, Optional[str]]) -> List[tuple]:
+                      redirects: Dict[str, Optional[str]], directory: str) -> List[tuple]:
         """``(output_id, File)`` for every output file named before the job
-        runs: each stream output's redirection, each wildcard-free glob."""
+        runs: each stream output's redirection, each wildcard-free glob
+        (under ``directory``)."""
         named: List[tuple] = []
         for param in self.tool.outputs:
             if param.raw_type in redirects:
                 named.append((param.id, File(redirects[param.raw_type])))
             elif param.output_binding is not None and param.output_binding.glob is not None:
-                named.extend((param.id, File(pattern)) for pattern in evaluated_patterns(
-                    param.output_binding.glob, evaluator, context)
-                    if not any(ch in pattern for ch in "*?["))
+                patterns = evaluated_patterns(param.output_binding.glob, evaluator, context)
+                named.extend((param.id, File(os.path.join(directory, pattern)))
+                             for pattern in patterns if not any(ch in pattern for ch in "*?["))
         return named
 
     def __repr__(self) -> str:

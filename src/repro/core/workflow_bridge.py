@@ -18,13 +18,14 @@ interleaves the steps as it would for a native Parsl program.  What stays here
 is Parsl's own: the ``CWLApp`` calls, job events, the ``max_inflight`` window,
 journal terminal states and ``on_error="continue"`` once futures drain.
 
-Three things cannot be decided before tasks run and are refused at submission
-time with :class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over a
-value that is still a future (the width is unknown), scattering a nested
-Workflow — Parsl apps share one working directory, so per-shard copies of the
-subworkflow would overwrite each other's literally named files — and a step
-output with an ``outputEval``, whose value is not a file future.  A step output
-whose evaluated glob has a wildcard names no file yet, and is refused with a
+Each step or shard node runs in its own directory (:func:`_node_directory`)
+under one root per submission (``runtime_context.make_job_dir``), where its
+files stay and its futures name them.  Two things have no value before their
+step runs and are refused at submission time with
+:class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over a value
+that is still a future (the width is unknown), and a step output with an
+``outputEval``, whose value is not a file future.  A step output whose
+evaluated glob has a wildcard names no file yet, and is refused with a
 :class:`~repro.cwl.errors.WorkflowException`.  ``when`` / ``valueFrom`` and
 the steps' file names see an upstream future as the File it will be
 (:func:`~repro.core.cwl_app.to_cwl_value`: only the fields its path gives).
@@ -33,6 +34,7 @@ the steps' file names see an upstream future as the File it will be
 from __future__ import annotations
 
 import os
+import re
 import threading
 from typing import Any, Dict, List, Optional, Union
 
@@ -64,6 +66,7 @@ class _SubmissionEngine(WorkflowEngine):
         self._graph = bridge.graph
         self._bridge = bridge
         self._node: Optional[GraphNode] = None
+        self._root = context.make_job_dir("bridge")  # holds every node's directory
 
     def _execute_node(self, node: GraphNode) -> Continuation[Optional[Expansion]]:
         self._node = node  # names the job a step or shard node submits
@@ -82,7 +85,8 @@ class _SubmissionEngine(WorkflowEngine):
                 "exists only once the step has run; the workflow bridge passes output files "
                 "between steps as futures (run the tool on engine='parsl', or the workflow on "
                 "a runner engine)")
-        outputs = self._bridge._observed_call(app, job, node.id).cwl_outputs
+        outputs = self._bridge._observed_call(
+            app, {**job, "_job_dir": _node_directory(self._root, node.id)}, node.id).cwl_outputs
         unknown = [out_id for out_id in node.step.out if out_id not in outputs]
         if unknown:
             raise WorkflowException(
@@ -97,17 +101,23 @@ class _SubmissionEngine(WorkflowEngine):
 
     def _plan_scatter(self, step: WorkflowStep, process: Process,
                       step_inputs: Dict[str, Any]) -> ScatterPlan:
-        if isinstance(process, Workflow):
-            raise UnsupportedRequirement(
-                f"step {step.id!r} scatters over a nested Workflow; the Parsl workflow "
-                "bridge expands scatter at submission time over CommandLineTool steps only "
-                "(use ReferenceRunner for scattered subworkflows)")
         for key in step.scatter:
             if isinstance(step_inputs.get(key), (AppFuture, DataFuture)):
                 raise UnsupportedRequirement(
                     f"step {step.id!r} scatters over {key!r} whose value is a future; scatter "
                     "widths must be known at submission time in the Parsl workflow bridge")
         return super()._plan_scatter(step, process, step_inputs)
+
+
+def _node_directory(root: str, node_id: str) -> str:
+    """Node ``node_id``'s directory: its path under ``root`` (``<scope>/<step>``,
+    a shard ``step[i]`` at ``step/i``), with the dots of a ``..`` or ``.``
+    component spelled ``%2E`` (and ``%`` as ``%25``), so that no node's
+    directory is outside ``root`` or another node's."""
+    parts = re.sub(r"\[(\d+)\]", r"/\1", node_id).split("/")
+    return os.path.join(root, *(
+        part.replace("%", "%25") if part.strip(".") else part.replace(".", "%2E") or "%"
+        for part in parts))
 
 
 class CWLWorkflowBridge:

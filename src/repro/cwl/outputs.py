@@ -26,11 +26,12 @@ from repro.cwl.types import build_directory_value, build_file_value, is_director
 
 
 def _glob_in(outdir: str, pattern: str) -> List[str]:
-    """Glob relative to the output directory, returning sorted absolute paths."""
+    """Glob relative to the output directory, returning sorted absolute paths.
+    The directory is a path, not a pattern: a ``[`` in it matches itself."""
     if os.path.isabs(pattern):
         matches = globlib.glob(pattern)
     else:
-        matches = globlib.glob(os.path.join(outdir, pattern))
+        matches = globlib.glob(os.path.join(globlib.escape(outdir), pattern))
     return sorted(os.path.abspath(m) for m in matches)
 
 

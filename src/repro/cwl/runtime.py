@@ -170,7 +170,7 @@ class RuntimeContext:
         path = self._thread_dirs.get(key)
         if path is not None:
             try:
-                _empty_directory(path)
+                empty_directory(path)
                 return path
             except FileNotFoundError:
                 pass
@@ -409,7 +409,7 @@ def _remove_directories(paths: Set[str]) -> None:
         shutil.rmtree(paths.pop(), ignore_errors=True)
 
 
-def _empty_directory(path: str) -> None:
+def empty_directory(path: str) -> None:
     """Remove everything in ``path``; :exc:`FileNotFoundError` if it is gone."""
     with os.scandir(path) as entries:
         for entry in entries:

@@ -29,7 +29,6 @@ Useful variations::
 from __future__ import annotations
 
 import argparse
-import collections
 import os
 import shutil
 import sys
@@ -179,9 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "tier1": bool(args.tier1),
         "faults": sorted({c.faults for c in configs if c.faults}),
         "pipeline": bool(any(c.pipeline for c in configs)),
-        # Corpus cases, per engine, that carry an `overrides:` expectation.
-        "overrides": dict(sorted(collections.Counter(
-            engine for case in cases for engine in case.overrides).items())),
         # Warm configurations in which a conforming run re-executed a job.
         "warm_misses": len(warm_misses),
     })
@@ -190,9 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = report["summary"]
     say(f"conformance: {summary['passed_cases']}/{summary['cases']} cases passed "
         f"({summary['runs']} runs, {summary['divergences']} divergence(s), "
-        f"{len(warm_misses)} warm run(s) with misses, "
-        f"per-engine overrides {report['meta']['overrides']}); "
-        f"report written to {path}")
+        f"{len(warm_misses)} warm run(s) with misses); report written to {path}")
     for line in warm_misses:
         print(f"WARM MISS: {line}", file=sys.stderr)
     for line in report["divergences"]:

@@ -23,14 +23,8 @@ message substring::
       failure: permanentFail
       match: "exit code 3"
 
-and per-engine deviations (legitimately different behaviour, e.g. features
-the Parsl bridge rejects) go under ``overrides``::
-
-    overrides:
-      parsl: {failure: unsupported, match: "nested Workflow"}
-      parsl-workflow: {failure: unsupported, match: "nested Workflow"}
-
-File inputs are declared by *content* so the corpus stays self-contained::
+One expectation holds on every engine the case runs on.  File inputs are
+declared by *content* so the corpus stays self-contained::
 
     job:
       text_file: {class: File, basename: words.txt, contents: "one two\\n"}
@@ -63,7 +57,7 @@ def default_corpus_dir() -> Path:
 
 @dataclass(frozen=True)
 class CaseExpectation:
-    """What one engine is expected to do with a case."""
+    """What every engine is expected to do with a case."""
 
     #: Expected outputs in corpus form (Files by content); ``None`` means the
     #: reference engine's result is the oracle.
@@ -92,7 +86,6 @@ class ConformanceCase:
     process: Any
     job: Dict[str, Any] = field(default_factory=dict)
     expect: CaseExpectation = field(default_factory=CaseExpectation)
-    overrides: Dict[str, CaseExpectation] = field(default_factory=dict)
     #: Explicit engine list; ``None`` derives it from the document class.
     engines: Optional[Tuple[str, ...]] = None
     tags: Tuple[str, ...] = ()
@@ -102,9 +95,6 @@ class ConformanceCase:
     #: ``"corpus"``, or ``"generated"`` for a
     #: :meth:`~repro.testing.generator.GeneratedWorkflow.as_case`.
     origin: str = "corpus"
-
-    def expectation_for(self, engine: str) -> CaseExpectation:
-        return self.overrides.get(engine, self.expect)
 
     def is_workflow(self) -> bool:
         """Best-effort document class check (invalid documents count as tools)."""
@@ -129,7 +119,7 @@ def load_case(path: os.PathLike, repo_root: Optional[Path] = None) -> Conformanc
     if not isinstance(raw, dict):
         raise ValidationException(f"corpus case {path} must be a YAML mapping")
     unknown = set(raw) - {"id", "doc", "tags", "tier1", "process", "job",
-                          "expect", "overrides", "engines"}
+                          "expect", "engines"}
     if unknown:
         raise ValidationException(
             f"corpus case {path} has unknown keys {sorted(unknown)}")
@@ -162,8 +152,6 @@ def load_case(path: os.PathLike, repo_root: Optional[Path] = None) -> Conformanc
         process=process,
         job=dict(raw.get("job") or {}),
         expect=_parse_expectation(raw.get("expect"), path),
-        overrides={str(engine): _parse_expectation(spec, path)
-                   for engine, spec in (raw.get("overrides") or {}).items()},
         engines=engines,
         tags=tuple(str(tag) for tag in raw.get("tags") or ()),
         tier1=bool(raw.get("tier1", False)),

@@ -6,10 +6,8 @@ configuration must either
 
 * succeed with **deep-equal canonical outputs** (checksums, sizes,
   basenames, ``secondaryFiles`` — see :mod:`repro.cwl.canonical`), or
-* fail with the **same exit class** the reference failed with, or
-* fail exactly as the case's per-engine ``overrides`` say it must
-  (legitimately unsupported paths, e.g. scattered subworkflows on the
-  Parsl bridge).
+* fail with the **same exit class** the reference failed with, as the
+  case's ``expect`` says it must.
 
 Anything else is a divergence, recorded per configuration on the
 :class:`CaseOutcome`.
@@ -141,8 +139,7 @@ def run_case(case: ConformanceCase, configs: Sequence[MatrixConfig],
         # fault axis asserts; a fail-forever plan may break any case).
         outcome.outcomes.append(ConfigOutcome(
             run=baseline,
-            divergence=_check_expectation(baseline,
-                                          case.expectation_for("reference"))
+            divergence=_check_expectation(baseline, case.expect)
             if faults is None else None,
         ))
 
@@ -157,8 +154,7 @@ def run_case(case: ConformanceCase, configs: Sequence[MatrixConfig],
                          max_workers=max_workers)
         outcome.outcomes.append(ConfigOutcome(
             run=run,
-            divergence=_verdict(run, baselines[config.faults],
-                                case.expectation_for(config.engine)),
+            divergence=_verdict(run, baselines[config.faults], case.expect),
         ))
     return outcome
 
@@ -169,24 +165,17 @@ def run_case(case: ConformanceCase, configs: Sequence[MatrixConfig],
 def _verdict(run: MatrixRun, baseline: MatrixRun,
              expectation: CaseExpectation) -> Optional[str]:
     """Why ``run`` diverges from the oracle (``None`` = it conforms)."""
-    if expectation.failure is not None:
-        return _check_expectation(run, expectation)
-    if run.exit_class != baseline.exit_class:
-        detail = run.error or "produced outputs"
-        return (f"exit class {run.exit_class!r} != reference "
-                f"{baseline.exit_class!r} ({detail})")
-    if not run.ok:
-        return None  # both failed the same way the reference did
-    divergence = deep_compare(baseline.outputs, run.outputs)
-    if divergence is not None:
-        return f"outputs differ from reference at {divergence}"
-    if expectation.outputs is not None:
-        expected = {key: expected_value(value)
-                    for key, value in expectation.outputs.items()}
-        divergence = deep_compare(expected, run.outputs)
+    if expectation.failure is None:
+        if run.exit_class != baseline.exit_class:
+            detail = run.error or "produced outputs"
+            return (f"exit class {run.exit_class!r} != reference "
+                    f"{baseline.exit_class!r} ({detail})")
+        if not run.ok:
+            return None  # both failed the same way the reference did
+        divergence = deep_compare(baseline.outputs, run.outputs)
         if divergence is not None:
-            return f"outputs differ from expectation at {divergence}"
-    return None
+            return f"outputs differ from reference at {divergence}"
+    return _check_expectation(run, expectation)
 
 
 def _check_expectation(run: MatrixRun,

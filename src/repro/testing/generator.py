@@ -19,9 +19,9 @@ inputs in place — ``valueFrom`` (on its own value, and reading a sibling
 input), a null source with a step-input ``default``, multi-source
 ``linkMerge: merge_nested`` / ``merge_flattened`` into an array input; it
 draws last, so a seed's step structure does not depend on it.  Everything
-stays inside the subset all four engines support (no scattered subworkflows,
-no guards over step outputs), so the reference engine is a usable oracle for
-every generated case.
+stays inside the subset all four engines support (no guards over step
+outputs), so the reference engine is a usable oracle for every generated
+case.
 
 Determinism rules (the flakiness guard): every choice flows from one
 ``random.Random(seed)``; step and input names are derived from insertion

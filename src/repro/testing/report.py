@@ -27,9 +27,7 @@ Report shape (version 1)::
 
 CI uploads the file as an artifact; the CLI fails the conformance job when
 ``summary.divergences`` or ``meta.warm_misses`` is non-zero.
-``meta.overrides`` (written by the CLI)
-counts, per engine, the corpus cases whose expectation that engine overrides;
-``meta.warm_misses`` counts the ``cache=warm`` runs that conformed but
+``meta.warm_misses`` (written by the CLI) counts the ``cache=warm`` runs that conformed but
 re-executed a job (each such run also carries ``"warm_misses"``).
 """
 

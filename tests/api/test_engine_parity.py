@@ -311,3 +311,23 @@ def test_an_id_less_tool_is_one_job_to_faults_and_retries(engine, tmp_path, monk
     assert result.retries() == 2
     assert result.job_names() == ["<tool>"]
     assert normalise(result.outputs["out"])["contents"] == b"named once\n"
+
+
+@pytest.mark.parametrize("engine", TOOL_ENGINES)
+def test_a_glob_is_matched_in_a_job_directory_whose_path_has_brackets(
+        engine, tmp_path, monkeypatch):
+    """A ``basedir`` of ``glob[1]`` is a path, not a pattern: the job
+    directories under it are where every engine finds ``glob: made.txt``."""
+    monkeypatch.chdir(tmp_path)
+    backend = {"basedir": str(tmp_path / "glob[1]")}
+    if engine == "toil":
+        backend.update(job_store_dir=str(tmp_path / "jobstore"),
+                       destroy_job_store_on_close=True)
+    if engine == "parsl":
+        backend["config"] = repro.thread_config(
+            max_threads=2, run_dir=str(tmp_path / "runinfo"))
+    tool = {"class": "CommandLineTool", "baseCommand": ["sh", "-c", "echo made > made.txt"],
+            "inputs": {}, "outputs": {"made": {"type": "File",
+                                               "outputBinding": {"glob": "made.txt"}}}}
+    result = api.run(tool, {}, engine=engine, **backend)
+    assert normalise(result.outputs["made"])["contents"] == b"made\n"

@@ -358,8 +358,12 @@ def test_on_error_continue_on_the_parsl_bridge(run_engine):
                         {"message": "bridge"}, on_error="continue")
     assert result.status == "permanentFail"
     assert "bad" in result.failures
-    with open(result.outputs["good"]["path"]) as handle:
-        assert handle.read() == "bridge\n"
+    # `ok` and `after` both write echoed.txt: two files, one per step.
+    good, after = result.outputs["good"]["path"], result.outputs["poisoned"]["path"]
+    assert good != after
+    for path in (good, after):
+        with open(path) as handle:
+            assert handle.read() == "bridge\n"
 
 
 def test_on_error_rejects_unknown_mode(run_engine):

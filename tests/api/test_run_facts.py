@@ -61,6 +61,12 @@ def doc_path(tmp_path):
     return str(path)
 
 
+def contents(files) -> list:
+    """What each File of an output array holds: the three `each` shards
+    write the same `each-tool.txt`, and each must keep its own."""
+    return [Path(value["path"]).read_text() for value in files]
+
+
 def engine_options(engine, workdir, monkeypatch):
     """Backend options for ``engine`` in a fresh working directory (the Parsl
     engine runs its tools in the cwd)."""
@@ -93,6 +99,7 @@ def test_a_workflow_run_builds_its_graph_once_and_reports_it_as_its_plan(
     assert result.plan["edges"] == planned.edges
     assert result.plan["critical_path"] == planned.critical_path
     assert result.jobs_run == 5
+    assert contents(result.outputs["each"]) == ["a\n", "b\n", "c\n"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -120,6 +127,7 @@ def test_a_journalled_run_records_each_retry_and_each_job_once(
         ["count-tool", "each-tool", "each-tool", "each-tool", "shout-tool"]
     assert {(r["cache"], r["exit_code"]) for r in jobs} == {("miss", 0)}
     assert len({r["key"] for r in jobs}) == 5
+    assert contents(result.outputs["each"]) == ["a\n", "b\n", "c\n"]
 
 
 def test_a_permitted_nonzero_exit_is_recorded_as_the_tool_exited_on_every_engine(

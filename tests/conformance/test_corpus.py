@@ -48,20 +48,6 @@ def test_loading_is_deterministic(corpus):
     assert [case.id for case in again] == [case.id for case in corpus]
 
 
-def test_overrides_fall_back_to_default_expectation(corpus):
-    case = next(case for case in corpus if case.id == "wf_scattered_subworkflow")
-    assert case.expectation_for("reference").failure is None
-    assert case.expectation_for("parsl").failure == "unsupported"
-    assert case.expectation_for("parsl-workflow").failure == "unsupported"
-
-
-def test_only_allow_listed_cases_carry_engine_overrides(corpus):
-    """Per-engine exceptions may shrink but not grow silently: a new
-    `overrides:` key has to be added here, in review, with its reason."""
-    allowed = {"wf_scattered_subworkflow"}  # Parsl apps share one cwd
-    assert {case.id for case in corpus if case.overrides} == allowed
-
-
 def test_materialize_writes_content_files(tmp_path):
     job = {
         "single": {"class": "File", "basename": "a.txt", "contents": "alpha\n"},
@@ -82,6 +68,15 @@ def test_unknown_case_keys_are_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
     dump_yaml({"process": {"class": "CommandLineTool"}, "jobs": {}}, path)
     with pytest.raises(ValidationException, match="unknown keys"):
+        load_case(path)
+
+
+def test_a_per_engine_overrides_key_is_rejected(tmp_path):
+    """One expectation holds for every engine a case runs on."""
+    path = tmp_path / "bad.yaml"
+    dump_yaml({"process": {"class": "CommandLineTool"},
+               "overrides": {"parsl": {"failure": "unsupported"}}}, path)
+    with pytest.raises(ValidationException, match=r"unknown keys \['overrides'\]"):
         load_case(path)
 
 

@@ -1,20 +1,21 @@
-"""The unsupported-path error contract (previously noted, never asserted).
+"""The unsupported-path error contract of the Parsl bridge.
 
-Scattering over a nested Workflow is supported by the runner engines but is
-a declared unsupported path on the Parsl bridge: both Parsl engines must
-raise :class:`UnsupportedRequirement` — not a generic failure — and the
-message must name the offending step, identically on both engines.  The
-same holds for a step output reduced by ``outputEval``, whose value the
-bridge cannot hand on as a file future.
+Scattering over a value that is still a future, and a step output reduced by
+``outputEval``, have no value before their step runs: both Parsl engines
+must raise :class:`UnsupportedRequirement` — not a generic failure — naming
+the offending step.  A scattered nested Workflow is not among them: every
+engine runs it, with the corpus case's outputs.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro import api
-from repro.cwl.errors import UnsupportedRequirement, error_class, exit_class
+from repro.cwl.errors import UnsupportedRequirement, exit_class
 from repro.testing.corpus import load_corpus, materialize_job_order
 
 PARSL_ENGINES = ("parsl", "parsl-workflow")
@@ -41,40 +42,18 @@ def run_engine(tmp_path, monkeypatch):
     return run
 
 
-def test_runner_engines_run_scattered_subworkflows(
-        scattered_subworkflow_case, run_engine, tmp_path):
-    case = scattered_subworkflow_case
-    job = materialize_job_order(case.job, tmp_path / "inputs")
-    for engine in ("reference", "toil"):
-        result = run_engine(engine, case.process, job)
-        assert [value["basename"] for value in result.outputs["files"]] == \
-            ["sub0.txt", "sub1.txt"]
-
-
-@pytest.mark.parametrize("engine", PARSL_ENGINES)
-def test_parsl_engines_raise_unsupported_with_step_name(
+@pytest.mark.parametrize("engine", ("reference", "toil", *PARSL_ENGINES))
+def test_every_engine_runs_scattered_subworkflows(
         scattered_subworkflow_case, run_engine, tmp_path, engine):
+    """Each shard of the subworkflow writes its literally named file in its
+    own directory, on the Parsl bridge as on the runners."""
     case = scattered_subworkflow_case
     job = materialize_job_order(case.job, tmp_path / "inputs")
-    with pytest.raises(UnsupportedRequirement) as excinfo:
-        run_engine(engine, case.process, job)
-    message = str(excinfo.value)
-    assert "'shatter'" in message, "the step name must be in the error"
-    assert "nested Workflow" in message
-    assert error_class(excinfo.value) == "UnsupportedRequirement"
-    assert exit_class(excinfo.value) == "unsupported"
-
-
-def test_both_parsl_engines_raise_the_same_message(
-        scattered_subworkflow_case, run_engine, tmp_path):
-    case = scattered_subworkflow_case
-    job = materialize_job_order(case.job, tmp_path / "inputs")
-    messages = {}
-    for engine in PARSL_ENGINES:
-        with pytest.raises(UnsupportedRequirement) as excinfo:
-            run_engine(engine, case.process, job)
-        messages[engine] = str(excinfo.value)
-    assert messages["parsl"] == messages["parsl-workflow"]
+    files = run_engine(engine, case.process, job).outputs["files"]
+    assert [{"basename": value["basename"], "contents": Path(value["path"]).read_text()}
+            for value in files] == \
+        [{"basename": value["basename"], "contents": value["contents"]}
+         for value in case.expect.outputs["files"]]
 
 
 def test_scatter_over_future_width_is_unsupported_with_step_name(tmp_path, monkeypatch):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -26,7 +29,9 @@ def test_bridge_image_pipeline(cwl_dir, parsl_threads, tmp_path, small_image):
     })
     final = outputs["final_output"]
     assert final.filepath.endswith("blurred.png")
-    assert read_png(tmp_path / "blurred.png").shape == (20, 20, 3)
+    assert read_png(final.filepath).shape == (20, 20, 3)
+    # The steps' files stay in their node directories: none is put in the cwd.
+    assert not (tmp_path / "blurred.png").exists()
 
 
 def test_bridge_submit_returns_datafutures(cwl_dir, parsl_threads, tmp_path, small_image):
@@ -40,21 +45,24 @@ def test_bridge_submit_returns_datafutures(cwl_dir, parsl_threads, tmp_path, sma
     # finished by the time the graph has merely been walked.
     assert not outputs["final_output"].done()
     outputs["final_output"].result()
-    assert (tmp_path / "blurred.png").exists()
+    assert os.path.exists(outputs["final_output"].filepath)
 
 
-def test_bridge_scatter_over_images(cwl_dir, parsl_threads, tmp_path, image_batch, monkeypatch):
-    # Each scattered pipeline writes resized.png/filtered.png/blurred.png; run each
-    # bridge invocation in its own directory to avoid collisions, as the Parsl
-    # program in the paper does by naming outputs per image (Listing 4).
+def test_bridge_scatter_over_images(cwl_dir, parsl_threads, tmp_path, image_batch):
+    """The paper's Fig 1 workflow: every shard of the scattered image pipeline
+    writes resized.png/filtered.png/blurred.png, each in its own node
+    directory, so each input keeps its own blurred image."""
     bridge = CWLWorkflowBridge(str(cwl_dir / "scatter_images.cwl"))
-    with pytest.raises(UnsupportedRequirement):
-        # Scattering a sub-*workflow* step is beyond the bridge (nested workflow);
-        # it reports a clear error rather than silently misbehaving.
-        bridge.run({
-            "input_images": [{"class": "File", "path": p} for p in image_batch],
-            "size": 16, "sepia": True, "radius": 1,
-        })
+    outputs = bridge.run({
+        "input_images": [{"class": "File", "path": p} for p in image_batch],
+        "size": 16, "sepia": True, "radius": 1,
+    })
+    paths = [future.filepath for future in outputs["final_outputs"]]
+    assert len(set(paths)) == len(image_batch)
+    assert all(path.endswith("blurred.png") for path in paths)
+    images = [read_png(path) for path in paths]
+    assert all(image.shape == (16, 16, 3) for image in images)
+    assert len({image.tobytes() for image in images}) == len(image_batch)
 
 
 def test_bridge_scatter_commandlinetool_step(parsl_threads, tmp_path, image_batch):
@@ -128,12 +136,12 @@ def test_bridge_when_condition_static(parsl_threads, tmp_path):
 
     ran = bridge.run({"go": True, "message": "yes"})
     assert ran["result"].filepath.endswith("maybe.txt")
-    assert (tmp_path / "maybe.txt").read_text().strip() == "yes"
+    assert Path(ran["result"].filepath).read_text().strip() == "yes"
 
     # Every run interprets the graph on an empty value store: the future the
     # previous run stored for maybe_echo/output does not leak into this one.
     assert bridge.run({"go": False, "message": "again"})["result"] is None
-    assert (tmp_path / "maybe.txt").read_text().strip() == "yes"
+    assert Path(ran["result"].filepath).read_text().strip() == "yes"
 
 
 def test_bridge_missing_workflow_input_reported(cwl_dir, parsl_threads):
@@ -169,7 +177,7 @@ def test_bridge_flattens_nested_subworkflow(cwl_dir, parsl_threads, tmp_path, sm
         "size": 20, "sepia": True, "radius": 1,
     })
     assert outputs["wrapped"].filepath.endswith("blurred.png")
-    assert read_png(tmp_path / "blurred.png").shape == (20, 20, 3)
+    assert read_png(outputs["wrapped"].filepath).shape == (20, 20, 3)
 
 
 @pytest.mark.parametrize("scatter", [False, True])
@@ -244,9 +252,6 @@ def test_a_stream_named_from_a_field_a_future_lacks_fails_instead_of_misnaming(
     assert not (tmp_path / "null.copy").exists()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "Parsl apps share one working directory, so every shard writes the same "
-    "said.txt; ROADMAP 'One command-line-job implementation'"))
 def test_scatter_shards_with_one_literal_output_name_keep_their_own_outputs(
         parsl_threads, tmp_path):
     """Each shard of a scattered step with a literal `stdout:` keeps its own
@@ -263,5 +268,38 @@ def test_scatter_shards_with_one_literal_output_name_keep_their_own_outputs(
             "scatter": "word", "in": {"word": "words"}, "out": ["out"]}},
     })
     outputs = CWLWorkflowBridge(workflow).run({"words": ["a", "b", "c"]})
-    assert [open(future.filepath).read() for future in outputs["said"]] == \
+    assert [Path(future.filepath).read_text() for future in outputs["said"]] == \
         ["a\n", "b\n", "c\n"]
+
+
+@pytest.mark.parametrize("engine", ["reference", "parsl", "parsl-workflow"])
+def test_a_step_named_dot_dot_runs_inside_the_bridge_root(engine, tmp_path, monkeypatch):
+    """A node's directory is under its submission's root whatever the step is
+    called: a step named `..` does not run in (and empty) the directory the
+    root was made in, where a canary file and a sibling directory stay."""
+    monkeypatch.chdir(tmp_path)
+    base = tmp_path / "jobs"
+    (base / "sibling").mkdir(parents=True)
+    (base / "sibling" / "kept.txt").write_text("kept\n")
+    (base / "canary.txt").write_text("canary\n")
+    workflow = {
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {"word": "string"},
+        "outputs": {"said": {"type": "File", "outputSource": "../out"}},
+        "steps": {"..": {
+            "run": {"class": "CommandLineTool", "baseCommand": "echo",
+                    "inputs": {"word": {"type": "string", "inputBinding": {"position": 1}}},
+                    "outputs": {"out": "stdout"}, "stdout": "said.txt"},
+            "in": {"word": "word"}, "out": ["out"]}},
+    }
+    options = {"basedir": str(base)}
+    if engine.startswith("parsl"):
+        options["config"] = repro.thread_config(max_threads=2,
+                                                run_dir=str(tmp_path / "runinfo"))
+    said = api.run(workflow, {"word": "up"}, engine=engine, **options).outputs["said"]
+    assert Path(said["path"]).read_text() == "up\n"
+    if engine.startswith("parsl"):
+        root, *below = os.path.relpath(said["path"], base).split(os.sep)
+        assert root.startswith("cwl-bridge-") and ".." not in below
+    assert (base / "canary.txt").read_text() == "canary\n"
+    assert (base / "sibling" / "kept.txt").read_text() == "kept\n"

@@ -13,6 +13,7 @@ import concurrent.futures as cf
 import glob
 import os
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -315,7 +316,7 @@ def test_execute_on_a_cold_store_keys_once_and_counts_one_miss(tmp_path, monkeyp
     result = job_on(store, tmp_path / "cold").execute()
 
     assert not result.cache_hit
-    assert open(result.outputs["out"]["path"]).read() == "hello\n"
+    assert Path(result.outputs["out"]["path"]).read_text() == "hello\n"
     assert keys == [result.cache_key] and result.cache_key is not None
 
 
@@ -331,7 +332,7 @@ def test_execute_on_a_warm_store_restores_without_spawning(tmp_path, monkeypatch
     result = job_on(store, tmp_path / "warm").execute()
 
     assert result.cache_hit
-    assert open(result.outputs["out"]["path"]).read() == "hello\n"
+    assert Path(result.outputs["out"]["path"]).read_text() == "hello\n"
     assert keys == [cold.cache_key] == [result.cache_key]
 
 
