@@ -42,10 +42,15 @@ FIGURE_WIDE = "DAG wide fan-out: runtime [s] vs independent steps"
 FIGURE_DIAMOND = "DAG deep diamonds: runtime [s] vs diamond count"
 FIGURE_NESTED = "DAG scatter x subworkflow: runtime [s] vs scatter width"
 
+#: (figure, series, x) -> the run's job events, in the order they happened.
+EVENTS = {}
 
-def sleep_tool() -> dict:
-    """A tool that sleeps then writes a file named by its ``name`` input."""
+
+def sleep_tool(tool_id: str = "") -> dict:
+    """A tool that sleeps then writes a file named by its ``name`` input;
+    its ``tool_id``, if given, names its jobs in the run's events."""
     return {
+        **({"id": tool_id} if tool_id else {}),
         "class": "CommandLineTool",
         "baseCommand": [
             "python3", "-c",
@@ -91,7 +96,7 @@ def deep_diamond_workflow(diamonds: int) -> dict:
         steps[f"top_{i}"] = {"run": sleep_tool(), "in": top, "out": ["out"]}
         for side in ("left", "right"):
             steps[f"{side}_{i}"] = {
-                "run": sleep_tool(),
+                "run": sleep_tool(f"{side}_{i}"),
                 "in": {"delay": "delay", "name": {"default": f"{side}_{i}.txt"},
                        "after": f"top_{i}/out"},
                 "out": ["out"]}
@@ -210,6 +215,7 @@ def test_dag_wide_fanout(benchmark, series, count, tmp_path, series_recorder,
     def run():
         result = run_engine(engine, doc, {"delay": DELAY}, workdir, **options)
         assert len(result.outputs["all"]) == count
+        EVENTS[FIGURE_WIDE, series, count] = result.events
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     series_recorder.record(FIGURE_WIDE, series, count, benchmark.stats.stats.mean)
@@ -230,6 +236,7 @@ def test_dag_deep_diamonds(benchmark, series, diamonds, tmp_path, series_recorde
         result = run_engine(engine, doc, {"delay": DELAY},
                             tmp_path / series.replace(" ", "_"), **options)
         assert result.outputs["final"] is not None
+        EVENTS[FIGURE_DIAMOND, series, diamonds] = result.events
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     series_recorder.record(FIGURE_DIAMOND, series, diamonds, benchmark.stats.stats.mean)
@@ -258,48 +265,56 @@ def test_dag_scatter_in_subworkflow(benchmark, series, width, tmp_path,
         assert len(result.outputs["all"]) == width
         assert sampler.peak <= MAX_WORKERS, \
             f"live scheduler threads ({sampler.peak}) exceeded max_workers ({MAX_WORKERS})"
+        EVENTS[FIGURE_NESTED, series, width] = result.events
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     series_recorder.record(FIGURE_NESTED, series, width, benchmark.stats.stats.mean)
 
 
 # ------------------------------------------------------------- shape checks
+#
+# The timings above are recorded series.  The shapes are asserted on the
+# order of each run's job events, which no host's speed changes.
 
-def _series_point(series_recorder, figure, series, x):
-    return series_recorder.points.get(figure, {}).get((series, x))
+def recorded(figure, series, x):
+    events = EVENTS.get((figure, series, x))
+    if events is None:
+        pytest.skip(f"{figure} / {series} was not measured")
+    return events
 
 
-def test_dag_shape_wide_fanout_parallel_beats_serial(series_recorder):
-    """With N independent steps, the shared pool must run close to N/workers,
-    clearly faster than serial execution (the seed's serial mode)."""
+def peak_running(events) -> int:
+    """The most jobs running at once: started and not yet ended, counted
+    along the order of the run's start and end events."""
+    running = peak = 0
+    for event in events:
+        running += {"start": 1, "end": -1}.get(event.kind, 0)
+        peak = max(peak, running)
+    return peak
+
+
+def test_dag_shape_wide_fanout_parallel_runs_jobs_at_once():
+    """With N independent steps the shared pool runs several at once; the
+    serial mode (the seed's) runs one at a time."""
     largest = WIDE_COUNTS[-1]
-    serial = _series_point(series_recorder, FIGURE_WIDE, "reference (serial)", largest)
-    parallel = _series_point(series_recorder, FIGURE_WIDE, "reference (parallel)", largest)
-    if serial is None or parallel is None:
-        pytest.skip("wide fan-out series were not measured")
-    assert parallel <= serial * 0.65, \
-        f"parallel {parallel:.3f}s should clearly beat serial {serial:.3f}s"
+    assert peak_running(recorded(FIGURE_WIDE, "reference (parallel)", largest)) >= 2
+    assert peak_running(recorded(FIGURE_WIDE, "reference (serial)", largest)) == 1
 
 
-def test_dag_shape_diamonds_overlap(series_recorder):
-    """Each diamond's two middle steps must overlap under the scheduler."""
+def test_dag_shape_diamonds_overlap():
+    """Each diamond's two middle steps overlap under the scheduler: the
+    second arm starts before the first one ends."""
     diamonds = DIAMOND_COUNTS[-1]
-    serial = _series_point(series_recorder, FIGURE_DIAMOND, "reference (serial)", diamonds)
-    parallel = _series_point(series_recorder, FIGURE_DIAMOND, "reference (parallel)", diamonds)
-    if serial is None or parallel is None:
-        pytest.skip("diamond series were not measured")
-    assert parallel <= serial * 0.95, \
-        f"parallel {parallel:.3f}s should overlap diamond arms vs serial {serial:.3f}s"
+    events = recorded(FIGURE_DIAMOND, "reference (parallel)", diamonds)
+    for index in range(diamonds):
+        arms = [event.kind for event in events
+                if event.job in (f"left_{index}", f"right_{index}")]
+        assert arms[:2] == ["start", "start"], (index, arms)
 
 
-def test_dag_shape_nested_scatter_speedup_within_thread_cap(series_recorder):
-    """Scatter-inside-subworkflow parallelises within one bounded pool: faster
-    than serial without the seed's nested-pool thread multiplication (the cap
-    itself is asserted inside the benchmark run)."""
+def test_dag_shape_nested_scatter_runs_jobs_at_once_within_thread_cap():
+    """Scatter-inside-subworkflow parallelises within one bounded pool: jobs
+    run at once without the seed's nested-pool thread multiplication (the
+    cap itself is asserted inside the benchmark run)."""
     width = NESTED_WIDTHS[-1]
-    serial = _series_point(series_recorder, FIGURE_NESTED, "reference (serial)", width)
-    parallel = _series_point(series_recorder, FIGURE_NESTED, "reference (parallel)", width)
-    if serial is None or parallel is None:
-        pytest.skip("nested scatter series were not measured")
-    assert parallel <= serial * 0.7, \
-        f"parallel {parallel:.3f}s should clearly beat serial {serial:.3f}s"
+    assert peak_running(recorded(FIGURE_NESTED, "reference (parallel)", width)) >= 2

@@ -19,7 +19,7 @@ from repro.core.cwl_app import running_jobs, to_cwl_value
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
 from repro.cwl.journal import run_journalled
-from repro.cwl.runtime import RuntimeContext, context_with_options
+from repro.cwl.runtime import RuntimeContext, context_with_options, node_directory
 from repro.cwl.schema import CommandLineTool, Workflow
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 
@@ -36,11 +36,10 @@ class ParslEngine(Engine):
 
     name = "parsl"
 
-    def __init__(self, config: Any = None, outdir: Optional[str] = None,
+    def __init__(self, config: Any = None,
                  runtime_context: Optional[RuntimeContext] = None,
                  **options: Any) -> None:
         self._config = config
-        self._outdir = outdir
         #: The run options, honoured Parsl-side: every tool invocation, bare
         #: or a workflow step, retries on the execution side around its cache
         #: probe (so injected faults behave identically warm or cold), and
@@ -106,8 +105,10 @@ class ParslEngine(Engine):
                 "(CommandLineTool or Workflow expected)"
             )
         outputs = run_tool_with_parsl(
-            tool=process, job_order=job_order, config=None, outdir=self._outdir,
-            cleanup=False, runtime_context=context, job_observer=recorder)
+            tool=process, job_order=job_order, config=None, cleanup=False,
+            runtime_context=context.child(
+                outdir=node_directory(context.outdir, process.job_name)),
+            job_observer=recorder)
         return run_result(recorder, context, self.name, outputs)
 
 

@@ -61,9 +61,9 @@ class Session:
 
     Engine options pass through by keyword: each engine takes its backend
     arguments (``parallel=``/``max_workers=``, ``job_store_dir=``/
-    ``batch_system=``, ``config=``/``outdir=``) plus ``runtime_context=``, and
-    any other keyword is a :class:`~repro.cwl.runtime.RuntimeContext` field
-    given flat — ``Session(engine, cache_dir=..., retry_policy=...,
+    ``batch_system=``, ``config=``) plus ``runtime_context=``, and any other
+    keyword is a :class:`~repro.cwl.runtime.RuntimeContext` field given flat
+    — ``Session(engine, outdir=..., cache_dir=..., retry_policy=...,
     timeout_s=..., on_error=..., pipeline=True)`` — which overrides that
     field of the context on *any* engine (README "Configuring a run" lists
     every option and the engines that honour it).

@@ -12,11 +12,9 @@ printed as JSON.  Everything else — the run-option flags (``--cachedir``,
 ``--retries``, ``--timeout``, ``--on-error``, ``--rundir`` / ``--resume``,
 ...), SIGTERM handling and the exit-130 epilogue — is the body the other two
 CLIs share (:mod:`repro.cwl.cli`); execution routes through the
-:mod:`repro.api` registry's ``"parsl"`` engine.
-
-Parsl apps run in the process's working directory, so ``--outdir DIR`` runs
-the tool in ``DIR``; the document, the config, the job file and ``File``
-inputs still resolve against the directory ``parsl-cwl`` was started in.
+:mod:`repro.api` registry's ``"parsl"`` engine.  As on the other two,
+the tool runs in a job directory of its own and its output files are staged
+into ``--outdir`` (default: the working directory).
 """
 
 from __future__ import annotations
@@ -38,11 +36,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             help="YAML Parsl configuration")
 
     def engine_options(args: argparse.Namespace,
-                       cleanup: contextlib.ExitStack) -> Dict[str, Any]:
-        if args.outdir:
-            os.makedirs(args.outdir, exist_ok=True)
-            cleanup.callback(os.chdir, os.getcwd())
-            os.chdir(args.outdir)
+                       _cleanup: contextlib.ExitStack) -> Dict[str, Any]:
         return dict(config=args.config)
 
     return _runner_main("parsl-cwl", "Run a CWL document on Parsl (paper §III-B)",

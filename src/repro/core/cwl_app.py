@@ -18,9 +18,10 @@ What happens underneath, following the paper:
 * on the execution side, after upstream DataFutures have resolved, the call
   is one attempt of the runners' :class:`~repro.cwl.job.CommandLineJob`: the
   job-cache probe, then the hit restored or the tool's argv spawned with no
-  shell, in the job's output directory: a bridge step's node directory,
-  where its files stay, else its worker thread's, whose files are then
-  moved or copied to where the call named them,
+  shell, in the job's output directory: its node's directory under the
+  run's root (a bridge step, or a tool run on an engine), where its files
+  stay, else its worker thread's, whose files are then moved or copied to
+  where the call named them,
 * ``stdout`` / ``stderr`` and every output whose evaluated glob has no
   wildcard become ``DataFuture`` s on the returned ``AppFuture``
   (``future.outputs``), named at submission by the runners' own rules on
@@ -49,7 +50,7 @@ from repro.cwl.jobcache import stage_file
 from repro.cwl.loader import load_document, load_tool
 from repro.cwl.outputs import evaluated_patterns
 from repro.cwl.retry import execute_with_retries
-from repro.cwl.runtime import RuntimeContext, empty_directory
+from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import build_file_value, coerce_file_inputs, file_value_of_path, matches
 from repro.cwl.validate import ensure_valid
@@ -67,25 +68,10 @@ __all__ = ["CWLApp", "cwl_tool_command", "cached_bash_executor", "resilient_bash
 _CONTEXT_FIELDS = ("cores", "ram_mb", "env", "timeout_s", "basedir", "tmpdir_prefix")
 
 
-class _CallContext(RuntimeContext):
-    """The context of ``CWLApp`` jobs.  A job with an ``outdir`` (a bridge
-    step's node directory) runs there, emptied for each attempt.  Any other
-    job's files are moved or copied out of its output directory, so that,
-    like its scratch directory, is its worker thread's: made for the
-    thread's first job, emptied for each later one, removed on close."""
-
-    def make_job_dir(self, name: str = "job") -> str:
-        if self.outdir is not None:
-            empty_directory(self.ensure_outdir())
-            return self.outdir
-        return self._thread_dir(("out", self.basedir),
-                                lambda: RuntimeContext.make_job_dir(self, "app"))
-
-
 #: The context family of the ``CWLApp`` jobs that run on this process's
 #: threads: their directories and the tools still running.  The kernel the
 #: jobs were submitted to closes it when it is cleaned up.
-_JOBS = _CallContext()
+_JOBS = RuntimeContext()
 #: The process whose kernel closes :data:`_JOBS`.  A job in any other
 #: process (a worker of a process-based executor) runs in a family of its
 #: own, closed when the job ends.
@@ -140,17 +126,21 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     if captured:
         tool = _tool_of(dict(tool_raw, **captured), source_path)
     job_order = job_order_view(tool, cwl_inputs)
-    family = _JOBS if _JOBS_PID == os.getpid() else _CallContext()
+    family = _JOBS if _JOBS_PID == os.getpid() else RuntimeContext()
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
-    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir),
-                           outdir=_parsl_kwargs.get("cwl_outdir"), **{
+    job_dir = _parsl_kwargs.get("cwl_outdir")
+    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir), **{
         name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
         if _parsl_kwargs.get(f"cwl_{name}") is not None})
+    # A job whose files are delivered runs in its worker thread's directory.
+    outdir = job_dir or context.thread_dir(("out", context.basedir),
+                                           lambda: context.make_job_dir("app"))
     evaluator_for: Any = precompile_process
     if extract_inline_python(tool) is not None:
         evaluator_for = functools.partial(_InlinePythonTool, job_order=job_order,
-                                          runtime=_job_runtime(context, tool, context.outdir))
-    return CommandLineJob(tool, job_order, context, evaluator_for=evaluator_for)
+                                          runtime=_job_runtime(context, tool, job_dir))
+    return CommandLineJob(tool, job_order, context.child(outdir=outdir),
+                          evaluator_for=evaluator_for)
 
 
 #: The tool of every live ``CWLApp``, by ``id`` of its raw document: a call
@@ -269,7 +259,7 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     cache_note = kwargs.setdefault("cwl_cache_note", {})
 
     job = func(*args, **kwargs)
-    deliver = job.runtime_context.outdir is None
+    deliver = kwargs.get("cwl_outdir") is None
     try:
         probe = finish(job.probe())
         if probe.key is not None:
@@ -481,8 +471,8 @@ class CWLApp:
 
         Keyword arguments are the tool's declared inputs; additionally the Parsl
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
-        and any unknown keyword raises immediately; the bridge's private
-        ``_job_dir=`` is the job's directory, which the call's file names
+        and any unknown keyword raises immediately; the private ``_job_dir=``
+        of a run's node is the job's directory, which the call's file names
         and ``runtime.outdir`` are then under.  Whatever the options, the
         app is submitted through one chain: :func:`resilient_bash_executor` →
         :func:`cached_bash_executor` → :func:`cwl_tool_command`, one

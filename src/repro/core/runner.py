@@ -8,9 +8,11 @@ already called :func:`repro.parsl.load`.
 
 The tool runs as one ``CWLApp`` invocation under the caller's whole context:
 retries wrap the runners' job attempt on the execution side (a hit restores
-the recorded files without spawning anything), the job's files are copied
-into the working directory, and outputs are collected from there.  The job is reported
-through :func:`~repro.core.cwl_app.report_finished`, as bridge steps are.
+the recorded files without spawning anything), and outputs are collected in
+the job's directory: the context's ``outdir`` under an engine, else the
+working directory, into which the job's files are then copied.  The job is
+reported through :func:`~repro.core.cwl_app.report_finished`, as bridge steps
+are.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ def run_tool_with_parsl(
     tool: Union[str, os.PathLike, "CommandLineTool"],
     job_order: Optional[Dict[str, Any]] = None,
     config: Union[None, str, os.PathLike, Config] = None,
-    outdir: Optional[str] = None,
     cleanup: Optional[bool] = None,
     runtime_context: Optional[RuntimeContext] = None,
     job_observer: Optional[Any] = None,
@@ -72,14 +73,15 @@ def run_tool_with_parsl(
     config:
         A YAML configuration path, an already-built :class:`Config`, or ``None``
         to use whatever DataFlowKernel is already loaded.
-    outdir:
-        Directory in which output files are collected (defaults to the current
-        working directory, which is where Parsl bash apps execute).
     cleanup:
         Whether to shut down the DataFlowKernel afterwards.  Defaults to True
         exactly when this call loaded the kernel itself.
     runtime_context:
-        The run options, handed whole to the :class:`CWLApp`: the job cache
+        The run options, handed whole to the :class:`CWLApp`.  Its ``outdir``
+        is the job's directory, where its files stay and its outputs are
+        collected (an engine's ``<root>/<job name>``); without one the job's
+        files are delivered into the working directory and collected there.
+        The rest: the job cache
         (``cache_dir`` / ``job_cache``; a hit is restored through the loaded
         kernel, in process), ``cores`` / ``ram_mb`` / ``env``, ``timeout_s``
         (enforced by the launcher the runners use; exceeding it raises
@@ -102,10 +104,10 @@ def run_tool_with_parsl(
     future = error = None
     try:
         app = CWLApp(tool_doc, runtime_context=context)
-        future = app(**job_order)
+        future = app(**job_order, _job_dir=context.outdir)
         future.result()
 
-        outdir = outdir or os.getcwd()
+        outdir = context.outdir or os.getcwd()
         # A relative redirection is one under ``outdir``.
         stdout_path, stderr_path = (os.path.join(outdir, stream) if stream else None
                                     for stream in (future.stdout, future.stderr))

@@ -18,12 +18,12 @@ interleaves the steps as it would for a native Parsl program.  What stays here
 is Parsl's own: the ``CWLApp`` calls, job events, the ``max_inflight`` window,
 journal terminal states and ``on_error="continue"`` once futures drain.
 
-Each step or shard node runs in its own directory (:func:`_node_directory`)
-under one root per submission (``runtime_context.make_job_dir``), where its
-files stay and its futures name them.  Two things have no value before their
-step runs and are refused at submission time with
-:class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over a value
-that is still a future (the width is unknown), and a step output with an
+Each step or shard node runs in the directory the shared engine gives it,
+``<root>/<node path>`` under the run's root (the context's ``outdir``, else
+one the engine makes), where its files stay and its futures name them.  Two
+things have no value before their step runs and are refused at submission
+time with :class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over
+a value that is still a future (the width is unknown), and a step output with an
 ``outputEval``, whose value is not a file future.  A step output whose
 evaluated glob has a wildcard names no file yet, and is refused with a
 :class:`~repro.cwl.errors.WorkflowException`.  ``when`` / ``valueFrom`` and
@@ -34,7 +34,6 @@ the steps' file names see an upstream future as the File it will be
 from __future__ import annotations
 
 import os
-import re
 import threading
 from typing import Any, Dict, List, Optional, Union
 
@@ -57,23 +56,21 @@ class _SubmissionEngine(WorkflowEngine):
     """The shared engine run at submission time: step outputs are futures."""
 
     def __init__(self, bridge: "CWLWorkflowBridge") -> None:
-        context = bridge.runtime_context
         # Submission is serial and fails fast; the run's journal, failure
         # policy and in-flight window apply to the futures, i.e. to the bridge.
         # The run directory stays, and with it the run-scoped job cache.
-        super().__init__(bridge.workflow, self._submit, context.child(
+        super().__init__(bridge.workflow, self._submit, bridge.runtime_context.child(
             _journal=None, on_error="stop", pipeline=False))
         self._graph = bridge.graph
         self._bridge = bridge
         self._node: Optional[GraphNode] = None
-        self._root = context.make_job_dir("bridge")  # holds every node's directory
 
     def _execute_node(self, node: GraphNode) -> Continuation[Optional[Expansion]]:
         self._node = node  # names the job a step or shard node submits
         return (yield from super()._execute_node(node))
 
     def _submit(self, process: Process, job: Dict[str, Any],
-                _context: RuntimeContext) -> Dict[str, DataFuture]:
+                context: RuntimeContext) -> Dict[str, DataFuture]:
         node = self._node
         app = self._bridge._app_for(process, node.step)
         evaluated = [param.id for param in app.tool.outputs
@@ -86,7 +83,7 @@ class _SubmissionEngine(WorkflowEngine):
                 "between steps as futures (run the tool on engine='parsl', or the workflow on "
                 "a runner engine)")
         outputs = self._bridge._observed_call(
-            app, {**job, "_job_dir": _node_directory(self._root, node.id)}, node.id).cwl_outputs
+            app, {**job, "_job_dir": context.outdir}, node.id).cwl_outputs
         unknown = [out_id for out_id in node.step.out if out_id not in outputs]
         if unknown:
             raise WorkflowException(
@@ -107,17 +104,6 @@ class _SubmissionEngine(WorkflowEngine):
                     f"step {step.id!r} scatters over {key!r} whose value is a future; scatter "
                     "widths must be known at submission time in the Parsl workflow bridge")
         return super()._plan_scatter(step, process, step_inputs)
-
-
-def _node_directory(root: str, node_id: str) -> str:
-    """Node ``node_id``'s directory: its path under ``root`` (``<scope>/<step>``,
-    a shard ``step[i]`` at ``step/i``), with the dots of a ``..`` or ``.``
-    component spelled ``%2E`` (and ``%`` as ``%25``), so that no node's
-    directory is outside ``root`` or another node's."""
-    parts = re.sub(r"\[(\d+)\]", r"/\1", node_id).split("/")
-    return os.path.join(root, *(
-        part.replace("%", "%25") if part.strip(".") else part.replace(".", "%2E") or "%"
-        for part in parts))
 
 
 class CWLWorkflowBridge:

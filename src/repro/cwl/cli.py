@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cwl.journal import resume_header
 from repro.cwl.loader import load_document
-from repro.cwl.outputs import stage_outputs
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import Process
 from repro.utils.yamlio import dump_json, load_yaml_file
@@ -124,8 +123,9 @@ def _required_positionals(parser: argparse.ArgumentParser) -> List[str]:
 
 
 def _resolve_file_inputs(process: Process, job_order: Dict[str, Any]) -> Dict[str, Any]:
-    """Make relative ``File`` input paths absolute (``parsl-cwl`` runs its
-    tool in ``--outdir``); any other input is left as given."""
+    """Make relative ``File`` input paths absolute, against the directory
+    the CLI was started in (a job runs in a directory of its own); any other
+    input is left as given."""
     resolved = dict(job_order)
     for param in process.inputs:
         if not param.type.is_file:
@@ -203,9 +203,9 @@ def _runner_main(prog: str, description: str, engine: str,
     add_engine_args(parser)
     parser.add_argument("document", help="CWL document (CommandLineTool or Workflow)")
     parser.add_argument("job_order", nargs="?", help="YAML/JSON job order file")
-    # Paths are absolute from here on: parsl-cwl runs in --outdir.
-    parser.add_argument("--outdir", type=os.path.abspath, default=None,
-                        help="directory for final outputs")
+    parser.add_argument("--outdir", type=os.path.abspath, default=os.curdir,
+                        help="directory the output files are staged into "
+                             "(default: the working directory)")
     parser.add_argument("--cachedir", dest="cache_dir", type=os.path.abspath,
                         default=None,
                         help="reuse tool results through the job cache at this directory")
@@ -271,16 +271,14 @@ def _runner_main(prog: str, description: str, engine: str,
             session = cleanup.enter_context(api.Session(
                 engine=engine, runtime_context=runtime_context,
                 **engine_options(args, cleanup)))
+            # Like cwltool --outdir: the run stages every output file into it.
             result = session.run(process, job_order)
-            # Like cwltool --outdir: every output file is staged into it.
-            outputs = stage_outputs(result.outputs, args.outdir) if args.outdir \
-                else result.outputs
         except KeyboardInterrupt:
             return _handle_interrupt(parser, runtime_context)
         except Exception as exc:  # CLI boundary: report and return failure
             print(f"{prog}: error: {exc}", file=sys.stderr)
             return 1
-    print(dump_json(outputs))
+    print(dump_json(result.outputs))
     if not args.quiet:
         print(f"Final process status is {result.status}", file=sys.stderr)
     return 0 if result.status == "success" else 1

@@ -167,6 +167,8 @@ def stage_file(source: str, destination: str, overwrite: bool = True,
         except FileExistsError:
             if not overwrite:
                 return "kept"
+            if os.path.samefile(source, destination):
+                return "link"  # a rename onto it would leave the temporary name
         except OSError:
             pass  # missing parent, cross-device, FS without hardlinks: below
     elif not overwrite and os.path.exists(destination):

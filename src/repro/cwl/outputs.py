@@ -116,25 +116,32 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
                   compute_checksum: bool = False) -> Dict[str, Any]:
     """Restage every File/Directory of an output object into ``destination``.
 
-    The final-output analogue of ``cwltool --outdir``: each referenced file is
-    staged with the shared hardlink-with-copy-fallback helper
-    (:func:`repro.cwl.jobcache.stage_file` — zero-copy on the same
-    filesystem, never a ``shutil.copy`` when a link suffices) and the value's
-    ``path``/``location`` are rewritten to the staged copy.  Values whose
-    source no longer exists are passed through unchanged.  Returns a new
-    output object; the input is not mutated.  A value already at its staged
-    path (``parsl-cwl`` runs its tool in ``destination``) is left as it is.
+    The final-output step of ``cwltool --outdir`` (its ``relocateOutputs``):
+    each referenced file is staged with the shared hardlink-with-copy-fallback
+    helper (:func:`repro.cwl.jobcache.stage_file` — zero-copy on the same
+    filesystem) and the value's ``path``/``location``/``basename`` are
+    rewritten to the staged copy.  Values of one basename from different
+    sources do not overwrite each other: as under cwltool's
+    ``fix_conflicts``, the later ones are staged as ``<basename>_2``,
+    ``<basename>_3``, ...  Values whose source no longer exists are passed
+    through unchanged.  Returns a new output object; the input is not mutated.
     """
+    sources: Dict[str, str] = {}  # staged path -> the source staged there
+
+    def target_of(value: Dict[str, Any], source: str) -> str:
+        target = os.path.join(destination, value.get("basename") or os.path.basename(source))
+        candidate, count = target, 1
+        while sources.setdefault(candidate, source) != source:
+            count += 1
+            candidate = f"{target}_{count}"
+        return candidate
 
     def restage(value: Any) -> Any:
         if is_file_value(value):
             source = value.get("path")
             if not source or not os.path.isfile(source):
                 return value
-            target = os.path.join(destination, value.get("basename") or
-                                  os.path.basename(source))
-            if os.path.abspath(source) == os.path.abspath(target):
-                return value
+            target = target_of(value, source)
             stage_file(source, target)
             staged = build_file_value(target, compute_checksum=compute_checksum)
             staged.update({k: v for k, v in value.items() if k not in staged})
@@ -143,10 +150,7 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
             source = value.get("path")
             if not source or not os.path.isdir(source):
                 return value
-            target = os.path.join(destination, value.get("basename") or
-                                  os.path.basename(source))
-            if os.path.abspath(source) == os.path.abspath(target):
-                return value
+            target = target_of(value, source)
             for root, _dirs, names in os.walk(source):
                 rel = os.path.relpath(root, source)
                 os.makedirs(os.path.normpath(os.path.join(target, rel)), exist_ok=True)

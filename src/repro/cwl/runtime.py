@@ -10,6 +10,7 @@ directories, whether to reuse results through the content-addressed job cache).
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import signal as _signal_module
 import tempfile
@@ -54,7 +55,8 @@ class _ThreadDirs(dict):
 class RuntimeContext:
     """Execution-time settings shared by all runners."""
 
-    #: Directory into which final outputs are collected.
+    #: Where a run stages its output object (``cwltool --outdir``); in a
+    #: job's context, the directory the job runs in.
     outdir: Optional[str] = None
     #: Base directory for per-job working directories.
     basedir: Optional[str] = None
@@ -108,7 +110,7 @@ class RuntimeContext:
     #: Scratch directories this context created, removed by :meth:`close`.
     _scratch_dirs: Set[str] = field(default_factory=set, repr=False, compare=False)
     #: ``(thread, kind)`` -> that thread's reused directory of that kind
-    #: (:meth:`_thread_dir`), shared with children like the set above.
+    #: (:meth:`thread_dir`), shared with children like the set above.
     _thread_dirs: _ThreadDirs = field(default_factory=_ThreadDirs, repr=False, compare=False)
     #: Live subprocesses started under this context (shared with children),
     #: so an interrupted run can reap them via :meth:`terminate_processes`.
@@ -139,7 +141,15 @@ class RuntimeContext:
         return self.basedir or tempfile.gettempdir()
 
     def make_job_dir(self, name: str = "job") -> str:
-        """Create a fresh working directory for one job."""
+        """The working directory of one job: the context's :attr:`outdir`
+        when it names one (a run's node directory), made with its parents or,
+        for a retry, emptied; else a fresh ``cwl-<name>-*`` directory."""
+        if self.outdir is not None:
+            try:
+                os.makedirs(self.outdir)
+            except FileExistsError:
+                empty_directory(self.outdir)
+            return self.outdir
         base = self.job_dir_base()
         with self._teardown_lock:
             self._make_parent_locked(base)
@@ -158,10 +168,10 @@ class RuntimeContext:
         """The scratch directory of a job that runs its tool on this thread:
         one per thread and ``tmpdir_prefix`` in this context family, made by
         :meth:`make_tmpdir` for the thread's first job and emptied for each
-        later one (:meth:`_thread_dir`)."""
-        return self._thread_dir(self.tmpdir_prefix, self.make_tmpdir)
+        later one (:meth:`thread_dir`)."""
+        return self.thread_dir(self.tmpdir_prefix, self.make_tmpdir)
 
-    def _thread_dir(self, kind: Any, make: Callable[[], str]) -> str:
+    def thread_dir(self, kind: Any, make: Callable[[], str]) -> str:
         """This thread's directory of ``kind`` in this context family,
         emptied of what the thread's last job left there: made by ``make``
         the first time (or again, if it was removed behind the context's
@@ -402,6 +412,17 @@ def context_with_options(runtime_context: Optional[RuntimeContext],
     context = runtime_context if runtime_context is not None else RuntimeContext()
     overrides = {k: v for k, v in options.items() if v is not None}
     return context.child(**overrides) if overrides else context
+
+
+def node_directory(root: str, node_id: str) -> str:
+    """Node ``node_id``'s directory: its path under ``root`` (``<scope>/<step>``,
+    a shard ``step[i]`` at ``step/i``), with the dots of a ``..`` or ``.``
+    component spelled ``%2E`` (and ``%`` as ``%25``), so that no node's
+    directory is outside ``root`` or another node's."""
+    parts = re.sub(r"\[(\d+)\]", r"/\1", node_id).split("/")
+    return os.path.join(root, *(
+        part.replace("%", "%25") if part.strip(".") else part.replace(".", "%2E") or "%"
+        for part in parts))
 
 
 def _remove_directories(paths: Set[str]) -> None:

@@ -18,7 +18,8 @@ number of live worker threads never exceeds ``max_workers``.
 The engine is the one interpreter of workflow wiring for all four engines and
 is runner-agnostic: the actual execution of a step's process is delegated to a
 ``process_runner`` callable, which receives the resolved process, the step's
-job order and the runtime context and returns the output object, or a
+job order and the node's runtime context (whose ``outdir`` is the node's job
+directory, ``<root>/<node path>``) and returns the output object, or a
 continuation (:mod:`repro.utils.continuation`) whose value it is.  Step and
 shard nodes ``yield from`` it, so the runner decides where a node blocks: the
 cwltool-like and Toil-like runners yield only when a job misses the cache and
@@ -65,7 +66,7 @@ from repro.cwl.graph import (
     seed_workflow_inputs,
 )
 from repro.cwl.loader import load_document_cached
-from repro.cwl.runtime import RuntimeContext
+from repro.cwl.runtime import RuntimeContext, node_directory
 from repro.cwl.scatter import ScatterPlan, build_scatter_jobs, nest_outputs
 from repro.cwl.scheduler import Expansion, GraphScheduler, PipelineScheduler
 from repro.cwl.schema import ExpressionTool, Process, Workflow, WorkflowStep
@@ -132,10 +133,10 @@ class _PipelinedNodeExecutor:
             if staged.skipped:
                 return None
             return finish(engine.process_runner(staged.process, staged.inputs,
-                                                engine.runtime_context))
+                                                engine._node_context(node)))
         if node.kind == SHARD and not engine._is_skipped(node.scope):
             process, job = node.payload
-            return finish(engine.process_runner(process, job, engine.runtime_context))
+            return finish(engine.process_runner(process, job, engine._node_context(node)))
         # Tiny kinds (and skipped scopes) take the thread-pool core's exact
         # dispatch path, so the two cores cannot diverge on plumbing.
         return finish(engine._execute_node(node))
@@ -221,6 +222,8 @@ class WorkflowEngine:
         self._lenient_egress = set()
         self._seed_inputs(job_order)
         context = self.runtime_context
+        # Every node's job directory is under the run's root, else one of its own.
+        self._root = context.outdir or context.make_job_dir("run")
         if context.pipeline:
             scheduler: GraphScheduler = PipelineScheduler(
                 self.graph, executor=_PipelinedNodeExecutor(self),
@@ -267,6 +270,11 @@ class WorkflowEngine:
 
     # ------------------------------------------------------------ node executor
 
+    def _node_context(self, node: GraphNode) -> RuntimeContext:
+        """The context a step or shard node's process runs under: its job
+        runs in the node's directory, ``<root>/<node path>``."""
+        return self.runtime_context.child(outdir=node_directory(self._root, node.id))
+
     def _is_skipped(self, scope: str) -> bool:
         return any(scope.startswith(skipped) for skipped in self._skipped_scopes)
 
@@ -297,7 +305,7 @@ class WorkflowEngine:
     def _execute_step_node(self, node: GraphNode) -> Continuation[None]:
         staged = self._stage_step(node)
         outputs = None if staged.skipped else (yield from self.process_runner(
-            staged.process, staged.inputs, self.runtime_context))
+            staged.process, staged.inputs, self._node_context(node)))
         self._collect_step(node, staged, outputs)
 
     def _stage_step(self, node: GraphNode) -> _StagedStep:
@@ -396,7 +404,7 @@ class WorkflowEngine:
 
     def _execute_shard_node(self, node: GraphNode) -> Continuation[None]:
         process, job = node.payload
-        outputs = yield from self.process_runner(process, job, self.runtime_context)
+        outputs = yield from self.process_runner(process, job, self._node_context(node))
         for out_id in node.step.out:
             self._store(f"{node.id}/{out_id}", outputs.get(out_id))
 

@@ -127,7 +127,8 @@ def test_parsl_bridge_max_inflight_window_is_linear():
 
     submissions, max_inflight = 2000, 4
     lock = threading.Lock()
-    checks = unfinished = peak = 0
+    checks = unfinished = peak = made = 0
+    raised = []
 
     class CountedFuture(Future):
         def done(self):
@@ -169,8 +170,13 @@ def test_parsl_bridge_max_inflight_window_is_linear():
             pool.submit(finish, future)
             return future
 
-        for index in range(submissions):
-            bridge._observed_call(app, {}, f"job{index}")
+        nonlocal made
+        try:
+            for index in range(submissions):
+                bridge._observed_call(app, {}, f"job{index}")
+                made += 1
+        except BaseException as exc:  # asserted below: the thread must not die
+            raised.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -182,6 +188,7 @@ def test_parsl_bridge_max_inflight_window_is_linear():
     finally:
         sys.setswitchinterval(interval)
     assert not submitter.is_alive()
+    assert raised == [] and made == submissions
     assert checks <= submissions
     assert peak < max_inflight
     assert bridge._unfinished == 0 and unfinished == 0

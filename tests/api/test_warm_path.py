@@ -134,14 +134,14 @@ class Counted:
 
         def mkdir(path, *args, **kwargs):
             real_mkdir(path, *args, **kwargs)
-            self.mkdirs.append(os.path.basename(os.fspath(path)))
+            self.mkdirs.append(os.path.abspath(os.fspath(path)))
 
         monkeypatch.setattr(subprocess.Popen, "__init__", popen_init)
         monkeypatch.setattr(RuntimeContext, "make_tmpdir", make_tmpdir)
         monkeypatch.setattr(os, "mkdir", mkdir)
 
     def job_dirs(self) -> list:
-        return [name for name in self.mkdirs if name.startswith("cwl-")]
+        return [path for path in self.mkdirs if os.path.basename(path).startswith("cwl-")]
 
 
 def cases_for(engine: str):
@@ -174,13 +174,12 @@ def test_a_hit_spawns_nothing_and_makes_only_its_output_directory(
         assert len(ends) == jobs and all(event.cache == "hit" for event in ends)
         assert counted.spawns == 0, f"{label}: a hit spawned a process"
         assert counted.tmpdirs == 0, f"{label}: a hit made a scratch directory"
-        # One output directory per job on the runner engines.  A Parsl job
-        # restores into its worker thread's output directory (two threads
-        # here), reused by the thread's later jobs, and copies its files
-        # from there into the shared cwd.
-        made = len(counted.job_dirs())
-        assert made == jobs if engine in RUNNERS else 1 <= made <= min(jobs, 2), counted.mkdirs
-        assert not [name for name in counted.mkdirs if name.startswith("cwl-tmp-")]
+        # One root per run and, under it, one directory per job: its node's
+        # (a tool run's is named after the tool), where the hit is restored.
+        [root] = counted.job_dirs()
+        assert os.path.basename(root).startswith("cwl-run-"), counted.mkdirs
+        below = [path for path in counted.mkdirs if path.startswith(root + os.sep)]
+        assert len(below) == jobs, counted.mkdirs
         assert not (warm_dir / "scratch").exists()
         assert set(warm.outputs) == set(cold.outputs)
         for key in cold.outputs:

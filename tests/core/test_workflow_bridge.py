@@ -274,7 +274,7 @@ def test_scatter_shards_with_one_literal_output_name_keep_their_own_outputs(
 
 @pytest.mark.parametrize("engine", ["reference", "parsl", "parsl-workflow"])
 def test_a_step_named_dot_dot_runs_inside_the_bridge_root(engine, tmp_path, monkeypatch):
-    """A node's directory is under its submission's root whatever the step is
+    """A node's directory is under its run's root whatever the step is
     called: a step named `..` does not run in (and empty) the directory the
     root was made in, where a canary file and a sibling directory stay."""
     monkeypatch.chdir(tmp_path)
@@ -298,8 +298,7 @@ def test_a_step_named_dot_dot_runs_inside_the_bridge_root(engine, tmp_path, monk
                                                 run_dir=str(tmp_path / "runinfo"))
     said = api.run(workflow, {"word": "up"}, engine=engine, **options).outputs["said"]
     assert Path(said["path"]).read_text() == "up\n"
-    if engine.startswith("parsl"):
-        root, *below = os.path.relpath(said["path"], base).split(os.sep)
-        assert root.startswith("cwl-bridge-") and ".." not in below
+    root, *below = os.path.relpath(said["path"], base).split(os.sep)
+    assert root.startswith("cwl-run-") and ".." not in below
     assert (base / "canary.txt").read_text() == "canary\n"
     assert (base / "sibling" / "kept.txt").read_text() == "kept\n"

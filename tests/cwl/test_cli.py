@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +111,59 @@ def test_the_three_clis_offer_the_same_run_option_flags(capsys):
     assert run_options[0] == run_options[1] == run_options[2]
     assert {"--cachedir", "--retries", "--timeout", "--on-error", "--rundir",
             "--resume"} <= run_options[0]
+
+
+SCATTERED_ECHO = {
+    "cwlVersion": "v1.2", "class": "Workflow",
+    "requirements": [{"class": "ScatterFeatureRequirement"}],
+    "inputs": {"words": "string[]"},
+    "outputs": {"said": {"type": "File[]", "outputSource": "say/said"}},
+    "steps": {"say": {
+        "run": {"class": "CommandLineTool", "baseCommand": "echo",
+                "inputs": {"word": {"type": "string", "inputBinding": {"position": 1}}},
+                "outputs": {"said": "stdout"}, "stdout": "said.txt"},
+        "scatter": "word", "in": {"word": "words"}, "out": ["said"]}},
+}
+
+
+@pytest.fixture(params=["repro-cwltool", "repro-toil-cwl-runner", "parsl-cwl"])
+def run_cli(request, tmp_path, config_dir, monkeypatch):
+    """One of the three CLIs, run in ``tmp_path`` with a scattered echo
+    workflow and its job file there."""
+    monkeypatch.chdir(tmp_path)
+    dump_yaml(SCATTERED_ECHO, tmp_path / "scatter.cwl")
+    dump_yaml({"words": ["a", "b", "c"]}, tmp_path / "job.yml")
+
+    def run(*options):
+        argv = ["--quiet", *options, "scatter.cwl", "job.yml"]
+        if request.param == "repro-toil-cwl-runner":
+            return toil_main(["--jobStore", str(tmp_path / "jobstore"), *argv])
+        if request.param == "parsl-cwl":
+            return parsl_cwl_main([str(config_dir / "local_threads.yml"), *argv])
+        return cwltool_main(argv)
+
+    return run
+
+
+def test_each_cli_stages_shards_with_one_basename_apart(run_cli, tmp_path, capsys):
+    """Every shard writes `said.txt`: `--outdir` gets `said.txt`,
+    `said.txt_2` and `said.txt_3`, each with its own shard's content, and
+    nothing else (no job directory)."""
+    assert run_cli("--outdir", "out") == 0
+    said = json.loads(capsys.readouterr().out)["said"]
+    assert [value["basename"] for value in said] == ["said.txt", "said.txt_2", "said.txt_3"]
+    assert [value["path"] for value in said] == [
+        str(tmp_path / "out" / value["basename"]) for value in said]
+    assert [Path(value["path"]).read_text() for value in said] == ["a\n", "b\n", "c\n"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["said.txt", "said.txt_2", "said.txt_3"]
+
+
+def test_each_cli_stages_into_the_working_directory_by_default(run_cli, tmp_path, capsys):
+    before = set(os.listdir(tmp_path))
+    assert run_cli() == 0
+    said = json.loads(capsys.readouterr().out)["said"]
+    assert [value["path"] for value in said] == [
+        str(tmp_path / name) for name in ("said.txt", "said.txt_2", "said.txt_3")]
+    # Parsl's own run directory and the Toil job store are not the run's.
+    left = set(os.listdir(tmp_path)) - before - {"runinfo", "jobstore"}
+    assert sorted(left) == ["said.txt", "said.txt_2", "said.txt_3"]

@@ -62,16 +62,17 @@ PARTIAL_WORKFLOW = {
 
 
 @pytest.fixture(params=["cwltool", "toil", "parsl-cwl"])
-def cli(request, tmp_path, config_dir):
-    """Run each CLI with per-test isolation; returns (rc, stdout, stderr)."""
+def cli(request, tmp_path, config_dir, monkeypatch):
+    """Run each CLI with per-test isolation, in ``tmp_path`` (the default
+    ``--outdir``); returns (rc, stdout, stderr)."""
+    monkeypatch.chdir(tmp_path)
+
     def invoke(argv, capsys):
         if request.param == "toil":
             argv = ["--jobStore", str(tmp_path / "jobstore")] + list(argv)
             rc = toil_main(argv)
         elif request.param == "parsl-cwl":
-            # The tool runs in --outdir; a test's own --outdir comes later and wins.
-            argv = ["--outdir", str(tmp_path / "parsl-out"),
-                    str(config_dir / "local_threads.yml")] + list(argv)
+            argv = [str(config_dir / "local_threads.yml")] + list(argv)
             rc = parsl_cwl_main(argv)
         else:
             rc = cwltool_main(argv)
@@ -165,11 +166,8 @@ def test_workflow_partial_failure_exits_1_without_partial_outputs(
     assert rc == 1
     assert out.strip() == ""
     assert "exit code 9" in err
-    # no final outputs were staged for the failed run (parsl-cwl runs its
-    # tools in --outdir, so there it holds what the failed step wrote)
-    if cli.name != "parsl-cwl":
-        staged = os.listdir(outdir) if os.path.isdir(outdir) else []
-        assert "never.txt" not in staged
+    # nothing is left in --outdir by the failed run: no output, no job directory
+    assert not os.path.isdir(outdir) or os.listdir(outdir) == []
 
 
 def test_workflow_partial_failure_leaves_cache_unpoisoned(cli, tmp_path, capsys):

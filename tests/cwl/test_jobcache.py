@@ -71,6 +71,18 @@ def test_stage_file_overwrite_replaces_and_kept_preserves(tmp_path):
     assert destination.read_text() == "new"
 
 
+def test_stage_file_onto_a_link_of_itself_leaves_no_temporary_file(tmp_path):
+    """Staging a warm output where an earlier run staged the same cached
+    body: renaming a link onto a link of the same file does nothing, so the
+    temporary name must not be made."""
+    source = tmp_path / "src.txt"
+    source.write_text("payload")
+    destination = tmp_path / "out" / "dst.txt"
+    stage_file(str(source), str(destination))
+    assert stage_file(str(source), str(destination)) == "link"
+    assert os.listdir(tmp_path / "out") == ["dst.txt"]
+
+
 # ----------------------------------------------------------------- fingerprints
 
 
