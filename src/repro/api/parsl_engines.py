@@ -19,7 +19,7 @@ from repro.core.cwl_app import running_jobs, to_cwl_value
 from repro.core.runner import ensure_kernel, run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
 from repro.cwl.journal import run_journalled
-from repro.cwl.runtime import RuntimeContext, context_with_options, node_directory
+from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 
@@ -106,9 +106,7 @@ class ParslEngine(Engine):
             )
         outputs = run_tool_with_parsl(
             tool=process, job_order=job_order, config=None, cleanup=False,
-            runtime_context=context.child(
-                outdir=node_directory(context.outdir, process.job_name)),
-            job_observer=recorder)
+            runtime_context=context, job_observer=recorder)
         return run_result(recorder, context, self.name, outputs)
 
 

@@ -110,7 +110,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     rebuilds the tool model and makes the job of :func:`job_order_view`.  Its
     context carries the caller's cores, RAM, environment, timeout, job
     directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``,
-    ``cwl_outdir``), so
+    ``cwl_job_dir``), so
     ``$(runtime.*)``, the job's environment and its cache key are what the
     runner engines would use.  On a tool with an ``InlinePythonRequirement``
     the job's ``evaluator_for`` is :class:`_InlinePythonTool`.  A stream the
@@ -128,7 +128,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     job_order = job_order_view(tool, cwl_inputs)
     family = _JOBS if _JOBS_PID == os.getpid() else RuntimeContext()
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
-    job_dir = _parsl_kwargs.get("cwl_outdir")
+    job_dir = _parsl_kwargs.get("cwl_job_dir")
     context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir), **{
         name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
         if _parsl_kwargs.get(f"cwl_{name}") is not None})
@@ -139,7 +139,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     if extract_inline_python(tool) is not None:
         evaluator_for = functools.partial(_InlinePythonTool, job_order=job_order,
                                           runtime=_job_runtime(context, tool, job_dir))
-    return CommandLineJob(tool, job_order, context.child(outdir=outdir),
+    return CommandLineJob(tool, job_order, context.child(_job_dir=outdir),
                           evaluator_for=evaluator_for)
 
 
@@ -248,7 +248,7 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     and outcome go into ``cwl_cache_note``.  A hit is restored, a miss runs
     the tool and is stored, both in the job's output directory; a stream named
     at submission (``cwl_streams``) must be the one the job names.  Unless
-    the call named that directory (``cwl_outdir``), the job's files are then
+    the call named that directory (``cwl_job_dir``), the job's files are then
     put where the call named them (:func:`_deliver`), those of a failed or
     timed-out run too before its error propagates.  Every declared output
     must then exist; the exit code (on a hit, the recorded one) is returned
@@ -259,7 +259,7 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     cache_note = kwargs.setdefault("cwl_cache_note", {})
 
     job = func(*args, **kwargs)
-    deliver = kwargs.get("cwl_outdir") is None
+    deliver = kwargs.get("cwl_job_dir") is None
     try:
         probe = finish(job.probe())
         if probe.key is not None:
@@ -531,7 +531,7 @@ class CWLApp:
             "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.job_name,
             "cwl_cache_dir": cache.cache_dir if cache is not None else None,
             "cwl_cache_note": cache_note, "cwl_retry_note": retry_note,
-            "cwl_streams": streams, "cwl_outdir": job_dir}
+            "cwl_streams": streams, "cwl_job_dir": job_dir}
         for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
         app_kwargs.update((stream, path) for stream, path in redirects.items() if path)

@@ -9,10 +9,12 @@ already called :func:`repro.parsl.load`.
 The tool runs as one ``CWLApp`` invocation under the caller's whole context:
 retries wrap the runners' job attempt on the execution side (a hit restores
 the recorded files without spawning anything), and outputs are collected in
-the job's directory: the context's ``outdir`` under an engine, else the
-working directory, into which the job's files are then copied.  The job is
-reported through :func:`~repro.core.cwl_app.report_finished`, as bridge steps
-are.
+the job's directory.  That is ``<root>/<job name>`` under a run's root
+(:func:`~repro.cwl.outputs.run_in_root`; an engine's, or one made here when
+the context names an ``outdir``, into which the outputs are then staged);
+else the job's files are copied into the working directory and collected
+there.  The job is reported through
+:func:`~repro.core.cwl_app.report_finished`, as bridge steps are.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.core.cwl_app import CWLApp, job_order_view, report_finished
 from repro.core.yaml_config import load_yaml_config
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.loader import load_tool
-from repro.cwl.outputs import collect_outputs
+from repro.cwl.outputs import collect_outputs, run_in_root
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool
 from repro.parsl.config import Config
@@ -77,11 +79,10 @@ def run_tool_with_parsl(
         Whether to shut down the DataFlowKernel afterwards.  Defaults to True
         exactly when this call loaded the kernel itself.
     runtime_context:
-        The run options, handed whole to the :class:`CWLApp`.  Its ``outdir``
-        is the job's directory, where its files stay and its outputs are
-        collected (an engine's ``<root>/<job name>``); without one the job's
-        files are delivered into the working directory and collected there.
-        The rest: the job cache
+        The run options, handed whole to the :class:`CWLApp`.  Given an
+        ``outdir``, the output files are staged into it, as on every engine;
+        given neither that nor a run's root, the job's files are delivered
+        into the working directory and collected there.  The rest: the job cache
         (``cache_dir`` / ``job_cache``; a hit is restored through the loaded
         kernel, in process), ``cores`` / ``ram_mb`` / ``env``, ``timeout_s``
         (enforced by the launcher the runners use; exceeding it raises
@@ -96,6 +97,11 @@ def run_tool_with_parsl(
     job_order = dict(job_order or {})
     tool_doc = tool if isinstance(tool, CommandLineTool) else load_tool(tool)
     context = runtime_context or RuntimeContext()
+    if context.job_dir is None and context.outdir is not None:
+        # As on an engine: in a root of its own, its outputs staged into outdir.
+        return run_in_root(context, lambda run: run_tool_with_parsl(
+            tool_doc, job_order, config, cleanup, run, job_observer))
+    job_dir = context.job_dir and context.node_context(tool_doc.job_name).job_dir
     loaded_here = ensure_kernel(config)
     if cleanup is None:
         cleanup = loaded_here
@@ -104,10 +110,10 @@ def run_tool_with_parsl(
     future = error = None
     try:
         app = CWLApp(tool_doc, runtime_context=context)
-        future = app(**job_order, _job_dir=context.outdir)
+        future = app(**job_order, _job_dir=job_dir)
         future.result()
 
-        outdir = context.outdir or os.getcwd()
+        outdir = job_dir or os.getcwd()
         # A relative redirection is one under ``outdir``.
         stdout_path, stderr_path = (os.path.join(outdir, stream) if stream else None
                                     for stream in (future.stdout, future.stderr))
@@ -128,4 +134,3 @@ def run_tool_with_parsl(
         report_finished(future, job_observer, token, error)
         if cleanup:
             DataFlowKernelLoader.clear()
-

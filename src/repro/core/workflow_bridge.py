@@ -19,8 +19,9 @@ is Parsl's own: the ``CWLApp`` calls, job events, the ``max_inflight`` window,
 journal terminal states and ``on_error="continue"`` once futures drain.
 
 Each step or shard node runs in the directory the shared engine gives it,
-``<root>/<node path>`` under the run's root (the context's ``outdir``, else
-one the engine makes), where its files stay and its futures name them.  Two
+``<root>/<node path>`` under the run's root, where its files stay and its
+futures name them; :meth:`CWLWorkflowBridge.run` stages the outputs into
+the context's ``outdir`` when it names one, as every engine does.  Two
 things have no value before their step runs and are refused at submission
 time with :class:`~repro.cwl.errors.UnsupportedRequirement`: scattering over
 a value that is still a future (the width is unknown), and a step output with an
@@ -33,6 +34,7 @@ the steps' file names see an upstream future as the File it will be
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from typing import Any, Dict, List, Optional, Union
@@ -41,12 +43,15 @@ from repro.core.cwl_app import CWLApp, report_finished, to_cwl_value
 from repro.cwl.errors import UnsupportedRequirement, WorkflowException
 from repro.cwl.graph import GraphNode, WorkflowGraph, build_graph
 from repro.cwl.loader import load_document
+from repro.cwl.outputs import run_in_root, stage_outputs
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scatter import ScatterPlan
 from repro.cwl.scheduler import Expansion
 from repro.cwl.schema import CommandLineTool, Process, Workflow, WorkflowStep
+from repro.cwl.types import is_file_value
 from repro.cwl.validate import ensure_valid
 from repro.cwl.workflow import WorkflowEngine
+from repro.parsl.data_provider.files import File
 from repro.parsl.dataflow.dflow import DataFlowKernel
 from repro.parsl.dataflow.futures import AppFuture, DataFuture
 from repro.utils.continuation import Continuation
@@ -55,11 +60,11 @@ from repro.utils.continuation import Continuation
 class _SubmissionEngine(WorkflowEngine):
     """The shared engine run at submission time: step outputs are futures."""
 
-    def __init__(self, bridge: "CWLWorkflowBridge") -> None:
+    def __init__(self, bridge: "CWLWorkflowBridge", context: RuntimeContext) -> None:
         # Submission is serial and fails fast; the run's journal, failure
         # policy and in-flight window apply to the futures, i.e. to the bridge.
         # The run directory stays, and with it the run-scoped job cache.
-        super().__init__(bridge.workflow, self._submit, bridge.runtime_context.child(
+        super().__init__(bridge.workflow, self._submit, context.child(
             _journal=None, on_error="stop", pipeline=False))
         self._graph = bridge.graph
         self._bridge = bridge
@@ -83,7 +88,7 @@ class _SubmissionEngine(WorkflowEngine):
                 "between steps as futures (run the tool on engine='parsl', or the workflow on "
                 "a runner engine)")
         outputs = self._bridge._observed_call(
-            app, {**job, "_job_dir": context.outdir}, node.id).cwl_outputs
+            app, {**job, "_job_dir": context.job_dir}, node.id).cwl_outputs
         unknown = [out_id for out_id in node.step.out if out_id not in outputs]
         if unknown:
             raise WorkflowException(
@@ -104,6 +109,21 @@ class _SubmissionEngine(WorkflowEngine):
                     f"step {step.id!r} scatters over {key!r} whose value is a future; scatter "
                     "widths must be known at submission time in the Parsl workflow bridge")
         return super()._plan_scatter(step, process, step_inputs)
+
+
+def _staged_files(values: Dict[str, Any], destination: str) -> Dict[str, Any]:
+    """The bridge's output values staged into ``destination``
+    (:func:`~repro.cwl.outputs.stage_outputs`), each File as its copy there."""
+    def as_parsl(value: Any) -> Any:
+        if is_file_value(value):
+            return File(value["path"])
+        if isinstance(value, list):
+            return [as_parsl(item) for item in value]
+        if isinstance(value, dict):
+            return {key: as_parsl(item) for key, item in value.items()}
+        return value
+
+    return as_parsl(stage_outputs(to_cwl_value(values), destination))
 
 
 class CWLWorkflowBridge:
@@ -154,11 +174,19 @@ class CWLWorkflowBridge:
 
     def submit(self, job_order: Dict[str, Any]) -> Dict[str, Any]:
         """Submit every graph node, from an empty value store and (unless
-        ``max_inflight`` is set) waiting for no task; outputs are futures/values."""
-        return _SubmissionEngine(self).run(job_order)
+        ``max_inflight`` is set) waiting for no task; outputs are futures/values.
+        Outside a run, the nodes run under a root made here and left in
+        place, with the files the futures name."""
+        context = self.runtime_context
+        if context.job_dir is None:
+            context = context.child(outdir=None, _job_dir=context.make_job_dir("run"))
+        return _SubmissionEngine(self, context).run(job_order)
 
     def run(self, job_order: Dict[str, Any]) -> Dict[str, Any]:
         """Submit the workflow and block until all outputs are concrete values.
+        The steps run under the run's root
+        (:func:`~repro.cwl.outputs.run_in_root`); given an ``outdir``, the
+        output files are staged there and returned as the staged Files.
 
         Under ``on_error="stop"`` the first failed step is re-raised once
         every submitted future has drained — also when no workflow output
@@ -168,12 +196,16 @@ class CWLWorkflowBridge:
         for us — and the failures are available in :attr:`failures`
         afterwards.
         """
+        return run_in_root(self.runtime_context, functools.partial(self._run, job_order),
+                           _staged_files)
+
+    def _run(self, job_order: Dict[str, Any], context: RuntimeContext) -> Dict[str, Any]:
         self.failures = {}
         stop = self.runtime_context.on_error == "stop"
         resolved: Dict[str, Any] = {}
         interrupted = False
         try:
-            for key, value in self.submit(job_order).items():
+            for key, value in _SubmissionEngine(self, context).run(job_order).items():
                 try:
                     resolved[key] = self._wait(value)
                 except Exception:

@@ -26,7 +26,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.cwl.outputs import stage_outputs
+from repro.cwl.outputs import run_in_root, stage_outputs
 from repro.utils.applog import AppendLog, read_log
 from repro.utils.hashing import hash_file
 
@@ -82,41 +82,36 @@ def open_run_dir(run_dir: str, *, process_path: str,
 
 def run_journalled(context: Any, process: Any, job_order: Dict[str, Any],
                    engine: str, run: Callable[[Any], Any]) -> Any:
-    """``run(context)`` in a root of its own (``make_job_dir("run")``), which
-    replaces the context's ``outdir``: every job runs at ``<root>/<node path>``.
-    Given an ``outdir``, the output object is staged there
-    (:func:`~repro.cwl.outputs.stage_outputs`) and the root removed, also after
-    a failure; else the outputs stay in the root, removed only if empty.
-    With ``context.run_dir``, the run is journalled: its header first (an
-    in-memory document, with no ``source_path`` to resume from, raises
-    :exc:`ValueError` first), the ``result`` (status, or ``failed`` with the
-    error class) last."""
-    if context.run_dir and not process.source_path:
+    """``run(context)`` in a root of its own, its result's outputs staged into
+    the context's ``outdir`` (:func:`~repro.cwl.outputs.run_in_root`) and,
+    when ``context.run_dir`` is set, journalled: open the run directory,
+    write the header (an in-memory document, with no ``source_path`` to
+    resume from, raises :exc:`ValueError` first), run under a child context
+    whose ``journal`` is open, record the ``result`` (status, or ``failed``
+    with the error class) and close the journal."""
+    def staged(result: Any, destination: str) -> Any:
+        result.outputs = stage_outputs(result.outputs, destination, context.compute_checksum)
+        return result
+
+    if not context.run_dir:
+        return run_in_root(context, run, staged)
+    if not process.source_path:
         raise ValueError(
             f"run_dir={context.run_dir!r} needs a process loaded from a file: "
             "resuming re-reads the document from its path")
-    destination = context.outdir
     journal = open_run_dir(context.run_dir, process_path=process.source_path,
-                           job_order=job_order, engine=engine) if context.run_dir else None
-    root = context.child(outdir=None).make_job_dir("run")
+                           job_order=job_order, engine=engine)
     try:
-        result = run(context.child(outdir=root, _journal=journal))
-        if destination is not None:
-            result.outputs = stage_outputs(result.outputs, destination,
-                                           context.compute_checksum)
-        if journal is not None:
-            journal.record("result", status=result.status)
-        return result
+        result = run_in_root(context.child(_journal=journal), run, staged)
     except BaseException as exc:
-        if journal is not None:
-            journal.record("result", status="failed", error=str(exc),
-                           error_class=type(exc).__name__)
+        journal.record("result", status="failed", error=str(exc),
+                       error_class=type(exc).__name__)
         raise
+    else:
+        journal.record("result", status=result.status)
+        return result
     finally:
-        if journal is not None:
-            journal.close()
-        if destination is not None or not os.listdir(root):
-            context.cleanup_dir(root)
+        journal.close()
 
 
 def resume_header(run_dir: str) -> Dict[str, Any]:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import glob as globlib
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.cwl.errors import OutputCollectionError
 from repro.cwl.jobcache import stage_file
 from repro.cwl.schema import CommandLineTool, CommandOutputParameter
 from repro.cwl.types import build_directory_value, build_file_value, is_directory_value, is_file_value
+
+T = TypeVar("T")
 
 
 def _glob_in(outdir: str, pattern: str) -> List[str]:
@@ -166,6 +168,32 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
 
     os.makedirs(destination, exist_ok=True)
     return {key: restage(value) for key, value in outputs.items()}
+
+
+def run_in_root(context: Any, run: Callable[[Any], T],
+                stage: Optional[Callable[[T, str], T]] = None) -> T:
+    """``run(context)`` with every job under one root, the run's: inside a
+    run (the context names a ``job_dir``) that run's; else a new
+    ``make_job_dir("run")`` (under ``basedir``, else the temp dir), the
+    ``job_dir`` of a child context that names no ``outdir``.  Given an
+    ``outdir``, what ``run`` returns is then staged there (``stage``, by
+    default :func:`stage_outputs` of an output object) and the root removed,
+    also after a failure; else the outputs stay in the root, which is removed
+    only if empty."""
+    if context.job_dir is not None:
+        return run(context)
+    destination = context.outdir
+    root = context.make_job_dir("run")
+    try:
+        result = run(context.child(outdir=None, _job_dir=root))
+        if destination is None:
+            return result
+        if stage is None:
+            return stage_outputs(result, destination, context.compute_checksum)
+        return stage(result, destination)
+    finally:
+        if destination is not None or not os.listdir(root):
+            context.cleanup_dir(root)
 
 
 def collect_outputs(

@@ -43,7 +43,7 @@ from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.job import JobResult
 from repro.cwl.journal import run_journalled
 from repro.cwl.retry import retrying
-from repro.cwl.runtime import RuntimeContext, context_with_options, node_directory
+from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, ExpressionTool, Process, Workflow
 from repro.cwl.types import coerce_file_inputs
 from repro.cwl.validate import ensure_valid
@@ -113,8 +113,8 @@ class BaseRunner(Engine):
         job_order = {k: coerce_file_inputs(v) for k, v in (job_order or {}).items()}
         run_job = functools.partial(self._observed, recorder)
         if not isinstance(process, Workflow):
-            outputs = finish(run_job(process, job_order, context.child(
-                outdir=node_directory(context.outdir, process.job_name))))
+            outputs = finish(run_job(process, job_order,
+                                     context.node_context(process.job_name)))
             return run_result(recorder, context, self.name, outputs)
         workflow = WorkflowEngine(
             process, process_runner=run_job, runtime_context=context,

@@ -55,8 +55,8 @@ class _ThreadDirs(dict):
 class RuntimeContext:
     """Execution-time settings shared by all runners."""
 
-    #: Where a run stages its output object (``cwltool --outdir``); in a
-    #: job's context, the directory the job runs in.
+    #: Where a run stages its output object (``cwltool --outdir``).  No job
+    #: runs in it: a run's jobs run in a root of its own (:attr:`job_dir`).
     outdir: Optional[str] = None
     #: Base directory for per-job working directories.
     basedir: Optional[str] = None
@@ -123,11 +123,20 @@ class RuntimeContext:
     #: The open :class:`~repro.cwl.journal.RunJournal` of the execution this
     #: context belongs to, set by :func:`~repro.cwl.journal.run_journalled`.
     _journal: Optional[Any] = field(default=None, repr=False, compare=False)
+    #: The directory this context's process runs in, given out by the run:
+    #: its root (:func:`~repro.cwl.outputs.run_in_root`), or a node's
+    #: directory under it (:meth:`node_context`).
+    _job_dir: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def journal(self) -> Optional[Any]:
         """The run journal records go to, or ``None`` outside a journalled run."""
         return self._journal
+
+    @property
+    def job_dir(self) -> Optional[str]:
+        """The directory the run gave this context's process, if any."""
+        return self._job_dir
 
     def ensure_outdir(self) -> str:
         """Create (if needed) and return the output directory."""
@@ -141,15 +150,16 @@ class RuntimeContext:
         return self.basedir or tempfile.gettempdir()
 
     def make_job_dir(self, name: str = "job") -> str:
-        """The working directory of one job: the context's :attr:`outdir`
-        when it names one (a run's node directory), made with its parents or,
-        for a retry, emptied; else a fresh ``cwl-<name>-*`` directory."""
-        if self.outdir is not None:
+        """The working directory of one job: the context's :attr:`job_dir`
+        when the run gave it one, made (not its parent: a removed root stays
+        removed) or, for a retry, emptied; else a fresh ``cwl-<name>-*``
+        directory."""
+        if self._job_dir is not None:
             try:
-                os.makedirs(self.outdir)
+                os.mkdir(self._job_dir)
             except FileExistsError:
-                empty_directory(self.outdir)
-            return self.outdir
+                empty_directory(self._job_dir)
+            return self._job_dir
         base = self.job_dir_base()
         with self._teardown_lock:
             self._make_parent_locked(base)
@@ -231,6 +241,26 @@ class RuntimeContext:
         exactly once, however many threads race to do it.
         """
         return replace(self, **overrides)
+
+    def node_context(self, node_id: str) -> "RuntimeContext":
+        """The context of node ``node_id`` of the run whose root is this
+        context's :attr:`job_dir`: its job directory is the node's path under
+        the root (``<scope>/<step>``, a shard ``step[i]`` at ``step/i``), with
+        the dots of a ``..`` or ``.`` component spelled ``%2E`` (and ``%`` as
+        ``%25``), so that no node's directory is outside the root or another
+        node's.  The directories between are made one at a time, never the
+        root: once it is removed, a node fails with :exc:`FileNotFoundError`."""
+        *parents, leaf = (
+            part.replace("%", "%25") if part.strip(".") else part.replace(".", "%2E") or "%"
+            for part in re.sub(r"\[(\d+)\]", r"/\1", node_id).split("/"))
+        directory = self._job_dir
+        for part in parents:
+            directory = os.path.join(directory, part)
+            try:
+                os.mkdir(directory)
+            except FileExistsError:
+                pass
+        return self.child(_job_dir=os.path.join(directory, leaf))
 
     def with_resources(self, process: Any) -> "RuntimeContext":
         """A context whose cores/RAM honour the process's ``ResourceRequirement``.
@@ -412,17 +442,6 @@ def context_with_options(runtime_context: Optional[RuntimeContext],
     context = runtime_context if runtime_context is not None else RuntimeContext()
     overrides = {k: v for k, v in options.items() if v is not None}
     return context.child(**overrides) if overrides else context
-
-
-def node_directory(root: str, node_id: str) -> str:
-    """Node ``node_id``'s directory: its path under ``root`` (``<scope>/<step>``,
-    a shard ``step[i]`` at ``step/i``), with the dots of a ``..`` or ``.``
-    component spelled ``%2E`` (and ``%`` as ``%25``), so that no node's
-    directory is outside ``root`` or another node's."""
-    parts = re.sub(r"\[(\d+)\]", r"/\1", node_id).split("/")
-    return os.path.join(root, *(
-        part.replace("%", "%25") if part.strip(".") else part.replace(".", "%2E") or "%"
-        for part in parts))
 
 
 def _remove_directories(paths: Set[str]) -> None:

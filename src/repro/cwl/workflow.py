@@ -18,7 +18,7 @@ number of live worker threads never exceeds ``max_workers``.
 The engine is the one interpreter of workflow wiring for all four engines and
 is runner-agnostic: the actual execution of a step's process is delegated to a
 ``process_runner`` callable, which receives the resolved process, the step's
-job order and the node's runtime context (whose ``outdir`` is the node's job
+job order and the node's runtime context (whose ``job_dir`` is the node's
 directory, ``<root>/<node path>``) and returns the output object, or a
 continuation (:mod:`repro.utils.continuation`) whose value it is.  Step and
 shard nodes ``yield from`` it, so the runner decides where a node blocks: the
@@ -44,6 +44,7 @@ be refused).  The engine handles:
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
@@ -66,7 +67,8 @@ from repro.cwl.graph import (
     seed_workflow_inputs,
 )
 from repro.cwl.loader import load_document_cached
-from repro.cwl.runtime import RuntimeContext, node_directory
+from repro.cwl.outputs import run_in_root
+from repro.cwl.runtime import RuntimeContext
 from repro.cwl.scatter import ScatterPlan, build_scatter_jobs, nest_outputs
 from repro.cwl.scheduler import Expansion, GraphScheduler, PipelineScheduler
 from repro.cwl.schema import ExpressionTool, Process, Workflow, WorkflowStep
@@ -215,15 +217,17 @@ class WorkflowEngine:
         (cwltool-style permanentFail propagation), independent branches
         finish, and the returned output object is *partial* — outputs whose
         source failed or was skipped are ``None``.  The per-node outcome is
-        left on :attr:`node_states` / :attr:`failures`.
+        left on :attr:`node_states` / :attr:`failures`.  Every node's job runs
+        under the run's root (:func:`~repro.cwl.outputs.run_in_root`).
         """
+        return run_in_root(self.runtime_context, functools.partial(self._run, job_order))
+
+    def _run(self, job_order: Dict[str, Any], context: RuntimeContext) -> Dict[str, Any]:
         job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
         self._skipped_scopes = []
         self._lenient_egress = set()
         self._seed_inputs(job_order)
-        context = self.runtime_context
-        # Every node's job directory is under the run's root, else one of its own.
-        self._root = context.outdir or context.make_job_dir("run")
+        self._run_context = context
         if context.pipeline:
             scheduler: GraphScheduler = PipelineScheduler(
                 self.graph, executor=_PipelinedNodeExecutor(self),
@@ -273,7 +277,7 @@ class WorkflowEngine:
     def _node_context(self, node: GraphNode) -> RuntimeContext:
         """The context a step or shard node's process runs under: its job
         runs in the node's directory, ``<root>/<node path>``."""
-        return self.runtime_context.child(outdir=node_directory(self._root, node.id))
+        return self._run_context.node_context(node.id)
 
     def _is_skipped(self, scope: str) -> bool:
         return any(scope.startswith(skipped) for skipped in self._skipped_scopes)

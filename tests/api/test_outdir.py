@@ -15,7 +15,14 @@ import pytest
 
 import repro
 from repro import api
+from repro.core.cwl_app import to_cwl_value
+from repro.core.runner import run_tool_with_parsl
+from repro.core.workflow_bridge import CWLWorkflowBridge
+from repro.cwl.job import CommandLineJob
+from repro.cwl.loader import load_document
 from repro.cwl.retry import RetryPolicy
+from repro.cwl.runtime import RuntimeContext
+from repro.cwl.workflow import WorkflowEngine
 
 ENGINES = ["reference", "toil", "parsl", "parsl-workflow"]
 
@@ -152,3 +159,50 @@ def test_without_outdir_the_outputs_stay_in_the_run_root(engine, tmp_path, monke
         os.path.join("say", "0", "said.txt"), os.path.join("say", "1", "said.txt")]
     assert [read(value) for value in result.outputs["said"]] == ["a\n", "b\n"]
     assert not (tmp_path / "said.txt").exists()
+
+
+def test_run_tool_with_parsl_stages_into_the_outdir_it_is_given(tmp_path, monkeypatch):
+    """Called directly with an ``outdir`` that already holds a file, the tool
+    runs in a root of its own and its output is staged beside that file."""
+    monkeypatch.chdir(tmp_path)
+    outdir = with_canary(tmp_path / "direct" / "out")
+    outputs = run_tool_with_parsl(
+        load_document(dict(ECHO, cwlVersion="v1.2")), {"word": "hi"},
+        config=repro.thread_config(max_threads=1, run_dir=str(tmp_path / "runinfo")),
+        runtime_context=RuntimeContext(outdir=outdir, basedir=str(tmp_path / "direct" / "jobs")))
+    assert outputs["said"]["path"] == os.path.join(outdir, "said.txt")
+    assert read(outputs["said"]) == "hi\n"
+    assert_only_outputs_and_canary("direct", tmp_path, outdir, ["said.txt"])
+    assert not (tmp_path / "said.txt").exists()
+
+
+def run_directly(kind: str, context: RuntimeContext, tmp_path) -> dict:
+    """SCATTERED_ECHO on a directly built ``WorkflowEngine`` or bridge."""
+    workflow = load_document(SCATTERED_ECHO)
+    order = {"words": ["a", "b", "c"]}
+    if kind == "WorkflowEngine":
+        def run_job(process, job, job_context):
+            return CommandLineJob(tool=process, job_order=job,
+                                  runtime_context=job_context).execute().outputs
+
+        return WorkflowEngine(workflow, run_job, runtime_context=context).run(order)
+    repro.load(repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")))
+    try:
+        return to_cwl_value(CWLWorkflowBridge(workflow, runtime_context=context).run(order))
+    finally:
+        repro.clear()
+
+
+@pytest.mark.parametrize("kind", ["WorkflowEngine", "CWLWorkflowBridge"])
+def test_a_directly_built_workflow_run_stages_into_its_outdir(kind, tmp_path, monkeypatch):
+    """Built without an engine, a workflow run still runs its jobs under a
+    root of its own, stages into ``outdir`` and removes the root."""
+    monkeypatch.chdir(tmp_path)
+    outdir = with_canary(tmp_path / kind / "out")
+    outputs = run_directly(kind, RuntimeContext(
+        outdir=outdir, basedir=str(tmp_path / kind / "jobs")), tmp_path)
+    assert [value["path"] for value in outputs["said"]] == [
+        os.path.join(outdir, name) for name in ("said.txt", "said.txt_2", "said.txt_3")]
+    assert [read(value) for value in outputs["said"]] == ["a\n", "b\n", "c\n"]
+    assert_only_outputs_and_canary(kind, tmp_path, outdir,
+                                   ["said.txt", "said.txt_2", "said.txt_3"])

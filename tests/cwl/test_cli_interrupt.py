@@ -147,6 +147,8 @@ def test_interrupt_tears_down_and_leaves_a_resumable_run(staged_run, signum):
              message="the sleep subprocess to be reaped")
     # Tracked scratch directories were torn down by RuntimeContext.close().
     assert glob.glob(os.path.join(str(staged_run["scratch"]), "cwl-tmp-*")) == []
+    # Nor is the run's root left in --outdir (by default the working directory).
+    assert glob.glob(os.path.join(str(staged_run["tmp"]), "cwl-*")) == []
 
     # The journal survived with the completed step recorded.
     from repro.cwl.journal import node_states, read_journal
@@ -234,3 +236,4 @@ def test_interrupted_parsl_cwl_cancels_the_task_queued_behind_the_running_one(tm
     assert proc.returncode == 130, stderr
     assert sum(marker.exists() for marker in markers) == 1, "the queued step started"
     assert leftover == [], "a tool outlived the interrupted run"
+    assert glob.glob(str(tmp_path / "cwl-*")) == [], "the run root was left in --outdir"

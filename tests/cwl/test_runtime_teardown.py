@@ -6,6 +6,8 @@ import gc
 import os
 import threading
 
+import pytest
+
 from repro.cwl.runtime import RuntimeContext
 
 
@@ -145,3 +147,37 @@ def test_a_family_dropped_without_close_takes_its_thread_directories_along(tmp_p
     dropped = RuntimeContext(tmpdir_prefix=str(tmp_path / "tmp-")).child(cores=2).job_tmpdir()
     gc.collect()
     assert not os.path.exists(dropped)
+
+
+def test_a_removed_run_root_is_not_made_again_by_a_late_job(tmp_path):
+    """A job that starts after its run's root was removed (an interrupted
+    run) fails instead of making the root and its node path again."""
+    root = tmp_path / "root"
+    root.mkdir()
+    context = RuntimeContext(outdir=str(tmp_path), _job_dir=str(root))
+    shard = context.node_context("scope/step[1]")
+    assert shard.job_dir == str(root / "scope" / "step" / "1")
+    assert shard.make_job_dir() == shard.job_dir
+    (root / "scope" / "step" / "1" / "partial.txt").write_text("first attempt")
+    assert shard.make_job_dir() == shard.job_dir  # a retry: emptied
+    assert os.listdir(shard.job_dir) == []
+
+    late = context.node_context("late")
+    context.cleanup_dir(str(root))
+    with pytest.raises(FileNotFoundError):
+        late.make_job_dir()
+    with pytest.raises(FileNotFoundError):
+        context.node_context("scope/other")
+    assert not root.exists()
+
+
+def test_a_job_never_runs_in_the_outdir_of_its_context(tmp_path):
+    """``outdir`` is where a run stages its outputs: a job built with it
+    runs in a directory of its own and leaves what is there alone."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "canary.txt").write_text("canary\n")
+    context = RuntimeContext(outdir=str(outdir), basedir=str(tmp_path / "jobs"))
+    job_dir = context.make_job_dir()
+    assert os.path.dirname(job_dir) == str(tmp_path / "jobs")
+    assert os.listdir(outdir) == ["canary.txt"]
