@@ -102,12 +102,14 @@ def js_calls_of(run):
     every thread it starts, counted by a profile hook (no clock).
 
     A JS evaluation is one :meth:`LibraryScope.evaluate` / ``run_body``; a JS
-    function call is one call of a function the back end compiled."""
+    function call is one call of a function the back end emitted, other than
+    the function a whole expression, body or library source compiles to."""
     from repro.cwl.expressions.jsengine import closures
+    from repro.cwl.expressions.jsengine.parser import parse_expression
 
     evaluations = {closures.LibraryScope.evaluate.__code__,
                    closures.LibraryScope.run_body.__code__}
-    function = closures.CompiledFunction.__call__.__code__
+    unit = closures.compile_expression_ast(parse_expression("0")).__code__
     counts = collections.Counter()
     lock = threading.Lock()
 
@@ -115,7 +117,8 @@ def js_calls_of(run):
         if event != "call":
             return
         code = frame.f_code
-        kind = "calls" if code is function else "evaluations" if code in evaluations else None
+        kind = "evaluations" if code in evaluations else "calls" if (
+            code.co_filename == unit.co_filename and code.co_name != unit.co_name) else None
         if kind is not None:
             with lock:
                 counts[kind] += 1

@@ -10,8 +10,9 @@ CWL documents embed two kinds of dynamic content:
 
 Because no JavaScript runtime is available offline, :mod:`repro.cwl.expressions.jsengine`
 implements the ECMAScript subset CWL documents actually use in pure Python: a
-tokenizer, a parser, and one back end that compiles ASTs into Python closures
-(real ``node`` is its test oracle).  :mod:`repro.cwl.expressions.compiler`
+tokenizer, a parser, and one back end that compiles each AST into a Python code
+object, so JavaScript runs as Python functions (real ``node`` is its test
+oracle).  :mod:`repro.cwl.expressions.compiler`
 finds references/expressions in strings, compiles them, evaluates them against
 the CWL context (``inputs``, ``self``, ``runtime``) and performs string
 interpolation, mirroring the behaviour of cwltool's expression handling.

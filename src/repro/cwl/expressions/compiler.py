@@ -5,8 +5,8 @@ evaluators differ only in what they keep:
 
 * :class:`CompiledExpression` — one ``$(...)``/``${...}`` occurrence, scanned
   and classified into a literal-free fast path: a *simple parameter
-  reference* (pre-tokenized path walk, no JS at all) or a closure-compiled JS
-  AST (see :mod:`repro.cwl.expressions.jsengine.closures`).
+  reference* (pre-tokenized path walk, no JS at all) or a JS AST compiled
+  into a Python function (see :mod:`repro.cwl.expressions.jsengine.closures`).
 * :class:`CompiledTemplate` — a whole CWL string: plain literal, whole-string
   single expression (native value preserved) or an interpolation with
   precompiled segments and pre-unescaped literal pieces.
@@ -17,7 +17,8 @@ evaluators differ only in what they keep:
 * :class:`CompiledEvaluator` — the pipeline of ``toil``, ``parsl`` and
   ``parsl-workflow`` (same ``evaluate`` / ``evaluate_structure`` contract and
   error messages) — compiles each distinct string once into its own memo and
-  evaluates against the one shared scope of its library content.
+  evaluates against the one shared scope of its library content, so the
+  code object of each string and of the ``expressionLib`` is built once.
   :func:`precompile_process` gives each process object one such evaluator.
 
 Which of the two a job gets is the runner's decision
@@ -77,8 +78,8 @@ class CompiledExpression:
 
     * ``"param"`` — a simple parameter reference; evaluation walks a
       pre-tokenized path, never touching the JavaScript engine,
-    * ``"js"`` — a ``$(...)`` JavaScript expression, closure-compiled,
-    * ``"body"`` — a ``${...}`` function body, closure-compiled.
+    * ``"js"`` — a ``$(...)`` JavaScript expression, compiled to a Python function,
+    * ``"body"`` — a ``${...}`` function body, compiled to a Python function.
     """
 
     __slots__ = ("kind", "body", "_tokens", "_compiled")

@@ -10,11 +10,11 @@ context (``inputs``, ``self``, ``runtime``), and returns the evaluated value:
 
 This is the **reference runner's pipeline**, the cost model of cwltool (which
 hands every evaluation batch to a new node.js process) and what the paper's
-Figure 2 measures: every call tokenizes, parses and closure-compiles its
-JavaScript again, and every JavaScript expression runs in a newly built
-:class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` — standard
-library rebuilt, whole ``expressionLib`` re-run.  Nothing is kept between
-calls.  (One shared shortcut: the *scanning* helpers in
+Figure 2 measures: every call tokenizes, parses and compiles its JavaScript
+again (one Python ``compile()``), and every JavaScript expression runs in a
+newly built :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` —
+standard library rebuilt, whole ``expressionLib`` parsed, compiled and run
+again.  Nothing is kept between calls: no code object is memoized.  (One shared shortcut: the *scanning* helpers in
 :mod:`repro.cwl.expressions.paramrefs` are memoized process-wide, so a string
 without expressions leaves on a cached scan.)
 

@@ -1,1 +1,1 @@
-"""The JavaScript subset used by CWL expressions: tokenizer, parser, closure compiler."""
+"""The JavaScript subset used by CWL expressions: tokenizer, parser, compiler to Python code."""

@@ -1,6 +1,7 @@
 """AST node definitions for the mini-JavaScript engine.
 
-Nodes are plain dataclasses; the interpreter dispatches on their class.  Only
+Nodes are plain dataclasses; the compiler
+(:mod:`repro.cwl.expressions.jsengine.closures`) dispatches on their class.  Only
 the constructs needed by CWL expressions are modelled — there is no support for
 classes, generators, async, regular expressions or prototype manipulation.
 """
@@ -140,6 +141,7 @@ class ForOfStatement(Node):
     iterable: Node
     body: List[Node] = field(default_factory=list)
     of: bool = True                # True for 'of' (values), False for 'in' (keys)
+    kind: str = "var"              # var | let | const
 
 
 @dataclass

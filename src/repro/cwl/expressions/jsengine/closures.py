@@ -1,21 +1,31 @@
-"""The JavaScript back end: ASTs compiled once into Python closures.
+"""The JavaScript back end: each AST compiled once into a Python code object.
 
 This is the only code that runs JavaScript.  Nothing walks an AST at
-evaluation time:
+evaluation time, and no text of a CWL document ever reaches Python's parser:
 
-* :func:`compile_expression_ast` / :func:`compile_program_ast` translate an AST
-  into nested Python closures (one callable per node) that hand straight on
-  to each other.  Builtin string/array/object/number methods are dispatched
-  through the value-first tables of :mod:`~repro.cwl.expressions.jsengine.values`,
-  and method *calls* are fused (``obj.method(args)`` resolves and invokes in
-  one step with no intermediate bound callable).
+* :func:`compile_expression_ast` / :func:`compile_program_ast` translate a JS
+  AST into a Python :mod:`ast` module, built from nodes only — every JS name is
+  mangled into a ``j_`` identifier and every literal is an ``ast.Constant`` —
+  and ``compile()`` it once.  JS parameters and ``var`` declarations become
+  Python fast locals (``var`` is function-scoped and ``let`` / ``const`` block-scoped, as
+  in node); inner functions are Python closures, with ``nonlocal`` where they
+  assign an outer variable; ``if`` / ``while`` / ``for`` / ``return`` /
+  ``break`` / ``continue`` are Python's own.  A builtin method call is a
+  ``type(x) is str`` / ``list`` guarded direct call into the tables of
+  :mod:`~repro.cwl.expressions.jsengine.values`, with :func:`_call_method` as
+  the fallback.
+* The result is a Python function of a scope's three name handlers
+  (``load`` / ``store`` / ``declare``).  A name no enclosing JS function
+  declares is *free* and resolves at run time through them: library globals,
+  then the per-thread context overlay (``inputs`` / ``self`` / ``runtime``),
+  then the standard library.
 * :class:`LibraryScope` is the compiled form of an ``expressionLib``: the
-  standard library is built and every library source is parsed and executed
-  once per scope.  Each evaluation gets an *activation frame* — a child
-  :class:`Environment` plus a per-thread context overlay at the scope root, so
-  library functions see that evaluation's ``inputs``/``self``/``runtime``.
+  standard library is built and every library source is parsed, compiled and
+  run once per scope; its top-level bindings are the library globals.  Each
+  evaluation binds its context in a per-thread overlay, so library functions
+  see that evaluation's ``inputs`` / ``self`` / ``runtime``.
 
-How long a scope and a compiled closure live is the caller's cost model, not
+How long a scope and a compiled function live is the caller's cost model, not
 this module's: the uncached pipeline
 (:class:`~repro.cwl.expressions.evaluator.ExpressionEvaluator`) compiles the
 expression and builds a fresh :class:`LibraryScope` for every evaluation and
@@ -30,22 +40,27 @@ re-runs the library next time), and library-level mutable globals keep their
 values across evaluations.  CWL expression libraries define helper functions,
 not mutable state, so neither arises in practice — the conformance matrix,
 whose oracle is the reference runner's fresh scopes and whose other engines
-share them, checks that the two agree.
+share them, checks that the two agree.  An assignment to an undeclared name
+outside the library lands in the evaluation's own overlay, never in a shared
+scope.
 """
 
 from __future__ import annotations
 
+import ast as py
 import hashlib
+import itertools
 import math
 import threading
-from collections import ChainMap, OrderedDict
+from collections import OrderedDict
 from contextlib import contextmanager
 from functools import partial
 from operator import ge, gt, le, lt
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from types import CodeType, FunctionType
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cwl.errors import JavaScriptError
-from repro.cwl.expressions.jsengine import ast_nodes as ast
+from repro.cwl.expressions.jsengine import ast_nodes as js
 from repro.cwl.expressions.jsengine.parser import parse_program
 from repro.cwl.expressions.jsengine.values import (
     ARRAY_METHODS,
@@ -62,7 +77,7 @@ from repro.cwl.expressions.jsengine.values import (
 )
 
 __all__ = [
-    "Environment",
+    "CompiledNode",
     "JSThrownError",
     "LibraryScope",
     "compile_expression_ast",
@@ -76,38 +91,10 @@ class JSThrownError(JavaScriptError):
     """A ``throw`` statement executed inside evaluated JavaScript."""
 
 
-class Environment:
-    """A lexical scope chain."""
-
-    def __init__(self, parent: Optional["Environment"] = None,
-                 variables: Optional[Dict[str, Any]] = None) -> None:
-        self.parent = parent
-        self.variables: Dict[str, Any] = dict(variables or {})
-
-    def lookup(self, name: str) -> Any:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.variables:
-                return env.variables[name]
-            env = env.parent
-        raise JavaScriptError(f"reference to undefined variable {name!r}")
-
-    def declare(self, name: str, value: Any) -> None:
-        self.variables[name] = value
-
-    def assign(self, name: str, value: Any) -> None:
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.variables:
-                env.variables[name] = value
-                return
-            env = env.parent
-        # Implicit global declaration (sloppy-mode JS).
-        self.variables[name] = value
-
-
-#: A compiled expression: callable taking the activation environment.
-CompiledNode = Callable[[Environment], Any]
+#: A compiled expression, ``${...}`` body or library source: a Python function
+#: of a scope's ``load`` / ``store`` / ``declare`` handlers (see
+#: :meth:`LibraryScope.evaluate`).
+CompiledNode = Callable[..., Any]
 
 
 # --------------------------------------------------------------------- builtins
@@ -116,7 +103,6 @@ CompiledNode = Callable[[Environment], Any]
 #: value model, so it has the number methods).
 _METHODS = {str: STRING_METHODS, list: ARRAY_METHODS, dict: OBJECT_METHODS,
             int: NUMBER_METHODS, float: NUMBER_METHODS, bool: NUMBER_METHODS}
-_VALUE_TYPES = tuple(_METHODS)
 
 #: What a builtin written in Python raises on arguments JavaScript would have
 #: coerced or rejected; reported as a JavaScript failure, not an engine one.
@@ -126,13 +112,16 @@ _BUILTIN_ERRORS = (TypeError, ValueError, LookupError, ArithmeticError, Attribut
 def _builtin_method(obj: Any, prop: str) -> Optional[Callable[..., Any]]:
     """The value-first builtin ``prop`` of ``obj``'s type, if it has one."""
     methods = _METHODS.get(type(obj))
-    if methods is None:  # a subclass of a value type, or a host object
+    if methods is None:  # a subclass of a value type, or a function
         methods = next((table for kind, table in _METHODS.items() if isinstance(obj, kind)), {})
     return methods.get(prop)
 
 
 def _member_access(obj: Any, prop: str) -> Any:
-    """``obj.prop``: ``length``, own property, a bound builtin, a host attribute."""
+    """``obj.prop``: ``length``, own property, a bound builtin, else ``undefined``.
+
+    Only the value model is visible: a function, or any other Python object a
+    value can hold, has no properties (never its Python attributes)."""
     if prop == "length" and isinstance(obj, (str, list)):
         return len(obj)
     if isinstance(obj, dict) and prop in obj:
@@ -140,9 +129,7 @@ def _member_access(obj: Any, prop: str) -> Any:
     if obj is None:
         raise JavaScriptError(f"cannot read property {prop!r} of null/undefined")
     method = _builtin_method(obj, prop)
-    if method is not None:
-        return partial(method, obj)
-    return None if isinstance(obj, _VALUE_TYPES) else getattr(obj, prop, None)
+    return None if method is None else partial(method, obj)
 
 
 def _index_access(obj: Any, index: Any) -> Any:
@@ -158,6 +145,28 @@ def _index_access(obj: Any, index: Any) -> Any:
     if obj is None:
         raise JavaScriptError("cannot index null/undefined")
     raise JavaScriptError(f"cannot index value of type {type(obj).__name__}")
+
+
+def _set_member(container: Any, prop: str, value: Any) -> Any:
+    if not isinstance(container, dict):
+        raise JavaScriptError("can only assign properties on objects")
+    container[prop] = value
+    return value
+
+
+def _set_index(container: Any, key: Any, value: Any) -> Any:
+    if isinstance(container, list):
+        if not isinstance(key, (int, float)) or key != key or key < 0:
+            raise JavaScriptError(f"array index must be a non-negative number, got {key!r}")
+        position = int(key)
+        while len(container) <= position:
+            container.append(None)
+        container[position] = value
+    elif isinstance(container, dict):
+        container[key] = value
+    else:
+        raise JavaScriptError("invalid assignment target")
+    return value
 
 
 def _builtin_failure(name: str, exc: Exception) -> JavaScriptError:
@@ -178,7 +187,7 @@ def _call_value(callee: Any, args: List[Any], name: str) -> Any:
 
 
 def _call_method(obj: Any, prop: str, args: List[Any]) -> Any:
-    """Fused ``obj.prop(args)``: direct table dispatch, no bound-callable alloc."""
+    """``obj.prop(args)``: direct table dispatch, no bound-callable alloc."""
     methods = _METHODS.get(type(obj))
     if methods is not None:
         method = methods.get(prop)
@@ -190,10 +199,26 @@ def _call_method(obj: Any, prop: str, args: List[Any]) -> Any:
     return _call_value(_member_access(obj, prop), args, prop)
 
 
-# ----------------------------------------------------------------- binary ops
+def _method_fallback(prop: str, obj: Any, *args: Any) -> Any:
+    return _call_method(obj, prop, list(args))
+
+
+#: The line of a direct builtin call site is this plus its index in the
+#: function's site table; every other line of emitted code is line 1.
+_FIRST_SITE_LINE = 2
+
+
+def _site_failure(exc: Exception, names: Tuple[str, ...]) -> JavaScriptError:
+    """:func:`_builtin_failure` for an error that escaped a direct builtin call
+    of emitted code: the failing site is the traceback's line in that frame."""
+    index = exc.__traceback__.tb_lineno - _FIRST_SITE_LINE if exc.__traceback__ else -1
+    return _builtin_failure(names[index] if 0 <= index < len(names) else "builtin", exc)
+
+
+# ----------------------------------------------------------------- operators
 #
-# Value-level operator functions (strict evaluation); `&&` / `||` get their own
-# lazy closures in the compiler.
+# Value-level operator functions (strict evaluation); `&&` / `||` / `?:` are
+# emitted as Python conditionals.
 
 
 def _bin_add(left: Any, right: Any) -> Any:
@@ -263,429 +288,669 @@ _BINARY_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
     ">=": _compare(ge),
 }
 
+#: Equality operators, as Python's comparison of two integers.
+_EQUALITY = {"==": py.Eq, "===": py.Eq, "!=": py.NotEq, "!==": py.NotEq}
 
-# --------------------------------------------------------------- the compiler
-#
-# Compiled statements communicate control flow through sentinel return values
-# instead of exceptions: ``None`` falls through, ``_BREAK`` / ``_CONTINUE``
-# unwind to the innermost loop, and a 1-tuple ``(value,)`` carries a
-# ``return`` — an order of magnitude cheaper than raising an exception on
-# every function call in a hot ``map`` body.
+#: Operators whose result is always a boolean (so a test needs no coercion).
+_BOOLEAN_OPERATORS = {"in", "==", "===", "!=", "!==", "<", ">", "<=", ">="}
 
-_BREAK = object()
-_CONTINUE = object()
+_SMALL_INT = 10 ** 15 - 1
 
 
-class CompiledFunction:
-    """A user-defined function whose body was closure-compiled once."""
+def _number(value: Any) -> Any:
+    return _maybe_int(_to_number(value))
 
-    __slots__ = ("params", "body", "expression_body", "closure", "needs_arguments")
 
-    def __init__(self, params: Sequence[str], body: Optional[CompiledNode],
-                 expression_body: Optional[CompiledNode], closure: Environment,
-                 needs_arguments: bool = True) -> None:
-        self.params = params
-        self.body = body
-        self.expression_body = expression_body
-        self.closure = closure
-        self.needs_arguments = needs_arguments
+def _increment(value: Any, delta: int) -> Any:
+    if type(value) is int and -_SMALL_INT < value < _SMALL_INT:
+        return value + delta
+    return _maybe_int(_to_number(value) + delta)
 
-    def __call__(self, *args: Any) -> Any:
-        params = self.params
-        if len(args) == len(params):
-            variables = dict(zip(params, args))
+
+def _first(value: Any, _later: Any) -> Any:
+    return value
+
+
+def _typeof_free(load: Callable[[str], Any], name: str) -> str:
+    """``typeof name`` for a free name: ``"undefined"`` if it is not bound."""
+    try:
+        return _js_typeof(load(name))
+    except JavaScriptError:
+        return "undefined"
+
+
+def _of_values(container: Any) -> list:
+    if isinstance(container, dict):
+        return list(container.values())
+    if isinstance(container, (str, list)):
+        return list(container)
+    raise JavaScriptError(f"value of type {type(container).__name__} is not iterable")
+
+
+def _in_keys(container: Any) -> list:
+    if isinstance(container, dict):
+        return list(container.keys())
+    if isinstance(container, (str, list)):
+        return [str(i) for i in range(len(container))]
+    raise JavaScriptError(f"value of type {type(container).__name__} is not iterable")
+
+
+def _argument(args: Tuple[Any, ...], index: int) -> Any:
+    return args[index] if index < len(args) else None
+
+
+def _thrown(value: Any) -> JSThrownError:
+    return JSThrownError(_js_string(value))
+
+
+def _loop_limit(kind: str) -> JavaScriptError:
+    return JavaScriptError(f"{kind}-loop exceeded 1,000,000 iterations")
+
+
+#: The globals of every function the compiler emits: these helpers and the
+#: builtin method tables, nothing else (no Python builtins).
+_RUNTIME: Dict[str, Any] = {
+    "__builtins__": {},
+    "_type": type, "_str": str, "_list": list, "_int": int, "_len": len,
+    "_truthy": _js_truthy, "_typeof": _js_typeof, "_typeof_free": _typeof_free,
+    "_neg": lambda value: _maybe_int(-_to_number(value)), "_number": _number,
+    "_increment": _increment, "_first": _first,
+    "_member": _member_access, "_index": _index_access,
+    "_set_member": _set_member, "_set_index": _set_index,
+    "_call_value": _call_value, "_call_method": _call_method,
+    "_fallback": lambda prop: partial(_method_fallback, prop),
+    "_BUILTIN_ERRORS": _BUILTIN_ERRORS, "_site_failure": _site_failure,
+    "_of_values": _of_values, "_in_keys": _in_keys, "_argument": _argument,
+    "_thrown": _thrown, "_loop_limit": _loop_limit,
+    # A JS loop runs at most 1,000,000 times; the 1,000,001st pass raises.
+    "_LIMIT": range(1_000_001),
+}
+_OPERATOR_NAMES = {operator: f"_op{index}" for index, operator in enumerate(_BINARY_FUNCS)}
+_RUNTIME.update({_OPERATOR_NAMES[op]: func for op, func in _BINARY_FUNCS.items()})
+#: Direct-call targets: ``(type name, prefix, table)``.
+_GUARDED = (("_str", "_S_", STRING_METHODS), ("_list", "_A_", ARRAY_METHODS))
+for _kind, _prefix, _table in _GUARDED:
+    _RUNTIME.update({_prefix + name: method for name, method in _table.items()})
+
+
+# ------------------------------------------------------------ name mangling
+
+
+def _mangle(name: str) -> str:
+    """An injective map of JS identifiers into ``j_``-prefixed ASCII Python
+    identifiers: ASCII letters and digits stay, ``_`` doubles, any other
+    character becomes ``_<hex code point>_``."""
+    out = ["j_"]
+    for char in name:
+        if char.isascii() and char.isalnum():
+            out.append(char)
         else:
-            variables = {param: (args[index] if index < len(args) else None)
-                         for index, param in enumerate(params)}
-        if self.needs_arguments:
-            variables["arguments"] = list(args)
-        # Bypass Environment.__init__ (it would defensively copy the dict).
-        local = Environment.__new__(Environment)
-        local.parent = self.closure
-        local.variables = variables
-        if self.expression_body is not None:
-            return self.expression_body(local)
-        result = self.body(local)  # type: ignore[misc]
-        if type(result) is tuple:
-            return result[0]
-        return None
+            out.append("__" if char == "_" else f"_{ord(char):x}_")
+    return "".join(out)
 
 
-def _references_arguments(node: Any) -> bool:
-    """Whether an AST subtree mentions the ``arguments`` identifier anywhere."""
-    if isinstance(node, ast.Identifier):
-        return node.name == "arguments"
-    if isinstance(node, ast.Node):
-        for value in vars(node).values():
-            if _references_arguments(value):
-                return True
-        return False
-    if isinstance(node, (list, tuple)):
-        return any(_references_arguments(item) for item in node)
+# Emitted local names never collide: a JS binding is ``j_<mangled>`` (or
+# ``b<n>_<mangled>`` in a nested block), a temporary ``t<n>``, a hoisted
+# function expression ``f<n>``, a loop's update flag ``k<n>``; helpers are the
+# ``_``-prefixed globals above.
+
+
+_ARGUMENTS = _mangle("arguments")
+
+
+def _name(identifier: str) -> py.Name:
+    return py.Name(id=identifier, ctx=py.Load())
+
+
+def _store_name(identifier: str) -> py.Name:
+    return py.Name(id=identifier, ctx=py.Store())
+
+
+def _call(function: str, *args: py.expr) -> py.Call:
+    return py.Call(func=_name(function), args=list(args), keywords=[])
+
+
+def _is(left: py.expr, kind: str) -> py.Compare:
+    return py.Compare(left=left, ops=[py.Is()], comparators=[_name(kind)])
+
+
+def _function_node(name: str, params: Sequence[str], body: List[py.stmt],
+                   vararg: Optional[str] = None, defaults: bool = True) -> py.FunctionDef:
+    arguments = py.arguments(
+        posonlyargs=[], args=[py.arg(arg=param) for param in params],
+        vararg=py.arg(arg=vararg) if vararg else None, kwonlyargs=[], kw_defaults=[],
+        kwarg=None, defaults=[py.Constant(value=None) for _ in params] if defaults else [])
+    fields = dict(name=name, args=arguments, body=body, decorator_list=[], returns=None)
+    if "type_params" in py.FunctionDef._fields:  # Python >= 3.12
+        fields["type_params"] = []
+    return py.FunctionDef(**fields)
+
+
+# ------------------------------------------------------------ scope analysis
+
+
+def _var_names(statements: Sequence[js.Node]) -> List[str]:
+    """Names ``var`` declares in ``statements``, nested blocks included, nested
+    functions not (``var`` is function-scoped)."""
+    names: List[str] = []
+
+    def visit(nodes: Sequence[js.Node]) -> None:
+        for node in nodes:
+            if isinstance(node, js.VariableDeclaration) and node.kind == "var":
+                names.extend(name for name, _ in node.declarations)
+            elif isinstance(node, js.IfStatement):
+                visit(node.consequent)
+                visit(node.alternate or ())
+            elif isinstance(node, js.ForStatement):
+                visit([node.init] if node.init is not None else [])
+                visit(node.body)
+            elif isinstance(node, js.ForOfStatement):
+                if node.kind == "var":
+                    names.append(node.variable)
+                visit(node.body)
+            elif isinstance(node, (js.WhileStatement, js.Program)):
+                visit(node.body)
+
+    visit(statements)
+    return list(dict.fromkeys(names))
+
+
+def _lexical_names(statements: Sequence[js.Node]) -> List[str]:
+    """Names ``let`` / ``const`` declare directly in one block."""
+    return list(dict.fromkeys(
+        name for node in statements
+        if isinstance(node, js.VariableDeclaration) and node.kind != "var"
+        for name, _ in node.declarations))
+
+
+def _continues(statements: Sequence[js.Node]) -> bool:
+    """Whether a ``continue`` in ``statements`` targets the enclosing loop."""
+    for node in statements:
+        if isinstance(node, js.ContinueStatement):
+            return True
+        if isinstance(node, js.IfStatement) and (
+                _continues(node.consequent) or _continues(node.alternate or ())):
+            return True
+        if isinstance(node, js.Program) and _continues(node.body):
+            return True
     return False
 
 
-def compile_expression_ast(node: ast.Node) -> CompiledNode:
-    """Compile one expression AST into a closure taking the environment."""
-    if isinstance(node, ast.Literal):
-        value = node.value
-        return lambda env: value
-    if isinstance(node, ast.Identifier):
-        name = node.name
-        return lambda env: env.lookup(name)
-    if isinstance(node, ast.ArrayLiteral):
-        elements = [compile_expression_ast(el) for el in node.elements]
-        return lambda env: [el(env) for el in elements]
-    if isinstance(node, ast.ObjectLiteral):
-        entries = [(key, compile_expression_ast(value)) for key, value in node.entries]
-        return lambda env: {key: value(env) for key, value in entries}
-    if isinstance(node, ast.UnaryOp):
-        return _compile_unary(node)
-    if isinstance(node, ast.BinaryOp):
-        return _compile_binary(node)
-    if isinstance(node, ast.Conditional):
-        test = compile_expression_ast(node.test)
-        consequent = compile_expression_ast(node.consequent)
-        alternate = compile_expression_ast(node.alternate)
-        return lambda env: consequent(env) if _js_truthy(test(env)) else alternate(env)
-    if isinstance(node, ast.Member):
-        obj = compile_expression_ast(node.obj)
-        prop = node.prop
-        return lambda env: _member_access(obj(env), prop)
-    if isinstance(node, ast.Index):
-        obj = compile_expression_ast(node.obj)
-        index = compile_expression_ast(node.index)
-        return lambda env: _index_access(obj(env), index(env))
-    if isinstance(node, ast.Call):
-        return _compile_call(node)
-    if isinstance(node, ast.FunctionExpression):
-        params = list(node.params)
-        if node.expression_body is not None:
-            expression_body = compile_expression_ast(node.expression_body)
-            needs_args = _references_arguments(node.expression_body)
-            return lambda env: CompiledFunction(params, None, expression_body, env, needs_args)
-        body = compile_statements(node.body)
-        needs_args = _references_arguments(node.body)
-        return lambda env: CompiledFunction(params, body, None, env, needs_args)
-    if isinstance(node, ast.Assignment):
-        return _compile_assignment(node)
-    if isinstance(node, ast.UpdateExpression):
-        name = node.target.name
-        delta = 1 if node.operator == "++" else -1
-        prefix = node.prefix
-
-        def update(env: Environment) -> Any:
-            current = _to_number(env.lookup(name))
-            updated = current + delta
-            env.assign(name, _maybe_int(updated))
-            return _maybe_int(updated if prefix else current)
-
-        return update
-    raise JavaScriptError(f"cannot compile AST node {type(node).__name__}")
+def _is_boolean(node: js.Node) -> bool:
+    """Whether ``node`` always evaluates to a Python ``bool``."""
+    if isinstance(node, js.BinaryOp):
+        if node.operator in ("&&", "||"):
+            return _is_boolean(node.left) and _is_boolean(node.right)
+        return node.operator in _BOOLEAN_OPERATORS
+    if isinstance(node, js.UnaryOp):
+        return node.operator == "!"
+    return isinstance(node, js.Literal) and isinstance(node.value, bool)
 
 
-def _compile_unary(node: ast.UnaryOp) -> CompiledNode:
-    operand = compile_expression_ast(node.operand)
-    operator = node.operator
-    if operator == "typeof":
-        def type_of(env: Environment) -> str:
-            try:
-                value = operand(env)
-            except JavaScriptError:
-                return "undefined"
-            return _js_typeof(value)
+class _Function:
+    """Compile-time state of one JS function, or of a program's top level."""
 
-        return type_of
-    if operator == "!":
-        return lambda env: not _js_truthy(operand(env))
-    if operator == "-":
-        return lambda env: _maybe_int(-_to_number(operand(env)))
-    if operator == "+":
-        return lambda env: _maybe_int(_to_number(operand(env)))
-    raise JavaScriptError(f"unsupported unary operator {operator!r}")
-
-
-def _compile_binary(node: ast.BinaryOp) -> CompiledNode:
-    operator = node.operator
-    left = compile_expression_ast(node.left)
-    right = compile_expression_ast(node.right)
-    if operator == "&&":
-        def logical_and(env: Environment) -> Any:
-            value = left(env)
-            return right(env) if _js_truthy(value) else value
-
-        return logical_and
-    if operator == "||":
-        def logical_or(env: Environment) -> Any:
-            value = left(env)
-            return value if _js_truthy(value) else right(env)
-
-        return logical_or
-    func = _BINARY_FUNCS.get(operator)
-    if func is None:
-        raise JavaScriptError(f"unsupported binary operator {operator!r}")
-    return lambda env: func(left(env), right(env))
+    def __init__(self, parent: Optional["_Function"], library: bool,
+                 self_name: Optional[Tuple[str, str]], unit: bool) -> None:
+        self.parent = parent
+        self.unit = unit
+        #: The top level of an ``expressionLib`` source, whose own bindings
+        #: are library globals, reached through ``_load`` / ``_store``.
+        self.library = library
+        #: A named function expression's own name and the Python name of the
+        #: ``def`` it became (bound in the enclosing function).
+        self.self_name = self_name
+        self.names: Dict[str, str] = {}  # function-level JS name -> Python name
+        self.blocks: List[Dict[str, str]] = []  # let/const blocks, innermost last
+        self.hoisted: List[str] = []  # Python locals set to None on entry
+        self.nonlocals: set = set()
+        self.sites: List[str] = []  # the builtin of each direct call site
+        self.loops = 0
+        self.uses_arguments = False
 
 
-def _compile_call(node: ast.Call) -> CompiledNode:
-    args = [compile_expression_ast(arg) for arg in node.args]
-    if isinstance(node.callee, ast.Member):
-        obj = compile_expression_ast(node.callee.obj)
-        prop = node.callee.prop
-
-        def fused_method_call(env: Environment) -> Any:
-            # Arguments are evaluated before the callee.
-            arg_values = [arg(env) for arg in args]
-            return _call_method(obj(env), prop, arg_values)
-
-        return fused_method_call
-    callee = compile_expression_ast(node.callee)
-    name = node.callee.name if isinstance(node.callee, ast.Identifier) else "function"
-
-    def call(env: Environment) -> Any:
-        arg_values = [arg(env) for arg in args]
-        return _call_value(callee(env), arg_values, name)
-
-    return call
+# ------------------------------------------------------------------ compiler
 
 
-def _compile_assignment(node: ast.Assignment) -> CompiledNode:
-    value = compile_expression_ast(node.value)
-    compound = _BINARY_FUNCS[node.operator[0]] if node.operator != "=" else None
-    target = node.target
-    if isinstance(target, ast.Identifier):
-        name = target.name
+class _Compiler:
+    """Emit one compile unit: an expression, a ``${...}`` body or a library
+    source, as one Python function ``js_unit(_load, _store, _declare)``."""
 
-        def assign_name(env: Environment) -> Any:
-            result = value(env)
-            if compound is not None:
-                result = compound(env.lookup(name), result)
-            env.assign(name, result)
-            return result
+    def __init__(self) -> None:
+        self._counter = itertools.count(1)
+        self.fn: Optional[_Function] = None
+        self.out: List[py.stmt] = []
 
-        return assign_name
-    current = compile_expression_ast(target)
-    if isinstance(target, ast.Member):
-        obj = compile_expression_ast(target.obj)
-        prop = target.prop
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}{next(self._counter)}"
 
-        def assign_member(env: Environment) -> Any:
-            result = value(env)
-            if compound is not None:
-                result = compound(current(env), result)
-            container = obj(env)
-            if not isinstance(container, dict):
-                raise JavaScriptError("can only assign properties on objects")
-            container[prop] = result
-            return result
+    # ------------------------------------------------------------------ units
 
-        return assign_member
-    if isinstance(target, ast.Index):
-        obj = compile_expression_ast(target.obj)
-        index = compile_expression_ast(target.index)
+    def unit(self, statements: Sequence[js.Node] = (), expression: Optional[js.Node] = None,
+             library: bool = False) -> CompiledNode:
+        try:
+            definition = self.function("js_unit", ("_load", "_store", "_declare"), statements,
+                                       expression, library=library, unit=True)
+            module = py.Module(body=[definition], type_ignores=[])
+            py.fix_missing_locations(module)
+            code = compile(module, "<javascript>", "exec", dont_inherit=True)
+        except (SyntaxError, ValueError, RecursionError) as exc:
+            raise JavaScriptError(f"cannot compile JavaScript: {exc}") from exc
+        unit_code = next(const for const in code.co_consts if isinstance(const, CodeType))
+        return FunctionType(unit_code, _RUNTIME)
 
-        def assign_index(env: Environment) -> Any:
-            result = value(env)
-            if compound is not None:
-                result = compound(current(env), result)
-            container = obj(env)
-            key = index(env)
-            if isinstance(container, list):
-                position = int(key)
-                while len(container) <= position:
-                    container.append(None)
-                container[position] = result
-            elif isinstance(container, dict):
-                container[key] = result
-            else:
-                raise JavaScriptError("invalid assignment target")
-            return result
+    def function(self, name: str, params: Sequence[str], statements: Sequence[js.Node],
+                 expression: Optional[js.Node] = None, self_name: Optional[Tuple[str, str]] = None,
+                 library: bool = False, unit: bool = False) -> py.FunctionDef:
+        """A ``def`` for a JS function (or a unit), its own scope resolved."""
+        fn = _Function(self.fn, library, self_name, unit)
+        if not unit:
+            fn.names.update((param, _mangle(param)) for param in params)
+        declared = [name for name in _var_names(statements) + _lexical_names(statements)
+                    if name not in fn.names]
+        fn.names.update((name, _mangle(name)) for name in declared)
+        if not library:
+            fn.hoisted.extend(fn.names[name] for name in declared)
 
-        return assign_index
-    raise JavaScriptError(f"cannot compile assignment target {type(target).__name__}")
+        saved = self.fn, self.out
+        self.fn, self.out = fn, []
+        try:
+            if expression is not None:
+                self.out.append(py.Return(value=self.expr(expression)))
+            for statement in statements:
+                self.statement(statement)
+            body = self.out
+        finally:
+            self.fn, self.out = saved
 
+        starred = fn.uses_arguments or len(set(params)) != len(params)
+        prologue: List[py.stmt] = []
+        if fn.uses_arguments:
+            prologue.append(py.Assign(targets=[_store_name(fn.names["arguments"])],
+                                      value=_call("_list", _name("args"))))
+        if starred:
+            prologue.extend(
+                py.Assign(targets=[_store_name(fn.names[param])],
+                          value=_call("_argument", _name("args"), py.Constant(value=index)))
+                for index, param in enumerate(params))
+        if fn.hoisted:
+            prologue.append(py.Assign(targets=[_store_name(local) for local in fn.hoisted],
+                                      value=py.Constant(value=None)))
+        if library:
+            prologue.extend(py.Expr(value=_call("_declare", py.Constant(value=name)))
+                            for name in declared)
+        body = prologue + body
+        if fn.sites:
+            # Zero-cost until a direct builtin call raises; the traceback's
+            # line names the builtin (see _site_failure).
+            failure = _call("_site_failure", _name("error"), py.Constant(value=tuple(fn.sites)))
+            handler = py.ExceptHandler(type=_name("_BUILTIN_ERRORS"), name="error",
+                                       body=[py.Raise(exc=failure, cause=_name("error"))])
+            body = [py.Try(body=body, handlers=[handler], orelse=[], finalbody=[])]
+        if fn.nonlocals:
+            body.insert(0, py.Nonlocal(names=sorted(fn.nonlocals)))
+        if unit:
+            return _function_node(name, params, body, defaults=False)
+        if starred:
+            return _function_node(name, (), body, vararg="args")
+        return _function_node(name, [fn.names[param] for param in params], body, vararg="rest")
 
-# --------------------------------------------------------------- statements
+    # ------------------------------------------------------------------ names
 
-
-def compile_statements(statements: Sequence[ast.Node]) -> CompiledNode:
-    """Compile a statement list into one runner.
-
-    The runner returns ``None`` when execution falls through, ``_BREAK`` /
-    ``_CONTINUE`` when a loop-control statement unwinds, or ``(value,)`` when
-    a ``return`` executed.
-    """
-    compiled = [compile_statement(statement) for statement in statements]
-    if len(compiled) == 1:
-        return compiled[0]
-
-    def run(env: Environment) -> Any:
-        for statement in compiled:
-            result = statement(env)
-            if result is not None:
-                return result
+    def resolve(self, name: str) -> Optional[Tuple[_Function, str]]:
+        """The function owning JS ``name`` and its Python name; ``None`` for a
+        free name or a library global."""
+        fn = self.fn
+        while fn is not None:
+            for block in reversed(fn.blocks):
+                if name in block:
+                    return fn, block[name]
+            if name in fn.names:
+                return None if fn.library else (fn, fn.names[name])
+            if fn.self_name is not None and fn.self_name[0] == name:
+                return fn.parent, fn.self_name[1]
+            if name == "arguments" and not fn.unit:  # a function's own arguments
+                fn.names[name] = _ARGUMENTS
+                fn.uses_arguments = True
+                return fn, _ARGUMENTS
+            fn = fn.parent
         return None
 
-    return run
+    def load(self, name: str) -> py.expr:
+        found = self.resolve(name)
+        if found is None:
+            return _call("_load", py.Constant(value=name))
+        return _name(found[1])
 
+    def assign(self, name: str, value: py.expr, statement: bool) -> Any:
+        """``name = value`` as a statement, or as an expression of its value."""
+        found = self.resolve(name)
+        if found is None:
+            call = _call("_store", py.Constant(value=name), value)
+            return py.Expr(value=call) if statement else call
+        owner, local = found
+        if owner is not self.fn:
+            self.fn.nonlocals.add(local)
+        if statement:
+            return py.Assign(targets=[_store_name(local)], value=value)
+        return py.NamedExpr(target=_store_name(local), value=value)
 
-def compile_statement(node: ast.Node) -> CompiledNode:
-    if isinstance(node, ast.VariableDeclaration):
-        declarations = [(name, compile_expression_ast(init) if init is not None else None)
-                        for name, init in node.declarations]
+    def block(self, statements: Sequence[js.Node]) -> List[py.stmt]:
+        """A nested block's statements, in their own ``let`` / ``const`` scope."""
+        fn = self.fn
+        scope = {name: f"b{next(self._counter)}_{_mangle(name)[2:]}"
+                 for name in _lexical_names(statements)}
+        fn.hoisted.extend(scope.values())
+        fn.blocks.append(scope)
+        saved, self.out = self.out, []
+        try:
+            for statement in statements:
+                self.statement(statement)
+            return self.out or [py.Pass()]
+        finally:
+            self.out = saved
+            fn.blocks.pop()
 
-        def declare(env: Environment) -> None:
-            for name, init in declarations:
-                env.declare(name, init(env) if init is not None else None)
+    # ------------------------------------------------------------- statements
 
-        return declare
-    if isinstance(node, ast.ReturnStatement):
-        argument = compile_expression_ast(node.argument) if node.argument is not None else None
-        if argument is None:
-            return lambda env: (None,)
-        return lambda env: (argument(env),)
-    if isinstance(node, ast.IfStatement):
-        test = compile_expression_ast(node.test)
-        consequent = compile_statements(node.consequent)
-        alternate = compile_statements(node.alternate) if node.alternate is not None else None
-
-        def if_(env: Environment) -> Any:
-            if _js_truthy(test(env)):
-                return consequent(Environment(parent=env))
-            if alternate is not None:
-                return alternate(Environment(parent=env))
-            return None
-
-        return if_
-    if isinstance(node, ast.ForStatement):
-        init = compile_statement(node.init) if node.init is not None else None
-        test = compile_expression_ast(node.test) if node.test is not None else None
-        update = compile_expression_ast(node.update) if node.update is not None else None
-        body = compile_statements(node.body)
-
-        def for_(env: Environment) -> Any:
-            loop_env = Environment(parent=env)
-            if init is not None:
-                init(loop_env)
-            iterations = 0
-            while test is None or _js_truthy(test(loop_env)):
-                result = body(Environment(parent=loop_env))
-                if result is not None:
-                    if result is _BREAK:
-                        break
-                    if result is not _CONTINUE:
-                        return result
-                if update is not None:
-                    update(loop_env)
-                iterations += 1
-                if iterations > 1_000_000:
-                    raise JavaScriptError("for-loop exceeded 1,000,000 iterations")
-            return None
-
-        return for_
-    if isinstance(node, ast.ForOfStatement):
-        iterable = compile_expression_ast(node.iterable)
-        body = compile_statements(node.body)
-        variable = node.variable
-        of = node.of
-
-        def for_of(env: Environment) -> Any:
-            container = iterable(env)
-            if isinstance(container, dict):
-                values = list(container.values()) if of else list(container.keys())
-            elif isinstance(container, (str, list)):
-                values = list(container) if of else [str(i) for i in range(len(container))]
+    def statement(self, node: js.Node) -> None:
+        out = self.out
+        if isinstance(node, js.VariableDeclaration):
+            for name, init in node.declarations:
+                found = self.resolve(name)
+                if isinstance(init, js.FunctionExpression) and init.name == name:
+                    # A function declaration: calls itself through the variable.
+                    if found is not None and found[0] is self.fn:  # the def binds it
+                        out.append(self.function(found[1], init.params, init.body))
+                    else:
+                        out.append(self.assign(name, self.function_value(init, None), True))
+                elif init is not None or node.kind != "var":  # a bare `var x;` is hoisted
+                    value = self.expr(init) if init is not None else py.Constant(value=None)
+                    out.append(self.assign(name, value, statement=True))
+        elif isinstance(node, js.ReturnStatement):
+            out.append(py.Return(value=self.expr(node.argument) if node.argument is not None
+                                 else py.Constant(value=None)))
+        elif isinstance(node, js.IfStatement):
+            test = self.test(node.test)
+            out.append(py.If(test=test, body=self.block(node.consequent),
+                             orelse=self.block(node.alternate) if node.alternate else []))
+        elif isinstance(node, js.ForStatement):
+            self.for_loop(node)
+        elif isinstance(node, js.ForOfStatement):
+            self.for_of_loop(node)
+        elif isinstance(node, js.WhileStatement):
+            self.loop("while", [], node.test, None, node.body)
+        elif isinstance(node, js.ThrowStatement):
+            out.append(py.Raise(exc=_call("_thrown", self.expr(node.argument)), cause=None))
+        elif isinstance(node, (js.BreakStatement, js.ContinueStatement)):
+            is_break = isinstance(node, js.BreakStatement)
+            if not self.fn.loops:
+                raise JavaScriptError(f"{'break' if is_break else 'continue'} outside a loop")
+            out.append(py.Break() if is_break else py.Continue())
+        elif isinstance(node, js.Program):
+            out.extend(self.block(list(node.body)))
+        else:  # expression statements, and bare expressions in statement position
+            expression = node.expression if isinstance(node, js.ExpressionStatement) else node
+            if isinstance(expression, js.Assignment):
+                out.append(self.assignment(expression, statement=True))
+            elif isinstance(expression, js.UpdateExpression):
+                out.append(self.update(expression, statement=True))
             else:
-                raise JavaScriptError(f"value of type {type(container).__name__} is not iterable")
-            for value in values:
-                loop_env = Environment(parent=env)
-                loop_env.declare(variable, value)
-                result = body(loop_env)
-                if result is not None:
-                    if result is _BREAK:
-                        break
-                    if result is not _CONTINUE:
-                        return result
-            return None
+                out.append(py.Expr(value=self.expr(expression)))
 
-        return for_of
-    if isinstance(node, ast.WhileStatement):
-        test = compile_expression_ast(node.test)
-        body = compile_statements(node.body)
+    def for_loop(self, node: js.ForStatement) -> None:
+        """``for (init; test; update)`` inside a block holding the init's
+        ``let``; a ``continue`` runs the update, through a flag."""
+        fn = self.fn
+        head = [node.init] if node.init is not None else []
+        scope = {name: f"b{next(self._counter)}_{_mangle(name)[2:]}"
+                 for name in _lexical_names(head)}
+        fn.hoisted.extend(scope.values())
+        fn.blocks.append(scope)
+        try:
+            for statement in head:
+                self.statement(statement)
+            prelude: List[py.stmt] = []
+            if node.update is not None and _continues(node.body):
+                flag = self.fresh("k")
+                self.out.append(py.Assign(targets=[_store_name(flag)], value=py.Constant(value=False)))
+                saved, self.out = self.out, []
+                self.statement(node.update)
+                prelude.append(py.If(test=_name(flag), body=self.out, orelse=[
+                    py.Assign(targets=[_store_name(flag)], value=py.Constant(value=True))]))
+                self.out = saved
+                self.loop("for", prelude, node.test, None, node.body)
+            else:
+                self.loop("for", prelude, node.test, node.update, node.body)
+        finally:
+            fn.blocks.pop()
 
-        def while_(env: Environment) -> Any:
-            iterations = 0
-            while _js_truthy(test(env)):
-                result = body(Environment(parent=env))
-                if result is not None:
-                    if result is _BREAK:
-                        break
-                    if result is not _CONTINUE:
-                        return result
-                iterations += 1
-                if iterations > 1_000_000:
-                    raise JavaScriptError("while-loop exceeded 1,000,000 iterations")
-            return None
+    def loop(self, kind: str, prelude: List[py.stmt], test: Optional[js.Node],
+             update: Optional[js.Node], body: Sequence[js.Node]) -> None:
+        """``for _ in range(1_000_001): [prelude] if not test: break; body;
+        update`` — ``else:`` the iteration guard raises."""
+        outer, self.out = self.out, list(prelude)
+        self.fn.loops += 1
+        try:
+            if test is not None:
+                condition = self.test(test)
+                self.out.append(py.If(test=py.UnaryOp(op=py.Not(), operand=condition),
+                                      body=[py.Break()], orelse=[]))
+            statements = self.out
+            statements.extend(self.block(body))
+            if update is not None:
+                self.out = statements
+                self.statement(update)
+        finally:
+            self.fn.loops -= 1
+            self.out = outer
+        self.out.append(py.For(target=_store_name("_"), iter=_name("_LIMIT"), body=statements,
+                               orelse=[py.Raise(exc=_call("_loop_limit", py.Constant(value=kind)),
+                                                cause=None)]))
 
-        return while_
-    if isinstance(node, ast.ThrowStatement):
-        argument = compile_expression_ast(node.argument)
+    def for_of_loop(self, node: js.ForOfStatement) -> None:
+        fn = self.fn
+        scope = {}
+        if node.kind != "var":
+            scope[node.variable] = f"b{next(self._counter)}_{_mangle(node.variable)[2:]}"
+            fn.hoisted.extend(scope.values())
+        fn.blocks.append(scope)
+        fn.loops += 1
+        try:
+            items = _call("_of_values" if node.of else "_in_keys", self.expr(node.iterable))
+            found = self.resolve(node.variable)
+            if found is not None and found[0] is fn:
+                target, first = found[1], []
+            else:  # a library global, or an outer function's variable
+                target = self.fresh("t")
+                first = [self.assign(node.variable, _name(target), statement=True)]
+            body = first + self.block(node.body)
+        finally:
+            fn.loops -= 1
+            fn.blocks.pop()
+        self.out.append(py.For(target=_store_name(target), iter=items, body=body, orelse=[]))
 
-        def throw(env: Environment) -> None:
-            raise JSThrownError(_js_string(argument(env)))
+    # ------------------------------------------------------------ expressions
 
-        return throw
-    if isinstance(node, ast.BreakStatement):
-        return lambda env: _BREAK
-    if isinstance(node, ast.ContinueStatement):
-        return lambda env: _CONTINUE
-    if isinstance(node, ast.Program):
-        body = compile_statements(list(node.body))
-        return lambda env: body(Environment(parent=env))
-    # Expression statements, and bare expressions used in statement position.
-    expression = compile_expression_ast(
-        node.expression if isinstance(node, ast.ExpressionStatement) else node)
-    return lambda env: (expression(env), None)[1]
+    def test(self, node: js.Node) -> py.expr:
+        """``node`` as a Python condition (JS truthiness)."""
+        if isinstance(node, js.BinaryOp) and node.operator in ("&&", "||"):
+            op = py.And() if node.operator == "&&" else py.Or()
+            return py.BoolOp(op=op, values=[self.test(node.left), self.test(node.right)])
+        if isinstance(node, js.UnaryOp) and node.operator == "!":
+            return py.UnaryOp(op=py.Not(), operand=self.test(node.operand))
+        if _is_boolean(node):
+            return self.expr(node)
+        return _call("_truthy", self.expr(node))
+
+    def expr(self, node: js.Node) -> py.expr:
+        if isinstance(node, js.Literal):
+            return py.Constant(value=node.value)
+        if isinstance(node, js.Identifier):
+            return self.load(node.name)
+        if isinstance(node, js.ArrayLiteral):
+            return py.List(elts=[self.expr(element) for element in node.elements], ctx=py.Load())
+        if isinstance(node, js.ObjectLiteral):
+            return py.Dict(keys=[py.Constant(value=key) for key, _ in node.entries],
+                           values=[self.expr(value) for _, value in node.entries])
+        if isinstance(node, js.UnaryOp):
+            if node.operator == "typeof":
+                operand = node.operand
+                if isinstance(operand, js.Identifier) and self.resolve(operand.name) is None:
+                    return _call("_typeof_free", _name("_load"), py.Constant(value=operand.name))
+                return _call("_typeof", self.expr(operand))
+            if node.operator == "!":
+                return py.UnaryOp(op=py.Not(), operand=self.test(node.operand))
+            if node.operator == "-":
+                return _call("_neg", self.expr(node.operand))
+            if node.operator == "+":
+                return _call("_number", self.expr(node.operand))
+            raise JavaScriptError(f"unsupported unary operator {node.operator!r}")
+        if isinstance(node, js.BinaryOp):
+            return self.binary(node)
+        if isinstance(node, js.Conditional):
+            return py.IfExp(test=self.test(node.test), body=self.expr(node.consequent),
+                            orelse=self.expr(node.alternate))
+        if isinstance(node, js.Member):
+            obj = self.expr(node.obj)
+            if node.prop != "length":
+                return _call("_member", obj, py.Constant(value=node.prop))
+            # (_len(t) if (k := _type(t := obj)) is _str or k is _list else _member(t, 'length'))
+            subject, kind = self.fresh("t"), self.fresh("k")
+            typed = py.NamedExpr(target=_store_name(kind), value=_call(
+                "_type", py.NamedExpr(target=_store_name(subject), value=obj)))
+            return py.IfExp(
+                test=py.BoolOp(op=py.Or(), values=[_is(typed, "_str"), _is(_name(kind), "_list")]),
+                body=_call("_len", _name(subject)),
+                orelse=_call("_member", _name(subject), py.Constant(value="length")))
+        if isinstance(node, js.Index):
+            return _call("_index", self.expr(node.obj), self.expr(node.index))
+        if isinstance(node, js.Call):
+            return self.call(node)
+        if isinstance(node, js.FunctionExpression):
+            return self.function_value(node, node.name)
+        if isinstance(node, js.Assignment):
+            return self.assignment(node, statement=False)
+        if isinstance(node, js.UpdateExpression):
+            return self.update(node, statement=False)
+        raise JavaScriptError(f"cannot compile AST node {type(node).__name__}")
+
+    def function_value(self, node: js.FunctionExpression, own_name: Optional[str]) -> py.expr:
+        """A function expression: its ``def`` goes before the statement being
+        emitted, and the expression is the name it binds.  ``own_name`` is the
+        name the function's body calls itself by, if any."""
+        name = self.fresh("f")
+        self_name = (own_name, name) if own_name else None
+        self.out.append(self.function(name, node.params, node.body, node.expression_body,
+                                      self_name=self_name))
+        return _name(name)
+
+    def binary(self, node: js.BinaryOp) -> py.expr:
+        operator = node.operator
+        if operator in ("&&", "||"):
+            left = self.expr(node.left)
+            right = self.expr(node.right)
+            if _is_boolean(node.left):  # `and` / `or` return an operand, as JS does
+                return py.BoolOp(op=py.And() if operator == "&&" else py.Or(), values=[left, right])
+            value = self.fresh("t")
+            test = _call("_truthy", py.NamedExpr(target=_store_name(value), value=left))
+            if operator == "&&":
+                return py.IfExp(test=test, body=right, orelse=_name(value))
+            return py.IfExp(test=test, body=_name(value), orelse=right)
+        if operator not in _OPERATOR_NAMES:
+            raise JavaScriptError(f"unsupported binary operator {operator!r}")
+        helper = _OPERATOR_NAMES[operator]
+        right = node.right
+        if operator in _EQUALITY and isinstance(right, js.Literal) and type(right.value) is int \
+                and abs(right.value) < 2 ** 53:
+            # (t == 0 if _type(t := left) is _int else _op(t, 0)): integers
+            # compare exactly, in JS and in Python.
+            subject, literal = self.fresh("t"), py.Constant(value=right.value)
+            typed = _call("_type", py.NamedExpr(target=_store_name(subject), value=self.expr(node.left)))
+            compare = py.Compare(left=_name(subject), ops=[_EQUALITY[operator]()],
+                                 comparators=[literal])
+            return py.IfExp(test=_is(typed, "_int"), body=compare,
+                            orelse=_call(helper, _name(subject), literal))
+        return _call(helper, self.expr(node.left), self.expr(right))
+
+    def call(self, node: js.Call) -> py.expr:
+        callee = node.callee
+        if not isinstance(callee, js.Member):
+            name = callee.name if isinstance(callee, js.Identifier) else "function"
+            function = self.expr(callee)
+            args = py.List(elts=[self.expr(arg) for arg in node.args], ctx=py.Load())
+            return _call("_call_value", function, args, py.Constant(value=name))
+        prop = callee.prop
+        obj = self.expr(callee.obj)
+        guards = [(kind, prefix + prop) for kind, prefix, table in _GUARDED if prop in table]
+        if not guards:
+            args = py.List(elts=[self.expr(arg) for arg in node.args], ctx=py.Load())
+            return _call("_call_method", obj, py.Constant(value=prop), args)
+        # (_S_prop if (k := _type(t := obj)) is _str else _A_prop if k is _list
+        #  else _fallback('prop'))(t, *args), on a line of its own.
+        subject, kind = self.fresh("t"), self.fresh("k")
+        typed = _call("_type", py.NamedExpr(target=_store_name(subject), value=obj))
+        if len(guards) > 1:
+            typed = py.NamedExpr(target=_store_name(kind), value=typed)
+        method: py.expr = _call("_fallback", py.Constant(value=prop))
+        for index, (type_name, target) in reversed(list(enumerate(guards))):
+            method = py.IfExp(test=_is(typed if index == 0 else _name(kind), type_name),
+                              body=_name(target), orelse=method)
+        line = _FIRST_SITE_LINE + len(self.fn.sites)
+        self.fn.sites.append(prop)
+        args = [self.expr(arg) for arg in node.args]
+        return py.Call(func=method, args=[_name(subject)] + args, keywords=[],
+                       lineno=line, end_lineno=line, col_offset=0, end_col_offset=0)
+
+    def assignment(self, node: js.Assignment, statement: bool) -> Any:
+        target = node.target
+        compound = _OPERATOR_NAMES[node.operator[0]] if node.operator != "=" else None
+        if isinstance(target, js.Identifier):
+            value = self.expr(node.value)
+            if compound is not None:
+                value = _call(compound, self.load(target.name), value)
+            return self.assign(target.name, value, statement)
+        container, key = self.fresh("t"), self.fresh("t")
+        if isinstance(target, js.Member):
+            obj, prop = self.expr(target.obj), py.Constant(value=target.prop)
+            setter, getter = "_set_member", "_member"
+        elif isinstance(target, js.Index):
+            obj, prop = self.expr(target.obj), self.expr(target.index)
+            setter, getter = "_set_index", "_index"
+        else:
+            raise JavaScriptError(f"cannot compile assignment target {type(target).__name__}")
+        value = self.expr(node.value)
+        if compound is not None:  # the target is read before the value is evaluated
+            obj = py.NamedExpr(target=_store_name(container), value=obj)
+            prop = py.NamedExpr(target=_store_name(key), value=prop)
+            value = _call(compound, _call(getter, _name(container), _name(key)), value)
+        call = _call(setter, obj, prop, value)
+        return py.Expr(value=call) if statement else call
+
+    def update(self, node: js.UpdateExpression, statement: bool) -> Any:
+        name = node.target.name
+        delta = py.Constant(value=1 if node.operator == "++" else -1)
+        if statement or node.prefix:
+            return self.assign(name, _call("_increment", self.load(name), delta), statement)
+        old = self.fresh("t")
+        current = _call("_number", py.NamedExpr(target=_store_name(old), value=self.load(name)))
+        return _call("_first", current,
+                     self.assign(name, _call("_increment", _name(old), delta), statement=False))
 
 
-def compile_program_ast(program: ast.Program) -> CompiledNode:
-    """Compile a ``${ ... }`` body / statement program into one runner."""
-    return compile_statements(list(program.body))
+def compile_expression_ast(node: js.Node) -> CompiledNode:
+    """Compile one expression AST; the function returns its value."""
+    return _Compiler().unit(expression=node)
+
+
+def compile_program_ast(program: js.Program) -> CompiledNode:
+    """Compile a ``${ ... }`` body; the function returns its ``return`` value."""
+    return _Compiler().unit(list(program.body))
 
 
 # ------------------------------------------------------------- library scopes
 
-
-class _ContextRoot(Environment):
-    """Root scope of a library: the standard library plus a per-thread overlay
-    carrying the current activation's ``inputs``/``self``/``runtime``.
-
-    The overlay lives *below* the library environment in the chain so library
-    functions (whose closures capture the library environment) resolve context
-    names of the evaluation that calls them, while each thread's concurrent
-    evaluations of a shared scope stay isolated.
-    """
-
-    def __init__(self, stdlib_variables: Dict[str, Any]) -> None:
-        self.parent = None
-        self._stdlib = stdlib_variables
-        self._tls = threading.local()
-
-    @property
-    def variables(self) -> Any:  # type: ignore[override]
-        stack = getattr(self._tls, "stack", None)
-        if stack:
-            return ChainMap(stack[-1], self._stdlib)
-        return self._stdlib
-
-    def push_context(self, context: Dict[str, Any]) -> None:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        stack.append(context)
-
-    def pop_context(self) -> None:
-        self._tls.stack.pop()
+_ABSENT = object()
 
 
 def fingerprint_library(expression_lib: Sequence[str]) -> str:
@@ -701,41 +966,71 @@ class LibraryScope:
     """Compiled form of an ``expressionLib``: built per evaluation by the
     uncached pipeline, once per library content by the compiled one.
 
-    Construction builds the standard library and parses and executes every
-    library source (library functions are :class:`CompiledFunction`).
-    :meth:`activation` then yields a per-evaluation frame in O(1).
+    Construction builds the standard library and parses, compiles and runs
+    every library source; their top-level bindings are :attr:`globals`.  Free
+    names of compiled code resolve through :meth:`load`: library globals, then
+    the calling thread's activation (its context overlay), then the standard
+    library.
     """
 
     def __init__(self, expression_lib: Optional[Sequence[str]] = None) -> None:
         self.sources = tuple(expression_lib or ())
         self.fingerprint = fingerprint_library(self.sources)
-        self._root = _ContextRoot(_standard_library())
-        self.lib_env = Environment(parent=self._root)
+        self.globals: Dict[str, Any] = {}
+        self._stdlib = _standard_library()
+        self._tls = threading.local()
+        self._handlers = (self.load, self.store, self.declare)
         for source in self.sources:
-            compile_program_ast(parse_program(source))(self.lib_env)
+            _Compiler().unit(list(parse_program(source).body), library=True)(*self._handlers)
+
+    def _overlay(self) -> Optional[Dict[str, Any]]:
+        stack = getattr(self._tls, "stack", None)
+        return stack[-1] if stack else None
+
+    def load(self, name: str) -> Any:
+        """The value of the free name ``name``."""
+        value = self.globals.get(name, _ABSENT)
+        if value is _ABSENT:
+            overlay = self._overlay()
+            if overlay is not None:
+                value = overlay.get(name, _ABSENT)
+            if value is _ABSENT:
+                value = self._stdlib.get(name, _ABSENT)
+                if value is _ABSENT:
+                    raise JavaScriptError(f"reference to undefined variable {name!r}")
+        return value
+
+    def store(self, name: str, value: Any) -> Any:
+        """Assign the free name ``name``: a library global stays one; any other
+        name lands in the evaluation's overlay (in the globals while the
+        library itself runs)."""
+        overlay = None if name in self.globals else self._overlay()
+        (self.globals if overlay is None else overlay)[name] = value
+        return value
+
+    def declare(self, name: str) -> None:
+        """A library-level ``var`` / ``let`` / ``const`` / function: a global
+        (``undefined`` until assigned; redeclaring keeps its value)."""
+        self.globals.setdefault(name, None)
 
     @contextmanager
     def activation(self, context: Optional[Dict[str, Any]]):
-        """Bind ``context`` for the current thread and yield the frame."""
-        self._root.push_context(dict(context or {}))
+        """Bind ``context`` for the current thread; yields the overlay."""
+        stack = self._tls.__dict__.setdefault("stack", [])
+        overlay = dict(context or {})
+        stack.append(overlay)
         try:
-            yield Environment(parent=self.lib_env)
+            yield overlay
         finally:
-            self._root.pop_context()
+            stack.pop()
 
     def evaluate(self, compiled: CompiledNode, context: Optional[Dict[str, Any]]) -> Any:
-        """Evaluate a compiled expression against ``context``."""
-        with self.activation(context) as env:
-            return compiled(env)
+        """Run a compiled expression (its value) or ``${ ... }`` body (its
+        ``return`` value) against ``context``."""
+        with self.activation(context):
+            return compiled(*self._handlers)
 
-    def run_body(self, compiled: CompiledNode, context: Optional[Dict[str, Any]]) -> Any:
-        """Run a compiled ``${ ... }`` body; its ``return`` value is the result."""
-        with self.activation(context) as env:
-            local = Environment(parent=env)
-            result = compiled(local)
-            if type(result) is tuple:
-                return result[0]
-            return None
+    run_body = evaluate
 
 
 #: Shared scopes keyed by library fingerprint (bounded LRU).

@@ -185,13 +185,13 @@ class Parser:
         # for (var x of arr) / for (var x in obj)
         if self.peek().kind == "keyword" and self.peek().value in ("var", "let", "const") \
                 and self.peek(2).kind == "keyword" and self.peek(2).value in ("of", "in"):
-            self.advance()  # var/let/const
+            kind = self.advance().value  # var/let/const
             variable = self.expect("identifier").value
             of_kind = self.advance().value  # of | in
             iterable = self.parse_expression()
             self.expect("punct", ")")
             body = self.parse_statement_or_block()
-            return ast.ForOfStatement(variable, iterable, body, of=(of_kind == "of"))
+            return ast.ForOfStatement(variable, iterable, body, of=(of_kind == "of"), kind=kind)
 
         init: Optional[ast.Node] = None
         if not self.check("punct", ";"):

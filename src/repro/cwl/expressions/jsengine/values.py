@@ -5,11 +5,13 @@ JS strings/numbers/booleans are Python ``str`` / ``int`` / ``float`` / ``bool``,
 ``dict``.  The standard library covers what CWL expressions typically use;
 regex literals and ``**`` are not supported.
 
-This is the one place a builtin's behaviour is defined.  The closure compiler
-(:mod:`repro.cwl.expressions.jsengine.closures`) is the only thing that runs
+This is the one place a builtin's behaviour is defined.  The compiler of
+:mod:`repro.cwl.expressions.jsengine.closures` is the only thing that runs
 JavaScript, under both cost models (a fresh scope per evaluation, or shared
-scopes), so a fix made here is a fix on every engine.  Real ``node`` is the
-oracle: ``tests/cwl/js_oracle_table.py`` holds its answers.
+scopes): the code it emits calls the method tables below directly, behind a
+type guard, and the standard library is what a free name finally resolves to.
+So a fix made here is a fix on every engine.  Real ``node`` is the oracle:
+``tests/cwl/js_oracle_table.py`` holds its answers.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ def _equals(left: Any, right: Any, strict: bool) -> bool:
 
 
 # ----------------------------------------------------------- builtin methods
-# Value-first (``STRING_METHODS["charAt"](value, index)``): the compiler's fused
-# method call dispatches them with no per-access allocation.
+# Value-first (``STRING_METHODS["charAt"](value, index)``): emitted code calls
+# them directly, with no per-access allocation.
 
 
 def _clamp(index: Any, length: int) -> int:

@@ -29,7 +29,7 @@ from . import js_oracle_table as oracle
 
 class JSEngine:
     """What these tests need of an engine: one fresh library scope, and every
-    source parsed, closure-compiled and run against it."""
+    source parsed, compiled and run against it."""
 
     def __init__(self, context=None, expression_lib=None):
         self.context = context
@@ -230,6 +230,37 @@ def test_runaway_loop_protection():
         JSEngine().run_function_body("while (true) { var x = 1; }")
 
 
+def test_a_function_exposes_no_python_attributes():
+    """A JS function is a Python function here: its ``__globals__`` (and
+    through them Python's builtins) stay out of reach of the expression."""
+    engine = JSEngine(expression_lib=["function f(x) { return x; }"])
+    with pytest.raises(JavaScriptError):
+        engine.run_function_body(
+            'var g = f; return g.body.__globals__["__builtins__"]["__import__"]("os").getpid();')
+    for source in ("f.__globals__", "f.__code__", "f.body", "'x'.toUpperCase.func"):
+        assert engine.evaluate(source) is None, source
+    with pytest.raises(JavaScriptError):
+        engine.evaluate("f['__globals__']")
+
+
+@pytest.mark.parametrize("source,builtin", [
+    ("'abc'.slice('a')", "slice"),
+    ("'abc'.toUpperCase().charAt('z')", "charAt"),
+    ("[1].map(function(x){ return 'a'.charAt('z'); })", "charAt"),
+    ("['a'].join('-').split('').slice(1, 'q')", "slice"),
+])
+def test_a_failing_builtin_is_named_in_the_error(source, builtin):
+    with pytest.raises(JavaScriptError, match=rf"^{builtin}\(\) failed: ValueError"):
+        evaluate_expression(source)
+
+
+@pytest.mark.parametrize("body", ["break;", "if (true) { continue; }",
+                                  "var f = function() { break; }; for (;;) { f(); }"])
+def test_loop_control_outside_a_loop_is_an_error(body):
+    with pytest.raises(JavaScriptError, match="outside a loop"):
+        JSEngine().run_function_body(body)
+
+
 def test_nested_function_closure():
     body = """
     function makeAdder(n) {
@@ -288,12 +319,13 @@ def test_property_array_join_and_length(xs):
 
 # ------------------------------------------------------ the oracle: real node
 #
-# The closure back end is the only thing that runs JavaScript, on every engine
-# and under both cost models, so nothing in-house can vouch for it.  Real
-# ``node`` does: ``js_oracle_table.py`` holds what node answers for 40 x 8
-# seeded random expressions and a hand-picked CWL-style list.  The table test
-# runs everywhere; the node test re-derives the table wherever node exists
-# (CI prints ``node --version`` first so it cannot skip there unnoticed).
+# The back end (JS compiled to Python code objects) is the only thing that
+# runs JavaScript, on every engine and under both cost models, so nothing
+# in-house can vouch for it.  Real ``node`` does: ``js_oracle_table.py`` holds
+# what node answers for 40 x 8 seeded random expressions and a hand-picked
+# CWL-style list.  The table test runs everywhere; the node test re-derives the
+# table wherever node exists (CI runs it alone in a step that fails unless it
+# passed, so it cannot skip there unnoticed).
 # Expressions are generated from explicit seeds (no hypothesis shrink state,
 # no hash-order dependence), so a failure reproduces from the seed alone.
 
@@ -369,7 +401,7 @@ def assert_matches_table(source, expected):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_property_closures_match_interpreter(seed):
-    """Seeded random expressions: the closure back end answers what the real
+    """Seeded random expressions: the back end answers what the real
     interpreter — node, whose answers the table records — answers."""
     rng = random.Random(seed)
     rows = oracle.SEEDED[seed]
