@@ -391,8 +391,8 @@ def _mangle(name: str) -> str:
 
 # Emitted local names never collide: a JS binding is ``j_<mangled>`` (or
 # ``b<n>_<mangled>`` in a nested block), a temporary ``t<n>``, a hoisted
-# function expression ``f<n>``, a loop's update flag ``k<n>``; helpers are the
-# ``_``-prefixed globals above.
+# function expression ``f<n>`` (made per loop pass by ``m<n>``), a loop's
+# update flag ``k<n>``; helpers are the ``_``-prefixed globals above.
 
 
 _ARGUMENTS = _mangle("arguments")
@@ -507,6 +507,11 @@ class _Function:
         self.sites: List[str] = []  # the builtin of each direct call site
         self.loops = 0
         self.uses_arguments = False
+        #: let / const bindings made afresh by each pass of a loop.
+        self.iteration_names: set = set()
+        #: The enclosing function's per-iteration bindings this one reads: its
+        #: def is made by a function of them, so each closure has its own.
+        self.captured: List[str] = []
 
 
 # ------------------------------------------------------------------ compiler
@@ -531,7 +536,7 @@ class _Compiler:
         try:
             definition = self.function("js_unit", ("_load", "_store", "_declare"), statements,
                                        expression, library=library, unit=True)
-            module = py.Module(body=[definition], type_ignores=[])
+            module = py.Module(body=definition, type_ignores=[])
             py.fix_missing_locations(module)
             code = compile(module, "<javascript>", "exec", dont_inherit=True)
         except (SyntaxError, ValueError, RecursionError) as exc:
@@ -541,8 +546,10 @@ class _Compiler:
 
     def function(self, name: str, params: Sequence[str], statements: Sequence[js.Node],
                  expression: Optional[js.Node] = None, self_name: Optional[Tuple[str, str]] = None,
-                 library: bool = False, unit: bool = False) -> py.FunctionDef:
-        """A ``def`` for a JS function (or a unit), its own scope resolved."""
+                 library: bool = False, unit: bool = False) -> List[py.stmt]:
+        """The statements defining JS function ``name`` (or a unit), its own
+        scope resolved: a ``def``, or a ``def`` made per loop pass (see
+        :attr:`_Function.captured`)."""
         fn = _Function(self.fn, library, self_name, unit)
         if not unit:
             fn.names.update((param, _mangle(param)) for param in params)
@@ -590,10 +597,20 @@ class _Compiler:
         if fn.nonlocals:
             body.insert(0, py.Nonlocal(names=sorted(fn.nonlocals)))
         if unit:
-            return _function_node(name, params, body, defaults=False)
+            return [_function_node(name, params, body, defaults=False)]
         if starred:
-            return _function_node(name, (), body, vararg="args")
-        return _function_node(name, [fn.names[param] for param in params], body, vararg="rest")
+            definition = _function_node(name, (), body, vararg="args")
+        else:
+            definition = _function_node(name, [fn.names[param] for param in params], body,
+                                        vararg="rest")
+        if not fn.captured:
+            return [definition]
+        # def m(b1_x): def f(...): ...; return f  /  f = m(b1_x)
+        maker = self.fresh("m")
+        return [_function_node(maker, fn.captured, [definition, py.Return(value=_name(name))],
+                               defaults=False),
+                py.Assign(targets=[_store_name(name)],
+                          value=_call(maker, *map(_name, fn.captured)))]
 
     # ------------------------------------------------------------------ names
 
@@ -604,7 +621,14 @@ class _Compiler:
         while fn is not None:
             for block in reversed(fn.blocks):
                 if name in block:
-                    return fn, block[name]
+                    local = block[name]
+                    if fn is not self.fn and local in fn.iteration_names:
+                        inner = self.fn
+                        while inner.parent is not fn:
+                            inner = inner.parent
+                        if local not in inner.captured:
+                            inner.captured.append(local)
+                    return fn, local
             if name in fn.names:
                 return None if fn.library else (fn, fn.names[name])
             if fn.self_name is not None and fn.self_name[0] == name:
@@ -635,13 +659,19 @@ class _Compiler:
             return py.Assign(targets=[_store_name(local)], value=value)
         return py.NamedExpr(target=_store_name(local), value=value)
 
+    def push_scope(self, names: Sequence[str], per_iteration: bool) -> None:
+        """Open a block scope binding ``let`` / ``const`` ``names``; the caller
+        pops ``self.fn.blocks``."""
+        fn = self.fn
+        scope = {name: f"b{next(self._counter)}_{_mangle(name)[2:]}" for name in names}
+        fn.hoisted.extend(scope.values())
+        if per_iteration:
+            fn.iteration_names.update(scope.values())
+        fn.blocks.append(scope)
+
     def block(self, statements: Sequence[js.Node]) -> List[py.stmt]:
         """A nested block's statements, in their own ``let`` / ``const`` scope."""
-        fn = self.fn
-        scope = {name: f"b{next(self._counter)}_{_mangle(name)[2:]}"
-                 for name in _lexical_names(statements)}
-        fn.hoisted.extend(scope.values())
-        fn.blocks.append(scope)
+        self.push_scope(_lexical_names(statements), per_iteration=self.fn.loops > 0)
         saved, self.out = self.out, []
         try:
             for statement in statements:
@@ -649,7 +679,7 @@ class _Compiler:
             return self.out or [py.Pass()]
         finally:
             self.out = saved
-            fn.blocks.pop()
+            self.fn.blocks.pop()
 
     # ------------------------------------------------------------- statements
 
@@ -661,7 +691,7 @@ class _Compiler:
                 if isinstance(init, js.FunctionExpression) and init.name == name:
                     # A function declaration: calls itself through the variable.
                     if found is not None and found[0] is self.fn:  # the def binds it
-                        out.append(self.function(found[1], init.params, init.body))
+                        out.extend(self.function(found[1], init.params, init.body))
                     else:
                         out.append(self.assign(name, self.function_value(init, None), True))
                 elif init is not None or node.kind != "var":  # a bare `var x;` is hoisted
@@ -701,12 +731,8 @@ class _Compiler:
     def for_loop(self, node: js.ForStatement) -> None:
         """``for (init; test; update)`` inside a block holding the init's
         ``let``; a ``continue`` runs the update, through a flag."""
-        fn = self.fn
         head = [node.init] if node.init is not None else []
-        scope = {name: f"b{next(self._counter)}_{_mangle(name)[2:]}"
-                 for name in _lexical_names(head)}
-        fn.hoisted.extend(scope.values())
-        fn.blocks.append(scope)
+        self.push_scope(_lexical_names(head), per_iteration=True)
         try:
             for statement in head:
                 self.statement(statement)
@@ -723,7 +749,7 @@ class _Compiler:
             else:
                 self.loop("for", prelude, node.test, node.update, node.body)
         finally:
-            fn.blocks.pop()
+            self.fn.blocks.pop()
 
     def loop(self, kind: str, prelude: List[py.stmt], test: Optional[js.Node],
              update: Optional[js.Node], body: Sequence[js.Node]) -> None:
@@ -750,11 +776,7 @@ class _Compiler:
 
     def for_of_loop(self, node: js.ForOfStatement) -> None:
         fn = self.fn
-        scope = {}
-        if node.kind != "var":
-            scope[node.variable] = f"b{next(self._counter)}_{_mangle(node.variable)[2:]}"
-            fn.hoisted.extend(scope.values())
-        fn.blocks.append(scope)
+        self.push_scope([node.variable] if node.kind != "var" else [], per_iteration=True)
         fn.loops += 1
         try:
             items = _call("_of_values" if node.of else "_in_keys", self.expr(node.iterable))
@@ -841,7 +863,7 @@ class _Compiler:
         name the function's body calls itself by, if any."""
         name = self.fresh("f")
         self_name = (own_name, name) if own_name else None
-        self.out.append(self.function(name, node.params, node.body, node.expression_body,
+        self.out.extend(self.function(name, node.params, node.body, node.expression_body,
                                       self_name=self_name))
         return _name(name)
 
