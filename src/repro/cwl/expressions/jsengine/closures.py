@@ -7,13 +7,13 @@ evaluation time, and no text of a CWL document ever reaches Python's parser:
   AST into a Python :mod:`ast` module, built from nodes only — every JS name is
   mangled into a ``j_`` identifier and every literal is an ``ast.Constant`` —
   and ``compile()`` it once.  JS parameters and ``var`` declarations become
-  Python fast locals (``var`` is function-scoped and ``let`` / ``const`` block-scoped, as
-  in node); inner functions are Python closures, with ``nonlocal`` where they
-  assign an outer variable; ``if`` / ``while`` / ``for`` / ``return`` /
-  ``break`` / ``continue`` are Python's own.  A builtin method call is a
-  ``type(x) is str`` / ``list`` guarded direct call into the tables of
-  :mod:`~repro.cwl.expressions.jsengine.values`, with :func:`_call_method` as
-  the fallback.
+  Python fast locals (``var`` is function-scoped and ``let`` / ``const``
+  block-scoped, as in node); inner functions are Python closures, with
+  ``nonlocal`` where they assign an outer variable; ``if`` / ``while`` /
+  ``for`` / ``return`` / ``break`` / ``continue`` are Python's own.  A
+  builtin method call is a ``type(x) is str`` / ``list`` guarded direct call
+  into the tables of :mod:`~repro.cwl.expressions.jsengine.values`, with
+  :func:`_call_method` as the fallback.
 * The result is a Python function of a scope's three name handlers
   (``load`` / ``store`` / ``declare``).  A name no enclosing JS function
   declares is *free* and resolves at run time through them: library globals,
@@ -369,8 +369,8 @@ _OPERATOR_NAMES = {operator: f"_op{index}" for index, operator in enumerate(_BIN
 _RUNTIME.update({_OPERATOR_NAMES[op]: func for op, func in _BINARY_FUNCS.items()})
 #: Direct-call targets: ``(type name, prefix, table)``.
 _GUARDED = (("_str", "_S_", STRING_METHODS), ("_list", "_A_", ARRAY_METHODS))
-for _kind, _prefix, _table in _GUARDED:
-    _RUNTIME.update({_prefix + name: method for name, method in _table.items()})
+_RUNTIME.update({prefix + name: method for _, prefix, table in _GUARDED
+                 for name, method in table.items()})
 
 
 # ------------------------------------------------------------ name mangling
@@ -739,7 +739,8 @@ class _Compiler:
             prelude: List[py.stmt] = []
             if node.update is not None and _continues(node.body):
                 flag = self.fresh("k")
-                self.out.append(py.Assign(targets=[_store_name(flag)], value=py.Constant(value=False)))
+                self.out.append(py.Assign(targets=[_store_name(flag)],
+                                          value=py.Constant(value=False)))
                 saved, self.out = self.out, []
                 self.statement(node.update)
                 prelude.append(py.If(test=_name(flag), body=self.out, orelse=[
@@ -888,7 +889,8 @@ class _Compiler:
             # (t == 0 if _type(t := left) is _int else _op(t, 0)): integers
             # compare exactly, in JS and in Python.
             subject, literal = self.fresh("t"), py.Constant(value=right.value)
-            typed = _call("_type", py.NamedExpr(target=_store_name(subject), value=self.expr(node.left)))
+            typed = _call("_type", py.NamedExpr(target=_store_name(subject),
+                                                value=self.expr(node.left)))
             compare = py.Compare(left=_name(subject), ops=[_EQUALITY[operator]()],
                                  comparators=[literal])
             return py.IfExp(test=_is(typed, "_int"), body=compare,
