@@ -9,7 +9,9 @@ evaluation time, and no text of a CWL document ever reaches Python's parser:
   and ``compile()`` it once.  JS parameters and ``var`` declarations become
   Python fast locals (``var`` is function-scoped and ``let`` / ``const``
   block-scoped, as in node); inner functions are Python closures, with
-  ``nonlocal`` where they assign an outer variable; ``if`` / ``while`` /
+  ``nonlocal`` where they assign an outer variable (a loop pass's ``let`` /
+  ``const`` that such a closure uses is a one-element list made anew for each
+  pass, so each pass and its closures share one binding); ``if`` / ``while`` /
   ``for`` / ``return`` / ``break`` / ``continue`` are Python's own.  A
   builtin method call is a ``type(x) is str`` / ``list`` guarded direct call
   into the tables of :mod:`~repro.cwl.expressions.jsengine.values`, with
@@ -47,16 +49,17 @@ scope.
 
 from __future__ import annotations
 
-import ast as py
+import ast
 import hashlib
 import itertools
 import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import partial
 from operator import ge, gt, le, lt
-from types import CodeType, FunctionType
+from types import CodeType, FunctionType, SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cwl.errors import JavaScriptError
@@ -288,26 +291,21 @@ _BINARY_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
     ">=": _compare(ge),
 }
 
-#: Equality operators, as Python's comparison of two integers.
-_EQUALITY = {"==": py.Eq, "===": py.Eq, "!=": py.NotEq, "!==": py.NotEq}
-
-#: Operators whose result is always a boolean (so a test needs no coercion).
-_BOOLEAN_OPERATORS = {"in", "==", "===", "!=", "!==", "<", ">", "<=", ">="}
-
-_SMALL_INT = 10 ** 15 - 1
-
 
 def _number(value: Any) -> Any:
     return _maybe_int(_to_number(value))
 
 
 def _increment(value: Any, delta: int) -> Any:
-    if type(value) is int and -_SMALL_INT < value < _SMALL_INT:
-        return value + delta
     return _maybe_int(_to_number(value) + delta)
 
 
 def _first(value: Any, _later: Any) -> Any:
+    return value
+
+
+def _put(box: List[Any], value: Any) -> Any:
+    box[0] = value
     return value
 
 
@@ -351,10 +349,10 @@ def _loop_limit(kind: str) -> JavaScriptError:
 #: builtin method tables, nothing else (no Python builtins).
 _RUNTIME: Dict[str, Any] = {
     "__builtins__": {},
-    "_type": type, "_str": str, "_list": list, "_int": int, "_len": len,
+    "_type": type, "_str": str, "_list": list,
     "_truthy": _js_truthy, "_typeof": _js_typeof, "_typeof_free": _typeof_free,
     "_neg": lambda value: _maybe_int(-_to_number(value)), "_number": _number,
-    "_increment": _increment, "_first": _first,
+    "_increment": _increment, "_first": _first, "_put": _put,
     "_member": _member_access, "_index": _index_access,
     "_set_member": _set_member, "_set_index": _set_index,
     "_call_value": _call_value, "_call_method": _call_method,
@@ -397,6 +395,18 @@ def _mangle(name: str) -> str:
 
 _ARGUMENTS = _mangle("arguments")
 
+#: Every emitted node sits at line 1 (a direct builtin call site has its own
+#: line, see :func:`_site_failure`), set as the node is made: no pass over the
+#: tree fills positions in.
+_LINE_1 = dict(lineno=1, col_offset=0, end_lineno=1, end_col_offset=0)
+_POSITIONED = (ast.stmt, ast.expr, ast.arg, ast.excepthandler)
+#: :mod:`ast` as the compiler uses it: a node class with a position makes its
+#: nodes at line 1.
+py = SimpleNamespace(**{
+    name: partial(kind, **_LINE_1) if isinstance(kind, type) and issubclass(kind, _POSITIONED)
+    else kind
+    for name, kind in vars(ast).items() if not name.startswith("_")})
+
 
 def _name(identifier: str) -> py.Name:
     return py.Name(id=identifier, ctx=py.Load())
@@ -421,7 +431,7 @@ def _function_node(name: str, params: Sequence[str], body: List[py.stmt],
         vararg=py.arg(arg=vararg) if vararg else None, kwonlyargs=[], kw_defaults=[],
         kwarg=None, defaults=[py.Constant(value=None) for _ in params] if defaults else [])
     fields = dict(name=name, args=arguments, body=body, decorator_list=[], returns=None)
-    if "type_params" in py.FunctionDef._fields:  # Python >= 3.12
+    if "type_params" in ast.FunctionDef._fields:  # Python >= 3.12
         fields["type_params"] = []
     return py.FunctionDef(**fields)
 
@@ -476,15 +486,18 @@ def _continues(statements: Sequence[js.Node]) -> bool:
     return False
 
 
-def _is_boolean(node: js.Node) -> bool:
-    """Whether ``node`` always evaluates to a Python ``bool``."""
-    if isinstance(node, js.BinaryOp):
-        if node.operator in ("&&", "||"):
-            return _is_boolean(node.left) and _is_boolean(node.right)
-        return node.operator in _BOOLEAN_OPERATORS
-    if isinstance(node, js.UnaryOp):
-        return node.operator == "!"
-    return isinstance(node, js.Literal) and isinstance(node.value, bool)
+def _makes_function(nodes: Sequence[Any]) -> bool:
+    """Whether a function expression occurs anywhere in ``nodes``."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, js.FunctionExpression):
+            return True
+        if isinstance(node, js.Node):
+            stack.extend(getattr(node, field.name) for field in fields(node))
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+    return False
 
 
 class _Function:
@@ -507,10 +520,12 @@ class _Function:
         self.sites: List[str] = []  # the builtin of each direct call site
         self.loops = 0
         self.uses_arguments = False
-        #: let / const bindings made afresh by each pass of a loop.
-        self.iteration_names: set = set()
-        #: The enclosing function's per-iteration bindings this one reads: its
-        #: def is made by a function of them, so each closure has its own.
+        #: Boxes: the let / const bindings of a loop pass that a function made
+        #: in the loop can capture.  Each is a one-element list, made anew for
+        #: each pass, so the pass and its closures share it.
+        self.boxes: set = set()
+        #: The enclosing function's boxes this one uses: its def is made by a
+        #: function of them, so each closure keeps the boxes of its own pass.
         self.captured: List[str] = []
 
 
@@ -537,7 +552,6 @@ class _Compiler:
             definition = self.function("js_unit", ("_load", "_store", "_declare"), statements,
                                        expression, library=library, unit=True)
             module = py.Module(body=definition, type_ignores=[])
-            py.fix_missing_locations(module)
             code = compile(module, "<javascript>", "exec", dont_inherit=True)
         except (SyntaxError, ValueError, RecursionError) as exc:
             raise JavaScriptError(f"cannot compile JavaScript: {exc}") from exc
@@ -605,7 +619,7 @@ class _Compiler:
                                         vararg="rest")
         if not fn.captured:
             return [definition]
-        # def m(b1_x): def f(...): ...; return f  /  f = m(b1_x)
+        # def m(b1_x): def f(...): ...; return f  /  f = m(b1_x), b1_x a box
         maker = self.fresh("m")
         return [_function_node(maker, fn.captured, [definition, py.Return(value=_name(name))],
                                defaults=False),
@@ -622,7 +636,7 @@ class _Compiler:
             for block in reversed(fn.blocks):
                 if name in block:
                     local = block[name]
-                    if fn is not self.fn and local in fn.iteration_names:
+                    if fn is not self.fn and local in fn.boxes:
                         inner = self.fn
                         while inner.parent is not fn:
                             inner = inner.parent
@@ -644,7 +658,10 @@ class _Compiler:
         found = self.resolve(name)
         if found is None:
             return _call("_load", py.Constant(value=name))
-        return _name(found[1])
+        owner, local = found
+        if local in owner.boxes:
+            return py.Subscript(value=_name(local), slice=py.Constant(value=0), ctx=py.Load())
+        return _name(local)
 
     def assign(self, name: str, value: py.expr, statement: bool) -> Any:
         """``name = value`` as a statement, or as an expression of its value."""
@@ -653,26 +670,44 @@ class _Compiler:
             call = _call("_store", py.Constant(value=name), value)
             return py.Expr(value=call) if statement else call
         owner, local = found
+        if local in owner.boxes:
+            if not statement:
+                return _call("_put", _name(local), value)
+            box = py.Subscript(value=_name(local), slice=py.Constant(value=0), ctx=py.Store())
+            return py.Assign(targets=[box], value=value)
         if owner is not self.fn:
             self.fn.nonlocals.add(local)
         if statement:
             return py.Assign(targets=[_store_name(local)], value=value)
         return py.NamedExpr(target=_store_name(local), value=value)
 
-    def push_scope(self, names: Sequence[str], per_iteration: bool) -> None:
-        """Open a block scope binding ``let`` / ``const`` ``names``; the caller
-        pops ``self.fn.blocks``."""
+    def push_scope(self, names: Sequence[str], boxed: bool) -> List[str]:
+        """Open a block scope binding ``let`` / ``const`` ``names``, as boxes
+        if ``boxed``; the caller pops ``self.fn.blocks``.  Returns the boxes."""
         fn = self.fn
         scope = {name: f"b{next(self._counter)}_{_mangle(name)[2:]}" for name in names}
-        fn.hoisted.extend(scope.values())
-        if per_iteration:
-            fn.iteration_names.update(scope.values())
         fn.blocks.append(scope)
+        if not boxed:
+            fn.hoisted.extend(scope.values())
+            return []
+        fn.boxes.update(scope.values())
+        return list(scope.values())
+
+    @staticmethod
+    def new_boxes(boxes: Sequence[str], copy: bool = False) -> List[py.stmt]:
+        """``b = [None]`` for each box, a fresh binding; with ``copy``,
+        ``b = [b[0]]``, a fresh binding holding the current value."""
+        return [py.Assign(targets=[_store_name(box)], value=py.List(elts=[
+            py.Subscript(value=_name(box), slice=py.Constant(value=0), ctx=py.Load())
+            if copy else py.Constant(value=None)], ctx=py.Load())) for box in boxes]
 
     def block(self, statements: Sequence[js.Node]) -> List[py.stmt]:
-        """A nested block's statements, in their own ``let`` / ``const`` scope."""
-        self.push_scope(_lexical_names(statements), per_iteration=self.fn.loops > 0)
-        saved, self.out = self.out, []
+        """A nested block's statements, in their own ``let`` / ``const`` scope
+        (boxed in a loop that makes a function)."""
+        names = _lexical_names(statements)
+        boxes = self.push_scope(names, boxed=bool(
+            names and self.fn.loops and _makes_function(statements)))
+        saved, self.out = self.out, self.new_boxes(boxes)
         try:
             for statement in statements:
                 self.statement(statement)
@@ -690,7 +725,8 @@ class _Compiler:
                 found = self.resolve(name)
                 if isinstance(init, js.FunctionExpression) and init.name == name:
                     # A function declaration: calls itself through the variable.
-                    if found is not None and found[0] is self.fn:  # the def binds it
+                    if found is not None and found[0] is self.fn \
+                            and found[1] not in self.fn.boxes:  # the def binds it
                         out.extend(self.function(found[1], init.params, init.body))
                     else:
                         out.append(self.assign(name, self.function_value(init, None), True))
@@ -732,7 +768,8 @@ class _Compiler:
         """``for (init; test; update)`` inside a block holding the init's
         ``let``; a ``continue`` runs the update, through a flag."""
         head = [node.init] if node.init is not None else []
-        self.push_scope(_lexical_names(head), per_iteration=True)
+        boxes = self.push_scope(_lexical_names(head), boxed=_makes_function([node]))
+        self.out.extend(self.new_boxes(boxes))
         try:
             for statement in head:
                 self.statement(statement)
@@ -743,19 +780,23 @@ class _Compiler:
                                           value=py.Constant(value=False)))
                 saved, self.out = self.out, []
                 self.statement(node.update)
+                # Each pass copies the head's boxes, before the update runs.
+                prelude.extend(self.new_boxes(boxes, copy=True))
                 prelude.append(py.If(test=_name(flag), body=self.out, orelse=[
                     py.Assign(targets=[_store_name(flag)], value=py.Constant(value=True))]))
                 self.out = saved
                 self.loop("for", prelude, node.test, None, node.body)
             else:
-                self.loop("for", prelude, node.test, node.update, node.body)
+                self.loop("for", prelude, node.test, node.update, node.body,
+                          self.new_boxes(boxes, copy=True))
         finally:
             self.fn.blocks.pop()
 
     def loop(self, kind: str, prelude: List[py.stmt], test: Optional[js.Node],
-             update: Optional[js.Node], body: Sequence[js.Node]) -> None:
+             update: Optional[js.Node], body: Sequence[js.Node],
+             renew: Sequence[py.stmt] = ()) -> None:
         """``for _ in range(1_000_001): [prelude] if not test: break; body;
-        update`` — ``else:`` the iteration guard raises."""
+        [renew] update`` — ``else:`` the iteration guard raises."""
         outer, self.out = self.out, list(prelude)
         self.fn.loops += 1
         try:
@@ -766,6 +807,7 @@ class _Compiler:
             statements = self.out
             statements.extend(self.block(body))
             if update is not None:
+                statements.extend(renew)
                 self.out = statements
                 self.statement(update)
         finally:
@@ -777,16 +819,19 @@ class _Compiler:
 
     def for_of_loop(self, node: js.ForOfStatement) -> None:
         fn = self.fn
-        self.push_scope([node.variable] if node.kind != "var" else [], per_iteration=True)
+        boxes = self.push_scope([node.variable] if node.kind != "var" else [],
+                                boxed=_makes_function(node.body))
+        self.out.extend(self.new_boxes(boxes))  # the binding the iterable sees
         fn.loops += 1
         try:
             items = _call("_of_values" if node.of else "_in_keys", self.expr(node.iterable))
             found = self.resolve(node.variable)
-            if found is not None and found[0] is fn:
+            if found is not None and found[0] is fn and not boxes:
                 target, first = found[1], []
-            else:  # a library global, or an outer function's variable
+            else:  # a box, a library global, or an outer function's variable
                 target = self.fresh("t")
-                first = [self.assign(node.variable, _name(target), statement=True)]
+                first = self.new_boxes(boxes)
+                first.append(self.assign(node.variable, _name(target), statement=True))
             body = first + self.block(node.body)
         finally:
             fn.loops -= 1
@@ -802,8 +847,6 @@ class _Compiler:
             return py.BoolOp(op=op, values=[self.test(node.left), self.test(node.right)])
         if isinstance(node, js.UnaryOp) and node.operator == "!":
             return py.UnaryOp(op=py.Not(), operand=self.test(node.operand))
-        if _is_boolean(node):
-            return self.expr(node)
         return _call("_truthy", self.expr(node))
 
     def expr(self, node: js.Node) -> py.expr:
@@ -835,17 +878,7 @@ class _Compiler:
             return py.IfExp(test=self.test(node.test), body=self.expr(node.consequent),
                             orelse=self.expr(node.alternate))
         if isinstance(node, js.Member):
-            obj = self.expr(node.obj)
-            if node.prop != "length":
-                return _call("_member", obj, py.Constant(value=node.prop))
-            # (_len(t) if (k := _type(t := obj)) is _str or k is _list else _member(t, 'length'))
-            subject, kind = self.fresh("t"), self.fresh("k")
-            typed = py.NamedExpr(target=_store_name(kind), value=_call(
-                "_type", py.NamedExpr(target=_store_name(subject), value=obj)))
-            return py.IfExp(
-                test=py.BoolOp(op=py.Or(), values=[_is(typed, "_str"), _is(_name(kind), "_list")]),
-                body=_call("_len", _name(subject)),
-                orelse=_call("_member", _name(subject), py.Constant(value="length")))
+            return _call("_member", self.expr(node.obj), py.Constant(value=node.prop))
         if isinstance(node, js.Index):
             return _call("_index", self.expr(node.obj), self.expr(node.index))
         if isinstance(node, js.Call):
@@ -873,8 +906,6 @@ class _Compiler:
         if operator in ("&&", "||"):
             left = self.expr(node.left)
             right = self.expr(node.right)
-            if _is_boolean(node.left):  # `and` / `or` return an operand, as JS does
-                return py.BoolOp(op=py.And() if operator == "&&" else py.Or(), values=[left, right])
             value = self.fresh("t")
             test = _call("_truthy", py.NamedExpr(target=_store_name(value), value=left))
             if operator == "&&":
@@ -882,20 +913,7 @@ class _Compiler:
             return py.IfExp(test=test, body=_name(value), orelse=right)
         if operator not in _OPERATOR_NAMES:
             raise JavaScriptError(f"unsupported binary operator {operator!r}")
-        helper = _OPERATOR_NAMES[operator]
-        right = node.right
-        if operator in _EQUALITY and isinstance(right, js.Literal) and type(right.value) is int \
-                and abs(right.value) < 2 ** 53:
-            # (t == 0 if _type(t := left) is _int else _op(t, 0)): integers
-            # compare exactly, in JS and in Python.
-            subject, literal = self.fresh("t"), py.Constant(value=right.value)
-            typed = _call("_type", py.NamedExpr(target=_store_name(subject),
-                                                value=self.expr(node.left)))
-            compare = py.Compare(left=_name(subject), ops=[_EQUALITY[operator]()],
-                                 comparators=[literal])
-            return py.IfExp(test=_is(typed, "_int"), body=compare,
-                            orelse=_call(helper, _name(subject), literal))
-        return _call(helper, self.expr(node.left), self.expr(right))
+        return _call(_OPERATOR_NAMES[operator], self.expr(node.left), self.expr(node.right))
 
     def call(self, node: js.Call) -> py.expr:
         callee = node.callee
