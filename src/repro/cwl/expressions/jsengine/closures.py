@@ -50,13 +50,13 @@ scope.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import itertools
 import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import fields
 from functools import partial
 from operator import ge, gt, le, lt
 from types import CodeType, FunctionType, SimpleNamespace
@@ -494,7 +494,7 @@ def _makes_function(nodes: Sequence[Any]) -> bool:
         if isinstance(node, js.FunctionExpression):
             return True
         if isinstance(node, js.Node):
-            stack.extend(getattr(node, field.name) for field in fields(node))
+            stack.extend(getattr(node, field.name) for field in dataclasses.fields(node))
         elif isinstance(node, (list, tuple)):
             stack.extend(node)
     return False
