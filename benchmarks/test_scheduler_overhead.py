@@ -7,12 +7,15 @@ Three figures, all prefixed ``SCHED`` (written to ``BENCH_sched.json``):
   This models the cache-warm replay case: every job is a cache hit, so
   scheduler bookkeeping *is* the runtime.  The pipelined core coalesces
   these tiny jobs into batches instead of paying a thread-pool round-trip
-  per node, and must come out cheaper per node at 10k.
+  per node: it hands no node to a pool, the thread-pool core hands off
+  every one.
 * ``SCHED io-heavy pipelining`` — wall time on a DAG whose node lifecycle
   is I/O-bound (sleeps in stage / exec / collect).  Both cores get the
   same execution concurrency (8 in-flight jobs); the pipelined core
   additionally overlaps staging and collection of *different* jobs with
-  execution and must beat the serial stage→exec→collect lifecycle.
+  execution: a node's stage starts while another node executes.
+
+The timings are recorded series; no assertion compares two of them.
 * ``SCHED event emission`` — per-event cost (µs) of the
   :class:`~repro.api.events.EventRecorder` hot path with and without user
   hooks: without hooks the recorder appends raw tuples and defers
@@ -21,6 +24,7 @@ Three figures, all prefixed ``SCHED`` (written to ``BENCH_sched.json``):
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import time
 
 import pytest
@@ -63,22 +67,28 @@ class _TinyNoopExecutor:
 
 
 class _SleepStageExecutor:
-    """I/O-bound lifecycle: every stage blocks, none burns CPU."""
+    """I/O-bound lifecycle: every stage blocks, none burns CPU.  The start
+    of each stage and the start and end of each exec are appended to
+    :attr:`events` in the order they happen."""
 
     def __init__(self, stage_s: float, exec_s: float, collect_s: float) -> None:
         self.stage_s = stage_s
         self.exec_s = exec_s
         self.collect_s = collect_s
+        self.events = []
 
     def is_tiny(self, node) -> bool:
         return False
 
     def stage(self, node):
+        self.events.append(("stage", node.id))
         time.sleep(self.stage_s)
         return node.id
 
     def execute(self, node, staged):
+        self.events.append(("exec", node.id))
         time.sleep(self.exec_s)
+        self.events.append(("exec end", node.id))
         return staged
 
     def collect(self, node, staged, result):
@@ -89,13 +99,31 @@ class _SleepStageExecutor:
 # ------------------------------------------------------------ per-node cost
 
 
+class _PoolHandOffs:
+    """Counts the callables handed to any thread pool."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.count = 0
+        real_submit = cf.ThreadPoolExecutor.submit
+
+        def submit(pool, fn, *args, **kwargs):
+            self.count += 1
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(cf.ThreadPoolExecutor, "submit", submit)
+
+
 @pytest.mark.parametrize("nodes", PER_NODE_SIZES)
-def test_per_node_overhead_threadpool_vs_pipeline(nodes, series_recorder):
-    """Per-node dispatch µs: the pipelined core must win on warm replays."""
+def test_per_node_overhead_threadpool_vs_pipeline(nodes, series_recorder, monkeypatch):
+    """Per-node dispatch µs on warm replays: the thread-pool core hands every
+    node of a plain callable to its pool, the pipelined core runs its tiny
+    nodes inline and hands off none."""
+    hand_offs = _PoolHandOffs(monkeypatch)
     graph = build_layered_graph(nodes)
     start = time.perf_counter()
     GraphScheduler(graph, lambda node: None, parallel=True, max_workers=8).run()
     threadpool_s = time.perf_counter() - start
+    threadpool_hand_offs, hand_offs.count = hand_offs.count, 0
 
     graph = build_layered_graph(nodes)
     scheduler = PipelineScheduler(graph, executor=_TinyNoopExecutor(),
@@ -104,6 +132,7 @@ def test_per_node_overhead_threadpool_vs_pipeline(nodes, series_recorder):
     scheduler.run()
     pipeline_s = time.perf_counter() - start
 
+    assert (threadpool_hand_offs, hand_offs.count) == (nodes, 0)
     assert scheduler.stage_timings["tiny_nodes"] == nodes
     assert scheduler.stage_timings["tiny_batches"] <= nodes
 
@@ -111,10 +140,6 @@ def test_per_node_overhead_threadpool_vs_pipeline(nodes, series_recorder):
                           nodes, threadpool_s / nodes * 1e6)
     series_recorder.record("SCHED per-node overhead", "pipelined (us/node)",
                           nodes, pipeline_s / nodes * 1e6)
-    if nodes == max(PER_NODE_SIZES):
-        assert pipeline_s < threadpool_s, (
-            f"pipelined core slower than thread pool on the {nodes}-node "
-            f"warm DAG: {pipeline_s:.3f}s vs {threadpool_s:.3f}s")
 
 
 # ------------------------------------------------------- I/O-heavy overlap
@@ -132,7 +157,7 @@ def build_independent_graph(nodes: int) -> WorkflowGraph:
     return graph
 
 
-def test_io_heavy_pipelining_beats_serial_lifecycle(series_recorder):
+def test_io_heavy_pipelining_overlaps_stage_with_exec(series_recorder):
     """Overlapped stage/exec/collect vs the serial per-node lifecycle.
 
     64 independent nodes, each with a 4ms stage, 8ms exec (a subprocess
@@ -141,7 +166,8 @@ def test_io_heavy_pipelining_beats_serial_lifecycle(series_recorder):
     thread is pinned for the *whole* 16ms of its node, capping concurrency
     at 8 jobs; the pipelined core parks executions on the supervised exec
     lane (``max_inflight=32``) so its 8 workers spend their time only on
-    staging and collection, overlapped with the waits of other jobs.
+    staging and collection, overlapped with the waits of other jobs: some
+    node's stage starts while another node executes.
     """
     stage_s, exec_s, collect_s = 0.004, 0.008, 0.004
     nodes = 64
@@ -156,10 +182,9 @@ def test_io_heavy_pipelining_beats_serial_lifecycle(series_recorder):
                    parallel=True, max_workers=8).run()
     serial_s = time.perf_counter() - start
 
-    scheduler = PipelineScheduler(
-        build_independent_graph(nodes),
-        executor=_SleepStageExecutor(stage_s, exec_s, collect_s),
-        max_inflight=32, max_workers=8)
+    executor = _SleepStageExecutor(stage_s, exec_s, collect_s)
+    scheduler = PipelineScheduler(build_independent_graph(nodes), executor=executor,
+                                  max_inflight=32, max_workers=8)
     start = time.perf_counter()
     scheduler.run()
     pipelined_s = time.perf_counter() - start
@@ -168,14 +193,21 @@ def test_io_heavy_pipelining_beats_serial_lifecycle(series_recorder):
     assert timings["nodes"] == nodes
     assert timings["stage_s"] > 0 and timings["exec_s"] > 0
     assert timings["collect_s"] > 0
+    executing = set()
+    overlapped = False
+    for kind, node in executor.events:
+        if kind == "exec":
+            executing.add(node)
+        elif kind == "exec end":
+            executing.discard(node)
+        elif executing - {node}:
+            overlapped = True
+    assert overlapped, "no node's stage started while another node executed"
 
     series_recorder.record("SCHED io-heavy pipelining", "serial lifecycle (s)",
                           nodes, serial_s)
     series_recorder.record("SCHED io-heavy pipelining", "pipelined (s)",
                           nodes, pipelined_s)
-    assert pipelined_s < serial_s, (
-        f"pipelining did not beat the serial lifecycle: "
-        f"{pipelined_s:.3f}s vs {serial_s:.3f}s")
 
 
 # ------------------------------------------------------------ event hot path

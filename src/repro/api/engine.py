@@ -20,8 +20,9 @@ registry name             engine
 ``toil``                  :class:`~repro.cwl.runners.toil.runner.ToilStyleRunner`
                           (alias ``toil-like``)
 ``parsl``                 :class:`~repro.api.parsl_engines.ParslEngine`:
-                          ``run_tool_with_parsl`` for CommandLineTools and the
-                          workflow bridge for Workflows (alias ``parsl-cwl``)
+                          one ``CWLApp`` call per CommandLineTool (what
+                          ``run_tool_with_parsl`` runs) and the workflow
+                          bridge for Workflows (alias ``parsl-cwl``)
 ``parsl-workflow``        :class:`~repro.api.parsl_engines.ParslWorkflowEngine`:
                           the bridge only, strict Workflow semantics (alias
                           ``bridge``)

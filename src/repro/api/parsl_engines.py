@@ -4,21 +4,30 @@ Their own module so that only a session that asks for them imports the Parsl
 substrate (see :mod:`repro.api.engine` for the table of built-in engines).
 Everything :meth:`ParslEngine.execute` needs is imported here, at engine
 construction, not inside the run.
+
+The ``parsl`` engine's tool run is the paper's §III-B runner, which
+:func:`~repro.core.runner.run_tool_with_parsl` and the ``parsl-cwl`` command
+line open, execute and close: one :class:`~repro.core.cwl_app.CWLApp` call in
+the tool's node directory under the run's root, its outputs collected once
+there, the job reported through :func:`~repro.core.cwl_app.report_finished`.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import threading
 from typing import Any, Dict, Optional
 
 from repro.api.engine import Engine, EngineError
 from repro.api.events import EventRecorder, ExecutionHooks
 from repro.api.result import ExecutionResult, run_result
-from repro.core.cwl_app import running_jobs, to_cwl_value
-from repro.core.runner import ensure_kernel, run_tool_with_parsl
+from repro.core.cwl_app import CWLApp, job_order_view, report_finished, running_jobs, to_cwl_value
+from repro.core.runner import ensure_kernel
 from repro.core.workflow_bridge import CWLWorkflowBridge
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.journal import run_journalled
+from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
@@ -27,7 +36,7 @@ from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 class ParslEngine(Engine):
     """Execute through the paper's Parsl bridge.
 
-    CommandLineTools go through ``run_tool_with_parsl`` (§III-B); Workflows go
+    A CommandLineTool is one :class:`CWLApp` call (§III-B); a Workflow goes
     through the :class:`CWLWorkflowBridge` (the paper's future-work extension).
     The engine loads a DataFlowKernel from ``config`` on first use — or reuses
     an already-loaded one — and clears it on :meth:`close` only if it loaded
@@ -104,9 +113,27 @@ class ParslEngine(Engine):
                 f"the {self.name!r} engine cannot run a {type(process).__name__} "
                 "(CommandLineTool or Workflow expected)"
             )
-        outputs = run_tool_with_parsl(
-            tool=process, job_order=job_order, config=None, cleanup=False,
-            runtime_context=context, job_observer=recorder)
+        job_dir = context.node_context(process.job_name).job_dir
+        token = recorder.job_started(process.job_name)
+        future = error = None
+        try:
+            app = CWLApp(process, runtime_context=context)
+            future = app(**job_order, _job_dir=job_dir)
+            future.result()
+            # A process-based executor returns only the exit code, so the
+            # outputs are collected here, in the job's directory.
+            stdout_path, stderr_path = (os.path.join(job_dir, stream) if stream else None
+                                        for stream in (future.stdout, future.stderr))
+            outputs = collect_outputs(
+                process, outdir=job_dir, stdout_path=stdout_path, stderr_path=stderr_path,
+                job_order=job_order_view(process, job_order),
+                runtime=context.with_resources(process).runtime_object(job_dir, job_dir),
+                evaluator=precompile_process(process))
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            report_finished(future, recorder, token, error)
         return run_result(recorder, context, self.name, outputs)
 
 

@@ -404,7 +404,6 @@ class CWLApp:
         cwl_file: Union[str, os.PathLike, CommandLineTool],
         data_flow_kernel: Optional[DataFlowKernel] = None,
         executors: Union[str, Sequence[str], None] = "all",
-        validate_document: bool = True,
         runtime_context: Optional[RuntimeContext] = None,
     ) -> None:
         if isinstance(cwl_file, CommandLineTool):
@@ -418,8 +417,7 @@ class CWLApp:
         #: :meth:`__call__` unpacks the fields the execution side needs into
         #: plain, picklable ``cwl_*`` app kwargs.
         self.runtime_context = runtime_context or RuntimeContext()
-        if validate_document:
-            ensure_valid(self.tool)
+        ensure_valid(self.tool)
         _TOOLS[id(self.tool.raw)] = self.tool
         self.data_flow_kernel = data_flow_kernel
         self.executor_label = executors if isinstance(executors, str) or executors is None \

@@ -131,7 +131,6 @@ class CWLWorkflowBridge:
 
     def __init__(self, workflow: Union[str, os.PathLike, Workflow],
                  data_flow_kernel: Optional[DataFlowKernel] = None,
-                 validate: bool = True,
                  job_observer: Optional[Any] = None,
                  runtime_context: Optional[RuntimeContext] = None) -> None:
         #: The run options (see :class:`~repro.cwl.runtime.RuntimeContext`).
@@ -152,8 +151,7 @@ class CWLWorkflowBridge:
             if not isinstance(loaded, Workflow):
                 raise WorkflowException(f"{workflow} is not a CWL Workflow")
             self.workflow = loaded
-        if validate:
-            ensure_valid(self.workflow)
+        ensure_valid(self.workflow)
         #: The shared dataflow IR, compiled once here; every :meth:`submit` runs it.
         self.graph: WorkflowGraph = build_graph(self.workflow)
         self.data_flow_kernel = data_flow_kernel
@@ -287,10 +285,10 @@ class CWLWorkflowBridge:
 
         Futures are tracked even without an observer so ``on_error="continue"``
         can report which steps failed.  Each step is reported through
-        :func:`~repro.core.cwl_app.report_finished`, the routine
-        ``run_tool_with_parsl`` uses too: the retries its execution side made
-        become events, so each job's events read start → retry* → end like
-        the runner engines'.  The step's terminal node state is journalled
+        :func:`~repro.core.cwl_app.report_finished`, the routine the
+        ``parsl`` engine's tool run uses too: the retries its execution side
+        made become events, so each job's events read start → retry* → end
+        like the runner engines'.  The step's terminal node state is journalled
         here, after its job's records.
         """
         journal = self.runtime_context.journal

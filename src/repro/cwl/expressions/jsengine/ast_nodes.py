@@ -60,6 +60,12 @@ class Conditional(Node):
 
 
 @dataclass
+class SequenceExpression(Node):
+    """``a, b, c``: each evaluated in turn; the value is the last one's."""
+    expressions: List[Node]
+
+
+@dataclass
 class Member(Node):
     obj: Node
     prop: str                      # static property access obj.prop

@@ -135,19 +135,28 @@ def _member_access(obj: Any, prop: str) -> Any:
     return None if method is None else partial(method, obj)
 
 
+def _array_index(key: str) -> Optional[int]:
+    """The array index a property key names (``"0"``, ``"12"``; not ``"01"``
+    or ``"1.5"``), else ``None``."""
+    if key.isascii() and key.isdigit() and (key == "0" or key[0] != "0"):
+        return int(key)
+    return None
+
+
 def _index_access(obj: Any, index: Any) -> Any:
-    if isinstance(obj, dict):
-        return obj.get(index)
-    if isinstance(obj, (list, str)):
-        if not isinstance(index, (int, float)):
-            raise JavaScriptError(f"array index must be a number, got {index!r}")
-        i = int(index)
-        if 0 <= i < len(obj):
-            return obj[i]
-        return None
+    """``obj[index]``: an integer indexes an array or string; any other index
+    is the property its string form names, as in JavaScript (``[1, 2]["1"]``
+    is ``2``, ``"abc"[1.5]`` is ``undefined``, ``{"1": "a"}[1]`` is ``"a"``)."""
+    if type(index) is int and isinstance(obj, (list, str)):
+        return obj[index] if 0 <= index < len(obj) else None
     if obj is None:
         raise JavaScriptError("cannot index null/undefined")
-    raise JavaScriptError(f"cannot index value of type {type(obj).__name__}")
+    key = _js_string(index)
+    if isinstance(obj, (list, str)):
+        position = _array_index(key)
+        if position is not None:
+            return obj[position] if position < len(obj) else None
+    return _member_access(obj, key)
 
 
 def _set_member(container: Any, prop: str, value: Any) -> Any:
@@ -158,15 +167,16 @@ def _set_member(container: Any, prop: str, value: Any) -> Any:
 
 
 def _set_index(container: Any, key: Any, value: Any) -> Any:
+    """``container[key] = value``, ``key`` read as :func:`_index_access` reads it."""
     if isinstance(container, list):
-        if not isinstance(key, (int, float)) or key != key or key < 0:
-            raise JavaScriptError(f"array index must be a non-negative number, got {key!r}")
-        position = int(key)
+        position = key if type(key) is int and key >= 0 else _array_index(_js_string(key))
+        if position is None:
+            raise JavaScriptError(f"array index must be a non-negative integer, got {key!r}")
         while len(container) <= position:
             container.append(None)
         container[position] = value
     elif isinstance(container, dict):
-        container[key] = value
+        container[_js_string(key)] = value
     else:
         raise JavaScriptError("invalid assignment target")
     return value
@@ -259,9 +269,10 @@ def _bin_mod(left: Any, right: Any) -> Any:
 
 def _bin_in(left: Any, right: Any) -> Any:
     if isinstance(right, dict):
-        return left in right
+        return _js_string(left) in right
     if isinstance(right, list):
-        return isinstance(left, int) and 0 <= left < len(right)
+        position = left if type(left) is int else _array_index(_js_string(left))
+        return position is not None and 0 <= position < len(right)
     raise JavaScriptError("'in' requires an object or array on the right")
 
 
@@ -757,7 +768,10 @@ class _Compiler:
             out.extend(self.block(list(node.body)))
         else:  # expression statements, and bare expressions in statement position
             expression = node.expression if isinstance(node, js.ExpressionStatement) else node
-            if isinstance(expression, js.Assignment):
+            if isinstance(expression, js.SequenceExpression):
+                for item in expression.expressions:
+                    self.statement(item)
+            elif isinstance(expression, js.Assignment):
                 out.append(self.assignment(expression, statement=True))
             elif isinstance(expression, js.UpdateExpression):
                 out.append(self.update(expression, statement=True))
@@ -877,6 +891,10 @@ class _Compiler:
         if isinstance(node, js.Conditional):
             return py.IfExp(test=self.test(node.test), body=self.expr(node.consequent),
                             orelse=self.expr(node.alternate))
+        if isinstance(node, js.SequenceExpression):  # (a, b, c)[-1]
+            return py.Subscript(value=py.Tuple(elts=[self.expr(item) for item in node.expressions],
+                                               ctx=py.Load()),
+                                slice=py.Constant(value=-1), ctx=py.Load())
         if isinstance(node, js.Member):
             return _call("_member", self.expr(node.obj), py.Constant(value=node.prop))
         if isinstance(node, js.Index):

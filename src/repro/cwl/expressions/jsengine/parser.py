@@ -224,7 +224,15 @@ class Parser:
     # ------------------------------------------------------------- expressions
 
     def parse_expression(self) -> ast.Node:
-        return self.parse_assignment()
+        """An expression, comma operator included (argument lists, array and
+        object literals use :meth:`parse_assignment`, where a comma separates)."""
+        expression = self.parse_assignment()
+        if not self.check("punct", ","):
+            return expression
+        expressions = [expression]
+        while self.match("punct", ","):
+            expressions.append(self.parse_assignment())
+        return ast.SequenceExpression(expressions)
 
     def parse_assignment(self) -> ast.Node:
         left = self.parse_conditional()

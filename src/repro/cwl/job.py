@@ -194,9 +194,8 @@ class CommandLineJob:
     evaluator_for: Callable[[CommandLineTool], Any] = precompile_process
 
     def __post_init__(self) -> None:
-        self.job_order = {k: coerce_file_inputs(v) for k, v in self.job_order.items()}
-        self.job_order = fill_in_defaults(self.tool.inputs, self.job_order)
-        self.job_order = {k: coerce_file_inputs(v) for k, v in self.job_order.items()}
+        self.job_order = {k: coerce_file_inputs(v) for k, v in
+                          fill_in_defaults(self.tool.inputs, self.job_order).items()}
 
     # ------------------------------------------------------------- validation
 
@@ -313,7 +312,6 @@ class CommandLineJob:
             job_order=self.job_order,
             runtime=probe.context.runtime_object(outdir, self.runtime_context.unmade_tmpdir()),
             evaluator=self.make_evaluator(),
-            compute_checksum=self.runtime_context.compute_checksum,
         )
         return JobResult(
             outputs=outputs,
@@ -485,7 +483,6 @@ class CommandLineJob:
             job_order=self.job_order,
             runtime=staged.runtime,
             evaluator=staged.evaluator,
-            compute_checksum=self.runtime_context.compute_checksum,
         )
         cacheable = not any(name and os.path.isabs(name)
                             for name in (parts.stdout, parts.stderr))

@@ -90,7 +90,7 @@ def run_journalled(context: Any, process: Any, job_order: Dict[str, Any],
     whose ``journal`` is open, record the ``result`` (status, or ``failed``
     with the error class) and close the journal."""
     def staged(result: Any, destination: str) -> Any:
-        result.outputs = stage_outputs(result.outputs, destination, context.compute_checksum)
+        result.outputs = stage_outputs(result.outputs, destination)
         return result
 
     if not context.run_dir:

@@ -64,7 +64,6 @@ def collect_output(
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
     evaluator: Any,
-    compute_checksum: bool = False,
 ) -> Any:
     """Collect one declared output parameter, evaluating with ``evaluator``."""
     context = {"inputs": job_order, "runtime": runtime, "self": None}
@@ -73,11 +72,11 @@ def collect_output(
     if raw_type == "stdout":
         if not stdout_path:
             raise OutputCollectionError(f"output {param.id!r} has type stdout but no stdout file was produced")
-        return build_file_value(stdout_path, compute_checksum=compute_checksum)
+        return build_file_value(stdout_path)
     if raw_type == "stderr":
         if not stderr_path:
             raise OutputCollectionError(f"output {param.id!r} has type stderr but no stderr file was produced")
-        return build_file_value(stderr_path, compute_checksum=compute_checksum)
+        return build_file_value(stderr_path)
 
     binding = param.output_binding
     if binding is None:
@@ -92,7 +91,7 @@ def collect_output(
     if binding.glob is not None:
         matches = [path for pattern in evaluated_patterns(binding.glob, evaluator, context)
                    for path in _glob_in(outdir, pattern)]
-        glob_matches = [build_file_value(path, compute_checksum=compute_checksum) for path in matches]
+        glob_matches = [build_file_value(path) for path in matches]
         if binding.load_contents:
             glob_matches = [_load_contents(fv) for fv in glob_matches]
         if param.type.is_array:
@@ -114,8 +113,7 @@ def collect_output(
     return matched_value
 
 
-def stage_outputs(outputs: Dict[str, Any], destination: str,
-                  compute_checksum: bool = False) -> Dict[str, Any]:
+def stage_outputs(outputs: Dict[str, Any], destination: str) -> Dict[str, Any]:
     """Restage every File/Directory of an output object into ``destination``.
 
     The final-output step of ``cwltool --outdir`` (its ``relocateOutputs``):
@@ -145,7 +143,7 @@ def stage_outputs(outputs: Dict[str, Any], destination: str,
                 return value
             target = target_of(value, source)
             stage_file(source, target)
-            staged = build_file_value(target, compute_checksum=compute_checksum)
+            staged = build_file_value(target)
             staged.update({k: v for k, v in value.items() if k not in staged})
             return staged
         if is_directory_value(value):
@@ -189,7 +187,7 @@ def run_in_root(context: Any, run: Callable[[Any], T],
         if destination is None:
             return result
         if stage is None:
-            return stage_outputs(result, destination, context.compute_checksum)
+            return stage_outputs(result, destination)
         return stage(result, destination)
     finally:
         if destination is not None or not os.listdir(root):
@@ -204,7 +202,6 @@ def collect_outputs(
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
     evaluator: Any,
-    compute_checksum: bool = False,
 ) -> Dict[str, Any]:
     """Collect every declared output of ``tool`` into an output object.
 
@@ -221,6 +218,5 @@ def collect_outputs(
             job_order=job_order,
             runtime=runtime,
             evaluator=evaluator,
-            compute_checksum=compute_checksum,
         )
     return outputs

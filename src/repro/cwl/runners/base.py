@@ -66,13 +66,11 @@ class BaseRunner(Engine):
     name = "base"
 
     def __init__(self, runtime_context: Optional[RuntimeContext] = None,
-                 parallel: bool = False, max_workers: int = 8,
-                 validate: bool = True, **options: Any) -> None:
+                 parallel: bool = False, max_workers: int = 8, **options: Any) -> None:
         #: Every run option (cache, retries, timeout, ``on_error``, run dir,
         #: scheduler core, ...) lives on the context; ``options`` are context
         #: fields given flat, folded in by :func:`context_with_options`.
         self.runtime_context = context_with_options(runtime_context, options)
-        self.validate = validate
         self.parallel = parallel
         self.max_workers = max_workers
 
@@ -108,8 +106,7 @@ class BaseRunner(Engine):
              hooks: Optional[ExecutionHooks],
              context: RuntimeContext) -> ExecutionResult:
         recorder = EventRecorder(hooks, context.journal)
-        if self.validate:
-            ensure_valid(process)
+        ensure_valid(process)
         job_order = {k: coerce_file_inputs(v) for k, v in (job_order or {}).items()}
         run_job = functools.partial(self._observed, recorder)
         if not isinstance(process, Workflow):

@@ -53,8 +53,7 @@ class ReferenceRunner(BaseRunner):
                  on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
         # cwltool revalidates and rebuilds its job object for every invocation;
         # reproducing that per-job work keeps the runner comparison honest.
-        if self.validate:
-            ensure_valid(tool)
+        ensure_valid(tool)
 
         def attempt(_n: int) -> Continuation[JobResult]:
             job = CommandLineJob(

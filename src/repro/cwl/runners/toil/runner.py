@@ -62,12 +62,11 @@ class ToilStyleRunner(BaseRunner):
         runtime_context: Optional[RuntimeContext] = None,
         parallel: bool = True,
         max_workers: int = 8,
-        validate: bool = True,
         destroy_job_store_on_close: Optional[bool] = None,
         **options: Any,
     ) -> None:
-        super().__init__(runtime_context=runtime_context, validate=validate,
-                         parallel=parallel, max_workers=max_workers, **options)
+        super().__init__(runtime_context=runtime_context, parallel=parallel,
+                         max_workers=max_workers, **options)
         #: Whether :meth:`close` removes the job store; ``None`` = exactly
         #: when this runner created it as a temp directory, so sessions never
         #: leak ``toil-jobstore-*`` directories while a caller-supplied

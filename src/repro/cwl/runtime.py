@@ -3,8 +3,8 @@
 The CWL ``runtime`` object exposed to expressions describes where a job runs
 (output and temporary directories) and what resources it was granted (cores,
 RAM).  :class:`RuntimeContext` carries the same information plus runner-level
-policy (whether to compute checksums, base directories for new working
-directories, whether to reuse results through the content-addressed job cache).
+policy (base directories for new working directories, whether to reuse
+results through the content-addressed job cache, retries, timeouts).
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ class RuntimeContext:
     cores: int = 1
     #: RAM granted to each job in MiB (exposed as ``runtime.ram``).
     ram_mb: int = 1024
-    #: Compute sha1 checksums for collected output Files.
-    compute_checksum: bool = False
     #: Extra environment variables for every job.
     env: Dict[str, str] = field(default_factory=dict)
     #: Reuse CommandLineTool results through the content-addressed job cache

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.cwl.errors import ValidationException
-from repro.utils.hashing import hash_file
 
 PRIMITIVE_TYPES = {
     "null", "boolean", "int", "long", "float", "double", "string", "File", "Directory",
@@ -214,15 +213,12 @@ def file_value_of_path(path: str) -> Dict[str, Any]:
     }
 
 
-def build_file_value(path: str, compute_checksum: bool = False,
-                     load_contents: bool = False) -> Dict[str, Any]:
+def build_file_value(path: str, load_contents: bool = False) -> Dict[str, Any]:
     """Construct a CWL File value dictionary for a local path."""
     value = file_value_of_path(path)
     path = value["path"]
     if os.path.exists(path):
         value["size"] = os.stat(path).st_size
-        if compute_checksum:
-            value["checksum"] = hash_file(path)
         if load_contents:
             with open(path, "rb") as handle:
                 value["contents"] = handle.read(64 * 1024).decode("utf-8", errors="replace")

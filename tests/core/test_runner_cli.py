@@ -11,6 +11,7 @@ import repro
 from repro.core.cli import main as parsl_cwl_main
 from repro.core.runner import run_tool_with_parsl
 from repro.cwl.errors import exit_class, unwrap_failure
+from repro.cwl.journal import read_journal
 from repro.cwl.loader import load_document
 from repro.cwl.retry import RetryPolicy
 from repro.cwl.runtime import RuntimeContext
@@ -84,6 +85,56 @@ def test_run_tool_retries_under_the_context_policy(tmp_path, monkeypatch):
             runtime_context=RuntimeContext(retry_policy=policy))
     assert exit_class(unwrap_failure(excinfo.value)) == "permanentFail"
     assert log.read_text() == "ran\n" * 3
+
+
+def thread_config(tmp_path):
+    return repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo"))
+
+
+def test_run_tool_journals_under_run_dir_like_the_parsl_engine(cwl_dir, tmp_path, monkeypatch):
+    """A direct call is the ``parsl`` engine's tool run: under ``run_dir`` it
+    journals its job, and a second call hits the cache under the same key."""
+    monkeypatch.chdir(tmp_path)
+
+    def job_record(run_dir):
+        run_tool_with_parsl(
+            str(cwl_dir / "echo.cwl"), {"message": "journalled"}, config=thread_config(tmp_path),
+            runtime_context=RuntimeContext(run_dir=str(run_dir), cache_dir=str(tmp_path / "store"),
+                                           basedir=str(tmp_path / "jobs")))
+        (job,) = [r for r in read_journal(str(run_dir)) if r["kind"] == "job"]
+        return job
+
+    cold = job_record(tmp_path / "cold")
+    warm = job_record(tmp_path / "warm")
+    assert (cold["cache"], warm["cache"]) == ("miss", "hit")
+    assert cold["key"] is not None and warm["key"] == cold["key"]
+
+
+def test_run_tool_keeps_outputs_in_its_run_root_unless_given_an_outdir(
+        cwl_dir, tmp_path, monkeypatch):
+    """As on every engine: without ``outdir`` the outputs stay in the run's
+    ``cwl-run-*`` root; with one they are staged there and the root removed.
+    Neither run delivers anything into the working directory."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(message, **options):
+        return run_tool_with_parsl(
+            str(cwl_dir / "echo.cwl"), {"message": message}, config=thread_config(tmp_path),
+            runtime_context=RuntimeContext(basedir=str(tmp_path / "jobs"), **options))
+
+    rooted = run("rooted")["output"]["path"]
+    [root] = os.listdir(tmp_path / "jobs")
+    assert root.startswith("cwl-run-")
+    assert os.path.dirname(os.path.dirname(rooted)) == str(tmp_path / "jobs" / root)
+    with open(rooted) as handle:
+        assert handle.read() == "rooted\n"
+
+    staged = run("staged", outdir=str(tmp_path / "out"))["output"]["path"]
+    assert staged == str(tmp_path / "out" / "hello.txt")
+    assert (tmp_path / "out" / "hello.txt").read_text() == "staged\n"
+    assert os.listdir(tmp_path / "out") == ["hello.txt"]
+    assert os.listdir(tmp_path / "jobs") == [root]
+    assert sorted(os.listdir(tmp_path)) == ["jobs", "out", "runinfo"]
 
 
 def test_parsl_cwl_cli_with_flag_inputs(cwl_dir, config_dir, tmp_path, capsys):

@@ -39,9 +39,6 @@ def test_reference_runner_validates_document(tmp_path):
     runner = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     with pytest.raises(ValidationException):
         runner.execute(invalid, {})
-    relaxed = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)), validate=False)
-    with pytest.raises(Exception):
-        relaxed.execute(invalid, {})  # still fails at execution, but not at validation
 
 
 def test_reference_runner_tool_failure_propagates(tmp_path):

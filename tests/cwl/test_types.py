@@ -127,13 +127,12 @@ def test_matches_record():
 def test_build_file_value_populates_metadata(tmp_path):
     path = tmp_path / "data.tar.gz"
     path.write_bytes(b"x" * 10)
-    value = build_file_value(str(path), compute_checksum=True)
+    value = build_file_value(str(path))
     assert value["class"] == "File"
     assert value["basename"] == "data.tar.gz"
     assert value["nameroot"] == "data.tar"
     assert value["nameext"] == ".gz"
     assert value["size"] == 10
-    assert value["checksum"].startswith("sha1$")
     assert is_file_value(value)
 
 
