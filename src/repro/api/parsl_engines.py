@@ -113,12 +113,13 @@ class ParslEngine(Engine):
                 f"the {self.name!r} engine cannot run a {type(process).__name__} "
                 "(CommandLineTool or Workflow expected)"
             )
-        job_dir = context.node_context(process.job_name).job_dir
+        node = context.node_context(process.job_name)
+        job_dir = node.job_dir
         token = recorder.job_started(process.job_name)
         future = error = None
         try:
             app = CWLApp(process, runtime_context=context)
-            future = app(**job_order, _job_dir=job_dir)
+            future = app(**job_order, _node=node)
             future.result()
             # A process-based executor returns only the exit code, so the
             # outputs are collected here, in the job's directory.

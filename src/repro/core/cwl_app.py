@@ -110,7 +110,9 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     rebuilds the tool model and makes the job of :func:`job_order_view`.  Its
     context carries the caller's cores, RAM, environment, timeout, job
     directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``,
-    ``cwl_job_dir``), so
+    ``cwl_job_dir``) and the spawn environment of the run the call belongs
+    to (``cwl_run_environment``; a call outside a run reads ``os.environ``
+    when it spawns), so
     ``$(runtime.*)``, the job's environment and its cache key are what the
     runner engines would use.  On a tool with an ``InlinePythonRequirement``
     the job's ``evaluator_for`` is :class:`_InlinePythonTool`.  A stream the
@@ -129,7 +131,8 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     family = _JOBS if _JOBS_PID == os.getpid() else RuntimeContext()
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
     job_dir = _parsl_kwargs.get("cwl_job_dir")
-    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir), **{
+    context = family.child(cache_dir=cache_dir, job_cache=bool(cache_dir),
+                           _run_environment=_parsl_kwargs.get("cwl_run_environment"), **{
         name: _parsl_kwargs[f"cwl_{name}"] for name in _CONTEXT_FIELDS
         if _parsl_kwargs.get(f"cwl_{name}") is not None})
     # A job whose files are delivered runs in its worker thread's directory.
@@ -469,9 +472,10 @@ class CWLApp:
 
         Keyword arguments are the tool's declared inputs; additionally the Parsl
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
-        and any unknown keyword raises immediately; the private ``_job_dir=``
-        of a run's node is the job's directory, which the call's file names
-        and ``runtime.outdir`` are then under.  Whatever the options, the
+        and any unknown keyword raises immediately; the private ``_node=``
+        context of a run's node gives the job its directory (its
+        ``job_dir``), which the call's file names and ``runtime.outdir`` are
+        then under, and its run's spawn environment.  Whatever the options, the
         app is submitted through one chain: :func:`resilient_bash_executor` →
         :func:`cached_bash_executor` → :func:`cwl_tool_command`, one
         :class:`~repro.cwl.job.CommandLineJob` attempt per try.
@@ -479,7 +483,8 @@ class CWLApp:
         dfk = self.data_flow_kernel or DataFlowKernelLoader.dfk()
 
         overrides = {stream: kwargs.pop(stream, None) for stream in ("stdout", "stderr")}
-        job_dir = kwargs.pop("_job_dir", None)
+        node = kwargs.pop("_node", None)
+        job_dir = node.job_dir if node is not None else None
 
         declared = set(self.input_names)
         unknown = [key for key in kwargs if key not in declared]
@@ -529,7 +534,8 @@ class CWLApp:
             "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.job_name,
             "cwl_cache_dir": cache.cache_dir if cache is not None else None,
             "cwl_cache_note": cache_note, "cwl_retry_note": retry_note,
-            "cwl_streams": streams, "cwl_job_dir": job_dir}
+            "cwl_streams": streams, "cwl_job_dir": job_dir,
+            "cwl_run_environment": node.run_environment if node is not None else None}
         for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
         app_kwargs.update((stream, path) for stream, path in redirects.items() if path)

@@ -88,7 +88,7 @@ class _SubmissionEngine(WorkflowEngine):
                 "between steps as futures (run the tool on engine='parsl', or the workflow on "
                 "a runner engine)")
         outputs = self._bridge._observed_call(
-            app, {**job, "_job_dir": context.job_dir}, node.id).cwl_outputs
+            app, {**job, "_node": context}, node.id).cwl_outputs
         unknown = [out_id for out_id in node.step.out if out_id not in outputs]
         if unknown:
             raise WorkflowException(
@@ -177,7 +177,7 @@ class CWLWorkflowBridge:
         place, with the files the futures name."""
         context = self.runtime_context
         if context.job_dir is None:
-            context = context.child(outdir=None, _job_dir=context.make_job_dir("run"))
+            context = context.run_in(context.make_job_dir("run"))
         return _SubmissionEngine(self, context).run(job_order)
 
     def run(self, job_order: Dict[str, Any]) -> Dict[str, Any]:

@@ -26,7 +26,8 @@ from typing import List, Optional
 
 from repro.cwl.errors import JavaScriptError
 from repro.cwl.expressions.jsengine import ast_nodes as ast
-from repro.cwl.expressions.jsengine.tokenizer import Token, tokenize
+from repro.cwl.expressions.jsengine.tokenizer import Token, number_value, tokenize
+from repro.cwl.expressions.jsengine.values import _js_string
 
 _ASSIGNMENT_OPS = {"=", "+=", "-=", "*=", "/=", "%="}
 
@@ -349,9 +350,7 @@ class Parser:
 
         if token.kind == "number":
             self.advance()
-            text = token.value
-            value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-            return ast.Literal(value)
+            return ast.Literal(number_value(token.value))
         if token.kind == "string":
             self.advance()
             return ast.Literal(token.value)
@@ -402,7 +401,11 @@ class Parser:
                 if key_token.kind not in ("identifier", "string", "keyword", "number"):
                     raise JavaScriptError(f"invalid object key {key_token.value!r}")
                 self.expect("punct", ":")
-                entries.append((key_token.value, self.parse_assignment()))
+                # A numeric key names the property its number's string form
+                # does, as an index does (``{1.50: x}`` is ``{"1.5": x}``).
+                key = _js_string(number_value(key_token.value)) \
+                    if key_token.kind == "number" else key_token.value
+                entries.append((key, self.parse_assignment()))
                 if not self.match("punct", ","):
                     break
             self.expect("punct", "}")

@@ -10,7 +10,7 @@ by array callbacks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 from repro.cwl.errors import JavaScriptError
 
@@ -27,6 +27,17 @@ _PUNCTUATION = [
     "+", "-", "*", "/", "%", "<", ">", "!", "=", "?", ":", ";", ",", ".",
     "(", ")", "[", "]", "{", "}",
 ]
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def number_value(text: str) -> Union[int, float]:
+    """The value of a ``number`` token: ``0x`` hexadecimal, else decimal
+    (a float when it has a fraction or an exponent)."""
+    if text[:2] in ("0x", "0X"):
+        return int(text, 16)
+    return float(text) if ("." in text or "e" in text or "E" in text) else int(text)
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,16 @@ def tokenize(source: str) -> List[Token]:
             i += consumed
             continue
 
-        # Numbers
+        # Numbers: hexadecimal, then decimal
+        if ch == "0" and i + 1 < length and source[i + 1] in "xX":
+            j = i + 2
+            while j < length and source[j] in _HEX_DIGITS:
+                j += 1
+            if j == i + 2:
+                raise JavaScriptError(f"invalid hexadecimal number at position {i}")
+            tokens.append(Token("number", source[i:j], i))
+            i = j
+            continue
         if ch.isdigit() or (ch == "." and i + 1 < length and source[i + 1].isdigit()):
             j = i
             seen_dot = False

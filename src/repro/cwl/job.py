@@ -27,13 +27,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cwl.command_line import CommandLineParts, build_command_line, fill_in_defaults
 from repro.cwl.errors import InputValidationError, JobFailure, JobTimeout
 from repro.cwl.expressions.compiler import precompile_process
-from repro.cwl.jobcache import INLINE_HASH_BYTES, canonical_command, device_of, unhashed_bytes
+from repro.cwl.jobcache import (INLINE_HASH_BYTES, canonical_command, device_of,
+                                input_identities, stat_inputs, unhashed_bytes)
 from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, signal_job_process
 from repro.cwl.schema import CommandLineTool
 from repro.cwl.types import coerce_file_inputs, matches
 from repro.utils.continuation import Continuation, finish
-from repro.utils.environment import subprocess_environment
 from repro.utils.logging_config import get_logger
 
 logger = get_logger("cwl.job")
@@ -65,13 +65,17 @@ class CacheProbe:
 
     ``context`` is the job's context with the tool's resources granted.
     ``cache``, ``key`` and ``entry`` are ``None`` when caching is off;
-    ``entry`` is the checked hit, or ``None`` on a miss.
+    ``entry`` is the checked hit, or ``None`` on a miss.  ``identities``
+    are the content identities of the job's inputs the key was made from
+    (:func:`~repro.cwl.jobcache.input_identities`), which a miss records its
+    command line with.
     """
 
     context: RuntimeContext
     cache: Any = None
     key: Optional[str] = None
     entry: Any = None
+    identities: Optional[Dict[str, str]] = None
 
 
 @dataclass
@@ -92,6 +96,7 @@ class StagedJob:
     parts: CommandLineParts
     cache: Any = None
     cache_key: Optional[str] = None
+    identities: Optional[Dict[str, str]] = None
     stdout_path: Optional[str] = None
     stderr_path: Optional[str] = None
 
@@ -247,11 +252,14 @@ class CommandLineJob:
         the Toil job store's), is on the device of the job directories.
         """
         cache = self.runtime_context.get_job_cache()
-        if cache is None:
-            return True
+        return cache is None or self._stays_inline(cache, stat_inputs(self.job_order), devices)
+
+    def _stays_inline(self, cache: Any, stats: Dict[str, os.stat_result],
+                      devices: Tuple[int, ...]) -> bool:
+        """:meth:`probe_stays_inline` of the job's :func:`stat_inputs`."""
         device = device_of(self.runtime_context.job_dir_base())
         return (all(store == device for store in (cache.device, *devices))
-                and unhashed_bytes(self.job_order) <= INLINE_HASH_BYTES)
+                and unhashed_bytes(stats) <= INLINE_HASH_BYTES)
 
     def probe(self, *devices: int) -> Continuation[CacheProbe]:
         """Validate the job order, key it and look it up in the job cache.
@@ -266,21 +274,25 @@ class CommandLineJob:
         so after the yield a pool thread does them in parallel with the rest
         of the run.  ``devices`` are the stores a hit is also staged into.
         With caching off it returns at once, without yielding.  Touches no
-        directory of the job.
+        directory of the job.  One pass over the job order stats each input
+        file once; the decision to yield and the key both use that stat, and
+        the key's identities go on with the probe to a miss's publish.
         """
-        inline = self.probe_stays_inline(*devices)
+        cache = self.runtime_context.get_job_cache()
+        stats = stat_inputs(self.job_order) if cache is not None else {}
+        inline = cache is None or self._stays_inline(cache, stats, devices)
         if not inline:
             yield
         self._require_valid_inputs()
         context = self.runtime_context.with_resources(self.tool)
-        cache = self.runtime_context.get_job_cache()
         if cache is None:
             return CacheProbe(context)
-        key = context.cache_key(self.tool, self.job_order)
+        identities = input_identities(self.job_order, stats)
+        key = context.cache_key(self.tool, self.job_order, identities)
         entry = cache.manifest(key)
         if inline and entry is not None and cache.unhashed_body_bytes(entry) > INLINE_HASH_BYTES:
             yield
-        return CacheProbe(context, cache, key, cache.checked(entry))
+        return CacheProbe(context, cache, key, cache.checked(entry), identities)
 
     def cached_result(self, probe: CacheProbe) -> Optional[JobResult]:
         """Restore the hit ``probe`` found; ``None`` on a miss.  The one hit path.
@@ -362,7 +374,7 @@ class CommandLineJob:
         parts = build_command_line(self.tool, self.job_order, runtime, evaluator)
         return StagedJob(
             outdir=outdir, tmpdir=tmpdir, runtime=runtime, evaluator=evaluator,
-            parts=parts, cache=probe.cache, cache_key=probe.key,
+            parts=parts, cache=probe.cache, cache_key=probe.key, identities=probe.identities,
             stdout_path=os.path.join(outdir, parts.stdout) if parts.stdout else None,
             stderr_path=os.path.join(outdir, parts.stderr) if parts.stderr else None)
 
@@ -376,9 +388,7 @@ class CommandLineJob:
         stderr_handle = open(staged.stderr_path, "wb") if staged.stderr_path \
             else subprocess.DEVNULL
 
-        env = subprocess_environment()
-        env.update(self.runtime_context.env)
-        env.update(parts.environment)
+        env = self.runtime_context.spawn_environment(parts.environment)
         env.setdefault("HOME", staged.outdir)
         env.setdefault("TMPDIR", staged.tmpdir)
         return stdin_handle, stdout_handle, stderr_handle, env
@@ -495,7 +505,8 @@ class CommandLineJob:
                     command=canonical_command(parts.argv, parts.stdin, parts.stdout,
                                               parts.stderr, parts.environment,
                                               outdir=staged.outdir, tmpdir=staged.tmpdir,
-                                              job_order=self.job_order),
+                                              job_order=self.job_order,
+                                              identities=staged.identities),
                 )
             except Exception:
                 # A full/read-only store must never fail a job that succeeded.

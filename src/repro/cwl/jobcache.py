@@ -46,16 +46,25 @@ will happily replay its first recorded run.
 
 What a hit costs: one key (one ``stat`` per input file), one manifest read,
 one ``stat`` per CAS body and one ``link`` per restored file.  Every engine's
-probe is :meth:`~repro.cwl.job.CommandLineJob.probe`, in three steps,
+probe is :meth:`~repro.cwl.job.CommandLineJob.probe`: one pass over the job
+order stats each input file once (:func:`stat_inputs`), and the decision to
+leave the thread that dispatches workflow nodes before keying
+(``INLINE_HASH_BYTES``) and the key's content identities
+(:func:`input_identities`) both use that stat; then
 :meth:`~JobCache.manifest`, :meth:`~JobCache.unhashed_body_bytes` and
-:meth:`~JobCache.checked`, so it can stat each input file and CAS body once
-more and leave the thread that dispatches workflow nodes before it reads a
-body (``INLINE_HASH_BYTES``); a hit is restored by
-:meth:`~repro.cwl.job.CommandLineJob.cached_result` and a miss published
+:meth:`~JobCache.checked`, which share one ``stat`` per CAS body, so the
+probe can leave that thread again before it reads a body.  A hit is restored
+by :meth:`~repro.cwl.job.CommandLineJob.cached_result` and a miss published
 with :meth:`JobCache.store_outdir`, so one key gets one manifest whichever
 engine wrote it.  No scratch directory, command line, job
 description rewrite or process is made for the code segment a hit skips (see
 README "What a hit costs").
+
+What a miss adds: one spawn, in an environment read from ``os.environ`` once
+per run (:class:`~repro.utils.environment.RunEnvironment`), and one publish:
+one ``stat`` per output file (a ``scandir`` pass, no second look), the
+identities the probe made for the recorded command line (no input is
+fingerprinted twice), and the manifest written with one ``write``.
 
 Threat model of the content fingerprint
 ---------------------------------------
@@ -106,6 +115,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from stat import S_ISDIR, S_ISREG
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.utils.hashing import hash_file, hash_obj
@@ -226,15 +236,17 @@ _FILE_HASH_MEMO_MAX = 65536
 _FILE_HASH_LOCK = threading.Lock()
 
 
-def file_fingerprint(path: str) -> str:
+def file_fingerprint(path: str, stat: Optional[os.stat_result] = None) -> str:
     """The sha1 of the file's *content*, memoized on the inode it names.
 
-    One ``os.stat`` (symlinks followed) per call; the bytes are read only
+    One ``os.stat`` (symlinks followed) per call, or none when the caller
+    passes the ``stat`` it made of ``path``; the bytes are read only
     when no file with this device, inode, size and mtime has been hashed
     before.  A file system that reports no inode number (``st_ino == 0``)
     is never memoized.
     """
-    stat = os.stat(path)
+    if stat is None:
+        stat = os.stat(path)
     if not stat.st_ino:
         return hash_file(path).split("$", 1)[1]
     memo_key = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
@@ -259,25 +271,65 @@ def file_fingerprint(path: str) -> str:
 INLINE_HASH_BYTES = 256 * 1024
 
 
-def unhashed_bytes(value: Any) -> int:
-    """How many bytes keying ``value`` (a job order, or part of one) would
-    read: the sizes of its ``File`` and ``Directory`` inputs whose content
-    :func:`file_fingerprint` has not memoized.  One ``os.stat`` per file;
-    nothing is read."""
-    if isinstance(value, dict):
-        cls = value.get("class")
-        if cls == "File":
-            return _unhashed_file_bytes(value.get("path"))
-        if cls == "Directory":
+def stat_inputs(job_order: Any) -> Dict[str, os.stat_result]:
+    """One ``os.stat`` (symlinks followed) per ``File`` path in ``job_order``
+    (a job order, or part of one), and per directory path and file under it
+    for each ``Directory`` that is one, by path; a path that cannot be
+    stat'ed is left out.  What keying reads (:func:`unhashed_bytes`) and what
+    it is keyed on (:func:`input_identities`) come from these stats."""
+    stats: Dict[str, os.stat_result] = {}
+
+    def add(path: str) -> None:
+        if path not in stats:
+            try:
+                stats[path] = os.stat(path)
+            except OSError:
+                pass
+
+    def visit(value: Any) -> None:
+        if isinstance(value, dict):
+            cls = value.get("class")
             path = value.get("path")
-            if not path or not os.path.isdir(path):
-                return 0
-            return sum(_unhashed_file_bytes(os.path.join(root, name))
-                       for root, _dirs, files in os.walk(path) for name in files)
-        return sum(unhashed_bytes(item) for item in value.values())
-    if isinstance(value, (list, tuple)):
-        return sum(unhashed_bytes(item) for item in value)
-    return 0
+            if cls == "File":
+                if path:
+                    add(path)
+            elif cls == "Directory":
+                if not path or path in stats:
+                    return
+                try:
+                    stat = os.stat(path)
+                except OSError:
+                    return
+                if S_ISDIR(stat.st_mode):
+                    stats[path] = stat
+                    for root, _dirs, files in os.walk(path):
+                        for name in files:
+                            add(os.path.join(root, name))
+            else:
+                for item in value.values():
+                    visit(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+
+    visit(job_order)
+    return stats
+
+
+def _unhashed_size(stat: os.stat_result) -> int:
+    """The bytes :func:`file_fingerprint` would read for a file of ``stat``:
+    none once its content is memoized."""
+    memo_key = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    if stat.st_ino and memo_key in _FILE_HASH_MEMO:
+        return 0
+    return stat.st_size
+
+
+def unhashed_bytes(stats: Dict[str, os.stat_result]) -> int:
+    """How many bytes keying a job order of :func:`stat_inputs` ``stats``
+    would read: the sizes of its files whose content :func:`file_fingerprint`
+    has not memoized.  Nothing is read or stat'ed."""
+    return sum(_unhashed_size(stat) for stat in stats.values() if not S_ISDIR(stat.st_mode))
 
 
 @functools.lru_cache(maxsize=256)
@@ -298,21 +350,11 @@ def device_of(path: str) -> Optional[int]:
             return None
 
 
-def _unhashed_file_bytes(path: Optional[str]) -> int:
-    if not path:
-        return 0
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return 0
-    memo_key = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
-    if stat.st_ino and memo_key in _FILE_HASH_MEMO:
-        return 0
-    return stat.st_size
-
-
-def directory_fingerprint(path: str) -> str:
-    """A stable fingerprint of a directory tree (names + file contents)."""
+def directory_fingerprint(path: str,
+                          stats: Optional[Dict[str, os.stat_result]] = None) -> str:
+    """A stable fingerprint of a directory tree (names + file contents);
+    a file's ``stats`` entry (:func:`stat_inputs`) spares its ``stat``."""
+    stats = stats or {}
     entries: List[Tuple[str, str]] = []
     for root, dirs, files in os.walk(path):
         dirs.sort()
@@ -321,7 +363,7 @@ def directory_fingerprint(path: str) -> str:
             full = os.path.join(root, name)
             rel = os.path.normpath(os.path.join(rel_root, name))
             try:
-                entries.append((rel, file_fingerprint(full)))
+                entries.append((rel, file_fingerprint(full, stat=stats.get(full))))
             except OSError:
                 entries.append((rel, "unreadable"))
         if not files and not dirs:
@@ -348,44 +390,80 @@ def tool_fingerprint(tool: Any) -> str:
     return fingerprint
 
 
-def _canonical_value(value: Any) -> Any:
+def input_identities(job_order: Any,
+                     stats: Optional[Dict[str, os.stat_result]] = None) -> Dict[str, str]:
+    """The content identity of each ``File`` and ``Directory`` path in
+    ``job_order`` that exists, by path: its :func:`file_fingerprint` or
+    :func:`directory_fingerprint`, from the :func:`stat_inputs` ``stats``
+    (made here when not given), so no input is stat'ed again.  What a job is
+    keyed on (:func:`job_key`) and its recorded command line names its
+    inputs by (:func:`canonical_command`)."""
+    if stats is None:
+        stats = stat_inputs(job_order)
+    identities: Dict[str, str] = {}
+
+    def visit(value: Any) -> None:
+        if isinstance(value, dict):
+            cls = value.get("class")
+            if cls in ("File", "Directory"):
+                path = value.get("path")
+                stat = stats.get(path) if path else None
+                if stat is None or path in identities:
+                    return
+                if cls == "File":
+                    identities[path] = file_fingerprint(path, stat=stat)
+                elif S_ISDIR(stat.st_mode):
+                    identities[path] = directory_fingerprint(path, stats)
+                return
+            for item in value.values():
+                visit(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+
+    visit(job_order)
+    return identities
+
+
+def _canonical_value(value: Any, identities: Dict[str, str]) -> Any:
     """Replace File/Directory values with content identities, recursively."""
     if isinstance(value, dict):
         cls = value.get("class")
         if cls == "File":
             path = value.get("path")
-            if path and os.path.exists(path):
-                identity = file_fingerprint(path)
-            elif value.get("checksum"):
-                identity = str(value["checksum"]).split("$", 1)[-1]
-            elif value.get("contents") is not None:
-                identity = hash_obj(value["contents"], algorithm="sha1")
-            else:
-                identity = f"missing:{path!r}"
+            identity = identities.get(path) if path else None
+            if identity is None:
+                if value.get("checksum"):
+                    identity = str(value["checksum"]).split("$", 1)[-1]
+                elif value.get("contents") is not None:
+                    identity = hash_obj(value["contents"], algorithm="sha1")
+                else:
+                    identity = f"missing:{path!r}"
             return ("File", value.get("basename") or os.path.basename(path or ""), identity)
         if cls == "Directory":
             path = value.get("path")
-            if path and os.path.isdir(path):
-                identity = directory_fingerprint(path)
-            else:
-                identity = f"missing:{path!r}"
+            identity = (identities.get(path) if path else None) or f"missing:{path!r}"
             return ("Directory", value.get("basename") or os.path.basename(path or ""), identity)
-        return tuple(sorted((k, _canonical_value(v)) for k, v in value.items()))
+        return tuple(sorted((k, _canonical_value(v, identities)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):
-        return tuple(_canonical_value(item) for item in value)
+        return tuple(_canonical_value(item, identities) for item in value)
     return value
 
 
 def job_key(tool: Any, job_order: Dict[str, Any], *, cores: int, ram_mb: int,
-            extra_env: Optional[Dict[str, str]] = None) -> str:
+            extra_env: Optional[Dict[str, str]] = None,
+            identities: Optional[Dict[str, str]] = None) -> str:
     """The deterministic cache key of one CommandLineTool invocation.
 
     ``None``-valued job-order entries are dropped so that an omitted optional
     input and an explicit ``null`` fingerprint identically (they produce the
-    same command line).
+    same command line).  ``identities`` are the job order's
+    :func:`input_identities`, made here when not given.
     """
+    if identities is None:
+        identities = input_identities(job_order)
     canonical_order = tuple(sorted(
-        (key, _canonical_value(value))
+        (key, _canonical_value(value, identities))
         for key, value in job_order.items() if value is not None
     ))
     payload = (
@@ -401,13 +479,15 @@ def job_key(tool: Any, job_order: Dict[str, Any], *, cores: int, ram_mb: int,
 def canonical_command(argv: List[str], stdin: Optional[str], stdout: Optional[str],
                       stderr: Optional[str], environment: Dict[str, str],
                       outdir: str, tmpdir: Optional[str],
-                      job_order: Dict[str, Any]) -> Dict[str, Any]:
+                      job_order: Dict[str, Any], identities: Dict[str, str]) -> Dict[str, Any]:
     """The resolved command line with run-specific paths canonicalized.
 
     Scratch directories become ``$OUTDIR`` / ``$TMPDIR`` and each input
     File/Directory path becomes ``$INPUT[<content-hash>]``, so the recorded
     command is stable across re-runs that only differ in where they staged
-    their data.  Folded into the manifest's ``fingerprint``.
+    their data.  Folded into the manifest's ``fingerprint``.  The content
+    hashes are ``identities``, the :func:`input_identities` the job was
+    keyed on.
     """
     substitutions: List[Tuple[str, str]] = []
 
@@ -416,7 +496,7 @@ def canonical_command(argv: List[str], stdin: Optional[str], stdout: Optional[st
             cls = value.get("class")
             path = value.get("path")
             if cls in ("File", "Directory") and path:
-                identity = _canonical_value(value)[-1]
+                identity = _canonical_value(value, identities)[-1]
                 substitutions.append((str(path), f"$INPUT[{identity}]"))
                 return
             for item in value.values():
@@ -463,6 +543,10 @@ class CacheEntry:
     streams: Dict[str, Optional[str]]   # "stdout"/"stderr" -> relpath (or None)
     exit_code: int = 0
     command: Dict[str, Any] = field(default_factory=dict)
+    #: Each body's ``os.stat`` by CAS id (``None``: missing), made once for
+    #: :meth:`JobCache.unhashed_body_bytes` and :meth:`JobCache.checked`.
+    stats: Optional[Dict[str, Optional[os.stat_result]]] = field(
+        default=None, repr=False, compare=False)
 
     def stream_name(self, which: str) -> Optional[str]:
         return self.streams.get(which)
@@ -541,29 +625,50 @@ class JobCache:
             command=dict(data.get("command") or {}),
         )
 
+    def _body_stats(self, entry: CacheEntry) -> Dict[str, Optional[os.stat_result]]:
+        """``entry``'s :attr:`~CacheEntry.stats`, made on first use: one
+        ``os.stat`` per body."""
+        if entry.stats is None:
+            stats: Dict[str, Optional[os.stat_result]] = {}
+            for spec in entry.files.values():
+                cas = spec.get("cas", "")
+                if cas not in stats:
+                    try:
+                        stats[cas] = os.stat(self._cas_path(cas))
+                    except OSError:
+                        stats[cas] = None
+            entry.stats = stats
+        return entry.stats
+
     def unhashed_body_bytes(self, entry: CacheEntry) -> int:
         """How many bytes :meth:`checked` would read for ``entry``: the sizes
         of its bodies :func:`file_fingerprint` has not memoized.  One
-        ``os.stat`` per body; nothing is read."""
-        return sum(_unhashed_file_bytes(self._cas_path(spec.get("cas", "")))
-                   for spec in entry.files.values())
+        ``os.stat`` per body, which :meth:`checked` uses too; nothing is read."""
+        return sum(_unhashed_size(stat) for stat in self._body_stats(entry).values()
+                   if stat is not None)
 
     def checked(self, entry: Optional[CacheEntry]) -> Optional[CacheEntry]:
         """``entry`` if every body is intact; else quarantine it, ``None``."""
         if entry is None:
             return None
         path = self._entry_path(entry.key)
+        stats = self._body_stats(entry)
         for spec in entry.files.values():
-            body = self._cas_path(spec.get("cas", ""))
+            cas = spec.get("cas", "")
+            body = self._cas_path(cas)
+            stat = stats[cas]
+            if stat is None:
+                self._quarantine(path, f"missing CAS body {os.path.basename(body)}")
+                return None
             # A missing, truncated or bit-flipped body (e.g. a shared file
             # later rewritten in place) quarantines the entry rather than
-            # replaying damaged data.  The content fingerprint is one ``stat``
+            # replaying damaged data.  The content fingerprint reads nothing
             # for a body this process has validated before (it is memoized on
             # the inode), so the recorded size is looked at only to word the
             # report of a body that failed.
             try:
-                if file_fingerprint(body) != spec.get("cas"):
-                    if os.path.getsize(body) != int(spec.get("size", -1)):
+                if file_fingerprint(body, stat=stat) != cas:
+                    if stat.st_size != int(spec.get("size", -1)):
                         self._quarantine(body, f"size mismatch for entry {entry.key}")
                         self._quarantine(path, "stale CAS body")
                     else:
@@ -595,38 +700,66 @@ class JobCache:
 
     # ------------------------------------------------------------------- store
 
-    def ingest_file(self, path: str, prefer_copy: bool = False) -> Dict[str, Any]:
+    def ingest_file(self, path: str, prefer_copy: bool = False,
+                    stat: Optional[os.stat_result] = None) -> Dict[str, Any]:
         """Add one file body to the CAS; returns its ``{"cas", "size"}`` spec.
 
         Hardlinked (zero-copy) by default; ``prefer_copy=True`` for files in
-        shared directories that may later be rewritten in place.
+        shared directories that may later be rewritten in place.  ``stat``
+        is the caller's ``os.stat`` of ``path``; without it, one is made.
         """
-        cas_id = file_fingerprint(path)
-        size = os.path.getsize(path)
+        if stat is None:
+            stat = os.stat(path)
+        cas_id = file_fingerprint(path, stat=stat)
         stage_file(path, self._cas_path(cas_id), overwrite=False, prefer_copy=prefer_copy)
-        return {"cas": cas_id, "size": size}
+        return {"cas": cas_id, "size": stat.st_size}
 
     def store_outdir(self, key: str, outdir: str, *,
                      stdout_name: Optional[str] = None,
                      stderr_name: Optional[str] = None,
                      exit_code: int = 0,
                      command: Optional[Dict[str, Any]] = None) -> CacheEntry:
-        """Snapshot a job's entire (private) output directory under ``key``."""
+        """Snapshot a job's entire (private) output directory under ``key``:
+        one ``scandir`` pass, one ``stat`` per file (:meth:`_ingest_tree`)."""
         files: Dict[str, Dict[str, Any]] = {}
         empty_dirs: List[str] = []
-        for root, dirs, names in os.walk(outdir):
-            rel_root = os.path.relpath(root, outdir)
-            for name in names:
-                full = os.path.join(root, name)
-                if not os.path.isfile(full):
-                    continue  # sockets/fifos are not cacheable
-                rel = os.path.normpath(os.path.join(rel_root, name))
-                files[rel] = self.ingest_file(full)
-            if not names and not dirs and rel_root != ".":
-                empty_dirs.append(os.path.normpath(rel_root))
+        self._ingest_tree(outdir, "", files, empty_dirs)
         return self._write_entry(key, files, empty_dirs,
                                  stdout_name=stdout_name, stderr_name=stderr_name,
                                  exit_code=exit_code, command=command)
+
+    def _ingest_tree(self, directory: str, prefix: str,
+                     files: Dict[str, Dict[str, Any]], empty_dirs: List[str]) -> None:
+        """Ingest every regular file under ``directory`` into ``files``, by
+        its path relative to the output directory (``prefix`` + name), as
+        ``os.walk`` sees the tree: a symlinked directory is not entered, an
+        entry that is not a regular file (a FIFO, a socket, a dangling link)
+        is skipped, and a directory with no entries at all is recorded in
+        ``empty_dirs``.  One ``stat`` per file (symlinks followed), which
+        its fingerprint and size both use."""
+        try:
+            with os.scandir(directory) as scan:
+                entries = list(scan)
+        except OSError:
+            return  # os.walk skips what it cannot list
+        if not entries and prefix:
+            empty_dirs.append(prefix[:-1])
+        for entry in entries:
+            rel = prefix + entry.name
+            try:
+                is_dir = entry.is_dir()
+            except OSError:
+                is_dir = False
+            if is_dir:
+                if not entry.is_symlink():
+                    self._ingest_tree(entry.path, rel + os.sep, files, empty_dirs)
+                continue
+            try:
+                stat = entry.stat()
+            except OSError:
+                continue
+            if S_ISREG(stat.st_mode):
+                files[rel] = self.ingest_file(entry.path, stat=stat)
 
     def store_files(self, key: str, outdir: str, paths: List[str], *,
                     stdout_name: Optional[str] = None,
@@ -648,14 +781,19 @@ class JobCache:
         files: Dict[str, Dict[str, Any]] = {}
         for path in paths:
             full = os.path.abspath(path)
-            if not os.path.isfile(full):
+            try:
+                stat = os.stat(full)
+            except OSError:
+                stat = None
+            if stat is None or not S_ISREG(stat.st_mode):
                 logger.debug("not caching %s: output %s is not a regular file", key, full)
                 return None
             rel = os.path.relpath(full, outdir)
             if rel.startswith(".."):
                 logger.debug("not caching %s: output %s escapes the job directory", key, full)
                 return None
-            files[os.path.normpath(rel)] = self.ingest_file(full, prefer_copy=prefer_copy)
+            files[os.path.normpath(rel)] = self.ingest_file(full, prefer_copy=prefer_copy,
+                                                            stat=stat)
         return self._write_entry(key, files, [],
                                  stdout_name=stdout_name, stderr_name=stderr_name,
                                  exit_code=exit_code, command=command)
@@ -676,10 +814,12 @@ class JobCache:
             "command": command or {},
             "created_at": time.time(),
         }
+        # json.dumps has a C encoder; json.dump to a file never uses it.
+        text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
         path = self._entry_path(key)
         tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, path)
         return CacheEntry(key=key, fingerprint=fingerprint, files=files, dirs=dirs,
                           streams={"stdout": stdout_name, "stderr": stderr_name},

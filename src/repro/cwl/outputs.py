@@ -173,7 +173,8 @@ def run_in_root(context: Any, run: Callable[[Any], T],
     """``run(context)`` with every job under one root, the run's: inside a
     run (the context names a ``job_dir``) that run's; else a new
     ``make_job_dir("run")`` (under ``basedir``, else the temp dir), the
-    ``job_dir`` of a child context that names no ``outdir``.  Given an
+    ``job_dir`` of the run's own context
+    (:meth:`~repro.cwl.runtime.RuntimeContext.run_in`).  Given an
     ``outdir``, what ``run`` returns is then staged there (``stage``, by
     default :func:`stage_outputs` of an output object) and the root removed,
     also after a failure; else the outputs stay in the root, which is removed
@@ -183,7 +184,7 @@ def run_in_root(context: Any, run: Callable[[Any], T],
     destination = context.outdir
     root = context.make_job_dir("run")
     try:
-        result = run(context.child(outdir=None, _job_dir=root))
+        result = run(context.run_in(root))
         if destination is None:
             return result
         if stage is None:

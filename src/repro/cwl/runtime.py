@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache, job_key
 from repro.cwl.journal import run_cache_dir
+from repro.utils.environment import RunEnvironment
 
 
 def signal_job_process(proc: Any, sig: int) -> None:
@@ -125,6 +126,10 @@ class RuntimeContext:
     #: its root (:func:`~repro.cwl.outputs.run_in_root`), or a node's
     #: directory under it (:meth:`node_context`).
     _job_dir: Optional[str] = field(default=None, repr=False, compare=False)
+    #: The environment the run this context belongs to spawns its tools
+    #: with (:meth:`run_in`); ``None`` outside a run.
+    _run_environment: Optional[RunEnvironment] = field(default=None, repr=False,
+                                                       compare=False)
 
     @property
     def journal(self) -> Optional[Any]:
@@ -135,6 +140,25 @@ class RuntimeContext:
     def job_dir(self) -> Optional[str]:
         """The directory the run gave this context's process, if any."""
         return self._job_dir
+
+    @property
+    def run_environment(self) -> Optional[RunEnvironment]:
+        """The spawn environment of the run this context belongs to, if any."""
+        return self._run_environment
+
+    def run_in(self, root: str) -> "RuntimeContext":
+        """The context of a run whose root is ``root``: it names no
+        ``outdir``, its jobs run under ``root`` (:meth:`node_context`) and
+        are spawned with one :class:`~repro.utils.environment.RunEnvironment`,
+        the run's own."""
+        return self.child(outdir=None, _job_dir=root, _run_environment=RunEnvironment())
+
+    def spawn_environment(self, *overlays: Dict[str, str]) -> Dict[str, str]:
+        """The environment a job's tool is spawned with: its run's (read
+        from ``os.environ`` once per run; outside a run, now), then
+        :attr:`env`, then ``overlays`` (the tool's ``EnvVarRequirement``)."""
+        environment = self._run_environment or RunEnvironment()
+        return environment.spawn(self.env, *overlays)
 
     def ensure_outdir(self) -> str:
         """Create (if needed) and return the output directory."""
@@ -310,19 +334,21 @@ class RuntimeContext:
             return None
         return get_job_cache(directory)
 
-    def cache_key(self, tool: Any, job_order: Dict[str, Any]) -> str:
-        """The job-cache key of one invocation of ``tool`` under this context.
+    def cache_key(self, tool: Any, job_order: Dict[str, Any],
+                  identities: Dict[str, str]) -> str:
+        """The job-cache key of one invocation of ``tool`` under this context,
+        which has granted the tool its resources (:meth:`with_resources`).
 
         How every engine keys a job — the runner engines in
         :meth:`~repro.cwl.job.CommandLineJob.probe`, the Parsl engines
         on the execution side of a ``CWLApp`` — so the extra environment and
         the resources granted after the tool's ``ResourceRequirement`` are in
         every key, and a store is warm across engines exactly when the job
-        would run the same way.
+        would run the same way.  ``identities`` are the job order's
+        :func:`~repro.cwl.jobcache.input_identities`.
         """
-        granted = self.with_resources(tool)
-        return job_key(tool, job_order, cores=granted.cores, ram_mb=granted.ram_mb,
-                       extra_env=self.env)
+        return job_key(tool, job_order, cores=self.cores, ram_mb=self.ram_mb,
+                       extra_env=self.env, identities=identities)
 
     # ------------------------------------------------------------ subprocesses
 

@@ -217,11 +217,13 @@ def build_file_value(path: str, load_contents: bool = False) -> Dict[str, Any]:
     """Construct a CWL File value dictionary for a local path."""
     value = file_value_of_path(path)
     path = value["path"]
-    if os.path.exists(path):
+    try:
         value["size"] = os.stat(path).st_size
-        if load_contents:
-            with open(path, "rb") as handle:
-                value["contents"] = handle.read(64 * 1024).decode("utf-8", errors="replace")
+    except (OSError, ValueError):  # what os.path.exists takes for "missing"
+        return value
+    if load_contents:
+        with open(path, "rb") as handle:
+            value["contents"] = handle.read(64 * 1024).decode("utf-8", errors="replace")
     return value
 
 

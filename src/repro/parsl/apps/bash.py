@@ -7,7 +7,9 @@ kwargs to files and translating non-zero exit codes into
 that it can be serialized by reference and shipped to worker processes.
 
 Each command leads its own session, as the CWL runners' jobs do, so
-signalling it reaches its whole process group.
+signalling it reaches its whole process group.  A bash app belongs to no CWL
+run, so each call reads ``os.environ`` when it spawns, as Parsl's bash apps
+do: a variable set between two calls reaches the second.
 """
 
 from __future__ import annotations

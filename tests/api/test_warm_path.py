@@ -226,9 +226,9 @@ def test_toil_keys_each_attempt_once(faults, tmp_path, monkeypatch):
     keys: list = []
     real_cache_key = RuntimeContext.cache_key
 
-    def counting_cache_key(context, tool, job_order):
+    def counting_cache_key(context, tool, job_order, *identities):
         keys.append(tuple(sorted(job_order)))
-        return real_cache_key(context, tool, job_order)
+        return real_cache_key(context, tool, job_order, *identities)
 
     monkeypatch.setattr(RuntimeContext, "cache_key", counting_cache_key)
     options = {}

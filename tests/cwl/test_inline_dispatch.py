@@ -256,9 +256,9 @@ def test_a_hit_whose_bodies_are_unhashed_and_large_is_checked_on_the_pool(
         checks.append(threading.get_ident())
         return real_checked(cache, entry)
 
-    def cache_key(context, tool, job_order):
+    def cache_key(context, tool, job_order, *identities):
         keys.append(threading.get_ident())
-        return real_key(context, tool, job_order)
+        return real_key(context, tool, job_order, *identities)
 
     monkeypatch.setattr(JobCache, "checked", checked)
     monkeypatch.setattr(RuntimeContext, "cache_key", cache_key)
@@ -295,8 +295,8 @@ def spy_cache_keys(monkeypatch) -> list:
     keys = []
     real_key = RuntimeContext.cache_key
 
-    def cache_key(context, tool, job_order):
-        keys.append(real_key(context, tool, job_order))
+    def cache_key(context, tool, job_order, *identities):
+        keys.append(real_key(context, tool, job_order, *identities))
         return keys[-1]
 
     monkeypatch.setattr(RuntimeContext, "cache_key", cache_key)
