@@ -45,6 +45,17 @@ class SeriesRecorder:
     def record(self, figure: str, series: str, x, seconds: float) -> None:
         self.points[figure][(series, x)] = seconds
 
+    def record_measured(self, figure: str, series: str, x, benchmark,
+                        statistic: str = "mean") -> None:
+        """Record ``statistic`` of what ``benchmark`` measured, if it measured.
+
+        Under ``--benchmark-disable`` pytest-benchmark runs the function once
+        without timing it and ``benchmark.stats`` is None: the point is left
+        out, and the test's own assertions still run.
+        """
+        if benchmark.stats is not None:
+            self.record(figure, series, x, getattr(benchmark.stats.stats, statistic))
+
     def series(self, figure: str, series: str):
         figure_points = self.points.get(figure, {})
         xs = sorted({x for (name, x) in figure_points if name == series})

@@ -73,7 +73,7 @@ def test_ablation_compile_cache(benchmark, series, count, series_recorder):
     run_workload(evaluator, 4)  # warm caches so the fixed setup cost is excluded
 
     benchmark.pedantic(run_workload, args=(evaluator, count), rounds=1, iterations=2)
-    series_recorder.record(FIGURE, series, count, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE, series, count, benchmark)
 
 
 def test_ablation_shape_compiled_at_least_2x_faster(monkeypatch):

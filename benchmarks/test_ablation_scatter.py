@@ -97,5 +97,5 @@ def test_scatter_width_overhead(benchmark, series, width, tmp_path, cwl_dir, ser
             run_parsl(width, tmp_path / "parsl", cwl_dir)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    series_recorder.record(FIGURE, series, width, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE, series, width, benchmark)
 

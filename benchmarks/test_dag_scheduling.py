@@ -218,7 +218,7 @@ def test_dag_wide_fanout(benchmark, series, count, tmp_path, series_recorder,
         EVENTS[FIGURE_WIDE, series, count] = result.events
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    series_recorder.record(FIGURE_WIDE, series, count, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE_WIDE, series, count, benchmark)
 
 
 # Three sizes per series so BENCH_dag.json records growth curves, not single
@@ -239,7 +239,7 @@ def test_dag_deep_diamonds(benchmark, series, diamonds, tmp_path, series_recorde
         EVENTS[FIGURE_DIAMOND, series, diamonds] = result.events
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    series_recorder.record(FIGURE_DIAMOND, series, diamonds, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE_DIAMOND, series, diamonds, benchmark)
 
 
 NESTED_WIDTHS = [2, 4, 6]
@@ -268,7 +268,7 @@ def test_dag_scatter_in_subworkflow(benchmark, series, width, tmp_path,
         EVENTS[FIGURE_NESTED, series, width] = result.events
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    series_recorder.record(FIGURE_NESTED, series, width, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE_NESTED, series, width, benchmark)
 
 
 # ------------------------------------------------------------- shape checks

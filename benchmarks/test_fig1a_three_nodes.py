@@ -129,7 +129,7 @@ def test_fig1a_three_nodes(benchmark, series, count, image_workload, cwl_dir, tm
         return run_parsl_htex(cwl_dir, dict(job_order), tmp_path / "parsl")
 
     COUNTS[kind, count] = benchmark.pedantic(run, rounds=1, iterations=1)
-    series_recorder.record(FIGURE, series, count, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE, series, count, benchmark)
 
 
 def measured(kind):

@@ -104,7 +104,7 @@ def test_fig1b_single_node(benchmark, series, count, image_workload, cwl_dir, tm
         return run_parsl_threads(cwl_dir, dict(job_order), tmp_path / "parsl")
 
     JOBS[kind, count] = benchmark.pedantic(run, rounds=1, iterations=1)
-    series_recorder.record(FIGURE, series, count, benchmark.stats.stats.mean)
+    series_recorder.record_measured(FIGURE, series, count, benchmark)
 
 
 def test_fig1b_shape_every_series_runs_every_tool_of_every_image():

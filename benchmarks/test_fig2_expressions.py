@@ -94,7 +94,7 @@ def test_fig2_expression_scaling(benchmark, series, words, cwl_dir, tmp_path, se
     # store IO) would otherwise drown the expression-pipeline signal the
     # figure exists to show.
     benchmark.pedantic(run, rounds=3, iterations=2)
-    series_recorder.record(FIGURE, series, words, benchmark.stats.stats.min)
+    series_recorder.record_measured(FIGURE, series, words, benchmark, "min")
 
 
 def js_calls_of(run):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import os
+import shutil
 import tempfile
 
 import repro
@@ -62,6 +63,7 @@ def main() -> None:
     else:
         repro.load(repro.thread_config(max_threads=8))
 
+    cwd = os.getcwd()
     workdir = tempfile.mkdtemp(prefix="repro-image-pipeline-")
     os.chdir(workdir)
 
@@ -90,6 +92,8 @@ def main() -> None:
             print(f"   ... and {len(produced) - 5} more")
     finally:
         repro.clear()
+        os.chdir(cwd)
+        shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

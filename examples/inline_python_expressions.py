@@ -16,6 +16,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 
 import repro
@@ -28,6 +29,7 @@ CWL_DIR = os.path.join(EXAMPLES_DIR, "cwl")
 
 def main() -> None:
     repro.load(repro.thread_config(max_threads=2))
+    cwd = os.getcwd()
     workdir = tempfile.mkdtemp(prefix="repro-inline-python-")
     os.chdir(workdir)
 
@@ -60,6 +62,8 @@ def main() -> None:
             print("non-CSV rejected before execution:", type(exc).__name__, "-", exc)
     finally:
         repro.clear()
+        os.chdir(cwd)
+        shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

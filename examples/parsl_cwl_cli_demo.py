@@ -13,6 +13,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 
 from repro.core.cli import main as parsl_cwl_main
@@ -25,14 +26,17 @@ def main() -> None:
     tool = os.path.join(EXAMPLES_DIR, "cwl", "echo.cwl")
     outdir = tempfile.mkdtemp(prefix="repro-parsl-cwl-cli-")
 
-    exit_code = parsl_cwl_main([
-        "--outdir", outdir,
-        config,
-        tool,
-        "--message", "Hello from the parsl-cwl runner",
-    ])
-    print("parsl-cwl exit code:", exit_code)
-    print("output directory:", outdir, "->", sorted(os.listdir(outdir)))
+    try:
+        exit_code = parsl_cwl_main([
+            "--outdir", outdir,
+            config,
+            tool,
+            "--message", "Hello from the parsl-cwl runner",
+        ])
+        print("parsl-cwl exit code:", exit_code)
+        print("output directory:", outdir, "->", sorted(os.listdir(outdir)))
+    finally:
+        shutil.rmtree(outdir)
 
 
 if __name__ == "__main__":

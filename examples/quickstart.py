@@ -13,6 +13,7 @@ invokes it asynchronously, waits for the future and prints the output file.
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 
 import repro
@@ -25,6 +26,7 @@ def main() -> None:
     # 1. Load a Parsl configuration (the analogue of parsl.configs.local_threads).
     repro.load(repro.thread_config(max_threads=4))
 
+    cwd = os.getcwd()
     workdir = tempfile.mkdtemp(prefix="repro-quickstart-")
     os.chdir(workdir)
 
@@ -46,6 +48,8 @@ def main() -> None:
             print("output file:", data_future.filepath, "->", data_future.result().filepath)
     finally:
         repro.clear()
+        os.chdir(cwd)
+        shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

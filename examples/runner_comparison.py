@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import tempfile
 import time
 
@@ -47,21 +48,33 @@ def main() -> None:
     args = parser.parse_args()
 
     base = tempfile.mkdtemp(prefix="repro-runner-comparison-")
-    job_order = workload(os.path.join(base, "images"), args.images)
+    try:
+        timings = compare(base, args.images, args.workers)
+    finally:
+        shutil.rmtree(base)
+
+    print(f"\n{args.images} images, {args.workers} workers:")
+    for name, seconds in sorted(timings.items(), key=lambda item: item[1]):
+        print(f"  {name:35s} {seconds:7.2f} s")
+
+
+def compare(base: str, images: int, workers: int) -> dict:
+    """Run the workflow on every runner under ``base``: ``{runner: seconds}``."""
+    job_order = workload(os.path.join(base, "images"), images)
     workflow_path = os.path.join(CWL_DIR, "scatter_images.cwl")
     timings = {}
 
     # cwltool-like reference runner with --parallel, via the unified API.
     result = api.run(workflow_path, job_order, engine="reference",
                      runtime_context=RuntimeContext(basedir=os.path.join(base, "cwltool")),
-                     parallel=True, max_workers=args.workers)
+                     parallel=True, max_workers=workers)
     timings["cwltool-like (--parallel)"] = result.wall_time_s
 
     # Toil-like runner on the single-machine batch system, via the unified API.
     result = api.run(workflow_path, job_order, engine="toil",
                      job_store_dir=os.path.join(base, "jobstore"),
                      runtime_context=RuntimeContext(basedir=os.path.join(base, "toil")),
-                     max_workers=args.workers)
+                     max_workers=workers)
     timings["toil-like (single machine)"] = result.wall_time_s
 
     # Parsl integration: the same pipeline written as chained CWLApps, as the paper's
@@ -69,7 +82,7 @@ def main() -> None:
     # scatter_images.cwl from its CWL definition instead).
     import concurrent.futures
 
-    repro.load(repro.thread_config(max_threads=args.workers))
+    repro.load(repro.thread_config(max_threads=workers))
     cwd = os.getcwd()
     parsl_dir = os.path.join(base, "parsl")
     os.makedirs(parsl_dir, exist_ok=True)
@@ -94,10 +107,7 @@ def main() -> None:
     finally:
         os.chdir(cwd)
         repro.clear()
-
-    print(f"\n{args.images} images, {args.workers} workers:")
-    for name, seconds in sorted(timings.items(), key=lambda item: item[1]):
-        print(f"  {name:35s} {seconds:7.2f} s")
+    return timings
 
 
 if __name__ == "__main__":

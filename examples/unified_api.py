@@ -14,6 +14,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 
 from repro import api
@@ -31,22 +32,28 @@ def main() -> None:
                                        f"(ok={event.ok}, {event.duration_s:.3f}s)"),
     )
 
-    for engine in ("reference", "toil", "parsl"):
-        workdir = tempfile.mkdtemp(prefix=f"repro-unified-{engine}-")
-        os.chdir(workdir)
-        print(f"\nengine={engine!r}")
-        result = api.run(ECHO_CWL, {"message": f"hello from {engine}"},
-                         engine=engine, hooks=hooks)
-        with open(result.outputs["output"]["path"], encoding="utf-8") as handle:
-            print(f"  {result.summary()}")
-            print(f"  output: {handle.read().strip()!r}")
+    # Every run keeps its files under ``workdir`` (``basedir``), removed at the end.
+    cwd = os.getcwd()
+    workdir = tempfile.mkdtemp(prefix="repro-unified-")
+    os.chdir(workdir)
+    try:
+        for engine in ("reference", "toil", "parsl"):
+            print(f"\nengine={engine!r}")
+            result = api.run(ECHO_CWL, {"message": f"hello from {engine}"},
+                             engine=engine, hooks=hooks, basedir=workdir)
+            with open(result.outputs["output"]["path"], encoding="utf-8") as handle:
+                print(f"  {result.summary()}")
+                print(f"  output: {handle.read().strip()!r}")
 
-    # Sessions amortise engine setup over many runs and support async submit.
-    with api.Session(engine="reference") as session:
-        handles = [session.submit(ECHO_CWL, {"message": f"async #{i}"})
-                   for i in range(3)]
-        print("\nasync results:",
-              [h.result().outputs["output"]["basename"] for h in handles])
+        # Sessions amortise engine setup over many runs and support async submit.
+        with api.Session(engine="reference", basedir=workdir) as session:
+            handles = [session.submit(ECHO_CWL, {"message": f"async #{i}"})
+                       for i in range(3)]
+            print("\nasync results:",
+                  [h.result().outputs["output"]["basename"] for h in handles])
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

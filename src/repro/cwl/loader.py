@@ -35,7 +35,7 @@ from repro.cwl.schema import (
     WorkflowStep,
     WorkflowStepInput,
 )
-from repro.utils.yamlio import YAMLError, describe_yaml_error, load_yaml_file
+from repro.utils import yamlio
 
 PathLike = Union[str, os.PathLike]
 
@@ -192,9 +192,9 @@ def load_document(source: Union[PathLike, Dict[str, Any]],
     if isinstance(source, (str, os.PathLike)):
         source_path = os.path.abspath(os.fspath(source))
         try:
-            document = load_yaml_file(source_path)
-        except YAMLError as exc:
-            raise ValidationException(describe_yaml_error(exc, source_path)) from exc
+            document = yamlio.load_yaml_file(source_path)
+        except yamlio.YAMLError as exc:  # resolved here: a JSON document needs no PyYAML
+            raise ValidationException(yamlio.describe_yaml_error(exc, source_path)) from exc
         base_dir = os.path.dirname(source_path)
     else:
         document = source

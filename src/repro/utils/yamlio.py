@@ -5,59 +5,109 @@ These helpers centralise safe loading (never ``yaml.load`` with arbitrary
 constructors) and deterministic dumping so tests can compare round-tripped
 documents byte-for-byte.
 
-There is one loader class, :class:`Loader`.  It is PyYAML's safe loader on
-the libyaml scanner/parser when PyYAML was built with libyaml (0.29 → 0.04 s
-on a 240-step workflow) and on the pure-Python one otherwise.  The *constructor*
-— what turns nodes into Python objects — is the same Python code either way,
-so both produce equal objects and raise the same exception classes at the same
-marks; only the wording of a syntax error's ``problem`` differs, which is why
-:func:`describe_yaml_error` leaves it out.  ``Loader.__mro__`` tells which
-parser is in use.
+A text is read by one of two parsers, picked from the text itself, and both
+give the object PyYAML would give.
+
+* **JSON.**  CWL accepts JSON documents, and packed or generated workflows
+  usually are JSON.  A text goes to :func:`json.loads` when it starts with
+  ``{`` or ``[``, is printable ASCII plus line feed and carriage return, has
+  no ``\\u`` escape of a UTF-16 surrogate (JSON joins a pair into one code
+  point, YAML keeps two), and has no white space between a key's closing
+  quote and its colon (a YAML key ends on the line it starts on).  The parse
+  keeps what YAML 1.1 makes of JSON: ``1e3``, ``1.5e3`` and ``1e-05`` stay
+  strings (a YAML float has a point, and a signed exponent), ``NaN`` and
+  ``Infinity`` too.  A text JSON refuses, one that repeats a key, and one
+  with a key of over 170 characters (a YAML key must end within 1024
+  characters of its start) go to PyYAML after all, so every error reads as
+  it does from PyYAML.  On the benchmark's 240-step, 81 KB workflow
+  ``load_yaml_file`` takes 2.4 ms this way against 29 ms through
+  :class:`Loader` (0.6 ms of it is ``json.loads`` itself, the rest the
+  checks above), and a process that reads only JSON never imports PyYAML.
+* **YAML**, everything else: :class:`Loader`, PyYAML's safe loader on the
+  libyaml scanner/parser when PyYAML was built with libyaml (0.20 → 0.03 s
+  on that workflow read as YAML) and on the pure-Python one otherwise.  The
+  *constructor* — what turns nodes into Python objects — is the same Python
+  code either way, so both produce equal objects and raise the same
+  exception classes at the same marks; only the wording of a syntax error's
+  ``problem`` differs, which is why :func:`describe_yaml_error` leaves it
+  out.  ``Loader.__mro__`` tells which parser is in use.
+
+``yaml``, :class:`Loader` and :data:`YAMLError` are attributes of this module,
+resolved (PEP 562, ``repro/_lazy.py``) from ``repro.utils._yamlloader`` the
+first time one is asked for.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-from typing import Any, Union
+import re
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-import yaml
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    import yaml
+
+    from repro.utils._yamlloader import Loader, YAMLError
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Loader": "repro.utils._yamlloader",
+    "YAMLError": "repro.utils._yamlloader",
+    "yaml": "repro.utils._yamlloader",
+})
 
 PathLike = Union[str, os.PathLike]
 
-YAMLError = yaml.YAMLError
+#: A text that starts like JSON goes to PyYAML after all if it has a character
+#: outside these: YAML folds a raw ``\x85`` or ``\u2028`` in a string and
+#: refuses DEL, and where JSON takes a tab between tokens the pure-Python
+#: parser refuses it always and libyaml after a line break.
+_JSON_CHARS = re.compile(r"[\n\r\x20-\x7e]*")
+#: ... or a ``\u`` escape of a surrogate (JSON joins a pair, YAML does not),
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abAB]")
+#: ... or white space between a quote and a colon (a YAML key ends on its line).
+_SPACE_BEFORE_COLON = re.compile(r'"\s+:')
 
-_MERGE_TAG = "tag:yaml.org,2002:merge"
-_safe_construct_mapping = yaml.constructor.SafeConstructor.construct_mapping
+#: The branch of YAML 1.1's float pattern (PyYAML's resolver) that a JSON
+#: number can match; a JSON number that does not match it is a YAML string.
+_YAML_FLOAT = re.compile(r"[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?\Z")
+
+#: A YAML implicit key must end within 1024 characters of its start.  A key
+#: character takes at most six in printable ASCII (``\uXXXX``), the quotes two.
+_MAX_KEY_CHARS = (1024 - 2) // 6
 
 
-class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[misc]
-    """The safe loader, rejecting mappings that give one key twice.
+def _json_float(text: str) -> Any:
+    return float(text) if _YAML_FLOAT.match(text) else text
 
-    YAML says mapping keys are unique; PyYAML keeps the last one silently, so
-    a tool with two ``baseCommand:`` lines would load and run the second.
-    Keys brought in by a merge (``<<: *base``) may still be overridden.
+
+def _json_mapping(pairs: list) -> dict:
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs) or max(map(len, mapping), default=0) > _MAX_KEY_CHARS:
+        raise ValueError("for PyYAML")  # to word the repeat's error, or to judge the key
+    return mapping
+
+
+def _load(text: str, name: Optional[str] = None) -> Any:
+    """The document in ``text``: by JSON where that reads it as YAML would,
+    else by PyYAML (as a stream named ``name`` when the text is a file's).
     """
+    if (text.startswith(("{", "[")) and _JSON_CHARS.fullmatch(text)
+            and not _SURROGATE_ESCAPE.search(text) and not _SPACE_BEFORE_COLON.search(text)):
+        try:
+            return json.loads(text, object_pairs_hook=_json_mapping,
+                              parse_float=_json_float, parse_constant=str)
+        except (ValueError, RecursionError):
+            pass
+    from repro.utils._yamlloader import load
 
-    def construct_mapping(self, node: Any, deep: bool = False) -> Any:
-        # Copied before the base class folds ``<<`` merges into ``node.value``
-        # (a node that is no mapping is the base class's to refuse).
-        given = tuple(node.value)
-        mapping = _safe_construct_mapping(self, node, deep)
-        if len(mapping) < len(node.value):  # a repeat, or a merged key overridden
-            first_seen: dict = {}
-            for key_node, _ in given:
-                if key_node.tag == _MERGE_TAG:
-                    continue
-                key = self.construct_object(key_node, deep=deep)
-                if key in first_seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r} (first given on line "
-                        f"{first_seen[key].start_mark.line + 1})",
-                        key_node.start_mark)
-                first_seen[key] = key_node
-        return mapping
+    if name is None:
+        return load(text)
+    stream = io.StringIO(text)
+    stream.name = name  # PyYAML's marks name the file, as when it reads one
+    return load(stream)
 
 
 def describe_yaml_error(error: yaml.YAMLError, source: str) -> str:
@@ -67,16 +117,18 @@ def describe_yaml_error(error: yaml.YAMLError, source: str) -> str:
     named by its class (libyaml words the ``problem`` differently), an error
     from the shared constructor — a duplicate key — by its own words.
     """
+    from yaml.constructor import ConstructorError
+
     mark = getattr(error, "problem_mark", None)
     where = f"{source}:{mark.line + 1}:{mark.column + 1}" if mark is not None else source
-    if isinstance(error, yaml.constructor.ConstructorError) and error.problem:
+    if isinstance(error, ConstructorError) and error.problem:
         return f"{where}: invalid YAML: {error.problem}"
     return f"{where}: invalid YAML ({type(error).__name__})"
 
 
 def load_yaml(text: str) -> Any:
     """Parse YAML (or JSON — JSON is a YAML subset) from a string."""
-    return yaml.load(text, Loader=Loader)  # noqa: S506  (a SafeLoader subclass)
+    return _load(text)
 
 
 def load_yaml_file(path: PathLike) -> Any:
@@ -91,7 +143,8 @@ def load_yaml_file(path: PathLike) -> Any:
     except (FileNotFoundError, IsADirectoryError) as exc:
         raise FileNotFoundError(f"No such YAML document: {path}") from exc
     with handle:
-        return yaml.load(handle, Loader=Loader)  # noqa: S506
+        text = handle.read()
+    return _load(text, path)
 
 
 def dump_yaml(obj: Any, path: PathLike | None = None) -> str:
@@ -99,6 +152,8 @@ def dump_yaml(obj: Any, path: PathLike | None = None) -> str:
 
     If ``path`` is given the YAML text is also written to that file.
     """
+    import yaml
+
     text = yaml.safe_dump(obj, sort_keys=True, default_flow_style=False)
     if path is not None:
         with open(os.fspath(path), "w", encoding="utf-8") as handle:

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ENGINES = ("reference", "toil", "parsl", "parsl-workflow")
@@ -54,8 +55,11 @@ steps:
 
 
 def modules_after(script: str, cwd: Path, *args: str) -> dict:
-    """Run ``script`` in a fresh interpreter; it prints one JSON object."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    """Run ``script`` in a fresh interpreter; it prints one JSON object.
+
+    Its temp directory is ``cwd``, where the runs' ``cwl-run-*`` roots stay.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), TMPDIR=str(cwd))
     env.pop("REPRO_JOBCACHE_DIR", None)
     done = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -112,7 +116,7 @@ engine, cache, document = sys.argv[1], sys.argv[2] == "cache", sys.argv[3]
 
 def snapshot():
     return sorted(name for name in sys.modules
-                  if name.partition(".")[0] in ("repro", "asyncio"))
+                  if name.partition(".")[0] in ("repro", "asyncio", "yaml"))
 
 options = {"cache_dir": os.path.abspath("store")} if cache else {}
 if engine.startswith("parsl"):
@@ -132,14 +136,26 @@ print(json.dumps({"ready": ready, "ran": ran, "closed": snapshot()}))
 """
 
 
+def write_workflow(directory: Path, form: str) -> Path:
+    """``WORKFLOW`` as a YAML document or as the same document in JSON."""
+    document = directory / "two_steps.cwl"
+    if form == "json":
+        document.write_text(json.dumps(yaml.safe_load(WORKFLOW), indent=2))
+    else:
+        document.write_text(WORKFLOW)
+    return document
+
+
+@pytest.mark.parametrize("form", ["json", "yaml"])
 @pytest.mark.parametrize("cache", ["nocache", "cache"])
 @pytest.mark.parametrize("engine", ENGINES)
-def test_nothing_is_imported_between_ready_to_submit_and_close(engine, cache, tmp_path):
-    document = tmp_path / "two_steps.cwl"
-    document.write_text(WORKFLOW)
+def test_nothing_is_imported_between_ready_to_submit_and_close(engine, cache, form, tmp_path):
+    document = write_workflow(tmp_path, form)
     seen = modules_after(SESSION_SCRIPT, tmp_path, engine, cache, str(document))
     assert seen["ran"] == seen["ready"], sorted(set(seen["ran"]) - set(seen["ready"]))
     assert seen["closed"] == seen["ready"]
+    # PyYAML comes in with a YAML document, before "ready"; JSON needs none.
+    assert ("yaml" in seen["ready"]) == (form == "yaml")
     assert under(seen["ready"], "asyncio") == [], "only pipeline=True needs asyncio"
     assert under(seen["ready"], "repro.testing") == []
     if engine == "reference":

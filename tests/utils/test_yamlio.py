@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from repro.testing.generator import generate_workflow, layered_dag_structure
 from repro.utils import yamlio
@@ -187,3 +190,101 @@ def test_no_document_we_ship_repeats_a_key():
     # (Generator output is built as dicts, which cannot repeat one.)
     for path in _documents_on_disk():
         load_yaml_file(path)
+
+
+# ------------------------------------------- JSON text read as YAML would read it
+
+def _read(load, text):
+    """``("value", document)``, or ``("error", describe_yaml_error text)``."""
+    try:
+        return "value", load(text)
+    except yaml.YAMLError as exc:
+        return "error", yamlio.describe_yaml_error(exc, "doc.json")
+
+
+def _as_yaml(text):
+    """What the YAML path makes of ``text``: the loader ``load_yaml`` falls back on.
+
+    Not ``yaml.SafeLoader`` where PyYAML has libyaml: the two parsers already
+    differ on an escaped surrogate pair (see below), whatever JSON does.
+    """
+    return yaml.load(text, Loader=yamlio.Loader)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(st.lists(_json_values), st.dictionaries(st.text(), _json_values)),
+       ensure_ascii=st.booleans(),
+       layout=st.sampled_from([{}, {"separators": (",", ":")}, {"indent": 2}]))
+def test_json_texts_load_exactly_as_yaml_would(value, ensure_ascii, layout):
+    text = json.dumps(value, ensure_ascii=ensure_ascii, **layout)
+    assert _read(load_yaml, text) == _read(_as_yaml, text)
+
+
+#: name -> (text, what YAML makes of it: a value or a describe_yaml_error text).
+#: On each row ``json.loads`` reads the text differently or not at all.
+JSON_DIVERGENCES = {
+    "exponent without a point, or without a sign":
+        ("[1e3, 1E+3, 1e-05, 1.5e3, 1.5e+3, -0.0]",
+         ("value", ["1e3", "1E+3", "1e-05", "1.5e3", 1500.0, -0.0])),
+    "NaN and Infinity": ("[NaN, Infinity, -Infinity]",
+                         ("value", ["NaN", "Infinity", "-Infinity"])),
+    "raw NEL in a string": ('["a\x85b"]', ("value", ["a b"])),
+    "raw DEL in a string": ('["a\x7fb"]', ("error", "doc.json: invalid YAML (ReaderError)")),
+    "repeated key": ('{"a": 1, "a": 2}',
+                     ("error", "doc.json:1:10: invalid YAML: found duplicate key 'a' "
+                               "(first given on line 1)")),
+    "tab after a line break": ('{"a": 1}\n\t',
+                               ("error", "doc.json:2:1: invalid YAML (ScannerError)")),
+    "key on a line of its own": ('{"a"\n: 1}',
+                                 ("error", "doc.json:2:1: invalid YAML (ParserError)")),
+    "key of 1023 characters": ('{"%s": 1}' % ("k" * 1023,),
+                               ("error", "doc.json:1:1027: invalid YAML (ParserError)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DIVERGENCES))
+def test_json_texts_that_json_reads_otherwise_load_as_yaml_does(name):
+    text, expected = JSON_DIVERGENCES[name]
+    assert _read(load_yaml, text) == _read(_as_yaml, text) == expected
+    assert _read(json.loads, text) != expected
+
+
+def test_escaped_surrogate_pairs_are_left_to_yaml():
+    # JSON joins the pair into one code point; PyYAML's pure-Python parser
+    # keeps two, and libyaml refuses the escape.
+    text = '["\\ud83d\\ude00"]'
+    assert json.loads(text) == ["\U0001F600"]
+    assert yaml.load(text, Loader=yaml.SafeLoader) == ["\ud83d\ude00"]
+    assert _read(load_yaml, text) == _read(_as_yaml, text)
+
+
+def test_a_json_document_read_from_a_file_equals_its_yaml_reading(tmp_path):
+    text = _dag_document(40, seed=3)
+    path = tmp_path / "dag.cwl"
+    path.write_text(text)
+    assert load_yaml_file(path) == load_yaml(text) == _as_yaml(text)
+    # A text that starts like JSON but is YAML: read by PyYAML from the file.
+    path.write_text('{"a": 1, "a": 2}\n')
+    with pytest.raises(yaml.constructor.ConstructorError) as caught:
+        load_yaml_file(path)
+    assert f'in "{path}", line 1, column 10' in str(caught.value)
+
+
+def test_a_document_is_read_from_a_pipe(tmp_path):
+    # ``repro-cwltool wf.cwl <(make_job)`` gives a FIFO: it is read once.
+    fifo = tmp_path / "job.yml"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("message: hi\n",), daemon=True)
+    writer.start()
+    try:
+        assert load_yaml_file(fifo) == {"message": "hi"}
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
