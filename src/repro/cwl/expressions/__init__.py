@@ -26,6 +26,13 @@ and which one runs is a property of the engine:
 * the :class:`~repro.cwl.expressions.compiler.CompiledEvaluator` of ``toil`` /
   ``parsl`` / ``parsl-workflow`` compiles each distinct string of a document
   once and shares library scopes by content hash.
+
+Neither imports the JavaScript engine by itself.  Loading a document that
+declares ``InlineJavascriptRequirement`` (anywhere, as a requirement or a
+hint) imports it, before a run starts; a document that does not never loads
+it, since a parameter reference is a path walk that needs no engine — unless
+one of its own expressions is JavaScript after all, whose first compile then
+imports the engine.
 """
 
 from repro.cwl.expressions.compiler import (

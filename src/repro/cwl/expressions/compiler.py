@@ -23,23 +23,22 @@ evaluators differ only in what they keep:
 
 Which of the two a job gets is the runner's decision
 (:meth:`repro.cwl.runners.base.BaseRunner.evaluator_for`), never a run option.
+
+This module does not import the JavaScript engine
+(:mod:`repro.cwl.expressions.jsengine`): a process whose expressions are all
+parameter references never loads it.  Loading a document that declares
+``InlineJavascriptRequirement`` imports it (:mod:`repro.cwl.loader`), so
+that a run imports nothing; otherwise the first JavaScript expression
+compiled does.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cwl.errors import ExpressionError
-from repro.cwl.expressions.jsengine.closures import (
-    CompiledNode,
-    LibraryScope,
-    compile_expression_ast,
-    compile_program_ast,
-    shared_library_scope,
-)
-from repro.cwl.expressions.jsengine.parser import parse_expression, parse_program
 from repro.cwl.expressions.paramrefs import (
     FoundExpression,
     is_simple_parameter_reference,
@@ -47,6 +46,9 @@ from repro.cwl.expressions.paramrefs import (
     scan_expressions,
     tokenize_path,
 )
+
+if TYPE_CHECKING:
+    from repro.cwl.expressions.jsengine.closures import CompiledNode, LibraryScope
 
 __all__ = [
     "CompiledExpression",
@@ -71,6 +73,13 @@ def _stringify(value: Any) -> str:
     return str(value)
 
 
+#: What a template is evaluated with: a call that gives the
+#: :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` to run
+#: JavaScript in.  Only a JavaScript expression calls it, so a template of
+#: parameter references never builds a scope or imports the engine.
+ScopeSource = Callable[[], "LibraryScope"]
+
+
 class CompiledExpression:
     """One expression occurrence, classified and compiled at construction.
 
@@ -80,6 +89,10 @@ class CompiledExpression:
       pre-tokenized path, never touching the JavaScript engine,
     * ``"js"`` — a ``$(...)`` JavaScript expression, compiled to a Python function,
     * ``"body"`` — a ``${...}`` function body, compiled to a Python function.
+
+    The first ``"js"`` or ``"body"`` occurrence a process compiles imports the
+    JavaScript engine, unless loading a document that declares
+    ``InlineJavascriptRequirement`` already did (:mod:`repro.cwl.loader`).
     """
 
     __slots__ = ("kind", "body", "_tokens", "_compiled")
@@ -87,7 +100,7 @@ class CompiledExpression:
     def __init__(self, found: FoundExpression, js_enabled: bool = True) -> None:
         self.body = found.body
         self._tokens: Optional[Tuple[Any, ...]] = None
-        self._compiled: Optional[CompiledNode] = None
+        self._compiled: Optional["CompiledNode"] = None
         if found.kind == "paren":
             if is_simple_parameter_reference(found.body):
                 self.kind = "param"
@@ -98,6 +111,9 @@ class CompiledExpression:
                     f"expression $({found.body}) requires InlineJavascriptRequirement, "
                     "which this document does not declare"
                 )
+            from repro.cwl.expressions.jsengine.closures import compile_expression_ast
+            from repro.cwl.expressions.jsengine.parser import parse_expression
+
             self.kind = "js"
             self._compiled = compile_expression_ast(parse_expression(found.body))
             return
@@ -106,15 +122,18 @@ class CompiledExpression:
                 "${...} expressions require InlineJavascriptRequirement, "
                 "which this document does not declare"
             )
+        from repro.cwl.expressions.jsengine.closures import compile_program_ast
+        from repro.cwl.expressions.jsengine.parser import parse_program
+
         self.kind = "body"
         self._compiled = compile_program_ast(parse_program(found.body))
 
-    def evaluate(self, context: Dict[str, Any], scope: LibraryScope) -> Any:
+    def evaluate(self, context: Dict[str, Any], scope: ScopeSource) -> Any:
         if self.kind == "param":
             return resolve_path_tokens(self._tokens, context, source=self.body)
         if self.kind == "js":
-            return scope.evaluate(self._compiled, context)
-        return scope.run_body(self._compiled, context)
+            return scope().evaluate(self._compiled, context)
+        return scope().run_body(self._compiled, context)
 
 
 class CompiledTemplate:
@@ -152,7 +171,7 @@ class CompiledTemplate:
             cursor = expression.end
         self.segments.append(source[cursor:].replace("\\$", "$"))
 
-    def evaluate(self, context: Dict[str, Any], scope: LibraryScope) -> Any:
+    def evaluate(self, context: Dict[str, Any], scope: ScopeSource) -> Any:
         if self.kind == "plain":
             return self.literal
         if self.kind == "single":
@@ -185,10 +204,13 @@ class CompiledEvaluator:
     Same public contract — ``evaluate`` / ``evaluate_structure`` with identical
     value semantics and error messages — but every string is compiled once
     into this evaluator's memo and evaluated via the shared
-    :class:`LibraryScope`, so neither the standard library nor the
-    ``expressionLib`` is ever re-parsed.  Only a document's own strings reach
-    an evaluator, so the document bounds the memo.  Evaluators with
-    byte-identical libraries share one scope.
+    :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope`, so neither
+    the standard library nor the ``expressionLib`` is ever re-parsed.  Only a
+    document's own strings reach an evaluator, so the document bounds the
+    memo.  Evaluators with byte-identical libraries share one scope, found or
+    built on the first access to :attr:`scope` (the first JavaScript
+    evaluation): an evaluator that only meets parameter references never
+    builds one.
 
     Thread-safe: the scope binds each evaluation's context in a per-thread
     activation frame, so parallel scatter jobs can share one evaluator.
@@ -198,11 +220,25 @@ class CompiledEvaluator:
                  js_enabled: bool = True) -> None:
         self.expression_lib = list(expression_lib or [])
         self.js_enabled = js_enabled
-        self.scope = shared_library_scope(self.expression_lib)
+        self._scope: Optional["LibraryScope"] = None
         #: Interface parity with ``ExpressionEvaluator``: the library scope is
         #: built (at most) once per library content, not per evaluation.
         self.engine_builds = 1
         self._templates: Dict[str, CompiledTemplate] = {}
+
+    @property
+    def scope(self) -> "LibraryScope":
+        """The shared library scope of this evaluator's ``expressionLib``."""
+        return self._shared_scope()
+
+    def _shared_scope(self) -> "LibraryScope":
+        scope = self._scope
+        if scope is None:
+            from repro.cwl.expressions.jsengine.closures import shared_library_scope
+
+            # Racing first uses get the one scope the process-wide cache keeps.
+            scope = self._scope = shared_library_scope(self.expression_lib)
+        return scope
 
     def evaluate(self, value: Any, context: Dict[str, Any]) -> Any:
         """Evaluate ``value`` against ``context`` (non-strings pass through)."""
@@ -216,7 +252,7 @@ class CompiledEvaluator:
             template = self._templates[value] = CompiledTemplate(value, self.js_enabled)
         with _MEMO_STATS_LOCK:
             _MEMO_STATS[outcome] += 1
-        return template.evaluate(context, self.scope)
+        return template.evaluate(context, self._shared_scope)
 
     def evaluate_structure(self, value: Any, context: Dict[str, Any]) -> Any:
         """Recursively evaluate expressions inside lists and dictionaries."""

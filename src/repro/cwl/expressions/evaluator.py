@@ -14,7 +14,11 @@ Figure 2 measures: every call tokenizes, parses and compiles its JavaScript
 again (one Python ``compile()``), and every JavaScript expression runs in a
 newly built :class:`~repro.cwl.expressions.jsengine.closures.LibraryScope` —
 standard library rebuilt, whole ``expressionLib`` parsed, compiled and run
-again.  Nothing is kept between calls: no code object is memoized.  (One shared shortcut: the *scanning* helpers in
+again.  Nothing is kept between calls: no code object is memoized.  A string
+of parameter references builds no scope, and the JavaScript engine is
+imported by the first JavaScript expression compiled (or earlier, when a
+loaded document declares ``InlineJavascriptRequirement``; see
+:mod:`repro.cwl.expressions.compiler`).  (One shared shortcut: the *scanning* helpers in
 :mod:`repro.cwl.expressions.paramrefs` are memoized process-wide, so a string
 without expressions leaves on a cached scan.)
 
@@ -28,11 +32,13 @@ place that picks this class.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.cwl.expressions.compiler import CompiledTemplate
-from repro.cwl.expressions.jsengine.closures import CompiledNode, LibraryScope
 from repro.cwl.expressions.paramrefs import scan_expressions
+
+if TYPE_CHECKING:
+    from repro.cwl.expressions.jsengine.closures import LibraryScope
 
 
 def needs_expression_evaluation(value: Any) -> bool:
@@ -61,7 +67,14 @@ class ExpressionEvaluator:
             return value
         if not scan_expressions(value):
             return value.replace("\\$", "$")
-        return CompiledTemplate(value, self.js_enabled).evaluate(context, _FreshScopes(self))
+        return CompiledTemplate(value, self.js_enabled).evaluate(context, self._fresh_scope)
+
+    def _fresh_scope(self) -> "LibraryScope":
+        """A newly built library scope, for one JavaScript expression."""
+        from repro.cwl.expressions.jsengine.closures import LibraryScope
+
+        self.engine_builds += 1
+        return LibraryScope(self.expression_lib)
 
     def evaluate_structure(self, value: Any, context: Dict[str, Any]) -> Any:
         """Recursively evaluate expressions inside lists and dictionaries."""
@@ -73,20 +86,3 @@ class ExpressionEvaluator:
             return {key: self.evaluate_structure(item, context) for key, item in value.items()}
         return value
 
-
-class _FreshScopes:
-    """Stands where a template expects its :class:`LibraryScope`, and builds a
-    new one for each JavaScript expression the template evaluates."""
-
-    def __init__(self, evaluator: ExpressionEvaluator) -> None:
-        self._evaluator = evaluator
-
-    def _build(self) -> LibraryScope:
-        self._evaluator.engine_builds += 1
-        return LibraryScope(self._evaluator.expression_lib)
-
-    def evaluate(self, compiled: CompiledNode, context: Optional[Dict[str, Any]]) -> Any:
-        return self._build().evaluate(compiled, context)
-
-    def run_body(self, compiled: CompiledNode, context: Optional[Dict[str, Any]]) -> Any:
-        return self._build().run_body(compiled, context)

@@ -485,6 +485,7 @@ class CommandLineJob:
     def collect_execution(self, staged: StagedJob, exit_code: int) -> JobResult:
         """Collect outputs and store them into the cache."""
         parts = staged.parts
+        stats: Dict[str, os.stat_result] = {}  # one stat per output, shared with the store
         outputs = collect_outputs(
             self.tool,
             outdir=staged.outdir,
@@ -493,6 +494,7 @@ class CommandLineJob:
             job_order=self.job_order,
             runtime=staged.runtime,
             evaluator=staged.evaluator,
+            stats=stats,
         )
         cacheable = not any(name and os.path.isabs(name)
                             for name in (parts.stdout, parts.stderr))
@@ -501,7 +503,7 @@ class CommandLineJob:
                 staged.cache.store_outdir(
                     staged.cache_key, staged.outdir,
                     stdout_name=parts.stdout, stderr_name=parts.stderr,
-                    exit_code=exit_code,
+                    exit_code=exit_code, stats=stats,
                     command=canonical_command(parts.argv, parts.stdin, parts.stdout,
                                               parts.stderr, parts.environment,
                                               outdir=staged.outdir, tmpdir=staged.tmpdir,

@@ -718,25 +718,30 @@ class JobCache:
                      stdout_name: Optional[str] = None,
                      stderr_name: Optional[str] = None,
                      exit_code: int = 0,
-                     command: Optional[Dict[str, Any]] = None) -> CacheEntry:
+                     command: Optional[Dict[str, Any]] = None,
+                     stats: Optional[Dict[str, os.stat_result]] = None) -> CacheEntry:
         """Snapshot a job's entire (private) output directory under ``key``:
-        one ``scandir`` pass, one ``stat`` per file (:meth:`_ingest_tree`)."""
+        one ``scandir`` pass, one ``stat`` per file (:meth:`_ingest_tree`),
+        none for a file whose ``os.stat`` is in ``stats`` by its path (what
+        output collection made of the job's outputs)."""
         files: Dict[str, Dict[str, Any]] = {}
         empty_dirs: List[str] = []
-        self._ingest_tree(outdir, "", files, empty_dirs)
+        self._ingest_tree(outdir, "", files, empty_dirs, stats or {})
         return self._write_entry(key, files, empty_dirs,
                                  stdout_name=stdout_name, stderr_name=stderr_name,
                                  exit_code=exit_code, command=command)
 
     def _ingest_tree(self, directory: str, prefix: str,
-                     files: Dict[str, Dict[str, Any]], empty_dirs: List[str]) -> None:
+                     files: Dict[str, Dict[str, Any]], empty_dirs: List[str],
+                     stats: Dict[str, os.stat_result]) -> None:
         """Ingest every regular file under ``directory`` into ``files``, by
         its path relative to the output directory (``prefix`` + name), as
         ``os.walk`` sees the tree: a symlinked directory is not entered, an
         entry that is not a regular file (a FIFO, a socket, a dangling link)
         is skipped, and a directory with no entries at all is recorded in
         ``empty_dirs``.  One ``stat`` per file (symlinks followed), which
-        its fingerprint and size both use."""
+        its fingerprint and size both use: the one in ``stats`` by the
+        file's path, else ``entry.stat()``."""
         try:
             with os.scandir(directory) as scan:
                 entries = list(scan)
@@ -752,12 +757,14 @@ class JobCache:
                 is_dir = False
             if is_dir:
                 if not entry.is_symlink():
-                    self._ingest_tree(entry.path, rel + os.sep, files, empty_dirs)
+                    self._ingest_tree(entry.path, rel + os.sep, files, empty_dirs, stats)
                 continue
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue
+            stat = stats.get(entry.path)
+            if stat is None:
+                try:
+                    stat = entry.stat()
+                except OSError:
+                    continue
             if S_ISREG(stat.st_mode):
                 files[rel] = self.ingest_file(entry.path, stat=stat)
 

@@ -12,7 +12,12 @@ The loader normalises all of them into the document model in
 * ``run:`` references to other files are resolved relative to the referencing
   document and loaded recursively (embedded processes are loaded in place),
 * identifiers are stripped of ``#`` prefixes so that ``steps`` can refer to
-  inputs by bare name.
+  inputs by bare name,
+* a process or step that declares ``InlineJavascriptRequirement`` (as a
+  requirement or a hint, at any level) imports the JavaScript engine, so that
+  its first expression compiled in a run imports nothing.  A document that
+  declares it nowhere never loads the engine, unless an expression of its
+  own needs it after all.
 """
 
 from __future__ import annotations
@@ -153,24 +158,28 @@ def _as_listing(section: Any, id_key: str = "id") -> List[Dict[str, Any]]:
 
 
 def _normalise_requirements(section: Any) -> List[Dict[str, Any]]:
-    """Requirements may be a list of class-dicts or a map keyed by class name."""
+    """Requirements may be a list of class-dicts or a map keyed by class name.
+
+    One that names ``InlineJavascriptRequirement`` imports the JavaScript
+    engine (see the module docstring)."""
     if section is None:
         return []
+    out = []
     if isinstance(section, list):
-        out = []
         for item in section:
             if not isinstance(item, dict) or "class" not in item:
                 raise ValidationException(f"requirement entries need a 'class' field: {item!r}")
             out.append(dict(item))
-        return out
-    if isinstance(section, dict):
-        out = []
+    elif isinstance(section, dict):
         for class_name, body in section.items():
             entry = dict(body) if isinstance(body, dict) else {}
             entry["class"] = class_name
             out.append(entry)
-        return out
-    raise ValidationException("requirements must be a list or a mapping")
+    else:
+        raise ValidationException("requirements must be a list or a mapping")
+    if any(entry["class"] == "InlineJavascriptRequirement" for entry in out):
+        import repro.cwl.expressions.jsengine.closures  # noqa: F401
+    return out
 
 
 def _parse_parameter_entry(entry: Dict[str, Any]) -> Dict[str, Any]:

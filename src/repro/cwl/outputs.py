@@ -64,19 +64,21 @@ def collect_output(
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
     evaluator: Any,
+    stats: Optional[Dict[str, os.stat_result]] = None,
 ) -> Any:
-    """Collect one declared output parameter, evaluating with ``evaluator``."""
+    """Collect one declared output parameter, evaluating with ``evaluator``
+    (``stats`` as for :func:`collect_outputs`)."""
     context = {"inputs": job_order, "runtime": runtime, "self": None}
 
     raw_type = param.raw_type
     if raw_type == "stdout":
         if not stdout_path:
             raise OutputCollectionError(f"output {param.id!r} has type stdout but no stdout file was produced")
-        return build_file_value(stdout_path)
+        return build_file_value(stdout_path, stats=stats)
     if raw_type == "stderr":
         if not stderr_path:
             raise OutputCollectionError(f"output {param.id!r} has type stderr but no stderr file was produced")
-        return build_file_value(stderr_path)
+        return build_file_value(stderr_path, stats=stats)
 
     binding = param.output_binding
     if binding is None:
@@ -91,7 +93,7 @@ def collect_output(
     if binding.glob is not None:
         matches = [path for pattern in evaluated_patterns(binding.glob, evaluator, context)
                    for path in _glob_in(outdir, pattern)]
-        glob_matches = [build_file_value(path) for path in matches]
+        glob_matches = [build_file_value(path, stats=stats) for path in matches]
         if binding.load_contents:
             glob_matches = [_load_contents(fv) for fv in glob_matches]
         if param.type.is_array:
@@ -203,11 +205,14 @@ def collect_outputs(
     job_order: Dict[str, Any],
     runtime: Dict[str, Any],
     evaluator: Any,
+    stats: Optional[Dict[str, os.stat_result]] = None,
 ) -> Dict[str, Any]:
     """Collect every declared output of ``tool`` into an output object.
 
     ``evaluator`` is the runner's expression evaluator for ``tool`` (see
-    :meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`).
+    :meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`).  Given a dict
+    ``stats``, the ``os.stat`` of each collected file is kept there by path,
+    for the job cache to publish the files without a second one.
     """
     outputs: Dict[str, Any] = {}
     for param in tool.outputs:
@@ -219,5 +224,6 @@ def collect_outputs(
             job_order=job_order,
             runtime=runtime,
             evaluator=evaluator,
+            stats=stats,
         )
     return outputs

@@ -213,14 +213,22 @@ def file_value_of_path(path: str) -> Dict[str, Any]:
     }
 
 
-def build_file_value(path: str, load_contents: bool = False) -> Dict[str, Any]:
-    """Construct a CWL File value dictionary for a local path."""
+def build_file_value(path: str, load_contents: bool = False,
+                     stats: Optional[Dict[str, os.stat_result]] = None) -> Dict[str, Any]:
+    """Construct a CWL File value dictionary for a local path.
+
+    The ``os.stat`` that gives its ``size`` is also kept in ``stats``, by the
+    value's ``path``, when a dict is given.
+    """
     value = file_value_of_path(path)
     path = value["path"]
     try:
-        value["size"] = os.stat(path).st_size
+        stat = os.stat(path)
     except (OSError, ValueError):  # what os.path.exists takes for "missing"
         return value
+    value["size"] = stat.st_size
+    if stats is not None:
+        stats[path] = stat
     if load_contents:
         with open(path, "rb") as handle:
             value["contents"] = handle.read(64 * 1024).decode("utf-8", errors="replace")

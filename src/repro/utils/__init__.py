@@ -6,7 +6,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.utils.hashing import hash_bytes, hash_file, hash_obj
-    from repro.utils.ids import RunIdGenerator, make_id
+    from repro.utils.ids import RunIdGenerator
     from repro.utils.yamlio import dump_yaml, load_yaml, load_yaml_file
 
 # Every ``repro.utils.<module>`` import runs this file; it must not pull in
@@ -19,7 +19,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "hash_obj": "repro.utils.hashing",
     "load_yaml": "repro.utils.yamlio",
     "load_yaml_file": "repro.utils.yamlio",
-    "make_id": "repro.utils.ids",
 })
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "hash_obj",
     "load_yaml",
     "load_yaml_file",
-    "make_id",
 ]

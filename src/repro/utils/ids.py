@@ -2,27 +2,14 @@
 
 Task, job and run identifiers are used throughout the Parsl-like dataflow kernel,
 the CWL runners and the simulated cluster.  They are intentionally simple —
-monotonically increasing integers scoped to a generator, plus short random
-hex suffixes for run directories — because determinism makes the test suite
-and the benchmark harness much easier to reason about.
+monotonically increasing integers scoped to a generator — because determinism
+makes the test suite and the benchmark harness much easier to reason about.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-import uuid
-
-
-def make_id(prefix: str = "id") -> str:
-    """Return a globally unique identifier with a readable ``prefix``.
-
-    The identifier embeds the process id so that identifiers generated by
-    worker processes (e.g. HighThroughputExecutor workers) cannot collide
-    with identifiers generated by the submitting process.
-    """
-    return f"{prefix}-{os.getpid()}-{uuid.uuid4().hex[:12]}"
 
 
 class RunIdGenerator:

@@ -6,14 +6,21 @@ constructors) and deterministic dumping so tests can compare round-tripped
 documents byte-for-byte.
 
 A text is read by one of two parsers, picked from the text itself, and both
-give the object PyYAML would give.
+give the object PyYAML would give, with one exception: in a text the JSON
+parser reads, an escaped UTF-16 surrogate pair (``"\\ud83d\\ude00"``, as
+:func:`json.dumps` writes any character outside the Basic Multilingual Plane)
+is the one character it encodes (RFC 8259 §7).  libyaml refuses such an
+escape and PyYAML's pure-Python parser keeps its two halves as lone
+surrogates, so a JSON document with an emoji in it would not load, or would
+load as a string that cannot be encoded.
 
 * **JSON.**  CWL accepts JSON documents, and packed or generated workflows
   usually are JSON.  A text goes to :func:`json.loads` when it starts with
   ``{`` or ``[``, is printable ASCII plus line feed and carriage return, has
-  no ``\\u`` escape of a UTF-16 surrogate (JSON joins a pair into one code
-  point, YAML keeps two), and has no white space between a key's closing
-  quote and its colon (a YAML key ends on the line it starts on).  The parse
+  no ``\\u`` escape of a lone UTF-16 surrogate (one that is not half of a
+  high+low pair: that text goes to PyYAML, as every parser reads it
+  differently), and has no white space between a key's closing quote and its
+  colon (a YAML key ends on the line it starts on).  The parse
   keeps what YAML 1.1 makes of JSON: ``1e3``, ``1.5e3`` and ``1e-05`` stay
   strings (a YAML float has a point, and a signed exponent), ``NaN`` and
   ``Infinity`` too.  A text JSON refuses, one that repeats a key, and one
@@ -65,8 +72,11 @@ PathLike = Union[str, os.PathLike]
 #: refuses DEL, and where JSON takes a tab between tokens the pure-Python
 #: parser refuses it always and libyaml after a line break.
 _JSON_CHARS = re.compile(r"[\n\r\x20-\x7e]*")
-#: ... or a ``\u`` escape of a surrogate (JSON joins a pair, YAML does not),
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abAB]")
+#: ... or a ``\u`` escape of a lone surrogate: one not in a high+low pair, which
+#: JSON joins into the one code point it encodes (RFC 8259 §7).  A match of the
+#: last branch is a lone one; the others step over escaped backslashes and pairs.
+_LONE_SURROGATE_ESCAPE = re.compile(
+    r"\\(?:\\|u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}|(u[dD][89a-fA-F]))")
 #: ... or white space between a quote and a colon (a YAML key ends on its line).
 _SPACE_BEFORE_COLON = re.compile(r'"\s+:')
 
@@ -95,7 +105,8 @@ def _load(text: str, name: Optional[str] = None) -> Any:
     else by PyYAML (as a stream named ``name`` when the text is a file's).
     """
     if (text.startswith(("{", "[")) and _JSON_CHARS.fullmatch(text)
-            and not _SURROGATE_ESCAPE.search(text) and not _SPACE_BEFORE_COLON.search(text)):
+            and not _SPACE_BEFORE_COLON.search(text)
+            and not any(match.group(1) for match in _LONE_SURROGATE_ESCAPE.finditer(text))):
         try:
             return json.loads(text, object_pairs_hook=_json_mapping,
                               parse_float=_json_float, parse_constant=str)

@@ -141,8 +141,9 @@ class StatSpy:
 def test_a_miss_stats_each_input_once_each_output_once_to_publish(tmp_path, monkeypatch):
     """One miss of a two-input tool on ``reference``: the probe's stat of
     each input is the only one (the key and the recorded command line share
-    its identities), the publish stats each output once (collection stats
-    it once more, for its ``size``), and the environment is read once."""
+    its identities), each output is stat once, by collection for its
+    ``size``, and the publish uses that stat (it stats nothing of its own),
+    and the environment is read once."""
     inputs = []
     for name in ("a.txt", "b.txt"):
         (tmp_path / name).write_text(f"{name}\n")
@@ -157,8 +158,8 @@ def test_a_miss_stats_each_input_once_each_output_once_to_publish(tmp_path, monk
     outputs = [result.outputs["joined"]["path"], result.outputs["log"]["path"]]
     assert {path: spy.stats[path] for path in (inputs[0]["path"], inputs[1]["path"])} \
         == {inputs[0]["path"]: 1, inputs[1]["path"]: 1}
-    assert {path: spy.published[path] for path in outputs} == dict.fromkeys(outputs, 1)
-    assert {path: spy.stats[path] for path in outputs} == dict.fromkeys(outputs, 2)
+    assert {path: spy.published[path] for path in outputs} == dict.fromkeys(outputs, 0)
+    assert {path: spy.stats[path] for path in outputs} == dict.fromkeys(outputs, 1)
     assert spy.environ_reads <= 1
 
 

@@ -85,7 +85,9 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
     evaluation parses its source again and builds one library scope of its
     own, and no compiled evaluator is touched.  It stays that way on a process
     object the toil runner has compiled in between, which parses once."""
-    from repro.cwl.expressions import compiler, evaluator
+    from repro.cwl.expressions import compiler
+    from repro.cwl.expressions.evaluator import ExpressionEvaluator
+    from repro.cwl.expressions.jsengine import closures, parser
 
     counts = collections.Counter()
 
@@ -98,9 +100,10 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
 
         monkeypatch.setattr(module, name, counted)
 
-    count_calls(compiler, "parse_expression")
-    count_calls(evaluator, "LibraryScope")  # the uncached pipeline's own scopes
-    count_calls(compiler, "shared_library_scope")
+    # The compiler imports these on each JavaScript compile and shared scope.
+    count_calls(parser, "parse_expression")
+    count_calls(ExpressionEvaluator, "_fresh_scope")  # the uncached pipeline's own scopes
+    count_calls(closures, "shared_library_scope")
     tool = load_tool(cwl_dir / "capitalize_js.cwl")  # one JS argument, evaluated once per run
 
     def run_three(runner):
@@ -111,7 +114,7 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
     reference = ReferenceRunner(runtime_context=RuntimeContext(basedir=str(tmp_path)))
     before = compiler.compile_cache_stats()
     run_three(reference)
-    assert counts == {"parse_expression": 3, "LibraryScope": 3}
+    assert counts == {"parse_expression": 3, "_fresh_scope": 3}
     assert compiler.compile_cache_stats() == before
     assert tool.compiled is None
 
@@ -124,7 +127,7 @@ def test_reference_runner_js_engine_not_cached_by_default(cwl_dir, tmp_path, mon
     assert tool.compiled is not None
 
     run_three(reference)
-    assert counts == {"parse_expression": 3, "LibraryScope": 3}
+    assert counts == {"parse_expression": 3, "_fresh_scope": 3}
 
 
 # ------------------------------------------------------------------------ job store

@@ -116,7 +116,7 @@ engine, cache, document = sys.argv[1], sys.argv[2] == "cache", sys.argv[3]
 
 def snapshot():
     return sorted(name for name in sys.modules
-                  if name.partition(".")[0] in ("repro", "asyncio", "yaml"))
+                  if name.partition(".")[0] in ("repro", "asyncio", "yaml", "uuid"))
 
 options = {"cache_dir": os.path.abspath("store")} if cache else {}
 if engine.startswith("parsl"):
@@ -166,6 +166,55 @@ def test_nothing_is_imported_between_ready_to_submit_and_close(engine, cache, fo
     if engine.startswith("parsl"):
         assert under(seen["ready"], "repro.cluster", "repro.cwl.runners.toil",
                      "repro.parsl.executors.high_throughput") == []
+
+
+# ------------------------------- the JavaScript engine: only for documents that use it
+
+JAVASCRIPT = "repro.cwl.expressions.jsengine"
+
+#: ``WORKFLOW`` declaring InlineJavascriptRequirement at its top, with a
+#: ``${...}`` body naming a file of a step's embedded tool.
+JS_WORKFLOW = WORKFLOW.replace(
+    "inputs: {message: string}\n",
+    "requirements: {InlineJavascriptRequirement: {}}\ninputs: {message: string}\n", 1,
+).replace("stdout: said.txt", "stdout: ${return 'said' + '.txt';}")
+
+
+@pytest.mark.parametrize("cache", ["nocache", "cache"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_document_without_javascript_never_loads_the_engine(engine, cache, tmp_path):
+    document = write_workflow(tmp_path, "yaml")
+    seen = modules_after(SESSION_SCRIPT, tmp_path, engine, cache, str(document))
+    for phase in ("ready", "ran", "closed"):
+        assert under(seen[phase], JAVASCRIPT, "uuid") == [], phase
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_document_that_declares_javascript_loads_the_engine_before_ready(engine, tmp_path):
+    document = tmp_path / "two_steps_js.cwl"
+    document.write_text(JS_WORKFLOW)
+    seen = modules_after(SESSION_SCRIPT, tmp_path, engine, "nocache", str(document))
+    assert f"{JAVASCRIPT}.closures" in seen["ready"]
+    assert seen["ran"] == seen["ready"], sorted(set(seen["ran"]) - set(seen["ready"]))
+    assert seen["closed"] == seen["ready"]
+    said = sorted(tmp_path.glob("cwl-run-*/**/said.txt"))
+    assert said and all(path.read_text() == "hello\n" for path in said)
+
+
+def test_an_inline_python_app_never_loads_the_javascript_engine(tmp_path):
+    seen = modules_after(
+        "import json, os, sys, repro\n"
+        "repro.load(repro.thread_config(max_threads=2, run_dir=os.path.abspath('runinfo')))\n"
+        "app = repro.CWLApp(sys.argv[1])\n"
+        "ready = sorted(sys.modules)\n"
+        "app(message='hello small world', stdout='out.txt').result()\n"
+        "ran = sorted(sys.modules)\n"
+        "repro.clear()\n"
+        "print(json.dumps({'ready': ready, 'ran': ran, 'closed': sorted(sys.modules)}))",
+        tmp_path, str(REPO_ROOT / "examples" / "cwl" / "capitalize_python.cwl"))
+    assert (tmp_path / "out.txt").read_text() == "Hello Small World\n"
+    for phase in ("ready", "ran", "closed"):
+        assert under(seen[phase], JAVASCRIPT) == [], phase
 
 
 def test_the_pipelined_core_is_what_imports_asyncio(tmp_path):

@@ -4,20 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.utils.ids import RunIdGenerator, make_id
-
-
-def test_make_id_has_prefix_and_uniqueness():
-    first = make_id("task")
-    second = make_id("task")
-    assert first.startswith("task-")
-    assert first != second
-
-
-def test_make_id_embeds_pid():
-    import os
-
-    assert str(os.getpid()) in make_id("x")
+from repro.utils.ids import RunIdGenerator
 
 
 def test_run_id_generator_monotonic():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -202,13 +203,26 @@ def _read(load, text):
         return "error", yamlio.describe_yaml_error(exc, "doc.json")
 
 
+#: An escaped backslash (kept as it is), or an escaped UTF-16 surrogate pair.
+_ESCAPED_PAIR = re.compile(r"\\\\|\\u(d[89ab][0-9a-f]{2})\\u(d[c-f][0-9a-f]{2})", re.IGNORECASE)
+
+
+def _unescape_pair(match):
+    if match.group(1) is None:
+        return match.group(0)
+    high, low = int(match.group(1), 16), int(match.group(2), 16)
+    return chr(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
+
+
 def _as_yaml(text):
     """What the YAML path makes of ``text``: the loader ``load_yaml`` falls back on.
 
-    Not ``yaml.SafeLoader`` where PyYAML has libyaml: the two parsers already
-    differ on an escaped surrogate pair (see below), whatever JSON does.
+    With the one stated exception: an escaped surrogate pair is the one
+    character it encodes, as JSON reads it, so the pair is written out as
+    that character before YAML reads the text.  (Not ``yaml.SafeLoader``
+    where PyYAML has libyaml: the two parsers differ on the pair itself.)
     """
-    return yaml.load(text, Loader=yamlio.Loader)
+    return yaml.load(_ESCAPED_PAIR.sub(_unescape_pair, text), Loader=yamlio.Loader)
 
 
 _json_values = st.recursive(
@@ -256,13 +270,42 @@ def test_json_texts_that_json_reads_otherwise_load_as_yaml_does(name):
     assert _read(json.loads, text) != expected
 
 
-def test_escaped_surrogate_pairs_are_left_to_yaml():
-    # JSON joins the pair into one code point; PyYAML's pure-Python parser
-    # keeps two, and libyaml refuses the escape.
-    text = '["\\ud83d\\ude00"]'
-    assert json.loads(text) == ["\U0001F600"]
-    assert yaml.load(text, Loader=yaml.SafeLoader) == ["\ud83d\ude00"]
-    assert _read(load_yaml, text) == _read(_as_yaml, text)
+#: name -> a JSON text with ``\\u`` escapes of surrogates.
+SURROGATE_TEXTS = {
+    # What json.dumps writes for an emoji, with an escaped backslash to step over.
+    "pair": json.dumps(["\U0001F600", {"k\U0001F600": "\\ud83d"}]),
+    "lone high": '["\\ud83d"]',
+    "lone low": '["\\ude00"]',
+    "two highs": '["\\ud83d\\ud83d"]',
+    "low after an escaped backslash": '["\\\\ud83d\\ude00"]',
+}
+
+
+def _surrogate_readings():
+    """name -> ``repr`` of what ``load_yaml``, then the YAML loader alone, make of it."""
+    return {name: [repr(_read(load_yaml, text)),
+                   repr(_read(lambda t: yaml.load(t, Loader=yamlio.Loader), text))]
+            for name, text in SURROGATE_TEXTS.items()}
+
+
+def test_an_escaped_surrogate_pair_loads_as_its_character_on_either_parser():
+    # libyaml refuses the escape and the pure-Python parser keeps two lone
+    # surrogates; load_yaml reads the pair by JSON, as the one character.
+    # A lone surrogate escape is still PyYAML's to read or refuse.
+    readings = _surrogate_readings()
+    script = ("import sys, json, yaml\n"
+              "vars(yaml).pop('CSafeLoader', None)\n"
+              "sys.path.insert(0, %r)\n"
+              "import test_yamlio as t\n"
+              "assert t.yamlio.Loader.__mro__[1] is yaml.SafeLoader\n"
+              "print(json.dumps(t._surrogate_readings()))\n" % str(Path(__file__).parent))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=60)
+    for found in (readings, json.loads(out.stdout)):
+        ours, _ = found.pop("pair")
+        assert ours == repr(("value", ["\U0001F600", {"k\U0001F600": "\\ud83d"}]))
+        for name, (ours, yaml_reading) in found.items():
+            assert ours == yaml_reading, name
 
 
 def test_a_json_document_read_from_a_file_equals_its_yaml_reading(tmp_path):
