@@ -26,7 +26,8 @@ load as a string that cannot be encoded.
   ``Infinity`` too.  A text JSON refuses, one that repeats a key, and one
   with a key of over 170 characters (a YAML key must end within 1024
   characters of its start) go to PyYAML after all, so every error reads as
-  it does from PyYAML.  On the benchmark's 240-step, 81 KB workflow
+  it does from PyYAML; a text JSON reads goes there with each escaped pair
+  written out as its character, so the exception holds there too.  On the benchmark's 240-step, 81 KB workflow
   ``load_yaml_file`` takes 2.4 ms this way against 29 ms through
   :class:`Loader` (0.6 ms of it is ``json.loads`` itself, the rest the
   checks above), and a process that reads only JSON never imports PyYAML.
@@ -73,10 +74,12 @@ PathLike = Union[str, os.PathLike]
 #: parser refuses it always and libyaml after a line break.
 _JSON_CHARS = re.compile(r"[\n\r\x20-\x7e]*")
 #: ... or a ``\u`` escape of a lone surrogate: one not in a high+low pair, which
-#: JSON joins into the one code point it encodes (RFC 8259 §7).  A match of the
-#: last branch is a lone one; the others step over escaped backslashes and pairs.
-_LONE_SURROGATE_ESCAPE = re.compile(
-    r"\\(?:\\|u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}|(u[dD][89a-fA-F]))")
+#: JSON joins into the one code point it encodes (RFC 8259 §7).  A match with
+#: group 3 is a lone one, with groups 1 and 2 a pair; the first branch steps
+#: over escaped backslashes.
+_SURROGATE_ESCAPE = re.compile(
+    r"\\(?:\\|u([dD][89abAB][0-9a-fA-F]{2})\\u([dD][c-fC-F][0-9a-fA-F]{2})"
+    r"|(u[dD][89a-fA-F]))")
 #: ... or white space between a quote and a colon (a YAML key ends on its line).
 _SPACE_BEFORE_COLON = re.compile(r'"\s+:')
 
@@ -93,11 +96,11 @@ def _json_float(text: str) -> Any:
     return float(text) if _YAML_FLOAT.match(text) else text
 
 
-def _json_mapping(pairs: list) -> dict:
-    mapping = dict(pairs)
-    if len(mapping) < len(pairs) or max(map(len, mapping), default=0) > _MAX_KEY_CHARS:
-        raise ValueError("for PyYAML")  # to word the repeat's error, or to judge the key
-    return mapping
+def _join_surrogate_pair(match: re.Match) -> str:
+    if match.group(1) is None:
+        return match.group(0)
+    high, low = int(match.group(1), 16), int(match.group(2), 16)
+    return chr(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
 
 
 def _load(text: str, name: Optional[str] = None) -> Any:
@@ -106,12 +109,26 @@ def _load(text: str, name: Optional[str] = None) -> Any:
     """
     if (text.startswith(("{", "[")) and _JSON_CHARS.fullmatch(text)
             and not _SPACE_BEFORE_COLON.search(text)
-            and not any(match.group(1) for match in _LONE_SURROGATE_ESCAPE.finditer(text))):
+            and not any(match.group(3) for match in _SURROGATE_ESCAPE.finditer(text))):
+        for_yaml = []  # a mapping that repeats a key (to word the error) or has a long one
+
+        def mapping(pairs: list) -> dict:
+            obj = dict(pairs)
+            if len(obj) < len(pairs) or max(map(len, obj), default=0) > _MAX_KEY_CHARS:
+                for_yaml.append(obj)
+            return obj
+
         try:
-            return json.loads(text, object_pairs_hook=_json_mapping,
-                              parse_float=_json_float, parse_constant=str)
+            document = json.loads(text, object_pairs_hook=mapping,
+                                  parse_float=_json_float, parse_constant=str)
         except (ValueError, RecursionError):
             pass
+        else:
+            if not for_yaml:
+                return document
+            # The text is JSON, so every backslash is in a string: PyYAML reads
+            # each escaped pair as the one character JSON reads it as.
+            text = _SURROGATE_ESCAPE.sub(_join_surrogate_pair, text)
     from repro.utils._yamlloader import load
 
     if name is None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.testing.generator import generate_workflow, layered_dag_structure
 from repro.utils import yamlio
@@ -236,6 +236,8 @@ _json_values = st.recursive(
 @given(value=st.one_of(st.lists(_json_values), st.dictionaries(st.text(), _json_values)),
        ensure_ascii=st.booleans(),
        layout=st.sampled_from([{}, {"separators": (",", ":")}, {"indent": 2}]))
+# A key too long for a YAML implicit key sends the text to PyYAML, with a pair in it.
+@example(value={"\U00010000": None, "0" * 171: None}, ensure_ascii=True, layout={})
 def test_json_texts_load_exactly_as_yaml_would(value, ensure_ascii, layout):
     text = json.dumps(value, ensure_ascii=ensure_ascii, **layout)
     assert _read(load_yaml, text) == _read(_as_yaml, text)
