@@ -127,7 +127,8 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
                 and not any(param.raw_type == stream for param in tool.outputs)}
     if captured:
         tool = _tool_of(dict(tool_raw, **captured), source_path)
-    job_order = job_order_view(tool, cwl_inputs)
+    stats: Dict[str, os.stat_result] = {}
+    job_order = job_order_view(tool, cwl_inputs, stats)
     family = _JOBS if _JOBS_PID == os.getpid() else RuntimeContext()
     cache_dir = _parsl_kwargs.get("cwl_cache_dir")
     job_dir = _parsl_kwargs.get("cwl_job_dir")
@@ -143,7 +144,7 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
         evaluator_for = functools.partial(_InlinePythonTool, job_order=job_order,
                                           runtime=_job_runtime(context, tool, job_dir))
     return CommandLineJob(tool, job_order, context.child(_job_dir=outdir),
-                          evaluator_for=evaluator_for)
+                          evaluator_for=evaluator_for, input_stats=stats)
 
 
 #: The tool of every live ``CWLApp``, by ``id`` of its raw document: a call
@@ -191,20 +192,21 @@ class _InlinePythonTool:
         return self._compiled.evaluate(value, context)
 
 
-def to_cwl_value(value: Any) -> Any:
+def to_cwl_value(value: Any, stats: Optional[Dict[str, os.stat_result]] = None) -> Any:
     """The CWL value a Parsl-side value stands for, through lists and records.
 
     A :class:`DataFuture` is the File it will be, with only the fields its
-    path gives: a file of that name left by an earlier run is not it.
+    path gives: a file of that name left by an earlier run is not it.  The
+    ``os.stat`` of each File it builds goes into ``stats``.
     """
     if isinstance(value, DataFuture):
         return file_value_of_path(value.filepath)
     if isinstance(value, File):
-        return build_file_value(value.filepath)
+        return build_file_value(value.filepath, stats=stats)
     if isinstance(value, list):
-        return [to_cwl_value(item) for item in value]
+        return [to_cwl_value(item, stats) for item in value]
     if isinstance(value, dict):
-        return {key: to_cwl_value(item) for key, item in value.items()}
+        return {key: to_cwl_value(item, stats) for key, item in value.items()}
     return value
 
 
@@ -222,13 +224,16 @@ def _to_parsl_value(value: Any, wants_file: bool) -> Any:
     return value
 
 
-def job_order_view(tool: CommandLineTool, values: Dict[str, Any]) -> Dict[str, Any]:
+def job_order_view(tool: CommandLineTool, values: Dict[str, Any],
+                   stats: Optional[Dict[str, os.stat_result]] = None) -> Dict[str, Any]:
     """The job order ``tool`` sees for one call's input ``values`` (as
     passed to a :class:`CWLApp` or received by its body): the one view the
-    call's file names, command line and collected outputs are evaluated on."""
-    job_order = {param.id: to_cwl_value(_to_parsl_value(values[param.id], param.type.is_file))
+    call's file names, command line and collected outputs are evaluated on.
+    The ``os.stat`` of each File value it builds goes into ``stats``."""
+    job_order = {param.id: to_cwl_value(_to_parsl_value(values[param.id], param.type.is_file),
+                                        stats)
                  for param in tool.inputs if param.id in values}
-    return {key: coerce_file_inputs(value)
+    return {key: coerce_file_inputs(value, stats)
             for key, value in fill_in_defaults(tool.inputs, job_order).items()}
 
 

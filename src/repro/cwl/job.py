@@ -197,9 +197,13 @@ class CommandLineJob:
     #: (:meth:`~repro.cwl.runners.base.BaseRunner.evaluator_for`); by default
     #: the tool's own compiled evaluator.
     evaluator_for: Callable[[CommandLineTool], Any] = precompile_process
+    #: The ``os.stat`` of input files made when their File values were built
+    #: (here, or by the caller just before), by path: the probe's
+    #: :func:`~repro.cwl.jobcache.stat_inputs` starts from them.
+    input_stats: Dict[str, os.stat_result] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self.job_order = {k: coerce_file_inputs(v) for k, v in
+        self.job_order = {k: coerce_file_inputs(v, self.input_stats) for k, v in
                           fill_in_defaults(self.tool.inputs, self.job_order).items()}
 
     # ------------------------------------------------------------- validation
@@ -252,7 +256,8 @@ class CommandLineJob:
         the Toil job store's), is on the device of the job directories.
         """
         cache = self.runtime_context.get_job_cache()
-        return cache is None or self._stays_inline(cache, stat_inputs(self.job_order), devices)
+        return cache is None or self._stays_inline(
+            cache, stat_inputs(self.job_order, self.input_stats), devices)
 
     def _stays_inline(self, cache: Any, stats: Dict[str, os.stat_result],
                       devices: Tuple[int, ...]) -> bool:
@@ -276,10 +281,12 @@ class CommandLineJob:
         With caching off it returns at once, without yielding.  Touches no
         directory of the job.  One pass over the job order stats each input
         file once; the decision to yield and the key both use that stat, and
-        the key's identities go on with the probe to a miss's publish.
+        the key's identities go on with the probe to a miss's publish.  A
+        file whose value the job built from its path alone was stat'ed then
+        (:attr:`input_stats`), and is not stat'ed again.
         """
         cache = self.runtime_context.get_job_cache()
-        stats = stat_inputs(self.job_order) if cache is not None else {}
+        stats = stat_inputs(self.job_order, self.input_stats) if cache is not None else {}
         inline = cache is None or self._stays_inline(cache, stats, devices)
         if not inline:
             yield
@@ -380,7 +387,8 @@ class CommandLineJob:
 
     # ---------------------------------------------- pipeline: run the process
 
-    def _open_launch_handles(self, staged: StagedJob) -> Tuple[Any, Any, Any, Dict[str, str]]:
+    def _open_launch_handles(self, staged: StagedJob) \
+            -> Tuple[Any, Any, Any, Optional[Dict[str, str]]]:
         parts = staged.parts
         stdin_handle = open(parts.stdin, "rb") if parts.stdin else subprocess.DEVNULL
         stdout_handle = open(staged.stdout_path, "wb") if staged.stdout_path \
@@ -388,9 +396,8 @@ class CommandLineJob:
         stderr_handle = open(staged.stderr_path, "wb") if staged.stderr_path \
             else subprocess.DEVNULL
 
-        env = self.runtime_context.spawn_environment(parts.environment)
-        env.setdefault("HOME", staged.outdir)
-        env.setdefault("TMPDIR", staged.tmpdir)
+        env = self.runtime_context.spawn_environment(
+            parts.environment, defaults={"HOME": staged.outdir, "TMPDIR": staged.tmpdir})
         return stdin_handle, stdout_handle, stderr_handle, env
 
     @staticmethod

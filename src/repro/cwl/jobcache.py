@@ -34,9 +34,8 @@ one store without corrupting it: the worst case is two writers racing to
 create identical content, and whoever loses simply finds the file already
 present.  The manifest additionally records the job's *resolved command line*
 (canonicalized: scratch-directory and input paths replaced by stable
-placeholders) and folds it into the reported ``fingerprint``; the command
-line is fully determined by the key's components, which is what lets a warm
-run skip rebuilding it.
+placeholders); the command line is fully determined by the key's
+components, which is what lets a warm run skip rebuilding it.
 
 Known caveats (shared with cwltool's ``--cachedir``): restored files are
 hardlinks, so a consumer that *mutates* an output in place would corrupt the
@@ -60,8 +59,9 @@ engine wrote it.  No scratch directory, command line, job
 description rewrite or process is made for the code segment a hit skips (see
 README "What a hit costs").
 
-What a miss adds: one spawn, in an environment read from ``os.environ`` once
-per run (:class:`~repro.utils.environment.RunEnvironment`), and one publish:
+What a miss adds: one spawn, which inherits the process's environment or
+gets the run's mapping of it, read from ``os.environ`` once per run
+(:class:`~repro.utils.environment.RunEnvironment`), and one publish:
 one ``stat`` per output file (a ``scandir`` pass, no second look), the
 identities the probe made for the recorded command line (no input is
 fingerprinted twice), and the manifest written with one ``write``.
@@ -100,7 +100,7 @@ The inode-changing time ``st_ctime_ns`` would close both, but a hardlink
 changes it, which would make every restored file a stranger to the body it
 is a link of.  The memo is per process and bounded
 (``_FILE_HASH_MEMO_MAX``, oldest first); eviction costs a re-hash, never a
-wrong answer.  Job keys, tool fingerprints and manifest fingerprints come
+wrong answer.  Job keys and tool fingerprints come
 from :func:`~repro.utils.hashing.hash_obj`, which is a function of values
 only (no dependence on which parts of a key happen to be one object).
 """
@@ -271,13 +271,16 @@ def file_fingerprint(path: str, stat: Optional[os.stat_result] = None) -> str:
 INLINE_HASH_BYTES = 256 * 1024
 
 
-def stat_inputs(job_order: Any) -> Dict[str, os.stat_result]:
+def stat_inputs(job_order: Any,
+                known: Optional[Dict[str, os.stat_result]] = None) -> Dict[str, os.stat_result]:
     """One ``os.stat`` (symlinks followed) per ``File`` path in ``job_order``
     (a job order, or part of one), and per directory path and file under it
     for each ``Directory`` that is one, by path; a path that cannot be
     stat'ed is left out.  What keying reads (:func:`unhashed_bytes`) and what
-    it is keyed on (:func:`input_identities`) come from these stats."""
-    stats: Dict[str, os.stat_result] = {}
+    it is keyed on (:func:`input_identities`) come from these stats.
+    ``known`` are stats of paths in ``job_order`` made a moment before (when
+    their File values were built), which are not made again."""
+    stats: Dict[str, os.stat_result] = dict(known) if known else {}
 
     def add(path: str) -> None:
         if path not in stats:
@@ -485,7 +488,7 @@ def canonical_command(argv: List[str], stdin: Optional[str], stdout: Optional[st
     Scratch directories become ``$OUTDIR`` / ``$TMPDIR`` and each input
     File/Directory path becomes ``$INPUT[<content-hash>]``, so the recorded
     command is stable across re-runs that only differ in where they staged
-    their data.  Folded into the manifest's ``fingerprint``.  The content
+    their data.  Recorded in the manifest.  The content
     hashes are ``identities``, the :func:`input_identities` the job was
     keyed on.
     """
@@ -537,7 +540,6 @@ class CacheEntry:
     """One validated manifest loaded from the store."""
 
     key: str
-    fingerprint: str
     files: Dict[str, Dict[str, Any]]    # relpath -> {"cas": id, "size": bytes}
     dirs: List[str]                     # empty directories to recreate
     streams: Dict[str, Optional[str]]   # "stdout"/"stderr" -> relpath (or None)
@@ -617,7 +619,6 @@ class JobCache:
             return None
         return CacheEntry(
             key=key,
-            fingerprint=data.get("fingerprint", key),
             files=dict(data.get("files") or {}),
             dirs=list(data.get("dirs") or []),
             streams=dict(data.get("streams") or {}),
@@ -809,11 +810,9 @@ class JobCache:
                      dirs: List[str], *,
                      stdout_name: Optional[str], stderr_name: Optional[str],
                      exit_code: int, command: Optional[Dict[str, Any]]) -> CacheEntry:
-        fingerprint = hash_obj((key, command or {}), algorithm="sha1")
         manifest = {
             "version": MANIFEST_VERSION,
             "key": key,
-            "fingerprint": fingerprint,
             "files": files,
             "dirs": dirs,
             "streams": {"stdout": stdout_name, "stderr": stderr_name},
@@ -828,7 +827,7 @@ class JobCache:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-        return CacheEntry(key=key, fingerprint=fingerprint, files=files, dirs=dirs,
+        return CacheEntry(key=key, files=files, dirs=dirs,
                           streams={"stdout": stdout_name, "stderr": stderr_name},
                           exit_code=exit_code, command=command or {})
 

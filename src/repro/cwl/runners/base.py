@@ -107,7 +107,10 @@ class BaseRunner(Engine):
              context: RuntimeContext) -> ExecutionResult:
         recorder = EventRecorder(hooks, context.journal)
         ensure_valid(process)
-        job_order = {k: coerce_file_inputs(v) for k, v in (job_order or {}).items()}
+        job_order = dict(job_order or {})
+        if isinstance(process, ExpressionTool):
+            # A tool's job and a workflow coerce their job orders themselves.
+            job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
         run_job = functools.partial(self._observed, recorder)
         if not isinstance(process, Workflow):
             outputs = finish(run_job(process, job_order,

@@ -195,7 +195,9 @@ def _summarise_job_order(job_order: Dict[str, Any]) -> Dict[str, Any]:
     summary: Dict[str, Any] = {}
     for key, value in job_order.items():
         if is_file_value(value):
-            summary[key] = {"class": "File", "basename": value.get("basename")}
+            path = value.get("path")
+            summary[key] = {"class": "File", "basename": value.get("basename") or (
+                os.path.basename(os.path.abspath(path)) if path else None)}
         elif isinstance(value, (str, int, float, bool)) or value is None:
             summary[key] = value
         else:

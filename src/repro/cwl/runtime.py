@@ -17,7 +17,7 @@ import tempfile
 import threading
 import weakref
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
 from repro.cwl.jobcache import CACHE_DIR_ENV, default_cache_dir, get_job_cache, job_key
 from repro.cwl.journal import run_cache_dir
@@ -153,12 +153,16 @@ class RuntimeContext:
         the run's own."""
         return self.child(outdir=None, _job_dir=root, _run_environment=RunEnvironment())
 
-    def spawn_environment(self, *overlays: Dict[str, str]) -> Dict[str, str]:
-        """The environment a job's tool is spawned with: its run's (read
-        from ``os.environ`` once per run; outside a run, now), then
-        :attr:`env`, then ``overlays`` (the tool's ``EnvVarRequirement``)."""
+    def spawn_environment(self, *overlays: Dict[str, str],
+                          defaults: Mapping[str, str]) -> Optional[Dict[str, str]]:
+        """The ``env=`` a job's tool is spawned with: its run's environment
+        (read from ``os.environ`` once per run; outside a run, now), then
+        :attr:`env`, then ``overlays`` (the tool's ``EnvVarRequirement``),
+        then ``defaults`` where unset; ``None`` (inherit the process's) when
+        that is exactly the process's environment
+        (:meth:`~repro.utils.environment.RunEnvironment.popen_env`)."""
         environment = self._run_environment or RunEnvironment()
-        return environment.spawn(self.env, *overlays)
+        return environment.popen_env(self.env, *overlays, defaults=defaults)
 
     def ensure_outdir(self) -> str:
         """Create (if needed) and return the output directory."""

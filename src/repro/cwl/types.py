@@ -256,22 +256,24 @@ def build_directory_value(path: str, listing: bool = False) -> Dict[str, Any]:
     return value
 
 
-def coerce_file_inputs(value: Any) -> Any:
+def coerce_file_inputs(value: Any,
+                       stats: Optional[Dict[str, os.stat_result]] = None) -> Any:
     """Recursively convert plain path strings in File positions into File values.
 
     Used when a job order supplies ``input_image: /path/to.png`` rather than a
     full ``{"class": "File", "path": ...}`` object (both are accepted by CWL
-    runners in practice).
+    runners in practice).  The ``os.stat`` of each File it builds goes into
+    ``stats`` (:func:`build_file_value`).
     """
     if isinstance(value, dict) and value.get("class") in ("File", "Directory"):
         if "path" in value and "basename" not in value:
-            rebuilt = build_file_value(value["path"]) if value["class"] == "File" \
+            rebuilt = build_file_value(value["path"], stats=stats) if value["class"] == "File" \
                 else build_directory_value(value["path"])
             rebuilt.update({k: v for k, v in value.items() if k not in rebuilt})
             return rebuilt
         return value
     if isinstance(value, list):
-        return [coerce_file_inputs(v) for v in value]
+        return [coerce_file_inputs(v, stats) for v in value]
     return value
 
 

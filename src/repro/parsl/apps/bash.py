@@ -9,7 +9,10 @@ that it can be serialized by reference and shipped to worker processes.
 Each command leads its own session, as the CWL runners' jobs do, so
 signalling it reaches its whole process group.  A bash app belongs to no CWL
 run, so each call reads ``os.environ`` when it spawns, as Parsl's bash apps
-do: a variable set between two calls reaches the second.
+do: a variable set between two calls reaches the second.  Like a run's
+tools, the command inherits the process's environment (``env=None``) when
+pinning the package onto ``PYTHONPATH`` would change nothing
+(:func:`~repro.utils.environment.inherited_or_pinned`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import subprocess
 from typing import Any, Callable, List, Tuple, Union
 
 from repro.parsl.errors import AppBadFormatting, BashAppNoReturn, BashExitFailure, MissingOutputs
-from repro.utils.environment import subprocess_environment
+from repro.utils.environment import inherited_or_pinned
 
 StdSpec = Union[None, str, Tuple[str, str]]
 
@@ -80,7 +83,7 @@ def remote_side_bash_executor(func: Callable, *args: Any, **kwargs: Any) -> int:
             command,
             shell=True,
             executable="/bin/bash" if os.path.exists("/bin/bash") else None,
-            env=subprocess_environment(),
+            env=inherited_or_pinned(),
             stdout=stdout_handle if stdout_handle is not None else subprocess.DEVNULL,
             stderr=stderr_handle if stderr_handle is not None else subprocess.DEVNULL,
             start_new_session=True,

@@ -6,7 +6,7 @@ module, and so never imports PyYAML.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List, Tuple
 
 import yaml
 
@@ -43,6 +43,20 @@ class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[mis
                         key_node.start_mark)
                 first_seen[key] = key_node
         return mapping
+
+
+def double_quoted_spans(text: str) -> List[Tuple[int, int]]:
+    """The ``(start, end)`` offsets in ``text`` of each double-quoted scalar,
+    quotes included, that PyYAML's pure-Python scanner finds before the end
+    of the text or its first error (libyaml's would refuse some escapes)."""
+    spans = []
+    try:
+        for token in yaml.scan(text, Loader=yaml.SafeLoader):
+            if isinstance(token, yaml.ScalarToken) and token.style == '"':
+                spans.append((token.start_mark.index, token.end_mark.index))
+    except yaml.YAMLError:
+        pass  # the load reports it
+    return spans
 
 
 def load(stream: Any) -> Any:

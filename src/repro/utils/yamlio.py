@@ -6,13 +6,15 @@ constructors) and deterministic dumping so tests can compare round-tripped
 documents byte-for-byte.
 
 A text is read by one of two parsers, picked from the text itself, and both
-give the object PyYAML would give, with one exception: in a text the JSON
-parser reads, an escaped UTF-16 surrogate pair (``"\\ud83d\\ude00"``, as
-:func:`json.dumps` writes any character outside the Basic Multilingual Plane)
-is the one character it encodes (RFC 8259 §7).  libyaml refuses such an
-escape and PyYAML's pure-Python parser keeps its two halves as lone
-surrogates, so a JSON document with an emoji in it would not load, or would
-load as a string that cannot be encoded.
+give the object PyYAML would give, with one exception: an escaped UTF-16
+surrogate pair (``"\\ud83d\\ude00"``, as :func:`json.dumps` writes any
+character outside the Basic Multilingual Plane) in a JSON string or a
+double-quoted YAML scalar is the one character it encodes, as JSON reads it
+(RFC 8259 §7).  libyaml refuses such an escape and PyYAML's pure-Python
+parser keeps its two halves as lone surrogates, so a document or job order
+with an emoji in it would not load, or would load as a string that cannot be
+encoded.  A lone surrogate escape loads as PyYAML reads it, and a backslash
+in a plain or single-quoted scalar stays what it is.
 
 * **JSON.**  CWL accepts JSON documents, and packed or generated workflows
   usually are JSON.  A text goes to :func:`json.loads` when it starts with
@@ -26,8 +28,7 @@ load as a string that cannot be encoded.
   ``Infinity`` too.  A text JSON refuses, one that repeats a key, and one
   with a key of over 170 characters (a YAML key must end within 1024
   characters of its start) go to PyYAML after all, so every error reads as
-  it does from PyYAML; a text JSON reads goes there with each escaped pair
-  written out as its character, so the exception holds there too.  On the benchmark's 240-step, 81 KB workflow
+  it does from PyYAML.  On the benchmark's 240-step, 81 KB workflow
   ``load_yaml_file`` takes 2.4 ms this way against 29 ms through
   :class:`Loader` (0.6 ms of it is ``json.loads`` itself, the rest the
   checks above), and a process that reads only JSON never imports PyYAML.
@@ -38,7 +39,10 @@ load as a string that cannot be encoded.
   code either way, so both produce equal objects and raise the same
   exception classes at the same marks; only the wording of a syntax error's
   ``problem`` differs, which is why :func:`describe_yaml_error` leaves it
-  out.  ``Loader.__mro__`` tells which parser is in use.
+  out.  ``Loader.__mro__`` tells which parser is in use.  A text with an
+  escaped surrogate pair in it is first scanned by the pure-Python scanner,
+  and each pair in a double-quoted scalar written out as its character (so
+  an error mark further along that line counts the pair as one column).
 
 ``yaml``, :class:`Loader` and :data:`YAMLError` are attributes of this module,
 resolved (PEP 562, ``repro/_lazy.py``) from ``repro.utils._yamlloader`` the
@@ -103,6 +107,26 @@ def _join_surrogate_pair(match: re.Match) -> str:
     return chr(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
 
 
+def _join_quoted_surrogate_pairs(text: str) -> str:
+    """``text`` with each escaped surrogate pair in a double-quoted scalar
+    written out as the one character it encodes, for PyYAML to read.
+
+    Only a text with such an escape somewhere is scanned for its
+    double-quoted scalars (:func:`~repro.utils._yamlloader.double_quoted_spans`);
+    a backslash in a plain or single-quoted scalar is no escape.
+    """
+    if not any(match.group(1) for match in _SURROGATE_ESCAPE.finditer(text)):
+        return text
+    from repro.utils._yamlloader import double_quoted_spans
+
+    pieces, done = [], 0
+    for start, end in double_quoted_spans(text):
+        pieces += [text[done:start], _SURROGATE_ESCAPE.sub(_join_surrogate_pair, text[start:end])]
+        done = end
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def _load(text: str, name: Optional[str] = None) -> Any:
     """The document in ``text``: by JSON where that reads it as YAML would,
     else by PyYAML (as a stream named ``name`` when the text is a file's).
@@ -126,11 +150,9 @@ def _load(text: str, name: Optional[str] = None) -> Any:
         else:
             if not for_yaml:
                 return document
-            # The text is JSON, so every backslash is in a string: PyYAML reads
-            # each escaped pair as the one character JSON reads it as.
-            text = _SURROGATE_ESCAPE.sub(_join_surrogate_pair, text)
     from repro.utils._yamlloader import load
 
+    text = _join_quoted_surrogate_pairs(text)
     if name is None:
         return load(text)
     stream = io.StringIO(text)

@@ -148,7 +148,6 @@ def test_one_key_gets_one_manifest_command_on_every_engine(tmp_path, monkeypatch
         reference, parsl = manifests["reference"], manifests["parsl"]
         assert parsl["key"] == reference["key"]
         assert parsl["command"] == reference["command"]
-        assert parsl["fingerprint"] == reference["fingerprint"]
         assert parsl["streams"] == reference["streams"]
         assert parsl["files"] == reference["files"]
     assert reference["command"]["argv"][-1] == "hi"

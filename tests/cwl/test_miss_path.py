@@ -163,6 +163,28 @@ def test_a_miss_stats_each_input_once_each_output_once_to_publish(tmp_path, monk
     assert spy.environ_reads <= 1
 
 
+@pytest.mark.parametrize("engine", RUNNERS)
+def test_a_path_only_input_is_stat_once(engine, tmp_path, monkeypatch):
+    """An input given as ``{"class": "File", "path": ...}`` alone is stat'ed
+    when the job builds its File value (for its ``size``), and the probe
+    keys it from that stat instead of making another."""
+    paths = []
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text(f"{name}\n")
+        paths.append(str(tmp_path / name))
+    with session_for(engine, tmp_path / "work", monkeypatch,
+                     cache_dir=str(tmp_path / "store")) as session:
+        tool = load_document(join_tool())
+        spy = StatSpy(monkeypatch)
+        result = session.run(tool, {f"f{i}": {"class": "File", "path": path}
+                                    for i, path in enumerate(paths)})
+
+    assert result.cache_stats == {"hits": 0, "misses": 1}
+    assert {path: spy.stats[path] for path in paths} == dict.fromkeys(paths, 1)
+    with open(result.outputs["joined"]["path"]) as handle:
+        assert handle.read() == "a.txt\nb.txt\n"
+
+
 def test_a_published_manifest_is_one_compact_line(tmp_path):
     cache = JobCache(str(tmp_path / "store"))
     outdir = tmp_path / "out"

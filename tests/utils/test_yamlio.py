@@ -310,6 +310,47 @@ def test_an_escaped_surrogate_pair_loads_as_its_character_on_either_parser():
             assert ours == yaml_reading, name
 
 
+#: name -> (a YAML text with ``\\u`` escapes of surrogates, the value it loads
+#: as, or ``None`` where that is what the YAML loader alone makes of it).
+YAML_SURROGATE_TEXTS = {
+    "pair in a double-quoted scalar": ('msg: "\\ud83d\\ude00"\n', {"msg": "\U0001F600"}),
+    "pairs in a quoted key and a flow sequence":
+        ('"k\\ud83d\\ude00": ["a\\ud83d\\ude00b", "\\\\"]\n',
+         {"k\U0001F600": ["a\U0001F600b", "\\"]}),
+    "a plain scalar beside a pair": ('a: x\\ud83d\\ude00\nb: "\\ud83d\\ude00"\n',
+                                     {"a": "x\\ud83d\\ude00", "b": "\U0001F600"}),
+    "plain scalar": ("msg: \\ud83d\\ude00\n", None),
+    "single-quoted scalar": ("msg: '\\ud83d\\ude00'\n", None),
+    "lone high": ('msg: "\\ud83d"\n', None),
+    "low after an escaped backslash": ('msg: "\\\\ud83d\\ude00"\n', None),
+}
+
+
+def _yaml_surrogate_readings():
+    """name -> ``repr`` of what ``load_yaml``, then the YAML loader alone, make of it."""
+    return {name: [repr(_read(load_yaml, text)),
+                   repr(_read(lambda t: yaml.load(t, Loader=yamlio.Loader), text))]
+            for name, (text, _) in YAML_SURROGATE_TEXTS.items()}
+
+
+def test_an_escaped_surrogate_pair_in_a_yaml_text_loads_as_its_character_on_either_parser():
+    # The pair is joined inside a double-quoted scalar only: in a plain or
+    # single-quoted one a backslash is itself, and a lone escape is still
+    # PyYAML's to read or refuse.
+    script = ("import sys, json, yaml\n"
+              "vars(yaml).pop('CSafeLoader', None)\n"
+              "sys.path.insert(0, %r)\n"
+              "import test_yamlio as t\n"
+              "assert t.yamlio.Loader.__mro__[1] is yaml.SafeLoader\n"
+              "print(json.dumps(t._yaml_surrogate_readings()))\n" % str(Path(__file__).parent))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=60)
+    for found in (_yaml_surrogate_readings(), json.loads(out.stdout)):
+        for name, (ours, yaml_reading) in found.items():
+            expected = YAML_SURROGATE_TEXTS[name][1]
+            assert ours == (yaml_reading if expected is None else repr(("value", expected))), name
+
+
 def test_a_json_document_read_from_a_file_equals_its_yaml_reading(tmp_path):
     text = _dag_document(40, seed=3)
     path = tmp_path / "dag.cwl"
