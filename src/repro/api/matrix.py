@@ -24,8 +24,8 @@ faults     ``None`` (no injection) or the name of a
 pipeline   ``None`` (engine default: the thread-pool scheduler core)
            or ``True`` — ``pipeline=True`` with ``max_inflight`` set
            to the worker count: the asyncio pipelined core on the
-           runner engines; on the Parsl engines a bounded in-flight
-           submission window
+           runner engines; on the Parsl engines a cap on the steps
+           parked on an unfinished task
 ========== ==========================================================
 """
 
@@ -61,7 +61,7 @@ class MatrixConfig:
     #: the config frozen/hashable; the plan is instantiated fresh per run.
     faults: Optional[str] = None
     #: ``True`` selects the asyncio pipelined scheduler core (runner
-    #: engines) / a bounded submission window (Parsl engines); ``None``
+    #: engines) / a cap on parked steps (Parsl engines); ``None``
     #: keeps each engine's default core.
     pipeline: Optional[bool] = None
 
@@ -252,8 +252,8 @@ def _engine_options(config: MatrixConfig, run_dir: str,
         retry_policy = profile.policy
     # One context configures "the same run" on every engine.  The pipeline
     # axis bounds the in-flight window to the worker count: the pipelined
-    # core's admission window on the runner engines, the bridge's submission
-    # window on the Parsl engines (which have no pipelined scheduler core).
+    # core's admission window on the runner engines, the cap on the bridge's
+    # parked steps on the Parsl engines (which have no pipelined scheduler core).
     options["runtime_context"] = RuntimeContext(
         basedir=run_dir,
         cache_dir=cache_dir,

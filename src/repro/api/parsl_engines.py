@@ -8,29 +8,29 @@ construction, not inside the run.
 The ``parsl`` engine's tool run is the paper's §III-B runner, which
 :func:`~repro.core.runner.run_tool_with_parsl` and the ``parsl-cwl`` command
 line open, execute and close: one :class:`~repro.core.cwl_app.CWLApp` call in
-the tool's node directory under the run's root, its outputs collected once
-there, the job reported through :func:`~repro.core.cwl_app.report_finished`.
+the tool's node directory under the run's root, run to its end on the calling
+thread by :func:`~repro.core.workflow_bridge.run_app`, the routine every
+workflow step of the bridge runs too.  So one routine observes and collects
+every ``CWLApp`` call an engine makes.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from typing import Any, Dict, Optional
 
 from repro.api.engine import Engine, EngineError
 from repro.api.events import EventRecorder, ExecutionHooks
 from repro.api.result import ExecutionResult, run_result
-from repro.core.cwl_app import CWLApp, job_order_view, report_finished, running_jobs, to_cwl_value
+from repro.core.cwl_app import CWLApp, running_jobs
 from repro.core.runner import ensure_kernel
-from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.cwl.expressions.compiler import precompile_process
+from repro.core.workflow_bridge import CWLWorkflowBridge, run_app
 from repro.cwl.journal import run_journalled
-from repro.cwl.outputs import collect_outputs
 from repro.cwl.runtime import RuntimeContext, context_with_options
 from repro.cwl.schema import CommandLineTool, Workflow
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
+from repro.utils.continuation import finish
 
 
 class ParslEngine(Engine):
@@ -54,8 +54,7 @@ class ParslEngine(Engine):
         #: probe (so injected faults behave identically warm or cold), and
         #: its timeout is enforced there by the runners' launcher; ``on_error`` governs
         #: whether a failed workflow step aborts the bridge run, and
-        #: ``max_inflight`` bounds unfinished submissions during bridge
-        #: submission.
+        #: ``max_inflight`` caps the workflow steps whose task is unfinished.
         self._context = context_with_options(runtime_context, options)
         self._started = False
         self._loaded_here = False
@@ -105,36 +104,15 @@ class ParslEngine(Engine):
             bridge = CWLWorkflowBridge(process, job_observer=recorder,
                                        runtime_context=context)
             outputs = bridge.run(job_order)
-            return run_result(recorder, context, self.name,
-                              to_cwl_value(outputs),
-                              graph=bridge.graph, failures=bridge.failures)
+            return run_result(recorder, context, self.name, outputs, graph=bridge.graph,
+                              failures=bridge.failures, node_states=bridge.node_states)
         if not isinstance(process, CommandLineTool):
             raise EngineError(
                 f"the {self.name!r} engine cannot run a {type(process).__name__} "
                 "(CommandLineTool or Workflow expected)"
             )
-        node = context.node_context(process.job_name)
-        job_dir = node.job_dir
-        token = recorder.job_started(process.job_name)
-        future = error = None
-        try:
-            app = CWLApp(process, runtime_context=context)
-            future = app(**job_order, _node=node)
-            future.result()
-            # A process-based executor returns only the exit code, so the
-            # outputs are collected here, in the job's directory.
-            stdout_path, stderr_path = (os.path.join(job_dir, stream) if stream else None
-                                        for stream in (future.stdout, future.stderr))
-            outputs = collect_outputs(
-                process, outdir=job_dir, stdout_path=stdout_path, stderr_path=stderr_path,
-                job_order=job_order_view(process, job_order),
-                runtime=context.with_resources(process).runtime_object(job_dir, job_dir),
-                evaluator=precompile_process(process))
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            report_finished(future, recorder, token, error)
+        outputs = finish(run_app(CWLApp(process, runtime_context=context), job_order,
+                                 context.node_context(process.job_name), recorder))
         return run_result(recorder, context, self.name, outputs)
 
 

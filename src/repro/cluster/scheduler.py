@@ -21,6 +21,7 @@ simulated.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -198,6 +199,8 @@ class SimulatedSlurmCluster:
         stdout_handle = open(spec.stdout_path, "wb") if spec.stdout_path else subprocess.DEVNULL
         stderr_handle = open(spec.stderr_path, "wb") if spec.stderr_path else subprocess.DEVNULL
         try:
+            # The job leads a session of its own, so past its walltime the
+            # whole group is killed: the shell and every child it started.
             proc = subprocess.Popen(
                 spec.command,
                 shell=True,
@@ -205,11 +208,15 @@ class SimulatedSlurmCluster:
                 env=env,
                 stdout=stdout_handle,
                 stderr=stderr_handle,
+                start_new_session=True,
             )
             try:
                 exit_code = proc.wait(timeout=spec.walltime_s)
             except subprocess.TimeoutExpired:
-                proc.kill()
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # every process of the group has exited already
                 proc.wait()
                 job.mark_finished(JobState.TIMEOUT, exit_code=None,
                                   error=f"exceeded walltime of {spec.walltime_s}s")

@@ -12,8 +12,8 @@ Four pieces, matching §III–§V of the paper:
   expressions (including per-input ``validate:`` rules) inside CWL documents
   (§V, Listings 5–6).
 * :class:`~repro.core.workflow_bridge.CWLWorkflowBridge` — the paper's stated
-  future work: executing a complete CWL ``Workflow`` through Parsl by converting
-  each step into a CWLApp and wiring DataFutures between them.
+  future work: executing a complete CWL ``Workflow`` through Parsl, each step a
+  CWLApp submitted with the values its upstream steps returned.
 """
 
 from typing import TYPE_CHECKING

@@ -260,7 +260,8 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     put where the call named them (:func:`_deliver`), those of a failed or
     timed-out run too before its error propagates.  Every declared output
     must then exist; the exit code (on a hit, the recorded one) is returned
-    and noted.
+    and noted, and so are the job's collected outputs when its files stay
+    in the directory the call named.
     """
     stdout_spec = kwargs.get("stdout")
     stderr_spec = kwargs.get("stderr")
@@ -284,6 +285,8 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
         if _JOBS_PID != os.getpid():
             job.runtime_context.close()
     cache_note["exit_code"] = result.exit_code
+    if not deliver:
+        cache_note["outputs"] = result.outputs
     check_outputs(getattr(func, "__name__", "bash_app"), kwargs.get("outputs") or [])
     return result.exit_code
 
@@ -382,7 +385,7 @@ def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
                     error: Optional[BaseException] = None) -> None:
     """Report how one ``CWLApp`` invocation ended (``error`` ``None``: it succeeded).
 
-    The one routine both Parsl entry points report a job through: each entry
+    How :func:`~repro.core.workflow_bridge.run_app` reports every job: each entry
     of the future's ``cwl_retry_note`` becomes a ``"retry"`` event, then the
     ``"end"`` event gets the final attempt and, from the ``cwl_cache_note``,
     the tool, key, cache outcome and exit code, which a journalling observer
@@ -439,6 +442,14 @@ class CWLApp:
             param.output_binding.glob for param in self.tool.outputs if param.output_binding])
         self.__name__ = self.tool.id or os.path.basename(self.cwl_path or "cwl_app")
         self.__doc__ = self.tool.doc or f"CWLApp wrapping {self.__name__}"
+        self._declared = set(self.input_names)
+        self._required = self.required_inputs
+        # What every call submits: the app body under the executor chain.
+        body = functools.partial(cwl_tool_command, self.tool.raw, self.cwl_path)
+        functools.update_wrapper(body, cwl_tool_command)
+        body.__name__ = self.__name__  # type: ignore[attr-defined]
+        self._wrapped = functools.partial(resilient_bash_executor, body)
+        functools.update_wrapper(self._wrapped, body)
 
     # ------------------------------------------------------------- introspection
 
@@ -491,14 +502,13 @@ class CWLApp:
         node = kwargs.pop("_node", None)
         job_dir = node.job_dir if node is not None else None
 
-        declared = set(self.input_names)
-        unknown = [key for key in kwargs if key not in declared]
+        unknown = [key for key in kwargs if key not in self._declared]
         if unknown:
             raise InputValidationError(
                 f"unknown input(s) {sorted(unknown)} for CWL tool {self.__name__!r}; "
-                f"declared inputs are {sorted(declared)}"
+                f"declared inputs are {sorted(self._declared)}"
             )
-        missing = [name for name in self.required_inputs if name not in kwargs]
+        missing = [name for name in self._required if name not in kwargs]
         if missing:
             raise InputValidationError(
                 f"missing required input(s) {sorted(missing)} for CWL tool {self.__name__!r}"
@@ -547,22 +557,17 @@ class CWLApp:
         if output_files:
             app_kwargs["outputs"] = output_files
 
-        body = functools.partial(cwl_tool_command, self.tool.raw, self.cwl_path)
-        functools.update_wrapper(body, cwl_tool_command)
-        body.__name__ = self.__name__  # type: ignore[attr-defined]
-        wrapped = functools.partial(resilient_bash_executor, body)
-        functools.update_wrapper(wrapped, body)
         _open_jobs(dfk)
 
         future = dfk.submit(
-            wrapped,
+            self._wrapped,
             (),
             app_kwargs,
             app_type="bash",
             executor_label=self.executor_label,
         )
-        # Attach a name -> DataFuture mapping so callers (and the workflow
-        # bridge) can look up outputs by their CWL output id rather than index.
+        # Attach a name -> DataFuture mapping so callers can look up outputs
+        # by their CWL output id rather than index.
         named: Dict[str, DataFuture] = {}
         for (name, _file_obj), data_future in zip(named_outputs, future.outputs):
             named.setdefault(name, data_future)

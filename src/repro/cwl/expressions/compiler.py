@@ -38,7 +38,6 @@ import json
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cwl.errors import ExpressionError
 from repro.cwl.expressions.paramrefs import (
     FoundExpression,
     is_simple_parameter_reference,
@@ -97,7 +96,7 @@ class CompiledExpression:
 
     __slots__ = ("kind", "body", "_tokens", "_compiled")
 
-    def __init__(self, found: FoundExpression, js_enabled: bool = True) -> None:
+    def __init__(self, found: FoundExpression) -> None:
         self.body = found.body
         self._tokens: Optional[Tuple[Any, ...]] = None
         self._compiled: Optional["CompiledNode"] = None
@@ -106,22 +105,12 @@ class CompiledExpression:
                 self.kind = "param"
                 self._tokens = tokenize_path(found.body)
                 return
-            if not js_enabled:
-                raise ExpressionError(
-                    f"expression $({found.body}) requires InlineJavascriptRequirement, "
-                    "which this document does not declare"
-                )
             from repro.cwl.expressions.jsengine.closures import compile_expression_ast
             from repro.cwl.expressions.jsengine.parser import parse_expression
 
             self.kind = "js"
             self._compiled = compile_expression_ast(parse_expression(found.body))
             return
-        if not js_enabled:
-            raise ExpressionError(
-                "${...} expressions require InlineJavascriptRequirement, "
-                "which this document does not declare"
-            )
         from repro.cwl.expressions.jsengine.closures import compile_program_ast
         from repro.cwl.expressions.jsengine.parser import parse_program
 
@@ -147,7 +136,7 @@ class CompiledTemplate:
 
     __slots__ = ("source", "kind", "literal", "single", "segments")
 
-    def __init__(self, source: str, js_enabled: bool = True) -> None:
+    def __init__(self, source: str) -> None:
         self.source = source
         self.literal: Optional[str] = None
         self.single: Optional[CompiledExpression] = None
@@ -161,13 +150,13 @@ class CompiledTemplate:
         if len(expressions) == 1 and only.start == 0 and only.end == len(source.strip()) \
                 and source.strip() == source:
             self.kind = "single"
-            self.single = CompiledExpression(only, js_enabled)
+            self.single = CompiledExpression(only)
             return
         self.kind = "interpolate"
         cursor = 0
         for expression in expressions:
             self.segments.append(source[cursor:expression.start].replace("\\$", "$"))
-            self.segments.append(CompiledExpression(expression, js_enabled))
+            self.segments.append(CompiledExpression(expression))
             cursor = expression.end
         self.segments.append(source[cursor:].replace("\\$", "$"))
 
@@ -216,10 +205,8 @@ class CompiledEvaluator:
     activation frame, so parallel scatter jobs can share one evaluator.
     """
 
-    def __init__(self, expression_lib: Optional[Sequence[str]] = None,
-                 js_enabled: bool = True) -> None:
+    def __init__(self, expression_lib: Optional[Sequence[str]] = None) -> None:
         self.expression_lib = list(expression_lib or [])
-        self.js_enabled = js_enabled
         self._scope: Optional["LibraryScope"] = None
         #: Interface parity with ``ExpressionEvaluator``: the library scope is
         #: built (at most) once per library content, not per evaluation.
@@ -249,7 +236,7 @@ class CompiledEvaluator:
         if template is None:
             # Two threads may both compile a new string; either result serves.
             outcome = "misses"
-            template = self._templates[value] = CompiledTemplate(value, self.js_enabled)
+            template = self._templates[value] = CompiledTemplate(value)
         with _MEMO_STATS_LOCK:
             _MEMO_STATS[outcome] += 1
         return template.evaluate(context, self._shared_scope)

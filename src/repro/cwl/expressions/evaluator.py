@@ -49,10 +49,8 @@ def needs_expression_evaluation(value: Any) -> bool:
 class ExpressionEvaluator:
     """Evaluate CWL parameter references and JavaScript expressions, keeping nothing."""
 
-    def __init__(self, expression_lib: Optional[Sequence[str]] = None,
-                 js_enabled: bool = True) -> None:
+    def __init__(self, expression_lib: Optional[Sequence[str]] = None) -> None:
         self.expression_lib = list(expression_lib or [])
-        self.js_enabled = js_enabled
         #: Number of library scopes built: one per JavaScript expression evaluated.
         self.engine_builds = 0
 
@@ -67,7 +65,7 @@ class ExpressionEvaluator:
             return value
         if not scan_expressions(value):
             return value.replace("\\$", "$")
-        return CompiledTemplate(value, self.js_enabled).evaluate(context, self._fresh_scope)
+        return CompiledTemplate(value).evaluate(context, self._fresh_scope)
 
     def _fresh_scope(self) -> "LibraryScope":
         """A newly built library scope, for one JavaScript expression."""

@@ -9,7 +9,7 @@ IR: the :class:`~repro.cwl.workflow.WorkflowEngine` (reference and Toil-like
 runners) feeds it to the event-driven
 :class:`~repro.cwl.scheduler.GraphScheduler`, the Parsl
 :class:`~repro.core.workflow_bridge.CWLWorkflowBridge` runs that same engine
-inline at submission time with a process runner that returns futures, and
+with a process runner that parks each step on its ``AppFuture``, and
 :func:`repro.api.plan` surfaces it for introspection.
 
 Node kinds
@@ -119,8 +119,7 @@ def merge_link_values(values: List[Any], link_merge: str) -> Any:
     """CWL ``linkMerge`` semantics for multi-source values (the single site).
 
     A lone source passes through unchanged; ``merge_flattened`` flattens
-    list-valued items while non-list items — including the unresolved futures
-    the Parsl bridge carries at submission time — stay atomic;
+    list-valued items while non-list items stay atomic;
     ``merge_nested`` (the default) keeps one item per source.  Used by the
     workflow engine for step inputs *and* workflow outputs.
     """

@@ -102,9 +102,8 @@ class RuntimeContext:
     #: scheduler core").
     pipeline: bool = False
     #: Bound on jobs in flight: the pipelined core's stage/exec/collect
-    #: window on the runner engines (``None`` = 64), unfinished submissions
-    #: during bridge submission on the Parsl engines (``None`` = Parsl's
-    #: eager submission of the whole graph).
+    #: window on the runner engines (``None`` = 64), the workflow steps
+    #: parked on an unfinished task on the Parsl engines (``None`` = no cap).
     max_inflight: Optional[int] = None
     #: Scratch directories this context created, removed by :meth:`close`.
     _scratch_dirs: Set[str] = field(default_factory=set, repr=False, compare=False)

@@ -14,8 +14,11 @@ batch-system ``issue``, a retry backoff).  The loop runs the inline segment
 itself.  A node that returns without yielding completes right there, with no
 pool submission and no wake-up: cache hits, ingress/egress/scatter/gather,
 ExpressionTool steps and skipped scopes.  Only the rest of a node that
-yielded goes to **one** bounded pool.  ``max_workers`` caps the blocking
-segments in flight, however deeply scatter and subworkflows nest.  Serial mode
+yielded goes to **one** bounded pool.  A node that yields a future (the
+Parsl bridge's ``AppFuture``) parks on it instead: the future's
+done-callback queues the node, and the loop resumes it inline, so no thread
+waits on a future.  ``max_workers`` caps the nodes in flight, pooled or
+parked, however deeply scatter and subworkflows nest.  Serial mode
 (``parallel=False``) is the case where every continuation runs inline to its
 end.  The scheduler lock is never held while a node runs.  A plain callable
 given as the executor is all blocking segment.
@@ -30,13 +33,15 @@ with every other ready node.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures as cf
+import functools
 import heapq
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     import asyncio
@@ -104,8 +109,11 @@ class GraphScheduler:
         self._pending = len(self._nodes)
         self._completed: set = set()
         self._skipped: set = set()
-        #: Blocking segments handed to the pool and not finished yet.
+        #: Nodes that left the dispatcher mid-way (handed to the pool, or
+        #: parked on a future) and have not finished yet.
         self._inflight = 0
+        #: Parked nodes whose future is done, for the dispatcher to resume.
+        self._resumable: Deque[Tuple[str, Continuation[Any]]] = collections.deque()
         self._failure: Optional[BaseException] = None
         #: Made when the first node yields: an all-inline run starts no thread.
         self._pool: Optional[cf.ThreadPoolExecutor] = None
@@ -123,7 +131,9 @@ class GraphScheduler:
         With ``on_error="continue"`` node failures do not raise — they are
         collected in :attr:`failures`, their transitive successors are marked
         ``skipped`` in :attr:`states`, and every independent branch still
-        executes.  An interrupt (any exception that is not an
+        executes.  After a failure under ``"stop"`` every node already in
+        flight still runs to its end (its job's end is reported) and releases
+        no successor.  An interrupt (any exception that is not an
         :class:`Exception`, such as :class:`KeyboardInterrupt`) aborts the run
         under either policy.
         """
@@ -144,7 +154,6 @@ class GraphScheduler:
                 self._pool = None
             raise
         if self._pool is not None:
-            # Let in-flight workers finish before surfacing the outcome.
             self._pool.shutdown(wait=True)
             self._pool = None
         if self._failure is not None:
@@ -154,55 +163,70 @@ class GraphScheduler:
     # ---------------------------------------------------------------- dispatch
 
     def _dispatch(self) -> None:
-        """The dispatch loop: pop ready nodes, highest priority first, and
-        run each one's inline segment; wait only while the pool is full or
-        nothing is ready."""
+        """The dispatch loop: resume parked nodes whose future is done, pop
+        ready nodes, highest priority first, and run each one's inline
+        segment; wait only while the in-flight window is full or nothing is
+        ready.  Once the run failed or finished it only waits for the nodes
+        in flight."""
         while True:
             with self._lock:
                 while True:
-                    if self._failure is not None or not self._pending:
-                        return
-                    if self._ready and self._inflight < self.max_workers:
+                    if self._resumable:
+                        node_id, continuation = self._resumable.popleft()
                         break
+                    if self._failure is None and self._pending:
+                        if self._ready and self._inflight < self.max_workers:
+                            node_id, continuation = self._pop(), None
+                            self._set_state(node_id, NODE_RUNNING)
+                            break
                     if not self._inflight:
-                        return  # stalled; reported by _check_drained
+                        return  # done, failed and drained, or stalled (_check_drained)
                     self._event.wait()
-                node_id = self._pop()
-                self._set_state(node_id, NODE_RUNNING)
-            self._step(node_id)
+            self._step(node_id, continuation)
 
-    def _step(self, node_id: str) -> None:
-        """Run one node on this thread up to its first yield; a node that
-        yielded continues on the pool (or, serially, right here)."""
-        yielded = False
+    def _step(self, node_id: str, continuation: Optional[Continuation[Any]]) -> None:
+        """Run one node on this thread up to its next yield: from its start,
+        or (``continuation`` given) from where it parked.  A node that
+        yielded ``None`` continues on the pool (or, serially, right here); one
+        that yielded a future parks on it."""
+        detached = continuation is not None
         try:
-            continuation = self.execute(self._nodes[node_id])
-            if not self.parallel:
-                expansion = finish(continuation)
+            if continuation is None:
+                continuation = self.execute(self._nodes[node_id])
+            if self.parallel:
+                waited = next(continuation)
+                yielded = True
             else:
-                try:
-                    next(continuation)
-                except StopIteration as done:
-                    expansion = done.value
-                else:
-                    yielded = True
+                expansion, yielded = finish(continuation), False
+        except StopIteration as done:
+            expansion, yielded = done.value, False
         except BaseException as exc:  # noqa: BLE001 — classified below
-            self._finished(node_id, failure=exc)
+            self._finished(node_id, failure=exc, detached=detached)
             if not isinstance(exc, Exception):
                 raise  # an interrupt unwinds the dispatcher
             return
-        if yielded:
+        if not yielded:
+            self._finished(node_id, expansion, detached=detached)
+            return
+        if not detached:
+            with self._lock:
+                self._inflight += 1
+        if waited is None:
             self._hand_off(node_id, continuation)
         else:
-            self._finished(node_id, expansion)
+            waited.add_done_callback(functools.partial(self._wake, node_id, continuation))
+
+    def _wake(self, node_id: str, continuation: Continuation[Any], _future: Any) -> None:
+        """A parked node's future is done: queue the node for the dispatcher."""
+        with self._lock:
+            self._resumable.append((node_id, continuation))
+            self._event.notify()
 
     def _hand_off(self, node_id: str, continuation: Continuation[Any]) -> None:
         """Give the rest of a node that yielded to the pool.  A pool that
         cannot take it (no thread can be started, the interpreter is shutting
         down) fails the run under either ``on_error`` policy: the scheduler
         failed, not the node."""
-        with self._lock:
-            self._inflight += 1
         try:
             if self._pool is None:
                 self._pool = cf.ThreadPoolExecutor(max_workers=self.max_workers,
@@ -224,15 +248,17 @@ class GraphScheduler:
         try:
             expansion = finish(continuation)
         except BaseException as exc:  # noqa: BLE001 — re-raised by run()
-            self._finished(node_id, failure=exc, pooled=True)
+            self._finished(node_id, failure=exc, detached=True)
         else:
-            self._finished(node_id, expansion, pooled=True)
+            self._finished(node_id, expansion, detached=True)
 
     def _finished(self, node_id: str, expansion: Optional[Expansion] = None,
-                  failure: Optional[BaseException] = None, pooled: bool = False) -> None:
-        """Record how a node ended; a pool thread also wakes the dispatcher."""
+                  failure: Optional[BaseException] = None, detached: bool = False) -> None:
+        """Record how a node ended; one that left the dispatcher on its way
+        (``detached``: pooled or parked) leaves the in-flight window and wakes
+        the dispatcher."""
         with self._lock:
-            if pooled:
+            if detached:
                 self._inflight -= 1
             try:
                 if failure is not None:
@@ -245,7 +271,7 @@ class GraphScheduler:
                 # here would leave the dispatcher waiting forever.
                 if self._failure is None:
                     self._failure = exc
-            if pooled:
+            if detached:
                 self._event.notify()
 
     # ------------------------------------------------------------- bookkeeping

@@ -25,12 +25,10 @@ shard nodes ``yield from`` it, so the runner decides where a node blocks: the
 cwltool-like and Toil-like runners yield only when a job misses the cache and
 must spawn or be issued, so a hit finishes on the dispatching thread.  A plain
 callable is all blocking segment.  The Parsl bridge
-(:mod:`repro.core.workflow_bridge`) runs the engine inline (``parallel=False``,
-on the submitting thread) with a runner that submits the step's ``CWLApp`` and
-returns its output *futures*.  Its subclass overrides two hooks that default
-to the identity, :meth:`WorkflowEngine._expression_inputs` (what an expression
-sees for a value) and :meth:`WorkflowEngine._plan_scatter` (where a scatter can
-be refused).  The engine handles:
+(:mod:`repro.core.workflow_bridge`) is this engine too, with a runner that
+submits the step's ``CWLApp``, yields its ``AppFuture`` (the scheduler parks
+the node on it) and, resumed, returns the step's outputs as values.  The engine
+handles:
 
 * gathering step inputs from workflow inputs and upstream step outputs
   (including ``MultipleInputFeatureRequirement`` merging and defaults),
@@ -341,12 +339,7 @@ class WorkflowEngine:
 
     def _evaluate_when(self, node: GraphNode, step_inputs: Dict[str, Any]) -> bool:
         return bool(self.evaluator_for(node.workflow).evaluate(
-            node.step.when, {"inputs": self._expression_inputs(step_inputs), "self": None,
-                             "runtime": {}}))
-
-    def _expression_inputs(self, step_inputs: Dict[str, Any]) -> Dict[str, Any]:
-        """What a step-level ``when`` / ``valueFrom`` expression sees as ``inputs``."""
-        return step_inputs
+            node.step.when, {"inputs": step_inputs, "self": None, "runtime": {}}))
 
     # ----------------------------------------------------------------- scatter
 
@@ -360,15 +353,10 @@ class WorkflowEngine:
                 self._store(f"{node.scope}{step.id}/{out_id}", None)
             return None
 
-        plan = self._plan_scatter(step, process, step_inputs)
+        plan = build_scatter_jobs(step_inputs, step.scatter, step.scatter_method)
         return self._expand_scatter(node, process, plan)
 
-    def _plan_scatter(self, step: WorkflowStep, process: Process,
-                      step_inputs: Dict[str, Any]) -> ScatterPlan:
-        """Build the per-shard job orders of a scattered step."""
-        return build_scatter_jobs(step_inputs, step.scatter, step.scatter_method)
-
-    def _expand_scatter(self, node: GraphNode, process: Process, plan) -> Expansion:
+    def _expand_scatter(self, node: GraphNode, process: Process, plan: ScatterPlan) -> Expansion:
         """Turn a scattered step into shard nodes plus a gather node.
 
         Tool shards become ``shard`` nodes carrying their job order; workflow
@@ -506,7 +494,7 @@ class WorkflowEngine:
         needs_expression = any(si.value_from is not None for si in step.in_)
         if needs_expression:
             evaluator = self.evaluator_for(node.workflow)
-            base_context = self._expression_inputs(dict(gathered))
+            base_context = dict(gathered)
             for step_input in step.in_:
                 if step_input.value_from is None:
                     continue

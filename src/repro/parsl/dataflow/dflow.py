@@ -177,7 +177,9 @@ class DataFlowKernel:
                          exception=DependencyError(dep_errors, record.id))
             return
         try:
-            args, kwargs = self._sanitize_arguments(record)
+            # With no dependency there is no future to replace.
+            args, kwargs = self._sanitize_arguments(record) if record.depends \
+                else (record.args, record.kwargs)
             executor = self._executor_for(record.executor)
             record.status = States.launched
             exec_future = executor.submit(record.func, record.resource_spec, *args, **kwargs)

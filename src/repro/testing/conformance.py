@@ -77,7 +77,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--pipeline", default=None,
                         help="comma-separated scheduler-core modes (on: the "
                              "asyncio pipelined core on runner engines / a "
-                             "bounded submission window on Parsl engines; "
+                             "cap on parked steps on Parsl engines; "
                              "default: each engine's default core). "
                              "'default,on' runs both and compares them.")
     parser.add_argument("--report", default="CONFORMANCE.json",

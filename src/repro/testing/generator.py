@@ -7,7 +7,7 @@ given seed — CWL Workflow over a small vocabulary of tools:
 * ``upcase`` — the same through an ``InlineJavascriptRequirement``
   expression (``$(inputs.text.toUpperCase())``),
 * ``write`` — write a string to a file *named by another input*
-  (the scatter body: shard outputs stay predictable at submission time),
+  (the scatter body: each shard names its file from its own input),
 * ``cat``  — concatenate upstream File outputs.
 
 Structure is drawn with bounded width and depth: a source layer of

@@ -15,7 +15,6 @@ import pytest
 
 import repro
 from repro import api
-from repro.core.cwl_app import to_cwl_value
 from repro.core.runner import run_tool_with_parsl
 from repro.core.workflow_bridge import CWLWorkflowBridge
 from repro.cwl.job import CommandLineJob
@@ -188,7 +187,7 @@ def run_directly(kind: str, context: RuntimeContext, tmp_path) -> dict:
         return WorkflowEngine(workflow, run_job, runtime_context=context).run(order)
     repro.load(repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")))
     try:
-        return to_cwl_value(CWLWorkflowBridge(workflow, runtime_context=context).run(order))
+        return CWLWorkflowBridge(workflow, runtime_context=context).run(order)
     finally:
         repro.clear()
 

@@ -5,7 +5,7 @@ performance knob: canonical outputs identical to the thread-pool core on
 both runner engines, per-stage timings surfaced on the result, journalled
 runs resumable bit-identically, runaway jobs reaped (whole process groups)
 by the asyncio subprocess path as by every engine's default launcher, and the Parsl engines' ``max_inflight``
-bounding bridge submissions without changing results.
+capping the bridge's parked steps without changing results.
 """
 
 from __future__ import annotations
@@ -113,85 +113,65 @@ def test_parsl_bridge_max_inflight_bounds_submissions(tmp_path):
     assert canonical_outputs(throttled.outputs) == canonical_outputs(eager.outputs)
 
 
-def test_parsl_bridge_max_inflight_window_is_linear():
-    """Each submission costs the same however many came before it: N
-    submissions make O(N) checks of futures, not one per earlier future; the
-    next submission still finds fewer than ``max_inflight`` submitted futures
-    unfinished; and the window's count, updated from more finishing threads
-    than cores, ends at zero."""
+def test_parsl_bridge_max_inflight_caps_the_parked_steps(tmp_path, monkeypatch):
+    """The bridge's steps park on their futures, at most ``max_inflight`` of
+    them unfinished at once: each future finishes on a pool thread, from
+    more threads than cores, and the dispatch loop resumes its step, which
+    then releases its successors.  Every step runs once."""
     from concurrent.futures import Future, ThreadPoolExecutor
     import sys
     import threading
 
-    from repro.core.workflow_bridge import CWLWorkflowBridge
+    from repro.core import workflow_bridge
 
-    submissions, max_inflight = 2000, 4
+    steps, max_inflight = 60, 4
     lock = threading.Lock()
-    checks = unfinished = peak = made = 0
-    raised = []
-
-    class CountedFuture(Future):
-        def done(self):
-            nonlocal checks
-            checks += 1
-            return super().done()
-
-        def result(self, timeout=None):
-            nonlocal checks
-            checks += 1
-            return super().result(timeout)
-
-        def exception(self, timeout=None):
-            nonlocal checks
-            checks += 1
-            return super().exception(timeout)
+    unfinished = peak = 0
+    resumed = []
 
     def finish(future):
-        # Counted out before the future is done: a done-callback added to a
-        # finished future runs at once, on the submitting thread, so the
-        # bridge may count a job out before a callback of the finishing
-        # thread could.
+        # Counted out before the future is done, so a step resumed (and its
+        # successors submitted) never finds it still counted.
         nonlocal unfinished
         with lock:
             unfinished -= 1
-        future.set_result(None)
+        future.set_result(0)
 
-    bridge = CWLWorkflowBridge(
-        load_document(dict(generate_workflow(PARITY_SEEDS[0]).doc)),
-        runtime_context=RuntimeContext(max_inflight=max_inflight))
+    def run_app(app, job_order, context, observer=None):
+        nonlocal unfinished, peak
+        future = Future()
+        with lock:
+            unfinished += 1
+            peak = max(peak, unfinished)
+        pool.submit(finish, future)
+        yield future
+        resumed.append(threading.current_thread())
+        return {"out": {"class": "File", "path": os.path.join(context.job_dir, "out.txt")}}
 
-    def submit_all(pool):
-        def app():
-            nonlocal unfinished, peak
-            future = CountedFuture()
-            with lock:
-                peak = max(peak, unfinished)
-                unfinished += 1
-            pool.submit(finish, future)
-            return future
-
-        nonlocal made
-        try:
-            for index in range(submissions):
-                bridge._observed_call(app, {}, f"job{index}")
-                made += 1
-        except BaseException as exc:  # asserted below: the thread must not die
-            raised.append(exc)
-
+    echo = {"class": "CommandLineTool", "baseCommand": "echo",
+            "inputs": {"after": {"type": "File?"}}, "outputs": {"out": "stdout"},
+            "stdout": "out.txt"}
+    workflow = load_document({
+        "cwlVersion": "v1.2", "class": "Workflow", "inputs": {},
+        "outputs": {"last": {"type": "File", "outputSource": f"s{steps - 1}/out"}},
+        "steps": {f"s{index}": {"run": echo, "out": ["out"],
+                                "in": {"after": f"s{index - 10}/out"} if index >= 10 else {}}
+                  for index in range(steps)}})
+    monkeypatch.setattr(workflow_bridge, "run_app", run_app)
+    bridge = workflow_bridge.CWLWorkflowBridge(
+        workflow, runtime_context=RuntimeContext(max_inflight=max_inflight,
+                                                 basedir=str(tmp_path)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            submitter = threading.Thread(target=submit_all, args=(pool,), daemon=True)
-            submitter.start()
-            submitter.join(60)
+            outputs = bridge.run({})
     finally:
         sys.setswitchinterval(interval)
-    assert not submitter.is_alive()
-    assert raised == [] and made == submissions
-    assert checks <= submissions
-    assert peak < max_inflight
-    assert bridge._unfinished == 0 and unfinished == 0
+    assert outputs["last"]["path"].endswith(os.path.join(f"s{steps - 1}", "out.txt"))
+    assert len(resumed) == steps and set(resumed) == {threading.current_thread()}
+    assert 1 <= peak <= max_inflight and unfinished == 0
+    assert set(bridge.node_states.values()) == {"done"}
 
 
 # ------------------------------------------------------- timeouts / reaping

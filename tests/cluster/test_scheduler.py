@@ -71,6 +71,31 @@ def test_walltime_enforcement(cluster):
     assert job.state == JobState.TIMEOUT
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has stopped running)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_walltime_kills_the_jobs_children_too(cluster, tmp_path):
+    """Past its walltime the job's whole process group is killed, not only
+    its shell: the ``sleep`` the shell started does not outlive the job."""
+    pid_file = tmp_path / "sleep.pid"
+    job_id = cluster.sbatch(JobSpec(
+        name="slow", command=f"sleep 4.5 & echo $! > {pid_file}; wait; echo done",
+        walltime_s=0.3))
+    job = cluster.wait(job_id, timeout=15)
+    assert job.state == JobState.TIMEOUT
+    pid = int(pid_file.read_text())
+    deadline = time.time() + 2
+    while _running(pid) and time.time() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
+
+
 def test_jobs_queue_when_cluster_full(cluster):
     """A job larger than the free capacity stays PENDING until space frees up."""
     release = threading.Event()

@@ -1,10 +1,9 @@
-"""The unsupported-path error contract of the Parsl bridge.
+"""The paths the Parsl bridge once refused, run on every engine.
 
-Scattering over a value that is still a future, and a step output reduced by
-``outputEval``, have no value before their step runs: both Parsl engines
-must raise :class:`UnsupportedRequirement` — not a generic failure — naming
-the offending step.  A scattered nested Workflow is not among them: every
-engine runs it, with the corpus case's outputs.
+Scattering over an upstream step's array, a step output reduced by
+``outputEval`` and a scattered nested Workflow have their values only once
+a step ran.  The bridge submits each step with the values its upstream steps
+returned, so every engine runs them, with the same outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 import repro
 from repro import api
-from repro.cwl.errors import UnsupportedRequirement, exit_class
 from repro.testing.corpus import load_corpus, materialize_job_order
 
 PARSL_ENGINES = ("parsl", "parsl-workflow")
@@ -56,46 +54,45 @@ def test_every_engine_runs_scattered_subworkflows(
          for value in case.expect.outputs["files"]]
 
 
-def test_scatter_over_future_width_is_unsupported_with_step_name(tmp_path, monkeypatch):
-    """The bridge's other declared unsupported path: scattering over a value
-    that is still a future at submission time."""
-    monkeypatch.chdir(tmp_path)
-    from repro.core.workflow_bridge import CWLWorkflowBridge
-    from repro.cwl.loader import load_document
-
-    echo_list_tool = {
-        "class": "CommandLineTool",
-        "requirements": [{"class": "InlineJavascriptRequirement"}],
-        "baseCommand": "echo",
-        "inputs": {"text": {"type": "string", "inputBinding": {"position": 1}}},
-        "outputs": {"out": {"type": "stdout"}},
-        "stdout": "list.txt",
-    }
-    workflow = {
+def scatter_over_upstream_workflow():
+    """``split`` writes three lines, ``lines`` reads them as an array and
+    ``say`` scatters over it: the width exists only once ``lines`` ran."""
+    return {
         "cwlVersion": "v1.2", "class": "Workflow",
-        "requirements": [{"class": "ScatterFeatureRequirement"}],
+        "requirements": [{"class": "ScatterFeatureRequirement"},
+                         {"class": "InlineJavascriptRequirement"}],
         "inputs": {"text": "string"},
-        "outputs": {"files": {"type": "Any", "outputSource": "use/out"}},
+        "outputs": {"said": {"type": "File[]", "outputSource": "say/out"}},
         "steps": {
-            "produce": {"run": dict(echo_list_tool), "in": {"text": "text"},
-                        "out": ["out"]},
-            "use": {"run": dict(echo_list_tool), "scatter": ["text"],
-                    "in": {"text": "produce/out"},
-                    "out": ["out"]},
+            "split": {"run": {"class": "CommandLineTool",
+                              "baseCommand": ["python3", "-c",
+                                              "import sys; print(*sys.argv[1].split(), sep='\\n')"],
+                              "inputs": {"text": {"type": "string",
+                                                  "inputBinding": {"position": 1}}},
+                              "outputs": {"words": {"type": "string[]", "outputBinding": {
+                                  "glob": "words.txt", "loadContents": True,
+                                  "outputEval": "$(self[0].contents.trim().split('\\n'))"}}},
+                              "stdout": "words.txt"},
+                      "in": {"text": "text"}, "out": ["words"]},
+            "say": {"run": {"class": "CommandLineTool", "baseCommand": "echo",
+                            "inputs": {"word": {"type": "string",
+                                                "inputBinding": {"position": 1}}},
+                            "outputs": {"out": "stdout"}, "stdout": "said.txt"},
+                    "scatter": "word", "in": {"word": "split/words"}, "out": ["out"]},
         },
     }
-    repro.load(repro.thread_config(max_threads=2, run_dir=str(tmp_path / "runinfo")))
-    try:
-        bridge = CWLWorkflowBridge(load_document(workflow))
-        with pytest.raises(UnsupportedRequirement) as excinfo:
-            bridge.run({"text": "seed"})
-        assert "'use'" in str(excinfo.value)
-    finally:
-        repro.clear()
+
+
+@pytest.mark.parametrize("engine", ("reference", "toil", *PARSL_ENGINES))
+def test_every_engine_scatters_over_an_upstream_array(run_engine, engine):
+    said = run_engine(engine, scatter_over_upstream_workflow(), {"text": "a b c"})
+    assert [Path(value["path"]).read_text() for value in said.outputs["said"]] == \
+        ["a\n", "b\n", "c\n"]
 
 
 def output_eval_workflow():
-    """One step whose output is an ``outputEval``-reduced int, not a file."""
+    """``count``'s output is an ``outputEval``-reduced int, not a file, and
+    ``double`` is submitted with it."""
     count = {
         "class": "CommandLineTool",
         "baseCommand": ["bash", "-c", "echo 42 > numbers.txt"],
@@ -105,23 +102,23 @@ def output_eval_workflow():
             "glob": "numbers.txt", "loadContents": True,
             "outputEval": "$(parseInt(self[0].contents))"}}},
     }
+    double = {
+        "class": "CommandLineTool",
+        "requirements": [{"class": "InlineJavascriptRequirement"}],
+        "baseCommand": "echo",
+        "inputs": {"n": {"type": "int"}},
+        "arguments": ["$(inputs.n * 2)"],
+        "outputs": {"out": "stdout"}, "stdout": "doubled.txt",
+    }
     return {"cwlVersion": "v1.2", "class": "Workflow", "inputs": {},
-            "outputs": {"n": {"type": "int", "outputSource": "count/n"}},
-            "steps": {"count": {"run": count, "in": {}, "out": ["n"]}}}
+            "outputs": {"n": {"type": "int", "outputSource": "count/n"},
+                        "doubled": {"type": "File", "outputSource": "double/out"}},
+            "steps": {"count": {"run": count, "in": {}, "out": ["n"]},
+                      "double": {"run": double, "in": {"n": "count/n"}, "out": ["out"]}}}
 
 
-def test_runner_engines_run_an_output_eval_step(run_engine):
-    for engine in ("reference", "toil"):
-        assert run_engine(engine, output_eval_workflow(), {}).outputs == {"n": 42}
-
-
-@pytest.mark.parametrize("engine", PARSL_ENGINES)
-def test_parsl_engines_refuse_an_output_eval_step_output(run_engine, engine):
-    """The bridge passes file futures between steps; an ``outputEval`` value
-    exists only after the step ran, so it is refused by name, not replaced
-    by the matched file."""
-    with pytest.raises(UnsupportedRequirement) as excinfo:
-        run_engine(engine, output_eval_workflow(), {})
-    message = str(excinfo.value)
-    assert "'count'" in message and "['n']" in message and "outputEval" in message
-    assert exit_class(excinfo.value) == "unsupported"
+@pytest.mark.parametrize("engine", ("reference", "toil", *PARSL_ENGINES))
+def test_every_engine_passes_an_output_eval_value_to_the_next_step(run_engine, engine):
+    outputs = run_engine(engine, output_eval_workflow(), {}).outputs
+    assert outputs["n"] == 42
+    assert Path(outputs["doubled"]["path"]).read_text() == "84\n"

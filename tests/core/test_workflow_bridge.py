@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 from pathlib import Path
 
@@ -10,10 +11,11 @@ import pytest
 import repro
 from repro import api
 from repro.core.workflow_bridge import CWLWorkflowBridge
-from repro.cwl.errors import UnsupportedRequirement, WorkflowException, unwrap_failure
+from repro.cwl.errors import WorkflowException
 from repro.cwl.loader import load_document
 from repro.imaging.png import read_png
-from repro.parsl.dataflow.futures import DataFuture
+
+ENGINES = ("reference", "toil", "parsl", "parsl-workflow")
 
 
 def test_bridge_rejects_non_workflow(cwl_dir):
@@ -28,24 +30,25 @@ def test_bridge_image_pipeline(cwl_dir, parsl_threads, tmp_path, small_image):
         "size": 20, "sepia": True, "radius": 1,
     })
     final = outputs["final_output"]
-    assert final.filepath.endswith("blurred.png")
-    assert read_png(final.filepath).shape == (20, 20, 3)
+    assert final["path"].endswith("blurred.png")
+    assert read_png(final["path"]).shape == (20, 20, 3)
     # The steps' files stay in their node directories: none is put in the cwd.
     assert not (tmp_path / "blurred.png").exists()
 
 
-def test_bridge_submit_returns_datafutures(cwl_dir, parsl_threads, tmp_path, small_image):
+def test_bridge_submit_returns_a_future_of_the_output_object(cwl_dir, parsl_threads, tmp_path,
+                                                             small_image):
     bridge = CWLWorkflowBridge(str(cwl_dir / "image_pipeline.cwl"))
-    outputs = bridge.submit({
+    future = bridge.submit({
         "input_image": {"class": "File", "path": small_image},
         "size": 16, "sepia": False, "radius": 1,
     })
-    assert isinstance(outputs["final_output"], DataFuture)
-    # Submission waits for nothing: three chained python3 tools cannot have
-    # finished by the time the graph has merely been walked.
-    assert not outputs["final_output"].done()
-    outputs["final_output"].result()
-    assert os.path.exists(outputs["final_output"].filepath)
+    assert isinstance(future, concurrent.futures.Future)
+    # The run is on a thread of its own: three chained python3 tools cannot
+    # have finished by the time submit returned.
+    assert not future.done()
+    final = future.result(timeout=120)["final_output"]
+    assert final["class"] == "File" and read_png(final["path"]).shape == (16, 16, 3)
 
 
 def test_bridge_scatter_over_images(cwl_dir, parsl_threads, tmp_path, image_batch):
@@ -57,7 +60,7 @@ def test_bridge_scatter_over_images(cwl_dir, parsl_threads, tmp_path, image_batc
         "input_images": [{"class": "File", "path": p} for p in image_batch],
         "size": 16, "sepia": True, "radius": 1,
     })
-    paths = [future.filepath for future in outputs["final_outputs"]]
+    paths = [value["path"] for value in outputs["final_outputs"]]
     assert len(set(paths)) == len(image_batch)
     assert all(path.endswith("blurred.png") for path in paths)
     images = [read_png(path) for path in paths]
@@ -135,13 +138,13 @@ def test_bridge_when_condition_static(parsl_threads, tmp_path):
     assert not (tmp_path / "maybe.txt").exists()
 
     ran = bridge.run({"go": True, "message": "yes"})
-    assert ran["result"].filepath.endswith("maybe.txt")
-    assert Path(ran["result"].filepath).read_text().strip() == "yes"
+    assert ran["result"]["path"].endswith("maybe.txt")
+    assert Path(ran["result"]["path"]).read_text().strip() == "yes"
 
-    # Every run interprets the graph on an empty value store: the future the
+    # Every run interprets the graph on an empty value store: the value the
     # previous run stored for maybe_echo/output does not leak into this one.
     assert bridge.run({"go": False, "message": "again"})["result"] is None
-    assert Path(ran["result"].filepath).read_text().strip() == "yes"
+    assert Path(ran["result"]["path"]).read_text().strip() == "yes"
 
 
 def test_bridge_missing_workflow_input_reported(cwl_dir, parsl_threads):
@@ -176,14 +179,27 @@ def test_bridge_flattens_nested_subworkflow(cwl_dir, parsl_threads, tmp_path, sm
         "input_image": {"class": "File", "path": small_image},
         "size": 20, "sepia": True, "radius": 1,
     })
-    assert outputs["wrapped"].filepath.endswith("blurred.png")
-    assert read_png(outputs["wrapped"].filepath).shape == (20, 20, 3)
+    assert outputs["wrapped"]["path"].endswith("blurred.png")
+    assert read_png(outputs["wrapped"]["path"]).shape == (20, 20, 3)
 
 
+def _engine_options(engine, tmp_path):
+    if engine == "toil":
+        return {"job_store_dir": str(tmp_path / "jobstore"),
+                "destroy_job_store_on_close": True}
+    if engine.startswith("parsl"):
+        return {"config": repro.thread_config(max_threads=2,
+                                              run_dir=str(tmp_path / "runinfo"))}
+    return {}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scatter", [False, True])
-def test_bridge_refuses_outputs_it_cannot_name_at_submission(parsl_threads, tmp_path, scatter):
-    """A wildcard glob has no file name before the tool ran: a plain step and a
-    scatter shard both say so instead of wiring `None` (or an exit code) through."""
+def test_a_wildcard_glob_step_output_is_what_the_tool_made(engine, scatter, tmp_path,
+                                                           monkeypatch):
+    """A wildcard glob names its file only once the tool ran: a plain step
+    and a scatter shard both give the file the tool made, on every engine."""
+    monkeypatch.chdir(tmp_path)
     step = {
         "run": {"class": "CommandLineTool", "baseCommand": "touch",
                 "inputs": {"name": {"type": "string", "inputBinding": {"position": 1}}},
@@ -192,15 +208,17 @@ def test_bridge_refuses_outputs_it_cannot_name_at_submission(parsl_threads, tmp_
     }
     if scatter:
         step["scatter"] = "name"
-    workflow = load_document({
+    workflow = {
         "cwlVersion": "v1.2", "class": "Workflow",
         "requirements": [{"class": "ScatterFeatureRequirement"}],
         "inputs": {"names": "string[]", "one": "string"},
         "outputs": {"made": {"type": "Any", "outputSource": "make/made"}},
         "steps": {"make": step},
-    })
-    with pytest.raises(WorkflowException, match="'make'.*cannot be predicted at submission"):
-        CWLWorkflowBridge(workflow).run({"names": ["a.txt", "b.txt"], "one": "c.txt"})
+    }
+    made = api.run(workflow, {"names": ["a.txt", "b.txt"], "one": "c.txt"}, engine=engine,
+                   **_engine_options(engine, tmp_path)).outputs["made"]
+    basenames = [value["basename"] for value in made] if scatter else made["basename"]
+    assert basenames == (["a.txt", "b.txt"] if scatter else "c.txt")
 
 
 def _produce_then(consumer: dict) -> dict:
@@ -219,13 +237,11 @@ def _produce_then(consumer: dict) -> dict:
     }
 
 
-@pytest.mark.parametrize("engine", ["reference", "toil", "parsl", "parsl-workflow"])
-def test_a_stream_named_from_a_field_a_future_lacks_fails_instead_of_misnaming(
-        engine, tmp_path, monkeypatch):
-    """A future shows only the fields its path gives, so a stdout name built
-    from the upstream File's `size` cannot be known at submission.  The runners
-    name the file `3.copy` ("hi\\n" is 3 bytes); the Parsl engines must fail the
-    job, naming the stream and both names, rather than write `null.copy`."""
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_stream_named_from_a_field_of_an_upstream_file(engine, tmp_path, monkeypatch):
+    """A stdout name built from the upstream File's `size` is `3.copy`
+    ("hi\\n" is 3 bytes) on every engine: the Parsl engines submit the step
+    with the File the upstream step made, not a future of it."""
     monkeypatch.chdir(tmp_path)
     workflow = _produce_then({
         "class": "CommandLineTool", "baseCommand": "cat",
@@ -233,23 +249,9 @@ def test_a_stream_named_from_a_field_a_future_lacks_fails_instead_of_misnaming(
         "inputs": {"source": {"type": "File", "inputBinding": {"position": 1}}},
         "outputs": {"out": "stdout"}, "stdout": "$(inputs.source.size).copy",
     })
-    options = {}
-    if engine == "toil":
-        options = {"job_store_dir": str(tmp_path / "jobstore"),
-                   "destroy_job_store_on_close": True}
-    elif engine.startswith("parsl"):
-        options = {"config": repro.thread_config(max_threads=2,
-                                                 run_dir=str(tmp_path / "runinfo"))}
-    if not engine.startswith("parsl"):
-        result = api.run(workflow, {}, engine=engine, **options)
-        assert result.outputs["out"]["basename"] == "3.copy"
-        return
-    with pytest.raises(Exception) as excinfo:
-        api.run(workflow, {}, engine=engine, **options)
-    failure = unwrap_failure(excinfo.value)
-    assert isinstance(failure, UnsupportedRequirement)
-    assert "stdout is '3.copy'" in str(failure) and "'null.copy'" in str(failure)
-    assert not (tmp_path / "null.copy").exists()
+    result = api.run(workflow, {}, engine=engine, **_engine_options(engine, tmp_path))
+    assert result.outputs["out"]["basename"] == "3.copy"
+    assert Path(result.outputs["out"]["path"]).read_text() == "hi\n"
 
 
 def test_scatter_shards_with_one_literal_output_name_keep_their_own_outputs(
@@ -268,7 +270,7 @@ def test_scatter_shards_with_one_literal_output_name_keep_their_own_outputs(
             "scatter": "word", "in": {"word": "words"}, "out": ["out"]}},
     })
     outputs = CWLWorkflowBridge(workflow).run({"words": ["a", "b", "c"]})
-    assert [Path(future.filepath).read_text() for future in outputs["said"]] == \
+    assert [Path(value["path"]).read_text() for value in outputs["said"]] == \
         ["a\n", "b\n", "c\n"]
 
 
@@ -302,3 +304,26 @@ def test_a_step_named_dot_dot_runs_inside_the_bridge_root(engine, tmp_path, monk
     assert root.startswith("cwl-run-") and ".." not in below
     assert (base / "canary.txt").read_text() == "canary\n"
     assert (base / "sibling" / "kept.txt").read_text() == "kept\n"
+
+
+def test_the_bridge_collects_on_htex_what_it_collects_on_threads(parsl_htex_local, tmp_path,
+                                                                 monkeypatch):
+    """A process-based executor returns only the exit code, so the bridge
+    collects each step's outputs itself, once, in the node's directory: an
+    ``outputEval`` int and the File of the step submitted with it are what
+    the runners return."""
+    from repro.core import workflow_bridge
+    from tests.conformance.test_unsupported_paths import output_eval_workflow
+
+    collected, collect = [], workflow_bridge.collect_outputs
+
+    def collect_outputs(tool, **kwargs):
+        collected.append(kwargs["outdir"])
+        return collect(tool, **kwargs)
+
+    monkeypatch.setattr(workflow_bridge, "collect_outputs", collect_outputs)
+    outputs = CWLWorkflowBridge(load_document(output_eval_workflow())).run({})
+    assert [os.path.basename(outdir) for outdir in collected] == ["count", "double"]
+    assert outputs["n"] == 42
+    assert Path(outputs["doubled"]["path"]).read_text() == "84\n"
+    assert outputs["doubled"]["path"].endswith(os.path.join("double", "doubled.txt"))

@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.cwl.cow import job_order_view
-from repro.cwl.errors import ExpressionError
 from repro.cwl.expressions.compiler import (
     CompiledEvaluator,
     CompiledTemplate,
@@ -117,19 +116,6 @@ def test_compiled_non_string_passthrough(compiled):
     assert compiled.evaluate(42, CONTEXT) == 42
     assert compiled.evaluate(None, CONTEXT) is None
     assert compiled.evaluate(["$(inputs.word)"], CONTEXT) == ["$(inputs.word)"]
-
-
-def test_js_disabled_error_message_parity():
-    compiled = CompiledEvaluator(js_enabled=False)
-    uncached = ExpressionEvaluator(js_enabled=False)
-    for source in ("$(inputs.word.toUpperCase())", "${ return 1; }"):
-        with pytest.raises(ExpressionError) as compiled_error:
-            compiled.evaluate(source, CONTEXT)
-        with pytest.raises(ExpressionError) as uncached_error:
-            uncached.evaluate(source, CONTEXT)
-        assert str(compiled_error.value) == str(uncached_error.value)
-    # Simple parameter references still work without JS, as the spec requires.
-    assert compiled.evaluate("$(inputs.word)", CONTEXT) == "hello"
 
 
 def test_shared_library_scope_reused():

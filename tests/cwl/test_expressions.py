@@ -126,16 +126,6 @@ def test_brace_function_body():
     assert evaluator.evaluate("${ return inputs.values.length * 2; }", CONTEXT) == 6
 
 
-def test_js_disabled_rejects_complex_expressions():
-    evaluator = ExpressionEvaluator(js_enabled=False)
-    # Simple references still work without InlineJavascriptRequirement.
-    assert evaluator.evaluate("$(inputs.size)", CONTEXT) == 1024
-    with pytest.raises(ExpressionError):
-        evaluator.evaluate("$(inputs.size + 1)", CONTEXT)
-    with pytest.raises(ExpressionError):
-        evaluator.evaluate("${ return 1; }", CONTEXT)
-
-
 def test_expression_lib_available():
     evaluator = ExpressionEvaluator(expression_lib=["function triple(x) { return x * 3; }"])
     assert evaluator.evaluate("$(triple(inputs.size))", CONTEXT) == 3072

@@ -184,3 +184,67 @@ def test_journal_records_every_transition(tmp_path):
     states = node_states(read_journal(str(tmp_path)))
     assert states == {"a": "done", "left": "failed", "right": "done",
                       "sink": "skipped", "island": "done"}
+
+
+# ------------------------------------------------------------ parked nodes
+
+def finished_later(value=None, delay_s=0.02):
+    """A future another thread completes after ``delay_s``."""
+    import concurrent.futures
+    import threading
+
+    future = concurrent.futures.Future()
+    threading.Timer(delay_s, future.set_result, (value,)).start()
+    return future
+
+
+def test_a_parked_node_resumes_on_the_dispatching_thread():
+    """A node that yields a future parks on it; the future's done-callback
+    (on the timer's thread) only queues it, and the dispatch loop resumes
+    it, so every segment of every node runs on one thread."""
+    import threading
+
+    threads = {}
+
+    def execute(node):
+        threads[node.id, "before"] = threading.current_thread()
+        yield finished_later()
+        threads[node.id, "after"] = threading.current_thread()
+
+    scheduler = GraphScheduler(diamond(), execute, parallel=True, max_workers=2)
+    run_guarded(scheduler)
+    assert set(scheduler.states.values()) == {NODE_DONE}
+    assert len(threads) == 10 and len(set(threads.values())) == 1
+    assert scheduler._pool is None  # no node went to the pool
+
+
+def test_after_a_failure_every_parked_node_ends_and_releases_nothing():
+    """Under ``on_error="stop"`` the run raises only once the nodes parked
+    when a sibling failed have run to their end, and those release no
+    successor."""
+    ended, ran = [], []
+
+    def execute(node):
+        ran.append(node.id)
+        future = finished_later(delay_s=0.3 if node.id == "right" else 0.01)
+        yield future
+        if node.id == "left":
+            raise WorkflowException("left exploded")
+        ended.append(node.id)
+
+    scheduler = GraphScheduler(diamond(), execute, parallel=True, max_workers=4)
+    with pytest.raises(WorkflowException, match="left exploded"):
+        run_guarded(scheduler)
+    assert "right" in ended and "sink" not in ran
+    assert scheduler.states["left"] == NODE_FAILED
+
+
+def test_finish_waits_on_a_yielded_future():
+    from repro.utils.continuation import finish
+
+    def continuation():
+        future = finished_later("done")
+        yield future
+        return future.result()
+
+    assert finish(continuation()) == "done"

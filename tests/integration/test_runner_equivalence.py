@@ -47,7 +47,7 @@ def test_parsl_bridge_matches_reference_runner(cwl_dir, tmp_path, pipeline_input
 
     bridge = CWLWorkflowBridge(str(cwl_dir / "image_pipeline.cwl"))
     bridge_out = bridge.run(dict(pipeline_inputs))
-    bridge_image = read_png(bridge_out["final_output"].filepath)
+    bridge_image = read_png(bridge_out["final_output"]["path"])
 
     assert np.array_equal(ref_image, bridge_image)
 
