@@ -21,8 +21,9 @@ registry name             engine
                           (alias ``toil-like``)
 ``parsl``                 :class:`~repro.api.parsl_engines.ParslEngine`:
                           one ``CWLApp`` call per CommandLineTool (what
-                          ``run_tool_with_parsl`` runs) and the workflow
-                          bridge for Workflows (alias ``parsl-cwl``)
+                          ``run_tool_with_parsl`` runs), an ExpressionTool
+                          evaluated inline, and the workflow bridge for
+                          Workflows (alias ``parsl-cwl``)
 ``parsl-workflow``        :class:`~repro.api.parsl_engines.ParslWorkflowEngine`:
                           the bridge only, strict Workflow semantics (alias
                           ``bridge``)

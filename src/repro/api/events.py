@@ -66,12 +66,13 @@ class EventRecorder:
     """Collects job events for one execution, fans them out to hooks and
     writes the matching records to the run's journal.
 
-    Implements the observer protocol duck-typed by
-    :class:`~repro.cwl.runners.base.BaseRunner` and
-    :class:`~repro.core.workflow_bridge.CWLWorkflowBridge`:
-    ``job_started(name) -> token``, ``job_retry(token, attempt, error,
-    delay_s)`` and ``job_finished(token, ok, error, cache, attempt, tool,
-    key, exit_code)``.  One recorder is made per execution, when it starts.
+    Implements the observer protocol that every engine's job routine,
+    :func:`~repro.cwl.runners.base.run_job`, reports to (a
+    :class:`~repro.core.workflow_bridge.CWLWorkflowBridge` takes any
+    object with it as its ``job_observer``): ``job_started(name) -> token``,
+    ``job_retry(token, attempt, error, delay_s)`` and ``job_finished(token,
+    ok, error, cache, attempt, tool, key, exit_code)``.  One recorder is
+    made per execution, when it starts.
     """
 
     def __init__(self, hooks: Optional[ExecutionHooks] = None,

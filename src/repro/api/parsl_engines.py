@@ -7,11 +7,12 @@ construction, not inside the run.
 
 The ``parsl`` engine's tool run is the paper's §III-B runner, which
 :func:`~repro.core.runner.run_tool_with_parsl` and the ``parsl-cwl`` command
-line open, execute and close: one :class:`~repro.core.cwl_app.CWLApp` call in
-the tool's node directory under the run's root, run to its end on the calling
-thread by :func:`~repro.core.workflow_bridge.run_app`, the routine every
-workflow step of the bridge runs too.  So one routine observes and collects
-every ``CWLApp`` call an engine makes.
+line open, execute and close: the runners' job routine,
+:func:`~repro.cwl.runners.base.run_job`, run to its end on the calling
+thread as every bridge step runs, with one
+:class:`~repro.core.cwl_app.CWLApp` call in the tool's node directory under
+the run's root (:func:`~repro.core.workflow_bridge.run_app`) as its
+``run_tool``.  An ExpressionTool is evaluated inline, with no ``AppFuture``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from repro.api.result import ExecutionResult, run_result
 from repro.core.cwl_app import CWLApp, running_jobs
 from repro.core.runner import ensure_kernel
 from repro.core.workflow_bridge import CWLWorkflowBridge, run_app
+from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.journal import run_journalled
+from repro.cwl.runners.base import run_job
 from repro.cwl.runtime import RuntimeContext, context_with_options
-from repro.cwl.schema import CommandLineTool, Workflow
+from repro.cwl.schema import Workflow
+from repro.cwl.validate import ensure_valid
 from repro.parsl.dataflow.dflow import DataFlowKernelLoader
 from repro.utils.continuation import finish
 
@@ -36,8 +40,9 @@ from repro.utils.continuation import finish
 class ParslEngine(Engine):
     """Execute through the paper's Parsl bridge.
 
-    A CommandLineTool is one :class:`CWLApp` call (§III-B); a Workflow goes
-    through the :class:`CWLWorkflowBridge` (the paper's future-work extension).
+    A CommandLineTool is one :class:`CWLApp` call (§III-B), an ExpressionTool
+    is evaluated inline; a Workflow goes through the :class:`CWLWorkflowBridge`
+    (the paper's future-work extension).
     The engine loads a DataFlowKernel from ``config`` on first use — or reuses
     an already-loaded one — and clears it on :meth:`close` only if it loaded
     the kernel itself, so it embeds cleanly in larger Parsl programs.
@@ -106,13 +111,11 @@ class ParslEngine(Engine):
             outputs = bridge.run(job_order)
             return run_result(recorder, context, self.name, outputs, graph=bridge.graph,
                               failures=bridge.failures, node_states=bridge.node_states)
-        if not isinstance(process, CommandLineTool):
-            raise EngineError(
-                f"the {self.name!r} engine cannot run a {type(process).__name__} "
-                "(CommandLineTool or Workflow expected)"
-            )
-        outputs = finish(run_app(CWLApp(process, runtime_context=context), job_order,
-                                 context.node_context(process.job_name), recorder))
+        ensure_valid(process)
+        outputs = finish(run_job(
+            recorder, process, job_order, context.node_context(process.job_name),
+            lambda tool, *args: run_app(CWLApp(tool, runtime_context=context), *args),
+            precompile_process))
         return run_result(recorder, context, self.name, outputs)
 
 

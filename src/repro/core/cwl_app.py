@@ -61,7 +61,7 @@ from repro.parsl.dataflow.futures import AppFuture, DataFuture
 from repro.utils.continuation import finish
 
 __all__ = ["CWLApp", "cwl_tool_command", "cached_bash_executor", "resilient_bash_executor",
-           "report_finished", "running_jobs"]
+           "running_jobs"]
 
 #: The :class:`RuntimeContext` fields a job runs under, sent to the execution
 #: side as ``cwl_<field>`` app kwargs.
@@ -362,49 +362,18 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     the stdout/stderr redirections; without ``cwl_retry_policy`` it makes a
     single call.  A timed-out attempt raises
     :class:`~repro.cwl.errors.JobTimeout` from the launcher itself, as on the
-    runner engines.  Retries are appended to the in-process
-    ``cwl_retry_note`` list for :func:`report_finished`.
+    runner engines.  Each retry is appended to the in-process
+    ``cwl_retry_note`` list as its ``(attempt, error, delay_s)``, which
+    :func:`~repro.core.workflow_bridge.run_app` replays.
     """
     kwargs = dict(kwargs)
     policy = kwargs.pop("cwl_retry_policy", None)
     plan = kwargs.pop("cwl_fault_plan", None)
-    retry_note = kwargs.pop("cwl_retry_note", None)
+    retry_note = kwargs.pop("cwl_retry_note", [])
     job_name = kwargs.get("cwl_job_name") or getattr(func, "__name__", "<tool>")
-
-    def on_retry(attempt_no: int, exc: BaseException, delay: float) -> None:
-        if retry_note is not None:
-            retry_note.append({"attempt": attempt_no, "error": str(exc),
-                               "delay_s": delay})
-
     return execute_with_retries(lambda _n: cached_bash_executor(func, *args, **kwargs),
-                                policy=policy, job=job_name,
-                                fault_plan=plan, on_retry=on_retry)
-
-
-def report_finished(future: Optional[AppFuture], observer: Any, token: Any,
-                    error: Optional[BaseException] = None) -> None:
-    """Report how one ``CWLApp`` invocation ended (``error`` ``None``: it succeeded).
-
-    How :func:`~repro.core.workflow_bridge.run_app` reports every job: each entry
-    of the future's ``cwl_retry_note`` becomes a ``"retry"`` event, then the
-    ``"end"`` event gets the final attempt and, from the ``cwl_cache_note``,
-    the tool, key, cache outcome and exit code, which a journalling observer
-    (:class:`~repro.api.events.EventRecorder`) writes as the ``job`` record.
-    ``future`` is ``None`` when the call failed before submitting.  On
-    process-based executors both notes stay empty: nothing is observed.
-    """
-    if observer is None:
-        return
-    retries = getattr(future, "cwl_retry_note", None) or []
-    for entry in retries:
-        observer.job_retry(token, entry["attempt"], error=entry["error"],
-                           delay_s=entry["delay_s"])
-    note = getattr(future, "cwl_cache_note", None) or {}
-    observer.job_finished(token, ok=error is None,
-                          error=None if error is None else str(error),
-                          cache=note.get("cache"), attempt=len(retries) + 1,
-                          tool=note.get("tool"), key=note.get("key"),
-                          exit_code=note.get("exit_code"))
+                                policy=policy, job=job_name, fault_plan=plan,
+                                on_retry=lambda *retry: retry_note.append(retry))
 
 
 class CWLApp:
@@ -538,11 +507,11 @@ class CWLApp:
 
         # The one place the context is unpacked for the execution side.  An
         # absent option travels as None: no store, no retry policy.  The
-        # notes are filled there and read off the future (report_finished).
+        # notes are filled there and read off the future (run_app).
         context = self.runtime_context
         cache = context.get_job_cache()
-        cache_note: Dict[str, Any] = {"tool": self.tool.id}
-        retry_note: List[Dict[str, Any]] = []
+        cache_note: Dict[str, Any] = {}
+        retry_note: List[tuple] = []
         # The job name every engine gives the tool, so FaultSpecs and backoff
         # schedules see the same job everywhere.
         app_kwargs: Dict[str, Any] = {

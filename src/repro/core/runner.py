@@ -56,8 +56,8 @@ def run_tool_with_parsl(
     Parameters
     ----------
     tool:
-        Path to a CWL CommandLineTool document, or an already-loaded
-        :class:`~repro.cwl.schema.CommandLineTool`.
+        Path to a CWL CommandLineTool or ExpressionTool document, or an
+        already-loaded tool.
     job_order:
         Input values (plain values; ``File`` inputs may be given as paths or
         ``{"class": "File", "path": ...}`` objects).

@@ -10,18 +10,20 @@ The bridge interprets no workflow wiring itself: :meth:`CWLWorkflowBridge.run`
 is the shared :class:`~repro.cwl.workflow.WorkflowEngine` — the one
 implementation of sources, ``linkMerge``, defaults, ``valueFrom``, ``when``,
 ingress/egress, scatter and output collection under all four engines — run
-with ``parallel=True`` and one process runner, :func:`run_app`.  That runner
-submits the step's :class:`~repro.core.cwl_app.CWLApp` with concrete values
-and yields the ``AppFuture``.  The scheduler parks the node on it, without a
-thread waiting, and resumes it on the dispatching thread once the task is
-done: the runner then takes the outputs the job collected in the node's
-directory, ``<root>/<node path>``, reports the job and returns the output
-*values*, which is what the successors are submitted with (a task returns
-its result, and the next task is submitted with that value).  An ``outputEval``, a
-wildcard glob, a scatter over an upstream array and ``$(inputs.f.size)`` of an
-upstream File therefore behave as on the runners.  What stays Parsl's own is
-the ``CWLApp`` call: Parsl's dataflow kernel runs each task, and
-``max_inflight`` caps the parked nodes.
+with ``parallel=True`` and the runners' process runner,
+:func:`~repro.cwl.runners.base.run_job`, which reports every job and
+evaluates an ExpressionTool step inline on the dispatching thread.  What
+stays Parsl's own is the segment that runs a CommandLineTool, :func:`run_app`:
+it submits the step's :class:`~repro.core.cwl_app.CWLApp` with concrete
+values and yields the ``AppFuture``.  The scheduler parks the node on it,
+without a thread waiting, and resumes it on the dispatching thread once the
+task is done: :func:`run_app` then takes the outputs the job collected in
+the node's directory, ``<root>/<node path>``, and returns them as *values*,
+which is what the successors are submitted with (a task returns its result,
+and the next task is submitted with that value).  An ``outputEval``, a
+wildcard glob, a scatter over an upstream array and ``$(inputs.f.size)`` of
+an upstream File therefore behave as on the runners.  Parsl's dataflow
+kernel runs each task, and ``max_inflight`` caps the parked nodes.
 
 :meth:`CWLWorkflowBridge.run` stages the outputs into the context's
 ``outdir`` when it names one, as every engine does.
@@ -36,14 +38,17 @@ import sys
 import threading
 from typing import Any, Dict, Optional, Union
 
-from repro.core.cwl_app import CWLApp, job_order_view, report_finished
+from repro.api.events import EventRecorder
+from repro.core.cwl_app import CWLApp, job_order_view
 from repro.cwl.errors import WorkflowException
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.graph import WorkflowGraph, build_graph
+from repro.cwl.job import JobResult
 from repro.cwl.loader import load_document
 from repro.cwl.outputs import collect_outputs, run_in_root
+from repro.cwl.runners.base import RetryCallback, run_job
 from repro.cwl.runtime import RuntimeContext
-from repro.cwl.schema import CommandLineTool, Process, Workflow
+from repro.cwl.schema import CommandLineTool, Workflow
 from repro.cwl.validate import ensure_valid
 from repro.cwl.workflow import WorkflowEngine
 from repro.parsl.dataflow.dflow import DataFlowKernel
@@ -51,37 +56,35 @@ from repro.utils.continuation import Continuation
 
 
 def run_app(app: CWLApp, job_order: Dict[str, Any], context: RuntimeContext,
-            observer: Optional[Any] = None) -> Continuation[Dict[str, Any]]:
-    """One ``CWLApp`` call of an engine, as a continuation: the job runs in
-    ``context``'s ``job_dir``, and its output object is the value.
+            on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
+    """One ``CWLApp`` call as the continuation of a runner's ``run_tool``
+    (:meth:`~repro.cwl.runners.base.BaseRunner.run_tool`), in ``context``'s
+    ``job_dir``: it submits the call and yields its ``AppFuture``.
 
-    It reports the job start to ``observer``, submits the call and yields
-    its ``AppFuture``.  Resumed once the future is done, it takes the outputs
-    the job collected in its directory, reports how the job ended through
-    :func:`~repro.core.cwl_app.report_finished` and returns the outputs.  A
-    process-based executor returns only the exit code, so there the outputs
-    are collected here, once, in the job's directory.
+    Resumed, it replays each retry the execution side noted through
+    ``on_retry``, a failed job's too, and returns the outputs the job
+    collected in its directory with its cache key, outcome and exit code.
+    A process-based executor notes nothing: there the outputs are collected
+    here, once, and the rest is unknown (``None``).
     """
     tool = app.tool
-    token = observer.job_started(tool.job_name) if observer is not None else None
-    future = None
-    try:
-        future = app(**job_order, _node=context)
-        yield future
-        future.result()
-        outputs = future.cwl_cache_note.get("outputs")
-        if outputs is None:
-            job_dir = context.job_dir
-            outputs = collect_outputs(
-                tool, outdir=job_dir, stdout_path=future.stdout, stderr_path=future.stderr,
-                job_order=job_order_view(tool, job_order),
-                runtime=context.with_resources(tool).runtime_object(job_dir, job_dir),
-                evaluator=precompile_process(tool))
-    except Exception as exc:
-        report_finished(future, observer, token, exc)
-        raise
-    report_finished(future, observer, token)
-    return outputs
+    future = app(**job_order, _node=context)
+    yield future
+    if on_retry is not None:
+        for retry in future.cwl_retry_note:
+            on_retry(*retry)
+    future.result()
+    note = future.cwl_cache_note
+    job_dir = context.job_dir
+    outputs = note.get("outputs")
+    if outputs is None:
+        outputs = collect_outputs(
+            tool, outdir=job_dir, stdout_path=future.stdout, stderr_path=future.stderr,
+            job_order=job_order_view(tool, job_order),
+            runtime=context.with_resources(tool).runtime_object(job_dir, job_dir),
+            evaluator=precompile_process(tool))
+    return JobResult(outputs, note.get("exit_code"), [], job_dir, future.stdout, future.stderr,
+                     cache_hit=note.get("cache") == "hit", cache_key=note.get("key"))
 
 
 class CWLWorkflowBridge:
@@ -115,7 +118,8 @@ class CWLWorkflowBridge:
         self.data_flow_kernel = data_flow_kernel
         #: Optional job observer (duck-typed, see
         #: :class:`repro.api.events.EventRecorder`): told when a step's job
-        #: starts, retried and how it ended.
+        #: starts, retried and how it ended.  Without one, each run reports
+        #: to a recorder of its own, with no hooks and no journal.
         self.job_observer = job_observer
         #: Failed node id → exception, from the last :meth:`run`.
         self.failures: Dict[str, BaseException] = {}
@@ -150,7 +154,9 @@ class CWLWorkflowBridge:
         return run_in_root(self.runtime_context, functools.partial(self._run, job_order))
 
     def _run(self, job_order: Dict[str, Any], context: RuntimeContext) -> Dict[str, Any]:
-        engine = WorkflowEngine(self.workflow, self._run_step, context.child(pipeline=False),
+        run = functools.partial(run_job, self.job_observer or EventRecorder(),
+                                run_tool=self._run_tool, evaluator_for=precompile_process)
+        engine = WorkflowEngine(self.workflow, run, context.child(pipeline=False),
                                 parallel=True, max_workers=context.max_inflight or sys.maxsize)
         engine._graph = self.graph
         try:
@@ -158,21 +164,14 @@ class CWLWorkflowBridge:
         finally:
             self.failures, self.node_states = engine.failures, engine.node_states
 
-    def _run_step(self, process: Process, job_order: Dict[str, Any],
-                  context: RuntimeContext) -> Continuation[Dict[str, Any]]:
-        """The engine's process runner: :func:`run_app` of the step's app."""
-        return (yield from run_app(self._app_for(process), job_order, context, self.job_observer))
-
-    def _app_for(self, process: Process) -> CWLApp:
-        """The :class:`CWLApp` of a resolved step process (one per process object)."""
-        app = self._apps.get(id(process))
+    def _run_tool(self, tool: CommandLineTool, job_order: Dict[str, Any],
+                  context: RuntimeContext,
+                  on_retry: Optional[RetryCallback] = None) -> Continuation[JobResult]:
+        """The bridge's ``run_tool``: :func:`run_app` of the tool's
+        :class:`CWLApp`, one per tool object (which it keeps alive)."""
+        app = self._apps.get(id(tool))
         if app is None:
-            if not isinstance(process, CommandLineTool):
-                raise WorkflowException(
-                    f"{process.job_name!r} ({type(process).__name__}) is not a "
-                    "CommandLineTool; the workflow bridge runs CommandLineTool steps")
-            # The app keeps ``process`` alive, so its id stays unique.
-            app = self._apps[id(process)] = CWLApp(
-                process, data_flow_kernel=self.data_flow_kernel,
+            app = self._apps[id(tool)] = CWLApp(
+                tool, data_flow_kernel=self.data_flow_kernel,
                 runtime_context=self.runtime_context)
-        return app
+        return run_app(app, job_order, context, on_retry)

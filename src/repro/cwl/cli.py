@@ -201,7 +201,8 @@ def _runner_main(prog: str, description: str, engine: str,
     """
     parser = argparse.ArgumentParser(prog=prog, description=description)
     add_engine_args(parser)
-    parser.add_argument("document", help="CWL document (CommandLineTool or Workflow)")
+    parser.add_argument("document",
+                        help="CWL document (CommandLineTool, ExpressionTool or Workflow)")
     parser.add_argument("job_order", nargs="?", help="YAML/JSON job order file")
     parser.add_argument("--outdir", type=os.path.abspath, default=os.curdir,
                         help="directory the output files are staged into "

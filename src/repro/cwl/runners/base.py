@@ -16,7 +16,9 @@ in how they execute individual jobs:
 The Parsl bridge (:mod:`repro.core`) is effectively a third runner and is the
 paper's contribution.
 
-Running a job is a continuation (:mod:`repro.utils.continuation`).  Each
+Every engine runs a job through one continuation, :func:`run_job`
+(:mod:`repro.utils.continuation`), which hands a CommandLineTool to the
+engine's ``run_tool``.  On the runners each
 attempt injects its fault, then is ``CommandLineJob.probe``, then either
 ``CommandLineJob.cached_result`` (a hit, restored without yielding, so in a
 workflow it completes on the dispatching thread) or a yield followed by
@@ -24,9 +26,9 @@ workflow it completes on the dispatching thread) or a yield followed by
 probe is handed on as a value, so each attempt is keyed once.  A probe
 stays on the dispatching thread while it touches metadata only: one
 that would hash large inputs or a large hit's bodies, or copy a hit's files
-across devices, yields first.  The job's start, retries and end go to the
-run's :class:`~repro.api.events.EventRecorder`, with the key and exit code
-its :class:`~repro.cwl.job.JobResult` hands on.
+across devices, yields first.  :func:`run_job` reports the job's start,
+retries and end to the run's :class:`~repro.api.events.EventRecorder`, with
+the key and exit code its :class:`~repro.cwl.job.JobResult` hands on.
 """
 
 from __future__ import annotations
@@ -54,8 +56,58 @@ from repro.utils.continuation import Continuation, finish
 RetryCallback = Callable[[int, BaseException, float], None]
 
 
+def run_job(recorder: EventRecorder, process: Process, job_order: Dict[str, Any],
+            runtime_context: RuntimeContext, run_tool: Callable[..., Continuation[JobResult]],
+            evaluator_for: Callable[[Process], Any]) -> Continuation[Dict[str, Any]]:
+    """Run one tool or expression-tool job, reporting its start, retries and
+    end to ``recorder``: every engine's process runner, bound to the
+    engine's ``run_tool`` (the contract of :meth:`BaseRunner.run_tool`) and
+    ``evaluator_for``.  A continuation: it yields where ``run_tool`` does.
+    An ExpressionTool is evaluated without yielding, so in a workflow it
+    completes on the dispatching thread.
+
+    The end event's cache outcome, key and exit code come back with the
+    tool's :class:`JobResult` (no key: caching was off, or the job's
+    executor could not say); its attempt is one past the last retry this job
+    reported, which holds for a failed job too.
+    """
+    token = recorder.job_started(process.job_name)
+    retried = 0  # the last attempt that failed and was retried
+
+    def on_retry(attempt: int, exc: BaseException, delay_s: float) -> None:
+        nonlocal retried
+        retried = attempt
+        recorder.job_retry(token, attempt, error=str(exc), delay_s=delay_s)
+
+    cache = key = exit_code = None
+    try:
+        if isinstance(process, ExpressionTool):
+            # A workflow's values are coerced already; a tool's job order may
+            # give a File as a bare path.
+            inputs = {k: coerce_file_inputs(v) for k, v in job_order.items()}
+            value = evaluator_for(process).evaluate(process.expression, {
+                "inputs": inputs, "self": None,
+                "runtime": runtime_context.runtime_object("", "")})
+            if not isinstance(value, dict):
+                raise ValidationException(
+                    f"ExpressionTool {process.id!r} expression must evaluate to an "
+                    f"object, got {type(value).__name__}")
+            outputs = {param.id: value.get(param.id) for param in process.outputs}
+        else:
+            result = yield from run_tool(process, job_order, runtime_context, on_retry)
+            outputs, key, exit_code = result.outputs, result.cache_key, result.exit_code
+            if key is not None:
+                cache = "hit" if result.cache_hit else "miss"
+    except Exception as exc:
+        recorder.job_finished(token, ok=False, error=str(exc), attempt=retried + 1)
+        raise
+    recorder.job_finished(token, cache=cache, attempt=retried + 1, tool=process.id,
+                          key=key, exit_code=exit_code)
+    return outputs
+
+
 class BaseRunner(Engine):
-    """Shared runner behaviour: validation, expression-tool handling, dispatch.
+    """Shared runner behaviour: validation, the retry loop, dispatch.
 
     A runner holds only what outlives one execution (its context and backend
     arguments).  Everything a run needs — its event recorder and its
@@ -108,16 +160,13 @@ class BaseRunner(Engine):
         recorder = EventRecorder(hooks, context.journal)
         ensure_valid(process)
         job_order = dict(job_order or {})
-        if isinstance(process, ExpressionTool):
-            # A tool's job and a workflow coerce their job orders themselves.
-            job_order = {k: coerce_file_inputs(v) for k, v in job_order.items()}
-        run_job = functools.partial(self._observed, recorder)
+        run = functools.partial(run_job, recorder, run_tool=self.run_tool,
+                                evaluator_for=self.evaluator_for)
         if not isinstance(process, Workflow):
-            outputs = finish(run_job(process, job_order,
-                                     context.node_context(process.job_name)))
+            outputs = finish(run(process, job_order, context.node_context(process.job_name)))
             return run_result(recorder, context, self.name, outputs)
         workflow = WorkflowEngine(
-            process, process_runner=run_job, runtime_context=context,
+            process, process_runner=run, runtime_context=context,
             parallel=self.parallel, max_workers=self.max_workers,
             evaluator_for=self.evaluator_for)
         outputs = workflow.run(job_order)
@@ -128,45 +177,6 @@ class BaseRunner(Engine):
                           stage_timings=workflow.stage_timings)
 
     # ----------------------------------------------------------------- dispatch
-
-    def _observed(self, recorder: EventRecorder, process: Process,
-                  job_order: Dict[str, Any],
-                  runtime_context: RuntimeContext) -> Continuation[Dict[str, Any]]:
-        """Run one tool or expression-tool job, reporting its start, retries
-        and end to ``recorder`` (the workflow engine's ``process_runner``).
-        A continuation: it yields where the tool's run does.
-
-        The end event's cache outcome, key and exit code come back with the
-        tool's :class:`JobResult`; its attempt is one past the last retry this
-        job reported, which holds for a failed job too.
-        """
-        if not isinstance(process, (CommandLineTool, ExpressionTool)):
-            raise ValidationException(
-                f"cannot run process of type {type(process).__name__}")
-        token = recorder.job_started(process.job_name)
-        retried = 0  # the last attempt that failed and was retried
-
-        def on_retry(attempt: int, exc: BaseException, delay_s: float) -> None:
-            nonlocal retried
-            retried = attempt
-            recorder.job_retry(token, attempt, error=str(exc), delay_s=delay_s)
-
-        cache = key = exit_code = None
-        try:
-            if isinstance(process, ExpressionTool):
-                outputs = self.run_expression_tool(process, job_order, runtime_context)
-            else:
-                result = yield from self.run_tool(process, job_order, runtime_context,
-                                                  on_retry)
-                outputs, key, exit_code = result.outputs, result.cache_key, result.exit_code
-                if runtime_context.job_cache_dir() is not None:
-                    cache = "hit" if result.cache_hit else "miss"
-        except Exception as exc:
-            recorder.job_finished(token, ok=False, error=str(exc), attempt=retried + 1)
-            raise
-        recorder.job_finished(token, cache=cache, attempt=retried + 1, tool=process.id,
-                              key=key, exit_code=exit_code)
-        return outputs
 
     def _with_retries(self, runtime_context: RuntimeContext, tool: CommandLineTool,
                       attempt: Callable[[int], Continuation[JobResult]],
@@ -195,16 +205,3 @@ class BaseRunner(Engine):
         retry through ``on_retry``.  It yields once an attempt misses the job
         cache, before the tool runs; its result says whether it came from the
         cache."""
-
-    def run_expression_tool(self, tool: ExpressionTool, job_order: Dict[str, Any],
-                            runtime_context: RuntimeContext) -> Dict[str, Any]:
-        """Execute an ExpressionTool by evaluating its expression."""
-        evaluator = self.evaluator_for(tool)
-        context = {"inputs": job_order, "self": None,
-                   "runtime": runtime_context.runtime_object("", "")}
-        result = evaluator.evaluate(tool.expression, context)
-        if not isinstance(result, dict):
-            raise ValidationException(
-                f"ExpressionTool {tool.id!r} expression must evaluate to an object, got {type(result).__name__}"
-            )
-        return {param.id: result.get(param.id) for param in tool.outputs}

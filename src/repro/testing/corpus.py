@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.cwl.errors import EXIT_CLASSES, ValidationException
 from repro.utils.yamlio import load_yaml_file
 
-#: Engines that can run a bare CommandLineTool.
+#: Engines that can run a bare tool (CommandLineTool or ExpressionTool).
 TOOL_ENGINES = ("reference", "toil", "parsl")
 #: Engines that can run a complete Workflow.
 WORKFLOW_ENGINES = ("reference", "toil", "parsl", "parsl-workflow")

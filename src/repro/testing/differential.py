@@ -13,9 +13,9 @@ Anything else is a divergence, recorded per configuration on the
 :class:`CaseOutcome`.
 
 Equal outputs do not show that a ``cache=warm`` run replayed anything, so
-warm runs are checked separately: every job of a conforming, successful warm
-run should be a hit on the store its priming run filled, and
-:attr:`ConfigOutcome.warm_misses` counts the jobs that were not.
+warm runs are checked separately: every tool job of a conforming, successful
+warm run should be a hit on the store its priming run filled, and
+:attr:`ConfigOutcome.warm_misses` counts the ``miss`` outcomes.
 
 Configurations with a fault profile (``MatrixConfig.faults``) are compared
 against a *same-profile* reference baseline: the oracle for "engine X under
@@ -50,12 +50,13 @@ class ConfigOutcome:
 
     @property
     def warm_misses(self) -> int:
-        """Jobs of a conforming, successful ``cache=warm`` run that were not
-        restored from the store its priming run filled (0 elsewhere)."""
+        """Tool jobs of a conforming, successful ``cache=warm`` run that
+        missed the store its priming run filled (0 elsewhere).  An
+        ExpressionTool job is never cached, so it is no miss."""
         result = self.run.result
         if self.run.config.cache != "warm" or not self.passed or result is None:
             return 0
-        return result.jobs_run - self.run.cache_hits()
+        return (result.cache_stats or {}).get("misses", 0)
 
     def describe(self) -> Dict[str, Any]:
         description = self.run.describe()

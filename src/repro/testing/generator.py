@@ -8,7 +8,9 @@ given seed — CWL Workflow over a small vocabulary of tools:
   expression (``$(inputs.text.toUpperCase())``),
 * ``write`` — write a string to a file *named by another input*
   (the scatter body: each shard names its file from its own input),
-* ``cat``  — concatenate upstream File outputs.
+* ``cat``  — concatenate upstream File outputs,
+* ``measure`` — an ExpressionTool returning an upstream File's ``size``
+  and ``basename``.
 
 Structure is drawn with bounded width and depth: a source layer of
 echo/upcase steps, optionally a dotproduct scatter, optionally a nested
@@ -17,11 +19,12 @@ steps combining earlier files, optionally a ``when``-guarded sink whose
 guard is a workflow-input boolean.  A final *wiring* pass rewrites some step
 inputs in place — ``valueFrom`` (on its own value, and reading a sibling
 input), a null source with a step-input ``default``, multi-source
-``linkMerge: merge_nested`` / ``merge_flattened`` into an array input; it
-draws last, so a seed's step structure does not depend on it.  Everything
-stays inside the subset all four engines support (no guards over step
-outputs), so the reference engine is a usable oracle for every generated
-case.
+``linkMerge: merge_nested`` / ``merge_flattened`` into an array input.
+Optionally a ``measure`` step reads one of the files last; it and the wiring
+pass draw after the steps above, so a seed's step structure does not depend
+on them.  Everything stays inside the subset all four engines support
+(CommandLineTool and ExpressionTool steps, no guards over step outputs), so
+the reference engine is a usable oracle for every generated case.
 
 Determinism rules (the flakiness guard): every choice flows from one
 ``random.Random(seed)``; step and input names are derived from insertion
@@ -129,6 +132,13 @@ def _cat_list_tool(stdout_name: str) -> Dict[str, Any]:
     tool = _cat_tool(0, stdout_name)
     tool["inputs"] = {"files": {"type": "File[]", "inputBinding": {"position": 1}}}
     return tool
+
+
+def _measure_tool() -> Dict[str, Any]:
+    """An ExpressionTool: the ``size`` and ``basename`` of one File."""
+    return {"class": "ExpressionTool", "inputs": {"f": "File"},
+            "outputs": {"size": "int", "name": "string"},
+            "expression": "${ return {size: inputs.f.size, name: inputs.f.basename}; }"}
 
 
 def _guarded_echo_tool(stdout_name: str) -> Dict[str, Any]:
@@ -324,6 +334,15 @@ def generate_workflow(seed: int, *, max_width: int = 3,
         builder.expose(builder.file_refs[-1], "File")
 
     _vary_wiring(builder, source_steps, scatter_ref)
+
+    # --- optional ExpressionTool step over an earlier file.
+    if rng.random() < 0.5:
+        step_name = builder.add_step(f"s{len(builder.steps)}", {
+            "run": _measure_tool(), "in": {"f": rng.choice(builder.file_refs)},
+            "out": ["size", "name"]})
+        builder.expose(f"{step_name}/size", "int")
+        builder.expose(f"{step_name}/name", "string")
+        builder.features.append("expressionTool")
 
     doc = {
         "cwlVersion": "v1.2",

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.cwl.errors import JobFailure
 from repro.cwl.faults import FaultPlan, FaultSpec
 from repro.cwl.runtime import RuntimeContext
 
@@ -331,3 +332,26 @@ def test_a_glob_is_matched_in_a_job_directory_whose_path_has_brackets(
                                                "outputBinding": {"glob": "made.txt"}}}}
     result = api.run(tool, {}, engine=engine, **backend)
     assert normalise(result.outputs["made"])["contents"] == b"made\n"
+
+
+@pytest.mark.parametrize("engine", TOOL_ENGINES)
+def test_a_failed_job_ends_with_the_same_event_on_every_engine(engine, tmp_path, monkeypatch):
+    """With the job cache on, a tool that exits 3 ends with the event the
+    runners report on every engine: failed, on its first attempt, with no
+    cache outcome (the job stored nothing)."""
+    monkeypatch.chdir(tmp_path)
+    backend = {"basedir": str(tmp_path / "jobs"), "cache_dir": str(tmp_path / "store")}
+    if engine == "toil":
+        backend.update(job_store_dir=str(tmp_path / "jobstore"),
+                       destroy_job_store_on_close=True)
+    if engine == "parsl":
+        backend["config"] = repro.thread_config(
+            max_threads=2, run_dir=str(tmp_path / "runinfo"))
+    events = []
+    hooks = api.ExecutionHooks(on_job_start=events.append, on_job_end=events.append)
+    tool = {"class": "CommandLineTool", "baseCommand": ["sh", "-c", "exit 3"],
+            "inputs": {}, "outputs": {}}
+    with pytest.raises(JobFailure):
+        api.run(tool, {}, engine=engine, hooks=hooks, **backend)
+    assert [(e.kind, e.ok, e.cache, e.attempt) for e in events] == [
+        ("start", True, None, 1), ("end", False, None, 1)]

@@ -21,6 +21,7 @@ import repro
 from repro import api
 from repro.cwl.canonical import canonical_outputs
 from repro.cwl.errors import JobTimeout, unwrap_failure
+from repro.cwl.job import JobResult
 from repro.cwl.loader import load_document
 from repro.cwl.runtime import RuntimeContext
 from repro.testing.generator import generate_workflow
@@ -137,7 +138,7 @@ def test_parsl_bridge_max_inflight_caps_the_parked_steps(tmp_path, monkeypatch):
             unfinished -= 1
         future.set_result(0)
 
-    def run_app(app, job_order, context, observer=None):
+    def run_app(app, job_order, context, on_retry=None):
         nonlocal unfinished, peak
         future = Future()
         with lock:
@@ -146,7 +147,8 @@ def test_parsl_bridge_max_inflight_caps_the_parked_steps(tmp_path, monkeypatch):
         pool.submit(finish, future)
         yield future
         resumed.append(threading.current_thread())
-        return {"out": {"class": "File", "path": os.path.join(context.job_dir, "out.txt")}}
+        out = {"class": "File", "path": os.path.join(context.job_dir, "out.txt")}
+        return JobResult({"out": out}, 0, [], context.job_dir)
 
     echo = {"class": "CommandLineTool", "baseCommand": "echo",
             "inputs": {"after": {"type": "File?"}}, "outputs": {"out": "stdout"},

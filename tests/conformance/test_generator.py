@@ -79,11 +79,25 @@ def test_wiring_features_are_drawn_and_recorded():
             workflow.features.count("valueFrom-sibling")
 
 
+def test_an_expression_tool_step_is_drawn_after_the_others():
+    """The default suite draws ExpressionTool steps, each the workflow's last
+    step, reading a File an earlier step made."""
+    suite = generate_suite(DEFAULT_SUITE_SIZE)
+    drawn = [workflow for workflow in suite if "expressionTool" in workflow.features]
+    assert drawn
+    for workflow in drawn:
+        *earlier, last = workflow.doc["steps"].values()
+        assert last["run"]["class"] == "ExpressionTool"
+        assert last["in"]["f"].split("/")[0] in workflow.doc["steps"]
+        assert all(step["run"]["class"] != "ExpressionTool" for step in earlier)
+
+
 def test_width_and_depth_are_bounded():
     for seed in range(TIER_SEED, TIER_SEED + 30):
         workflow = generate_workflow(seed, max_width=3, max_depth=3)
-        # sources <= 3, scatter <= 1, subworkflow <= 1, cats <= 2, guard <= 1
-        assert len(workflow.doc["steps"]) <= 8
+        # sources <= 3, scatter <= 1, subworkflow <= 1, cats <= 2, guard <= 1,
+        # expression tool <= 1
+        assert len(workflow.doc["steps"]) <= 9
         for step in workflow.doc["steps"].values():
             run = step["run"]
             if run.get("class") == "Workflow":

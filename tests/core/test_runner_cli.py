@@ -182,6 +182,27 @@ def test_parsl_cwl_cli_resolves_only_file_inputs(cwl_dir, config_dir, tmp_path,
     capsys.readouterr()
 
 
+def test_parsl_cwl_cli_runs_an_expression_tool_like_repro_cwltool(config_dir, tmp_path,
+                                                                   capsys):
+    """An ExpressionTool document is a process ``parsl-cwl`` runs, evaluated
+    inline as ``repro-cwltool`` evaluates it: the same output object."""
+    from repro.cwl.cli import cwltool_main
+
+    document = tmp_path / "double.cwl"
+    document.write_text(dump_yaml({
+        "cwlVersion": "v1.2", "class": "ExpressionTool",
+        "requirements": [{"class": "InlineJavascriptRequirement"}],
+        "inputs": {"n": "int"}, "outputs": {"m": "int"},
+        "expression": "${ return {m: inputs.n * 2}; }"}))
+    argv = ["--outdir", str(tmp_path / "out"), "--quiet", str(document), "--n", "21"]
+    printed = []
+    for main in (cwltool_main, parsl_cwl_main):
+        config = [str(config_dir / "local_threads.yml")] if main is parsl_cwl_main else []
+        assert main([*config, *argv]) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    assert printed == [{"m": 42}, {"m": 42}]
+
+
 def test_parsl_cwl_cli_usage_error(capsys):
     assert parsl_cwl_main([]) == 2
     assert "usage" in capsys.readouterr().err

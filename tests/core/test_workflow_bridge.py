@@ -327,3 +327,41 @@ def test_the_bridge_collects_on_htex_what_it_collects_on_threads(parsl_htex_loca
     assert outputs["n"] == 42
     assert Path(outputs["doubled"]["path"]).read_text() == "84\n"
     assert outputs["doubled"]["path"].endswith(os.path.join("double", "doubled.txt"))
+
+
+def test_a_bridge_without_an_observer_evaluates_an_expression_tool_step_inline(
+        parsl_threads, monkeypatch):
+    """A bridge given no ``job_observer`` still runs every job through the
+    runners' job routine, reporting to a recorder of its own: the
+    ExpressionTool step is evaluated on the thread that runs the bridge, with
+    no ``CWLApp`` call, and its int is what the next step is submitted with."""
+    import threading
+
+    from repro.api.events import EventRecorder
+    from repro.core.cwl_app import CWLApp
+    from repro.testing.corpus import load_case
+
+    case = load_case(Path(__file__).parents[2] / "conformance" / "corpus"
+                     / "wf_expression_tool_feeds_step.yaml")
+    called, finished = [], []
+    app_call, job_finished = CWLApp.__call__, EventRecorder.job_finished
+
+    def spy_call(app, **kwargs):
+        called.append(app.tool.base_command)
+        return app_call(app, **kwargs)
+
+    def spy_finished(recorder, token, **kwargs):
+        finished.append((kwargs.get("ok", True), kwargs.get("exit_code"),
+                         threading.current_thread()))
+        return job_finished(recorder, token, **kwargs)
+
+    monkeypatch.setattr(CWLApp, "__call__", spy_call)
+    monkeypatch.setattr(EventRecorder, "job_finished", spy_finished)
+    bridge = CWLWorkflowBridge(load_document(dict(case.process)))
+    assert bridge.job_observer is None
+    outputs = bridge.run(dict(case.job))
+    assert Path(outputs["said"]["path"]).read_text() == "42\n"
+    assert called == [["echo"]]
+    # ``double`` (no exit code: nothing ran), then ``say``.
+    assert finished == [(True, None, threading.current_thread()),
+                        (True, 0, threading.current_thread())]
