@@ -12,23 +12,27 @@ already-loaded tool).  Calling it looks exactly like calling a Parsl app:
 What happens underneath, following the paper:
 
 * the CWL definition supplies the input/output schema — inputs become keyword
-  arguments, ``File``-typed inputs are converted to Parsl ``File`` objects (or
-  accepted as ``DataFuture`` s from upstream apps, which is what lets CWLApps be
-  chained without waiting),
+  arguments, ``File``-typed inputs given as paths are converted to Parsl
+  ``File`` objects (or accepted as ``DataFuture`` s from upstream apps, which
+  is what lets CWLApps be chained without waiting),
 * on the execution side, after upstream DataFutures have resolved, the call
   is one attempt of the runners' :class:`~repro.cwl.job.CommandLineJob`: the
   job-cache probe, then the hit restored or the tool's argv spawned with no
-  shell, in the job's output directory: its node's directory under the
-  run's root (a bridge step, or a tool run on an engine), where its files
-  stay, else its worker thread's, whose files are then moved or copied to
-  where the call named them,
+  shell, in its worker thread's directory, whose files are then moved or
+  copied to where the call named them,
 * ``stdout`` / ``stderr`` and every output whose evaluated glob has no
   wildcard become ``DataFuture`` s on the returned ``AppFuture``
   (``future.outputs``), named at submission by the runners' own rules on
   :func:`job_order_view`; a stream the job then names differently fails it,
+  and the future's value is the tool's exit code,
 * if the tool carries an ``InlinePythonRequirement``, its per-input ``validate:``
   expressions run before the command executes and its expression library is
   available to ``arguments`` entries written in the paper's f-string syntax.
+
+A run's node (a workflow step, or a tool run on an engine) passes ``_node=``:
+its CWL job order is submitted as it is, the job runs in the node's
+directory, where its files stay, and the task's value is the job's
+:class:`~repro.cwl.job.JobResult`, retries included.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import os
 import shutil
 import stat
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.inline_python import InlinePythonEvaluator, extract_inline_python, is_python_expression
 from repro.cwl.command_line import fill_in_defaults, stream_redirect
@@ -105,9 +109,10 @@ def cwl_tool_command(tool_raw: Dict[str, Any], source_path: Optional[str],
     :class:`~repro.cwl.job.CommandLineJob`, which :func:`cached_bash_executor`
     runs.
 
-    Receives the raw tool document plus the resolved CWL input values (Parsl
-    has already replaced DataFutures with Files by the time this runs),
-    rebuilds the tool model and makes the job of :func:`job_order_view`.  Its
+    Receives the raw tool document plus the call's input values (a run's
+    CWL job order as it is, or a direct call's, whose DataFutures Parsl has
+    replaced with Files by the time this runs), rebuilds the tool model and
+    makes the job of :func:`job_order_view`.  Its
     context carries the caller's cores, RAM, environment, timeout, job
     directories and job cache (``cwl_cores`` ... ``cwl_cache_dir``,
     ``cwl_job_dir``) and the spawn environment of the run the call belongs
@@ -212,15 +217,14 @@ def to_cwl_value(value: Any, stats: Optional[Dict[str, os.stat_result]] = None) 
 
 def _to_parsl_value(value: Any, wants_file: bool) -> Any:
     """A call's input value as a ``CWLApp`` passes it on: in a File-typed
-    input, a path or File value becomes a Parsl :class:`File`."""
+    input, a path becomes a Parsl :class:`File`; a CWL File value stays
+    what it is, with every field it has."""
     if isinstance(value, (DataFuture, File)):
         return value
     if isinstance(value, list):
         return [_to_parsl_value(item, wants_file) for item in value]
     if wants_file and isinstance(value, (str, os.PathLike)):
         return File(os.fspath(value))
-    if wants_file and isinstance(value, dict) and value.get("class") == "File":
-        return File(value.get("path") or value.get("location", ""))
     return value
 
 
@@ -248,31 +252,25 @@ def _job_runtime(context: RuntimeContext, tool: CommandLineTool,
     return context.with_resources(tool).runtime_object(outdir, outdir)
 
 
-def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
+def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> JobResult:
     """Run one ``CWLApp`` invocation: one attempt of its
-    :class:`~repro.cwl.job.CommandLineJob`, as on the runner engines.
+    :class:`~repro.cwl.job.CommandLineJob`, as on the runner engines, whose
+    :class:`~repro.cwl.job.JobResult` it returns.
 
-    The app body (:func:`cwl_tool_command`) makes the job; its probe's key
-    and outcome go into ``cwl_cache_note``.  A hit is restored, a miss runs
-    the tool and is stored, both in the job's output directory; a stream named
-    at submission (``cwl_streams``) must be the one the job names.  Unless
-    the call named that directory (``cwl_job_dir``), the job's files are then
-    put where the call named them (:func:`_deliver`), those of a failed or
-    timed-out run too before its error propagates.  Every declared output
-    must then exist; the exit code (on a hit, the recorded one) is returned
-    and noted, and so are the job's collected outputs when its files stay
-    in the directory the call named.
+    The app body (:func:`cwl_tool_command`) makes the job.  A hit is
+    restored, a miss runs the tool and is stored, both in the job's output
+    directory; a stream named at submission (``cwl_streams``) must be the
+    one the job names.  Unless the call named that directory
+    (``cwl_job_dir``), the job's files are then put where the call named
+    them (:func:`_deliver`), those of a failed or timed-out run too before
+    its error propagates, and every declared output must then exist.
     """
     stdout_spec = kwargs.get("stdout")
     stderr_spec = kwargs.get("stderr")
-    cache_note = kwargs.setdefault("cwl_cache_note", {})
-
     job = func(*args, **kwargs)
     deliver = kwargs.get("cwl_job_dir") is None
     try:
         probe = finish(job.probe())
-        if probe.key is not None:
-            cache_note.update(key=probe.key, cache="miss" if probe.entry is None else "hit")
         result = job.cached_result(probe) or job.execute(probe)
         _check_streams(job, result, kwargs.get("cwl_streams") or {})
         if deliver:
@@ -284,11 +282,8 @@ def cached_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     finally:
         if _JOBS_PID != os.getpid():
             job.runtime_context.close()
-    cache_note["exit_code"] = result.exit_code
-    if not deliver:
-        cache_note["outputs"] = result.outputs
     check_outputs(getattr(func, "__name__", "bash_app"), kwargs.get("outputs") or [])
-    return result.exit_code
+    return result
 
 
 def _check_streams(job: CommandLineJob, result: JobResult, submitted: Dict[str, Any]) -> None:
@@ -351,7 +346,7 @@ def _moved(path: str, destination: str) -> bool:
         return False  # another device or a missing parent
 
 
-def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
+def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> Union[JobResult, int]:
     """The executor every ``CWLApp`` invocation is submitted through: retries
     and fault injection around :func:`cached_bash_executor`.
 
@@ -362,18 +357,27 @@ def resilient_bash_executor(func: Any, *args: Any, **kwargs: Any) -> int:
     the stdout/stderr redirections; without ``cwl_retry_policy`` it makes a
     single call.  A timed-out attempt raises
     :class:`~repro.cwl.errors.JobTimeout` from the launcher itself, as on the
-    runner engines.  Each retry is appended to the in-process
-    ``cwl_retry_note`` list as its ``(attempt, error, delay_s)``, which
-    :func:`~repro.core.workflow_bridge.run_app` replays.
+    runner engines.  Each retry is kept as ``(attempt, str(error), delay_s)``
+    in the ``retries`` of the job's result, or of the error that ends the
+    call, which :func:`~repro.core.workflow_bridge.run_app` replays.  The
+    value is that result when the call names its job's directory
+    (``cwl_job_dir``, a run's node), else its exit code.
     """
     kwargs = dict(kwargs)
     policy = kwargs.pop("cwl_retry_policy", None)
     plan = kwargs.pop("cwl_fault_plan", None)
-    retry_note = kwargs.pop("cwl_retry_note", [])
     job_name = kwargs.get("cwl_job_name") or getattr(func, "__name__", "<tool>")
-    return execute_with_retries(lambda _n: cached_bash_executor(func, *args, **kwargs),
-                                policy=policy, job=job_name, fault_plan=plan,
-                                on_retry=lambda *retry: retry_note.append(retry))
+    retries: List[Tuple[int, str, float]] = []
+    try:
+        result = execute_with_retries(
+            lambda _n: cached_bash_executor(func, *args, **kwargs), policy=policy,
+            job=job_name, fault_plan=plan,
+            on_retry=lambda attempt, exc, delay_s: retries.append((attempt, str(exc), delay_s)))
+    except Exception as exc:
+        exc.retries = tuple(retries)  # type: ignore[attr-defined]
+        raise
+    result.retries = tuple(retries)
+    return result if kwargs.get("cwl_job_dir") is not None else result.exit_code
 
 
 class CWLApp:
@@ -457,10 +461,10 @@ class CWLApp:
 
         Keyword arguments are the tool's declared inputs; additionally the Parsl
         conventions ``stdout=``, ``stderr=`` override the tool's redirections
-        and any unknown keyword raises immediately; the private ``_node=``
-        context of a run's node gives the job its directory (its
-        ``job_dir``), which the call's file names and ``runtime.outdir`` are
-        then under, and its run's spawn environment.  Whatever the options, the
+        and any unknown keyword raises immediately; given the private
+        ``_node=`` context of a run's node, the call is that node's job (see
+        the module docstring), run in its ``job_dir`` with its run's spawn
+        environment.  Whatever the options, the
         app is submitted through one chain: :func:`resilient_bash_executor` →
         :func:`cached_bash_executor` → :func:`cwl_tool_command`, one
         :class:`~repro.cwl.job.CommandLineJob` attempt per try.
@@ -469,7 +473,6 @@ class CWLApp:
 
         overrides = {stream: kwargs.pop(stream, None) for stream in ("stdout", "stderr")}
         node = kwargs.pop("_node", None)
-        job_dir = node.job_dir if node is not None else None
 
         unknown = [key for key in kwargs if key not in self._declared]
         if unknown:
@@ -483,48 +486,30 @@ class CWLApp:
                 f"missing required input(s) {sorted(missing)} for CWL tool {self.__name__!r}"
             )
 
-        # Convert values: File-typed inputs given as paths become Parsl Files;
-        # DataFutures and Files pass straight through (dependencies / staging).
-        cwl_inputs = {param.id: _to_parsl_value(kwargs[param.id], param.type.is_file)
-                      for param in self.tool.inputs if param.id in kwargs}
-        self._validate_concrete_inputs(cwl_inputs)
-
-        # The call's files are named here, by the rules the job follows, so
-        # that they can be DataFutures; the job checks the streams it was not
-        # given (``cwl_streams``).
-        names_context = {"inputs": {}, "runtime": {}, "self": None}
-        if self._names_are_expressions:
-            names_context.update(inputs=job_order_view(self.tool, cwl_inputs),
-                                 runtime=_job_runtime(self.runtime_context, self.tool, job_dir))
-        evaluator = precompile_process(self.tool)
-        streams = {stream: stream_redirect(self.tool, stream, names_context, evaluator)
-                   for stream, override in overrides.items() if not override}
-        directory = job_dir or ""
-        redirects = {**overrides, **{stream: name and os.path.join(directory, name)
-                                     for stream, name in streams.items()}}
-        named_outputs = self._output_files(names_context, evaluator, redirects, directory)
-        output_files = [file_obj for _name, file_obj in named_outputs]
-
         # The one place the context is unpacked for the execution side.  An
-        # absent option travels as None: no store, no retry policy.  The
-        # notes are filled there and read off the future (run_app).
+        # absent option travels as None: no store, no retry policy.
         context = self.runtime_context
         cache = context.get_job_cache()
-        cache_note: Dict[str, Any] = {}
-        retry_note: List[tuple] = []
         # The job name every engine gives the tool, so FaultSpecs and backoff
         # schedules see the same job everywhere.
         app_kwargs: Dict[str, Any] = {
-            "cwl_inputs": cwl_inputs, "cwl_job_name": self.tool.job_name,
-            "cwl_cache_dir": cache.cache_dir if cache is not None else None,
-            "cwl_cache_note": cache_note, "cwl_retry_note": retry_note,
-            "cwl_streams": streams, "cwl_job_dir": job_dir,
-            "cwl_run_environment": node.run_environment if node is not None else None}
+            "cwl_job_name": self.tool.job_name,
+            "cwl_cache_dir": cache.cache_dir if cache is not None else None}
         for name in (*_CONTEXT_FIELDS, "retry_policy", "fault_plan"):
             app_kwargs[f"cwl_{name}"] = getattr(context, name)
-        app_kwargs.update((stream, path) for stream, path in redirects.items() if path)
-        if output_files:
-            app_kwargs["outputs"] = output_files
+        named_outputs: List[tuple] = []
+        if node is not None:
+            self._validate_concrete_inputs(kwargs)
+            app_kwargs.update(cwl_inputs=kwargs, cwl_job_dir=node.job_dir,
+                              cwl_run_environment=node.run_environment)
+        else:
+            # File-typed inputs given as paths become Parsl Files; DataFutures
+            # and Files pass straight through (dependencies / staging).
+            cwl_inputs = {param.id: _to_parsl_value(kwargs[param.id], param.type.is_file)
+                          for param in self.tool.inputs if param.id in kwargs}
+            self._validate_concrete_inputs(cwl_inputs)
+            named_outputs = self._named_files(cwl_inputs, overrides, app_kwargs)
+            app_kwargs["cwl_inputs"] = cwl_inputs
 
         _open_jobs(dfk)
 
@@ -535,14 +520,13 @@ class CWLApp:
             app_type="bash",
             executor_label=self.executor_label,
         )
-        # Attach a name -> DataFuture mapping so callers can look up outputs
-        # by their CWL output id rather than index.
-        named: Dict[str, DataFuture] = {}
-        for (name, _file_obj), data_future in zip(named_outputs, future.outputs):
-            named.setdefault(name, data_future)
-        future.cwl_outputs = named  # type: ignore[attr-defined]
-        future.cwl_cache_note = cache_note  # type: ignore[attr-defined]
-        future.cwl_retry_note = retry_note  # type: ignore[attr-defined]
+        if node is None:
+            # Attach a name -> DataFuture mapping so callers can look up
+            # outputs by their CWL output id rather than index.
+            named: Dict[str, DataFuture] = {}
+            for (name, _file_obj), data_future in zip(named_outputs, future.outputs):
+                named.setdefault(name, data_future)
+            future.cwl_outputs = named  # type: ignore[attr-defined]
         return future
 
     # ----------------------------------------------------------------- helpers
@@ -564,19 +548,33 @@ class CWLApp:
                     f"input {param.id!r} value {value!r} does not match declared type {param.type}"
                 )
 
-    def _output_files(self, context: Dict[str, Any], evaluator: Any,
-                      redirects: Dict[str, Optional[str]], directory: str) -> List[tuple]:
-        """``(output_id, File)`` for every output file named before the job
-        runs: each stream output's redirection, each wildcard-free glob
-        (under ``directory``)."""
+    def _named_files(self, cwl_inputs: Dict[str, Any], overrides: Dict[str, Any],
+                     app_kwargs: Dict[str, Any]) -> List[tuple]:
+        """Name a direct call's files in ``app_kwargs`` by the rules the job
+        follows, so that they can be DataFutures: its redirections (those
+        not overridden also as ``cwl_streams``, which the job checks) and
+        ``outputs``, ``(output_id, File)`` for each stream output and each
+        wildcard-free glob, which are returned."""
+        context = {"inputs": {}, "runtime": {}, "self": None}
+        if self._names_are_expressions:
+            context.update(inputs=job_order_view(self.tool, cwl_inputs),
+                           runtime=_job_runtime(self.runtime_context, self.tool, None))
+        evaluator = precompile_process(self.tool)
+        streams = {stream: stream_redirect(self.tool, stream, context, evaluator)
+                   for stream, override in overrides.items() if not override}
+        redirects = {**overrides, **streams}
         named: List[tuple] = []
         for param in self.tool.outputs:
             if param.raw_type in redirects:
                 named.append((param.id, File(redirects[param.raw_type])))
             elif param.output_binding is not None and param.output_binding.glob is not None:
                 patterns = evaluated_patterns(param.output_binding.glob, evaluator, context)
-                named.extend((param.id, File(os.path.join(directory, pattern)))
+                named.extend((param.id, File(pattern))
                              for pattern in patterns if not any(ch in pattern for ch in "*?["))
+        app_kwargs["cwl_streams"] = streams
+        app_kwargs.update((stream, path) for stream, path in redirects.items() if path)
+        if named:
+            app_kwargs["outputs"] = [file_obj for _name, file_obj in named]
         return named
 
     def __repr__(self) -> str:

@@ -14,16 +14,19 @@ with ``parallel=True`` and the runners' process runner,
 :func:`~repro.cwl.runners.base.run_job`, which reports every job and
 evaluates an ExpressionTool step inline on the dispatching thread.  What
 stays Parsl's own is the segment that runs a CommandLineTool, :func:`run_app`:
-it submits the step's :class:`~repro.core.cwl_app.CWLApp` with concrete
-values and yields the ``AppFuture``.  The scheduler parks the node on it,
-without a thread waiting, and resumes it on the dispatching thread once the
-task is done: :func:`run_app` then takes the outputs the job collected in
-the node's directory, ``<root>/<node path>``, and returns them as *values*,
-which is what the successors are submitted with (a task returns its result,
-and the next task is submitted with that value).  An ``outputEval``, a
-wildcard glob, a scatter over an upstream array and ``$(inputs.f.size)`` of
-an upstream File therefore behave as on the runners.  Parsl's dataflow
-kernel runs each task, and ``max_inflight`` caps the parked nodes.
+it submits the step's :class:`~repro.core.cwl_app.CWLApp` with the step's
+CWL job order as it is and yields the ``AppFuture``.  The scheduler parks
+the node on it, without a thread waiting, and resumes it on the dispatching
+thread once the task is done.  The task's value is the job's
+:class:`~repro.cwl.job.JobResult`: the outputs it collected in the node's
+directory, ``<root>/<node path>``, its cache key and outcome, and its
+retries, which :func:`run_app` replays.  The outputs are *values*, which is
+what the successors are submitted with (a task returns its result, and the
+next task is submitted with that value), on a thread pool and across a
+process boundary alike.  An ``outputEval``, a wildcard glob, a scatter over
+an upstream array, ``$(inputs.f.size)`` of an upstream File and the
+``format`` of an input File therefore behave as on the runners.  Parsl's
+dataflow kernel runs each task, and ``max_inflight`` caps the parked nodes.
 
 :meth:`CWLWorkflowBridge.run` stages the outputs into the context's
 ``outdir`` when it names one, as every engine does.
@@ -39,13 +42,13 @@ import threading
 from typing import Any, Dict, Optional, Union
 
 from repro.api.events import EventRecorder
-from repro.core.cwl_app import CWLApp, job_order_view
+from repro.core.cwl_app import CWLApp
 from repro.cwl.errors import WorkflowException
 from repro.cwl.expressions.compiler import precompile_process
 from repro.cwl.graph import WorkflowGraph, build_graph
 from repro.cwl.job import JobResult
 from repro.cwl.loader import load_document
-from repro.cwl.outputs import collect_outputs, run_in_root
+from repro.cwl.outputs import run_in_root
 from repro.cwl.runners.base import RetryCallback, run_job
 from repro.cwl.runtime import RuntimeContext
 from repro.cwl.schema import CommandLineTool, Workflow
@@ -61,30 +64,19 @@ def run_app(app: CWLApp, job_order: Dict[str, Any], context: RuntimeContext,
     (:meth:`~repro.cwl.runners.base.BaseRunner.run_tool`), in ``context``'s
     ``job_dir``: it submits the call and yields its ``AppFuture``.
 
-    Resumed, it replays each retry the execution side noted through
-    ``on_retry``, a failed job's too, and returns the outputs the job
-    collected in its directory with its cache key, outcome and exit code.
-    A process-based executor notes nothing: there the outputs are collected
-    here, once, and the rest is unknown (``None``).
+    Resumed, it replays through ``on_retry`` each retry the execution side
+    made, carried by the task's value or its error, and returns that value:
+    the job's :class:`~repro.cwl.job.JobResult`, with the outputs it
+    collected in its directory, its cache key, outcome and exit code.
     """
-    tool = app.tool
     future = app(**job_order, _node=context)
     yield future
+    error = future.exception()
     if on_retry is not None:
-        for retry in future.cwl_retry_note:
+        retries = future.result().retries if error is None else getattr(error, "retries", ())
+        for retry in retries:
             on_retry(*retry)
-    future.result()
-    note = future.cwl_cache_note
-    job_dir = context.job_dir
-    outputs = note.get("outputs")
-    if outputs is None:
-        outputs = collect_outputs(
-            tool, outdir=job_dir, stdout_path=future.stdout, stderr_path=future.stderr,
-            job_order=job_order_view(tool, job_order),
-            runtime=context.with_resources(tool).runtime_object(job_dir, job_dir),
-            evaluator=precompile_process(tool))
-    return JobResult(outputs, note.get("exit_code"), [], job_dir, future.stdout, future.stderr,
-                     cache_hit=note.get("cache") == "hit", cache_key=note.get("key"))
+    return future.result()
 
 
 class CWLWorkflowBridge:

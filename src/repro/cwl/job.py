@@ -55,6 +55,10 @@ class JobResult:
     #: The job's cache key (``None`` when caching is off), which the runner
     #: reports with the job's end.
     cache_key: Optional[str] = None
+    #: ``(attempt, str(error), delay_s)`` of each retry made before this
+    #: result where the job ran, for the submitting side to report (a Parsl
+    #: task's; :func:`repro.core.workflow_bridge.run_app`).
+    retries: Tuple[Tuple[int, str, float], ...] = ()
 
 
 @dataclass

@@ -6,7 +6,9 @@ derived from
 * the canonicalized tool document (which covers ``baseCommand``,
   ``arguments``, every binding, the output spec and the requirements),
 * the canonicalized job order, with every input ``File`` / ``Directory``
-  replaced by its *content* fingerprint (path-independent),
+  replaced by its basename and *content* fingerprint (path-independent),
+  and a File's ``format`` and ``secondaryFiles`` (their content too) when
+  it has them,
 * the runtime context's extra environment variables, and
 * the granted ``$(runtime.cores)`` / ``$(runtime.ram)`` resources.
 
@@ -296,6 +298,7 @@ def stat_inputs(job_order: Any,
             if cls == "File":
                 if path:
                     add(path)
+                visit(value.get("secondaryFiles"))
             elif cls == "Directory":
                 if not path or path in stats:
                     return
@@ -411,6 +414,8 @@ def input_identities(job_order: Any,
             if cls in ("File", "Directory"):
                 path = value.get("path")
                 stat = stats.get(path) if path else None
+                if cls == "File":
+                    visit(value.get("secondaryFiles"))
                 if stat is None or path in identities:
                     return
                 if cls == "File":
@@ -429,7 +434,9 @@ def input_identities(job_order: Any,
 
 
 def _canonical_value(value: Any, identities: Dict[str, str]) -> Any:
-    """Replace File/Directory values with content identities, recursively."""
+    """Replace File/Directory values with content identities, recursively.
+    A File's ``format`` and ``secondaryFiles`` follow its identity when it
+    has them."""
     if isinstance(value, dict):
         cls = value.get("class")
         if cls == "File":
@@ -442,7 +449,9 @@ def _canonical_value(value: Any, identities: Dict[str, str]) -> Any:
                     identity = hash_obj(value["contents"], algorithm="sha1")
                 else:
                     identity = f"missing:{path!r}"
-            return ("File", value.get("basename") or os.path.basename(path or ""), identity)
+            return ("File", value.get("basename") or os.path.basename(path or ""), identity,
+                    *((field, _canonical_value(value[field], identities))
+                      for field in ("format", "secondaryFiles") if value.get(field)))
         if cls == "Directory":
             path = value.get("path")
             identity = (identities.get(path) if path else None) or f"missing:{path!r}"
@@ -499,7 +508,7 @@ def canonical_command(argv: List[str], stdin: Optional[str], stdout: Optional[st
             cls = value.get("class")
             path = value.get("path")
             if cls in ("File", "Directory") and path:
-                identity = _canonical_value(value, identities)[-1]
+                identity = _canonical_value(value, identities)[2]
                 substitutions.append((str(path), f"$INPUT[{identity}]"))
                 return
             for item in value.values():

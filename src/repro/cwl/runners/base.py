@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from abc import abstractmethod
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.api.engine import Engine
 from repro.api.events import EventRecorder, ExecutionHooks
@@ -52,8 +52,9 @@ from repro.cwl.validate import ensure_valid
 from repro.cwl.workflow import WorkflowEngine
 from repro.utils.continuation import Continuation, finish
 
-#: ``on_retry(attempt, exc, delay_s)``, as :func:`retrying` calls it.
-RetryCallback = Callable[[int, BaseException, float], None]
+#: ``on_retry(attempt, exc, delay_s)``, as :func:`retrying` calls it; ``exc``
+#: is the error's text when the retry was made in another process.
+RetryCallback = Callable[[int, Union[BaseException, str], float], None]
 
 
 def run_job(recorder: EventRecorder, process: Process, job_order: Dict[str, Any],
@@ -74,7 +75,7 @@ def run_job(recorder: EventRecorder, process: Process, job_order: Dict[str, Any]
     token = recorder.job_started(process.job_name)
     retried = 0  # the last attempt that failed and was retried
 
-    def on_retry(attempt: int, exc: BaseException, delay_s: float) -> None:
+    def on_retry(attempt: int, exc: Union[BaseException, str], delay_s: float) -> None:
         nonlocal retried
         retried = attempt
         recorder.job_retry(token, attempt, error=str(exc), delay_s=delay_s)

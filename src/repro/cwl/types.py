@@ -258,12 +258,11 @@ def build_directory_value(path: str, listing: bool = False) -> Dict[str, Any]:
 
 def coerce_file_inputs(value: Any,
                        stats: Optional[Dict[str, os.stat_result]] = None) -> Any:
-    """Recursively convert plain path strings in File positions into File values.
-
-    Used when a job order supplies ``input_image: /path/to.png`` rather than a
-    full ``{"class": "File", "path": ...}`` object (both are accepted by CWL
-    runners in practice).  The ``os.stat`` of each File it builds goes into
-    ``stats`` (:func:`build_file_value`).
+    """Complete each File or Directory value given by its ``path`` alone
+    (no ``basename``), through lists, keeping every field it had; any other
+    value, a plain path string included, is returned as it is.  The
+    ``os.stat`` of each File it builds goes into ``stats``
+    (:func:`build_file_value`).
     """
     if isinstance(value, dict) and value.get("class") in ("File", "Directory"):
         if "path" in value and "basename" not in value:

@@ -200,14 +200,8 @@ class DataFlowKernel:
         return self.executors[label]
 
     def _sanitize_arguments(self, record: TaskRecord) -> Tuple[Tuple, Dict[str, Any]]:
-        """Replace futures in the arguments with their concrete values.
-
-        Identity-preserving: containers holding no futures pass through as
-        the caller's objects rather than copies — callers may legitimately
-        share a mutable argument with the execution side (e.g. the CWL job
-        cache's per-call outcome note), and rebuilding untouched containers
-        was wasted work anyway.
-        """
+        """Replace futures in the arguments with their concrete values (a
+        DataFuture with its File), through lists, tuples and dicts."""
 
         def resolve(value: Any) -> Any:
             if isinstance(value, DataFuture):
@@ -215,16 +209,11 @@ class DataFlowKernel:
             if isinstance(value, Future):
                 return value.result()
             if isinstance(value, list):
-                resolved = [resolve(v) for v in value]
-                return value if all(n is o for n, o in zip(resolved, value)) else resolved
+                return [resolve(v) for v in value]
             if isinstance(value, tuple):
-                resolved_items = [resolve(v) for v in value]
-                return value if all(n is o for n, o in zip(resolved_items, value)) \
-                    else tuple(resolved_items)
+                return tuple(resolve(v) for v in value)
             if isinstance(value, dict):
-                resolved_map = {k: resolve(v) for k, v in value.items()}
-                return value if all(resolved_map[k] is v for k, v in value.items()) \
-                    else resolved_map
+                return {k: resolve(v) for k, v in value.items()}
             return value
 
         args = tuple(resolve(a) for a in record.args)

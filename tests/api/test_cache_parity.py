@@ -171,7 +171,7 @@ def test_a_hit_on_a_cwl_app_entry_names_files_as_a_run_does(tmp_path, monkeypatc
         assert future.result() == 0
     finally:
         repro.clear()
-    assert future.cwl_cache_note["cache"] == "miss"
+    assert len(os.listdir(store / "entries")) == 1  # the miss stored its entry
     assert (app_cwd / "mine.txt").read_text() == "One Key\n"
 
     order = {"message": "one key"}
@@ -223,6 +223,54 @@ def test_invalidates_when_input_file_content_changes(tmp_path, monkeypatch):
     third = run_once("toil", cat_tool(), order, store, tmp_path / "r3", monkeypatch)
     assert third.cache_stats == {"hits": 1, "misses": 0}
     assert file_bytes(third.outputs["out"]) == b"first contents\n"
+
+
+@pytest.mark.parametrize("engine", ["reference", "parsl"])
+def test_invalidates_when_an_input_file_format_changes(engine, tmp_path, monkeypatch):
+    """A tool sees a File's ``format``, so the key covers it: a run that
+    differs only there misses instead of replaying the other format."""
+    store = tmp_path / "store"
+    data = tmp_path / "data.txt"
+    data.write_text("same bytes\n")
+    tool = {"class": "CommandLineTool", "baseCommand": "echo",
+            "inputs": {"data": "File"}, "arguments": ["$(inputs.data.format)"],
+            "outputs": {"out": "stdout"}, "stdout": "format.txt"}
+
+    def run(format_iri: str, label: str):
+        order = {"data": {"class": "File", "path": str(data), "format": format_iri}}
+        return run_once(engine, tool, order, store, tmp_path / label, monkeypatch)
+
+    seen = [(result.cache_stats, file_bytes(result.outputs["out"])) for result in (
+        run("http://edamontology.org/format_1929", "r1"),
+        run("http://edamontology.org/format_1930", "r2"),
+        run("http://edamontology.org/format_1929", "r3"))]
+    assert seen == [
+        ({"hits": 0, "misses": 1}, b"http://edamontology.org/format_1929\n"),
+        ({"hits": 0, "misses": 1}, b"http://edamontology.org/format_1930\n"),
+        ({"hits": 1, "misses": 0}, b"http://edamontology.org/format_1929\n")]
+
+
+@pytest.mark.parametrize("engine", ["reference", "parsl"])
+def test_invalidates_when_a_secondary_file_content_changes(engine, tmp_path, monkeypatch):
+    """A File's ``secondaryFiles`` are keyed by content as the File is: a
+    run whose secondary file's bytes changed misses."""
+    store = tmp_path / "store"
+    data, index = tmp_path / "reads.bam", tmp_path / "reads.bam.bai"
+    data.write_text("primary\n")
+    tool = {"class": "CommandLineTool", "baseCommand": "cat",
+            "inputs": {"data": "File"}, "arguments": ["$(inputs.data.secondaryFiles[0].path)"],
+            "outputs": {"out": "stdout"}, "stdout": "index.txt"}
+    order = {"data": {"class": "File", "path": str(data),
+                      "secondaryFiles": [{"class": "File", "path": str(index)}]}}
+    seen = []
+    for label, content in (("r1", "first index\n"), ("r2", "second index\n"),
+                           ("r3", "first index\n")):
+        index.write_text(content)
+        result = run_once(engine, tool, order, store, tmp_path / label, monkeypatch)
+        seen.append((result.cache_stats, file_bytes(result.outputs["out"])))
+    assert seen == [({"hits": 0, "misses": 1}, b"first index\n"),
+                    ({"hits": 0, "misses": 1}, b"second index\n"),
+                    ({"hits": 1, "misses": 0}, b"first index\n")]
 
 
 def test_invalidates_when_tool_document_changes(tmp_path, monkeypatch):

@@ -260,6 +260,48 @@ def test_every_engine_journals_one_retry_record_per_reattempt(engine, shape, tmp
     assert [r["attempt"] for r in retries] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("kernel", ["parsl_threads", "parsl_htex_local"])
+def test_a_worker_process_reports_retries_and_the_cache_outcome(kernel, request, tmp_path):
+    """A tool that exits 75 once, then succeeds: its task's value carries the
+    retry, the attempt and the cache outcome back from wherever it ran, so
+    HTEX's worker processes report what the thread pool does."""
+    request.getfixturevalue(kernel)
+    marker = tmp_path / "failed-once"
+    flaky = {"class": "CommandLineTool", "cwlVersion": "v1.2",
+             "baseCommand": ["sh", "-c", f"[ -e {marker} ] || {{ touch {marker}; exit 75; }}"],
+             "inputs": {}, "outputs": {}}
+    seen = []
+    hooks = api.ExecutionHooks(
+        on_job_start=lambda e: seen.append("start"),
+        on_job_retry=lambda e: seen.append(f"retry {e.attempt}"),
+        on_job_end=lambda e: seen.append(f"end {e.attempt} {e.cache}"))
+    result = api.run(flaky, {}, engine="parsl", hooks=hooks, cache_dir=str(tmp_path / "store"),
+                     retry_policy=api.RetryPolicy(max_attempts=3, backoff_s=0,
+                                                  retryable_exit_codes=(75,)))
+    assert seen == ["start", "retry 1", "end 2 miss"]
+    assert result.cache_stats == {"hits": 0, "misses": 1}
+
+
+@pytest.mark.parametrize("kernel", ["parsl_threads", "parsl_htex_local"])
+def test_a_failed_task_from_a_worker_process_reports_its_retries(kernel, request):
+    """The error that ends a task carries the retries made before it."""
+    request.getfixturevalue(kernel)
+    fails = {"class": "CommandLineTool", "cwlVersion": "v1.2",
+             "baseCommand": ["sh", "-c", "exit 75"], "inputs": {}, "outputs": {}}
+    seen = []
+    hooks = api.ExecutionHooks(
+        on_job_start=lambda e: seen.append("start"),
+        on_job_retry=lambda e: seen.append(f"retry {e.attempt} {e.error}"),
+        on_job_end=lambda e: seen.append(f"end {e.attempt}"))
+    with pytest.raises(Exception) as excinfo:
+        api.run(fails, {}, engine="parsl", hooks=hooks,
+                retry_policy=api.RetryPolicy(max_attempts=3, backoff_s=0,
+                                             retryable_exit_codes=(75,)))
+    assert exit_class(unwrap_failure(excinfo.value)) == "permanentFail"
+    error = "tool '<tool>' failed with exit code 75 (command: sh -c exit 75)"
+    assert seen == ["start", f"retry 1 {error}", f"retry 2 {error}", "end 3"]
+
+
 # ------------------------------------------------------------------ timeouts
 
 @pytest.mark.parametrize("engine", TOOL_ENGINES)

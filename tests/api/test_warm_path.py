@@ -331,19 +331,21 @@ def primed(tmp_path, monkeypatch):
     store = str(tmp_path / "store")
     kwargs = {"cwl_inputs": {"message": "recorded"}, "cwl_cache_dir": store}
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
-                                **kwargs) == 0
+                                **kwargs).exit_code == 0
     assert (tmp_path / "echoed.txt").read_text() == "recorded\n"
     assert len(os.listdir(os.path.join(store, "entries"))) == 1
     return kwargs
 
 
-def hit_note(primed) -> dict:
-    """What a hit on the primed store leaves in ``cwl_cache_note``: the
-    outcome, the key and the recorded exit code, for the journal's ``job``
-    record."""
+def hit_of(primed) -> tuple:
+    """What the result of a hit on the primed store says: the outcome, the
+    key and the recorded exit code, for the journal's ``job`` record."""
     (entry,) = os.listdir(os.path.join(primed["cwl_cache_dir"], "entries"))
-    key = entry[:-len(".json")]
-    return {"cache": "hit", "key": key, "exit_code": 0}
+    return True, entry[:-len(".json")], 0
+
+
+def outcome(result) -> tuple:
+    return result.cache_hit, result.cache_key, result.exit_code
 
 
 def test_hit_appends_when_the_redirection_mode_says_so(primed, tmp_path, monkeypatch):
@@ -351,15 +353,14 @@ def test_hit_appends_when_the_redirection_mode_says_so(primed, tmp_path, monkeyp
     log = tmp_path / "logs" / "all.txt"
     log.parent.mkdir()
     log.write_text("before\n")
-    note: dict = {}
-    assert cached_bash_executor(app_body(echo_tool_raw()), stdout=(str(log), "a"),
-                                cwl_cache_note=note, **primed) == 0
-    assert note == hit_note(primed)
+    result = cached_bash_executor(app_body(echo_tool_raw()), stdout=(str(log), "a"),
+                                  **primed)
+    assert outcome(result) == hit_of(primed)
     assert log.read_text() == "before\nrecorded\n"
     # A truncating redirection onto a name the entry was not recorded under.
     other = tmp_path / "fresh" / "other.txt"
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout=str(other),
-                                **primed) == 0
+                                **primed).exit_code == 0
     assert other.read_text() == "recorded\n"
     assert counted.spawns == 0
 
@@ -369,17 +370,17 @@ def test_a_hit_opens_a_silent_stream_redirection_as_a_run_does(primed, tmp_path,
     captured empty under the call's own key.  Bash's ``2> err.txt`` around a
     silent command leaves an empty file, and so does the hit."""
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
-                                stderr="first-err.txt", **primed) == 0
+                                stderr="first-err.txt", **primed).exit_code == 0
     counted = Counted(monkeypatch)
     stale = tmp_path / "err.txt"
     stale.write_text("left over from an earlier run\n")
     kept = tmp_path / "appended-err.txt"
     kept.write_text("kept\n")
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
-                                stderr="err.txt", **primed) == 0
+                                stderr="err.txt", **primed).exit_code == 0
     assert stale.read_text() == ""
     assert cached_bash_executor(app_body(echo_tool_raw()), stdout="echoed.txt",
-                                stderr=(str(kept), "a"), **primed) == 0
+                                stderr=(str(kept), "a"), **primed).exit_code == 0
     assert kept.read_text() == "kept\n"
     assert counted.spawns == 0
 
@@ -392,7 +393,7 @@ def test_hit_still_checks_declared_outputs(primed, tmp_path):
     assert "never-made.txt" in str(raised.value)
 
 
-def test_injected_fault_fires_before_the_probe(primed, monkeypatch):
+def test_injected_fault_fires_before_the_probe(primed, tmp_path, monkeypatch):
     """``fatal-all``: every attempt fails before the app body runs, so the
     job is never probed — no hit is found, nothing is restored."""
     profile = get_fault_profile("fatal-all")
@@ -405,21 +406,21 @@ def test_injected_fault_fires_before_the_probe(primed, monkeypatch):
         return found
 
     monkeypatch.setattr(CommandLineJob, "probe", probe)
-    note: dict = {}
-    retries: list = []
-    with pytest.raises(InjectedFault):
+    with pytest.raises(InjectedFault) as raised:
         resilient_bash_executor(
-            app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
+            app_body(echo_tool_raw()), stdout="echoed.txt",
             cwl_fault_plan=profile.make_plan(), cwl_retry_policy=profile.policy,
-            cwl_retry_note=retries, cwl_job_name="echo_app", **primed)
+            cwl_job_name="echo_app", **primed)
     assert probes == []
-    assert note == {}
-    assert len(retries) == profile.policy.max_attempts - 1
-    # Without the plan the same call is a plain hit.
-    assert resilient_bash_executor(
-        app_body(echo_tool_raw()), stdout="echoed.txt", cwl_cache_note=note,
-        cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed) == 0
-    assert note == hit_note(primed)
+    assert [attempt for attempt, _error, _delay in raised.value.retries] == list(
+        range(1, profile.policy.max_attempts))
+    # Without the plan the same call is a plain hit.  Given its job's
+    # directory, as a run's node is, the call's value is the job's result.
+    result = resilient_bash_executor(
+        app_body(echo_tool_raw()), cwl_job_dir=str(tmp_path / "node"),
+        cwl_retry_policy=profile.policy, cwl_job_name="echo_app", **primed)
+    assert outcome(result) == hit_of(primed)
+    assert result.retries == ()
     assert len(probes) == 1 and probes[0].entry is not None
 
 
@@ -443,11 +444,11 @@ def test_a_redirection_outside_the_cwd_is_cached_and_hit(tmp_path, monkeypatch):
                 assert future.result() == 0
         finally:
             repro.clear()
-        seen.append((future.cwl_cache_note["cache"], counted.spawns))
+        seen.append((len(os.listdir(tmp_path / "store" / "entries")), counted.spawns))
         assert outside.read_text() == "far away\n"
         assert os.stat(outside).st_nlink == 1
         outside.unlink()
-    assert seen == [("miss", 1), ("hit", 0)]
+    assert seen == [(1, 1), (1, 0)]  # a miss stored, then a hit on that entry
     assert not (cwd / "echoed.txt").exists()
 
 
@@ -471,10 +472,10 @@ def test_a_stream_the_tool_leaves_alone_is_captured_for_the_redirection(tmp_path
                 assert future.result() == 0
         finally:
             repro.clear()
-        seen.append((future.cwl_cache_note["cache"], counted.spawns))
+        seen.append((len(os.listdir(tmp_path / "store" / "entries")), counted.spawns))
         assert (tmp_path / "err.txt").read_text() == "warned\n"
         (tmp_path / "err.txt").unlink()
-    assert seen == [("miss", 1), ("hit", 0)]
+    assert seen == [(1, 1), (1, 0)]  # a miss stored, then a hit on that entry
     own = api.run(load_document(dict(tool)), {"message": "warned"}, engine="reference",
                   cache_dir=str(tmp_path / "store"),
                   runtime_context=RuntimeContext(basedir=str(tmp_path / "own")))
@@ -493,21 +494,23 @@ def test_a_wildcard_glob_hit_restores_the_matched_file(tmp_path, monkeypatch):
             "inputs": {}, "outputs": {"out": {"type": "File",
                                               "outputBinding": {"glob": "*-out.txt"}}}}
     context = RuntimeContext(cache_dir=str(tmp_path / "store"))
-    notes = []
+    seen = []
     for run in ("cold", "warm"):
         workdir = tmp_path / run
         workdir.mkdir()
         monkeypatch.chdir(workdir)
         repro.load(repro.thread_config(max_threads=2, run_dir=str(workdir / "runinfo")))
         try:
-            future = CWLApp(load_document(dict(tool)), runtime_context=context)()
-            future.result()
+            with monkeypatch.context() as patched:
+                counted = Counted(patched)
+                exit_code = CWLApp(load_document(dict(tool)), runtime_context=context)().result()
         finally:
             repro.clear()
-        notes.append(future.cwl_cache_note)
-    assert [(note["cache"], note["exit_code"]) for note in notes] == [
-        ("miss", 0), ("hit", 0)]
-    assert notes[0]["key"] == notes[1]["key"]
+        seen.append((exit_code, counted.spawns,
+                     sorted(os.listdir(tmp_path / "store" / "entries"))))
+    # One key: the miss stored its entry, the hit spawned nothing.
+    assert [(exit_code, spawns) for exit_code, spawns, _entries in seen] == [(0, 1), (0, 0)]
+    assert len(seen[0][2]) == 1 and seen[1][2] == seen[0][2]
     assert (tmp_path / "warm" / "x-out.txt").read_bytes() == b"wild\n"
 
 

@@ -308,25 +308,27 @@ def test_a_step_named_dot_dot_runs_inside_the_bridge_root(engine, tmp_path, monk
 
 def test_the_bridge_collects_on_htex_what_it_collects_on_threads(parsl_htex_local, tmp_path,
                                                                  monkeypatch):
-    """A process-based executor returns only the exit code, so the bridge
-    collects each step's outputs itself, once, in the node's directory: an
-    ``outputEval`` int and the File of the step submitted with it are what
-    the runners return."""
-    from repro.core import workflow_bridge
+    """On a process-based executor each step's job collects its outputs in
+    its worker process, in the node's directory, and the task's value brings
+    them back: an ``outputEval`` int and the File of the step submitted with
+    it are what the runners return, and the submitting side collects
+    nothing."""
+    from repro.cwl import job, outputs
     from tests.conformance.test_unsupported_paths import output_eval_workflow
 
-    collected, collect = [], workflow_bridge.collect_outputs
+    collected = []
 
     def collect_outputs(tool, **kwargs):
         collected.append(kwargs["outdir"])
-        return collect(tool, **kwargs)
+        raise AssertionError("collected on the submitting side")
 
-    monkeypatch.setattr(workflow_bridge, "collect_outputs", collect_outputs)
-    outputs = CWLWorkflowBridge(load_document(output_eval_workflow())).run({})
-    assert [os.path.basename(outdir) for outdir in collected] == ["count", "double"]
-    assert outputs["n"] == 42
-    assert Path(outputs["doubled"]["path"]).read_text() == "84\n"
-    assert outputs["doubled"]["path"].endswith(os.path.join("double", "doubled.txt"))
+    monkeypatch.setattr(job, "collect_outputs", collect_outputs)
+    monkeypatch.setattr(outputs, "collect_outputs", collect_outputs)
+    result = CWLWorkflowBridge(load_document(output_eval_workflow())).run({})
+    assert collected == []
+    assert result["n"] == 42
+    assert Path(result["doubled"]["path"]).read_text() == "84\n"
+    assert result["doubled"]["path"].endswith(os.path.join("double", "doubled.txt"))
 
 
 def test_a_bridge_without_an_observer_evaluates_an_expression_tool_step_inline(
